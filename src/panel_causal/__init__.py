@@ -76,9 +76,12 @@ from .marginalize import (
 )
 from .estimators import (
     ESTIMANDS,
+    METHOD_TABLE,
     METHODS,
     EffectEstimate,
+    MethodInfo,
     estimate_did,
+    estimate_effects,
     estimate_drglmm,
     estimate_glmm,
     estimate_ipw,
@@ -141,8 +144,9 @@ __all__ = [
     "LinkFunction", "IDENTITY_LINK", "LOGIT_LINK", "link_function",
     "QuadratureRule", "gauss_hermite_rule", "population_average_contrast",
     # estimators
-    "METHODS", "ESTIMANDS", "EffectEstimate", "estimate_or", "estimate_glmm",
-    "estimate_ipw", "estimate_did", "estimate_ipwdid", "estimate_drglmm",
+    "METHODS", "ESTIMANDS", "METHOD_TABLE", "MethodInfo", "EffectEstimate",
+    "estimate_effects", "estimate_or", "estimate_glmm", "estimate_ipw",
+    "estimate_did", "estimate_ipwdid", "estimate_drglmm",
     # inference
     "EstimatorConfig", "BootstrapResult", "DRTestResult", "BalanceReport",
     "evaluate_estimator", "relative_effect", "cluster_bootstrap",

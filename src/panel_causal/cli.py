@@ -4,12 +4,12 @@ Every command validates its inputs before computing, writes its primary
 output to stdout (or ``--output``), and exits 0 on success, 2 on a
 validation problem, 1 on a computation failure.  Failures print a single
 ``ERROR:<kind>:<message>`` line to stderr.  Outputs are byte-identical for
-identical arguments and seed, regardless of ``--threads``.
+identical arguments and seed.  ``--threads`` is accepted and ignored:
+replicates run in order on one thread.
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidArgumentError, PanelCausalError
+from .estimators import ESTIMANDS, METHOD_TABLE, METHODS
 from .glm_fit import fit_propensity
 from .inference import (
     EstimatorConfig,
@@ -39,7 +40,8 @@ from .simlab import (
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
-_METHOD_CHOICES = ("or", "glmm", "ipw", "did", "ipwdid", "drglmm")
+_METHOD_CHOICES = tuple(m.lower() for m in METHODS)
+_MODEL_FLAGS = {"outcome model": "--covariates", "treatment model": "--ps-covariates"}
 
 
 @dataclass(frozen=True)
@@ -59,22 +61,10 @@ class RunConfig:
     B: int = 500
     R: int = 1000
     k_bins: int = 5
-    quad_order: int = 20
-    threads: int = 1
     fmt: str = "text"
     alpha: float = 0.10
     check: str = "all"
     relative: bool = False
-
-
-def _default_threads():
-    env = os.environ.get("PANEL_CAUSAL_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
 
 
 def build_parser():
@@ -106,8 +96,6 @@ def build_parser():
                             "main-effects spec (alternative to --spec)")
         p.add_argument("--k-bins", type=int, default=5,
                        help="propensity quantile bins for the doubly robust fit")
-        p.add_argument("--quad-order", type=int, default=20,
-                       help="Gauss-Hermite order for marginalized contrasts")
 
     def add_common(p, threads=True):
         p.add_argument("--seed", type=int, default=0, help="random seed")
@@ -116,9 +104,8 @@ def build_parser():
         p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
                        default="text", help="output format")
         if threads:
-            p.add_argument("--threads", type=int, default=_default_threads(),
-                           help="worker threads (results do not depend on this; "
-                                "env PANEL_CAUSAL_THREADS overrides the default)")
+            p.add_argument("--threads", type=int, default=1,
+                           help="ignored; replicates run in order on one thread")
 
     p = add("simulate", "Draw a synthetic scenario dataset and write it as CSV.")
     p.add_argument("--scenario", required=True, choices=SCENARIO_IDS)
@@ -170,8 +157,6 @@ def build_parser():
                    help="which estimand the text table shows")
     p.add_argument("--k-bins", type=int, default=5,
                    help="propensity quantile bins for the doubly robust fit")
-    p.add_argument("--quad-order", type=int, default=20,
-                   help="Gauss-Hermite order for marginalized contrasts")
     add_common(p)
 
     return parser
@@ -235,8 +220,8 @@ def _config_from_args(args):
     """
     kw = {"command": args.command}
     for name in ("input", "output", "method", "estimand", "scenario", "n",
-                 "replicate", "seed", "B", "R", "k_bins", "quad_order",
-                 "threads", "fmt", "alpha", "check", "relative"):
+                 "replicate", "seed", "B", "R", "k_bins", "fmt", "alpha",
+                 "check", "relative"):
         if hasattr(args, name):
             kw[name] = getattr(args, name)
     if "method" in kw and kw["method"]:
@@ -244,31 +229,25 @@ def _config_from_args(args):
     if "estimand" in kw:
         kw["estimand"] = kw["estimand"].upper()
     if args.command in ("estimate", "bootstrap"):
-        kw["spec"] = _build_spec(args, post_period=(kw["method"] == "OR"))
+        post_period = METHOD_TABLE[kw["method"]].outcome == "post"
+        kw["spec"] = _build_spec(args, post_period=post_period)
     elif args.command == "diagnose":
         kw["spec"] = _build_spec(args)
     return RunConfig(**kw)
 
 
 def _estimator_config(cfg):
-    needs_outcome = cfg.method in ("OR", "GLMM", "DRGLMM")
-    needs_ps = cfg.method in ("IPW", "IPWDID", "DRGLMM")
-    if needs_outcome and (cfg.spec is None or not cfg.spec.outcome_terms):
+    missing = METHOD_TABLE[cfg.method].missing_model(cfg.spec)
+    if missing:
         raise InvalidArgumentError(
-            f"--method {cfg.method.lower()} needs an outcome model: "
-            "pass --spec or --covariates"
-        )
-    if needs_ps and (cfg.spec is None or not cfg.spec.ps_terms):
-        raise InvalidArgumentError(
-            f"--method {cfg.method.lower()} needs a treatment model: "
-            "pass --spec or --ps-covariates"
+            f"--method {cfg.method.lower()} needs its {missing}: "
+            f"pass --spec or {_MODEL_FLAGS[missing]}"
         )
     return EstimatorConfig(
         method=cfg.method,
         estimand=cfg.estimand,
         spec=cfg.spec,
         k_bins=cfg.k_bins,
-        quad_order=cfg.quad_order,
     )
 
 
@@ -344,7 +323,7 @@ def _cmd_estimate(cfg):
 def _cmd_bootstrap(cfg):
     config = _estimator_config(cfg)
     data = load_csv(cfg.input)
-    res = cluster_bootstrap(data, config, cfg.B, cfg.seed, threads=cfg.threads)
+    res = cluster_bootstrap(data, config, cfg.B, cfg.seed)
     payload = {
         "method": config.method,
         "estimand": config.estimand,
@@ -385,10 +364,8 @@ def _cmd_diagnose(cfg):
         if report.note:
             payload["balance.note"] = report.note
     if run_dr:
-        res = dr_specification_test(
-            data, spec, B=cfg.B, seed=cfg.seed,
-            k_bins=cfg.k_bins, quad_order=cfg.quad_order, threads=cfg.threads,
-        )
+        res = dr_specification_test(data, spec, B=cfg.B, seed=cfg.seed,
+                                    k_bins=cfg.k_bins)
         payload["dr_test.z_ps"] = res.z_ps
         payload["dr_test.z_or"] = res.z_or
         payload["dr_test.reject_ps"] = res.reject_ps
@@ -409,16 +386,14 @@ def _cmd_diagnose(cfg):
 
 def _cmd_study(cfg):
     scenario = Scenario(cfg.scenario, cfg.n)
-    result = run_study(
-        scenario, DEFAULT_SUITE, R=cfg.R, seed=cfg.seed,
-        k_bins=cfg.k_bins, quad_order=cfg.quad_order, threads=cfg.threads,
-    )
+    result = run_study(scenario, DEFAULT_SUITE, R=cfg.R, seed=cfg.seed,
+                       k_bins=cfg.k_bins)
     if cfg.fmt == "json":
         text = json.dumps(asdict(result), sort_keys=True) + "\n"
     elif cfg.fmt == "csv":
         text = render_table(result, fmt="csv")
     else:
-        estimands = ("ATE", "ATT") if cfg.estimand == "BOTH" else (cfg.estimand,)
+        estimands = ESTIMANDS if cfg.estimand == "BOTH" else (cfg.estimand,)
         text = "\n".join(render_table(result, estimand=e, fmt="text") for e in estimands)
     _write_out(text, cfg.output)
     return 0

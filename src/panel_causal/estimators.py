@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExtremeWeightsWarning, InvalidArgumentError
-from .glm_fit import ps_quantile_dummies
+from .glm_fit import fit_propensity, ps_quantile_dummies
 from .lmm_fit import fit_lmm, fit_or
-from .marginalize import IDENTITY_LINK, population_average_contrast
 from .panel_data import (
     ModelSpec,
     build_design,
@@ -34,7 +33,9 @@ from .panel_data import (
 )
 
 __all__ = [
+    "MethodInfo",
     "EffectEstimate",
+    "estimate_effects",
     "estimate_or",
     "estimate_glmm",
     "estimate_ipw",
@@ -43,8 +44,52 @@ __all__ = [
     "estimate_drglmm",
 ]
 
-METHODS = ("OR", "GLMM", "IPW", "DID", "IPWDID", "DRGLMM")
-ESTIMANDS = ("ATE", "ATT")
+
+@dataclass(frozen=True)
+class MethodInfo:
+    """What one estimation method needs and what it reports.
+
+    ``outcome`` is the outcome model the method fits: ``"post"`` (OLS on the
+    post-period rows), ``"mixed"`` (the stacked two-period model) or None.
+    ``uses_ps`` says whether it needs a fitted treatment model.
+    ``estimands`` lists the effects it estimates, and ``label`` prefixes the
+    labels of its study rows.
+    """
+
+    name: str
+    label: str
+    outcome: str = None
+    uses_ps: bool = False
+    estimands: tuple = ("ATE", "ATT")
+
+    def missing_model(self, spec):
+        """The model this method fits that ``spec`` has no terms for:
+        ``"outcome model"``, ``"treatment model"`` or None."""
+        if self.outcome and (spec is None or not spec.outcome_terms):
+            return "outcome model"
+        if self.uses_ps and (spec is None or not spec.ps_terms):
+            return "treatment model"
+        return None
+
+
+METHOD_TABLE = {m.name: m for m in (
+    MethodInfo("OR", "or", outcome="post"),
+    MethodInfo("GLMM", "glmm", outcome="mixed"),
+    MethodInfo("IPW", "ipw", uses_ps=True),
+    MethodInfo("DID", "did", estimands=("ATT",)),
+    MethodInfo("IPWDID", "ipwdid", uses_ps=True),
+    MethodInfo("DRGLMM", "dr", outcome="mixed", uses_ps=True),
+)}
+METHODS = tuple(METHOD_TABLE)
+ESTIMANDS = tuple(dict.fromkeys(e for m in METHOD_TABLE.values() for e in m.estimands))
+
+
+def method_info(method):
+    """The :data:`METHOD_TABLE` row of ``method``, matched in any case."""
+    info = METHOD_TABLE.get(str(method).upper())
+    if info is None:
+        raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
+    return info
 
 
 @dataclass(frozen=True)
@@ -141,25 +186,35 @@ def _glmm_fit(data, spec, extra_unit_cols=None):
     return fit, cf1, cf0
 
 
-def estimate_glmm(data, spec, quad_order=20):
+def _mixed_estimates(method, data, spec, dummies=None):
+    """GLMM and DRGLMM estimates: fit the stacked model, contrast its
+    counterfactual post-period predictions.
+
+    With the identity link, averaging the contrast over the random intercept
+    leaves ``eta1 - eta0`` exactly, so no quadrature is needed.
+    """
+    extra = None if dummies is None else dummies.dummies
+    fit, cf1, cf0 = _glmm_fit(data, spec, extra_unit_cols=extra)
+    beta = fit.fixed_effects
+    contrasts = cf1 @ beta - cf0 @ beta
+    comps = {"sigma_u2": fit.sigma_u2, "sigma_e2": fit.sigma_e2}
+    if dummies is not None:
+        comps["n_dummy_columns"] = dummies.dummies.shape[1]
+        comps["bins_collapsed"] = dummies.collapsed
+    return _contrast_estimates(method, contrasts, _att_mask(data), comps)
+
+
+def estimate_glmm(data, spec):
     """Mixed-model estimates of ATE and ATT via marginalized contrasts.
 
     Fits the stacked two-period model with a unit random intercept (or
     without one, if ``spec.random_effect == "none"``), builds both
     counterfactual post-period linear predictors, and averages the
-    population-level contrast over units.  The outcome family here is
-    Gaussian with identity link, so the marginalization is exact; the
-    quadrature order only matters for nonlinear-link uses of the underlying
-    machinery.
+    population-level contrast over units.  The outcome family is Gaussian
+    with identity link, so marginalizing over the random intercept leaves
+    the difference of the linear predictors exactly.
     """
-    fit, cf1, cf0 = _glmm_fit(data, spec)
-    eta1 = cf1 @ fit.fixed_effects
-    eta0 = cf0 @ fit.fixed_effects
-    contrasts = population_average_contrast(
-        eta1, eta0, fit.sigma_u2, IDENTITY_LINK, K=quad_order
-    )
-    comps = {"sigma_u2": fit.sigma_u2, "sigma_e2": fit.sigma_e2}
-    return _contrast_estimates("GLMM", contrasts, _att_mask(data), comps)
+    return _mixed_estimates("GLMM", data, spec)
 
 
 def estimate_ipw(data, ps_fit, extreme_eps=0.01):
@@ -238,7 +293,7 @@ def estimate_ipwdid(data, ps_fit, extreme_eps=0.01):
     }
 
 
-def estimate_drglmm(data, spec, ps_fit, k_bins=5, quad_order=20):
+def estimate_drglmm(data, spec, ps_fit, k_bins=5):
     """Doubly robust estimates: GLMM augmented with propensity bin dummies.
 
     The fitted propensity scores are cut into ``k_bins`` equal-frequency
@@ -250,16 +305,34 @@ def estimate_drglmm(data, spec, ps_fit, k_bins=5, quad_order=20):
     """
     ps = _check_ps(data, ps_fit)  # range check only; no weighting happens here
     dummies = ps_quantile_dummies(ps, K=k_bins)
-    fit, cf1, cf0 = _glmm_fit(data, spec, extra_unit_cols=dummies.dummies)
-    eta1 = cf1 @ fit.fixed_effects
-    eta0 = cf0 @ fit.fixed_effects
-    contrasts = population_average_contrast(
-        eta1, eta0, fit.sigma_u2, IDENTITY_LINK, K=quad_order
-    )
-    comps = {
-        "sigma_u2": fit.sigma_u2,
-        "sigma_e2": fit.sigma_e2,
-        "n_dummy_columns": dummies.dummies.shape[1],
-        "bins_collapsed": dummies.collapsed,
-    }
-    return _contrast_estimates("DRGLMM", contrasts, _att_mask(data), comps)
+    return _mixed_estimates("DRGLMM", data, spec, dummies)
+
+
+def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5,
+                     extreme_eps=0.01):
+    """Run any method of :data:`METHOD_TABLE` on ``data``.
+
+    ``spec`` supplies the outcome terms of methods with an outcome model.
+    Methods that use the propensity score take ``ps_fit`` if given, else fit
+    ``spec.ps_terms`` here.  ``k_bins`` goes to DRGLMM and ``extreme_eps``
+    to IPW and IPWDID.
+
+    Returns
+    -------
+    dict
+        ``{estimand: EffectEstimate}`` for each estimand of the method.
+    """
+    info = method_info(method)
+    if info.uses_ps and ps_fit is None:
+        ps_fit = fit_propensity(data, spec)
+    if info.name == "OR":
+        return estimate_or(data, spec)
+    if info.name == "GLMM":
+        return estimate_glmm(data, spec)
+    if info.name == "IPW":
+        return estimate_ipw(data, ps_fit, extreme_eps=extreme_eps)
+    if info.name == "DID":
+        return {"ATT": estimate_did(data)}
+    if info.name == "IPWDID":
+        return estimate_ipwdid(data, ps_fit, extreme_eps=extreme_eps)
+    return estimate_drglmm(data, spec, ps_fit, k_bins=k_bins)

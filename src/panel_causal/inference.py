@@ -4,7 +4,9 @@ Uncertainty comes from the cluster bootstrap: units are resampled with
 replacement, each carrying both of its rows, and the whole pipeline
 (propensity fit, outcome fit, estimate) reruns per replicate.  Replicate r
 draws from the random stream keyed by ``(seed, r)``, so results are
-bit-identical for a fixed seed no matter how many worker threads run.
+bit-identical for a fixed seed.  Replicates run in order on the calling
+thread: the fits are many small numpy calls that hold the interpreter lock,
+and a thread pool measured slower than one core.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -15,7 +17,6 @@ outcome and treatment models.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,24 +32,15 @@ from .errors import (
 )
 from .estimators import (
     ESTIMANDS,
-    METHODS,
-    estimate_did,
+    _glmm_fit,
     estimate_drglmm,
+    estimate_effects,
     estimate_glmm,
-    estimate_ipw,
     estimate_ipwdid,
-    estimate_or,
+    method_info,
 )
 from .glm_fit import fit_logistic, fit_propensity
-from .lmm_fit import fit_lmm, fit_or
-from .panel_data import (
-    ModelSpec,
-    build_design,
-    ps_design,
-    stacked_cluster_ids,
-    stacked_response,
-    term_label,
-)
+from .panel_data import ModelSpec, ps_design
 from .rng import substream
 
 __all__ = [
@@ -69,36 +61,35 @@ __all__ = [
 class EstimatorConfig:
     """Which estimator to run, and with what models.
 
-    ``spec`` supplies the outcome terms (OR, GLMM, DRGLMM) and the
-    propensity terms (IPW, IPWDID, DRGLMM); DID needs neither.
+    ``spec`` supplies the terms of the models the method fits (see
+    :data:`~panel_causal.estimators.METHOD_TABLE`); DID needs none.
+    ``k_bins``, the propensity bin count of DRGLMM, must be at least 2.
     """
 
     method: str
     estimand: str
     spec: ModelSpec = None
     k_bins: int = 5
-    quad_order: int = 20
     extreme_eps: float = 0.01
 
     def __post_init__(self):
-        method = str(self.method).upper()
+        info = method_info(self.method)
         estimand = str(self.estimand).upper()
-        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "method", info.name)
         object.__setattr__(self, "estimand", estimand)
-        if method not in METHODS:
-            raise InvalidArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
         if estimand not in ESTIMANDS:
             raise InvalidArgumentError(
                 f"estimand must be one of {ESTIMANDS}, got {self.estimand!r}"
             )
-        if method == "DID" and estimand != "ATT":
-            raise InvalidArgumentError("DID estimates the ATT only")
-        needs_outcome = method in ("OR", "GLMM", "DRGLMM")
-        needs_ps = method in ("IPW", "IPWDID", "DRGLMM")
-        if needs_outcome and (self.spec is None or not self.spec.outcome_terms):
-            raise InvalidArgumentError(f"{method} requires spec.outcome_terms")
-        if needs_ps and (self.spec is None or not self.spec.ps_terms):
-            raise InvalidArgumentError(f"{method} requires spec.ps_terms")
+        if estimand not in info.estimands:
+            raise InvalidArgumentError(
+                f"{info.name} estimates the {'/'.join(info.estimands)} only"
+            )
+        missing = info.missing_model(self.spec)
+        if missing:
+            raise InvalidArgumentError(f"{info.name} needs its {missing}, which spec lacks")
+        if int(self.k_bins) < 2:
+            raise InvalidArgumentError(f"k_bins must be at least 2, got {self.k_bins}")
 
 
 def evaluate_estimator(config, data, ps_fit=None):
@@ -107,23 +98,8 @@ def evaluate_estimator(config, data, ps_fit=None):
     ``ps_fit`` can inject an already-fitted propensity model (the bootstrap
     never does this: each replicate refits everything).
     """
-    method = config.method
-    if method == "DID":
-        return estimate_did(data).value
-    if method in ("IPW", "IPWDID", "DRGLMM") and ps_fit is None:
-        ps_fit = fit_propensity(data, config.spec)
-    if method == "OR":
-        out = estimate_or(data, config.spec)
-    elif method == "GLMM":
-        out = estimate_glmm(data, config.spec, quad_order=config.quad_order)
-    elif method == "IPW":
-        out = estimate_ipw(data, ps_fit, extreme_eps=config.extreme_eps)
-    elif method == "IPWDID":
-        out = estimate_ipwdid(data, ps_fit, extreme_eps=config.extreme_eps)
-    else:
-        out = estimate_drglmm(
-            data, config.spec, ps_fit, k_bins=config.k_bins, quad_order=config.quad_order
-        )
+    out = estimate_effects(config.method, data, config.spec, ps_fit,
+                           k_bins=config.k_bins, extreme_eps=config.extreme_eps)
     return out[config.estimand].value
 
 
@@ -156,25 +132,6 @@ class BootstrapResult:
     n_failed: int
 
 
-def _run_replicates(worker, B, threads):
-    """Evaluate ``worker(r)`` for r in 0..B-1, results in replicate order.
-
-    Each replicate owns its random stream, so scheduling cannot change
-    values; the output array is indexed by replicate, making the reduction
-    order-deterministic regardless of thread count.
-    """
-    out = [None] * B
-    threads = max(1, int(threads))
-    if threads == 1:
-        for r in range(B):
-            out[r] = worker(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for r, val in zip(range(B), pool.map(worker, range(B))):
-                out[r] = val
-    return out
-
-
 def cluster_bootstrap(data, config, B, seed, threads=1):
     """Nonparametric cluster bootstrap of one estimator.
 
@@ -187,7 +144,7 @@ def cluster_bootstrap(data, config, B, seed, threads=1):
     seed : int
         Stream family; replicate r uses the ``(seed, r)`` stream.
     threads : int
-        Worker threads.  Results are identical for any value.
+        Ignored; replicates run in order on the calling thread.
 
     Returns
     -------
@@ -206,7 +163,7 @@ def cluster_bootstrap(data, config, B, seed, threads=1):
         except (PanelCausalError, np.linalg.LinAlgError):
             return np.nan
 
-    vals = np.array(_run_replicates(one, B, threads), dtype=float)
+    vals = np.array([one(r) for r in range(B)], dtype=float)
     ok = vals[np.isfinite(vals)]
     n_failed = int(B - ok.size)
     if n_failed >= 0.05 * B:
@@ -262,7 +219,7 @@ def _guarded_z(num, sigma):
 
 
 def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
-                          k_bins=5, quad_order=20, threads=1):
+                          k_bins=5, threads=1):
     """Test the propensity and outcome models through their DR agreement.
 
     On the original data and on each of B shared cluster resamples, compute
@@ -277,6 +234,8 @@ def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
         Outcome terms (and propensity terms, unless overridden).
     ps_spec : ModelSpec, optional
         Separate source of propensity terms.
+    threads : int
+        Ignored; replicates run in order on the calling thread.
     """
     ps_terms = (ps_spec or spec).ps_terms
     if not ps_terms:
@@ -288,9 +247,9 @@ def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
 
     def triple(d):
         ps = fit_propensity(d, work_spec)
-        dr = estimate_drglmm(d, work_spec, ps, k_bins=k_bins, quad_order=quad_order)
+        dr = estimate_drglmm(d, work_spec, ps, k_bins=k_bins)
         ipwdid = estimate_ipwdid(d, ps)
-        glmm = estimate_glmm(d, work_spec, quad_order=quad_order)
+        glmm = estimate_glmm(d, work_spec)
         return (dr["ATE"].value, ipwdid["ATE"].value, glmm["ATE"].value)
 
     point_dr, point_ipwdid, point_glmm = triple(data)
@@ -303,7 +262,7 @@ def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
         except (PanelCausalError, np.linalg.LinAlgError):
             return (np.nan, np.nan, np.nan)
 
-    vals = np.array(_run_replicates(one, B, threads), dtype=float)
+    vals = np.array([one(r) for r in range(B)], dtype=float)
     ok = vals[np.all(np.isfinite(vals), axis=1)]
     n_failed = int(B - ok.shape[0])
     if ok.shape[0] < 2:
@@ -474,12 +433,7 @@ def backward_eliminate(data, full_spec, alpha=0.10):
     def outcome_pvalues(terms):
         spec = ModelSpec(outcome_terms=tuple(terms),
                          random_effect=full_spec.random_effect)
-        design = build_design(data, spec, stacked=True)
-        y = stacked_response(data)
-        if spec.random_effect == "unit_intercept":
-            fit = fit_lmm(design.X, y, stacked_cluster_ids(data))
-        else:
-            fit = fit_or(design.X, y)
+        fit, _, _ = _glmm_fit(data, spec)
         return _wald_pvalues(fit.fixed_effects, fit.se_fixed)
 
     def ps_pvalues(terms):

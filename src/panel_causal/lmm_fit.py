@@ -31,6 +31,7 @@ from .errors import (
 __all__ = ["FitOptions", "LMMFit", "fit_lmm", "fit_or", "profile_loglik"]
 
 _LOG2PI = float(np.log(2.0 * np.pi))
+_EPS2 = float(np.finfo(float).eps) ** 2
 
 
 @dataclass(frozen=True)
@@ -299,9 +300,14 @@ def fit_or(post_design, response):
     if np.linalg.matrix_rank(X) < p:
         raise RankDeficientDesignError(f"design has rank below its {p} columns")
     G = X.T @ X
-    b = X.T @ y
-    beta = np.linalg.solve(G, b)
-    rss = max(float(y @ y) - float(beta @ b), 0.0)
+    beta = np.linalg.solve(G, X.T @ y)
+    # From the residual vector: y'y - beta'X'y cancels catastrophically when
+    # the response carries a large offset.  An exact fit still leaves
+    # round-off residuals, which the relative floor maps to zero.
+    resid = y - X @ beta
+    rss = float(resid @ resid)
+    if rss <= n * _EPS2 * float(y @ y):
+        rss = 0.0
     s2 = rss / n
     if rss > 0.0:
         loglik = -0.5 * n * (_LOG2PI + 1.0 + np.log(s2))

@@ -1,10 +1,9 @@
-"""Counter-based random number streams for reproducible parallel work.
+"""Counter-based random number streams for reproducible replicates.
 
 Bootstrap replicates and simulation replicates each get their own stream,
 keyed by ``(seed, index)`` through the Philox counter-based generator.
-Stream ``r`` therefore produces the same values no matter how many worker
-threads are running or in what order replicates execute, which is what makes
-study and bootstrap output byte-identical across thread counts.
+Stream ``r`` therefore produces the same values no matter which replicates
+ran before it, so each replicate's result depends only on ``(seed, r)``.
 """
 
 import numpy as np

@@ -23,7 +23,8 @@ RANDCOEF_TI  the same, with the x2 term post-period only
 A study draws R independent datasets, runs a suite of estimator and model
 combinations on each, and reports bias (x100), variance and MSE per cell
 against the scenario's true effects.  Replicate r draws from the stream
-keyed by (seed, r), so studies reproduce bit for bit at any thread count.
+keyed by (seed, r), so studies reproduce bit for bit; replicates run in
+order on the calling thread.
 """
 
 import warnings
@@ -37,17 +38,8 @@ from .errors import (
     PanelCausalError,
     ReplicateFailureWarning,
 )
-from .estimators import (
-    METHODS,
-    estimate_did,
-    estimate_drglmm,
-    estimate_glmm,
-    estimate_ipw,
-    estimate_ipwdid,
-    estimate_or,
-)
+from .estimators import ESTIMANDS, estimate_effects, method_info
 from .glm_fit import IRLSOptions, fit_propensity
-from .inference import _run_replicates
 from .panel_data import ModelSpec, PanelDataset
 from .rng import substream
 
@@ -358,27 +350,21 @@ class SuiteEntry:
     label: str = field(default=None)
 
     def __post_init__(self):
-        method = str(self.method).upper()
-        object.__setattr__(self, "method", method)
-        if method not in METHODS:
-            raise InvalidArgumentError(f"method must be one of {METHODS}")
+        info = method_info(self.method)
+        object.__setattr__(self, "method", info.name)
         if self.outcome_model not in _MODEL_CHOICES or self.ps_model not in _MODEL_CHOICES:
             raise InvalidArgumentError("model choices are None, 'full' or 'reduced'")
-        needs_outcome = method in ("OR", "GLMM", "DRGLMM")
-        needs_ps = method in ("IPW", "IPWDID", "DRGLMM")
-        if needs_outcome != (self.outcome_model is not None):
-            raise InvalidArgumentError(f"{method}: outcome_model must be set iff used")
-        if needs_ps != (self.ps_model is not None):
-            raise InvalidArgumentError(f"{method}: ps_model must be set iff used")
+        if (info.outcome is not None) != (self.outcome_model is not None):
+            raise InvalidArgumentError(
+                f"{info.name}: outcome_model must be set iff the method has an outcome model"
+            )
+        if info.uses_ps != (self.ps_model is not None):
+            raise InvalidArgumentError(
+                f"{info.name}: ps_model must be set iff the method has a treatment model"
+            )
         if self.label is None:
-            parts = [method.lower()]
-            if method == "DRGLMM":
-                parts = ["dr"]
-            if self.outcome_model:
-                parts.append(self.outcome_model)
-            if self.ps_model:
-                parts.append(self.ps_model)
-            object.__setattr__(self, "label", "-".join(parts))
+            parts = (info.label, self.outcome_model, self.ps_model)
+            object.__setattr__(self, "label", "-".join(p for p in parts if p))
 
 
 DEFAULT_SUITE = (
@@ -433,7 +419,7 @@ class StudyResult:
         raise KeyError(f"no cell ({label!r}, {estimand!r})")
 
 
-def _suite_values(data, suite, specs, k_bins, quad_order):
+def _suite_values(data, suite, specs, k_bins):
     """Evaluate every suite entry once; (ate, att) rows, NaN on failure.
 
     The two treatment models are fitted at most once each and shared by
@@ -454,41 +440,26 @@ def _suite_values(data, suite, specs, k_bins, quad_order):
         return ps_cache[which]
 
     for i, e in enumerate(suite):
-        try:
-            if e.method == "DID":
-                vals[i, 1] = estimate_did(data).value
+        info = method_info(e.method)
+        spec = specs[f"{info.outcome}_{e.outcome_model}"] if info.outcome else None
+        ps_fit = None
+        if info.uses_ps:
+            ps_fit = shared_ps(e.ps_model)
+            if ps_fit is None:
                 continue
-            if e.method == "OR":
-                out = estimate_or(data, specs["post_" + e.outcome_model])
-            elif e.method == "GLMM":
-                out = estimate_glmm(
-                    data, specs["mixed_" + e.outcome_model], quad_order=quad_order
-                )
-            else:
-                ps_fit = shared_ps(e.ps_model)
-                if ps_fit is None:
-                    continue
-                if e.method == "IPW":
-                    out = estimate_ipw(data, ps_fit, extreme_eps=None)
-                elif e.method == "IPWDID":
-                    out = estimate_ipwdid(data, ps_fit, extreme_eps=None)
-                else:
-                    out = estimate_drglmm(
-                        data,
-                        specs["mixed_" + e.outcome_model],
-                        ps_fit,
-                        k_bins=k_bins,
-                        quad_order=quad_order,
-                    )
-            vals[i, 0] = out["ATE"].value
-            vals[i, 1] = out["ATT"].value
+        try:
+            out = estimate_effects(e.method, data, spec, ps_fit,
+                                   k_bins=k_bins, extreme_eps=None)
         except (PanelCausalError, np.linalg.LinAlgError):
-            pass
+            continue
+        for j, estimand in enumerate(ESTIMANDS):
+            if estimand in out:
+                vals[i, j] = out[estimand].value
     return vals
 
 
 def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
-              k_bins=5, quad_order=20, threads=1):
+              k_bins=5, threads=1):
     """Monte Carlo performance study of an estimator suite on one scenario.
 
     Draws R datasets (replicate r from stream ``(seed, r)``), evaluates the
@@ -502,10 +473,10 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     R : int
         Replicates, at least 2.
     seed : int
-    k_bins, quad_order : int
-        Forwarded to the doubly robust and mixed-model estimators.
+    k_bins : int
+        Propensity bins of the doubly robust estimator, at least 2.
     threads : int
-        Worker threads; the result is identical for any value.
+        Ignored; replicates run in order on the calling thread.
 
     Returns
     -------
@@ -521,6 +492,8 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     R = int(R)
     if R < 2:
         raise InvalidArgumentError(f"R must be at least 2, got {R}")
+    if int(k_bins) < 2:
+        raise InvalidArgumentError(f"k_bins must be at least 2, got {k_bins}")
     suite = tuple(suite)
     labels = [e.label for e in suite]
     if len(set(labels)) != len(labels):
@@ -528,11 +501,10 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     specs = scenario_specs(scenario.id)
     truths = true_effects(scenario)
 
-    def one(r):
-        data = generate_scenario(scenario, seed, replicate=r)
-        return _suite_values(data, suite, specs, k_bins, quad_order)
-
-    stack = np.stack(_run_replicates(one, R, threads))
+    stack = np.stack([
+        _suite_values(generate_scenario(scenario, seed, replicate=r), suite, specs, k_bins)
+        for r in range(R)
+    ])
     truth_by_estimand = {"ATE": truths.ate, "ATT": truths.att}
     cells = []
     flaky = []
@@ -540,8 +512,8 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
         n_bad = int(np.sum(~np.isfinite(stack[:, i, 1])))
         if n_bad > 0.01 * R:
             flaky.append(f"{e.label} ({n_bad}/{R})")
-        for j, estimand in enumerate(("ATE", "ATT")):
-            if e.method == "DID" and estimand == "ATE":
+        for j, estimand in enumerate(ESTIMANDS):
+            if estimand not in method_info(e.method).estimands:
                 continue
             v = stack[:, i, j]
             ok = v[np.isfinite(v)]

@@ -281,6 +281,13 @@ class TestStudy:
         assert results[0].R == 2
         assert len(results[0].cells) == 24  # 12 suite entries x 2 estimands
 
+    @pytest.mark.parametrize("k_bins", ["1", "0", "-3"])
+    def test_too_few_bins_is_a_validation_problem(self, k_bins, capsys):
+        rc = run(["study", "--scenario", "HOM", "--n", "80", "--reps", "2",
+                  "--k-bins", k_bins])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+
     def test_json_is_valid(self, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -121,14 +121,6 @@ class TestEstimateGlmm:
         assert abs(out["ATT"].value - beta) < 1e-12
         assert out["ATE"].components["sigma_u2"] == fit.sigma_u2
 
-    def test_quadrature_order_is_irrelevant_for_identity_link(self):
-        data = _hom(411)
-        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1"))
-        a = estimate_glmm(data, spec, quad_order=1)
-        b = estimate_glmm(data, spec, quad_order=20)
-        assert a["ATE"].value == b["ATE"].value
-        assert a["ATT"].value == b["ATT"].value
-
     def test_location_equivariance(self):
         data = _hom(412)
         spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x2"))

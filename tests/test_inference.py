@@ -79,6 +79,11 @@ class TestEstimatorConfig:
             EstimatorConfig(method="GLMM", estimand="ATE",
                             spec=ModelSpec(ps_terms=("1", "x1")))
 
+    def test_k_bins_below_two_rejected(self):
+        spec = ModelSpec(outcome_terms=("1", "time", "treat"), ps_terms=("1", "x1"))
+        with pytest.raises(InvalidArgumentError):
+            EstimatorConfig(method="DRGLMM", estimand="ATE", spec=spec, k_bins=1)
+
     def test_ps_model_required_where_used(self):
         with pytest.raises(InvalidArgumentError):
             EstimatorConfig(method="IPW", estimand="ATE")

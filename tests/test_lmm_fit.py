@@ -8,10 +8,14 @@ from panel_causal import (
     InvalidArgumentError,
     NonFiniteLikelihoodError,
     RankDeficientDesignError,
+    Scenario,
     UnbalancedClustersError,
+    build_design,
     fit_lmm,
     fit_or,
+    generate_scenario,
     profile_loglik,
+    scenario_specs,
     substream,
 )
 
@@ -206,6 +210,13 @@ class TestFitOr:
         assert fit.sigma_e2 == 0.0
         assert fit.sigma_u2 == 0.0
         assert fit.loglik == np.inf
+
+    def test_residual_variance_survives_a_large_response_offset(self):
+        data = generate_scenario(Scenario("HOM", 250), 0)
+        X = build_design(data, scenario_specs("HOM")["post_full"], stacked=False).X
+        base = fit_or(X, data.y1)
+        shifted = fit_or(X, data.y1 + 1e8)
+        assert abs(shifted.sigma_e2 / base.sigma_e2 - 1.0) < 1e-6
 
     def test_matches_lstsq(self):
         rng = substream(81, 0)

@@ -1,0 +1,151 @@
+"""The method table: every consumer agrees with it, and every method obeys
+the properties the table's facts imply."""
+
+import argparse
+import warnings
+
+import pytest
+
+from panel_causal import (
+    ESTIMANDS,
+    METHOD_TABLE,
+    METHODS,
+    EstimatorConfig,
+    InvalidArgumentError,
+    ModelSpec,
+    PanelCausalWarning,
+    Scenario,
+    SuiteEntry,
+    estimate_did,
+    estimate_drglmm,
+    estimate_effects,
+    estimate_glmm,
+    estimate_ipw,
+    estimate_ipwdid,
+    estimate_or,
+    evaluate_estimator,
+    fit_propensity,
+    generate_scenario,
+    scenario_specs,
+)
+from panel_causal.cli import build_parser, run
+
+from helpers import make_dataset, shift_responses
+
+# The models each method fits and the effects it estimates, as the
+# estimator docstrings define them; the table must say the same.
+EXPECTED = {
+    "OR": ("post", False, ("ATE", "ATT")),
+    "GLMM": ("mixed", False, ("ATE", "ATT")),
+    "IPW": (None, True, ("ATE", "ATT")),
+    "DID": (None, False, ("ATT",)),
+    "IPWDID": (None, True, ("ATE", "ATT")),
+    "DRGLMM": ("mixed", True, ("ATE", "ATT")),
+}
+
+# Direct calls of each public estimator, for comparison with the dispatch.
+DIRECT = {
+    "OR": lambda data, spec, ps: estimate_or(data, spec),
+    "GLMM": lambda data, spec, ps: estimate_glmm(data, spec),
+    "IPW": lambda data, spec, ps: estimate_ipw(data, ps),
+    "DID": lambda data, spec, ps: {"ATT": estimate_did(data)},
+    "IPWDID": lambda data, spec, ps: estimate_ipwdid(data, ps),
+    "DRGLMM": lambda data, spec, ps: estimate_drglmm(data, spec, ps),
+}
+
+MISSING = [(m, "outcome model") for m, e in EXPECTED.items() if e[0]] + [
+    (m, "treatment model") for m, e in EXPECTED.items() if e[1]
+]
+
+
+@pytest.fixture(scope="module")
+def hom():
+    return generate_scenario(Scenario("HOM", 300), 21)
+
+
+def _spec(method):
+    """The full HOM spec of the method's outcome kind, with ps terms."""
+    kind = METHOD_TABLE[method].outcome or "mixed"
+    return scenario_specs("HOM")[f"{kind}_full"]
+
+
+def _method_choices(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "method")
+
+
+def test_table_states_each_methods_models_and_estimands():
+    assert METHODS == tuple(EXPECTED)
+    assert ESTIMANDS == ("ATE", "ATT")
+    for name, info in METHOD_TABLE.items():
+        assert info.name == name
+        assert (info.outcome, info.uses_ps, info.estimands) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+def test_cli_method_choices_are_the_table(command):
+    assert tuple(_method_choices(command)) == tuple(m.lower() for m in METHODS)
+
+
+@pytest.mark.parametrize("method,missing", MISSING)
+def test_missing_model_rejected_everywhere(method, missing, tmp_path, capsys):
+    full = _spec(method)
+    if missing == "outcome model":
+        spec = ModelSpec(ps_terms=full.ps_terms)
+        suite_models = {"ps_model": "full"} if EXPECTED[method][1] else {}
+        flags = ["--ps-covariates", "x1,x2,v"] if EXPECTED[method][1] else []
+    else:
+        spec = ModelSpec(outcome_terms=full.outcome_terms)
+        suite_models = {"outcome_model": "full"} if EXPECTED[method][0] else {}
+        flags = ["--covariates", "x1,x2"] if EXPECTED[method][0] else []
+    with pytest.raises(InvalidArgumentError, match=missing):
+        EstimatorConfig(method=method, estimand="ATT", spec=spec)
+    with pytest.raises(InvalidArgumentError):
+        SuiteEntry(method, **suite_models)
+
+    path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "HOM", "--n", "40", "--output", str(path)]) == 0
+    rc = run(["estimate", "--input", str(path), "--method", method.lower(),
+              "--estimand", "att", *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("ERROR:InvalidArgument:")
+    assert missing in err
+
+
+@pytest.mark.parametrize("method,estimand", [
+    (m, e) for m, exp in EXPECTED.items() for e in exp[2]
+])
+def test_evaluate_estimator_equals_direct_call(method, estimand, hom):
+    spec = _spec(method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelCausalWarning)
+        ps = fit_propensity(hom, spec)
+        direct = DIRECT[method](hom, spec, ps)[estimand].value
+        config = EstimatorConfig(method=method, estimand=estimand, spec=spec)
+        assert evaluate_estimator(config, hom) == direct
+        assert evaluate_estimator(config, hom, ps_fit=ps) == direct
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_response_shift_moves_effects_only_by_weight_imbalance(method, hom):
+    # Every method but IPW differences the shift away (an intercept, the
+    # pre period, or both).  IPW is linear in the response with weights
+    # fixed by the covariates, so it moves by c times its estimate on a
+    # unit response: the Horvitz-Thompson weights need not balance.
+    c = 1000.0
+    spec = _spec(method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelCausalWarning)
+        a = estimate_effects(method, hom, spec)
+        b = estimate_effects(method, shift_responses(hom, c), spec)
+        drift = dict.fromkeys(a, 0.0)
+        if method == "IPW":
+            ones = make_dataset([1.0] * hom.n, [1.0] * hom.n, hom.d1,
+                                covariates=list(hom.x0.T), names=hom.covariate_names)
+            unit = estimate_effects(method, ones, spec)
+            drift = {k: c * v.value for k, v in unit.items()}
+    assert set(a) == set(EXPECTED[method][2])
+    for estimand in a:
+        assert abs(b[estimand].value - a[estimand].value - drift[estimand]) < 1e-8
