@@ -354,6 +354,8 @@ def _cmd_diagnose(cfg):
     if (run_dr or run_elim) and not spec.outcome_terms:
         raise InvalidArgumentError(f"check '{cfg.check}' needs an outcome model "
                                    "(outcome_terms or --covariates)")
+    if run_dr and cfg.k_bins < 2:
+        raise InvalidArgumentError(f"--k-bins must be at least 2, got {cfg.k_bins}")
     data = load_csv(cfg.input)
     payload = {}
     if run_balance:

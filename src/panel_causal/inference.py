@@ -244,6 +244,8 @@ def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
     B = int(B)
     if B < 2:
         raise InvalidArgumentError(f"B must be at least 2, got {B}")
+    if int(k_bins) < 2:
+        raise InvalidArgumentError(f"k_bins must be at least 2, got {k_bins}")
 
     def triple(d):
         ps = fit_propensity(d, work_spec)

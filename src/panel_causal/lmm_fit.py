@@ -4,13 +4,20 @@ With exactly two rows per unit, the marginal covariance of a cluster is
 ``sigma_e^2 I_2 + sigma_u^2 11'``.  The within-cluster sum/difference
 transform (an orthogonal rotation) diagonalizes that matrix, so for a fixed
 variance ratio ``lambda = sigma_u^2 / sigma_e^2`` generalized least squares
-reduces to weighted least squares with one weight for sum rows and one for
-difference rows.  Profiling out the fixed effects and ``sigma_e^2`` in
-closed form leaves a one-dimensional likelihood in ``log lambda``, which a
-bounded derivative-free search maximizes and a short derivative-sign
-bisection then pins down to machine precision.  Candidate ratios reuse
-precomputed Gram blocks, so the search stays cheap enough for large
-bootstrap and simulation runs.
+reduces to weighted least squares with weight 1 on difference rows and
+``w = 1 / (1 + 2 lambda)`` on sum rows.  Profiling out the fixed effects and
+``sigma_e^2`` in closed form leaves a one-dimensional likelihood in
+``log lambda``.
+
+Each fit does its O(n p) work once: the stacked OLS fit moves the response
+to its residual scale, and one generalized eigendecomposition diagonalizes
+the sum-row and difference-row Gram blocks together.  In that basis the
+weighted normal equations are diagonal for every ``w``, so each evaluation
+of the profiled likelihood or its score costs O(p).  A coarse grid over
+``log lambda`` guards against multiple optima, and Brent's method finds the
+root of the score inside the best grid bracket.  One explicit-residual GLS
+solve at the optimum gives the fixed effects, the residual variance and
+their covariance.
 
 ``fit_or`` provides the ordinary least squares companion (post-period
 outcome regression, no random effect) in the same result shape.
@@ -19,7 +26,7 @@ outcome regression, no random effect) in the same result shape.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     InvalidArgumentError,
@@ -39,13 +46,16 @@ class FitOptions:
     """Search controls for the profiled likelihood in ``log lambda``.
 
     The default bounds [-12, 12] cover variance ratios from e-12 (forced to
-    the sigma_u^2 = 0 boundary) to e12.  ``xatol`` is the absolute tolerance
-    on ``log lambda``, i.e. a relative tolerance on ``lambda`` itself.
+    the sigma_u^2 = 0 boundary) to e12.  The profile is scanned at
+    ``grid_points`` evenly spaced values of ``log lambda``; Brent's method
+    then finds the score's root in the best grid bracket to an absolute
+    tolerance of ``xatol`` on ``log lambda``, i.e. a relative tolerance on
+    ``lambda`` itself.
     """
 
     log_lambda_lo: float = -12.0
     log_lambda_hi: float = 12.0
-    xatol: float = 1e-8
+    xatol: float = 1e-13
     grid_points: int = 25
 
 
@@ -96,8 +106,42 @@ def _pair_rows(X, y, cluster_ids):
     return X[first], X[second], y[first], y[second]
 
 
+def _profile_terms(log_lambda, stats):
+    """Sum-row weight, weighted RSS and sum-row RSS at ``log_lambda``.
+
+    ``stats`` is ``(Sd, Ss, hd, hs, mu, n)`` from :class:`_Profile`.  With
+    the GLS step from the stacked OLS fit written as ``V z``, the weighted
+    normal equations are diagonal: ``z = (hd + w hs) / (1 - (1 - w) mu)``.
+    Both sums of squares are then O(p) expressions in ``z``.  Accepts a
+    scalar or a 1-d array of ``log_lambda``.
+    """
+    Sd, Ss, hd, hs, mu, _ = stats
+    w = 1.0 / (1.0 + 2.0 * np.exp(log_lambda))
+    wc = np.asarray(w)[..., None]
+    z = (hd + wc * hs) / (1.0 - (1.0 - wc) * mu)
+    zz = z * z
+    ss = Ss - 2.0 * (z @ hs) + zz @ mu
+    rss = Sd - 2.0 * (z @ hd) + zz @ (1.0 - mu) + w * ss
+    return w, rss, ss
+
+
+def _score(log_lambda, *stats):
+    """Profiled score in ``log lambda``, up to a positive factor.
+
+    With R the weighted RSS and S the sum-row RSS,
+    dL/dlambda = w (N w S / R - n), so the bracketed factor carries the
+    sign and the root.  This is a module-level function over length-p
+    arrays on purpose: ``brentq`` wraps its callable in a self-referencing
+    closure that only the cyclic garbage collector frees, and a bound
+    method there would keep the n-row design blocks alive with it.
+    """
+    w, rss, ss = _profile_terms(log_lambda, stats)
+    n = stats[-1]
+    return 2 * n * w * ss / rss - n
+
+
 class _Profile:
-    """Precomputed Gram blocks and the profiled log-likelihood evaluator."""
+    """One fit's data: the rotated design and the O(p) profile statistics."""
 
     def __init__(self, X, y, cluster_ids):
         X = np.asarray(X, dtype=float)
@@ -112,14 +156,6 @@ class _Profile:
         Xd = (X1 - X0) / rt2
         ys = (y0 + y1) / rt2
         yd = (y1 - y0) / rt2
-        self.Xs = Xs
-        self.Xd = Xd
-        self.ys = ys
-        self.yd = yd
-        self.Gs = Xs.T @ Xs
-        self.Gd = Xd.T @ Xd
-        self.bs = Xs.T @ ys
-        self.bd = Xd.T @ yd
         self.n = X0.shape[0]
         self.N = 2 * self.n
         self.p = X.shape[1]
@@ -130,50 +166,64 @@ class _Profile:
             raise RankDeficientDesignError(
                 f"stacked design has rank below its {self.p} columns"
             )
+        self.Xs = Xs
+        self.Xd = Xd
+        self.Gs = Xs.T @ Xs
+        self.Gd = Xd.T @ Xd
+        # Gs v = mu (Gd + Gs) v with V'(Gd + Gs)V = I: V diagonalizes both
+        # blocks at once (V'Gs V = diag(mu), V'Gd V = diag(1 - mu)).  The
+        # Cholesky reduction L^-1 Gs L^-T stays on numpy's LAPACK:
+        # scipy.linalg.eigh would page in scipy's own LAPACK build, about
+        # 1.5 MB more peak RSS for a process that otherwise never calls it.
+        L = np.linalg.cholesky(self.Gd + self.Gs)
+        C = np.linalg.solve(L, np.linalg.solve(L, self.Gs).T)
+        mu, Q = np.linalg.eigh(0.5 * (C + C.T))
+        V = np.linalg.solve(L.T, Q)
+        # Everything below works on the residual scale of the stacked OLS
+        # fit, so a large response offset does not cancel in the sums of
+        # squares or in the GLS step.
+        self.beta0 = V @ (V.T @ (Xd.T @ yd + Xs.T @ ys))
+        self.rd = yd - Xd @ self.beta0
+        self.rs = ys - Xs @ self.beta0
+        self.gd = Xd.T @ self.rd
+        self.gs = Xs.T @ self.rs
+        self.stats = (
+            float(self.rd @ self.rd),
+            float(self.rs @ self.rs),
+            V.T @ self.gd,
+            V.T @ self.gs,
+            mu,
+            self.n,
+        )
 
     def solve(self, lam):
         """GLS fixed effects and weighted RSS at variance ratio ``lam``.
 
-        The residual sums of squares are accumulated from explicit residual
-        vectors, not from Gram-matrix identities: the subtraction form
-        cancels catastrophically when the response carries a large offset,
-        and the optimum's reproducibility depends on these values.
+        The GLS step from the stacked OLS fit is solved for on the residual
+        scale, and the residual sums of squares are accumulated from
+        explicit residual vectors.
         """
         w = 1.0 / (1.0 + 2.0 * lam)
         A = self.Gd + w * self.Gs
-        rhs = self.bd + w * self.bs
-        beta = np.linalg.solve(A, rhs)
-        rd = self.yd - self.Xd @ beta
-        rs = self.ys - self.Xs @ beta
-        ss = float(rs @ rs)
-        rss = float(rd @ rd) + w * ss
-        return beta, rss, A, ss
+        delta = np.linalg.solve(A, self.gd + w * self.gs)
+        rd = self.rd - self.Xd @ delta
+        rs = self.rs - self.Xs @ delta
+        rss = float(rd @ rd) + w * float(rs @ rs)
+        return self.beta0 + delta, rss, A
 
     def loglik(self, log_lambda):
-        lam = np.exp(log_lambda)
-        _, rss, _, _ = self.solve(lam)
-        if not np.isfinite(rss) or rss <= 0.0:
-            return -np.inf
-        s2e = rss / self.N
-        return (
-            -0.5 * self.N * (_LOG2PI + 1.0 + np.log(s2e))
-            - 0.5 * self.n * np.log(1.0 + 2.0 * lam)
-        )
+        """Profiled log-likelihood at a scalar or an array of ``log lambda``.
 
-    def score_sign(self, log_lambda):
-        """Sign of the profiled likelihood's derivative in ``log lambda``.
-
-        With R the weighted RSS and S the sum-row residual part,
-        dL/dlambda = w (N w S / R - n), w = 1/(1+2 lambda) > 0, so only the
-        bracketed factor decides the sign.  Residual-based R and S keep
-        this usable far below the resolution of likelihood comparisons.
+        Degenerate residual variance (non-finite or non-positive RSS) maps
+        to ``-inf``.
         """
-        lam = np.exp(log_lambda)
-        _, rss, _, ss = self.solve(lam)
-        if not np.isfinite(rss) or rss <= 0.0:
-            return 0.0
-        w = 1.0 / (1.0 + 2.0 * lam)
-        return float(np.sign(self.N * w * ss / rss - self.n))
+        w, rss, _ = _profile_terms(log_lambda, self.stats)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ll = (
+                -0.5 * self.N * (_LOG2PI + 1.0 + np.log(rss / self.N))
+                + 0.5 * self.n * np.log(w)
+            )
+        return np.where(np.isfinite(rss) & (rss > 0.0), ll, -np.inf)
 
 
 def profile_loglik(stacked_design, response, cluster_ids, log_lambda):
@@ -208,11 +258,16 @@ def fit_lmm(stacked_design, response, cluster_ids, opts=None):
 
     Notes
     -----
-    The profiled likelihood is scanned on a coarse grid over
-    ``log lambda in [lo, hi]``, then a bounded scalar minimizer polishes the
-    best bracket.  If the boundary value at ``lo`` is at least as good as
-    the interior optimum, the variance ratio is taken to be exactly 0 and
-    the fit collapses to ordinary least squares.
+    After one O(n p) set-up (stacked OLS residuals and a generalized
+    eigendecomposition of the sum-row and difference-row Gram blocks), the
+    profiled likelihood and its score cost O(p) per ``log lambda``.  The
+    likelihood is scanned on a coarse grid over ``log lambda in [lo, hi]``
+    in one vectorized evaluation.  If the score changes sign across the
+    best grid point's bracket, Brent's method finds its root; otherwise
+    the best grid point stands, and it counts as converged only on an edge
+    of the grid with the score pointing outward.  If the boundary value at
+    ``lo`` is at least as good as that optimum, the variance ratio is
+    taken to be exactly 0 and the fit collapses to ordinary least squares.
     """
     opts = opts or FitOptions()
     prof = _Profile(stacked_design, response, cluster_ids)
@@ -220,48 +275,37 @@ def fit_lmm(stacked_design, response, cluster_ids, opts=None):
     if not lo < hi:
         raise InvalidArgumentError("log_lambda bounds must satisfy lo < hi")
 
-    def neg(u):
-        return -prof.loglik(u)
-
+    stats = prof.stats
     grid = np.linspace(lo, hi, int(opts.grid_points))
-    vals = np.array([neg(u) for u in grid])
-    if not np.any(np.isfinite(vals)):
+    ll = prof.loglik(grid)
+    if not np.any(np.isfinite(ll)):
         raise NonFiniteLikelihoodError(
             "profiled likelihood is degenerate everywhere (zero residual variance?)"
         )
-    j = int(np.argmin(vals))
-    bracket_lo = grid[max(0, j - 1)]
-    bracket_hi = grid[min(len(grid) - 1, j + 1)]
-    res = minimize_scalar(
-        neg,
-        bounds=(bracket_lo, bracket_hi),
-        method="bounded",
-        options={"xatol": opts.xatol, "maxiter": 500},
-    )
-    log_lambda = float(res.x)
-    converged = bool(res.success)
-    if neg(lo) <= res.fun:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = _score(grid, *stats)
+    j = int(np.argmax(ll))
+    a, b = max(0, j - 1), min(len(grid) - 1, j + 1)
+    if score[a] > 0.0 > score[b]:
+        log_lambda, res = brentq(
+            _score, grid[a], grid[b], args=stats, xtol=opts.xatol,
+            maxiter=500, full_output=True, disp=False,
+        )
+        log_lambda = float(log_lambda)
+        converged = bool(res.converged)
+        best = float(prof.loglik(log_lambda))
+    else:
+        log_lambda = float(grid[j])
+        converged = (j == 0 and score[0] <= 0.0) or (
+            j == len(grid) - 1 and score[-1] >= 0.0
+        )
+        best = float(ll[j])
+    if ll[0] >= best:
         log_lambda = lo
         converged = True
-    elif lo + 1e-8 < log_lambda < hi - 1e-8:
-        # Polish by bisecting the derivative's sign change.  Likelihood
-        # comparisons go blind a few orders of magnitude above this scale,
-        # and refits of equivalent data (shifted response, reordered rows)
-        # must land on the same ratio to around 1e-13 for the fit to be
-        # reproducible at the precision the estimators are tested to.
-        a = max(lo, log_lambda - 1e-4)
-        b = min(hi, log_lambda + 1e-4)
-        if prof.score_sign(a) > 0.0 and prof.score_sign(b) < 0.0:
-            while b - a > 1e-13:
-                mid = 0.5 * (a + b)
-                if prof.score_sign(mid) > 0.0:
-                    a = mid
-                else:
-                    b = mid
-            log_lambda = 0.5 * (a + b)
     lam = 0.0 if log_lambda <= lo + 1e-8 else float(np.exp(log_lambda))
 
-    beta, rss, A, _ = prof.solve(lam)
+    beta, rss, A = prof.solve(lam)
     if not np.isfinite(rss) or rss <= 0.0:
         raise NonFiniteLikelihoodError("degenerate residual variance at the optimum")
     s2e = rss / prof.N

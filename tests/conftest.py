@@ -4,6 +4,7 @@ import time
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from panel_causal import (
     DEFAULT_SUITE,
@@ -14,6 +15,11 @@ from panel_causal import (
 )
 
 from helpers import ACCEPT_SEED
+
+# Property tests draw the same few examples on every run: each example fits
+# every model of a method twice, and a failure must reproduce as it was seen.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=20)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,70 @@ def anova_oracle(y0, y1):
     return mu, su2, se2, float(ll)
 
 
+def dense_lmm_oracle(X, y, cluster_ids, lo=-12.0, hi=12.0):
+    """Brute-force ML fit of the two-row random-intercept model.
+
+    Every cluster gets its explicit 2x2 covariance ``sigma_e2 (I + lam 11')``
+    with ``lam = sigma_u2 / sigma_e2``.  For a given ``lam``, the fixed
+    effects come from the GLS normal equations built with
+    ``np.linalg.solve`` on those blocks, and ``sigma_e2`` from the GLS
+    quadratic form.  A fine grid over ``log lam in [lo, hi]`` finds the best
+    bracket; bisection on the sign of the generic ML score
+    ``-tr(V^-1 dV) / 2 + r' V^-1 dV V^-1 r / 2`` narrows it to 1e-13.  A
+    best grid point at ``lo`` with a falling score there is the boundary,
+    ``sigma_u2 = 0``.  Returns (beta, sigma_u2, sigma_e2, loglik).
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rows = {}
+    for i, c in enumerate(np.asarray(cluster_ids).tolist()):
+        rows.setdefault(c, []).append(i)
+    pairs = np.array(list(rows.values()))
+    assert pairs.shape[1] == 2
+    Xc, yc = X[pairs], y[pairs][..., None]
+    n = pairs.shape[0]
+    J = np.ones((2, 2))
+
+    def gls(lam):
+        C = np.eye(2) + lam * J
+        A = np.einsum("cij,cik->jk", Xc, np.linalg.solve(C, Xc))
+        b = np.einsum("cij,cik->j", Xc, np.linalg.solve(C, yc))
+        beta = np.linalg.solve(A, b)
+        r = yc - Xc @ beta[:, None]
+        Cir = np.linalg.solve(C, r)
+        s2e = float(np.sum(r * Cir)) / (2 * n)
+        return beta, s2e, C, Cir
+
+    def loglik(lam):
+        _, s2e, C, _ = gls(lam)
+        logdet = np.linalg.slogdet(s2e * C)[1]
+        return -0.5 * (2 * n * np.log(2.0 * np.pi) + n * logdet + 2 * n)
+
+    def score(lam):
+        # dV/dlam = s2e J; beta and s2e are profiled out, so by the envelope
+        # theorem their dependence on lam drops from the derivative.
+        _, s2e, C, Cir = gls(lam)
+        trace = n * np.trace(np.linalg.solve(C, J))
+        return -0.5 * trace + 0.5 * float(np.sum(Cir * (J @ Cir))) / s2e
+
+    grid = np.linspace(lo, hi, 241)
+    vals = [loglik(np.exp(u)) for u in grid]
+    j = int(np.argmax(vals))
+    if j == 0 and score(np.exp(lo)) <= 0.0:
+        lam = 0.0
+    else:
+        a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+        while b - a > 1e-13:
+            mid = 0.5 * (a + b)
+            if score(np.exp(mid)) > 0.0:
+                a = mid
+            else:
+                b = mid
+        lam = float(np.exp(0.5 * (a + b)))
+    beta, s2e, _, _ = gls(lam)
+    return beta, lam * s2e, s2e, float(loglik(lam))
+
+
 def adaptive_contrast(eta1, eta0, sigma_u2):
     """Adaptive-quadrature oracle for the logit-link marginal contrast."""
     if sigma_u2 == 0.0:

@@ -255,6 +255,15 @@ class TestDiagnose:
         rc = run(["diagnose", "--input", str(path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("check", ["dr-test", "all"])
+    def test_too_few_bins_is_a_validation_problem(self, check, tmp_path, capsys):
+        # The input path does not exist: validation must fail before reading it.
+        rc = run(["diagnose", "--input", str(tmp_path / "never-read.csv"),
+                  "--check", check, "--covariates", "x1,x2",
+                  "--ps-covariates", "x1,x2,v", "--k-bins", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+
 
 class TestStudy:
     def test_text_shows_both_estimands(self, tmp_path, capsys):

@@ -253,6 +253,17 @@ class TestDrSpecificationTest:
         assert res.z_or > 2.5
         assert res.reject_ps is False
 
+    @pytest.mark.parametrize("k_bins", [1, 0, -3])
+    def test_too_few_bins_rejected_before_any_fit(self, k_bins, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a propensity model was fitted before validation")
+
+        monkeypatch.setattr("panel_causal.inference.fit_propensity", no_fit)
+        data = _hom(523, n=60)
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1"), ps_terms=("1", "x1"))
+        with pytest.raises(InvalidArgumentError, match="k_bins"):
+            dr_specification_test(data, spec, B=4, seed=0, k_bins=k_bins)
+
     def test_too_few_successes_is_an_error(self):
         data = _tiny(6)
         spec = ModelSpec(outcome_terms=("1", "time", "treat"), ps_terms=("1",))

@@ -1,5 +1,8 @@
 """Mixed-model fitting against closed-form oracles, plus the OLS companion."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,19 +10,24 @@ from panel_causal import (
     FitOptions,
     InvalidArgumentError,
     NonFiniteLikelihoodError,
+    PanelCausalWarning,
     RankDeficientDesignError,
     Scenario,
     UnbalancedClustersError,
     build_design,
     fit_lmm,
     fit_or,
+    fit_propensity,
     generate_scenario,
     profile_loglik,
+    ps_quantile_dummies,
     scenario_specs,
+    stacked_cluster_ids,
+    stacked_response,
     substream,
 )
 
-from helpers import anova_oracle
+from helpers import anova_oracle, dense_lmm_oracle
 
 
 def _interleave(rows0, rows1):
@@ -170,6 +178,35 @@ class TestFitLmm:
         with pytest.raises(InvalidArgumentError):
             fit_lmm(X, y, ids[:-2])
 
+    def test_fit_leaves_no_n_row_array_in_reference_cycles(self):
+        # Objects caught in a reference cycle live until the cyclic collector
+        # runs, which a fit that allocates little may not trigger for a long
+        # time; an n-row design block held by one would inflate peak memory
+        # across many refits.  NumPy arrays are not tracked by the collector,
+        # so look for them among the referents of the cyclic garbage.
+        n = 1000
+        X, y, ids = _clustered(74, n=n)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            fit_lmm(X, y, ids)
+            gc.collect()
+            held = []
+            for obj in gc.garbage:
+                refs = list(gc.get_referents(obj))
+                if hasattr(obj, "__dict__") and not callable(obj):
+                    refs.extend(vars(obj).values())
+                held += [r.shape for r in refs
+                         if isinstance(r, np.ndarray) and r.ndim and r.shape[0] >= n]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert held == []
+
     def test_recovers_generating_parameters(self):
         # HOM at n=500 generates y from time 3, treat 15, sigma_u2 30,
         # sigma_e2 20.  The bands are 3 Monte Carlo SDs, measured once from
@@ -197,6 +234,64 @@ class TestFitLmm:
         truth = np.array([3.0, 15.0, 30.0, 20.0])
         mc_sd = np.array([0.65636, 0.480765, 2.733709, 1.352979])
         assert np.all(np.abs(est - truth) < 3.0 * mc_sd)
+
+
+def _dr_design(scenario, seed, n=250):
+    """The stacked DRGLMM design: full mixed spec plus propensity bin dummies."""
+    data = generate_scenario(Scenario(scenario, n), seed)
+    spec = scenario_specs(scenario)["mixed_full"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelCausalWarning)
+        bins = ps_quantile_dummies(fit_propensity(data, spec).fitted_ps, K=5)
+    X = np.hstack([build_design(data, spec, stacked=True).X,
+                   np.repeat(bins.dummies, 2, axis=0)])
+    return X, stacked_response(data), stacked_cluster_ids(data)
+
+
+class TestDenseOracle:
+    """fit_lmm against brute-force ML with explicit per-cluster covariances.
+
+    Each quantity is compared in its own units, to 1e-8 of the response's
+    spread: a coefficient times its column's root mean square, the variance
+    components against var(y), the log-likelihood relative to itself.
+    """
+
+    @staticmethod
+    def _assert_matches(fit, X, y, oracle, offset=0.0):
+        beta, su2, se2, ll = oracle
+        beta = beta.copy()
+        beta[0] += offset  # column 0 is the intercept
+        coef_units = np.std(y) / np.sqrt(np.mean(X ** 2, axis=0))
+        assert np.all(np.abs(fit.fixed_effects - beta) <= 1e-8 * coef_units)
+        assert abs(fit.sigma_u2 - su2) <= 1e-8 * np.var(y)
+        assert abs(fit.sigma_e2 - se2) <= 1e-8 * np.var(y)
+        assert abs(fit.loglik - ll) <= 1e-8 * abs(ll)
+
+    @pytest.mark.parametrize("scenario,seed", [("HOM", 11), ("HET", 12)])
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_matches_with_dr_dummies(self, scenario, seed, offset):
+        X, y, ids = _dr_design(scenario, seed)
+        assert np.all(X[:, 0] == 1.0)
+        shifted = y + offset
+        # The oracle sees the response exactly as the shifted doubles hold it.
+        oracle = dense_lmm_oracle(X, shifted - offset, ids)
+        assert oracle[1] > 0.0
+        fit = fit_lmm(X, shifted, ids)
+        self._assert_matches(fit, X, y, oracle, offset)
+
+    def test_matches_at_the_boundary(self):
+        # Within-pair errors of opposite sign push the between-cluster
+        # variance below the within one, so ML puts sigma_u2 at zero.
+        X, _, ids = _dr_design("HOM", 13)
+        rng = substream(13, 1)
+        e0 = rng.standard_normal(X.shape[0] // 2)
+        e = _interleave(e0, -e0 + 0.1 * rng.standard_normal(e0.shape[0]))
+        y = X @ np.linspace(1.0, 2.0, X.shape[1]) + e
+        oracle = dense_lmm_oracle(X, y, ids)
+        fit = fit_lmm(X, y, ids)
+        assert oracle[1] == 0.0
+        assert fit.sigma_u2 == 0.0
+        self._assert_matches(fit, X, y, oracle)
 
 
 class TestFitOr:

@@ -3,8 +3,12 @@ the properties the table's facts imply."""
 
 import argparse
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panel_causal import (
     ESTIMANDS,
@@ -149,3 +153,39 @@ def test_response_shift_moves_effects_only_by_weight_imbalance(method, hom):
     assert set(a) == set(EXPECTED[method][2])
     for estimand in a:
         assert abs(b[estimand].value - a[estimand].value - drift[estimand]) < 1e-8
+
+
+# Datasets for the property tests: a scenario draw of moderate size, so that
+# every method's models are identified on every example.
+_panels = st.builds(
+    lambda scenario, n, seed: generate_scenario(Scenario(scenario, n), seed),
+    st.sampled_from(["HOM", "HET"]),
+    st.integers(150, 400),
+    st.integers(0, 2**31 - 1),
+)
+
+
+def _effects(method, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelCausalWarning)
+        return {k: v.value for k, v in estimate_effects(method, data, _spec(method)).items()}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(data=_panels,
+       a=st.floats(-1e3, 1e3).filter(lambda v: abs(v) >= 1e-3))
+def test_response_scale_multiplies_every_effect(method, data, a):
+    base = _effects(method, data)
+    scaled = _effects(method, replace(data, y0=a * data.y0, y1=a * data.y1))
+    for estimand, value in base.items():
+        assert abs(scaled[estimand] - a * value) <= 1e-9 * abs(a) * (abs(value) + 1.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(data=_panels, perm_seed=st.integers(0, 2**31 - 1))
+def test_unit_order_changes_no_effect(method, data, perm_seed):
+    order = np.random.default_rng(perm_seed).permutation(data.n)
+    base = _effects(method, data)
+    permuted = _effects(method, data.take(order))
+    for estimand, value in base.items():
+        assert abs(permuted[estimand] - value) <= 1e-9 * (abs(value) + 1.0)
