@@ -11,6 +11,7 @@ estimator bias and variance under known data-generating processes.
 __version__ = "0.1.0"
 
 from .errors import (
+    BootstrapFailureError,
     BootstrapFailureWarning,
     DegenerateBinsWarning,
     DegenerateVarianceWarning,
@@ -57,14 +58,13 @@ from .panel_data import (
     write_csv,
 )
 from .glm_fit import (
-    IRLSOptions,
     PSDummies,
     PSFit,
     fit_logistic,
     fit_propensity,
     ps_quantile_dummies,
 )
-from .lmm_fit import FitOptions, LMMFit, fit_lmm, fit_or, profile_loglik
+from .lmm_fit import LMMFit, fit_lmm, fit_or, profile_loglik
 from .marginalize import (
     IDENTITY_LINK,
     LOGIT_LINK,
@@ -126,6 +126,7 @@ __all__ = [
     "RankDeficientDesignError", "SeparationError", "NoVariationInOutcomeError",
     "NonFiniteLikelihoodError", "UnbalancedClustersError",
     "InvalidVarianceError", "NonFiniteLinearPredictorError",
+    "BootstrapFailureError",
     "PanelCausalWarning", "TimeVaryingDowngradeWarning",
     "ExtremeWeightsWarning", "DegenerateBinsWarning",
     "BootstrapFailureWarning", "ReplicateFailureWarning",
@@ -137,9 +138,8 @@ __all__ = [
     "DesignMatrices", "parse_term", "term_label", "build_design", "ps_design",
     "stacked_response", "stacked_cluster_ids", "load_csv", "write_csv",
     # model fitting
-    "IRLSOptions", "PSFit", "PSDummies", "fit_logistic", "fit_propensity",
-    "ps_quantile_dummies", "FitOptions", "LMMFit", "fit_lmm", "fit_or",
-    "profile_loglik",
+    "PSFit", "PSDummies", "fit_logistic", "fit_propensity",
+    "ps_quantile_dummies", "LMMFit", "fit_lmm", "fit_or", "profile_loglik",
     # marginalization
     "LinkFunction", "IDENTITY_LINK", "LOGIT_LINK", "link_function",
     "QuadratureRule", "gauss_hermite_rule", "population_average_contrast",

@@ -4,8 +4,10 @@ Every command validates its inputs before computing, writes its primary
 output to stdout (or ``--output``), and exits 0 on success, 2 on a
 validation problem, 1 on a computation failure.  Failures print a single
 ``ERROR:<kind>:<message>`` line to stderr.  Outputs are byte-identical for
-identical arguments and seed.  ``--threads`` is accepted and ignored:
-replicates run in order on one thread.
+identical arguments and seed.  ``bootstrap`` exits 1 when no replicate
+fits.  ``--threads`` is accepted and ignored, so that scripts passing it
+keep working: replicates run in order on one thread, and the library
+functions take no thread count.
 """
 
 import argparse
@@ -16,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .errors import InvalidArgumentError, PanelCausalError
+from .errors import BootstrapFailureError, InvalidArgumentError, PanelCausalError
 from .estimators import ESTIMANDS, METHOD_TABLE, METHODS
 from .glm_fit import fit_propensity
 from .inference import (
@@ -97,13 +99,13 @@ def build_parser():
         p.add_argument("--k-bins", type=int, default=5,
                        help="propensity quantile bins for the doubly robust fit")
 
-    def add_common(p, threads=True):
+    def add_common(p, threaded=True):
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--output", metavar="FILE", default=None,
                        help="write the primary output here instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
                        default="text", help="output format")
-        if threads:
+        if threaded:
             p.add_argument("--threads", type=int, default=1,
                            help="ignored; replicates run in order on one thread")
 
@@ -124,7 +126,7 @@ def build_parser():
                    help="also report the effect as a percentage of the mean "
                         "pre-period response")
     add_model_flags(p)
-    add_common(p, threads=False)
+    add_common(p, threaded=False)
 
     p = add("bootstrap", "Cluster-bootstrap confidence interval for one estimator.")
     p.add_argument("--input", metavar="FILE", required=True, help="panel CSV path")
@@ -320,10 +322,19 @@ def _cmd_estimate(cfg):
     return 0
 
 
+def _check_B(B):
+    if B < 2:
+        raise InvalidArgumentError(f"--B must be at least 2, got {B}")
+
+
 def _cmd_bootstrap(cfg):
     config = _estimator_config(cfg)
+    _check_B(cfg.B)
     data = load_csv(cfg.input)
     res = cluster_bootstrap(data, config, cfg.B, cfg.seed)
+    if res.n_failed == res.B:
+        # NaN summaries are not valid JSON, and there is nothing to report.
+        raise BootstrapFailureError(f"all {res.B} bootstrap replicates failed to fit")
     payload = {
         "method": config.method,
         "estimand": config.estimand,
@@ -354,8 +365,12 @@ def _cmd_diagnose(cfg):
     if (run_dr or run_elim) and not spec.outcome_terms:
         raise InvalidArgumentError(f"check '{cfg.check}' needs an outcome model "
                                    "(outcome_terms or --covariates)")
-    if run_dr and cfg.k_bins < 2:
-        raise InvalidArgumentError(f"--k-bins must be at least 2, got {cfg.k_bins}")
+    if run_dr:
+        _check_B(cfg.B)
+        if cfg.k_bins < 2:
+            raise InvalidArgumentError(f"--k-bins must be at least 2, got {cfg.k_bins}")
+    if run_elim and not 0.0 < cfg.alpha <= 1.0:
+        raise InvalidArgumentError(f"--alpha must be in (0, 1], got {cfg.alpha}")
     data = load_csv(cfg.input)
     payload = {}
     if run_balance:

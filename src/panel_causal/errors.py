@@ -121,6 +121,12 @@ class NonFiniteLinearPredictorError(PanelCausalError):
     kind = "NonFiniteLinearPredictor"
 
 
+class BootstrapFailureError(PanelCausalError):
+    """Too few bootstrap replicates fitted to summarize them."""
+
+    kind = "BootstrapFailure"
+
+
 # ---------------------------------------------------------------------------
 # warnings
 # ---------------------------------------------------------------------------

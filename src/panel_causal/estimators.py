@@ -114,7 +114,12 @@ def _att_mask(data):
     return data.d1 == 1
 
 
-def _check_ps(data, ps_fit, eps=None):
+# Inverse weights 1/ps and 1/(1 - ps) are unstable for scores outside
+# [_EXTREME_EPS, 1 - _EXTREME_EPS].
+_EXTREME_EPS = 0.01
+
+
+def _fitted_scores(data, ps_fit):
     ps = np.asarray(ps_fit.fitted_ps, dtype=float)
     if ps.shape != (data.n,):
         raise InvalidArgumentError(
@@ -122,7 +127,15 @@ def _check_ps(data, ps_fit, eps=None):
         )
     if np.any((ps <= 0.0) | (ps >= 1.0)):
         raise InvalidArgumentError("fitted propensity scores must lie strictly in (0, 1)")
-    if eps is not None and np.any((ps < eps) | (ps > 1.0 - eps)):
+    return ps
+
+
+def _check_ps(data, ps_fit):
+    """The fitted scores, for the estimators that invert them: warns once
+    per estimate when any score would give an extreme inverse weight."""
+    ps = _fitted_scores(data, ps_fit)
+    eps = _EXTREME_EPS
+    if np.any((ps < eps) | (ps > 1.0 - eps)):
         warnings.warn(
             f"propensity scores outside [{eps:g}, {1 - eps:g}]; inverse weights "
             "may be unstable",
@@ -217,14 +230,14 @@ def estimate_glmm(data, spec):
     return _mixed_estimates("GLMM", data, spec)
 
 
-def estimate_ipw(data, ps_fit, extreme_eps=0.01):
+def estimate_ipw(data, ps_fit):
     """Horvitz-Thompson inverse propensity weighting of the post period.
 
     ATE is the mean of ``d y1 / ps - (1 - d) y1 / (1 - ps)``; ATT reweights
     controls by the odds ``ps / (1 - ps)`` and normalizes by the treated
-    count.
+    count.  Scores near 0 or 1 raise an :class:`ExtremeWeightsWarning`.
     """
-    ps = _check_ps(data, ps_fit, extreme_eps)
+    ps = _check_ps(data, ps_fit)
     d = data.d1.astype(float)
     y1 = data.y1
     ht_treated = float(np.mean(d * y1 / ps))
@@ -256,16 +269,17 @@ def estimate_did(data):
     )
 
 
-def estimate_ipwdid(data, ps_fit, extreme_eps=0.01):
+def estimate_ipwdid(data, ps_fit):
     """Propensity-weighted difference-in-differences for ATE and ATT.
 
     The ATE subtracts the pre-period Horvitz-Thompson contrast from the
     post-period one; the four weighted means are recorded as components and
     the value is assembled from them, so the decomposition identity is
     exact.  The ATT applies the treated-normalized weights to the response
-    change ``y1 - y0``.
+    change ``y1 - y0``.  Scores near 0 or 1 raise an
+    :class:`ExtremeWeightsWarning`.
     """
-    ps = _check_ps(data, ps_fit, extreme_eps)
+    ps = _check_ps(data, ps_fit)
     d = data.d1.astype(float)
     delta1_treated = float(np.mean(d * data.y1 / ps))
     delta1_control = float(np.mean((1.0 - d) * data.y1 / (1.0 - ps)))
@@ -303,19 +317,17 @@ def estimate_drglmm(data, spec, ps_fit, k_bins=5):
     correction on the refitted treatment terms.  A constant propensity
     collapses all bins and reproduces :func:`estimate_glmm` exactly.
     """
-    ps = _check_ps(data, ps_fit)  # range check only; no weighting happens here
+    ps = _fitted_scores(data, ps_fit)
     dummies = ps_quantile_dummies(ps, K=k_bins)
     return _mixed_estimates("DRGLMM", data, spec, dummies)
 
 
-def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5,
-                     extreme_eps=0.01):
+def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
     """Run any method of :data:`METHOD_TABLE` on ``data``.
 
     ``spec`` supplies the outcome terms of methods with an outcome model.
     Methods that use the propensity score take ``ps_fit`` if given, else fit
-    ``spec.ps_terms`` here.  ``k_bins`` goes to DRGLMM and ``extreme_eps``
-    to IPW and IPWDID.
+    ``spec.ps_terms`` here.  ``k_bins`` goes to DRGLMM.
 
     Returns
     -------
@@ -330,9 +342,9 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5,
     if info.name == "GLMM":
         return estimate_glmm(data, spec)
     if info.name == "IPW":
-        return estimate_ipw(data, ps_fit, extreme_eps=extreme_eps)
+        return estimate_ipw(data, ps_fit)
     if info.name == "DID":
         return {"ATT": estimate_did(data)}
     if info.name == "IPWDID":
-        return estimate_ipwdid(data, ps_fit, extreme_eps=extreme_eps)
+        return estimate_ipwdid(data, ps_fit)
     return estimate_drglmm(data, spec, ps_fit, k_bins=k_bins)

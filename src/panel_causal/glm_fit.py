@@ -4,18 +4,19 @@ The treatment model is a plain Bernoulli-logit GLM fitted by Newton's
 method (iteratively reweighted least squares).  On top of the fit this
 module derives the two propensity features the estimators need: the fitted
 probabilities themselves, and the equal-frequency quantile dummy coding used
-for doubly robust augmentation.
+for doubly robust augmentation.  The fit only reports its scores: the
+estimators that form inverse weights from them warn when a score comes
+close to 0 or 1.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import (
     DegenerateBinsWarning,
-    ExtremeWeightsWarning,
     InvalidArgumentError,
     NoVariationInOutcomeError,
     NonBinaryTreatmentError,
@@ -25,7 +26,6 @@ from .errors import (
 from .panel_data import ps_design
 
 __all__ = [
-    "IRLSOptions",
     "PSFit",
     "PSDummies",
     "fit_logistic",
@@ -40,20 +40,8 @@ _PROB_EDGE = 1e-10
 # this line is only reachable when a predictor strictly separates the
 # classes, i.e. when the MLE does not exist.
 _SEPARATED_DEVIANCE = 1.0
-
-
-@dataclass(frozen=True)
-class IRLSOptions:
-    """Knobs for :func:`fit_logistic`.
-
-    ``tol`` is the absolute deviance-change convergence threshold, and
-    ``extreme_eps`` the band outside which fitted probabilities trigger an
-    :class:`ExtremeWeightsWarning` from :func:`fit_propensity`.
-    """
-
-    max_iter: int = 100
-    tol: float = 1e-10
-    extreme_eps: float = 0.01
+_MAX_ITER = 100
+_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +69,7 @@ def _deviance(eta, y):
     return 2.0 * float(np.sum(np.logaddexp(0.0, eta) - y * eta))
 
 
-def fit_logistic(design, outcome, opts=None):
+def fit_logistic(design, outcome):
     """Maximize the Bernoulli-logit likelihood by Newton/IRLS.
 
     Parameters
@@ -90,7 +78,6 @@ def fit_logistic(design, outcome, opts=None):
         Full column rank model matrix.
     outcome : ndarray
         Binary responses with both classes present.
-    opts : IRLSOptions, optional
 
     Returns
     -------
@@ -110,12 +97,11 @@ def fit_logistic(design, outcome, opts=None):
 
     Notes
     -----
-    Convergence is declared when the deviance changes by less than
-    ``opts.tol`` (default 1e-10) between iterations; the loop is capped at
-    ``opts.max_iter`` (default 100).  At convergence the score equations
-    ``design.T @ (outcome - fitted_ps) = 0`` hold to high accuracy.
+    Convergence is declared when the deviance changes by less than 1e-10
+    between iterations; the loop is capped at 100 iterations.  At
+    convergence the score equations ``design.T @ (outcome - fitted_ps) = 0``
+    hold to high accuracy.
     """
-    opts = opts or IRLSOptions()
     X = np.asarray(design, dtype=float)
     y = np.asarray(outcome, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -137,7 +123,7 @@ def fit_logistic(design, outcome, opts=None):
     dev_old = _deviance(eta, y)
     converged = False
     n_iter = 0
-    for n_iter in range(1, opts.max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         prob = expit(eta)
         w = prob * (1.0 - prob)
         H = (X.T * w) @ X
@@ -159,7 +145,7 @@ def fit_logistic(design, outcome, opts=None):
             )
         eta = X @ alpha
         dev = _deviance(eta, y)
-        if abs(dev - dev_old) < opts.tol:
+        if abs(dev - dev_old) < _TOL:
             converged = True
             break
         dev_old = dev
@@ -192,34 +178,16 @@ def fit_logistic(design, outcome, opts=None):
     )
 
 
-def fit_propensity(data, spec, opts=None):
+def fit_propensity(data, spec):
     """Fit the treatment model of ``spec`` on pre-intervention covariates.
 
     Thin wrapper over :func:`fit_logistic` that builds the t=0 design from
-    ``spec.ps_terms``, attaches the column labels to the result, and warns
-    when any fitted probability leaves ``[eps, 1 - eps]`` (inverse weighting
-    becomes unstable out there).
+    ``spec.ps_terms`` and attaches the column labels to the result.  Scores
+    near 0 or 1 are not flagged here: the estimators that form inverse
+    weights from them warn.
     """
-    opts = opts or IRLSOptions()
     X, labels = ps_design(data, spec)
-    fit = fit_logistic(X, data.d1.astype(float), opts)
-    eps = opts.extreme_eps
-    if np.any((fit.fitted_ps < eps) | (fit.fitted_ps > 1.0 - eps)):
-        warnings.warn(
-            f"fitted propensity scores outside [{eps:g}, {1 - eps:g}]; "
-            "inverse-probability weights may be unstable",
-            ExtremeWeightsWarning,
-            stacklevel=2,
-        )
-    return PSFit(
-        alpha_hat=fit.alpha_hat,
-        fitted_ps=fit.fitted_ps,
-        n_iter=fit.n_iter,
-        converged=fit.converged,
-        deviance=fit.deviance,
-        columns=labels,
-        cov_alpha=fit.cov_alpha,
-    )
+    return replace(fit_logistic(X, data.d1.astype(float)), columns=labels)
 
 
 @dataclass(frozen=True, eq=False)

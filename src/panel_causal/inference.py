@@ -5,8 +5,9 @@ replacement, each carrying both of its rows, and the whole pipeline
 (propensity fit, outcome fit, estimate) reruns per replicate.  Replicate r
 draws from the random stream keyed by ``(seed, r)``, so results are
 bit-identical for a fixed seed.  Replicates run in order on the calling
-thread: the fits are many small numpy calls that hold the interpreter lock,
-and a thread pool measured slower than one core.
+thread, so neither function takes a thread count: the fits are many small
+numpy calls that hold the interpreter lock, and a thread pool measured
+slower than one core.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -23,6 +24,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import (
+    BootstrapFailureError,
     BootstrapFailureWarning,
     DegenerateVarianceWarning,
     EmptyModelWarning,
@@ -70,7 +72,6 @@ class EstimatorConfig:
     estimand: str
     spec: ModelSpec = None
     k_bins: int = 5
-    extreme_eps: float = 0.01
 
     def __post_init__(self):
         info = method_info(self.method)
@@ -99,7 +100,7 @@ def evaluate_estimator(config, data, ps_fit=None):
     never does this: each replicate refits everything).
     """
     out = estimate_effects(config.method, data, config.spec, ps_fit,
-                           k_bins=config.k_bins, extreme_eps=config.extreme_eps)
+                           k_bins=config.k_bins)
     return out[config.estimand].value
 
 
@@ -132,7 +133,7 @@ class BootstrapResult:
     n_failed: int
 
 
-def cluster_bootstrap(data, config, B, seed, threads=1):
+def cluster_bootstrap(data, config, B, seed):
     """Nonparametric cluster bootstrap of one estimator.
 
     Parameters
@@ -143,8 +144,6 @@ def cluster_bootstrap(data, config, B, seed, threads=1):
         Replicate count, at least 2.
     seed : int
         Stream family; replicate r uses the ``(seed, r)`` stream.
-    threads : int
-        Ignored; replicates run in order on the calling thread.
 
     Returns
     -------
@@ -219,7 +218,7 @@ def _guarded_z(num, sigma):
 
 
 def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
-                          k_bins=5, threads=1):
+                          k_bins=5):
     """Test the propensity and outcome models through their DR agreement.
 
     On the original data and on each of B shared cluster resamples, compute
@@ -234,8 +233,6 @@ def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
         Outcome terms (and propensity terms, unless overridden).
     ps_spec : ModelSpec, optional
         Separate source of propensity terms.
-    threads : int
-        Ignored; replicates run in order on the calling thread.
     """
     ps_terms = (ps_spec or spec).ps_terms
     if not ps_terms:
@@ -268,7 +265,9 @@ def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
     ok = vals[np.all(np.isfinite(vals), axis=1)]
     n_failed = int(B - ok.shape[0])
     if ok.shape[0] < 2:
-        raise PanelCausalError("too few successful bootstrap replicates for the DR test")
+        raise BootstrapFailureError(
+            "too few successful bootstrap replicates for the DR test"
+        )
     sigma_ps = float(np.std(ok[:, 0] - ok[:, 1], ddof=1))
     sigma_or = float(np.std(ok[:, 0] - ok[:, 2], ddof=1))
     z_ps = _guarded_z(point_dr - point_ipwdid, sigma_ps)

@@ -15,9 +15,10 @@ the sum-row and difference-row Gram blocks together.  In that basis the
 weighted normal equations are diagonal for every ``w``, so each evaluation
 of the profiled likelihood or its score costs O(p).  A coarse grid over
 ``log lambda`` guards against multiple optima, and Brent's method finds the
-root of the score inside the best grid bracket.  One explicit-residual GLS
-solve at the optimum gives the fixed effects, the residual variance and
-their covariance.
+root of the score inside the best grid bracket; the grid and the root
+tolerance are fixed module constants.  One explicit-residual GLS solve at
+the optimum gives the fixed effects, the residual variance and their
+covariance.
 
 ``fit_or`` provides the ordinary least squares companion (post-period
 outcome regression, no random effect) in the same result shape.
@@ -35,28 +36,20 @@ from .errors import (
     UnbalancedClustersError,
 )
 
-__all__ = ["FitOptions", "LMMFit", "fit_lmm", "fit_or", "profile_loglik"]
+__all__ = ["LMMFit", "fit_lmm", "fit_or", "profile_loglik"]
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 _EPS2 = float(np.finfo(float).eps) ** 2
 
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Search controls for the profiled likelihood in ``log lambda``.
-
-    The default bounds [-12, 12] cover variance ratios from e-12 (forced to
-    the sigma_u^2 = 0 boundary) to e12.  The profile is scanned at
-    ``grid_points`` evenly spaced values of ``log lambda``; Brent's method
-    then finds the score's root in the best grid bracket to an absolute
-    tolerance of ``xatol`` on ``log lambda``, i.e. a relative tolerance on
-    ``lambda`` itself.
-    """
-
-    log_lambda_lo: float = -12.0
-    log_lambda_hi: float = 12.0
-    xatol: float = 1e-13
-    grid_points: int = 25
+# The search in log lambda: the bounds cover variance ratios from e-12
+# (taken as the sigma_u^2 = 0 boundary) to e12; the profile is scanned at
+# _GRID_POINTS evenly spaced values, and Brent's method finds the score's
+# root in the best grid bracket to an absolute tolerance of _XATOL on
+# log lambda, i.e. a relative tolerance on lambda itself.
+_LOG_LAMBDA_LO = -12.0
+_LOG_LAMBDA_HI = 12.0
+_GRID_POINTS = 25
+_XATOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +229,7 @@ def profile_loglik(stacked_design, response, cluster_ids, log_lambda):
     return float(prof.loglik(float(log_lambda)))
 
 
-def fit_lmm(stacked_design, response, cluster_ids, opts=None):
+def fit_lmm(stacked_design, response, cluster_ids):
     """Maximum likelihood fit of the random-intercept model.
 
     Parameters
@@ -246,7 +239,6 @@ def fit_lmm(stacked_design, response, cluster_ids, opts=None):
     response : ndarray, shape (2n,)
     cluster_ids : ndarray, shape (2n,)
         Cluster label per row; every label must appear exactly twice.
-    opts : FitOptions, optional
 
     Returns
     -------
@@ -261,22 +253,17 @@ def fit_lmm(stacked_design, response, cluster_ids, opts=None):
     After one O(n p) set-up (stacked OLS residuals and a generalized
     eigendecomposition of the sum-row and difference-row Gram blocks), the
     profiled likelihood and its score cost O(p) per ``log lambda``.  The
-    likelihood is scanned on a coarse grid over ``log lambda in [lo, hi]``
+    likelihood is scanned on a 25-point grid over ``log lambda in [-12, 12]``
     in one vectorized evaluation.  If the score changes sign across the
     best grid point's bracket, Brent's method finds its root; otherwise
     the best grid point stands, and it counts as converged only on an edge
     of the grid with the score pointing outward.  If the boundary value at
-    ``lo`` is at least as good as that optimum, the variance ratio is
+    -12 is at least as good as that optimum, the variance ratio is
     taken to be exactly 0 and the fit collapses to ordinary least squares.
     """
-    opts = opts or FitOptions()
     prof = _Profile(stacked_design, response, cluster_ids)
-    lo, hi = float(opts.log_lambda_lo), float(opts.log_lambda_hi)
-    if not lo < hi:
-        raise InvalidArgumentError("log_lambda bounds must satisfy lo < hi")
-
     stats = prof.stats
-    grid = np.linspace(lo, hi, int(opts.grid_points))
+    grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
     ll = prof.loglik(grid)
     if not np.any(np.isfinite(ll)):
         raise NonFiniteLikelihoodError(
@@ -288,7 +275,7 @@ def fit_lmm(stacked_design, response, cluster_ids, opts=None):
     a, b = max(0, j - 1), min(len(grid) - 1, j + 1)
     if score[a] > 0.0 > score[b]:
         log_lambda, res = brentq(
-            _score, grid[a], grid[b], args=stats, xtol=opts.xatol,
+            _score, grid[a], grid[b], args=stats, xtol=_XATOL,
             maxiter=500, full_output=True, disp=False,
         )
         log_lambda = float(log_lambda)
@@ -301,9 +288,9 @@ def fit_lmm(stacked_design, response, cluster_ids, opts=None):
         )
         best = float(ll[j])
     if ll[0] >= best:
-        log_lambda = lo
+        log_lambda = _LOG_LAMBDA_LO
         converged = True
-    lam = 0.0 if log_lambda <= lo + 1e-8 else float(np.exp(log_lambda))
+    lam = 0.0 if log_lambda <= _LOG_LAMBDA_LO + 1e-8 else float(np.exp(log_lambda))
 
     beta, rss, A = prof.solve(lam)
     if not np.isfinite(rss) or rss <= 0.0:

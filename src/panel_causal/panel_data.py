@@ -571,7 +571,9 @@ def load_csv(path, schema=None):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise MalformedValueError(f"{path}: empty file, header row required")
-        header = [h.strip() for h in reader.fieldnames]
+        # Cells are looked up by these names, so strip them in place:
+        # "unit_id, time, treat, y" names the same columns as the bare form.
+        reader.fieldnames = header = [h.strip() for h in reader.fieldnames]
         required = (schema.unit_id, schema.time, schema.treat, schema.y)
         for col in required:
             if col not in header:

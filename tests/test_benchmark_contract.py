@@ -1,19 +1,24 @@
-"""The per-layer metrics BENCHMARK.json names must name real functions.
+"""The benchmark's view of the package must match the package.
 
 The benchmark's tracer times ``<module>.<function>`` by wrapping the
-functions in each module's ``__all__`` (plus ``PanelDataset.take``).  A
-metric whose function was renamed or dropped from ``__all__`` would fail
-only when the traced benchmark runs; this test catches it with the suite.
+functions in each module's ``__all__`` (plus ``PanelDataset.take``), and
+its workloads call the CLI with fixed arguments.  A metric whose function
+was renamed or dropped from ``__all__``, or a flag the CLI no longer takes,
+would fail only when the benchmark runs; these tests catch it with the
+suite.
 """
 
 import importlib
+import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from panel_causal import PanelDataset
+from panel_causal.cli import build_parser
 
 _BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 _SPAN_FIELDS = ("calls", "s", "failed")
@@ -33,3 +38,30 @@ def test_span_metric_names_a_traced_function(metric):
     module = importlib.import_module(f"panel_causal.{module_name}")
     assert function in module.__all__
     assert inspect.isfunction(getattr(module, function))
+
+
+def _load_workloads():
+    path = _BENCHMARK.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Leave no bytecode cache in the benchmark's directory.
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module.WORKLOADS
+
+
+_WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOADS))
+@pytest.mark.parametrize("threads", [1, 2])
+def test_workload_argv_parses(name, threads, tmp_path):
+    # The benchmark drives the CLI only; every flag it passes, --threads
+    # included, must stay part of the command line.
+    argv = _WORKLOADS[name].argv(0, str(tmp_path), str(tmp_path / "out"),
+                                 threads=threads)
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]

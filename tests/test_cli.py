@@ -20,7 +20,7 @@ from panel_causal import (
 )
 from panel_causal.cli import run
 
-from helpers import make_dataset
+from helpers import make_dataset, tiny_panel
 
 
 def _simulate(tmp_path, name="panel.csv", scenario="HOM", n=120, seed=0, replicate=0):
@@ -216,6 +216,29 @@ class TestBootstrap:
         assert outs[0] == outs[1]
 
 
+    def test_too_few_replicates_is_a_validation_problem(self, tmp_path, capsys):
+        # The input path does not exist: validation must fail before reading it.
+        rc = run(["bootstrap", "--input", str(tmp_path / "never-read.csv"),
+                  "--method", "did", "--estimand", "att", "--B", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+
+    def test_every_replicate_failing_is_a_computation_failure(self, tmp_path, capsys):
+        # Three units, one treated: both resamples of seed 17 miss the
+        # treated unit, so no replicate has both groups.
+        path = tmp_path / "three.csv"
+        write_csv(tiny_panel(3), str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = run(["bootstrap", "--input", str(path), "--method", "did",
+                      "--estimand", "att", "--B", "2", "--seed", "17",
+                      "--format", "json"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:BootstrapFailure:")
+
+
 class TestDiagnose:
     def test_balance_only(self, tmp_path, capsys):
         path = _simulate(tmp_path, n=200)
@@ -263,6 +286,35 @@ class TestDiagnose:
                   "--ps-covariates", "x1,x2,v", "--k-bins", "1"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+
+
+    @pytest.mark.parametrize("check,flag,value", [
+        ("dr-test", "--B", "1"), ("all", "--B", "1"),
+        ("eliminate", "--alpha", "0"), ("all", "--alpha", "0"),
+        ("all", "--alpha", "1.5"),
+    ])
+    def test_bad_B_or_alpha_is_a_validation_problem(self, check, flag, value,
+                                                    tmp_path, capsys):
+        # The input path does not exist: validation must fail before reading it.
+        rc = run(["diagnose", "--input", str(tmp_path / "never-read.csv"),
+                  "--check", check, "--covariates", "x1,x2",
+                  "--ps-covariates", "x1,x2,v", flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+
+    def test_too_few_dr_replicates_is_a_typed_failure(self, tmp_path, capsys):
+        path = tmp_path / "six.csv"
+        write_csv(tiny_panel(6), str(path))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"outcome_terms": ["1", "time", "treat"],
+                                    "ps_terms": ["1"]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = run(["diagnose", "--input", str(path), "--check", "dr-test",
+                      "--spec", str(spec), "--B", "2", "--seed", "21",
+                      "--k-bins", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR:BootstrapFailure:")
 
 
 class TestStudy:

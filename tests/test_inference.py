@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from panel_causal import (
+    BootstrapFailureError,
     BootstrapFailureWarning,
     EmptyModelWarning,
     EstimatorConfig,
     ExtremeWeightsWarning,
     InvalidArgumentError,
-    IRLSOptions,
     ModelSpec,
-    PanelCausalError,
     PanelDataset,
     PSFit,
     Scenario,
@@ -33,23 +32,10 @@ from panel_causal import (
     term_label,
 )
 
-from helpers import make_dataset
-
-_QUIET = IRLSOptions(extreme_eps=0.0)
-
+from helpers import extreme_ps_dataset, make_dataset, tiny_panel
 
 def _hom(seed, n=300):
     return generate_scenario(Scenario("HOM", n), seed)
-
-
-def _tiny(n, treated_idx=(0,)):
-    """Deterministic small dataset: the treated set is handed in directly."""
-    rng = substream(424242, n)
-    d = np.zeros(n, dtype=np.int64)
-    d[list(treated_idx)] = 1
-    y0 = rng.normal(10.0, 2.0, n)
-    y1 = y0 + 3.0 + 15.0 * d + rng.normal(0.0, 1.0, n)
-    return make_dataset(y0, y1, d)
 
 
 class TestEstimatorConfig:
@@ -104,20 +90,41 @@ class TestEvaluateEstimator:
             outcome_terms=("1", "time", "treat", "x1", "x2"),
             ps_terms=("1", "x1", "x2", "v"),
         )
-        ps = fit_propensity(data, spec, opts=_QUIET)
-        cfg = EstimatorConfig(method="IPW", estimand="ATT", spec=spec, extreme_eps=None)
-        want = estimate_ipw(data, ps, extreme_eps=None)["ATT"].value
+        ps = fit_propensity(data, spec)
+        cfg = EstimatorConfig(method="IPW", estimand="ATT", spec=spec)
+        want = estimate_ipw(data, ps)["ATT"].value
         assert evaluate_estimator(cfg, data, ps_fit=ps) == want
 
     def test_refits_ps_when_not_injected(self):
         data = _hom(502)
         spec = ModelSpec(ps_terms=("1", "x1", "x2", "v"))
-        cfg = EstimatorConfig(method="IPW", estimand="ATE", spec=spec, extreme_eps=None)
+        cfg = EstimatorConfig(method="IPW", estimand="ATE", spec=spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             auto = evaluate_estimator(cfg, data)
             manual = evaluate_estimator(cfg, data, ps_fit=fit_propensity(data, spec))
         assert auto == manual
+
+    def test_extreme_scores_warn_once_where_weights_are_formed(self):
+        # One extreme-score event gives one warning, from the estimator that
+        # inverts the scores; the doubly robust fit only bins them, and the
+        # treatment-model fit only reports them.
+        data = extreme_ps_dataset()
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1"),
+                         ps_terms=("1", "x1"))
+        calls = {
+            method: (lambda m=method: evaluate_estimator(
+                EstimatorConfig(method=m, estimand="ATE", spec=spec), data))
+            for method in ("IPW", "IPWDID", "DRGLMM")
+        }
+        calls["fit_propensity"] = lambda: fit_propensity(data, spec)
+        counts = {}
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            counts[name] = sum(w.category is ExtremeWeightsWarning for w in caught)
+        assert counts == {"IPW": 1, "IPWDID": 1, "DRGLMM": 0, "fit_propensity": 0}
 
     def test_glmm_value(self):
         data = _hom(503)
@@ -157,8 +164,7 @@ class TestClusterBootstrap:
         cfg = EstimatorConfig(method="DID", estimand="ATT")
         a = cluster_bootstrap(data, cfg, B=24, seed=7)
         b = cluster_bootstrap(data, cfg, B=24, seed=7)
-        c = cluster_bootstrap(data, cfg, B=24, seed=7, threads=3)
-        assert a == b == c
+        assert a == b
         other = cluster_bootstrap(data, cfg, B=24, seed=8)
         assert other.boot_mean != a.boot_mean
 
@@ -173,7 +179,7 @@ class TestClusterBootstrap:
         assert abs(res.boot_mean - res.point) < res.se
 
     def test_all_replicates_failing_returns_nan_summaries(self):
-        data = _tiny(2)
+        data = tiny_panel(2)
         cfg = EstimatorConfig(method="DID", estimand="ATT")
         with pytest.warns(BootstrapFailureWarning):
             res = cluster_bootstrap(data, cfg, B=2, seed=0)
@@ -183,7 +189,7 @@ class TestClusterBootstrap:
         assert np.isnan(res.ci_lower) and np.isnan(res.ci_upper)
 
     def test_failed_replicates_are_counted_and_warned(self):
-        data = _tiny(6)
+        data = tiny_panel(6)
         cfg = EstimatorConfig(method="DID", estimand="ATT")
         with pytest.warns(BootstrapFailureWarning):
             res = cluster_bootstrap(data, cfg, B=50, seed=0)
@@ -265,11 +271,11 @@ class TestDrSpecificationTest:
             dr_specification_test(data, spec, B=4, seed=0, k_bins=k_bins)
 
     def test_too_few_successes_is_an_error(self):
-        data = _tiny(6)
+        data = tiny_panel(6)
         spec = ModelSpec(outcome_terms=("1", "time", "treat"), ps_terms=("1",))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(PanelCausalError, match="too few"):
+            with pytest.raises(BootstrapFailureError, match="too few"):
                 dr_specification_test(data, spec, B=2, seed=21, k_bins=2)
 
 
@@ -297,7 +303,7 @@ class TestBalanceCheck:
 
     def test_randomized_treatment_is_balanced(self):
         data = self._randomized(0)
-        ps = fit_propensity(data, ModelSpec(ps_terms=("1", "x1", "x2", "v")), opts=_QUIET)
+        ps = fit_propensity(data, ModelSpec(ps_terms=("1", "x1", "x2", "v")))
         rep = balance_check(data, ps)
         assert rep.balanced is True
         assert rep.note == ""
@@ -305,12 +311,12 @@ class TestBalanceCheck:
 
     def test_correct_model_is_balanced(self):
         data = _hom(600, n=500)
-        ps = fit_propensity(data, ModelSpec(ps_terms=("1", "x1", "x2", "v")), opts=_QUIET)
+        ps = fit_propensity(data, ModelSpec(ps_terms=("1", "x1", "x2", "v")))
         assert balance_check(data, ps).balanced is True
 
     def test_omitted_confounder_is_flagged(self):
         data = _hom(600, n=500)
-        ps = fit_propensity(data, ModelSpec(ps_terms=("1", "x2", "v")), opts=_QUIET)
+        ps = fit_propensity(data, ModelSpec(ps_terms=("1", "x2", "v")))
         rep = balance_check(data, ps)
         assert rep.balanced is False
         assert rep.r2_with_covariates > rep.r2_ps_only
@@ -339,7 +345,7 @@ class TestBalanceCheck:
         # pseudo-R2 values should match to rounding.
         data = _hom(21, n=400)
         spec = ModelSpec(ps_terms=("1", "x1", "x2", "v"))
-        rep1 = balance_check(data, fit_propensity(data, spec, opts=_QUIET))
+        rep1 = balance_check(data, fit_propensity(data, spec))
         shift = np.array([5.0, -2.0, 100.0])
         scale = np.array([0.5, 40.0, 3.0])
         mapped = PanelDataset(
@@ -351,7 +357,7 @@ class TestBalanceCheck:
             x0=shift + scale * data.x0,
             x1=shift + scale * data.x1,
         )
-        rep2 = balance_check(mapped, fit_propensity(mapped, spec, opts=_QUIET))
+        rep2 = balance_check(mapped, fit_propensity(mapped, spec))
         assert abs(rep1.r2_ps_only - rep2.r2_ps_only) < 1e-10
         assert abs(rep1.r2_with_covariates - rep2.r2_with_covariates) < 1e-10
         assert rep1.balanced == rep2.balanced

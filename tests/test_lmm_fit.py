@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from panel_causal import (
-    FitOptions,
     InvalidArgumentError,
     NonFiniteLikelihoodError,
     PanelCausalWarning,
@@ -167,11 +166,6 @@ class TestFitLmm:
         y2[0] = np.nan
         with pytest.raises(NonFiniteLikelihoodError):
             fit_lmm(X, y2, ids)
-
-    def test_bad_bounds(self):
-        X, y, ids = _clustered(72, n=20)
-        with pytest.raises(InvalidArgumentError):
-            fit_lmm(X, y, ids, FitOptions(log_lambda_lo=2.0, log_lambda_hi=-2.0))
 
     def test_mismatched_cluster_length(self):
         X, y, ids = _clustered(73, n=20)

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from panel_causal import (
     ColumnMapping,
+    Scenario,
     InvalidArgumentError,
     InvalidTermError,
     MalformedValueError,
@@ -17,6 +21,7 @@ from panel_causal import (
     TreatedAtBaselineError,
     UnknownCovariateError,
     build_design,
+    generate_scenario,
     load_csv,
     parse_term,
     ps_design,
@@ -136,6 +141,26 @@ class TestLoadCsv:
         data = load_csv(write_file(tmp_path, WELL_FORMED), schema=schema)
         assert data.covariate_names == ("x2",)
         assert data.x0.shape == (4, 1)
+
+    def test_spaces_after_the_commas(self, tmp_path):
+        spaced = WELL_FORMED.replace(",", ", ")
+        data = load_csv(write_file(tmp_path, spaced))
+        plain = load_csv(write_file(tmp_path, WELL_FORMED, name="plain.csv"))
+        assert data.covariate_names == ("x1", "x2")
+        assert list(data.unit_ids) == list(plain.unit_ids)
+        np.testing.assert_array_equal(data.y0, plain.y0)
+        np.testing.assert_array_equal(data.y1, plain.y1)
+        np.testing.assert_array_equal(data.d1, plain.d1)
+        np.testing.assert_array_equal(data.x0, plain.x0)
+        np.testing.assert_array_equal(data.x1, plain.x1)
+
+    def test_readme_header_is_the_written_header(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Data format", 1)[1]
+        block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        out = tmp_path / "written.csv"
+        write_csv(generate_scenario(Scenario("HOM", 5), 0), out)
+        assert block.splitlines()[0] == out.read_text().splitlines()[0]
 
     def test_round_trip_value_identical(self, tmp_path):
         first = load_csv(write_file(tmp_path, WELL_FORMED))

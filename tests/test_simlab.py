@@ -183,14 +183,15 @@ class TestRunStudy:
         )
         assert res.true_ate == 15.0 and res.true_att == 15.0
 
-    def test_threads_do_not_change_values(self):
-        suite = (SuiteEntry("DID"), SuiteEntry("IPW", ps_model="full"))
-        sc = Scenario("HOM", 60)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = run_study(sc, suite, R=6, seed=3)
-            b = run_study(sc, suite, R=6, seed=3, threads=4)
-        assert a == b
+    def test_extreme_weight_warnings_are_silenced(self):
+        # Two of these ten replicates have extreme scores; across a study's
+        # thousands of draws such warnings would drown the per-cell failure
+        # accounting, so run_study keeps them to itself.
+        suite = (SuiteEntry("IPW", ps_model="full"),)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_study(Scenario("HOM", 30), suite, R=10, seed=2)
+        assert not [w for w in caught if w.category is ExtremeWeightsWarning]
 
     def test_default_suite_labels(self):
         assert [e.label for e in DEFAULT_SUITE] == [
