@@ -12,6 +12,7 @@ functions take no thread count.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -282,9 +283,24 @@ def _payload_csv(payload):
     return buf.getvalue()
 
 
+def _json_value(v):
+    # JSON has no NaN or infinity; an undefined number is written as null.
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
+def _json_text(obj):
+    return json.dumps(_json_value(obj), sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit(payload, fmt, output):
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        text = _json_text(payload)
     elif fmt == "csv":
         text = _payload_csv(payload)
     else:
@@ -333,7 +349,7 @@ def _cmd_bootstrap(cfg):
     data = load_csv(cfg.input)
     res = cluster_bootstrap(data, config, cfg.B, cfg.seed)
     if res.n_failed == res.B:
-        # NaN summaries are not valid JSON, and there is nothing to report.
+        # Every summary would be undefined: there is nothing to report.
         raise BootstrapFailureError(f"all {res.B} bootstrap replicates failed to fit")
     payload = {
         "method": config.method,
@@ -406,7 +422,7 @@ def _cmd_study(cfg):
     result = run_study(scenario, DEFAULT_SUITE, R=cfg.R, seed=cfg.seed,
                        k_bins=cfg.k_bins)
     if cfg.fmt == "json":
-        text = json.dumps(asdict(result), sort_keys=True) + "\n"
+        text = _json_text(asdict(result))
     elif cfg.fmt == "csv":
         text = render_table(result, fmt="csv")
     else:

@@ -550,7 +550,15 @@ def load_csv(path, schema=None):
     The file must have a header row with the ``unit_id``, ``time``,
     ``treat`` and ``y`` columns (names configurable through ``schema``);
     every other column is read as a covariate unless ``schema.covariates``
-    narrows the list.  Rows are normalized to (unit, time) sorted order.
+    narrows the list.  Cells may be quoted with ``"``; ``#`` is an ordinary
+    character, not a comment.  Units come out in Python string order of
+    their ids, each with its t=0 and t=1 values, whatever the row order.
+
+    The data rows are parsed column-wise by numpy's C reader and checked in
+    vectorized form.  A file that fails any of those checks is parsed again
+    one row at a time, which raises the typed error naming the first bad
+    row, or returns the same dataset for cells only Python's ``float``
+    reads (such as ``1_000``).
 
     Parameters
     ----------
@@ -568,24 +576,111 @@ def load_csv(path, schema=None):
     """
     schema = schema or ColumnMapping()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise MalformedValueError(f"{path}: empty file, header row required")
-        # Cells are looked up by these names, so strip them in place:
-        # "unit_id, time, treat, y" names the same columns as the bare form.
-        reader.fieldnames = header = [h.strip() for h in reader.fieldnames]
-        required = (schema.unit_id, schema.time, schema.treat, schema.y)
-        for col in required:
+        header, cov_names = _read_header(fh, path, schema)
+        data = _load_columns(fh, header, cov_names, schema)
+    if data is None:
+        data = _load_rows(path, schema)
+    for name in schema.time_invariant:
+        if name not in cov_names:
+            raise MissingValueError(f"declared time-invariant column '{name}' not found")
+        if data.time_varying_flags[cov_names.index(name)]:
+            warnings.warn(
+                f"covariate '{name}' was declared time-invariant but differs across "
+                "periods for some unit; treating it as time-varying",
+                TimeVaryingDowngradeWarning,
+                stacklevel=2,
+            )
+    return data
+
+
+def _read_header(fh, path, schema):
+    """Read and check the header row: returns ``(header, covariate names)``."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise MalformedValueError(f"{path}: empty file, header row required")
+    # Cells are looked up by these names, so strip them:
+    # "unit_id, time, treat, y" names the same columns as the bare form.
+    header = [h.strip() for h in header]
+    required = (schema.unit_id, schema.time, schema.treat, schema.y)
+    for col in required:
+        if col not in header:
+            raise MissingValueError(f"{path}: required column '{col}' not found")
+    if schema.covariates is None:
+        cov_names = tuple(h for h in header if h not in required)
+    else:
+        cov_names = tuple(schema.covariates)
+        for col in cov_names:
             if col not in header:
-                raise MissingValueError(f"{path}: required column '{col}' not found")
-        if schema.covariates is None:
-            cov_names = tuple(h for h in header if h not in required)
-        else:
-            cov_names = tuple(schema.covariates)
-            for col in cov_names:
-                if col not in header:
-                    raise MissingValueError(f"{path}: covariate column '{col}' not found")
+                raise MissingValueError(f"{path}: covariate column '{col}' not found")
+    return header, cov_names
+
+
+def _load_columns(fh, header, cov_names, schema):
+    """Parse the data rows after the header in one ``np.loadtxt`` call.
+
+    Returns the dataset, or None when the file needs :func:`_load_rows`:
+    a cell numpy cannot parse, a short row, an empty id, a non-finite
+    value, a time or treat not 0 or 1, treatment at t=0, or a unit without
+    exactly one row per period.
+    """
+    # A repeated header name means its last column, as in csv.DictReader.
+    col = {name: i for i, name in enumerate(header)}
+    names = (schema.unit_id, schema.time, schema.treat, schema.y) + cov_names
+    usecols = [col[c] for c in names]
+    fields = [f"c{k}" for k in range(len(names))]
+    dtype = [(fields[0], object)] + [(f, np.float64) for f in fields[1:]]
+    try:
+        with warnings.catch_warnings():
+            # e.g. "input contained no data": leave such files to the row loop.
+            warnings.simplefilter("error")
+            rec = np.loadtxt(
+                fh, dtype=dtype, usecols=usecols, delimiter=",", quotechar='"',
+                comments=None, encoding="utf-8", ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    ids = [s.strip() for s in rec[fields[0]]]
+    t, d, y = rec[fields[1]], rec[fields[2]], rec[fields[3]]
+    x = np.empty((len(rec), len(cov_names)))
+    for j, f in enumerate(fields[4:]):
+        x[:, j] = rec[f]
+    if not (all(ids) and np.isin(d, (0.0, 1.0)).all()
+            and np.isfinite(y).all() and np.isfinite(x).all()):
+        return None
+    ids = np.array(ids, dtype=object)
+    # Rows in (unit, time) order: a stable sort by id after one by time.
+    # Each unit's rows are then contiguous with its times ascending, so
+    # "every pair of rows is one unit at t=0 then t=1" holds exactly when
+    # every unit has one row per period and every time is 0 or 1.
+    order = np.argsort(t, kind="stable")
+    order = order[np.argsort(ids[order], kind="stable")]
+    pre, post = order[0::2], order[1::2]
+    if (len(order) % 2
+            or np.any(t[pre] != 0.0) or np.any(t[post] != 1.0)
+            or np.any(ids[pre] != ids[post])
+            or np.any(d[pre] != 0.0)):
+        return None
+    return PanelDataset(
+        covariate_names=cov_names,
+        unit_ids=ids[pre],
+        y0=y[pre],
+        y1=y[post],
+        d1=d[post].astype(np.int64),
+        x0=x[pre],
+        x1=x[post],
+    )
+
+
+def _load_rows(path, schema):
+    """Reference parser: one row at a time, in file order.
+
+    It raises the typed error for the first row that breaks the layout;
+    :func:`load_csv` calls it for every file the columnar parse refuses.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, cov_names = _read_header(fh, path, schema)
         rows = {}
+        reader = csv.DictReader(fh, fieldnames=header)
         for lineno, raw in enumerate(reader, start=2):
             unit = str(raw.get(schema.unit_id, "") or "").strip()
             if not unit:
@@ -618,7 +713,7 @@ def load_csv(path, schema=None):
         d1.append(post[0])
         x0.append(pre[2])
         x1.append(post[2])
-    data = PanelDataset(
+    return PanelDataset(
         covariate_names=cov_names,
         unit_ids=np.array(ids, dtype=object),
         y0=np.array(y0),
@@ -627,17 +722,6 @@ def load_csv(path, schema=None):
         x0=np.array(x0, dtype=float).reshape(len(ids), len(cov_names)),
         x1=np.array(x1, dtype=float).reshape(len(ids), len(cov_names)),
     )
-    for name in schema.time_invariant:
-        if name not in cov_names:
-            raise MissingValueError(f"declared time-invariant column '{name}' not found")
-        if data.time_varying_flags[cov_names.index(name)]:
-            warnings.warn(
-                f"covariate '{name}' was declared time-invariant but differs across "
-                "periods for some unit; treating it as time-varying",
-                TimeVaryingDowngradeWarning,
-                stacklevel=2,
-            )
-    return data
 
 
 def write_csv(data, path, schema=None):

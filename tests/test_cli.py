@@ -317,6 +317,33 @@ class TestDiagnose:
         assert capsys.readouterr().err.startswith("ERROR:BootstrapFailure:")
 
 
+    def test_json_writes_undefined_numbers_as_null(self, tmp_path, capsys):
+        # Covariate s separates the treatment, so the balance fits are
+        # inconclusive and both pseudo-R2 values are NaN.
+        rng = np.random.default_rng(0)
+        d = np.array([1] * 10 + [0] * 20)
+        z = rng.normal(size=30)
+        s = d + rng.uniform(0.1, 0.5, size=30)
+        path = tmp_path / "separated.csv"
+        write_csv(make_dataset(rng.normal(size=30), rng.normal(size=30), d,
+                               covariates=[z, s], names=("z", "s")), str(path))
+        argv = ["diagnose", "--input", str(path), "--check", "balance",
+                "--ps-covariates", "z"]
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert run(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["balance.r2_ps_only"] is None
+        assert payload["balance.r2_with_covariates"] is None
+        assert payload["balance.balanced"] is None
+        assert payload["balance.note"].startswith("inconclusive")
+        # Text output still spells the value out.
+        assert run(argv) == 0
+        assert _text_payload(capsys.readouterr().out)["balance.r2_ps_only"] == "nan"
+
+
 class TestStudy:
     def test_text_shows_both_estimands(self, tmp_path, capsys):
         with warnings.catch_warnings():

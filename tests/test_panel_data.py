@@ -1,8 +1,14 @@
+import itertools
+import os
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from panel_causal import (
     ColumnMapping,
@@ -30,6 +36,7 @@ from panel_causal import (
     term_label,
     write_csv,
 )
+from panel_causal import panel_data
 
 from helpers import make_dataset
 
@@ -188,6 +195,226 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.y0, data.y0)
         np.testing.assert_array_equal(back.y1, data.y1)
         np.testing.assert_array_equal(back.x0, data.x0)
+
+
+def _row_loop_forbidden(path, schema):
+    raise AssertionError(f"{path} was handed to the row loop")
+
+
+def _well_formed_with_ids(ids):
+    """WELL_FORMED's values under the given unit ids (in file order a-d)."""
+    return make_dataset(
+        y0=[1.5, 2.5, 2.0, 4.0], y1=[6.5, 8.0, 3.0, 5.0], d1=[1, 1, 0, 0],
+        covariates=[[10.0, 9.0, 8.0, 12.0], [2.0, 1.0, 3.0, 4.0]],
+        covariates_post=[[11.0, 9.5, 8.5, 12.5], [2.0, 1.0, 3.0, 4.0]],
+        unit_ids=ids,
+    )
+
+
+def _assert_loads_like_the_row_loop(path, schema=ColumnMapping()):
+    """load_csv returns the row loop's dataset, or raises its error."""
+    try:
+        expected = panel_data._load_rows(path, schema)
+    except Exception as exc:  # the error is the result under comparison
+        with pytest.raises(type(exc)) as got:
+            load_csv(path, schema)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    got = load_csv(path, schema)
+    assert got.value_equal(expected)
+    assert got.time_varying_flags == expected.time_varying_flags
+
+
+LONG_ID = "a" * 40
+NON_ASCII_ID = "\u00fc-\u6771\u4eac-\U0001d11e"  # sorts after "c", like "d"
+
+# Files numpy's reader misreads under its defaults (comments="#", no
+# quoting, fixed-width strings), each with the unit ids it must yield.
+C_READER_TRAPS = {
+    "hash_in_id": (WELL_FORMED.replace("\na,", "\na#1,"), ["a#1", "b", "c", "d"]),
+    "quoted_comma_in_id": (WELL_FORMED.replace("\nb,", '\n"b,2",'),
+                           ["a", "b,2", "c", "d"]),
+    "long_and_non_ascii_ids": (
+        WELL_FORMED.replace("\na,", f"\n{LONG_ID},").replace("\nd,", f"\n{NON_ASCII_ID},"),
+        [LONG_ID, "b", "c", NON_ASCII_ID],
+    ),
+    "crlf": (WELL_FORMED.replace("\n", "\r\n"), ["a", "b", "c", "d"]),
+    "blank_lines_between_units": (
+        WELL_FORMED.replace("\nb,0", "\n\nb,0").replace("\nd,0", "\n\n\nd,0"),
+        ["a", "b", "c", "d"],
+    ),
+}
+
+
+class TestColumnarParse:
+    @pytest.mark.parametrize("name", sorted(C_READER_TRAPS))
+    def test_c_reader_trap_loads_as_the_row_loop_reads_it(self, name, tmp_path,
+                                                            monkeypatch):
+        text, ids = C_READER_TRAPS[name]
+        path = write_file(tmp_path, text)
+        expected = _well_formed_with_ids(ids)
+        assert panel_data._load_rows(path, ColumnMapping()).value_equal(expected)
+        # Clean files never need the row loop.
+        monkeypatch.setattr(panel_data, "_load_rows", _row_loop_forbidden)
+        data = load_csv(path)
+        assert list(data.unit_ids) == ids
+        assert data.value_equal(expected)
+        assert data.time_varying_flags == expected.time_varying_flags
+
+    def test_underscore_digits_load_through_the_row_loop(self, tmp_path):
+        # numpy rejects "1_0.0"; Python's float() reads it as 10.0.
+        data = load_csv(write_file(tmp_path, WELL_FORMED.replace("a,0,0,1.5,10.0",
+                                                                 "a,0,0,1.5,1_0.0")))
+        assert data.value_equal(_well_formed_with_ids(["a", "b", "c", "d"]))
+
+    def test_whitespace_only_line_is_a_missing_unit_id(self, tmp_path):
+        with pytest.raises(MissingValueError, match=":10: missing unit_id"):
+            load_csv(write_file(tmp_path, WELL_FORMED + "   \n"))
+
+    @pytest.mark.parametrize("text, schema", [
+        (WELL_FORMED.replace("x1,x2\n", "x1,x1\n"), ColumnMapping()),
+        (WELL_FORMED, ColumnMapping(covariates=("y", "x2"))),
+        (WELL_FORMED.replace("\na,", "\n7,").replace("\nb,", "\n5,"),
+         ColumnMapping(covariates=("unit_id",))),
+        (WELL_FORMED, ColumnMapping(covariates=("unit_id",))),
+    ], ids=["repeated_header_name", "y_as_covariate", "numeric_ids_as_covariate",
+            "text_ids_as_covariate"])
+    def test_a_column_read_twice_matches_the_row_loop(self, text, schema, tmp_path):
+        _assert_loads_like_the_row_loop(write_file(tmp_path, text), schema)
+
+    def test_downgrade_warning_on_the_columnar_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(panel_data, "_load_rows", _row_loop_forbidden)
+        path = write_file(tmp_path, C_READER_TRAPS["blank_lines_between_units"][0])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            load_csv(path, schema=ColumnMapping(time_invariant=("x1",)))
+        assert [w.category for w in seen] == [TimeVaryingDowngradeWarning]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            load_csv(path, schema=ColumnMapping(time_invariant=("x2",)))
+        assert seen == []
+
+
+# Ways to spell every unit id of a file: quoted, with "#" (not a comment),
+# quoted with a comma, and long and non-ASCII (no fixed-width truncation).
+_ID_FORMS = {
+    "plain": lambda u: u,
+    "quoted": lambda u: f'"{u}"',
+    "hash": lambda u: f"{u}#1",
+    "comma": lambda u: f'"{u},1"',
+    "long": lambda u: "\u00fc\u6771" * 20 + u,
+}
+# Defects in single rows: (kind, row, column, choice, float); row and
+# column are taken modulo the current sizes.
+_DEFECTS = ("awkward", "missing", "blank_id", "rename", "nonbinary_time",
+            "nonbinary_treat", "short", "long", "blank", "duplicate", "drop",
+            "truncate", "treated_at_baseline", "quote")
+_AWKWARD = ("1e-300", "1e400", "-0.0", "1_000", "1e-320")
+
+
+def _panel_lines(data, id_form, t0, t1):
+    """The rows write_csv writes for ``data``, as cells, ids and times respelled."""
+    lines = []
+    for i in range(data.n):
+        uid = id_form(str(data.unit_ids[i]))
+        lines.append([uid, t0, t0, repr(float(data.y0[i])), *map(repr, data.x0[i].tolist())])
+        lines.append([uid, t1, (t0, t1)[int(data.d1[i])], repr(float(data.y1[i])),
+                      *map(repr, data.x1[i].tolist())])
+    return lines
+
+
+def _damage(lines, defect, t0, t1):
+    """Apply one defect to ``lines`` in place; blank lines are strings."""
+    kind, i, j, k, v = defect
+    if not lines or isinstance(lines[i % len(lines)], str):
+        return
+    i %= len(lines)
+    row = lines[i]
+    j %= len(row)
+    if kind == "awkward" and j >= 3:
+        row[j] = _AWKWARD[k % len(_AWKWARD)] if k % 2 else repr(v)
+    elif kind == "missing":
+        row[j] = ("nan", "NA", "", " ")[k % 4]
+    elif kind == "blank_id":
+        for r in lines:
+            if isinstance(r, list) and r[0] == row[0]:
+                r[0] = " " * (k % 2)
+    elif kind == "rename":
+        # The unit keeps one row; its other row makes a unit that sorts
+        # right after it.
+        row[0] = row[0] + "x"
+    elif kind in ("nonbinary_time", "nonbinary_treat"):
+        row[1 if kind == "nonbinary_time" else 2] = ("2", "0.5", "-1", "nan", "1e0")[k % 5]
+    elif kind == "short":
+        del row[max(1, len(row) - 1 - k % 2):]
+    elif kind == "long":
+        row.append(str(k))
+    elif kind == "blank":
+        lines.insert(i, " " * (k % 3))
+    elif kind == "duplicate":
+        lines.insert(k % len(lines), list(row))
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "truncate":
+        del lines[k % 3:]
+    elif kind == "treated_at_baseline" and row[1] == t0:
+        row[2] = t1
+    elif kind == "quote":
+        row[0] = '"' + row[0] + (",x" if k % 2 else "") + '"'
+
+
+def _write_panel_file(path, covariate_names, lines, pad="", newline="\n"):
+    header = ["unit_id", "time", "treat", "y", *covariate_names]
+    body = [r if isinstance(r, str) else ",".join(pad + c + pad for c in r)
+            for r in [header] + lines]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(body) + newline)
+
+
+@st.composite
+def _mutated_panels(draw):
+    """A random HOM/HET panel, rows shuffled, restyled and damaged."""
+    scenario = draw(st.sampled_from(["HOM", "HET"]))
+    n = draw(st.integers(4, 10))
+    seed = draw(st.integers(0, 2**31 - 1))
+    try:
+        data = generate_scenario(Scenario(scenario, n), seed)
+    except NoOverlapError:
+        assume(False)
+    id_form = _ID_FORMS[draw(st.sampled_from(sorted(_ID_FORMS)))]
+    t0, t1 = draw(st.sampled_from([("0", "1"), ("0.0", "1.0")]))
+    lines = [list(r) for r in draw(st.permutations(_panel_lines(data, id_form, t0, t1)))]
+    defects = draw(st.lists(st.tuples(st.sampled_from(_DEFECTS), st.integers(0, 999),
+                                      st.integers(0, 999), st.integers(0, 999),
+                                      st.floats()),
+                            max_size=2))
+    for defect in defects:
+        _damage(lines, defect, t0, t1)
+    pad = " " * draw(st.integers(0, 2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return data.covariate_names, lines, pad, newline
+
+
+@settings(max_examples=300)
+@given(panel=_mutated_panels())
+def test_columnar_parse_matches_the_row_loop(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        _write_panel_file(path, *panel)
+        _assert_loads_like_the_row_loop(path)
+
+
+def test_each_defect_alone_matches_the_row_loop(tmp_path):
+    data = generate_scenario(Scenario("HOM", 6), 0)
+    path = tmp_path / "panel.csv"
+    floats = (0.1, float("nan"), float("inf"), 5e-324, -1.5)
+    for kind in _DEFECTS:
+        for i, j, k in itertools.product((0, 7), (0, 1, 2, 3, 5), range(5)):
+            lines = _panel_lines(data, str, "0", "1")
+            _damage(lines, (kind, i, j, k, floats[k]), "0", "1")
+            _write_panel_file(path, data.covariate_names, lines)
+            _assert_loads_like_the_row_loop(path)
 
 
 class TestPanelDataset:
