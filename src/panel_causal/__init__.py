@@ -36,7 +36,6 @@ from .errors import (
     SeparationError,
     TimeVaryingDowngradeWarning,
     TreatedAtBaselineError,
-    UnbalancedClustersError,
     UnknownCovariateError,
     ValidationError,
 )
@@ -52,8 +51,6 @@ from .panel_data import (
     load_csv,
     parse_term,
     ps_design,
-    stacked_cluster_ids,
-    stacked_response,
     term_label,
     write_csv,
 )
@@ -124,9 +121,8 @@ __all__ = [
     "MalformedValueError", "NoOverlapError", "UnknownCovariateError",
     "NonPositiveLogError", "InvalidTermError", "InvalidArgumentError",
     "RankDeficientDesignError", "SeparationError", "NoVariationInOutcomeError",
-    "NonFiniteLikelihoodError", "UnbalancedClustersError",
-    "InvalidVarianceError", "NonFiniteLinearPredictorError",
-    "BootstrapFailureError",
+    "NonFiniteLikelihoodError", "InvalidVarianceError",
+    "NonFiniteLinearPredictorError", "BootstrapFailureError",
     "PanelCausalWarning", "TimeVaryingDowngradeWarning",
     "ExtremeWeightsWarning", "DegenerateBinsWarning",
     "BootstrapFailureWarning", "ReplicateFailureWarning",
@@ -136,7 +132,7 @@ __all__ = [
     # panel data
     "PanelDataset", "UnitRecord", "ColumnMapping", "ModelSpec", "Term",
     "DesignMatrices", "parse_term", "term_label", "build_design", "ps_design",
-    "stacked_response", "stacked_cluster_ids", "load_csv", "write_csv",
+    "load_csv", "write_csv",
     # model fitting
     "PSFit", "PSDummies", "fit_logistic", "fit_propensity",
     "ps_quantile_dummies", "LMMFit", "fit_lmm", "fit_or", "profile_loglik",

@@ -107,12 +107,6 @@ class NonFiniteLikelihoodError(PanelCausalError):
     kind = "NonFiniteLikelihood"
 
 
-class UnbalancedClustersError(PanelCausalError):
-    """A cluster does not contribute exactly two rows."""
-
-    kind = "UnbalancedClusters"
-
-
 class InvalidVarianceError(PanelCausalError):
     kind = "InvalidVariance"
 

@@ -3,7 +3,7 @@
 Six methods share one dataset and term language:
 
 - OR: post-period outcome regression, counterfactual-mean contrast.
-- GLMM: stacked mixed-model fit, population-averaged contrast over the
+- GLMM: two-period mixed-model fit, population-averaged contrast over the
   random intercept.
 - IPW: Horvitz-Thompson inverse propensity weighting of the post period.
 - DID: the classic difference of group mean differences (ATT only).
@@ -25,12 +25,7 @@ import numpy as np
 from .errors import ExtremeWeightsWarning, InvalidArgumentError
 from .glm_fit import fit_propensity, ps_quantile_dummies
 from .lmm_fit import fit_lmm, fit_or
-from .panel_data import (
-    ModelSpec,
-    build_design,
-    stacked_cluster_ids,
-    stacked_response,
-)
+from .panel_data import ModelSpec, build_design
 
 __all__ = [
     "MethodInfo",
@@ -50,7 +45,7 @@ class MethodInfo:
     """What one estimation method needs and what it reports.
 
     ``outcome`` is the outcome model the method fits: ``"post"`` (OLS on the
-    post-period rows), ``"mixed"`` (the stacked two-period model) or None.
+    post-period rows), ``"mixed"`` (the two-period mixed model) or None.
     ``uses_ps`` says whether it needs a fitted treatment model.
     ``estimands`` lists the effects it estimates, and ``label`` prefixes the
     labels of its study rows.
@@ -168,39 +163,37 @@ def estimate_or(data, spec):
     dict
         ``{"ATE": EffectEstimate, "ATT": EffectEstimate}``.
     """
-    design = build_design(data, spec, stacked=False)
+    design = build_design(data, spec, pre_period=False)
     fit = fit_or(design.X, data.y1)
     contrasts = (design.cf_treated - design.cf_control) @ fit.fixed_effects
     return _contrast_estimates("OR", contrasts, _att_mask(data), {})
 
 
 def _glmm_fit(data, spec, extra_unit_cols=None):
-    """Fit the stacked outcome model, optionally with per-unit extra columns.
+    """Fit the two-period outcome model, optionally with per-unit extra columns.
 
-    Extra columns (the propensity dummies) are constant within unit, so they
-    are repeated across both period rows and appended to the counterfactual
-    designs as well.  Returns (fit, cf_treated, cf_control).
+    The model sees the t=0 and t=1 designs as two aligned n-row blocks.
+    Extra columns (the propensity dummies) are constant within unit, so the
+    same columns are appended to both period blocks and to the
+    counterfactual designs.  Without a random effect, OLS fits the two
+    blocks stacked.  Returns (fit, cf_treated, cf_control).
     """
     if not isinstance(spec, ModelSpec):
         spec = ModelSpec(outcome_terms=tuple(spec))
-    design = build_design(data, spec, stacked=True)
-    X = design.X
-    cf1 = design.cf_treated
-    cf0 = design.cf_control
+    design = build_design(data, spec, pre_period=True)
+    blocks = (design.X0, design.X, design.cf_treated, design.cf_control)
     if extra_unit_cols is not None and extra_unit_cols.shape[1] > 0:
-        X = np.hstack([X, np.repeat(extra_unit_cols, 2, axis=0)])
-        cf1 = np.hstack([cf1, extra_unit_cols])
-        cf0 = np.hstack([cf0, extra_unit_cols])
-    y = stacked_response(data)
+        blocks = tuple(np.hstack([b, extra_unit_cols]) for b in blocks)
+    X0, X1, cf1, cf0 = blocks
     if spec.random_effect == "unit_intercept":
-        fit = fit_lmm(X, y, stacked_cluster_ids(data))
+        fit = fit_lmm(X0, X1, data.y0, data.y1)
     else:
-        fit = fit_or(X, y)
+        fit = fit_or(np.vstack([X0, X1]), np.concatenate([data.y0, data.y1]))
     return fit, cf1, cf0
 
 
 def _mixed_estimates(method, data, spec, dummies=None):
-    """GLMM and DRGLMM estimates: fit the stacked model, contrast its
+    """GLMM and DRGLMM estimates: fit the mixed model, contrast its
     counterfactual post-period predictions.
 
     With the identity link, averaging the contrast over the random intercept
@@ -220,7 +213,7 @@ def _mixed_estimates(method, data, spec, dummies=None):
 def estimate_glmm(data, spec):
     """Mixed-model estimates of ATE and ATT via marginalized contrasts.
 
-    Fits the stacked two-period model with a unit random intercept (or
+    Fits the two-period model with a unit random intercept (or
     without one, if ``spec.random_effect == "none"``), builds both
     counterfactual post-period linear predictors, and averages the
     population-level contrast over units.  The outcome family is Gaussian
@@ -311,7 +304,7 @@ def estimate_drglmm(data, spec, ps_fit, k_bins=5):
     """Doubly robust estimates: GLMM augmented with propensity bin dummies.
 
     The fitted propensity scores are cut into ``k_bins`` equal-frequency
-    bins; the bin dummies enter the stacked design (constant within unit)
+    bins; the bin dummies enter both period designs (constant within unit)
     and both counterfactual designs, so with the identity link their
     coefficients cancel from every contrast and act purely as a bias
     correction on the refitted treatment terms.  A constant propensity

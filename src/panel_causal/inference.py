@@ -18,10 +18,10 @@ outcome and treatment models.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import (
     BootstrapFailureError,
@@ -217,8 +217,7 @@ def _guarded_z(num, sigma):
     return float(abs(num) / sigma)
 
 
-def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
-                          k_bins=5):
+def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     """Test the propensity and outcome models through their DR agreement.
 
     On the original data and on each of B shared cluster resamples, compute
@@ -230,14 +229,10 @@ def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
     ----------
     data : PanelDataset
     spec : ModelSpec
-        Outcome terms (and propensity terms, unless overridden).
-    ps_spec : ModelSpec, optional
-        Separate source of propensity terms.
+        Outcome and propensity terms.
     """
-    ps_terms = (ps_spec or spec).ps_terms
-    if not ps_terms:
+    if not spec.ps_terms:
         raise InvalidArgumentError("dr_specification_test needs propensity terms")
-    work_spec = replace(spec, ps_terms=ps_terms)
     B = int(B)
     if B < 2:
         raise InvalidArgumentError(f"B must be at least 2, got {B}")
@@ -245,10 +240,10 @@ def dr_specification_test(data, spec, ps_spec=None, B=500, seed=0,
         raise InvalidArgumentError(f"k_bins must be at least 2, got {k_bins}")
 
     def triple(d):
-        ps = fit_propensity(d, work_spec)
-        dr = estimate_drglmm(d, work_spec, ps, k_bins=k_bins)
+        ps = fit_propensity(d, spec)
+        dr = estimate_drglmm(d, spec, ps, k_bins=k_bins)
         ipwdid = estimate_ipwdid(d, ps)
-        glmm = estimate_glmm(d, work_spec)
+        glmm = estimate_glmm(d, spec)
         return (dr["ATE"].value, ipwdid["ATE"].value, glmm["ATE"].value)
 
     point_dr, point_ipwdid, point_glmm = triple(data)
@@ -386,7 +381,7 @@ def balance_check(data, ps_fit):
 def _wald_pvalues(coef, se):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, np.abs(coef) / se, np.inf)
-    return 2.0 * norm.sf(z)
+    return 2.0 * ndtr(-z)
 
 
 _FORCED_OUTCOME = ("intercept", "time", "treatment")

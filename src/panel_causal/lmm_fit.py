@@ -1,7 +1,9 @@
 """Gaussian linear mixed model with a unit random intercept, fitted by ML.
 
-With exactly two rows per unit, the marginal covariance of a cluster is
-``sigma_e^2 I_2 + sigma_u^2 11'``.  The within-cluster sum/difference
+The data come as two aligned blocks: row i of the t=0 block ``(X0, y0)``
+and row i of the t=1 block ``(X1, y1)`` belong to the same unit.  With
+exactly these two rows per unit, the marginal covariance of a unit is
+``sigma_e^2 I_2 + sigma_u^2 11'``.  The within-unit sum/difference
 transform (an orthogonal rotation) diagonalizes that matrix, so for a fixed
 variance ratio ``lambda = sigma_u^2 / sigma_e^2`` generalized least squares
 reduces to weighted least squares with weight 1 on difference rows and
@@ -33,7 +35,6 @@ from .errors import (
     InvalidArgumentError,
     NonFiniteLikelihoodError,
     RankDeficientDesignError,
-    UnbalancedClustersError,
 )
 
 __all__ = ["LMMFit", "fit_lmm", "fit_or", "profile_loglik"]
@@ -75,30 +76,6 @@ class LMMFit:
     log_lambda: float = float("nan")
 
 
-def _pair_rows(X, y, cluster_ids):
-    """Group the stacked rows into per-cluster pairs.
-
-    Returns the two row blocks (first and second row of every cluster, in
-    order of sorted cluster label).  Which row of a pair is which period
-    does not matter downstream: the exchangeable cluster covariance makes
-    the likelihood invariant to within-pair order.
-    """
-    ids = np.asarray(cluster_ids)
-    if ids.shape[0] != X.shape[0]:
-        raise InvalidArgumentError("cluster_ids must have one entry per design row")
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    if X.shape[0] % 2 != 0:
-        raise UnbalancedClustersError("odd number of rows; clusters must have 2 rows")
-    first = order[0::2]
-    second = order[1::2]
-    if np.any(sorted_ids[0::2] != sorted_ids[1::2]):
-        raise UnbalancedClustersError("every cluster must have exactly 2 rows")
-    if sorted_ids[0::2].shape[0] > 1 and np.any(sorted_ids[0::2][1:] == sorted_ids[0::2][:-1]):
-        raise UnbalancedClustersError("every cluster must have exactly 2 rows")
-    return X[first], X[second], y[first], y[second]
-
-
 def _profile_terms(log_lambda, stats):
     """Sum-row weight, weighted RSS and sum-row RSS at ``log_lambda``.
 
@@ -136,14 +113,15 @@ def _score(log_lambda, *stats):
 class _Profile:
     """One fit's data: the rotated design and the O(p) profile statistics."""
 
-    def __init__(self, X, y, cluster_ids):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise InvalidArgumentError("design must be (N, p) with response of length N")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    def __init__(self, X0, X1, y0, y1):
+        X0, X1, y0, y1 = (np.asarray(a, dtype=float) for a in (X0, X1, y0, y1))
+        if not (X0.ndim == 2 and X1.shape == X0.shape
+                and y0.shape == y1.shape == (X0.shape[0],)):
+            raise InvalidArgumentError(
+                "design blocks must both be (n, p) with responses of length n"
+            )
+        if not all(np.all(np.isfinite(a)) for a in (X0, X1, y0, y1)):
             raise NonFiniteLikelihoodError("design or response contains non-finite values")
-        X0, X1, y0, y1 = _pair_rows(X, y, cluster_ids)
         rt2 = np.sqrt(2.0)
         Xs = (X0 + X1) / rt2
         Xd = (X1 - X0) / rt2
@@ -151,13 +129,13 @@ class _Profile:
         yd = (y1 - y0) / rt2
         self.n = X0.shape[0]
         self.N = 2 * self.n
-        self.p = X.shape[1]
+        self.p = X0.shape[1]
         # A Cholesky probe of X'X is not reliable here: with exactly duplicated
         # columns rounding can leave a tiny positive pivot and the factorization
         # "succeeds", only for the GLS solve to blow up later.
-        if np.linalg.matrix_rank(X) < self.p:
+        if np.linalg.matrix_rank(np.vstack([X0, X1])) < self.p:
             raise RankDeficientDesignError(
-                f"stacked design has rank below its {self.p} columns"
+                f"the two design blocks stacked have rank below their {self.p} columns"
             )
         self.Xs = Xs
         self.Xd = Xd
@@ -219,26 +197,26 @@ class _Profile:
         return np.where(np.isfinite(rss) & (rss > 0.0), ll, -np.inf)
 
 
-def profile_loglik(stacked_design, response, cluster_ids, log_lambda):
+def profile_loglik(X0, X1, y0, y1, log_lambda):
     """Profiled log-likelihood at a given ``log lambda`` (for diagnostics).
 
     Fixed effects and the residual variance are concentrated out, so this is
-    the exact curve :func:`fit_lmm` maximizes.
+    the exact curve :func:`fit_lmm` maximizes on the same blocks.
     """
-    prof = _Profile(stacked_design, response, cluster_ids)
+    prof = _Profile(X0, X1, y0, y1)
     return float(prof.loglik(float(log_lambda)))
 
 
-def fit_lmm(stacked_design, response, cluster_ids):
+def fit_lmm(X0, X1, y0, y1):
     """Maximum likelihood fit of the random-intercept model.
 
     Parameters
     ----------
-    stacked_design : ndarray, shape (2n, p)
-        Fixed-effect design, two rows per cluster.
-    response : ndarray, shape (2n,)
-    cluster_ids : ndarray, shape (2n,)
-        Cluster label per row; every label must appear exactly twice.
+    X0, X1 : ndarray, shape (n, p)
+        Fixed-effect design of the t=0 and the t=1 rows; row i of both
+        blocks belongs to unit i.
+    y0, y1 : ndarray, shape (n,)
+        Responses at t=0 and t=1, aligned to the blocks' rows.
 
     Returns
     -------
@@ -246,7 +224,12 @@ def fit_lmm(stacked_design, response, cluster_ids):
 
     Raises
     ------
-    RankDeficientDesignError, UnbalancedClustersError, NonFiniteLikelihoodError
+    InvalidArgumentError
+        A block is not (n, p), or a response is not of length n.
+    RankDeficientDesignError
+        The two blocks stacked have rank below p.
+    NonFiniteLikelihoodError
+        A non-finite input, or zero residual variance.
 
     Notes
     -----
@@ -261,7 +244,7 @@ def fit_lmm(stacked_design, response, cluster_ids):
     -12 is at least as good as that optimum, the variance ratio is
     taken to be exactly 0 and the fit collapses to ordinary least squares.
     """
-    prof = _Profile(stacked_design, response, cluster_ids)
+    prof = _Profile(X0, X1, y0, y1)
     stats = prof.stats
     grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
     ll = prof.loglik(grid)

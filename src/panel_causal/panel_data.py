@@ -11,8 +11,9 @@ intercept, time, treatment, a covariate main effect, a covariate-by-time or
 covariate-by-treatment interaction, or a log transform of a covariate, with
 string forms ``"1"``, ``"time"``, ``"treat"``, ``"x1"``, ``"x1:time"``,
 ``"x1:treat"`` and ``"log(x2)"``.  ``build_design`` turns a term list into
-the stacked (2n row) or post-period (n row) design matrix plus the two
-counterfactual post-period designs with treatment forced to 1 and to 0.
+the post-period design (n rows, observed treatment) and the two
+counterfactual post-period designs with treatment forced to 1 and to 0,
+plus, for the mixed model, the aligned pre-period (t=0) design.
 """
 
 import csv
@@ -47,7 +48,6 @@ __all__ = [
     "term_label",
     "build_design",
     "ps_design",
-    "stacked_response",
     "load_csv",
     "write_csv",
 ]
@@ -364,18 +364,20 @@ class ModelSpec:
 class DesignMatrices:
     """Design matrix bundle for one term list on one dataset.
 
-    ``X`` is the 2n-row stacked matrix (rows unit-major, t=0 then t=1) when
-    ``stacked`` is true, else the n-row post-period matrix with observed
-    treatment.  ``cf_treated`` and ``cf_control`` are always the post-period
-    designs with the treatment column (and every treatment interaction)
-    forced to 1 and to 0.
+    Every matrix has one row per unit, in dataset order.  ``X`` is the
+    post-period (t=1) design with the observed treatment.  ``cf_treated``
+    and ``cf_control`` are the post-period designs with the treatment
+    column (and every treatment interaction) forced to 1 and to 0.  ``X0``
+    is the pre-period (t=0) design when built with ``pre_period=True``,
+    else None; row i of ``X0`` and row i of ``X`` are the two rows of
+    unit i.
     """
 
     columns: tuple
     X: np.ndarray
-    stacked: bool
     cf_treated: np.ndarray
     cf_control: np.ndarray
+    X0: np.ndarray
 
 
 def _covariate_at(data, name, t):
@@ -412,7 +414,7 @@ def _matrix(terms, data, t, d):
     return np.column_stack([_term_column(tm, data, t, d) for tm in terms])
 
 
-def build_design(data, spec, stacked):
+def build_design(data, spec, pre_period):
     """Materialize design matrices for ``spec.outcome_terms`` on ``data``.
 
     Parameters
@@ -421,9 +423,9 @@ def build_design(data, spec, stacked):
     spec : ModelSpec or sequence of terms
         Only the outcome terms are used here; see :func:`ps_design` for the
         treatment model.
-    stacked : bool
-        True for the 2n-row design used in mixed-model fitting, False for
-        the n-row post-period design.
+    pre_period : bool
+        True to build the t=0 block ``X0`` as well, which the mixed model
+        needs; False evaluates no term at t=0.
 
     Returns
     -------
@@ -440,25 +442,18 @@ def build_design(data, spec, stacked):
     if not terms:
         raise InvalidTermError("outcome term list is empty")
     n = data.n
-    d_obs = data.d1.astype(float)
-    ones = np.ones(n)
     zeros = np.zeros(n)
-    cf_treated = _matrix(terms, data, 1, ones)
+    cf_treated = _matrix(terms, data, 1, np.ones(n))
     cf_control = _matrix(terms, data, 1, zeros)
-    if stacked:
-        r0 = _matrix(terms, data, 0, zeros)
-        r1 = _matrix(terms, data, 1, d_obs)
-        X = np.empty((2 * n, len(terms)))
-        X[0::2] = r0
-        X[1::2] = r1
-    else:
-        X = _matrix(terms, data, 1, d_obs)
+    # Only treatment terms depend on d, as a factor d in {0, 1}, so a unit's
+    # observed row is its counterfactual row at its own treatment.
+    X = np.where((data.d1 == 1)[:, None], cf_treated, cf_control)
     return DesignMatrices(
         columns=tuple(term_label(t) for t in terms),
         X=X,
-        stacked=bool(stacked),
         cf_treated=cf_treated,
         cf_control=cf_control,
+        X0=_matrix(terms, data, 0, zeros) if pre_period else None,
     )
 
 
@@ -479,19 +474,6 @@ def ps_design(data, spec):
             )
         cols.append(_term_column(tm, data, 0, None))
     return np.column_stack(cols), tuple(term_label(t) for t in terms)
-
-
-def stacked_response(data):
-    """Responses interleaved to match the stacked design row order."""
-    y = np.empty(2 * data.n)
-    y[0::2] = data.y0
-    y[1::2] = data.y1
-    return y
-
-
-def stacked_cluster_ids(data):
-    """Cluster labels (0..n-1, repeated twice) matching the stacked rows."""
-    return np.repeat(np.arange(data.n), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,6 @@ from panel_causal import (
     render_table,
     run_study,
     scenario_specs,
-    stacked_cluster_ids,
-    stacked_response,
     substream,
 )
 
@@ -139,8 +137,8 @@ def test_exact_algebraic_identities():
     # coefficient itself, for both estimands.
     mix = specs["mixed_full"]
     out = estimate_glmm(data, mix)
-    des = build_design(data, mix, stacked=True)
-    fit = fit_lmm(des.X, stacked_response(data), stacked_cluster_ids(data))
+    des = build_design(data, mix, pre_period=True)
+    fit = fit_lmm(des.X0, des.X, data.y0, data.y1)
     beta = fit.fixed_effects[list(des.columns).index("treat")]
     gaps["glmm ATE==beta"] = abs(out["ATE"].value - beta)
     gaps["glmm ATT==beta"] = abs(out["ATT"].value - beta)
@@ -206,9 +204,7 @@ def test_numerical_oracles():
     u = rng.normal(0.0, 2.0, n)
     y0 = 5.0 + u + rng.normal(0.0, 1.0, n)
     y1 = 5.0 + u + rng.normal(0.0, 1.0, n)
-    y = np.empty(2 * n)
-    y[0::2], y[1::2] = y0, y1
-    fit = fit_lmm(np.ones((2 * n, 1)), y, np.repeat(np.arange(n), 2))
+    fit = fit_lmm(np.ones((n, 1)), np.ones((n, 1)), y0, y1)
     mu, su2, se2, ll = anova_oracle(y0, y1)
     worst_lmm = max(
         abs(fit.fixed_effects[0] - mu),
@@ -245,8 +241,8 @@ def test_large_sample_parameter_recovery():
     ps_sd = np.array([0.202116, 0.013025, 0.015944, 0.030502])
     z_ps = np.abs(ps.alpha_hat - ps_truth) / ps_sd
 
-    des = build_design(data, specs["mixed_full"], stacked=True)
-    fit = fit_lmm(des.X, stacked_response(data), stacked_cluster_ids(data))
+    des = build_design(data, specs["mixed_full"], pre_period=True)
+    fit = fit_lmm(des.X0, des.X, data.y0, data.y1)
     cols = list(des.columns)
     est = np.array([
         fit.fixed_effects[cols.index("time")],

@@ -40,6 +40,19 @@ def test_span_metric_names_a_traced_function(metric):
     assert inspect.isfunction(getattr(module, function))
 
 
+def test_package_functions_are_traced_where_they_are_defined():
+    # The tracer wraps the names in each defining module's __all__ and
+    # rebinds them in the package too; a function the package exports but
+    # its module does not list is never traced.
+    import panel_causal
+
+    for name in panel_causal.__all__:
+        obj = getattr(panel_causal, name)
+        if inspect.isfunction(obj):
+            module = sys.modules[obj.__module__]
+            assert name in module.__all__, f"{obj.__module__}.__all__ lacks {name}"
+
+
 def _load_workloads():
     path = _BENCHMARK.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)

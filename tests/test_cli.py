@@ -395,3 +395,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "panel-causal" in proc.stdout
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half a second of every CLI start, and
+        # nothing in the package needs it.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, panel_causal.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from panel_causal import (
     ExtremeWeightsWarning,
     InvalidArgumentError,
     ModelSpec,
+    NonPositiveLogError,
     PSFit,
     RankDeficientDesignError,
     Scenario,
@@ -23,8 +24,6 @@ from panel_causal import (
     generate_scenario,
     ps_quantile_dummies,
     scenario_specs,
-    stacked_cluster_ids,
-    stacked_response,
     substream,
     true_effects,
 )
@@ -51,7 +50,7 @@ class TestEstimateOr:
         data = _hom(400)
         spec = ModelSpec(outcome_terms=("1", "treat", "x1", "x2", "v"))
         out = estimate_or(data, spec)
-        design = build_design(data, spec, stacked=False)
+        design = build_design(data, spec, pre_period=False)
         from panel_causal import fit_or
         beta = fit_or(design.X, data.y1).fixed_effects[list(design.columns).index("treat")]
         assert abs(out["ATE"].value - beta) < 1e-12
@@ -69,6 +68,26 @@ class TestEstimateOr:
         out = estimate_or(data, ModelSpec(outcome_terms=("1", "treat", "x1", "x1:treat")))
         assert abs(out["ATE"].value - (15.0 + x.mean())) < 1e-10
         assert abs(out["ATT"].value - (15.0 + x[d == 1].mean())) < 1e-10
+
+    def test_log_term_non_positive_only_at_baseline(self):
+        # OR reads the post period only, so a covariate that is positive at
+        # t=1 fits under log() whatever its t=0 values; the mixed model
+        # needs both periods and must refuse it.
+        rng = substream(403, 0)
+        n = 80
+        x1 = rng.uniform(1.0, 3.0, n)
+        x0 = x1 - 2.0
+        assert np.any(x0 <= 0.0)
+        d = (rng.random(n) < 0.5).astype(np.int64)
+        d[0], d[1] = 1, 0
+        y1 = 4.0 + 2.0 * np.log(x1) + 5.0 * d + rng.normal(0.0, 0.1, n)
+        data = make_dataset(rng.normal(0.0, 1.0, n), y1, d, covariates=[x0],
+                            covariates_post=[x1], names=("x1",))
+        spec = ModelSpec(outcome_terms=("1", "treat", "log(x1)"))
+        out = estimate_or(data, spec)
+        assert abs(out["ATE"].value - 5.0) < 0.1
+        with pytest.raises(NonPositiveLogError):
+            estimate_glmm(data, ModelSpec(outcome_terms=("1", "time", "treat", "log(x1)")))
 
     def test_time_terms_are_collinear_post_period(self):
         data = _hom(402)
@@ -108,8 +127,8 @@ class TestEstimateGlmm:
         data = _hom(410)
         spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x2", "v"))
         out = estimate_glmm(data, spec)
-        design = build_design(data, spec, stacked=True)
-        fit = fit_lmm(design.X, stacked_response(data), stacked_cluster_ids(data))
+        design = build_design(data, spec, pre_period=True)
+        fit = fit_lmm(design.X0, design.X, data.y0, data.y1)
         beta = fit.fixed_effects[list(design.columns).index("treat")]
         assert abs(out["ATE"].value - beta) < 1e-12
         assert abs(out["ATT"].value - beta) < 1e-12
@@ -292,9 +311,9 @@ class TestEstimateDrglmm:
         data = generate_scenario(Scenario("HOM", 500), 0)
         ps = fit_propensity(data, specs["ps_full"])
         dmm = ps_quantile_dummies(ps.fitted_ps, K=5)
-        des = build_design(data, specs["mixed_full"], stacked=True)
-        X = np.hstack([des.X, np.repeat(dmm.dummies, 2, axis=0)])
-        fit = fit_lmm(X, stacked_response(data), stacked_cluster_ids(data))
+        des = build_design(data, specs["mixed_full"], pre_period=True)
+        fit = fit_lmm(np.hstack([des.X0, dmm.dummies]), np.hstack([des.X, dmm.dummies]),
+                      data.y0, data.y1)
         p0 = des.X.shape[1]
         zeta = fit.fixed_effects[p0:]
         cov = fit.cov_fixed[p0:, p0:]

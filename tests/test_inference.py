@@ -222,15 +222,6 @@ class TestDrSpecificationTest:
         assert a.reject_ps == (a.z_ps > 1.96)
         assert a.reject_or == (a.z_or > 1.96)
 
-    def test_separate_ps_spec_wins(self):
-        data = _hom(522, n=120)
-        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x2"))
-        ps_spec = ModelSpec(ps_terms=("1", "x1", "x2", "v"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = dr_specification_test(data, spec, ps_spec=ps_spec, B=4, seed=1)
-        assert res.B == 4
-
     def test_correct_models_are_not_rejected(self):
         data = generate_scenario(Scenario("HOM", 500), seed=100, replicate=0)
         specs = scenario_specs("HOM")

@@ -12,7 +12,6 @@ from panel_causal import (
     PanelCausalWarning,
     RankDeficientDesignError,
     Scenario,
-    UnbalancedClustersError,
     build_design,
     fit_lmm,
     fit_or,
@@ -21,8 +20,6 @@ from panel_causal import (
     profile_loglik,
     ps_quantile_dummies,
     scenario_specs,
-    stacked_cluster_ids,
-    stacked_response,
     substream,
 )
 
@@ -36,18 +33,31 @@ def _interleave(rows0, rows1):
     return out
 
 
+def _oracle_rows(X0, X1, y0, y1):
+    """The blocks as the dense oracle reads them: interleaved rows plus
+    cluster labels."""
+    n = X0.shape[0]
+    return _interleave(X0, X1), _interleave(y0, y1), np.repeat(np.arange(n), 2)
+
+
 def _clustered(seed, n=150, su2=4.0, se2=1.0, coef=(10.0, 3.0, 15.0, 2.0)):
-    """Two-period panel rows for a (1, time, treat, x) design."""
+    """Two-period blocks ``(X0, X1, y0, y1)`` for a (1, time, treat, x) design."""
     rng = substream(seed, 0)
     d = (rng.random(n) < 0.4).astype(float)
     x = rng.standard_normal(n)
-    X = _interleave(
-        np.column_stack([np.ones(n), np.zeros(n), np.zeros(n), x]),
-        np.column_stack([np.ones(n), np.ones(n), d, x]),
-    )
+    X0 = np.column_stack([np.ones(n), np.zeros(n), np.zeros(n), x])
+    X1 = np.column_stack([np.ones(n), np.ones(n), d, x])
     u = rng.normal(0.0, np.sqrt(su2), n) if su2 > 0.0 else np.zeros(n)
-    y = X @ np.asarray(coef) + np.repeat(u, 2) + rng.normal(0.0, np.sqrt(se2), 2 * n)
-    return X, y, np.repeat(np.arange(n), 2)
+    e = rng.normal(0.0, np.sqrt(se2), 2 * n)
+    coef = np.asarray(coef)
+    return X0, X1, X0 @ coef + u + e[0::2], X1 @ coef + u + e[1::2]
+
+
+def _assert_rejected(X0, X1, y0, y1):
+    with pytest.raises(InvalidArgumentError):
+        fit_lmm(X0, X1, y0, y1)
+    with pytest.raises(InvalidArgumentError):
+        profile_loglik(X0, X1, y0, y1, 0.0)
 
 
 class TestFitLmm:
@@ -58,9 +68,8 @@ class TestFitLmm:
         y0 = 5.0 + u + rng.normal(0.0, 1.0, n)
         y1 = 5.0 + u + rng.normal(0.0, 1.0, n)
         mu, su2, se2, ll = anova_oracle(y0, y1)
-        X = np.ones((2 * n, 1))
-        y = _interleave(y0, y1)
-        fit = fit_lmm(X, y, np.repeat(np.arange(n), 2))
+        X = np.ones((n, 1))
+        fit = fit_lmm(X, X, y0, y1)
         assert abs(fit.fixed_effects[0] - mu) < 1e-6
         assert abs(fit.sigma_u2 - su2) < 1e-6
         assert abs(fit.sigma_e2 - se2) < 1e-6
@@ -75,61 +84,63 @@ class TestFitLmm:
         y1 = -y0 + rng.normal(0.0, 0.1, n)
         mu, su2, se2, ll = anova_oracle(y0, y1)
         assert su2 == 0.0
-        fit = fit_lmm(np.ones((2 * n, 1)), _interleave(y0, y1), np.repeat(np.arange(n), 2))
+        fit = fit_lmm(np.ones((n, 1)), np.ones((n, 1)), y0, y1)
         assert fit.sigma_u2 == 0.0
         assert abs(fit.fixed_effects[0] - mu) < 1e-6
         assert abs(fit.sigma_e2 - se2) < 1e-6
         assert abs(fit.loglik - ll) < 1e-6
 
     def test_no_random_intercept_reduces_to_ols(self):
-        X, y, ids = _clustered(1, su2=0.0)
-        fit = fit_lmm(X, y, ids)
-        ols = np.linalg.lstsq(X, y, rcond=None)[0]
+        X0, X1, y0, y1 = _clustered(1, su2=0.0)
+        fit = fit_lmm(X0, X1, y0, y1)
+        ols = np.linalg.lstsq(np.vstack([X0, X1]), np.concatenate([y0, y1]), rcond=None)[0]
         assert fit.sigma_u2 == 0.0
         np.testing.assert_allclose(fit.fixed_effects, ols, atol=1e-6)
 
     def test_profile_gradient_zero_at_optimum(self):
-        X, y, ids = _clustered(62)
-        fit = fit_lmm(X, y, ids)
+        blocks = _clustered(62)
+        fit = fit_lmm(*blocks)
         assert -12.0 < fit.log_lambda < 12.0
         h = 1e-5
-        up = profile_loglik(X, y, ids, fit.log_lambda + h)
-        dn = profile_loglik(X, y, ids, fit.log_lambda - h)
+        up = profile_loglik(*blocks, fit.log_lambda + h)
+        dn = profile_loglik(*blocks, fit.log_lambda - h)
         assert abs((up - dn) / (2.0 * h)) < 1e-4
 
     def test_loglik_matches_profile_curve(self):
-        X, y, ids = _clustered(63)
-        fit = fit_lmm(X, y, ids)
-        assert abs(fit.loglik - profile_loglik(X, y, ids, fit.log_lambda)) < 1e-9
+        blocks = _clustered(63)
+        fit = fit_lmm(*blocks)
+        assert abs(fit.loglik - profile_loglik(*blocks, fit.log_lambda)) < 1e-9
         for step in (-0.3, 0.3):
-            assert fit.loglik >= profile_loglik(X, y, ids, fit.log_lambda + step)
+            assert fit.loglik >= profile_loglik(*blocks, fit.log_lambda + step)
 
     def test_nested_model_likelihood_ordering(self):
-        X, y, ids = _clustered(64)
-        full = fit_lmm(X, y, ids)
-        reduced = fit_lmm(X[:, :3], y, ids)
+        X0, X1, y0, y1 = _clustered(64)
+        full = fit_lmm(X0, X1, y0, y1)
+        reduced = fit_lmm(X0[:, :3], X1[:, :3], y0, y1)
         assert full.loglik >= reduced.loglik - 1e-8
 
     def test_response_shift_equivariance(self):
-        X, y, ids = _clustered(65)
-        a = fit_lmm(X, y, ids)
-        b = fit_lmm(X, y + 100.0, ids)
+        X0, X1, y0, y1 = _clustered(65)
+        a = fit_lmm(X0, X1, y0, y1)
+        b = fit_lmm(X0, X1, y0 + 100.0, y1 + 100.0)
         assert abs(b.fixed_effects[0] - a.fixed_effects[0] - 100.0) < 1e-8
         np.testing.assert_allclose(b.fixed_effects[1:], a.fixed_effects[1:], atol=1e-10)
         assert abs(b.sigma_u2 - a.sigma_u2) < 1e-10
         assert abs(b.sigma_e2 - a.sigma_e2) < 1e-10
 
-    def test_row_order_within_cluster_is_irrelevant(self):
-        X, y, ids = _clustered(66)
-        swap = np.arange(len(y)).reshape(-1, 2)[:, ::-1].ravel()
-        a = fit_lmm(X, y, ids)
-        b = fit_lmm(X[swap], y[swap], ids)
+    def test_swapping_the_period_blocks_is_irrelevant(self):
+        # The two rows of a unit are exchangeable under the random-intercept
+        # covariance, so which block comes first does not matter.
+        X0, X1, y0, y1 = _clustered(66)
+        a = fit_lmm(X0, X1, y0, y1)
+        b = fit_lmm(X1, X0, y1, y0)
         np.testing.assert_allclose(a.fixed_effects, b.fixed_effects, atol=1e-10)
         assert abs(a.sigma_u2 - b.sigma_u2) < 1e-10
+        assert abs(a.sigma_e2 - b.sigma_e2) < 1e-10
+        assert abs(a.loglik - b.loglik) < 1e-10
 
     def test_variance_component_signs(self):
-        X, y, ids = _clustered(67)
-        fit = fit_lmm(X, y, ids)
+        fit = fit_lmm(*_clustered(67))
         assert fit.sigma_u2 >= 0.0
         assert fit.sigma_e2 > 0.0
         assert fit.converged
@@ -138,39 +149,42 @@ class TestFitLmm:
             fit.se_fixed, np.sqrt(np.diag(fit.cov_fixed)), atol=1e-12
         )
 
-    def test_unbalanced_clusters_rejected(self):
-        X, y, ids = _clustered(68, n=10)
-        with pytest.raises(UnbalancedClustersError):
-            fit_lmm(X[:-1], y[:-1], ids[:-1])
-        bad = ids.copy()
-        bad[1] = 99  # one singleton and one triple
-        bad[3] = 0
-        with pytest.raises(UnbalancedClustersError):
-            fit_lmm(X, y, bad)
-
-    def test_quadruple_cluster_rejected(self):
-        X, y, ids = _clustered(69, n=10)
-        bad = ids.copy()
-        bad[bad == 1] = 0  # cluster 0 appears four times
-        with pytest.raises(UnbalancedClustersError):
-            fit_lmm(X, y, bad)
-
     def test_rank_deficient_design(self):
-        X, y, ids = _clustered(70)
+        X0, X1, y0, y1 = _clustered(70)
         with pytest.raises(RankDeficientDesignError):
-            fit_lmm(np.column_stack([X, X[:, 0]]), y, ids)
+            fit_lmm(np.column_stack([X0, X0[:, 0]]), np.column_stack([X1, X1[:, 0]]),
+                    y0, y1)
 
     def test_nonfinite_inputs(self):
-        X, y, ids = _clustered(71)
-        y2 = y.copy()
+        X0, X1, y0, y1 = _clustered(71)
+        y2 = y0.copy()
         y2[0] = np.nan
         with pytest.raises(NonFiniteLikelihoodError):
-            fit_lmm(X, y2, ids)
+            fit_lmm(X0, X1, y2, y1)
+
+    def test_unbalanced_clusters_rejected(self):
+        # A unit observed in one period only leaves one block a row short.
+        X0, X1, y0, y1 = _clustered(68, n=10)
+        _assert_rejected(X0, X1[:-1], y0, y1[:-1])
+        _assert_rejected(X0[1:], X1, y0[1:], y1)
+
+    def test_quadruple_cluster_rejected(self):
+        # A unit with two rows in one period leaves that block a row long.
+        X0, X1, y0, y1 = _clustered(69, n=10)
+        _assert_rejected(X0, np.vstack([X1, X1[:1]]), y0, np.append(y1, y1[0]))
+        _assert_rejected(np.vstack([X0, X0[:1]]), X1, np.append(y0, y0[0]), y1)
 
     def test_mismatched_cluster_length(self):
-        X, y, ids = _clustered(73, n=20)
-        with pytest.raises(InvalidArgumentError):
-            fit_lmm(X, y, ids[:-2])
+        # A response whose length differs from its design block's rows.
+        X0, X1, y0, y1 = _clustered(73, n=20)
+        _assert_rejected(X0, X1, y0[:-2], y1)
+        _assert_rejected(X0, X1, y0, np.append(y1, 0.0))
+
+    def test_mismatched_block_shapes(self):
+        X0, X1, y0, y1 = _clustered(73, n=20)
+        _assert_rejected(X0, X1[:, :-1], y0, y1)          # X1 short a column
+        _assert_rejected(X0[:, 0], X1[:, 0], y0, y1)      # one-dimensional designs
+        _assert_rejected(X0, X1, y0, y1[:, None])         # two-dimensional response
 
     def test_fit_leaves_no_n_row_array_in_reference_cycles(self):
         # Objects caught in a reference cycle live until the cyclic collector
@@ -179,13 +193,13 @@ class TestFitLmm:
         # across many refits.  NumPy arrays are not tracked by the collector,
         # so look for them among the referents of the cyclic garbage.
         n = 1000
-        X, y, ids = _clustered(74, n=n)
+        blocks = _clustered(74, n=n)
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            fit_lmm(X, y, ids)
+            fit_lmm(*blocks)
             gc.collect()
             held = []
             for obj in gc.garbage:
@@ -211,13 +225,11 @@ class TestFitLmm:
             build_design,
             generate_scenario,
             scenario_specs,
-            stacked_cluster_ids,
-            stacked_response,
         )
 
         data = generate_scenario(Scenario("HOM", 500), 0)
-        des = build_design(data, scenario_specs("HOM")["mixed_full"], stacked=True)
-        fit = fit_lmm(des.X, stacked_response(data), stacked_cluster_ids(data))
+        des = build_design(data, scenario_specs("HOM")["mixed_full"], pre_period=True)
+        fit = fit_lmm(des.X0, des.X, data.y0, data.y1)
         cols = list(des.columns)
         est = np.array([
             fit.fixed_effects[cols.index("time")],
@@ -231,15 +243,16 @@ class TestFitLmm:
 
 
 def _dr_design(scenario, seed, n=250):
-    """The stacked DRGLMM design: full mixed spec plus propensity bin dummies."""
+    """The DRGLMM blocks ``(X0, X1, y0, y1)``: full mixed spec plus
+    propensity bin dummies."""
     data = generate_scenario(Scenario(scenario, n), seed)
     spec = scenario_specs(scenario)["mixed_full"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PanelCausalWarning)
         bins = ps_quantile_dummies(fit_propensity(data, spec).fitted_ps, K=5)
-    X = np.hstack([build_design(data, spec, stacked=True).X,
-                   np.repeat(bins.dummies, 2, axis=0)])
-    return X, stacked_response(data), stacked_cluster_ids(data)
+    des = build_design(data, spec, pre_period=True)
+    return (np.hstack([des.X0, bins.dummies]), np.hstack([des.X, bins.dummies]),
+            data.y0, data.y1)
 
 
 class TestDenseOracle:
@@ -264,25 +277,28 @@ class TestDenseOracle:
     @pytest.mark.parametrize("scenario,seed", [("HOM", 11), ("HET", 12)])
     @pytest.mark.parametrize("offset", [0.0, 1e8])
     def test_matches_with_dr_dummies(self, scenario, seed, offset):
-        X, y, ids = _dr_design(scenario, seed)
-        assert np.all(X[:, 0] == 1.0)
-        shifted = y + offset
+        X0, X1, y0, y1 = _dr_design(scenario, seed)
+        assert np.all(X0[:, 0] == 1.0) and np.all(X1[:, 0] == 1.0)
+        shifted0, shifted1 = y0 + offset, y1 + offset
+        X, y, ids = _oracle_rows(X0, X1, y0, y1)
         # The oracle sees the response exactly as the shifted doubles hold it.
-        oracle = dense_lmm_oracle(X, shifted - offset, ids)
+        oracle = dense_lmm_oracle(X, _interleave(shifted0, shifted1) - offset, ids)
         assert oracle[1] > 0.0
-        fit = fit_lmm(X, shifted, ids)
+        fit = fit_lmm(X0, X1, shifted0, shifted1)
         self._assert_matches(fit, X, y, oracle, offset)
 
     def test_matches_at_the_boundary(self):
         # Within-pair errors of opposite sign push the between-cluster
         # variance below the within one, so ML puts sigma_u2 at zero.
-        X, _, ids = _dr_design("HOM", 13)
+        X0, X1, _, _ = _dr_design("HOM", 13)
         rng = substream(13, 1)
-        e0 = rng.standard_normal(X.shape[0] // 2)
-        e = _interleave(e0, -e0 + 0.1 * rng.standard_normal(e0.shape[0]))
-        y = X @ np.linspace(1.0, 2.0, X.shape[1]) + e
+        e0 = rng.standard_normal(X0.shape[0])
+        e1 = -e0 + 0.1 * rng.standard_normal(e0.shape[0])
+        beta = np.linspace(1.0, 2.0, X0.shape[1])
+        y0, y1 = X0 @ beta + e0, X1 @ beta + e1
+        X, y, ids = _oracle_rows(X0, X1, y0, y1)
         oracle = dense_lmm_oracle(X, y, ids)
-        fit = fit_lmm(X, y, ids)
+        fit = fit_lmm(X0, X1, y0, y1)
         assert oracle[1] == 0.0
         assert fit.sigma_u2 == 0.0
         self._assert_matches(fit, X, y, oracle)
@@ -302,7 +318,7 @@ class TestFitOr:
 
     def test_residual_variance_survives_a_large_response_offset(self):
         data = generate_scenario(Scenario("HOM", 250), 0)
-        X = build_design(data, scenario_specs("HOM")["post_full"], stacked=False).X
+        X = build_design(data, scenario_specs("HOM")["post_full"], pre_period=False).X
         base = fit_or(X, data.y1)
         shifted = fit_or(X, data.y1 + 1e8)
         assert abs(shifted.sigma_e2 / base.sigma_e2 - 1.0) < 1e-6

@@ -31,8 +31,6 @@ from panel_causal import (
     load_csv,
     parse_term,
     ps_design,
-    stacked_cluster_ids,
-    stacked_response,
     term_label,
     write_csv,
 )
@@ -568,20 +566,19 @@ def two_units():
 
 class TestBuildDesign:
     def test_stacked_intercept_time_treat(self, two_units):
-        des = build_design(two_units, ("1", "time", "treat"), stacked=True)
+        des = build_design(two_units, ("1", "time", "treat"), pre_period=True)
         assert des.columns == ("1", "time", "treat")
-        assert des.X.shape == (4, 3)
-        np.testing.assert_array_equal(des.X[:, 0], [1, 1, 1, 1])
-        np.testing.assert_array_equal(des.X[:, 1], [0, 1, 0, 1])
-        np.testing.assert_array_equal(des.X[:, 2], [0, 0, 0, 1])
-
-    def test_stacked_row_order_matches_response_and_clusters(self, two_units):
-        y = stacked_response(two_units)
-        np.testing.assert_array_equal(y, [1.0, 3.0, 2.0, 4.0])
-        np.testing.assert_array_equal(stacked_cluster_ids(two_units), [0, 0, 1, 1])
+        assert des.X0.shape == des.X.shape == (2, 3)
+        np.testing.assert_array_equal(des.X0[:, 0], [1, 1])
+        np.testing.assert_array_equal(des.X[:, 0], [1, 1])
+        np.testing.assert_array_equal(des.X0[:, 1], [0, 0])
+        np.testing.assert_array_equal(des.X[:, 1], [1, 1])
+        np.testing.assert_array_equal(des.X0[:, 2], [0, 0])
+        np.testing.assert_array_equal(des.X[:, 2], [0, 1])
 
     def test_post_period_design(self, two_units):
-        des = build_design(two_units, ("1", "treat", "x1"), stacked=False)
+        des = build_design(two_units, ("1", "treat", "x1"), pre_period=False)
+        assert des.X0 is None
         assert des.X.shape == (2, 3)
         np.testing.assert_array_equal(des.X[:, 1], [0.0, 1.0])
         # post-period covariate values
@@ -589,7 +586,7 @@ class TestBuildDesign:
 
     def test_counterfactuals_differ_only_in_treatment_columns(self, two_units):
         terms = ("1", "time", "treat", "x1", "x2", "x1:treat")
-        des = build_design(two_units, terms, stacked=True)
+        des = build_design(two_units, terms, pre_period=True)
         treat_cols = [2, 5]
         other = [j for j in range(len(terms)) if j not in treat_cols]
         np.testing.assert_array_equal(
@@ -601,25 +598,47 @@ class TestBuildDesign:
         np.testing.assert_array_equal(des.cf_control[:, 5], [0.0, 0.0])
 
     def test_counterfactuals_are_post_period(self, two_units):
-        des = build_design(two_units, ("1", "time", "treat", "x1"), stacked=False)
+        des = build_design(two_units, ("1", "time", "treat", "x1"), pre_period=False)
         np.testing.assert_array_equal(des.cf_treated[:, 1], [1.0, 1.0])
         np.testing.assert_array_equal(des.cf_treated[:, 3], [11.0, 21.0])
 
     def test_homogeneous_scenario_columns(self, two_units):
         terms = ("1", "time", "treat", "x1", "x2", "log(x2)")
-        des = build_design(two_units, terms, stacked=True)
+        des = build_design(two_units, terms, pre_period=True)
         assert des.columns == ("1", "time", "treat", "x1", "x2", "log(x2)")
-        np.testing.assert_array_equal(des.X[:, 3], [10.0, 11.0, 20.0, 21.0])
-        np.testing.assert_array_equal(des.X[:, 4], [2.0, 2.0, 4.0, 4.0])
-        np.testing.assert_allclose(des.X[:, 5], np.log([2.0, 2.0, 4.0, 4.0]))
+        np.testing.assert_array_equal(des.X0[:, 3], [10.0, 20.0])
+        np.testing.assert_array_equal(des.X[:, 3], [11.0, 21.0])
+        np.testing.assert_array_equal(des.X0[:, 4], [2.0, 4.0])
+        np.testing.assert_array_equal(des.X[:, 4], [2.0, 4.0])
+        np.testing.assert_allclose(des.X0[:, 5], np.log([2.0, 4.0]))
+        np.testing.assert_allclose(des.X[:, 5], np.log([2.0, 4.0]))
 
     def test_cov_time_zero_at_baseline(self, two_units):
-        des = build_design(two_units, ("1", "x2:time"), stacked=True)
-        np.testing.assert_array_equal(des.X[:, 1], [0.0, 2.0, 0.0, 4.0])
+        des = build_design(two_units, ("1", "x2:time"), pre_period=True)
+        np.testing.assert_array_equal(des.X0[:, 1], [0.0, 0.0])
+        np.testing.assert_array_equal(des.X[:, 1], [2.0, 4.0])
+
+    @pytest.mark.parametrize("scenario", ["HOM", "HET", "RANDCOEF"])
+    def test_observed_design_is_the_counterfactual_at_the_observed_treatment(
+            self, scenario):
+        # Treatment interactions of negative covariates give -0.0 in the
+        # control design; the observed design must carry the same bits.
+        data = generate_scenario(Scenario(scenario, 200), 5)
+        terms = ("1", "time", "treat", "x1", "x2", "v", "log(x2)", "x1:time",
+                 "x1:treat", "v:treat", "x2:treat")
+        des = build_design(data, terms, pre_period=False)
+        X, cf1, cf0 = (a.view(np.int64) for a in (des.X, des.cf_treated, des.cf_control))
+        treated = data.d1 == 1
+        np.testing.assert_array_equal(X[treated], cf1[treated])
+        np.testing.assert_array_equal(X[~treated], cf0[~treated])
+        observed = panel_data._matrix(
+            panel_data._coerce_terms(terms), data, 1, data.d1.astype(float))
+        np.testing.assert_array_equal(X, observed.view(np.int64))
+        assert np.any(cf0 == np.array(-0.0).view(np.int64))
 
     def test_unknown_covariate(self, two_units):
         with pytest.raises(UnknownCovariateError):
-            build_design(two_units, ("1", "zzz"), stacked=True)
+            build_design(two_units, ("1", "zzz"), pre_period=True)
 
     def test_non_positive_log(self):
         data = make_dataset(
@@ -627,11 +646,11 @@ class TestBuildDesign:
             covariates=[[0.0, 1.0]], names=("x1",),
         )
         with pytest.raises(NonPositiveLogError):
-            build_design(data, ("1", "log(x1)"), stacked=False)
+            build_design(data, ("1", "log(x1)"), pre_period=False)
 
     def test_empty_terms_rejected(self, two_units):
         with pytest.raises(InvalidTermError):
-            build_design(two_units, (), stacked=True)
+            build_design(two_units, (), pre_period=True)
 
 
 class TestPsDesign:
