@@ -3,11 +3,22 @@
 Uncertainty comes from the cluster bootstrap: units are resampled with
 replacement, each carrying both of its rows, and the whole pipeline
 (propensity fit, outcome fit, estimate) reruns per replicate.  Replicate r
-draws from the random stream keyed by ``(seed, r)``, so results are
-bit-identical for a fixed seed.  Replicates run in order on the calling
-thread, so neither function takes a thread count: the fits are many small
-numpy calls that hold the interpreter lock, and a thread pool measured
-slower than one core.
+draws its n unit indices from the random stream keyed by ``(seed, r)``, so
+results are bit-identical for a fixed seed.
+
+Every design column is a function of one unit's own data, so a resample
+is the full-sample design with unit i counted ``c_i`` times, where ``c``
+is the bincount of the drawn indices.  The designs are therefore built once
+per call, and replicates are fitted a chunk (up to 25) at a time as stacked
+count vectors by the private batch kernels of :mod:`glm_fit` and
+:mod:`lmm_fit`.  A replicate the batch does not vouch for (no overlap, a
+rank or conditioning it cannot certify, separation, collapsed or fragile
+propensity bins, boundary or extreme scores, a degenerate likelihood, an
+unbracketed likelihood root) is refitted on ``data.take(indices)`` by the
+public estimator, which raises, warns or returns NaN exactly as a
+replicate fitted on its own would.  Batched values agree with one-at-a-time fits to rounding
+(about 1e-12 relative).  Everything runs on the calling thread, so neither
+function takes a thread count.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -19,6 +30,7 @@ outcome and treatment models.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -33,7 +45,9 @@ from .errors import (
     SeparationError,
 )
 from .estimators import (
+    _EXTREME_EPS,
     ESTIMANDS,
+    METHOD_TABLE,
     _glmm_fit,
     estimate_drglmm,
     estimate_effects,
@@ -41,8 +55,14 @@ from .estimators import (
     estimate_ipwdid,
     method_info,
 )
-from .glm_fit import fit_logistic, fit_propensity
-from .panel_data import ModelSpec, ps_design
+from .glm_fit import (
+    _fit_logistic_batch,
+    _quantile_bins_batch,
+    fit_logistic,
+    fit_propensity,
+)
+from .lmm_fit import _fit_lmm_batch, _fit_or_batch, _Rotated, _row_outer
+from .panel_data import ModelSpec, build_design, ps_design
 from .rng import substream
 
 __all__ = [
@@ -115,6 +135,155 @@ def relative_effect(value, data):
     return 100.0 * float(value) / base
 
 
+# Replicates fitted together as one stack: up to 25, which spreads the
+# per-call numpy overhead, and fewer when n is large, so that one
+# (replicates, n) array stays within _CHUNK_CELLS values (200 kB) and peak
+# memory does not grow with n.  Derived from n, not an option: a
+# replicate's value does not depend on the stack it is fitted in.
+_CHUNK = 25
+_CHUNK_CELLS = 25_000
+
+
+class _Resamples:
+    """One dataset's designs, built once, and batched estimates on resamples.
+
+    A resample is given as a row of a ``(k, n)`` count matrix ``C``: unit i
+    enters it ``C[r, i]`` times.  Which kernels run follows the method's
+    :data:`~panel_causal.estimators.METHOD_TABLE` row: the logistic fit and
+    its scores when it uses the propensity score, the count-weighted bins
+    when it also has an outcome model (DRGLMM), and OLS on the post period
+    or the two-period mixed model for its outcome kind.
+    """
+
+    def __init__(self, data, spec, k_bins):
+        self.data = data
+        self.spec = spec
+        self.k_bins = int(k_bins)
+        self.d = data.d1.astype(float)
+
+    @cached_property
+    def _ps_design(self):
+        X, _ = ps_design(self.data, self.spec)
+        return X, _row_outer(X)
+
+    @cached_property
+    def _post_design(self):
+        design = build_design(self.data, self.spec, pre_period=False)
+        X = design.X
+        return X, _row_outer(X), design.cf_treated - design.cf_control
+
+    @cached_property
+    def _mixed_design(self):
+        design = build_design(self.data, self.spec, pre_period=True)
+        rot = _Rotated(design.X0, design.X, self.data.y0, self.data.y1)
+        return rot, design.cf_treated - design.cf_control
+
+    def propensity(self, C):
+        """Fitted scores ``(k, n)`` and the ok flags of the treatment model."""
+        X, O = self._ps_design
+        return _fit_logistic_batch(X, O, self.d, C)
+
+    def effects(self, info, C, propensity=None):
+        """Estimates of the method ``info`` on each resample of ``C``.
+
+        ``propensity`` can pass in the result of :meth:`propensity` on the
+        same counts.  Returns ``({estimand: (k,) values}, ok)``; values
+        are meaningless where ``ok`` is False.
+        """
+        k, n = C.shape
+        d = self.d
+        units = C.sum(axis=1)
+        treated = C @ d
+        ok = (treated > 0.0) & (treated < units)
+        if info.uses_ps:
+            ps, ok_ps = propensity or self.propensity(C)
+            # Scores of units outside the resample play no part.
+            ps = np.where(C > 0.0, ps, 0.5)
+            ok &= ok_ps & np.all((ps > 0.0) & (ps < 1.0), axis=1)
+        if info.outcome is None:
+            return self._weighting(info, C, ps if info.uses_ps else None,
+                                   units, treated, ok)
+
+        bins = None
+        if info.uses_ps:
+            bins, ok_bins = _quantile_bins_batch(ps, C, self.k_bins)
+            ok &= ok_bins
+        sel = np.flatnonzero(ok)
+        if info.outcome == "post":
+            X, O, cf_diff = self._post_design
+            beta, ok_fit = _fit_or_batch(X, O, self.data.y1, C[sel])
+        else:
+            rot, cf_diff = self._mixed_design
+            beta, ok_fit = _fit_lmm_batch(
+                rot, C[sel], None if bins is None else bins[sel], self.k_bins,
+                random_intercept=self.spec.random_effect == "unit_intercept",
+            )
+        ok[sel] = ok_fit
+        contrasts = np.zeros((k, n))
+        contrasts[sel] = beta[:, :cf_diff.shape[1]] @ cf_diff.T
+        values = {
+            "ATE": np.sum(C * contrasts, axis=1) / units,
+            "ATT": ((C * d) * contrasts).sum(axis=1) / treated,
+        }
+        return values, ok
+
+    def _weighting(self, info, C, ps, units, treated, ok):
+        """IPW, IPWDID and DID: count-weighted means; the two
+        difference-in-differences methods subtract the pre-period contrast."""
+        d = self.d
+        y0, y1 = self.data.y0, self.data.y1
+        if ps is None:
+            Ct, Cc = C * d, C * (1.0 - d)
+
+            def diff(y):
+                return (Ct @ y) / treated - (Cc @ y) / (units - treated)
+
+            return {"ATT": diff(y1) - diff(y0)}, ok
+        # Each estimate warns of extreme inverse weights; leave those
+        # replicates to the estimator, so that the warning is raised.
+        ok &= ~np.any((ps < _EXTREME_EPS) | (ps > 1.0 - _EXTREME_EPS), axis=1)
+        ht_treated = C * d / ps
+        ht_control = C * (1.0 - d) / (1.0 - ps)
+        w = C * (d - (1.0 - d) * ps / (1.0 - ps))
+
+        def ate(y):
+            return (ht_treated @ y) / units - (ht_control @ y) / units
+
+        def att(y):
+            return (w @ y) / treated
+
+        if info.name == "IPW":
+            return {"ATE": ate(y1), "ATT": att(y1)}, ok
+        return {"ATE": ate(y1) - ate(y0), "ATT": att(y1) - att(y0)}, ok
+
+
+def _resampled_values(data, B, seed, values, fallback, width):
+    """Values of B cluster-bootstrap replicates, fitted a chunk at a time.
+
+    Replicate r draws its n unit indices from the ``(seed, r)`` stream, and
+    their bincount is its row of the chunk's count matrix.  ``values(C)``
+    returns ``((k, width) values, ok)`` for a chunk; each replicate that is
+    not ok is recomputed as ``fallback(data.take(indices))``, with a fit
+    failure recorded as NaN.
+    """
+    n = data.n
+    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // n))
+    out = np.empty((B, width))
+    for start in range(0, B, chunk):
+        idx = [substream(seed, r).integers(0, n, size=n)
+               for r in range(start, min(start + chunk, B))]
+        C = np.array([np.bincount(i, minlength=n) for i in idx], dtype=float)
+        with np.errstate(all="ignore"):
+            vals, ok = values(C)
+        for j in np.flatnonzero(~ok):
+            try:
+                vals[j] = fallback(data.take(idx[j]))
+            except (PanelCausalError, np.linalg.LinAlgError):
+                vals[j] = np.nan
+        out[start:start + len(idx)] = vals
+    return out
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     """Point estimate plus percentile bootstrap summaries.
@@ -136,6 +305,15 @@ class BootstrapResult:
 def cluster_bootstrap(data, config, B, seed):
     """Nonparametric cluster bootstrap of one estimator.
 
+    Replicate r resamples n units with replacement from the ``(seed, r)``
+    stream and refits the whole estimator.  Each resample is the shared
+    full-sample design weighted by the count of each unit, so the designs
+    are built once and replicates are fitted in chunks of up to 25 count
+    vectors.
+    A replicate the batch does not vouch for (see the module docstring)
+    is refitted on its own by :func:`evaluate_estimator`, so failures and
+    warnings are those of the one-at-a-time bootstrap.
+
     Parameters
     ----------
     data : PanelDataset
@@ -153,16 +331,15 @@ def cluster_bootstrap(data, config, B, seed):
     if B < 2:
         raise InvalidArgumentError(f"B must be at least 2, got {B}")
     point = evaluate_estimator(config, data)
-    n = data.n
+    info = method_info(config.method)
+    resamples = _Resamples(data, config.spec, config.k_bins)
 
-    def one(r):
-        idx = substream(seed, r).integers(0, n, size=n)
-        try:
-            return evaluate_estimator(config, data.take(idx))
-        except (PanelCausalError, np.linalg.LinAlgError):
-            return np.nan
+    def values(C):
+        estimates, ok = resamples.effects(info, C)
+        return estimates[config.estimand][:, None], ok
 
-    vals = np.array([one(r) for r in range(B)], dtype=float)
+    vals = _resampled_values(data, B, seed, values,
+                             lambda d: evaluate_estimator(config, d), 1)[:, 0]
     ok = vals[np.isfinite(vals)]
     n_failed = int(B - ok.size)
     if n_failed >= 0.05 * B:
@@ -225,6 +402,13 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     bootstrap standard deviations of the pairwise differences scale the
     observed point differences into z statistics.
 
+    Resamples are drawn as in :func:`cluster_bootstrap` and fitted the same
+    way: the designs are built once per call, and each chunk of count
+    vectors gets one batched treatment-model fit whose scores serve both
+    the doubly robust and the weighted-DID estimate.  A replicate any of
+    the three estimates cannot vouch for is refitted on its own, all three
+    estimates together.
+
     Parameters
     ----------
     data : PanelDataset
@@ -247,16 +431,18 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
         return (dr["ATE"].value, ipwdid["ATE"].value, glmm["ATE"].value)
 
     point_dr, point_ipwdid, point_glmm = triple(data)
-    n = data.n
+    resamples = _Resamples(data, spec, k_bins)
 
-    def one(r):
-        idx = substream(seed, r).integers(0, n, size=n)
-        try:
-            return triple(data.take(idx))
-        except (PanelCausalError, np.linalg.LinAlgError):
-            return (np.nan, np.nan, np.nan)
+    def values(C):
+        propensity = resamples.propensity(C)
+        ates, oks = [], []
+        for method in ("DRGLMM", "IPWDID", "GLMM"):
+            estimates, ok = resamples.effects(METHOD_TABLE[method], C, propensity)
+            ates.append(estimates["ATE"])
+            oks.append(ok)
+        return np.column_stack(ates), np.logical_and.reduce(oks)
 
-    vals = np.array([one(r) for r in range(B)], dtype=float)
+    vals = _resampled_values(data, B, seed, values, triple, 3)
     ok = vals[np.all(np.isfinite(vals), axis=1)]
     n_failed = int(B - ok.shape[0])
     if ok.shape[0] < 2:

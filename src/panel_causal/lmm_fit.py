@@ -24,6 +24,13 @@ covariance.
 
 ``fit_or`` provides the ordinary least squares companion (post-period
 outcome regression, no random effect) in the same result shape.
+
+The cluster bootstrap fits many resamples of one dataset.  A resample is
+the full design with unit i counted ``c_i`` times, so the private
+:func:`_fit_lmm_batch` runs the same profiled fit for a stack of count
+vectors at once: Gram blocks from one matrix product with the row outer
+products, a batched eigendecomposition, the grid for every replicate in
+one evaluation, and a vectorized bisection in place of ``brentq``.
 """
 
 from dataclasses import dataclass
@@ -40,7 +47,9 @@ from .errors import (
 __all__ = ["LMMFit", "fit_lmm", "fit_or", "profile_loglik"]
 
 _LOG2PI = float(np.log(2.0 * np.pi))
-_EPS2 = float(np.finfo(float).eps) ** 2
+_EPS = float(np.finfo(float).eps)
+_EPS2 = _EPS ** 2
+_RT2 = float(np.sqrt(2.0))
 
 # The search in log lambda: the bounds cover variance ratios from e-12
 # (taken as the sigma_u^2 = 0 boundary) to e12; the profile is scanned at
@@ -51,6 +60,40 @@ _LOG_LAMBDA_LO = -12.0
 _LOG_LAMBDA_HI = 12.0
 _GRID_POINTS = 25
 _XATOL = 1e-13
+
+# Full-rank certificate from the Gram matrix each fit forms anyway.  Let X
+# be m x p with singular values s_1 >= ... >= s_p.  np.linalg.matrix_rank
+# reports rank p unless its SVD puts s_p at or below m * eps * s_1 (m >= p).
+# Forming G = X'X in floating point errs by at most about m * eps * |X|'|X|,
+# whose 2-norm is at most m * eps * ||X||_F^2 <= m * p * eps * s_1^2, and
+# eigvalsh adds a backward error of a small multiple of p * eps * ||G||.
+# By Weyl's inequality every computed eigenvalue of G is therefore within
+# d ~ m * p * eps * s_1^2 of the exact s_j^2.  The certificate asks for
+#     lam_min > _RANK_MARGIN * m * p * eps * lam_max,
+# so a certified design has s_p^2 >= (_RANK_MARGIN - 2) * m * p * eps * s_1^2
+# and s_p / s_1 >= sqrt(8 m p eps): about 6e-6 for m = 2000, p = 10, where
+# matrix_rank's threshold ratio m * eps is 4e-13.  The factor between the
+# two, sqrt(8 p / (m eps)), stays above 1000 for any m below 1e10 rows, far
+# beyond the SVD's own rounding.  A design with exactly duplicated columns
+# has s_p = 0, so its computed lam_min is at most d, below the threshold:
+# it is never certified, even when rounding leaves G a tiny positive
+# Cholesky pivot.  A design that is not certified (duplicated, nearly
+# collinear, or badly scaled columns) goes to matrix_rank, so the verdict
+# is always matrix_rank's.
+_RANK_MARGIN = 10.0
+
+# Two equally valid solves of one Gram system, with their sums taken in
+# different orders, agree only to about cond(G) * eps.  The batched fits
+# therefore vouch for a resample only while its Gram's condition number
+# stays below this (it passes it only when a few distinct units carry
+# many columns), and refit the rest on their own.
+_BATCH_COND = 1e8
+
+# A replicate of the batched fit whose interior optimum beats the boundary
+# value at log lambda = -12 by less than this fraction of |loglik| is refitted
+# on its own: there the choice between sigma_u^2 = 0 and a small positive
+# ratio rests on the last digits of the likelihood.
+_TIE_RTOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,17 +125,26 @@ def _profile_terms(log_lambda, stats):
     ``stats`` is ``(Sd, Ss, hd, hs, mu, n)`` from :class:`_Profile`.  With
     the GLS step from the stacked OLS fit written as ``V z``, the weighted
     normal equations are diagonal: ``z = (hd + w hs) / (1 - (1 - w) mu)``.
-    Both sums of squares are then O(p) expressions in ``z``.  Accepts a
-    scalar or a 1-d array of ``log_lambda``.
+    Both sums of squares are then O(p) expressions in ``z``.  The length-p
+    vectors sit on the last axis and everything broadcasts, so one call
+    evaluates a scalar, a grid, or (from :func:`_fit_lmm_batch`, whose
+    statistics carry leading replicate axes) every replicate at once.
     """
     Sd, Ss, hd, hs, mu, _ = stats
     w = 1.0 / (1.0 + 2.0 * np.exp(log_lambda))
     wc = np.asarray(w)[..., None]
     z = (hd + wc * hs) / (1.0 - (1.0 - wc) * mu)
     zz = z * z
-    ss = Ss - 2.0 * (z @ hs) + zz @ mu
-    rss = Sd - 2.0 * (z @ hd) + zz @ (1.0 - mu) + w * ss
+    ss = Ss - 2.0 * _dot(z, hs) + _dot(zz, mu)
+    rss = Sd - 2.0 * _dot(z, hd) + _dot(zz, 1.0 - mu) + w * ss
     return w, rss, ss
+
+
+def _dot(a, b):
+    """Dot products over the last axis; the other axes broadcast."""
+    if b.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _score(log_lambda, *stats):
@@ -110,6 +162,74 @@ def _score(log_lambda, *stats):
     return 2 * n * w * ss / rss - n
 
 
+def _loglik(log_lambda, stats):
+    """Profiled log-likelihood at ``log_lambda`` (broadcast as in
+    :func:`_profile_terms`).  Degenerate residual variance (non-finite or
+    non-positive RSS) maps to ``-inf``."""
+    w, rss, _ = _profile_terms(log_lambda, stats)
+    n = stats[-1]
+    N = 2 * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = -0.5 * N * (_LOG2PI + 1.0 + np.log(rss / N)) + 0.5 * n * np.log(w)
+    return np.where(np.isfinite(rss) & (rss > 0.0), ll, -np.inf)
+
+
+def _rank_certified(G, m, max_cond=np.inf):
+    """Whether the Gram matrix ``G = X'X`` of an ``(m, p)`` design proves
+    ``np.linalg.matrix_rank(X) == p`` (see ``_RANK_MARGIN``), and, if
+    ``max_cond`` is given, that ``G`` is conditioned better than that.
+
+    ``G`` may carry leading batch axes.  False only means the eigenvalues
+    cannot vouch for full rank; the caller then asks ``matrix_rank``.
+    """
+    lam = np.linalg.eigvalsh(G)
+    floor = np.maximum(_RANK_MARGIN * m * G.shape[-1] * _EPS, 1.0 / max_cond)
+    return lam[..., 0] > floor * lam[..., -1]
+
+
+def _row_outer(X):
+    """Row outer products of ``X`` as an ``(n, p*p)`` matrix: for a ``(k, n)``
+    matrix of unit weights ``C``, ``C @ _row_outer(X)`` holds the ``k``
+    weighted Gram matrices ``X' diag(c) X`` in one product."""
+    n, p = X.shape
+    return (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+
+
+def _simultaneous_basis(G, Gs):
+    """``(V, mu)`` with ``V'G V = I`` and ``V'Gs V = diag(mu)``, for ``G``
+    positive definite; both may carry leading batch axes.
+
+    The Cholesky reduction ``L^-1 Gs L^-T`` stays on numpy's LAPACK:
+    scipy.linalg.eigh would page in scipy's own LAPACK build, about 1.5 MB
+    more peak RSS for a process that otherwise never calls it.
+    """
+    L = np.linalg.cholesky(G)
+    C = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, Gs), -1, -2))
+    mu, Q = np.linalg.eigh(0.5 * (C + np.swapaxes(C, -1, -2)))
+    return np.linalg.solve(np.swapaxes(L, -1, -2), Q), mu
+
+
+def _solve_each(A, b):
+    """Batched ``solve(A, b)`` over a stack of systems; a row whose ``A``
+    is singular gets NaN instead of failing the whole stack."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(b.shape[0]):
+            try:
+                out[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _rotate(X0, X1, y0, y1):
+    """The sum and difference rows ``(Xs, Xd, ys, yd)`` of two aligned
+    period blocks."""
+    return (X0 + X1) / _RT2, (X1 - X0) / _RT2, (y0 + y1) / _RT2, (y1 - y0) / _RT2
+
+
 class _Profile:
     """One fit's data: the rotated design and the O(p) profile statistics."""
 
@@ -122,34 +242,27 @@ class _Profile:
             )
         if not all(np.all(np.isfinite(a)) for a in (X0, X1, y0, y1)):
             raise NonFiniteLikelihoodError("design or response contains non-finite values")
-        rt2 = np.sqrt(2.0)
-        Xs = (X0 + X1) / rt2
-        Xd = (X1 - X0) / rt2
-        ys = (y0 + y1) / rt2
-        yd = (y1 - y0) / rt2
+        Xs, Xd, ys, yd = _rotate(X0, X1, y0, y1)
         self.n = X0.shape[0]
         self.N = 2 * self.n
         self.p = X0.shape[1]
-        # A Cholesky probe of X'X is not reliable here: with exactly duplicated
-        # columns rounding can leave a tiny positive pivot and the factorization
-        # "succeeds", only for the GLS solve to blow up later.
-        if np.linalg.matrix_rank(np.vstack([X0, X1])) < self.p:
-            raise RankDeficientDesignError(
-                f"the two design blocks stacked have rank below their {self.p} columns"
-            )
         self.Xs = Xs
         self.Xd = Xd
         self.Gs = Xs.T @ Xs
         self.Gd = Xd.T @ Xd
+        # Gd + Gs = X0'X0 + X1'X1 is the Gram of the two blocks stacked.  A
+        # Cholesky probe of it is not a rank test (with exactly duplicated
+        # columns rounding can leave a tiny positive pivot); the eigenvalue
+        # certificate is, and the SVD runs only when it fails.
+        G = self.Gd + self.Gs
+        if not (_rank_certified(G, self.N)
+                or np.linalg.matrix_rank(np.vstack([X0, X1])) == self.p):
+            raise RankDeficientDesignError(
+                f"the two design blocks stacked have rank below their {self.p} columns"
+            )
         # Gs v = mu (Gd + Gs) v with V'(Gd + Gs)V = I: V diagonalizes both
-        # blocks at once (V'Gs V = diag(mu), V'Gd V = diag(1 - mu)).  The
-        # Cholesky reduction L^-1 Gs L^-T stays on numpy's LAPACK:
-        # scipy.linalg.eigh would page in scipy's own LAPACK build, about
-        # 1.5 MB more peak RSS for a process that otherwise never calls it.
-        L = np.linalg.cholesky(self.Gd + self.Gs)
-        C = np.linalg.solve(L, np.linalg.solve(L, self.Gs).T)
-        mu, Q = np.linalg.eigh(0.5 * (C + C.T))
-        V = np.linalg.solve(L.T, Q)
+        # blocks at once (V'Gs V = diag(mu), V'Gd V = diag(1 - mu)).
+        V, mu = _simultaneous_basis(G, self.Gs)
         # Everything below works on the residual scale of the stacked OLS
         # fit, so a large response offset does not cancel in the sums of
         # squares or in the GLS step.
@@ -183,18 +296,8 @@ class _Profile:
         return self.beta0 + delta, rss, A
 
     def loglik(self, log_lambda):
-        """Profiled log-likelihood at a scalar or an array of ``log lambda``.
-
-        Degenerate residual variance (non-finite or non-positive RSS) maps
-        to ``-inf``.
-        """
-        w, rss, _ = _profile_terms(log_lambda, self.stats)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ll = (
-                -0.5 * self.N * (_LOG2PI + 1.0 + np.log(rss / self.N))
-                + 0.5 * self.n * np.log(w)
-            )
-        return np.where(np.isfinite(rss) & (rss > 0.0), ll, -np.inf)
+        """Profiled log-likelihood at a scalar or an array of ``log lambda``."""
+        return _loglik(log_lambda, self.stats)
 
 
 def profile_loglik(X0, X1, y0, y1, log_lambda):
@@ -311,9 +414,9 @@ def fit_or(post_design, response):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NonFiniteLikelihoodError("design or response contains non-finite values")
     n, p = X.shape
-    if np.linalg.matrix_rank(X) < p:
-        raise RankDeficientDesignError(f"design has rank below its {p} columns")
     G = X.T @ X
+    if not (_rank_certified(G, n) or np.linalg.matrix_rank(X) == p):
+        raise RankDeficientDesignError(f"design has rank below its {p} columns")
     beta = np.linalg.solve(G, X.T @ y)
     # From the residual vector: y'y - beta'X'y cancels catastrophically when
     # the response carries a large offset.  An exact fit still leaves
@@ -337,3 +440,171 @@ def fit_or(post_design, response):
         converged=True,
         cov_fixed=cov,
     )
+
+
+class _Rotated:
+    """A two-block design shared by many resamples, in sum/difference rows.
+
+    Holds what :func:`_fit_lmm_batch` reuses across replicates: the rotated
+    blocks and responses of :class:`_Profile`, and their row outer products.
+    The inputs are those of :func:`fit_lmm` and must already be valid.
+    """
+
+    def __init__(self, X0, X1, y0, y1):
+        self.Xs, self.Xd, self.ys, self.yd = _rotate(X0, X1, y0, y1)
+        self.Os = _row_outer(self.Xs)
+        self.Od = _row_outer(self.Xd)
+
+
+def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
+    """Fixed effects of :func:`fit_lmm` on many resamples of one design.
+
+    Row r of the ``(k, n)`` count matrix ``C`` is one resample: unit i
+    enters it ``C[r, i]`` times.  ``bins``, if given, is a ``(k, n)`` array
+    of bin labels in ``0 .. n_bins - 1``; resample r then appends to both
+    period blocks the indicators of bins 1 to ``n_bins - 1`` under its own
+    labels (the DRGLMM bin dummies).  Such unit-constant columns vanish
+    from the difference rows and enter the sum rows times sqrt(2); their
+    sums over units are bincounts, so no dummy matrix is formed.  Without
+    the random intercept the result is the OLS fit of the blocks stacked,
+    as :func:`fit_or` computes it.
+
+    Each step is :class:`_Profile` and :func:`fit_lmm` with a leading
+    replicate axis: Gram blocks and cross products weighted by the counts,
+    one batched eigendecomposition, the 25-point grid for all replicates in
+    one evaluation, and a bisection on the score in place of ``brentq``
+    (both stop within ``_XATOL``).
+
+    Returns
+    -------
+    beta : ndarray, shape (k, p + n_bins - 1)
+        NaN in rows that are not ``ok``.
+    ok : ndarray of bool, shape (k,)
+        False for a resample the batch does not vouch for, which the caller
+        must refit on its own: rank or conditioning (``_BATCH_COND``) not
+        certified, a non-finite point on the likelihood grid, a grid
+        optimum inside the grid without a bracketing sign change of the
+        score, a near-tie between the boundary and the interior optimum,
+        or a degenerate residual variance at the optimum.
+    """
+    k = C.shape[0]
+    units = C.sum(axis=1)
+    p = rot.Xs.shape[1]
+    q = 0 if bins is None else n_bins - 1
+    m = p + q
+
+    def bin_sums(v):
+        """Row by row, the sums of ``v`` over the units of bins 1 .. q."""
+        rows = v.shape[0]
+        labels = bins + n_bins * np.arange(rows)[:, None]
+        sums = np.bincount(labels.ravel(), weights=v.ravel(), minlength=rows * n_bins)
+        return sums.reshape(rows, n_bins)[:, 1:]
+
+    beta = np.full((k, m), np.nan)
+    Gd = np.zeros((k, m, m))
+    Gs = np.zeros((k, m, m))
+    Gd[:, :p, :p] = (C @ rot.Od).reshape(k, p, p)
+    Gs[:, :p, :p] = (C @ rot.Os).reshape(k, p, p)
+    if q:
+        cross = _RT2 * np.stack([bin_sums(C * x) for x in rot.Xs.T], axis=2)
+        Gs[:, p:, :p] = cross
+        Gs[:, :p, p:] = np.swapaxes(cross, 1, 2)
+        Gs[:, np.arange(p, m), np.arange(p, m)] = 2.0 * bin_sums(C)
+    G = Gd + Gs
+    ok = _rank_certified(G, 2 * units, _BATCH_COND)
+    sel = np.flatnonzero(ok)
+    if sel.size == 0:
+        return beta, ok
+    C, Gd, Gs, G, units = C[sel], Gd[sel], Gs[sel], G[sel], units[sel]
+    if q:
+        bins = bins[sel]
+
+    def fitted(b):
+        fd = b[:, :p] @ rot.Xd.T
+        fs = b[:, :p] @ rot.Xs.T
+        if q:
+            per_bin = np.concatenate([np.zeros((len(sel), 1)), b[:, p:]], axis=1)
+            fs = fs + _RT2 * np.take_along_axis(per_bin, bins, axis=1)
+        return fd, fs
+
+    def crossprod(vd, vs):
+        gd = np.zeros((len(sel), m))
+        gs = np.empty((len(sel), m))
+        gd[:, :p] = (C * vd) @ rot.Xd
+        gs[:, :p] = (C * vs) @ rot.Xs
+        if q:
+            gs[:, p:] = _RT2 * bin_sums(C * vs)
+        return gd, gs
+
+    gd, gs = crossprod(rot.yd, rot.ys)
+    if not random_intercept:
+        beta[sel] = _solve_each(G, gd + gs)
+        return beta, ok
+
+    V, mu = _simultaneous_basis(G, Gs)
+    Vt = np.swapaxes(V, 1, 2)
+    beta0 = (V @ (Vt @ (gd + gs)[:, :, None]))[:, :, 0]
+    fd, fs = fitted(beta0)
+    rd, rs = rot.yd - fd, rot.ys - fs
+    gd, gs = crossprod(rd, rs)
+    stats = (
+        np.sum(C * rd * rd, axis=1)[:, None],
+        np.sum(C * rs * rs, axis=1)[:, None],
+        (Vt @ gd[:, :, None])[:, None, :, 0],
+        (Vt @ gs[:, :, None])[:, None, :, 0],
+        mu[:, None, :],
+        units[:, None],
+    )
+    rows = np.arange(len(sel))
+    grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
+    ll = _loglik(grid, stats)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = _score(grid, *stats)
+        j = np.argmax(ll, axis=1)
+        a = np.maximum(j - 1, 0)
+        b = np.minimum(j + 1, _GRID_POINTS - 1)
+        bracket = (score[rows, a] > 0.0) & (score[rows, b] < 0.0)
+        lo = np.where(bracket, grid[a], grid[j])
+        hi = np.where(bracket, grid[b], grid[j])
+        while np.any(hi - lo > _XATOL):
+            mid = 0.5 * (lo + hi)
+            up = _score(mid[:, None], *stats)[:, 0] > 0.0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+        root = 0.5 * (lo + hi)
+        best = np.where(bracket, _loglik(root[:, None], stats)[:, 0], ll[rows, j])
+    log_lambda = np.where(bracket, root, grid[j])
+    good = (np.all(np.isfinite(ll), axis=1)
+            & (bracket | (j == 0) | (j == _GRID_POINTS - 1))
+            & ~(bracket & (np.abs(best - ll[:, 0]) <= _TIE_RTOL * np.abs(ll[:, 0]))))
+    log_lambda = np.where(ll[:, 0] >= best, _LOG_LAMBDA_LO, log_lambda)
+    lam = np.where(log_lambda <= _LOG_LAMBDA_LO + 1e-8, 0.0, np.exp(log_lambda))
+    w = 1.0 / (1.0 + 2.0 * lam)
+    A = Gd + w[:, None, None] * Gs
+    delta = _solve_each(A, gd + w[:, None] * gs)
+    fd, fs = fitted(delta)
+    rd, rs = rd - fd, rs - fs
+    rss = np.sum(C * rd * rd, axis=1) + w * np.sum(C * rs * rs, axis=1)
+    good &= np.isfinite(rss) & (rss > 0.0)
+    ok[sel] = good
+    beta[sel[good]] = (beta0 + delta)[good]
+    return beta, ok
+
+
+def _fit_or_batch(X, O, y, C):
+    """Fixed effects of :func:`fit_or` on many resamples of one design.
+
+    ``O`` is ``_row_outer(X)``; row r of the ``(k, n)`` count matrix ``C``
+    is one resample.  Returns ``(beta, ok)``: beta ``(k, p)``, NaN where
+    ``ok`` is False because the rank or the conditioning is not certified.
+    """
+    k = C.shape[0]
+    p = X.shape[1]
+    G = (C @ O).reshape(k, p, p)
+    ok = _rank_certified(G, C.sum(axis=1), _BATCH_COND)
+    beta = np.full((k, p), np.nan)
+    sel = np.flatnonzero(ok)
+    if sel.size:
+        b = (C[sel] * y) @ X
+        beta[sel] = _solve_each(G[sel], b)
+    return beta, ok

@@ -706,24 +706,43 @@ def _load_rows(path, schema):
     )
 
 
+# Units formatted per block by write_csv: bounds the strings held at once.
+_WRITE_BLOCK = 4096
+
+
+def _csv_cell(text):
+    """``text`` as the csv module's default dialect writes it in a row of
+    several cells: quoted, with quotes doubled, when it holds a comma, a
+    quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _rows(ids, labels, y, x):
+    """One period's data rows: id, the time and treat cells, y, covariates."""
+    columns = [ids, labels, list(map(repr, y.tolist()))]
+    columns += [list(map(repr, col.tolist())) for col in x.T]
+    return list(map(",".join, zip(*columns)))
+
+
 def write_csv(data, path, schema=None):
     """Write ``data`` in the normalized long format ``load_csv`` reads.
 
     Rows come out (unit, time) sorted in the dataset's stored order, floats
     in shortest round-trip form, so load/write/load is value-identical.
+    The bytes are those of ``csv.writer`` writing one row at a time
+    (``\r\n`` line ends, ids quoted where needed); the rows are formatted
+    column by column, a block of units at a time.
     """
     schema = schema or ColumnMapping()
     header = [schema.unit_id, schema.time, schema.treat, schema.y, *data.covariate_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            uid = str(data.unit_ids[i])
-            writer.writerow(
-                [uid, 0, 0, repr(float(data.y0[i]))]
-                + [repr(float(v)) for v in data.x0[i]]
-            )
-            writer.writerow(
-                [uid, 1, int(data.d1[i]), repr(float(data.y1[i]))]
-                + [repr(float(v)) for v in data.x1[i]]
-            )
+        csv.writer(fh).writerow(header)
+        for lo in range(0, data.n, _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            ids = [_csv_cell(str(u)) for u in data.unit_ids[block]]
+            pre = _rows(ids, ["0,0"] * len(ids), data.y0[block], data.x0[block])
+            post = _rows(ids, np.where(data.d1[block] == 1, "1,1", "1,0").tolist(),
+                         data.y1[block], data.x1[block])
+            fh.write("".join(f"{a}\r\n{b}\r\n" for a, b in zip(pre, post)))

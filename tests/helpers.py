@@ -1,10 +1,29 @@
 """Shared builders and oracles for the test suite."""
 
+import csv
+import warnings
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
-from panel_causal import PanelDataset, substream
+from panel_causal import (
+    BootstrapFailureError,
+    BootstrapFailureWarning,
+    BootstrapResult,
+    ColumnMapping,
+    DegenerateVarianceWarning,
+    DRTestResult,
+    PanelCausalError,
+    PanelDataset,
+    RankDeficientDesignError,
+    estimate_drglmm,
+    estimate_glmm,
+    estimate_ipwdid,
+    evaluate_estimator,
+    fit_propensity,
+    substream,
+)
 
 # Fixed seed used by the desk-scale study tests.  Chosen once; every
 # expected band below was verified against this seed before being frozen.
@@ -205,3 +224,115 @@ def adaptive_contrast(eta1, eta0, sigma_u2):
 
     val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12)
     return float(val)
+
+
+def write_csv_rows(data, path, schema=None):
+    """Reference writer for ``write_csv``: one ``csv.writer`` row at a time."""
+    schema = schema or ColumnMapping()
+    header = [schema.unit_id, schema.time, schema.treat, schema.y, *data.covariate_names]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(data.n):
+            uid = str(data.unit_ids[i])
+            writer.writerow(
+                [uid, 0, 0, repr(float(data.y0[i]))]
+                + [repr(float(v)) for v in data.x0[i]]
+            )
+            writer.writerow(
+                [uid, 1, int(data.d1[i]), repr(float(data.y1[i]))]
+                + [repr(float(v)) for v in data.x1[i]]
+            )
+
+
+def cluster_bootstrap_reference(data, config, B, seed):
+    """Reference for ``cluster_bootstrap``: each replicate a ``take()``
+    resample refitted on its own, failures as NaN, summarized as the
+    library summarizes."""
+    point = evaluate_estimator(config, data)
+    n = data.n
+
+    def one(r):
+        idx = substream(seed, r).integers(0, n, size=n)
+        try:
+            return evaluate_estimator(config, data.take(idx))
+        except (PanelCausalError, np.linalg.LinAlgError):
+            return np.nan
+
+    vals = np.array([one(r) for r in range(B)], dtype=float)
+    ok = vals[np.isfinite(vals)]
+    n_failed = int(B - ok.size)
+    if n_failed >= 0.05 * B:
+        warnings.warn(f"{n_failed} of {B} bootstrap replicates failed to fit",
+                      BootstrapFailureWarning, stacklevel=2)
+    if ok.size == 0:
+        return BootstrapResult(point, np.nan, np.nan, np.nan, np.nan, B, n_failed)
+    lo, hi = np.percentile(ok, [2.5, 97.5])
+    se = float(np.std(ok, ddof=1)) if ok.size > 1 else 0.0
+    return BootstrapResult(point, float(ok.mean()), se, float(lo), float(hi), B, n_failed)
+
+
+def dr_specification_test_reference(data, spec, B, seed, k_bins=5):
+    """Reference for ``dr_specification_test``: the DRGLMM, IPWDID and GLMM
+    ATEs of each ``take()`` resample, one shared propensity fit per
+    replicate, a failed replicate as a row of NaN, summarized as the
+    library summarizes."""
+    n = data.n
+
+    def triple(d):
+        ps = fit_propensity(d, spec)
+        return (estimate_drglmm(d, spec, ps, k_bins=k_bins)["ATE"].value,
+                estimate_ipwdid(d, ps)["ATE"].value,
+                estimate_glmm(d, spec)["ATE"].value)
+
+    def one(r):
+        idx = substream(seed, r).integers(0, n, size=n)
+        try:
+            return triple(data.take(idx))
+        except (PanelCausalError, np.linalg.LinAlgError):
+            return (np.nan, np.nan, np.nan)
+
+    def guarded_z(num, sigma):
+        if sigma == 0.0 or not np.isfinite(sigma):
+            warnings.warn("degenerate bootstrap variance", DegenerateVarianceWarning)
+            return 0.0
+        return float(abs(num) / sigma)
+
+    point_dr, point_ipwdid, point_glmm = triple(data)
+    vals = np.array([one(r) for r in range(B)], dtype=float)
+    ok = vals[np.all(np.isfinite(vals), axis=1)]
+    if ok.shape[0] < 2:
+        raise BootstrapFailureError("too few successful bootstrap replicates")
+    sigma_ps = float(np.std(ok[:, 0] - ok[:, 1], ddof=1))
+    sigma_or = float(np.std(ok[:, 0] - ok[:, 2], ddof=1))
+    z_ps = guarded_z(point_dr - point_ipwdid, sigma_ps)
+    z_or = guarded_z(point_dr - point_glmm, sigma_or)
+    return DRTestResult(z_ps, z_or, bool(z_ps > 1.96), bool(z_or > 1.96),
+                        sigma_ps, sigma_or, B, int(B - ok.shape[0]))
+
+
+def rank_probe_designs(*blocks):
+    """Designs on both sides of ``np.linalg.matrix_rank``'s threshold, built
+    from the given design blocks by changing their last column the same way
+    in each: the column duplicated exactly, duplicated with a 1e-9
+    perturbation, and the column scaled by 1e6.  Yields block tuples."""
+    wiggle = 1e-9 * np.cos(np.arange(blocks[0].shape[0]))
+    yield tuple(np.column_stack([X, X[:, -1]]) for X in blocks)
+    yield tuple(np.column_stack([X, X[:, -1] + wiggle]) for X in blocks)
+    yield tuple(np.column_stack([X[:, :-1], 1e6 * X[:, -1]]) for X in blocks)
+
+
+def check_rank_verdict(fit, *blocks):
+    """Fit ``blocks`` and check the rank verdict against ``matrix_rank`` on
+    the blocks stacked: RankDeficientDesignError exactly when it finds the
+    rank below the column count (any other outcome means full rank)."""
+    X = np.vstack(blocks)
+    deficient = np.linalg.matrix_rank(X) < X.shape[1]
+    try:
+        fit(*blocks)
+    except RankDeficientDesignError:
+        assert deficient
+    except (PanelCausalError, np.linalg.LinAlgError):
+        assert not deficient
+    else:
+        assert not deficient

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from panel_causal import PanelDataset
-from panel_causal.cli import build_parser
+from panel_causal.cli import build_parser, run
 
 _BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 _SPAN_FIELDS = ("calls", "s", "failed")
@@ -78,3 +78,14 @@ def test_workload_argv_parses(name, threads, tmp_path):
                                  threads=threads)
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_bootstrap_workload_output_holds_its_invariants(tmp_path):
+    # The batched bootstrap must still give the benchmark's bootstrap call
+    # an output its seed-independent checks accept.
+    workload = _WORKLOADS["bootstrap-drglmm"]
+    workload.prepare(0, str(tmp_path))
+    out = tmp_path / "out.json"
+    assert run(workload.argv(0, str(tmp_path), str(out))) == 0
+    numbers, counts = workload.parse(out.read_text(encoding="utf-8"))
+    assert workload.invariants(numbers, counts, 0) == []

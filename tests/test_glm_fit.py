@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
@@ -21,8 +23,14 @@ from panel_causal import (
     ps_quantile_dummies,
     substream,
 )
+from panel_causal.glm_fit import _quantile_bins_batch
 
-from helpers import extreme_ps_dataset, make_dataset
+from helpers import (
+    check_rank_verdict,
+    extreme_ps_dataset,
+    make_dataset,
+    rank_probe_designs,
+)
 
 
 def _neg_loglik(alpha, X, y):
@@ -116,6 +124,9 @@ class TestFitLogistic:
         X2 = np.column_stack([X, X[:, 1]])
         with pytest.raises(RankDeficientDesignError):
             fit_logistic(X2, y)
+        # Around matrix_rank's threshold the verdict is matrix_rank's.
+        for (X3,) in rank_probe_designs(X):
+            check_rank_verdict(lambda A: fit_logistic(A, y), X3)
 
     def test_shape_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -230,3 +241,43 @@ class TestPsQuantileDummies:
             ps_quantile_dummies(np.array([0.2, 0.4]), K=5)
         with pytest.raises(InvalidArgumentError):
             ps_quantile_dummies(np.full((4, 2), 0.5), K=2)
+
+
+class TestCountWeightedBins:
+    """The bootstrap bins a resample from its unit counts; the result must
+    be the bins of the expanded sample, bin for bin."""
+
+    @given(
+        base=st.lists(st.sampled_from([0.1, 0.25, 0.25, 0.4, 0.6, 0.9]) | st.floats(0.01, 0.99),
+                      min_size=2, max_size=30),
+        counts=st.lists(st.lists(st.integers(0, 3), min_size=30, max_size=30),
+                        min_size=1, max_size=4),
+        K=st.integers(2, 6),
+    )
+    def test_bins_of_the_expanded_sample(self, base, counts, K):
+        ps = np.array(base)
+        C = np.array(counts, dtype=float)[:, :ps.size]
+        C[:, 0] += K  # every resample has at least K units
+        bins, ok = _quantile_bins_batch(np.tile(ps, (C.shape[0], 1)), C, K)
+        for r in range(C.shape[0]):
+            c = C[r].astype(int)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateBinsWarning)
+                want = ps_quantile_dummies(np.repeat(ps, c), K=K)
+            np.testing.assert_array_equal(np.repeat(bins[r], c), want.bins)
+            if want.collapsed:
+                assert not ok[r]
+
+    def test_ties_and_zero_counts(self):
+        ps = np.array([0.1, 0.2, 0.2, 0.3, 0.5, 0.5, 0.7, 0.9])
+        C = np.array([[1, 2, 0, 1, 1, 0, 2, 1],
+                      [0, 1, 1, 1, 0, 3, 1, 1],
+                      [1, 1, 1, 1, 1, 1, 1, 1]], dtype=float)
+        bins, ok = _quantile_bins_batch(np.tile(ps, (3, 1)), C, 4)
+        for r in range(3):
+            c = C[r].astype(int)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateBinsWarning)
+                want = ps_quantile_dummies(np.repeat(ps, c), K=4)
+            np.testing.assert_array_equal(np.repeat(bins[r], c), want.bins)
+            assert ok[r] == (not want.collapsed)

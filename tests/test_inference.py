@@ -1,9 +1,13 @@
 """Bootstrap, specification diagnostics, balance check, term pruning."""
 
 import warnings
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panel_causal import (
     BootstrapFailureError,
@@ -12,6 +16,7 @@ from panel_causal import (
     EstimatorConfig,
     ExtremeWeightsWarning,
     InvalidArgumentError,
+    METHOD_TABLE,
     ModelSpec,
     PanelDataset,
     PSFit,
@@ -32,7 +37,15 @@ from panel_causal import (
     term_label,
 )
 
-from helpers import extreme_ps_dataset, make_dataset, tiny_panel
+from panel_causal.inference import _Resamples
+
+from helpers import (
+    cluster_bootstrap_reference,
+    dr_specification_test_reference,
+    extreme_ps_dataset,
+    make_dataset,
+    tiny_panel,
+)
 
 def _hom(seed, n=300):
     return generate_scenario(Scenario("HOM", n), seed)
@@ -197,6 +210,112 @@ class TestClusterBootstrap:
         assert np.isfinite(res.boot_mean)
 
 
+_METHOD_ESTIMANDS = [(m, e) for m, info in METHOD_TABLE.items() for e in info.estimands]
+
+
+def _config(method, estimand, specs):
+    kind = METHOD_TABLE[method].outcome
+    return EstimatorConfig(method, estimand,
+                           spec=specs["post_full" if kind == "post" else "mixed_full"])
+
+
+def _recording_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, Counter(w.category.__name__ for w in caught)
+
+
+def _assert_same_bootstrap(data, config, B, seed):
+    """The batched bootstrap against the one-replicate-at-a-time reference:
+    every field within 1e-9 relative, equal failure counts, and the same
+    warnings."""
+    got, got_warnings = _recording_warnings(cluster_bootstrap, data, config, B, seed)
+    want, want_warnings = _recording_warnings(
+        cluster_bootstrap_reference, data, config, B, seed)
+    assert got_warnings == want_warnings
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in ("B", "n_failed"):
+            assert a == b
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9, err_msg=f.name)
+
+
+class TestBatchedReplicates:
+    """cluster_bootstrap fits chunks of count-weighted resamples; each must
+    give what a take() resample refitted on its own gives."""
+
+    @pytest.mark.parametrize("method,estimand", _METHOD_ESTIMANDS)
+    @settings(max_examples=4)
+    @given(scenario=st.sampled_from(["HOM", "HET", "RANDCOEF"]),
+           n=st.integers(30, 300), B=st.integers(2, 60),
+           data_seed=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_take_loop(self, method, estimand, scenario, n, B, data_seed, seed):
+        data = generate_scenario(Scenario(scenario, n), data_seed)
+        config = _config(method, estimand, scenario_specs(scenario))
+        _assert_same_bootstrap(data, config, B, seed)
+
+    @staticmethod
+    def _fallback_panel(kind):
+        if kind == "separable":
+            # Treated exactly when x1 > 0, but for one unit: every resample
+            # that misses it is separated.
+            x = np.linspace(-1.0, 1.0, 30)
+            d = (x > 0.0).astype(int)
+            d[3] = 1
+            y0 = 10.0 + np.cos(7.0 * x)
+            return make_dataset(y0, y0 + 2.0 + 5.0 * d + np.sin(5.0 * x), d,
+                                covariates=[x], names=("x1",)), ("1", "x1")
+        n, treated = {"tiny6": (6, (0,)), "tiny12": (12, (0, 1, 2))}[kind]
+        return tiny_panel(n, treated), ("1",)
+
+    @pytest.mark.parametrize("method,estimand", _METHOD_ESTIMANDS)
+    @pytest.mark.parametrize("kind", ["tiny6", "tiny12", "separable"])
+    def test_fallback_replicates_match_take_loop(self, method, estimand, kind):
+        # Resamples without treated units, separated treatment models and
+        # collapsed bins all leave the batch and are refitted on their own.
+        data, ps_terms = self._fallback_panel(kind)
+        post = METHOD_TABLE[method].outcome == "post"
+        spec = ModelSpec(outcome_terms=("1", "treat") if post else ("1", "time", "treat"),
+                         ps_terms=ps_terms)
+        config = EstimatorConfig(method, estimand, spec=spec, k_bins=2)
+        _assert_same_bootstrap(data, config, 40, 3)
+
+    def test_extreme_scores_go_to_the_estimator(self):
+        data = extreme_ps_dataset()
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1"),
+                         ps_terms=("1", "x1"))
+        for method in ("IPW", "IPWDID", "DRGLMM"):
+            _assert_same_bootstrap(data, EstimatorConfig(method, "ATE", spec=spec), 30, 1)
+
+    @pytest.mark.parametrize("method", ["GLMM", "DRGLMM"])
+    def test_outcome_model_without_random_intercept(self, method):
+        spec = replace(scenario_specs("HOM")["mixed_full"], random_effect="none")
+        _assert_same_bootstrap(_hom(531, n=150), EstimatorConfig(method, "ATE", spec=spec),
+                               30, 2)
+
+    def test_large_panel_is_fitted_in_smaller_stacks(self):
+        # At n = 2600 a stack holds 9 replicates, so B = 12 spans two.
+        config = _config("DRGLMM", "ATT", scenario_specs("HOM"))
+        _assert_same_bootstrap(_hom(532, n=2600), config, 12, 5)
+
+    @pytest.mark.parametrize("method", list(METHOD_TABLE))
+    def test_value_does_not_depend_on_position_in_chunk(self, method):
+        data = _hom(530, n=200)
+        config = _config(method, "ATT", scenario_specs("HOM"))
+        resamples = _Resamples(data, config.spec, config.k_bins)
+        C = np.array([np.bincount(substream(4, r).integers(0, data.n, size=data.n),
+                                  minlength=data.n) for r in range(25)], dtype=float)
+        info = METHOD_TABLE[method]
+        forward, ok = resamples.effects(info, C)
+        backward, ok_back = resamples.effects(info, C[::-1])
+        alone = [resamples.effects(info, C[r:r + 1])[0]["ATT"][0] for r in (0, 11, 24)]
+        assert ok.all() and ok_back.all()
+        np.testing.assert_allclose(forward["ATT"], backward["ATT"][::-1], rtol=1e-12)
+        np.testing.assert_allclose(forward["ATT"][[0, 11, 24]], alone, rtol=1e-12)
+
+
 class TestDrSpecificationTest:
     def test_needs_propensity_terms(self):
         data = _hom(520, n=60)
@@ -221,6 +340,25 @@ class TestDrSpecificationTest:
         assert a.sigma_ps >= 0.0 and a.sigma_or >= 0.0
         assert a.reject_ps == (a.z_ps > 1.96)
         assert a.reject_or == (a.z_or > 1.96)
+
+    @pytest.mark.parametrize("n,k_bins", [(150, 5), (150, 3), (25, 3)])
+    def test_matches_take_loop(self, n, k_bins):
+        # At n = 25 some resamples separate or warn of extreme weights.
+        data = generate_scenario(Scenario("HOM", n), 8)
+        specs = scenario_specs("HOM")
+        spec = ModelSpec(outcome_terms=specs["mixed_full"].outcome_terms,
+                         ps_terms=specs["ps_full"].ps_terms)
+        got, got_warnings = _recording_warnings(
+            dr_specification_test, data, spec, 40, 9, k_bins)
+        want, want_warnings = _recording_warnings(
+            dr_specification_test_reference, data, spec, 40, 9, k_bins)
+        assert got_warnings == want_warnings
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, float):
+                np.testing.assert_allclose(a, b, rtol=1e-9, err_msg=f.name)
+            else:
+                assert a == b, f.name
 
     def test_correct_models_are_not_rejected(self):
         data = generate_scenario(Scenario("HOM", 500), seed=100, replicate=0)

@@ -23,7 +23,12 @@ from panel_causal import (
     substream,
 )
 
-from helpers import anova_oracle, dense_lmm_oracle
+from helpers import (
+    anova_oracle,
+    check_rank_verdict,
+    dense_lmm_oracle,
+    rank_probe_designs,
+)
 
 
 def _interleave(rows0, rows1):
@@ -154,6 +159,9 @@ class TestFitLmm:
         with pytest.raises(RankDeficientDesignError):
             fit_lmm(np.column_stack([X0, X0[:, 0]]), np.column_stack([X1, X1[:, 0]]),
                     y0, y1)
+        # Around matrix_rank's threshold the verdict is matrix_rank's.
+        for blocks in rank_probe_designs(X0, X1):
+            check_rank_verdict(lambda A0, A1: fit_lmm(A0, A1, y0, y1), *blocks)
 
     def test_nonfinite_inputs(self):
         X0, X1, y0, y1 = _clustered(71)
@@ -341,6 +349,10 @@ class TestFitOr:
         X = np.ones((10, 2))
         with pytest.raises(RankDeficientDesignError):
             fit_or(X, np.zeros(10))
+        # Around matrix_rank's threshold the verdict is matrix_rank's.
+        X0, X1, y0, y1 = _clustered(82)
+        for (X,) in rank_probe_designs(X1):
+            check_rank_verdict(lambda A: fit_or(A, y1), X)
 
     def test_nonfinite(self):
         X = np.ones((5, 1))

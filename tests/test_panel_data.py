@@ -36,7 +36,7 @@ from panel_causal import (
 )
 from panel_causal import panel_data
 
-from helpers import make_dataset
+from helpers import make_dataset, write_csv_rows
 
 
 WELL_FORMED = """unit_id,time,treat,y,x1,x2
@@ -413,6 +413,40 @@ def test_each_defect_alone_matches_the_row_loop(tmp_path):
             _damage(lines, (kind, i, j, k, floats[k]), "0", "1")
             _write_panel_file(path, data.covariate_names, lines)
             _assert_loads_like_the_row_loop(path)
+
+
+_AWKWARD_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072e-308, 1e16, -1e16,
+                   9007199254740993.0, 1e-300, 0.1, 1.0 / 3.0)
+
+
+@st.composite
+def _writable_panels(draw):
+    n = draw(st.integers(2, 12))
+    ids = draw(st.lists(st.text(max_size=6) | st.sampled_from(['a,b', 'q"t', 'l\nf', 'c\r']),
+                        min_size=n, max_size=n))
+    value = st.sampled_from(_AWKWARD_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+    cols = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=6, max_size=6))
+    d = [1] + [0] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    return make_dataset(cols[0], cols[1], d, covariates=cols[2:4],
+                        covariates_post=cols[4:6], unit_ids=ids)
+
+
+@given(data=_writable_panels())
+def test_write_csv_matches_the_row_writer(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, rows = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "rows.csv")
+        write_csv(data, fast)
+        write_csv_rows(data, rows)
+        with open(fast, "rb") as a, open(rows, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_write_csv_matches_the_row_writer_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(panel_data, "_WRITE_BLOCK", 7)
+    data = generate_scenario(Scenario("HET", 40), 3)
+    write_csv(data, tmp_path / "fast.csv")
+    write_csv_rows(data, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestPanelDataset:
