@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DegenerateBinsWarning,
@@ -71,9 +70,10 @@ class PSFit:
     cov_alpha: np.ndarray = None
 
 
-def _deviance(eta, y):
-    # -2 log L for the Bernoulli-logit model, in overflow-safe form.
-    return 2.0 * float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+def expit(x):
+    """The plain logistic ``1 / (1 + exp(-x))``: 0 below about x = -709."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def fit_logistic(design, outcome):
@@ -126,12 +126,10 @@ def fit_logistic(design, outcome):
         )
 
     alpha = np.zeros(p)
-    eta = np.zeros(n)
-    dev_old = _deviance(eta, y)
+    prob, dev = _logistic_terms(np.zeros(n), y, 1.0)
     converged = False
     n_iter = 0
     for n_iter in range(1, _MAX_ITER + 1):
-        prob = expit(eta)
         w = prob * (1.0 - prob)
         H = (X.T * w) @ X
         g = X.T @ (y - prob)
@@ -150,14 +148,12 @@ def fit_logistic(design, outcome):
                 f"coefficient magnitude exceeded {_COEF_BOUND:g}; data are "
                 "(quasi-)separated and the MLE does not exist"
             )
-        eta = X @ alpha
-        dev = _deviance(eta, y)
+        dev_old = dev
+        prob, dev = _logistic_terms(X @ alpha, y, 1.0)
         if abs(dev - dev_old) < _TOL:
             converged = True
             break
-        dev_old = dev
-    prob = expit(eta)
-    if _deviance(eta, y) < _SEPARATED_DEVIANCE:
+    if dev < _SEPARATED_DEVIANCE:
         # Newton can plateau (tiny deviance changes) while walking out to
         # infinity on separated data, declaring convergence before the
         # coefficient bound trips; a collapsed deviance is unambiguous.
@@ -180,7 +176,7 @@ def fit_logistic(design, outcome):
         fitted_ps=prob,
         n_iter=n_iter,
         converged=converged,
-        deviance=_deviance(eta, y),
+        deviance=float(dev),
         cov_alpha=cov,
     )
 
@@ -265,9 +261,9 @@ def ps_quantile_dummies(ps, K=5):
 
 
 def _logistic_terms(eta, y, C):
-    """Fitted probabilities at ``eta`` and the count-weighted deviance of
-    each row, both from one exponential: ``logaddexp(0, eta)`` is
-    ``max(eta, 0) + log1p(exp(-|eta|))``.
+    """Fitted probabilities at ``eta`` and the count-weighted deviance over
+    the last axis (a single fit counts 1.0), both from one exponential:
+    ``logaddexp(0, eta)`` is ``max(eta, 0) + log1p(exp(-|eta|))``.
 
     The steps work in place on two buffers: a fresh (25, 1000) temporary
     measured slower to allocate than to fill, so this halves the time of
@@ -282,7 +278,7 @@ def _logistic_terms(eta, y, C):
     terms += np.maximum(eta, 0.0, out=buf)
     terms -= np.multiply(y, eta, out=buf)
     terms *= C
-    return prob, 2.0 * terms.sum(axis=1)
+    return prob, 2.0 * terms.sum(axis=-1)
 
 
 def _fit_logistic_batch(X, O, y, C):

@@ -28,12 +28,12 @@ and its powers?), and backward elimination of weak terms from both the
 outcome and treatment models.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     BootstrapFailureError,
@@ -567,7 +567,7 @@ def balance_check(data, ps_fit):
 def _wald_pvalues(coef, se):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, np.abs(coef) / se, np.inf)
-    return 2.0 * ndtr(-z)
+    return np.array([math.erfc(v / math.sqrt(2.0)) for v in z])
 
 
 _FORCED_OUTCOME = ("intercept", "time", "treatment")

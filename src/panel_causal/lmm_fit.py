@@ -16,11 +16,11 @@ to its residual scale, and one generalized eigendecomposition diagonalizes
 the sum-row and difference-row Gram blocks together.  In that basis the
 weighted normal equations are diagonal for every ``w``, so each evaluation
 of the profiled likelihood or its score costs O(p).  A coarse grid over
-``log lambda`` guards against multiple optima, and Brent's method finds the
-root of the score inside the best grid bracket; the grid and the root
-tolerance are fixed module constants.  One explicit-residual GLS solve at
-the optimum gives the fixed effects, the residual variance and their
-covariance.
+``log lambda`` guards against multiple optima, and regula falsi with the
+Illinois modification finds the root of the score inside the best grid
+bracket; the grid, the root tolerance and the step cap are fixed module
+constants.  One explicit-residual GLS solve at the optimum gives the fixed
+effects, the residual variance and their covariance.
 
 ``fit_or`` provides the ordinary least squares companion (post-period
 outcome regression, no random effect) in the same result shape.
@@ -30,13 +30,12 @@ the full design with unit i counted ``c_i`` times, so the private
 :func:`_fit_lmm_batch` runs the same profiled fit for a stack of count
 vectors at once: Gram blocks from one matrix product with the row outer
 products, a batched eigendecomposition, the grid for every replicate in
-one evaluation, and a vectorized bisection in place of ``brentq``.
+one evaluation, and a vectorized bisection in place of :func:`_illinois`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidArgumentError,
@@ -53,13 +52,14 @@ _RT2 = float(np.sqrt(2.0))
 
 # The search in log lambda: the bounds cover variance ratios from e-12
 # (taken as the sigma_u^2 = 0 boundary) to e12; the profile is scanned at
-# _GRID_POINTS evenly spaced values, and Brent's method finds the score's
-# root in the best grid bracket to an absolute tolerance of _XATOL on
-# log lambda, i.e. a relative tolerance on lambda itself.
+# _GRID_POINTS evenly spaced values, and _illinois finds the score's root
+# in the best grid bracket to an absolute tolerance of _XATOL on log lambda,
+# i.e. a relative tolerance on lambda itself, in at most _ROOT_STEPS steps.
 _LOG_LAMBDA_LO = -12.0
 _LOG_LAMBDA_HI = 12.0
 _GRID_POINTS = 25
 _XATOL = 1e-13
+_ROOT_STEPS = 100
 
 # Full-rank certificate from the Gram matrix each fit forms anyway.  Let X
 # be m x p with singular values s_1 >= ... >= s_p.  np.linalg.matrix_rank
@@ -147,19 +147,36 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _score(log_lambda, *stats):
-    """Profiled score in ``log lambda``, up to a positive factor.
-
-    With R the weighted RSS and S the sum-row RSS,
-    dL/dlambda = w (N w S / R - n), so the bracketed factor carries the
-    sign and the root.  This is a module-level function over length-p
-    arrays on purpose: ``brentq`` wraps its callable in a self-referencing
-    closure that only the cyclic garbage collector frees, and a bound
-    method there would keep the n-row design blocks alive with it.
-    """
+def _score(log_lambda, stats):
+    """Profiled score in ``log lambda``, up to a positive factor: with R the
+    weighted RSS and S the sum-row RSS, dL/dlambda = w (N w S / R - n), so
+    the bracketed factor carries the sign and the root."""
     w, rss, ss = _profile_terms(log_lambda, stats)
     n = stats[-1]
     return 2 * n * w * ss / rss - n
+
+
+def _illinois(f, a, b, fa, fb):
+    """Root of ``f`` between ``a`` and ``b`` (values ``fa``, ``fb`` of opposite
+    sign) by regula falsi with the Illinois modification: an end kept twice
+    in a row has its value halved.  Returns ``(x, converged)``: converged at
+    a bracket no wider than ``_XATOL`` or an exact zero, not converged at a
+    non-finite ``f`` or after ``_ROOT_STEPS`` evaluations."""
+    for _ in range(_ROOT_STEPS):
+        x = float(b - fb * (b - a) / (fb - fa))
+        fx = f(x)
+        if fx == 0.0:
+            return x, True
+        if not np.isfinite(fx):
+            return x, False
+        if (fx > 0.0) == (fb > 0.0):
+            fa = 0.5 * fa
+        else:
+            a, fa = b, fb
+        b, fb = x, fx
+        if abs(b - a) <= _XATOL:
+            return x, True
+    return x, False
 
 
 def _loglik(log_lambda, stats):
@@ -197,12 +214,8 @@ def _row_outer(X):
 
 def _simultaneous_basis(G, Gs):
     """``(V, mu)`` with ``V'G V = I`` and ``V'Gs V = diag(mu)``, for ``G``
-    positive definite; both may carry leading batch axes.
-
-    The Cholesky reduction ``L^-1 Gs L^-T`` stays on numpy's LAPACK:
-    scipy.linalg.eigh would page in scipy's own LAPACK build, about 1.5 MB
-    more peak RSS for a process that otherwise never calls it.
-    """
+    positive definite, by the Cholesky reduction ``L^-1 Gs L^-T``; both may
+    carry leading batch axes."""
     L = np.linalg.cholesky(G)
     C = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, Gs), -1, -2))
     mu, Q = np.linalg.eigh(0.5 * (C + np.swapaxes(C, -1, -2)))
@@ -295,10 +308,6 @@ class _Profile:
         rss = float(rd @ rd) + w * float(rs @ rs)
         return self.beta0 + delta, rss, A
 
-    def loglik(self, log_lambda):
-        """Profiled log-likelihood at a scalar or an array of ``log lambda``."""
-        return _loglik(log_lambda, self.stats)
-
 
 def profile_loglik(X0, X1, y0, y1, log_lambda):
     """Profiled log-likelihood at a given ``log lambda`` (for diagnostics).
@@ -306,8 +315,7 @@ def profile_loglik(X0, X1, y0, y1, log_lambda):
     Fixed effects and the residual variance are concentrated out, so this is
     the exact curve :func:`fit_lmm` maximizes on the same blocks.
     """
-    prof = _Profile(X0, X1, y0, y1)
-    return float(prof.loglik(float(log_lambda)))
+    return float(_loglik(float(log_lambda), _Profile(X0, X1, y0, y1).stats))
 
 
 def fit_lmm(X0, X1, y0, y1):
@@ -341,7 +349,7 @@ def fit_lmm(X0, X1, y0, y1):
     profiled likelihood and its score cost O(p) per ``log lambda``.  The
     likelihood is scanned on a 25-point grid over ``log lambda in [-12, 12]``
     in one vectorized evaluation.  If the score changes sign across the
-    best grid point's bracket, Brent's method finds its root; otherwise
+    best grid point's bracket, :func:`_illinois` finds its root; otherwise
     the best grid point stands, and it counts as converged only on an edge
     of the grid with the score pointing outward.  If the boundary value at
     -12 is at least as good as that optimum, the variance ratio is
@@ -350,23 +358,19 @@ def fit_lmm(X0, X1, y0, y1):
     prof = _Profile(X0, X1, y0, y1)
     stats = prof.stats
     grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
-    ll = prof.loglik(grid)
+    ll = _loglik(grid, stats)
     if not np.any(np.isfinite(ll)):
         raise NonFiniteLikelihoodError(
             "profiled likelihood is degenerate everywhere (zero residual variance?)"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = _score(grid, *stats)
+        score = _score(grid, stats)
     j = int(np.argmax(ll))
     a, b = max(0, j - 1), min(len(grid) - 1, j + 1)
     if score[a] > 0.0 > score[b]:
-        log_lambda, res = brentq(
-            _score, grid[a], grid[b], args=stats, xtol=_XATOL,
-            maxiter=500, full_output=True, disp=False,
-        )
-        log_lambda = float(log_lambda)
-        converged = bool(res.converged)
-        best = float(prof.loglik(log_lambda))
+        log_lambda, converged = _illinois(
+            lambda x: _score(x, stats), grid[a], grid[b], score[a], score[b])
+        best = float(_loglik(log_lambda, stats))
     else:
         log_lambda = float(grid[j])
         converged = (j == 0 and score[0] <= 0.0) or (
@@ -472,8 +476,8 @@ def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
     Each step is :class:`_Profile` and :func:`fit_lmm` with a leading
     replicate axis: Gram blocks and cross products weighted by the counts,
     one batched eigendecomposition, the 25-point grid for all replicates in
-    one evaluation, and a bisection on the score in place of ``brentq``
-    (both stop within ``_XATOL``).
+    one evaluation, and a bisection on the score in place of
+    :func:`_illinois` (both stop within ``_XATOL``).
 
     Returns
     -------
@@ -559,7 +563,7 @@ def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
     grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
     ll = _loglik(grid, stats)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = _score(grid, *stats)
+        score = _score(grid, stats)
         j = np.argmax(ll, axis=1)
         a = np.maximum(j - 1, 0)
         b = np.minimum(j + 1, _GRID_POINTS - 1)
@@ -568,7 +572,7 @@ def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
         hi = np.where(bracket, grid[b], grid[j])
         while np.any(hi - lo > _XATOL):
             mid = 0.5 * (lo + hi)
-            up = _score(mid[:, None], *stats)[:, 0] > 0.0
+            up = _score(mid[:, None], stats)[:, 0] > 0.0
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)
         root = 0.5 * (lo + hi)

@@ -12,26 +12,26 @@ change of variable ``u = sqrt(2 sigma_u2) x``, which maps the Gaussian
 weight onto the Hermite weight ``exp(-x^2)``.
 
 Nodes and weights come from the Golub-Welsch eigen-decomposition of the
-Hermite Jacobi matrix; nothing is hard-coded.  Accuracy note: for the logit
-link the paired low-order rules (say 20 vs 40 nodes) agree to near machine
-precision while ``sigma_u2`` is small, but the integrand's poles at
-``eta + u = +/- i pi`` approach the real axis relative to the node spacing
-as ``sigma_u2`` grows, so high-accuracy work at large variances should
-simply raise K; the rule cost is O(K) per unit.
+Hermite Jacobi matrix by ``np.linalg.eigh``; nothing is hard-coded (numpy's
+``hermgauss`` weights turn NaN from about 400 nodes).  Accuracy note: for
+the logit link the paired low-order rules (say 20 vs 40 nodes) agree to
+near machine precision while ``sigma_u2`` is small, but the integrand's
+poles at ``eta + u = +/- i pi`` approach the real axis relative to the node
+spacing as ``sigma_u2`` grows, so high-accuracy work at large variances
+should simply raise K; the rule cost is O(K) per unit.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import expit
 
 from .errors import (
     InvalidArgumentError,
     InvalidVarianceError,
     NonFiniteLinearPredictorError,
 )
+from .glm_fit import expit
 
 __all__ = [
     "LinkFunction",
@@ -83,20 +83,17 @@ class QuadratureRule:
 
 @lru_cache(maxsize=32)
 def _gh_cached(K):
-    if K == 1:
-        nodes = np.zeros(1)
-        weights = np.array([np.sqrt(np.pi)])
-    else:
-        # Golub-Welsch: eigenvalues of the symmetric tridiagonal Jacobi
-        # matrix are the nodes; weights are mu0 times the squared first
-        # eigenvector components, with mu0 = integral exp(-x^2) = sqrt(pi).
-        off = np.sqrt(np.arange(1, K) / 2.0)
-        nodes, vecs = eigh_tridiagonal(np.zeros(K), off)
-        weights = np.sqrt(np.pi) * vecs[0] ** 2
-        # The rule is symmetric by construction; make that exact in floating
-        # point by averaging each node/weight with its mirror.
-        nodes = 0.5 * (nodes - nodes[::-1])
-        weights = 0.5 * (weights + weights[::-1])
+    # Golub-Welsch: eigenvalues of the symmetric tridiagonal Jacobi matrix
+    # are the nodes; weights are mu0 times the squared first eigenvector
+    # components, with mu0 = integral exp(-x^2) = sqrt(pi).  At K = 1 the
+    # matrix is the 1 x 1 zero: one node at 0 with weight sqrt(pi).
+    off = np.sqrt(np.arange(1, K) / 2.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+    weights = np.sqrt(np.pi) * vecs[0] ** 2
+    # The rule is symmetric by construction; make that exact in floating
+    # point by averaging each node/weight with its mirror.
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights, K=K)

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ExtremeWeightsWarning,
@@ -41,7 +40,7 @@ from .errors import (
     ReplicateFailureWarning,
 )
 from .estimators import ESTIMANDS, estimate_effects, method_info
-from .glm_fit import fit_propensity
+from .glm_fit import expit, fit_propensity
 from .panel_data import ModelSpec, PanelDataset
 from .rng import substream
 
@@ -472,7 +471,8 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
         Replicates, at least 2.
     seed : int
     k_bins : int
-        Propensity bins of the doubly robust estimator, at least 2.
+        Propensity bins of the doubly robust estimator, from 2 to the
+        scenario's unit count.
 
     Returns
     -------
@@ -488,9 +488,12 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     R = int(R)
     if R < 2:
         raise InvalidArgumentError(f"R must be at least 2, got {R}")
+    suite = tuple(suite)
     if int(k_bins) < 2:
         raise InvalidArgumentError(f"k_bins must be at least 2, got {k_bins}")
-    suite = tuple(suite)
+    if int(k_bins) > scenario.n and any(e.method == "DRGLMM" for e in suite):
+        raise InvalidArgumentError(
+            f"k_bins must not exceed the scenario's {scenario.n} units, got {k_bins}")
     labels = [e.label for e in suite]
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError("suite labels must be unique")

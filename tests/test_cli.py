@@ -1,13 +1,16 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import panel_causal
 from panel_causal import (
     EstimatorConfig,
     ModelSpec,
@@ -376,6 +379,15 @@ class TestStudy:
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
 
+    def test_more_bins_than_units_is_a_validation_problem(self, capsys):
+        # Every doubly robust fit of a 20-unit draw would fail with 25 bins.
+        rc = run(["study", "--scenario", "HOM", "--n", "20", "--reps", "3",
+                  "--k-bins", "25"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ERROR:InvalidArgument:")
+        assert captured.out == ""
+
     def test_json_is_valid(self, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -406,3 +418,31 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; SciPy serves the tests'
+        # independent oracles alone.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, panel_causal, panel_causal.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_no_source_file_imports_scipy(self):
+        # A syntax-tree scan also sees imports inside functions, which an
+        # import of the package does not run.
+        found = []
+        for path in sorted(Path(panel_causal.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []

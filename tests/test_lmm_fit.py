@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from panel_causal import (
     InvalidArgumentError,
@@ -21,6 +22,17 @@ from panel_causal import (
     ps_quantile_dummies,
     scenario_specs,
     substream,
+)
+from panel_causal.lmm_fit import (
+    _GRID_POINTS,
+    _LOG_LAMBDA_HI,
+    _LOG_LAMBDA_LO,
+    _ROOT_STEPS,
+    _XATOL,
+    _Profile,
+    _illinois,
+    _loglik,
+    _score,
 )
 
 from helpers import (
@@ -310,6 +322,64 @@ class TestDenseOracle:
         assert oracle[1] == 0.0
         assert fit.sigma_u2 == 0.0
         self._assert_matches(fit, X, y, oracle)
+
+
+class TestRootFinder:
+    """The score's root search: against scipy's brentq on fit_lmm's own
+    bracket, and on functions built to hit each way the search can end."""
+
+    @pytest.mark.parametrize("scenario,seed", [("HOM", 21), ("HET", 22), ("RANDCOEF", 23)])
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_matches_brentq_on_the_grid_bracket(self, scenario, seed, offset):
+        X0, X1, y0, y1 = _dr_design(scenario, seed)
+        y0, y1 = y0 + offset, y1 + offset
+        stats = _Profile(X0, X1, y0, y1).stats
+        grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
+        j = int(np.argmax(_loglik(grid, stats)))
+        score = _score(grid, stats)
+        assert 0 < j < _GRID_POINTS - 1 and score[j - 1] > 0.0 > score[j + 1]
+        root = brentq(_score, grid[j - 1], grid[j + 1], args=(stats,), xtol=_XATOL)
+        fit = fit_lmm(X0, X1, y0, y1)
+        assert fit.converged
+        assert abs(fit.log_lambda - root) <= 1e-12
+
+    def test_exact_zero_is_the_root(self):
+        # The first secant step lands on a flat zero, far wider than _XATOL.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 if x < 0.2 else (-1.0 if x > 0.8 else 0.0)
+
+        assert _illinois(f, 0.0, 1.0, 1.0, -1.0) == (0.5, True)
+        assert calls == [0.5]
+
+    def test_bracket_not_closed_within_the_cap_is_unconverged(self):
+        # The far end's value dwarfs the near one's, so every secant step
+        # lands on the near end, and halving the far value at each step does
+        # not bring it level within the step cap.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1e300 if x < 0.5 else -1.0
+
+        x, converged = _illinois(f, 0.0, 1.0, 1e300, -1.0)
+        assert not converged
+        assert len(calls) == _ROOT_STEPS
+        assert 0.0 <= x <= 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_stops_the_search(self, bad):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return bad
+
+        x, converged = _illinois(f, 0.0, 1.0, 1.0, -1.0)
+        assert not converged
+        assert calls == [x]
 
 
 class TestFitOr:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from panel_causal import simlab
 from panel_causal import (
     DEFAULT_SUITE,
     ExtremeWeightsWarning,
@@ -154,6 +155,20 @@ class TestRunStudy:
         suite = (SuiteEntry("DID", label="x"), SuiteEntry("IPW", ps_model="full", label="x"))
         with pytest.raises(InvalidArgumentError):
             run_study(Scenario("HOM", 50), suite, R=3, seed=0)
+
+    def test_more_bins_than_units_rejected_before_any_draw(self, monkeypatch):
+        # With 25 bins every doubly robust fit of a 20-unit draw would fail.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simlab, "generate_scenario", no_draw)
+        suite = (SuiteEntry("DRGLMM", outcome_model="full", ps_model="full"),)
+        with pytest.raises(InvalidArgumentError, match="k_bins"):
+            run_study(Scenario("HOM", 20), suite, R=3, seed=0, k_bins=25)
+
+    def test_bins_bound_only_a_suite_with_the_doubly_robust_method(self):
+        res = run_study(Scenario("HOM", 20), self.DID_SUITE, R=3, seed=0, k_bins=25)
+        assert res.cells[0].r_used == 3
 
     def test_did_reports_att_only(self):
         res = run_study(Scenario("HOM", 60), self.DID_SUITE, R=3, seed=0)
