@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import BootstrapFailureError, InvalidArgumentError, PanelCausalError
 from .estimators import ESTIMANDS, METHOD_TABLE, METHODS
-from .glm_fit import fit_propensity
+from .glm_fit import _check_k_bins, fit_propensity
 from .inference import (
     EstimatorConfig,
     backward_eliminate,
@@ -327,9 +327,18 @@ def _cmd_simulate(cfg):
     return 0
 
 
+def _load(cfg, binned):
+    """The input CSV; for a ``binned`` (doubly robust) command, checked
+    to hold at least ``--k-bins`` units before anything is fitted."""
+    data = load_csv(cfg.input)
+    if binned:
+        _check_k_bins(cfg.k_bins, data.n, name="--k-bins")
+    return data
+
+
 def _cmd_estimate(cfg):
     config = _estimator_config(cfg)
-    data = load_csv(cfg.input)
+    data = _load(cfg, config.method == "DRGLMM")
     value = evaluate_estimator(config, data)
     payload = {"method": config.method, "estimand": config.estimand, "value": value}
     if cfg.relative:
@@ -346,7 +355,7 @@ def _check_B(B):
 def _cmd_bootstrap(cfg):
     config = _estimator_config(cfg)
     _check_B(cfg.B)
-    data = load_csv(cfg.input)
+    data = _load(cfg, config.method == "DRGLMM")
     res = cluster_bootstrap(data, config, cfg.B, cfg.seed)
     if res.n_failed == res.B:
         # Every summary would be undefined: there is nothing to report.
@@ -383,11 +392,10 @@ def _cmd_diagnose(cfg):
                                    "(outcome_terms or --covariates)")
     if run_dr:
         _check_B(cfg.B)
-        if cfg.k_bins < 2:
-            raise InvalidArgumentError(f"--k-bins must be at least 2, got {cfg.k_bins}")
+        _check_k_bins(cfg.k_bins, name="--k-bins")
     if run_elim and not 0.0 < cfg.alpha <= 1.0:
         raise InvalidArgumentError(f"--alpha must be in (0, 1], got {cfg.alpha}")
-    data = load_csv(cfg.input)
+    data = _load(cfg, run_dr)
     payload = {}
     if run_balance:
         report = balance_check(data, fit_propensity(data, spec))

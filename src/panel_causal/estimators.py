@@ -15,6 +15,12 @@ Six methods share one dataset and term language:
 ATE averages each estimator's unit-level contrast over everyone; ATT over
 treated units only (with the matching treated-normalized weights for the
 inverse-probability methods).
+
+The estimand arithmetic lives here and only here: every weighted mean,
+group mean and contrast average is a sum over units with unit i counted
+``C[i]`` times.  A point estimate uses ``C = 1.0``; the cluster bootstrap
+(:mod:`inference`) fits its resamples in batches and passes each batch's
+``(k, n)`` count matrix to the same functions.
 """
 
 import warnings
@@ -105,13 +111,14 @@ class EffectEstimate:
     components: dict = field(default_factory=dict)
 
 
-def _att_mask(data):
-    return data.d1 == 1
-
-
 # Inverse weights 1/ps and 1/(1 - ps) are unstable for scores outside
 # [_EXTREME_EPS, 1 - _EXTREME_EPS].
 _EXTREME_EPS = 0.01
+
+
+def _outside_band(ps):
+    """Over the last axis: does any score give an extreme inverse weight?"""
+    return np.any((ps < _EXTREME_EPS) | (ps > 1.0 - _EXTREME_EPS), axis=-1)
 
 
 def _fitted_scores(data, ps_fit):
@@ -129,23 +136,80 @@ def _check_ps(data, ps_fit):
     """The fitted scores, for the estimators that invert them: warns once
     per estimate when any score would give an extreme inverse weight."""
     ps = _fitted_scores(data, ps_fit)
-    eps = _EXTREME_EPS
-    if np.any((ps < eps) | (ps > 1.0 - eps)):
+    if _outside_band(ps):
         warnings.warn(
-            f"propensity scores outside [{eps:g}, {1 - eps:g}]; inverse weights "
-            "may be unstable",
+            f"propensity scores outside [{_EXTREME_EPS:g}, {1 - _EXTREME_EPS:g}]; "
+            "inverse weights may be unstable",
             ExtremeWeightsWarning,
             stacklevel=3,
         )
     return ps
 
 
-def _contrast_estimates(method, contrasts, mask, components):
-    ate = float(np.mean(contrasts))
-    att = float(np.mean(contrasts[mask]))
+# The estimand arithmetic (see the module docstring): sums over the last axis
+# of unit terms times the counts C.  Each returns {estimand: (value, components)}.
+
+def _counted(data, C):
+    """The 0/1 treatment as floats, and the counted units and treated units."""
+    d = data.d1.astype(float)
+    return d, np.sum(C * np.ones_like(d), axis=-1), np.sum(C * d, axis=-1)
+
+
+def _ht_terms(data, y, ps, C):
+    """Horvitz-Thompson means of treated and control responses, and the
+    ATT contrast: weight 1 for treated units, the odds ``ps / (1 - ps)`` for controls."""
+    d, units, treated = _counted(data, C)
+    ht_treated = np.sum(C * d * y / ps, axis=-1) / units
+    ht_control = np.sum(C * (1.0 - d) * y / (1.0 - ps), axis=-1) / units
+    w = C * (d - (1.0 - d) * ps / (1.0 - ps))
+    return ht_treated, ht_control, np.sum(w * y, axis=-1) / treated
+
+
+def _ipw_values(data, ps, C=1.0):
+    ht_treated, ht_control, att = _ht_terms(data, data.y1, ps, C)
+    return {"ATE": (ht_treated - ht_control,
+                    {"ht_treated": ht_treated, "ht_control": ht_control}),
+            "ATT": (att, {})}
+
+
+def _ipwdid_values(data, ps, C=1.0):
+    delta1_treated, delta1_control, post = _ht_terms(data, data.y1, ps, C)
+    delta0_treated, delta0_control, pre = _ht_terms(data, data.y0, ps, C)
+    return {"ATE": ((delta1_treated - delta1_control) - (delta0_treated - delta0_control),
+                    {"delta1_treated": delta1_treated, "delta1_control": delta1_control,
+                     "delta0_treated": delta0_treated, "delta0_control": delta0_control}),
+            "ATT": (post - pre, {"post": post, "pre": pre})}
+
+
+def _did_values(data, ps=None, C=1.0):
+    """The difference of group mean differences; ``ps`` is not used."""
+    d, units, treated = _counted(data, C)
+    post, pre = (np.sum(C * d * y, axis=-1) / treated
+                 - np.sum(C * (1.0 - d) * y, axis=-1) / (units - treated)
+                 for y in (data.y1, data.y0))
+    return {"ATT": (post - pre, {"post_diff": post, "pre_diff": pre})}
+
+
+_WEIGHTING_VALUES = {"IPW": _ipw_values, "IPWDID": _ipwdid_values, "DID": _did_values}
+
+
+def _contrast_values(data, design, beta, C=1.0):
+    """ATE and ATT averages of the unit contrasts of the counterfactual
+    predictions.  ``beta`` (one fit, or a row per resample) may carry the
+    coefficients of unit-constant columns after the design's p; they cancel."""
+    p = design.cf_treated.shape[1]
+    contrasts = ((design.cf_treated - design.cf_control) @ beta[..., :p].T).T
+    d, units, treated = _counted(data, C)
+    return {"ATE": (np.sum(C * contrasts, axis=-1) / units, {}),
+            "ATT": (np.sum(C * d * contrasts, axis=-1) / treated, {})}
+
+
+def _estimates(method, values, extra=None):
+    """The point estimates of ``values`` computed with C = 1.0."""
     return {
-        "ATE": EffectEstimate(method, "ATE", ate, dict(components)),
-        "ATT": EffectEstimate(method, "ATT", att, dict(components)),
+        e: EffectEstimate(method, e, float(v),
+                          {**{k: float(c) for k, c in comps.items()}, **(extra or {})})
+        for e, (v, comps) in values.items()
     }
 
 
@@ -165,8 +229,7 @@ def estimate_or(data, spec):
     """
     design = build_design(data, spec, pre_period=False)
     fit = fit_or(design.X, data.y1)
-    contrasts = (design.cf_treated - design.cf_control) @ fit.fixed_effects
-    return _contrast_estimates("OR", contrasts, _att_mask(data), {})
+    return _estimates("OR", _contrast_values(data, design, fit.fixed_effects))
 
 
 def _glmm_fit(data, spec, extra_unit_cols=None):
@@ -174,22 +237,20 @@ def _glmm_fit(data, spec, extra_unit_cols=None):
 
     The model sees the t=0 and t=1 designs as two aligned n-row blocks.
     Extra columns (the propensity dummies) are constant within unit, so the
-    same columns are appended to both period blocks and to the
-    counterfactual designs.  Without a random effect, OLS fits the two
-    blocks stacked.  Returns (fit, cf_treated, cf_control).
+    same columns are appended to both period blocks.  Without a random
+    effect, OLS fits the two blocks stacked.  Returns (fit, design).
     """
     if not isinstance(spec, ModelSpec):
         spec = ModelSpec(outcome_terms=tuple(spec))
     design = build_design(data, spec, pre_period=True)
-    blocks = (design.X0, design.X, design.cf_treated, design.cf_control)
+    X0, X1 = design.X0, design.X
     if extra_unit_cols is not None and extra_unit_cols.shape[1] > 0:
-        blocks = tuple(np.hstack([b, extra_unit_cols]) for b in blocks)
-    X0, X1, cf1, cf0 = blocks
+        X0, X1 = np.hstack([X0, extra_unit_cols]), np.hstack([X1, extra_unit_cols])
     if spec.random_effect == "unit_intercept":
         fit = fit_lmm(X0, X1, data.y0, data.y1)
     else:
         fit = fit_or(np.vstack([X0, X1]), np.concatenate([data.y0, data.y1]))
-    return fit, cf1, cf0
+    return fit, design
 
 
 def _mixed_estimates(method, data, spec, dummies=None):
@@ -200,14 +261,12 @@ def _mixed_estimates(method, data, spec, dummies=None):
     leaves ``eta1 - eta0`` exactly, so no quadrature is needed.
     """
     extra = None if dummies is None else dummies.dummies
-    fit, cf1, cf0 = _glmm_fit(data, spec, extra_unit_cols=extra)
-    beta = fit.fixed_effects
-    contrasts = cf1 @ beta - cf0 @ beta
+    fit, design = _glmm_fit(data, spec, extra_unit_cols=extra)
     comps = {"sigma_u2": fit.sigma_u2, "sigma_e2": fit.sigma_e2}
     if dummies is not None:
         comps["n_dummy_columns"] = dummies.dummies.shape[1]
         comps["bins_collapsed"] = dummies.collapsed
-    return _contrast_estimates(method, contrasts, _att_mask(data), comps)
+    return _estimates(method, _contrast_values(data, design, fit.fixed_effects), comps)
 
 
 def estimate_glmm(data, spec):
@@ -230,21 +289,7 @@ def estimate_ipw(data, ps_fit):
     controls by the odds ``ps / (1 - ps)`` and normalizes by the treated
     count.  Scores near 0 or 1 raise an :class:`ExtremeWeightsWarning`.
     """
-    ps = _check_ps(data, ps_fit)
-    d = data.d1.astype(float)
-    y1 = data.y1
-    ht_treated = float(np.mean(d * y1 / ps))
-    ht_control = float(np.mean((1.0 - d) * y1 / (1.0 - ps)))
-    ate = ht_treated - ht_control
-    w = d - (1.0 - d) * ps / (1.0 - ps)
-    att = float(np.sum(w * y1) / d.sum())
-    return {
-        "ATE": EffectEstimate(
-            "IPW", "ATE", ate,
-            {"ht_treated": ht_treated, "ht_control": ht_control},
-        ),
-        "ATT": EffectEstimate("IPW", "ATT", att, {}),
-    }
+    return _estimates("IPW", _ipw_values(data, _check_ps(data, ps_fit)))
 
 
 def estimate_did(data):
@@ -253,13 +298,7 @@ def estimate_did(data):
     (treated post mean - control post mean) minus the same difference in
     the pre period.  Returns a single :class:`EffectEstimate`.
     """
-    treated = _att_mask(data)
-    control = ~treated
-    post = float(data.y1[treated].mean() - data.y1[control].mean())
-    pre = float(data.y0[treated].mean() - data.y0[control].mean())
-    return EffectEstimate(
-        "DID", "ATT", post - pre, {"post_diff": post, "pre_diff": pre}
-    )
+    return _estimates("DID", _did_values(data))["ATT"]
 
 
 def estimate_ipwdid(data, ps_fit):
@@ -272,32 +311,7 @@ def estimate_ipwdid(data, ps_fit):
     change ``y1 - y0``.  Scores near 0 or 1 raise an
     :class:`ExtremeWeightsWarning`.
     """
-    ps = _check_ps(data, ps_fit)
-    d = data.d1.astype(float)
-    delta1_treated = float(np.mean(d * data.y1 / ps))
-    delta1_control = float(np.mean((1.0 - d) * data.y1 / (1.0 - ps)))
-    delta0_treated = float(np.mean(d * data.y0 / ps))
-    delta0_control = float(np.mean((1.0 - d) * data.y0 / (1.0 - ps)))
-    ate = (delta1_treated - delta1_control) - (delta0_treated - delta0_control)
-    w = d - (1.0 - d) * ps / (1.0 - ps)
-    n1 = d.sum()
-    att_post = float(np.sum(w * data.y1) / n1)
-    att_pre = float(np.sum(w * data.y0) / n1)
-    return {
-        "ATE": EffectEstimate(
-            "IPWDID", "ATE", ate,
-            {
-                "delta1_treated": delta1_treated,
-                "delta1_control": delta1_control,
-                "delta0_treated": delta0_treated,
-                "delta0_control": delta0_control,
-            },
-        ),
-        "ATT": EffectEstimate(
-            "IPWDID", "ATT", att_post - att_pre,
-            {"post": att_post, "pre": att_pre},
-        ),
-    }
+    return _estimates("IPWDID", _ipwdid_values(data, _check_ps(data, ps_fit)))
 
 
 def estimate_drglmm(data, spec, ps_fit, k_bins=5):

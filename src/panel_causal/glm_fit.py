@@ -210,6 +210,17 @@ class PSDummies:
     collapsed: bool
 
 
+def _check_k_bins(k_bins, units=None, name="k_bins"):
+    """``k_bins`` as an int, once checked: 2 <= k_bins <= units (if given)."""
+    k = int(k_bins)
+    if k < 2:
+        raise InvalidArgumentError(f"{name} must be at least 2, got {k_bins}")
+    if units is not None and k > units:
+        raise InvalidArgumentError(
+            f"{name} must not exceed the {units} units, got {k_bins}")
+    return k
+
+
 def ps_quantile_dummies(ps, K=5):
     """Cut fitted propensity scores into K equal-frequency bins.
 
@@ -232,11 +243,7 @@ def ps_quantile_dummies(ps, K=5):
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 1:
         raise InvalidArgumentError("ps must be one-dimensional")
-    K = int(K)
-    if K < 2:
-        raise InvalidArgumentError(f"K must be at least 2, got {K}")
-    if ps.shape[0] < K:
-        raise InvalidArgumentError(f"need at least K={K} units, got {ps.shape[0]}")
+    K = _check_k_bins(K, ps.shape[0], name="K")
     edges = np.quantile(ps, np.arange(1, K) / K)
     uniq = np.unique(edges)
     bins = np.searchsorted(uniq, ps, side="left")

@@ -11,14 +11,17 @@ is the full-sample design with unit i counted ``c_i`` times, where ``c``
 is the bincount of the drawn indices.  The designs are therefore built once
 per call, and replicates are fitted a chunk (up to 25) at a time as stacked
 count vectors by the private batch kernels of :mod:`glm_fit` and
-:mod:`lmm_fit`.  A replicate the batch does not vouch for (no overlap, a
-rank or conditioning it cannot certify, separation, collapsed or fragile
-propensity bins, boundary or extreme scores, a degenerate likelihood, an
-unbracketed likelihood root) is refitted on ``data.take(indices)`` by the
-public estimator, which raises, warns or returns NaN exactly as a
-replicate fitted on its own would.  Batched values agree with one-at-a-time fits to rounding
-(about 1e-12 relative).  Everything runs on the calling thread, so neither
-function takes a thread count.
+:mod:`lmm_fit`.  Only the fits are batched here: the estimates of a chunk
+come from the estimand functions of :mod:`estimators` that the point
+estimates use, given the chunk's count matrix.  A replicate the batch does
+not vouch for (no overlap, a rank or conditioning it cannot certify,
+separation, collapsed or fragile propensity bins, boundary or extreme
+scores, a degenerate likelihood, an unbracketed likelihood root) is
+refitted on ``data.take(indices)`` by the public estimator, which raises,
+warns or returns NaN exactly as a replicate fitted on its own would.
+Batched values agree with one-at-a-time fits to rounding (about 1e-12
+relative).  Everything runs on the calling thread, so neither function
+takes a thread count.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -45,17 +48,18 @@ from .errors import (
     SeparationError,
 )
 from .estimators import (
-    _EXTREME_EPS,
+    _WEIGHTING_VALUES,
     ESTIMANDS,
     METHOD_TABLE,
+    _contrast_values,
+    _counted,
     _glmm_fit,
-    estimate_drglmm,
+    _outside_band,
     estimate_effects,
-    estimate_glmm,
-    estimate_ipwdid,
     method_info,
 )
 from .glm_fit import (
+    _check_k_bins,
     _fit_logistic_batch,
     _quantile_bins_batch,
     fit_logistic,
@@ -109,8 +113,7 @@ class EstimatorConfig:
         missing = info.missing_model(self.spec)
         if missing:
             raise InvalidArgumentError(f"{info.name} needs its {missing}, which spec lacks")
-        if int(self.k_bins) < 2:
-            raise InvalidArgumentError(f"k_bins must be at least 2, got {self.k_bins}")
+        _check_k_bins(self.k_bins)
 
 
 def evaluate_estimator(config, data, ps_fit=None):
@@ -169,14 +172,12 @@ class _Resamples:
     @cached_property
     def _post_design(self):
         design = build_design(self.data, self.spec, pre_period=False)
-        X = design.X
-        return X, _row_outer(X), design.cf_treated - design.cf_control
+        return design, _row_outer(design.X)
 
     @cached_property
     def _mixed_design(self):
         design = build_design(self.data, self.spec, pre_period=True)
-        rot = _Rotated(design.X0, design.X, self.data.y0, self.data.y1)
-        return rot, design.cf_treated - design.cf_control
+        return design, _Rotated(design.X0, design.X, self.data.y0, self.data.y1)
 
     def propensity(self, C):
         """Fitted scores ``(k, n)`` and the ok flags of the treatment model."""
@@ -190,71 +191,40 @@ class _Resamples:
         same counts.  Returns ``({estimand: (k,) values}, ok)``; values
         are meaningless where ``ok`` is False.
         """
-        k, n = C.shape
-        d = self.d
-        units = C.sum(axis=1)
-        treated = C @ d
+        _, units, treated = _counted(self.data, C)
         ok = (treated > 0.0) & (treated < units)
+        ps = None
         if info.uses_ps:
             ps, ok_ps = propensity or self.propensity(C)
             # Scores of units outside the resample play no part.
             ps = np.where(C > 0.0, ps, 0.5)
             ok &= ok_ps & np.all((ps > 0.0) & (ps < 1.0), axis=1)
         if info.outcome is None:
-            return self._weighting(info, C, ps if info.uses_ps else None,
-                                   units, treated, ok)
-
-        bins = None
-        if info.uses_ps:
-            bins, ok_bins = _quantile_bins_batch(ps, C, self.k_bins)
-            ok &= ok_bins
-        sel = np.flatnonzero(ok)
-        if info.outcome == "post":
-            X, O, cf_diff = self._post_design
-            beta, ok_fit = _fit_or_batch(X, O, self.data.y1, C[sel])
+            if ps is not None:
+                # Each estimate warns of extreme inverse weights; leave those
+                # replicates to the estimator, so that the warning is raised.
+                ok &= ~_outside_band(ps)
+            values = _WEIGHTING_VALUES[info.name](self.data, ps, C)
         else:
-            rot, cf_diff = self._mixed_design
-            beta, ok_fit = _fit_lmm_batch(
-                rot, C[sel], None if bins is None else bins[sel], self.k_bins,
-                random_intercept=self.spec.random_effect == "unit_intercept",
-            )
-        ok[sel] = ok_fit
-        contrasts = np.zeros((k, n))
-        contrasts[sel] = beta[:, :cf_diff.shape[1]] @ cf_diff.T
-        values = {
-            "ATE": np.sum(C * contrasts, axis=1) / units,
-            "ATT": ((C * d) * contrasts).sum(axis=1) / treated,
-        }
-        return values, ok
-
-    def _weighting(self, info, C, ps, units, treated, ok):
-        """IPW, IPWDID and DID: count-weighted means; the two
-        difference-in-differences methods subtract the pre-period contrast."""
-        d = self.d
-        y0, y1 = self.data.y0, self.data.y1
-        if ps is None:
-            Ct, Cc = C * d, C * (1.0 - d)
-
-            def diff(y):
-                return (Ct @ y) / treated - (Cc @ y) / (units - treated)
-
-            return {"ATT": diff(y1) - diff(y0)}, ok
-        # Each estimate warns of extreme inverse weights; leave those
-        # replicates to the estimator, so that the warning is raised.
-        ok &= ~np.any((ps < _EXTREME_EPS) | (ps > 1.0 - _EXTREME_EPS), axis=1)
-        ht_treated = C * d / ps
-        ht_control = C * (1.0 - d) / (1.0 - ps)
-        w = C * (d - (1.0 - d) * ps / (1.0 - ps))
-
-        def ate(y):
-            return (ht_treated @ y) / units - (ht_control @ y) / units
-
-        def att(y):
-            return (w @ y) / treated
-
-        if info.name == "IPW":
-            return {"ATE": ate(y1), "ATT": att(y1)}, ok
-        return {"ATE": ate(y1) - ate(y0), "ATT": att(y1) - att(y0)}, ok
+            bins = None
+            if ps is not None:
+                bins, ok_bins = _quantile_bins_batch(ps, C, self.k_bins)
+                ok &= ok_bins
+            sel = np.flatnonzero(ok)
+            if info.outcome == "post":
+                design, O = self._post_design
+                beta, ok_fit = _fit_or_batch(design.X, O, self.data.y1, C[sel])
+            else:
+                design, rot = self._mixed_design
+                beta, ok_fit = _fit_lmm_batch(
+                    rot, C[sel], None if bins is None else bins[sel], self.k_bins,
+                    random_intercept=self.spec.random_effect == "unit_intercept",
+                )
+            ok[sel] = ok_fit
+            coef = np.zeros((C.shape[0], beta.shape[1]))
+            coef[sel] = beta
+            values = _contrast_values(self.data, design, coef, C)
+        return {e: v for e, (v, _) in values.items()}, ok
 
 
 def _resampled_values(data, B, seed, values, fallback, width):
@@ -306,11 +276,8 @@ def cluster_bootstrap(data, config, B, seed):
     """Nonparametric cluster bootstrap of one estimator.
 
     Replicate r resamples n units with replacement from the ``(seed, r)``
-    stream and refits the whole estimator.  Each resample is the shared
-    full-sample design weighted by the count of each unit, so the designs
-    are built once and replicates are fitted in chunks of up to 25 count
-    vectors.
-    A replicate the batch does not vouch for (see the module docstring)
+    stream and refits the whole estimator, in count-vector chunks as the
+    module docstring describes.  A replicate the batch does not vouch for
     is refitted on its own by :func:`evaluate_estimator`, so failures and
     warnings are those of the one-at-a-time bootstrap.
 
@@ -402,12 +369,10 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     bootstrap standard deviations of the pairwise differences scale the
     observed point differences into z statistics.
 
-    Resamples are drawn as in :func:`cluster_bootstrap` and fitted the same
-    way: the designs are built once per call, and each chunk of count
-    vectors gets one batched treatment-model fit whose scores serve both
-    the doubly robust and the weighted-DID estimate.  A replicate any of
-    the three estimates cannot vouch for is refitted on its own, all three
-    estimates together.
+    Resamples are drawn and fitted as in :func:`cluster_bootstrap`; each
+    chunk gets one treatment-model fit whose scores serve both the doubly
+    robust and the weighted-DID estimate.  A replicate any of the three
+    estimates cannot vouch for is refitted on its own, all three together.
 
     Parameters
     ----------
@@ -420,27 +385,22 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     B = int(B)
     if B < 2:
         raise InvalidArgumentError(f"B must be at least 2, got {B}")
-    if int(k_bins) < 2:
-        raise InvalidArgumentError(f"k_bins must be at least 2, got {k_bins}")
+    _check_k_bins(k_bins, data.n)
+    methods = ("DRGLMM", "IPWDID", "GLMM")
 
     def triple(d):
         ps = fit_propensity(d, spec)
-        dr = estimate_drglmm(d, spec, ps, k_bins=k_bins)
-        ipwdid = estimate_ipwdid(d, ps)
-        glmm = estimate_glmm(d, spec)
-        return (dr["ATE"].value, ipwdid["ATE"].value, glmm["ATE"].value)
+        return tuple(estimate_effects(m, d, spec, ps, k_bins=k_bins)["ATE"].value
+                     for m in methods)
 
     point_dr, point_ipwdid, point_glmm = triple(data)
     resamples = _Resamples(data, spec, k_bins)
 
     def values(C):
         propensity = resamples.propensity(C)
-        ates, oks = [], []
-        for method in ("DRGLMM", "IPWDID", "GLMM"):
-            estimates, ok = resamples.effects(METHOD_TABLE[method], C, propensity)
-            ates.append(estimates["ATE"])
-            oks.append(ok)
-        return np.column_stack(ates), np.logical_and.reduce(oks)
+        runs = [resamples.effects(METHOD_TABLE[m], C, propensity) for m in methods]
+        return (np.column_stack([estimates["ATE"] for estimates, _ in runs]),
+                np.logical_and.reduce([ok for _, ok in runs]))
 
     vals = _resampled_values(data, B, seed, values, triple, 3)
     ok = vals[np.all(np.isfinite(vals), axis=1)]
@@ -615,7 +575,7 @@ def backward_eliminate(data, full_spec, alpha=0.10):
     def outcome_pvalues(terms):
         spec = ModelSpec(outcome_terms=tuple(terms),
                          random_effect=full_spec.random_effect)
-        fit, _, _ = _glmm_fit(data, spec)
+        fit, _ = _glmm_fit(data, spec)
         return _wald_pvalues(fit.fixed_effects, fit.se_fixed)
 
     def ps_pvalues(terms):

@@ -40,7 +40,7 @@ from .errors import (
     ReplicateFailureWarning,
 )
 from .estimators import ESTIMANDS, estimate_effects, method_info
-from .glm_fit import expit, fit_propensity
+from .glm_fit import _check_k_bins, expit, fit_propensity
 from .panel_data import ModelSpec, PanelDataset
 from .rng import substream
 
@@ -489,11 +489,7 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     if R < 2:
         raise InvalidArgumentError(f"R must be at least 2, got {R}")
     suite = tuple(suite)
-    if int(k_bins) < 2:
-        raise InvalidArgumentError(f"k_bins must be at least 2, got {k_bins}")
-    if int(k_bins) > scenario.n and any(e.method == "DRGLMM" for e in suite):
-        raise InvalidArgumentError(
-            f"k_bins must not exceed the scenario's {scenario.n} units, got {k_bins}")
+    _check_k_bins(k_bins, scenario.n if any(e.method == "DRGLMM" for e in suite) else None)
     labels = [e.label for e in suite]
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError("suite labels must be unique")

@@ -347,6 +347,31 @@ class TestDiagnose:
         assert _text_payload(capsys.readouterr().out)["balance.r2_ps_only"] == "nan"
 
 
+class TestBinsAgainstUnits:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--method", "drglmm"],
+        ["bootstrap", "--method", "drglmm", "--B", "4"],
+        ["diagnose", "--check", "dr-test"],
+        ["diagnose", "--check", "all"],
+    ])
+    def test_more_bins_than_units_fails_before_any_fit(self, argv, tmp_path,
+                                                       capsys, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return panel_causal.glm_fit.fit_propensity(*args, **kwargs)
+
+        for module in ("cli", "estimators", "inference"):
+            monkeypatch.setattr(f"panel_causal.{module}.fit_propensity", spy)
+        path = _simulate(tmp_path, n=120)
+        rc = run(argv + ["--input", str(path), "--covariates", "x1,x2",
+                         "--ps-covariates", "x1,x2,v", "--k-bins", "121"])
+        assert rc == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+
+
 class TestStudy:
     def test_text_shows_both_estimands(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -26,6 +26,7 @@ from panel_causal import (
     cluster_bootstrap,
     dr_specification_test,
     estimate_did,
+    estimate_effects,
     estimate_glmm,
     estimate_ipw,
     evaluate_estimator,
@@ -314,6 +315,35 @@ class TestBatchedReplicates:
         assert ok.all() and ok_back.all()
         np.testing.assert_allclose(forward["ATT"], backward["ATT"][::-1], rtol=1e-12)
         np.testing.assert_allclose(forward["ATT"][[0, 11, 24]], alone, rtol=1e-12)
+
+
+class TestOneArithmetic:
+    """A replicate that counts every unit once is the data as given: its
+    batched estimate goes through the point estimate's arithmetic."""
+
+    @pytest.mark.parametrize("scenario", ["HOM", "HET", "RANDCOEF"])
+    @pytest.mark.parametrize("method", list(METHOD_TABLE))
+    def test_all_ones_replicate_is_the_point_estimate(self, method, scenario):
+        data = generate_scenario(Scenario(scenario, 300), 1)
+        info = METHOD_TABLE[method]
+        spec = scenario_specs(scenario)["post_full" if info.outcome == "post"
+                                        else "mixed_full"]
+        ps_fit = fit_propensity(data, spec) if info.uses_ps else None
+        point = estimate_effects(method, data, spec, ps_fit)
+        # The point fit's scores, so that the weighting methods see the
+        # same floats on both paths.
+        propensity = None if ps_fit is None else (ps_fit.fitted_ps[None, :],
+                                                  np.ones(1, dtype=bool))
+        values, ok = _Resamples(data, spec, 5).effects(
+            info, np.ones((1, data.n)), propensity)
+        assert ok.all()
+        assert set(values) == set(point) == set(info.estimands)
+        for estimand, estimate in point.items():
+            got, want = float(values[estimand][0]), estimate.value
+            if info.outcome is None:
+                assert got == want, (estimand, got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=estimand)
 
 
 class TestDrSpecificationTest:
