@@ -46,7 +46,6 @@ from .panel_data import (
     ModelSpec,
     PanelDataset,
     Term,
-    UnitRecord,
     build_design,
     load_csv,
     parse_term,
@@ -130,7 +129,7 @@ __all__ = [
     # rng
     "substream",
     # panel data
-    "PanelDataset", "UnitRecord", "ColumnMapping", "ModelSpec", "Term",
+    "PanelDataset", "ColumnMapping", "ModelSpec", "Term",
     "DesignMatrices", "parse_term", "term_label", "build_design", "ps_design",
     "load_csv", "write_csv",
     # model fitting

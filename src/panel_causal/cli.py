@@ -1,20 +1,26 @@
 """Command-line surface: simulate, estimate, bootstrap, diagnose, study.
 
-Every command validates its inputs before computing, writes its primary
-output to stdout (or ``--output``), and exits 0 on success, 2 on a
-validation problem, 1 on a computation failure.  Failures print a single
-``ERROR:<kind>:<message>`` line to stderr.  Outputs are byte-identical for
-identical arguments and seed.  ``bootstrap`` exits 1 when no replicate
-fits.  ``--threads`` is accepted and ignored, so that scripts passing it
-keep working: replicates run in order on one thread, and the library
-functions take no thread count.
+Each command reads its arguments from the parsed namespace, which
+:func:`run` normalizes once (method and estimand upper-cased, the model
+spec resolved).  Every check runs before the input is used: argument
+checks before the CSV is read, and the checks that need the data
+(``--k-bins`` against the unit count, ``--relative`` against a zero
+pre-period mean) right after it is loaded, before any fit.
+
+A command writes its primary output to stdout (or ``--output``), and exits
+0 on success, 2 on a validation problem, 1 on a computation failure.
+Failures print a single ``ERROR:<kind>:<message>`` line to stderr.  Outputs
+are byte-identical for identical arguments and seed.  ``bootstrap`` exits 1
+when no replicate fits.  ``--threads`` is accepted and ignored, so that
+scripts passing it keep working: replicates run in order on one thread, and
+the library functions take no thread count.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,6 +30,9 @@ from .estimators import ESTIMANDS, METHOD_TABLE, METHODS
 from .glm_fit import _check_k_bins, fit_propensity
 from .inference import (
     EstimatorConfig,
+    _baseline,
+    _check_alpha,
+    _check_B,
     backward_eliminate,
     balance_check,
     cluster_bootstrap,
@@ -41,33 +50,11 @@ from .simlab import (
     run_study,
 )
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 _METHOD_CHOICES = tuple(m.lower() for m in METHODS)
+_ESTIMAND_CHOICES = tuple(e.lower() for e in ESTIMANDS)
 _MODEL_FLAGS = {"outcome model": "--covariates", "treatment model": "--ps-covariates"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments of one CLI invocation."""
-
-    command: str
-    input: str = None
-    output: str = None
-    spec: ModelSpec = None
-    method: str = None
-    estimand: str = "ATE"
-    scenario: str = None
-    n: int = 250
-    replicate: int = 0
-    seed: int = 0
-    B: int = 500
-    R: int = 1000
-    k_bins: int = 5
-    fmt: str = "text"
-    alpha: float = 0.10
-    check: str = "all"
-    relative: bool = False
 
 
 def build_parser():
@@ -80,11 +67,31 @@ def build_parser():
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        return sub.add_parser(
+    def add(name, help_text, handler):
+        p = sub.add_parser(
             name, help=help_text, description=help_text,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         )
+        p.set_defaults(handler=handler)
+        return p
+
+    def add_input(p, estimator=False):
+        p.add_argument("--input", metavar="FILE", required=True, help="panel CSV path")
+        if estimator:
+            p.add_argument("--method", required=True, choices=_METHOD_CHOICES)
+            p.add_argument("--estimand", choices=_ESTIMAND_CHOICES, default="ate")
+
+    def add_B(p, help_text):
+        p.add_argument("--B", type=int, default=500, help=help_text)
+
+    def add_relative(p, what):
+        p.add_argument("--relative", action="store_true",
+                       help=f"also report {what} as a percentage of the mean "
+                            "pre-period response")
+
+    def add_k_bins(p):
+        p.add_argument("--k-bins", type=int, default=5,
+                       help="propensity quantile bins for the doubly robust fit")
 
     def add_model_flags(p):
         p.add_argument("--spec", metavar="FILE", default=None,
@@ -97,11 +104,17 @@ def build_parser():
         p.add_argument("--ps-covariates", metavar="LIST", default=None,
                        help="comma-separated treatment-model covariates for a "
                             "main-effects spec (alternative to --spec)")
-        p.add_argument("--k-bins", type=int, default=5,
-                       help="propensity quantile bins for the doubly robust fit")
+        add_k_bins(p)
+
+    def add_scenario(p, n_help):
+        p.add_argument("--scenario", required=True, choices=SCENARIO_IDS)
+        p.add_argument("--n", type=int, default=250, help=n_help)
+
+    def add_seed(p):
+        p.add_argument("--seed", type=int, default=0, help="random seed")
 
     def add_common(p, threaded=True):
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        add_seed(p)
         p.add_argument("--output", metavar="FILE", default=None,
                        help="write the primary output here instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
@@ -110,56 +123,47 @@ def build_parser():
             p.add_argument("--threads", type=int, default=1,
                            help="ignored; replicates run in order on one thread")
 
-    p = add("simulate", "Draw a synthetic scenario dataset and write it as CSV.")
-    p.add_argument("--scenario", required=True, choices=SCENARIO_IDS)
-    p.add_argument("--n", type=int, default=250, help="number of units")
+    p = add("simulate", "Draw a synthetic scenario dataset and write it as CSV.", _cmd_simulate)
+    add_scenario(p, "number of units")
     p.add_argument("--replicate", type=int, default=0,
                    help="replicate index within the seed's stream family")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    add_seed(p)
     p.add_argument("--output", metavar="FILE", required=True,
                    help="destination CSV path")
 
-    p = add("estimate", "Run one estimator on a panel CSV.")
-    p.add_argument("--input", metavar="FILE", required=True, help="panel CSV path")
-    p.add_argument("--method", required=True, choices=_METHOD_CHOICES)
-    p.add_argument("--estimand", choices=("ate", "att"), default="ate")
-    p.add_argument("--relative", action="store_true",
-                   help="also report the effect as a percentage of the mean "
-                        "pre-period response")
+    p = add("estimate", "Run one estimator on a panel CSV.", _cmd_estimate)
+    add_input(p, estimator=True)
+    add_relative(p, "the effect")
     add_model_flags(p)
     add_common(p, threaded=False)
 
-    p = add("bootstrap", "Cluster-bootstrap confidence interval for one estimator.")
-    p.add_argument("--input", metavar="FILE", required=True, help="panel CSV path")
-    p.add_argument("--method", required=True, choices=_METHOD_CHOICES)
-    p.add_argument("--estimand", choices=("ate", "att"), default="ate")
-    p.add_argument("--B", type=int, default=500, help="bootstrap replicates")
-    p.add_argument("--relative", action="store_true",
-                   help="also report the point estimate as a percentage of the "
-                        "mean pre-period response")
+    p = add("bootstrap", "Cluster-bootstrap confidence interval for one estimator.",
+            _cmd_bootstrap)
+    add_input(p, estimator=True)
+    add_B(p, "bootstrap replicates")
+    add_relative(p, "the point estimate")
     add_model_flags(p)
     add_common(p)
 
-    p = add("diagnose", "Balance check, DR specification tests, backward elimination.")
-    p.add_argument("--input", metavar="FILE", required=True, help="panel CSV path")
+    p = add("diagnose", "Balance check, DR specification tests, backward elimination.",
+            _cmd_diagnose)
+    add_input(p)
     p.add_argument("--check", choices=("balance", "dr-test", "eliminate", "all"),
                    default="all", help="which diagnostics to run")
-    p.add_argument("--B", type=int, default=500,
-                   help="bootstrap replicates for the DR tests")
+    add_B(p, "bootstrap replicates for the DR tests")
     p.add_argument("--alpha", type=float, default=0.10,
                    help="p-value cutoff for backward elimination")
     add_model_flags(p)
     add_common(p)
 
-    p = add("study", "Monte Carlo bias/variance study of the estimator suite.")
-    p.add_argument("--scenario", required=True, choices=SCENARIO_IDS)
-    p.add_argument("--n", type=int, default=250, help="units per replicate")
+    p = add("study", "Monte Carlo bias/variance study of the estimator suite.",
+            _cmd_study)
+    add_scenario(p, "units per replicate")
     p.add_argument("--reps", dest="R", type=int, default=1000,
                    help="study replicates")
-    p.add_argument("--estimand", choices=("ate", "att", "both"), default="both",
+    p.add_argument("--estimand", choices=(*_ESTIMAND_CHOICES, "both"), default="both",
                    help="which estimand the text table shows")
-    p.add_argument("--k-bins", type=int, default=5,
-                   help="propensity quantile bins for the doubly robust fit")
+    add_k_bins(p)
     add_common(p)
 
     return parser
@@ -189,8 +193,7 @@ def _load_spec_file(path):
 
 def _build_spec(args, post_period=False):
     """Resolve --spec / --covariates / --ps-covariates into a ModelSpec."""
-    inline = (getattr(args, "covariates", None) is not None
-              or getattr(args, "ps_covariates", None) is not None)
+    inline = args.covariates is not None or args.ps_covariates is not None
     if args.spec is not None and inline:
         raise InvalidArgumentError(
             "pass either --spec or the inline covariate flags, not both"
@@ -199,9 +202,8 @@ def _build_spec(args, post_period=False):
         return _load_spec_file(args.spec)
     if not inline:
         return None
-    covs = _split_list(getattr(args, "covariates", None))
-    ps_covs = _split_list(getattr(args, "ps_covariates", None)) \
-        if getattr(args, "ps_covariates", None) is not None else ()
+    covs = _split_list(args.covariates)
+    ps_covs = _split_list(args.ps_covariates)
     for item in (*covs, *ps_covs):
         if parse_term(item).kind not in ("covariate", "log"):
             raise InvalidArgumentError(
@@ -215,42 +217,29 @@ def _build_spec(args, post_period=False):
     return ModelSpec(outcome_terms=outcome, ps_terms=ps_terms)
 
 
-def _config_from_args(args):
-    """Build the validated RunConfig for one invocation.
-
-    Model specs are resolved here (file read, inline flags expanded), so
-    every later failure is a computation error, not a validation one.
-    """
-    kw = {"command": args.command}
-    for name in ("input", "output", "method", "estimand", "scenario", "n",
-                 "replicate", "seed", "B", "R", "k_bins", "fmt", "alpha",
-                 "check", "relative"):
-        if hasattr(args, name):
-            kw[name] = getattr(args, name)
-    if "method" in kw and kw["method"]:
-        kw["method"] = kw["method"].upper()
-    if "estimand" in kw:
-        kw["estimand"] = kw["estimand"].upper()
-    if args.command in ("estimate", "bootstrap"):
-        post_period = METHOD_TABLE[kw["method"]].outcome == "post"
-        kw["spec"] = _build_spec(args, post_period=post_period)
-    elif args.command == "diagnose":
-        kw["spec"] = _build_spec(args)
-    return RunConfig(**kw)
+def _normalize(args):
+    """Upper-case the method and estimand, and resolve the spec flags into
+    a ModelSpec (file read, inline flags expanded) before any command runs."""
+    for name in ("method", "estimand"):
+        if name in args:
+            setattr(args, name, getattr(args, name).upper())
+    if "spec" in args:
+        post_period = "method" in args and METHOD_TABLE[args.method].outcome == "post"
+        args.spec = _build_spec(args, post_period=post_period)
 
 
-def _estimator_config(cfg):
-    missing = METHOD_TABLE[cfg.method].missing_model(cfg.spec)
+def _estimator_config(args):
+    missing = METHOD_TABLE[args.method].missing_model(args.spec)
     if missing:
         raise InvalidArgumentError(
-            f"--method {cfg.method.lower()} needs its {missing}: "
+            f"--method {args.method.lower()} needs its {missing}: "
             f"pass --spec or {_MODEL_FLAGS[missing]}"
         )
     return EstimatorConfig(
-        method=cfg.method,
-        estimand=cfg.estimand,
-        spec=cfg.spec,
-        k_bins=cfg.k_bins,
+        method=args.method,
+        estimand=args.estimand,
+        spec=args.spec,
+        k_bins=args.k_bins,
     )
 
 
@@ -320,82 +309,71 @@ def _write_out(text, output):
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(cfg):
-    scenario = Scenario(cfg.scenario, cfg.n)
-    data = generate_scenario(scenario, cfg.seed, replicate=cfg.replicate)
-    write_csv(data, cfg.output)
+def _cmd_simulate(args):
+    scenario = Scenario(args.scenario, args.n)
+    data = generate_scenario(scenario, args.seed, replicate=args.replicate)
+    write_csv(data, args.output)
     return 0
 
 
-def _load(cfg, binned):
-    """The input CSV; for a ``binned`` (doubly robust) command, checked
-    to hold at least ``--k-bins`` units before anything is fitted."""
-    data = load_csv(cfg.input)
+def _load(args, binned):
+    """The input CSV, checked against the arguments that depend on it
+    before anything is fitted: at least ``--k-bins`` units for a
+    ``binned`` (doubly robust) command, and a nonzero pre-period mean for
+    ``--relative``."""
+    data = load_csv(args.input)
     if binned:
-        _check_k_bins(cfg.k_bins, data.n, name="--k-bins")
+        _check_k_bins(args.k_bins, data.n, name="--k-bins")
+    if getattr(args, "relative", False):
+        _baseline(data)
     return data
 
 
-def _cmd_estimate(cfg):
-    config = _estimator_config(cfg)
-    data = _load(cfg, config.method == "DRGLMM")
+def _cmd_estimate(args):
+    config = _estimator_config(args)
+    data = _load(args, METHOD_TABLE[config.method].bins_ps)
     value = evaluate_estimator(config, data)
     payload = {"method": config.method, "estimand": config.estimand, "value": value}
-    if cfg.relative:
+    if args.relative:
         payload["relative_pct"] = relative_effect(value, data)
-    _emit(payload, cfg.fmt, cfg.output)
+    _emit(payload, args.fmt, args.output)
     return 0
 
 
-def _check_B(B):
-    if B < 2:
-        raise InvalidArgumentError(f"--B must be at least 2, got {B}")
-
-
-def _cmd_bootstrap(cfg):
-    config = _estimator_config(cfg)
-    _check_B(cfg.B)
-    data = _load(cfg, config.method == "DRGLMM")
-    res = cluster_bootstrap(data, config, cfg.B, cfg.seed)
+def _cmd_bootstrap(args):
+    config = _estimator_config(args)
+    _check_B(args.B, name="--B")
+    data = _load(args, METHOD_TABLE[config.method].bins_ps)
+    res = cluster_bootstrap(data, config, args.B, args.seed)
     if res.n_failed == res.B:
         # Every summary would be undefined: there is nothing to report.
         raise BootstrapFailureError(f"all {res.B} bootstrap replicates failed to fit")
-    payload = {
-        "method": config.method,
-        "estimand": config.estimand,
-        "point": res.point,
-        "boot_mean": res.boot_mean,
-        "se": res.se,
-        "ci_lower": res.ci_lower,
-        "ci_upper": res.ci_upper,
-        "B": res.B,
-        "n_failed": res.n_failed,
-    }
-    if cfg.relative:
+    payload = {"method": config.method, "estimand": config.estimand, **asdict(res)}
+    if args.relative:
         payload["relative_pct"] = relative_effect(res.point, data)
-    _emit(payload, cfg.fmt, cfg.output)
+    _emit(payload, args.fmt, args.output)
     return 0
 
 
-def _cmd_diagnose(cfg):
-    spec = cfg.spec
+def _cmd_diagnose(args):
+    spec = args.spec
     if spec is None:
         raise InvalidArgumentError("diagnose needs --spec or the inline covariate flags")
-    run_balance = cfg.check in ("balance", "all")
-    run_dr = cfg.check in ("dr-test", "all")
-    run_elim = cfg.check in ("eliminate", "all")
+    run_balance = args.check in ("balance", "all")
+    run_dr = args.check in ("dr-test", "all")
+    run_elim = args.check in ("eliminate", "all")
     if (run_balance or run_dr) and not spec.ps_terms:
-        raise InvalidArgumentError(f"check '{cfg.check}' needs a treatment model "
+        raise InvalidArgumentError(f"check '{args.check}' needs a treatment model "
                                    "(ps_terms or --ps-covariates)")
     if (run_dr or run_elim) and not spec.outcome_terms:
-        raise InvalidArgumentError(f"check '{cfg.check}' needs an outcome model "
+        raise InvalidArgumentError(f"check '{args.check}' needs an outcome model "
                                    "(outcome_terms or --covariates)")
     if run_dr:
-        _check_B(cfg.B)
-        _check_k_bins(cfg.k_bins, name="--k-bins")
-    if run_elim and not 0.0 < cfg.alpha <= 1.0:
-        raise InvalidArgumentError(f"--alpha must be in (0, 1], got {cfg.alpha}")
-    data = _load(cfg, run_dr)
+        _check_B(args.B, name="--B")
+        _check_k_bins(args.k_bins, name="--k-bins")
+    if run_elim:
+        _check_alpha(args.alpha, name="--alpha")
+    data = _load(args, run_dr)
     payload = {}
     if run_balance:
         report = balance_check(data, fit_propensity(data, spec))
@@ -405,48 +383,35 @@ def _cmd_diagnose(cfg):
         if report.note:
             payload["balance.note"] = report.note
     if run_dr:
-        res = dr_specification_test(data, spec, B=cfg.B, seed=cfg.seed,
-                                    k_bins=cfg.k_bins)
-        payload["dr_test.z_ps"] = res.z_ps
-        payload["dr_test.z_or"] = res.z_or
-        payload["dr_test.reject_ps"] = res.reject_ps
-        payload["dr_test.reject_or"] = res.reject_or
-        payload["dr_test.B"] = res.B
-        payload["dr_test.n_failed"] = res.n_failed
+        res = dr_specification_test(data, spec, B=args.B, seed=args.seed,
+                                    k_bins=args.k_bins)
+        for name in ("z_ps", "z_or", "reject_ps", "reject_or", "B", "n_failed"):
+            payload[f"dr_test.{name}"] = getattr(res, name)
     if run_elim:
-        selected = backward_eliminate(data, spec, alpha=cfg.alpha)
+        selected = backward_eliminate(data, spec, alpha=args.alpha)
         payload["eliminate.outcome_terms"] = ",".join(
             term_label(t) for t in selected.outcome_terms
         )
         payload["eliminate.ps_terms"] = ",".join(
             term_label(t) for t in selected.ps_terms
         )
-    _emit(payload, cfg.fmt, cfg.output)
+    _emit(payload, args.fmt, args.output)
     return 0
 
 
-def _cmd_study(cfg):
-    scenario = Scenario(cfg.scenario, cfg.n)
-    result = run_study(scenario, DEFAULT_SUITE, R=cfg.R, seed=cfg.seed,
-                       k_bins=cfg.k_bins)
-    if cfg.fmt == "json":
+def _cmd_study(args):
+    scenario = Scenario(args.scenario, args.n)
+    result = run_study(scenario, DEFAULT_SUITE, R=args.R, seed=args.seed,
+                       k_bins=args.k_bins)
+    if args.fmt == "json":
         text = _json_text(asdict(result))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = render_table(result, fmt="csv")
     else:
-        estimands = ESTIMANDS if cfg.estimand == "BOTH" else (cfg.estimand,)
+        estimands = ESTIMANDS if args.estimand == "BOTH" else (args.estimand,)
         text = "\n".join(render_table(result, estimand=e, fmt="text") for e in estimands)
-    _write_out(text, cfg.output)
+    _write_out(text, args.output)
     return 0
-
-
-_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "bootstrap": _cmd_bootstrap,
-    "diagnose": _cmd_diagnose,
-    "study": _cmd_study,
-}
 
 
 def run(argv=None):
@@ -458,8 +423,8 @@ def run(argv=None):
         code = exc.code
         return 0 if code is None else int(code)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        _normalize(args)
+        return args.handler(args)
     except PanelCausalError as exc:
         print(f"ERROR:{exc.kind}:{exc}", file=sys.stderr)
         return exc.exit_code

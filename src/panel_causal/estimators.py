@@ -52,7 +52,8 @@ class MethodInfo:
 
     ``outcome`` is the outcome model the method fits: ``"post"`` (OLS on the
     post-period rows), ``"mixed"`` (the two-period mixed model) or None.
-    ``uses_ps`` says whether it needs a fitted treatment model.
+    ``uses_ps`` says whether it needs a fitted treatment model, and
+    :attr:`bins_ps` whether it cuts the scores into bins for its outcome model.
     ``estimands`` lists the effects it estimates, and ``label`` prefixes the
     labels of its study rows.
     """
@@ -62,6 +63,12 @@ class MethodInfo:
     outcome: str = None
     uses_ps: bool = False
     estimands: tuple = ("ATE", "ATT")
+
+    @property
+    def bins_ps(self):
+        """True for a method whose outcome model takes propensity bin
+        dummies (the doubly robust DRGLMM)."""
+        return self.uses_ps and self.outcome is not None
 
     def missing_model(self, spec):
         """The model this method fits that ``spec`` has no terms for:

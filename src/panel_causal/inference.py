@@ -127,15 +127,37 @@ def evaluate_estimator(config, data, ps_fit=None):
     return out[config.estimand].value
 
 
-def relative_effect(value, data):
-    """Express an absolute effect as a percentage of the mean pre-period
-    response, the conventional scale for reporting traffic-count effects."""
+def _baseline(data):
+    """The mean pre-period response, once checked to be nonzero: the base
+    of :func:`relative_effect`."""
     base = float(np.mean(data.y0))
     if base == 0.0:
         raise InvalidArgumentError(
             "relative effect undefined: mean pre-period response is zero"
         )
-    return 100.0 * float(value) / base
+    return base
+
+
+def relative_effect(value, data):
+    """Express an absolute effect as a percentage of the mean pre-period
+    response, the conventional scale for reporting traffic-count effects."""
+    return 100.0 * float(value) / _baseline(data)
+
+
+def _check_B(B, name="B"):
+    """``B`` as an int, once checked: at least 2 bootstrap replicates."""
+    B = int(B)
+    if B < 2:
+        raise InvalidArgumentError(f"{name} must be at least 2, got {B}")
+    return B
+
+
+def _check_alpha(alpha, name="alpha"):
+    """``alpha`` as a float, once checked: a p-value cutoff in (0, 1]."""
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidArgumentError(f"{name} must be in (0, 1], got {alpha}")
+    return alpha
 
 
 # Replicates fitted together as one stack: up to 25, which spreads the
@@ -207,7 +229,7 @@ class _Resamples:
             values = _WEIGHTING_VALUES[info.name](self.data, ps, C)
         else:
             bins = None
-            if ps is not None:
+            if info.bins_ps:
                 bins, ok_bins = _quantile_bins_batch(ps, C, self.k_bins)
                 ok &= ok_bins
             sel = np.flatnonzero(ok)
@@ -294,9 +316,7 @@ def cluster_bootstrap(data, config, B, seed):
     -------
     BootstrapResult
     """
-    B = int(B)
-    if B < 2:
-        raise InvalidArgumentError(f"B must be at least 2, got {B}")
+    B = _check_B(B)
     point = evaluate_estimator(config, data)
     info = method_info(config.method)
     resamples = _Resamples(data, config.spec, config.k_bins)
@@ -382,9 +402,7 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     """
     if not spec.ps_terms:
         raise InvalidArgumentError("dr_specification_test needs propensity terms")
-    B = int(B)
-    if B < 2:
-        raise InvalidArgumentError(f"B must be at least 2, got {B}")
+    B = _check_B(B)
     _check_k_bins(k_bins, data.n)
     methods = ("DRGLMM", "IPWDID", "GLMM")
 
@@ -547,9 +565,7 @@ def backward_eliminate(data, full_spec, alpha=0.10):
     -------
     ModelSpec
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    alpha = _check_alpha(alpha)
 
     def prune(terms, forced_kinds, pvalue_fn):
         terms = list(terms)

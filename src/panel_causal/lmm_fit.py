@@ -100,12 +100,11 @@ _TIE_RTOL = 1e-11
 class LMMFit:
     """Fitted model: fixed effects, variance components, and their quality.
 
-    ``fixed_effects`` is aligned to the design columns (``columns`` carries
-    labels when the caller supplies them).  ``sigma_u2`` is the random
-    intercept variance (0 at the boundary, and always 0 for :func:`fit_or`),
-    ``sigma_e2`` the residual variance.  ``cov_fixed`` is the GLS covariance
-    of the fixed effects at the fitted variance ratio; ``se_fixed`` is its
-    diagonal square root.
+    ``fixed_effects`` is aligned to the design columns.  ``sigma_u2`` is
+    the random intercept variance (0 at the boundary, and always 0 for
+    :func:`fit_or`), ``sigma_e2`` the residual variance.  ``cov_fixed`` is
+    the GLS covariance of the fixed effects at the fitted variance ratio;
+    ``se_fixed`` is its diagonal square root.
     """
 
     fixed_effects: np.ndarray
@@ -115,7 +114,6 @@ class LMMFit:
     se_fixed: np.ndarray
     converged: bool
     cov_fixed: np.ndarray
-    columns: tuple = None
     log_lambda: float = float("nan")
 
 

@@ -19,7 +19,6 @@ plus, for the mixed model, the aligned pre-period (t=0) design.
 import csv
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .errors import (
 )
 
 __all__ = [
-    "UnitRecord",
     "PanelDataset",
     "Term",
     "ModelSpec",
@@ -54,24 +52,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# records and dataset
+# dataset
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One unit's two rows, collapsed into a single record.
-
-    ``x0`` and ``x1`` are covariate vectors aligned to the owning dataset's
-    ``covariate_names``; for time-invariant covariates the two agree.
-    """
-
-    unit_id: str
-    y0: float
-    y1: float
-    d1: int
-    x0: np.ndarray
-    x1: np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class PanelDataset:
@@ -162,21 +144,6 @@ class PanelDataset:
     @property
     def n_treated(self):
         return int(self.d1.sum())
-
-    @cached_property
-    def units(self):
-        """Materialize the per-unit record view (list of UnitRecord)."""
-        return [
-            UnitRecord(
-                unit_id=str(self.unit_ids[i]),
-                y0=float(self.y0[i]),
-                y1=float(self.y1[i]),
-                d1=int(self.d1[i]),
-                x0=self.x0[i],
-                x1=self.x1[i],
-            )
-            for i in range(self.n)
-        ]
 
     def covariate_index(self, name):
         try:

@@ -489,7 +489,8 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     if R < 2:
         raise InvalidArgumentError(f"R must be at least 2, got {R}")
     suite = tuple(suite)
-    _check_k_bins(k_bins, scenario.n if any(e.method == "DRGLMM" for e in suite) else None)
+    binned = any(method_info(e.method).bins_ps for e in suite)
+    _check_k_bins(k_bins, scenario.n if binned else None)
     labels = [e.label for e in suite]
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError("suite labels must be unique")

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, determinism."""
 
+import argparse
 import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -14,14 +16,17 @@ import panel_causal
 from panel_causal import (
     EstimatorConfig,
     ModelSpec,
+    backward_eliminate,
     cluster_bootstrap,
+    dr_specification_test,
     estimate_did,
     estimate_or,
     load_csv,
     parse_table,
+    run_study,
     write_csv,
 )
-from panel_causal.cli import run
+from panel_causal.cli import build_parser, run
 
 from helpers import make_dataset, tiny_panel
 
@@ -57,6 +62,28 @@ class TestParsing:
         rc = run(["simulate", "--scenario", "LONDON",
                   "--output", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+class TestDefaults:
+    # A parser default restates the default of the library function the
+    # flag feeds; the two must not drift apart.
+    @pytest.mark.parametrize("command,dest,function,parameter", [
+        ("estimate", "k_bins", EstimatorConfig, "k_bins"),
+        ("bootstrap", "k_bins", EstimatorConfig, "k_bins"),
+        ("diagnose", "k_bins", dr_specification_test, "k_bins"),
+        ("study", "k_bins", run_study, "k_bins"),
+        ("diagnose", "B", dr_specification_test, "B"),
+        ("diagnose", "seed", dr_specification_test, "seed"),
+        ("diagnose", "alpha", backward_eliminate, "alpha"),
+        ("study", "R", run_study, "R"),
+        ("study", "seed", run_study, "seed"),
+    ])
+    def test_parser_default_is_the_library_default(self, command, dest,
+                                                   function, parameter):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        want = inspect.signature(function).parameters[parameter].default
+        assert sub.choices[command].get_default(dest) == want
 
 
 class TestSimulate:
@@ -370,6 +397,31 @@ class TestBinsAgainstUnits:
         assert rc == 2
         assert calls == []
         assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+
+
+class TestRelativeBeforeFit:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--method", "drglmm"],
+        ["bootstrap", "--method", "drglmm", "--B", "400"],
+    ])
+    def test_zero_baseline_fails_before_any_fit(self, argv, tmp_path, capsys,
+                                                monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("estimated before --relative was checked")
+
+        for name in ("evaluate_estimator", "cluster_bootstrap"):
+            monkeypatch.setattr(f"panel_causal.cli.{name}", never)
+        data = load_csv(str(_simulate(tmp_path, n=300)))
+        path = tmp_path / "zero-baseline.csv"
+        write_csv(make_dataset(np.zeros(data.n), data.y1, data.d1,
+                               covariates=data.x0.T, covariates_post=data.x1.T,
+                               names=data.covariate_names),
+                  str(path))
+        rc = run(argv + ["--input", str(path), "--covariates", "x1,x2",
+                         "--ps-covariates", "x1,x2,v", "--relative"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "ERROR:InvalidArgument:relative effect undefined")
 
 
 class TestStudy:

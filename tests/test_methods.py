@@ -85,6 +85,8 @@ def test_table_states_each_methods_models_and_estimands():
     for name, info in METHOD_TABLE.items():
         assert info.name == name
         assert (info.outcome, info.uses_ps, info.estimands) == EXPECTED[name]
+    # Only the doubly robust method bins its propensity scores.
+    assert [m for m, info in METHOD_TABLE.items() if info.bins_ps] == ["DRGLMM"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "bootstrap"])

@@ -508,16 +508,6 @@ class TestPanelDataset:
         with pytest.raises(NoOverlapError):
             data.take([1, 1])
 
-    def test_units_view(self):
-        data = make_dataset(
-            y0=[1.0, 2.0], y1=[3.0, 4.0], d1=[0, 1],
-            covariates=[[5.0, 6.0]], names=("a",),
-        )
-        unit = data.units[1]
-        assert unit.unit_id == "u1"
-        assert unit.y0 == 2.0 and unit.y1 == 4.0 and unit.d1 == 1
-        assert unit.x0.tolist() == [6.0]
-
 
 class TestTerms:
     @pytest.mark.parametrize(
