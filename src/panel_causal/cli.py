@@ -235,6 +235,7 @@ def _estimator_config(args):
             f"--method {args.method.lower()} needs its {missing}: "
             f"pass --spec or {_MODEL_FLAGS[missing]}"
         )
+    _check_k_bins(args.k_bins, name="--k-bins")
     return EstimatorConfig(
         method=args.method,
         estimand=args.estimand,
@@ -401,6 +402,7 @@ def _cmd_diagnose(args):
 
 def _cmd_study(args):
     scenario = Scenario(args.scenario, args.n)
+    _check_k_bins(args.k_bins, scenario.n, name="--k-bins")
     result = run_study(scenario, DEFAULT_SUITE, R=args.R, seed=args.seed,
                        k_bins=args.k_bins)
     if args.fmt == "json":

@@ -20,7 +20,9 @@ The estimand arithmetic lives here and only here: every weighted mean,
 group mean and contrast average is a sum over units with unit i counted
 ``C[i]`` times.  A point estimate uses ``C = 1.0``; the cluster bootstrap
 (:mod:`inference`) fits its resamples in batches and passes each batch's
-``(k, n)`` count matrix to the same functions.
+``(k, n)`` count matrix to the same functions, and a simulation study
+passes a chunk of draws, each response a ``(k, n)`` array, with all-ones
+counts.
 """
 
 import warnings
@@ -202,10 +204,16 @@ _WEIGHTING_VALUES = {"IPW": _ipw_values, "IPWDID": _ipwdid_values, "DID": _did_v
 
 def _contrast_values(data, design, beta, C=1.0):
     """ATE and ATT averages of the unit contrasts of the counterfactual
-    predictions.  ``beta`` (one fit, or a row per resample) may carry the
-    coefficients of unit-constant columns after the design's p; they cancel."""
-    p = design.cf_treated.shape[1]
-    contrasts = ((design.cf_treated - design.cf_control) @ beta[..., :p].T).T
+    predictions.  ``beta`` (one fit, or a row per fit of a batch) may carry
+    the coefficients of unit-constant columns after the design's p; they
+    cancel.  The design is one ``(n, p)`` block, or ``(k, n, p)`` with a
+    block per fit."""
+    diff = design.cf_treated - design.cf_control
+    p = diff.shape[-1]
+    if diff.ndim == 2:
+        contrasts = (diff @ beta[..., :p].T).T
+    else:
+        contrasts = (diff @ beta[:, :p, None])[..., 0]
     d, units, treated = _counted(data, C)
     return {"ATE": (np.sum(C * contrasts, axis=-1) / units, {}),
             "ATT": (np.sum(C * d * contrasts, axis=-1) / treated, {})}

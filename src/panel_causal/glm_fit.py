@@ -8,11 +8,12 @@ for doubly robust augmentation.  The fit only reports its scores: the
 estimators that form inverse weights from them warn when a score comes
 close to 0 or 1.
 
-For the cluster bootstrap, two private kernels handle many resamples of one
-dataset at once, each resample given as a vector of unit counts:
-:func:`_fit_logistic_batch` runs the same IRLS with a masked Newton step per
-replicate, and :func:`_quantile_bins_batch` is the count-weighted form of
-the binning rule.
+For the cluster bootstrap and the simulation study, two private kernels
+handle a batch of fits at once, each fit weighting its units by a vector
+of counts (the resamples of one dataset share its design; a study's draws
+each have their own): :func:`_fit_logistic_batch` runs the same IRLS with
+a masked Newton step per fit, and :func:`_quantile_bins_batch` is the
+count-weighted form of the binning rule.
 """
 
 import warnings
@@ -28,7 +29,7 @@ from .errors import (
     RankDeficientDesignError,
     SeparationError,
 )
-from .lmm_fit import _BATCH_COND, _rank_certified, _solve_each
+from .lmm_fit import _BATCH_COND, _dot, _rank_certified, _solve_each
 from .panel_data import ps_design
 
 __all__ = [
@@ -288,35 +289,36 @@ def _logistic_terms(eta, y, C):
     return prob, 2.0 * terms.sum(axis=-1)
 
 
-def _fit_logistic_batch(X, O, y, C):
-    """:func:`fit_logistic`'s fitted probabilities on many resamples of one design.
+def _fit_logistic_batch(rows, C):
+    """:func:`fit_logistic`'s fitted probabilities on a batch of fits.
 
-    ``X`` is the shared ``(n, p)`` design, ``O`` its row outer products
-    (``lmm_fit._row_outer``) and ``y`` the 0/1 outcome.  Row r of the
-    ``(k, n)`` count matrix ``C`` is one resample: unit i enters it
-    ``C[r, i]`` times.  Every replicate runs the IRLS of :func:`fit_logistic`
-    from zero and stops on its own deviance test; a step solves all active
-    replicates together, their information matrices being one product of
-    the counts times the IRLS weights with ``O``.
+    ``rows`` is the ``lmm_fit._Rows`` of the design and the 0/1 outcome,
+    shared by the batch (the resamples of one dataset) or one per replicate
+    (the draws of a study).  Row r of the ``(k, n)`` count matrix ``C``
+    weights the units of fit r: unit i enters it ``C[r, i]`` times.  Every
+    fit runs the IRLS of :func:`fit_logistic` from zero and stops on its
+    own deviance test; a step solves all active fits together, their
+    information matrices being the Gram matrices of the counts times the
+    IRLS weights.
 
     Returns
     -------
     prob : ndarray, shape (k, n)
-        Fitted probability of each unit in each resample.
+        Fitted probability of each unit in each fit.
     ok : ndarray of bool, shape (k,)
-        False for a resample the batch does not vouch for, which the caller
+        False for a fit the batch does not vouch for, which the caller
         must refit on its own: a single outcome class, rank or conditioning
         not certified (``lmm_fit._BATCH_COND``), a singular information
         matrix, a coefficient past the bound, no convergence within the
         iteration cap, or a collapsed deviance.
     """
     k, n = C.shape
-    p = X.shape[1]
+    y = rows.y
     units = C.sum(axis=1)
-    treated = C @ y
+    treated = _dot(C, y)
     ok = ((treated > 0.0) & (treated < units)
-          & _rank_certified((C @ O).reshape(k, p, p), units, _BATCH_COND))
-    alpha = np.zeros((k, p))
+          & _rank_certified(rows.gram(C), units, _BATCH_COND))
+    alpha = np.zeros((k, rows.X.shape[-1]))
     prob, dev = _logistic_terms(np.zeros((k, n)), y, C)
     active = ok.copy()
     converged = np.zeros(k, dtype=bool)
@@ -324,11 +326,11 @@ def _fit_logistic_batch(X, O, y, C):
         a = np.flatnonzero(active)
         if a.size == 0:
             break
-        Ca, pa = C[a], prob[a]
-        H = ((Ca * (pa * (1.0 - pa))) @ O).reshape(-1, p, p)
-        alpha[a] += _solve_each(H, (Ca * (y - pa)) @ X)
+        ra, Ca, pa = rows.take(a), C[a], prob[a]
+        H = ra.gram(Ca * (pa * (1.0 - pa)))
+        alpha[a] += _solve_each(H, ra.cross(Ca * (ra.y - pa)))
         bad = ~np.all(np.abs(alpha[a]) <= _COEF_BOUND, axis=1)
-        prob[a], dev_a = _logistic_terms(alpha[a] @ X.T, y, Ca)
+        prob[a], dev_a = _logistic_terms(ra.fitted(alpha[a]), ra.y, Ca)
         done = np.abs(dev_a - dev[a]) < _TOL
         dev[a] = dev_a
         ok[a[bad]] = False
@@ -346,10 +348,10 @@ _BIN_GAP = 1e-9
 
 
 def _quantile_bins_batch(ps, C, K):
-    """:func:`ps_quantile_dummies`'s bins on many resamples at once.
+    """:func:`ps_quantile_dummies`'s bins on a batch of fits at once.
 
     Row r of ``ps`` (``(k, n)``) holds the scores of the n distinct units
-    of resample r, and row r of ``C`` their counts.  The cut points are
+    of fit r, and row r of ``C`` their counts.  The cut points are
     ``np.quantile``'s default linear rule on the expanded sample (each score
     repeated by its count): the two order statistics around each cut are
     found by a cumulative sum of the counts in score order and interpolated

@@ -33,8 +33,7 @@ outcome and treatment models.
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +64,7 @@ from .glm_fit import (
     fit_logistic,
     fit_propensity,
 )
-from .lmm_fit import _fit_lmm_batch, _fit_or_batch, _Rotated, _row_outer
+from .lmm_fit import _fit_lmm_batch, _fit_or_batch, _rotated_rows, _Rows
 from .panel_data import ModelSpec, build_design, ps_design
 from .rng import substream
 
@@ -160,64 +159,100 @@ def _check_alpha(alpha, name="alpha"):
     return alpha
 
 
-# Replicates fitted together as one stack: up to 25, which spreads the
+# Replicates fitted together as one batch: up to 25, which spreads the
 # per-call numpy overhead, and fewer when n is large, so that one
 # (replicates, n) array stays within _CHUNK_CELLS values (200 kB) and peak
 # memory does not grow with n.  Derived from n, not an option: a
-# replicate's value does not depend on the stack it is fitted in.
+# replicate's value does not depend on the batch it is fitted in.
 _CHUNK = 25
 _CHUNK_CELLS = 25_000
 
 
-class _Resamples:
-    """One dataset's designs, built once, and batched estimates on resamples.
+def _chunk_size(n):
+    """Replicates of n units each that are fitted as one batch."""
+    return max(1, min(_CHUNK, _CHUNK_CELLS // n))
 
-    A resample is given as a row of a ``(k, n)`` count matrix ``C``: unit i
-    enters it ``C[r, i]`` times.  Which kernels run follows the method's
-    :data:`~panel_causal.estimators.METHOD_TABLE` row: the logistic fit and
-    its scores when it uses the propensity score, the count-weighted bins
-    when it also has an outcome model (DRGLMM), and OLS on the post period
-    or the two-period mixed model for its outcome kind.
+
+@dataclass(frozen=True, eq=False)
+class _Responses:
+    """The columns the estimand functions read, with a leading replicate axis."""
+
+    d1: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
+
+
+class _Batch:
+    """Batched estimates on the resamples of one dataset or on a chunk of draws.
+
+    A batch of k fits is given as a ``(k, n)`` count matrix ``C``: fit r
+    counts unit i ``C[r, i]`` times.  With ``reps`` None every fit is a
+    resample of the dataset ``data`` and shares its designs.  With ``reps``
+    equal to k, ``data`` stacks k datasets of n units (dataset r in rows
+    ``r n`` to ``r n + n - 1``) and fit r is dataset r, counted with ones;
+    every design column is a function of one unit's own data, so each design
+    is built once on the stacked rows and split into one per dataset.
+
+    The designs of a spec are built on first use.  Which kernels run follows
+    the method's :data:`~panel_causal.estimators.METHOD_TABLE` row: the
+    logistic fit and its scores when it uses the propensity score, the
+    count-weighted bins when it also has an outcome model (DRGLMM), and OLS
+    on the post period or the two-period mixed model for its outcome kind.
     """
 
-    def __init__(self, data, spec, k_bins):
+    def __init__(self, data, k_bins, reps=None):
         self.data = data
-        self.spec = spec
         self.k_bins = int(k_bins)
-        self.d = data.d1.astype(float)
+        self.reps = reps
+        self.responses = data if reps is None else _Responses(
+            self._split(data.d1), self._split(data.y0), self._split(data.y1))
+        self.d = self.responses.d1.astype(float)
+        self._designs = {}
 
-    @cached_property
-    def _ps_design(self):
-        X, _ = ps_design(self.data, self.spec)
-        return X, _row_outer(X)
+    def _split(self, a):
+        """A row-wise array of ``data`` with a leading replicate axis, if
+        ``data`` stacks datasets."""
+        if self.reps is None or a is None:
+            return a
+        return a.reshape(self.reps, -1, *a.shape[1:])
 
-    @cached_property
-    def _post_design(self):
-        design = build_design(self.data, self.spec, pre_period=False)
-        return design, _row_outer(design.X)
+    def _design(self, kind, spec):
+        """The kernel input of one model of ``spec``: for ``"ps"`` the
+        :class:`~panel_causal.lmm_fit._Rows` of the treatment model, for
+        ``"post"`` and ``"mixed"`` the outcome design and its rows."""
+        key = (kind, spec.ps_terms if kind == "ps" else spec.outcome_terms)
+        if key not in self._designs:
+            if kind == "ps":
+                X, _ = ps_design(self.data, spec)
+                self._designs[key] = _Rows(self._split(X), self.d)
+            else:
+                design = build_design(self.data, spec, pre_period=kind == "mixed")
+                design = replace(design, **{f: self._split(getattr(design, f))
+                                            for f in ("X", "cf_treated", "cf_control", "X0")})
+                y0, y1 = self.responses.y0, self.responses.y1
+                rows = (_Rows(design.X, y1) if kind == "post"
+                        else _rotated_rows(design.X0, design.X, y0, y1))
+                self._designs[key] = design, rows
+        return self._designs[key]
 
-    @cached_property
-    def _mixed_design(self):
-        design = build_design(self.data, self.spec, pre_period=True)
-        return design, _Rotated(design.X0, design.X, self.data.y0, self.data.y1)
+    def propensity(self, spec, C):
+        """Fitted scores ``(k, n)`` and the ok flags of the treatment model
+        of ``spec``."""
+        return _fit_logistic_batch(self._design("ps", spec), C)
 
-    def propensity(self, C):
-        """Fitted scores ``(k, n)`` and the ok flags of the treatment model."""
-        X, O = self._ps_design
-        return _fit_logistic_batch(X, O, self.d, C)
-
-    def effects(self, info, C, propensity=None):
-        """Estimates of the method ``info`` on each resample of ``C``.
+    def effects(self, info, spec, C, propensity=None):
+        """Estimates of the method ``info`` with the models of ``spec`` on
+        each fit of ``C``.
 
         ``propensity`` can pass in the result of :meth:`propensity` on the
         same counts.  Returns ``({estimand: (k,) values}, ok)``; values
         are meaningless where ``ok`` is False.
         """
-        _, units, treated = _counted(self.data, C)
+        _, units, treated = _counted(self.responses, C)
         ok = (treated > 0.0) & (treated < units)
         ps = None
         if info.uses_ps:
-            ps, ok_ps = propensity or self.propensity(C)
+            ps, ok_ps = propensity or self.propensity(spec, C)
             # Scores of units outside the resample play no part.
             ps = np.where(C > 0.0, ps, 0.5)
             ok &= ok_ps & np.all((ps > 0.0) & (ps < 1.0), axis=1)
@@ -226,26 +261,26 @@ class _Resamples:
                 # Each estimate warns of extreme inverse weights; leave those
                 # replicates to the estimator, so that the warning is raised.
                 ok &= ~_outside_band(ps)
-            values = _WEIGHTING_VALUES[info.name](self.data, ps, C)
+            values = _WEIGHTING_VALUES[info.name](self.responses, ps, C)
         else:
             bins = None
             if info.bins_ps:
                 bins, ok_bins = _quantile_bins_batch(ps, C, self.k_bins)
                 ok &= ok_bins
             sel = np.flatnonzero(ok)
+            design, rows = self._design(info.outcome, spec)
             if info.outcome == "post":
-                design, O = self._post_design
-                beta, ok_fit = _fit_or_batch(design.X, O, self.data.y1, C[sel])
+                beta, ok_fit = _fit_or_batch(rows.take(sel), C[sel])
             else:
-                design, rot = self._mixed_design
                 beta, ok_fit = _fit_lmm_batch(
-                    rot, C[sel], None if bins is None else bins[sel], self.k_bins,
-                    random_intercept=self.spec.random_effect == "unit_intercept",
+                    tuple(r.take(sel) for r in rows), C[sel],
+                    None if bins is None else bins[sel], self.k_bins,
+                    random_intercept=spec.random_effect == "unit_intercept",
                 )
             ok[sel] = ok_fit
             coef = np.zeros((C.shape[0], beta.shape[1]))
             coef[sel] = beta
-            values = _contrast_values(self.data, design, coef, C)
+            values = _contrast_values(self.responses, design, coef, C)
         return {e: v for e, (v, _) in values.items()}, ok
 
 
@@ -259,7 +294,7 @@ def _resampled_values(data, B, seed, values, fallback, width):
     failure recorded as NaN.
     """
     n = data.n
-    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // n))
+    chunk = _chunk_size(n)
     out = np.empty((B, width))
     for start in range(0, B, chunk):
         idx = [substream(seed, r).integers(0, n, size=n)
@@ -319,10 +354,10 @@ def cluster_bootstrap(data, config, B, seed):
     B = _check_B(B)
     point = evaluate_estimator(config, data)
     info = method_info(config.method)
-    resamples = _Resamples(data, config.spec, config.k_bins)
+    resamples = _Batch(data, config.k_bins)
 
     def values(C):
-        estimates, ok = resamples.effects(info, C)
+        estimates, ok = resamples.effects(info, config.spec, C)
         return estimates[config.estimand][:, None], ok
 
     vals = _resampled_values(data, B, seed, values,
@@ -412,11 +447,11 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
                      for m in methods)
 
     point_dr, point_ipwdid, point_glmm = triple(data)
-    resamples = _Resamples(data, spec, k_bins)
+    resamples = _Batch(data, k_bins)
 
     def values(C):
-        propensity = resamples.propensity(C)
-        runs = [resamples.effects(METHOD_TABLE[m], C, propensity) for m in methods]
+        propensity = resamples.propensity(spec, C)
+        runs = [resamples.effects(METHOD_TABLE[m], spec, C, propensity) for m in methods]
         return (np.column_stack([estimates["ATE"] for estimates, _ in runs]),
                 np.logical_and.reduce([ok for _, ok in runs]))
 

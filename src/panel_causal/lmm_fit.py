@@ -25,12 +25,15 @@ effects, the residual variance and their covariance.
 ``fit_or`` provides the ordinary least squares companion (post-period
 outcome regression, no random effect) in the same result shape.
 
-The cluster bootstrap fits many resamples of one dataset.  A resample is
-the full design with unit i counted ``c_i`` times, so the private
-:func:`_fit_lmm_batch` runs the same profiled fit for a stack of count
-vectors at once: Gram blocks from one matrix product with the row outer
-products, a batched eigendecomposition, the grid for every replicate in
-one evaluation, and a vectorized bisection in place of :func:`_illinois`.
+The cluster bootstrap fits many resamples of one dataset, and a simulation
+study many draws of one scenario.  A resample is the full design with unit
+i counted ``c_i`` times; a draw has a design of its own.  The private
+:func:`_fit_lmm_batch` runs the same profiled fit for a batch of either
+kind at once (:class:`_Rows` holds the design shared or per replicate):
+Gram blocks from one matrix product with the row outer products of a
+shared design, or one batched product per replicate, a batched
+eigendecomposition, the grid for every replicate in one evaluation, and a
+vectorized bisection in place of :func:`_illinois`.
 """
 
 from dataclasses import dataclass
@@ -200,14 +203,6 @@ def _rank_certified(G, m, max_cond=np.inf):
     lam = np.linalg.eigvalsh(G)
     floor = np.maximum(_RANK_MARGIN * m * G.shape[-1] * _EPS, 1.0 / max_cond)
     return lam[..., 0] > floor * lam[..., -1]
-
-
-def _row_outer(X):
-    """Row outer products of ``X`` as an ``(n, p*p)`` matrix: for a ``(k, n)``
-    matrix of unit weights ``C``, ``C @ _row_outer(X)`` holds the ``k``
-    weighted Gram matrices ``X' diag(c) X`` in one product."""
-    n, p = X.shape
-    return (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
 
 
 def _simultaneous_basis(G, Gs):
@@ -444,26 +439,68 @@ def fit_or(post_design, response):
     )
 
 
-class _Rotated:
-    """A two-block design shared by many resamples, in sum/difference rows.
+class _Rows:
+    """The rows and response of a batch of fits, one fit per replicate.
 
-    Holds what :func:`_fit_lmm_batch` reuses across replicates: the rotated
-    blocks and responses of :class:`_Profile`, and their row outer products.
-    The inputs are those of :func:`fit_lmm` and must already be valid.
+    ``X`` is either one ``(n, p)`` design that every replicate shares,
+    weighting its rows by its own counts (the resamples of the cluster
+    bootstrap), or a ``(k, n, p)`` stack with a design per replicate (the
+    draws of a simulation study); ``y`` is ``(n,)`` or ``(k, n)`` to match.
+    A shared design keeps its row outer products ``O`` as an ``(n, p*p)``
+    matrix, so that the Gram matrices of k count vectors are the one
+    product ``C @ O``.
     """
 
-    def __init__(self, X0, X1, y0, y1):
-        self.Xs, self.Xd, self.ys, self.yd = _rotate(X0, X1, y0, y1)
-        self.Os = _row_outer(self.Xs)
-        self.Od = _row_outer(self.Xd)
+    def __init__(self, X, y):
+        self.X, self.y = X, y
+        self.shared = X.ndim == 2
+        if self.shared:
+            n, p = X.shape
+            self.O = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+
+    def take(self, rows):
+        """The fits ``rows`` (sorted indices) of a batch."""
+        if self.shared or len(rows) == self.X.shape[0]:
+            return self
+        return _Rows(self.X[rows], self.y[rows])
+
+    def gram(self, W):
+        """The ``(k, p, p)`` Gram matrices ``X' diag(w) X`` of the rows of ``W``."""
+        if self.shared:
+            p = self.X.shape[1]
+            return (W @ self.O).reshape(-1, p, p)
+        return np.swapaxes(self.X * W[:, :, None], 1, 2) @ self.X
+
+    def cross(self, W):
+        """The ``(k, p)`` cross products ``X' w`` of the rows of ``W``."""
+        if self.shared:
+            return W @ self.X
+        return (W[:, None, :] @ self.X)[:, 0]
+
+    def fitted(self, B):
+        """The ``(k, n)`` fitted values ``X b`` of the rows of ``B``."""
+        if self.shared:
+            return B @ self.X.T
+        return (self.X @ B[:, :, None])[:, :, 0]
 
 
-def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
-    """Fixed effects of :func:`fit_lmm` on many resamples of one design.
+def _rotated_rows(X0, X1, y0, y1):
+    """The sum and the difference rows of :class:`_Profile` as the
+    :class:`_Rows` pair ``(s, d)`` of a batch of fits; the blocks may carry
+    a leading replicate axis.  The inputs are those of :func:`fit_lmm` and
+    must already be valid."""
+    Xs, Xd, ys, yd = _rotate(X0, X1, y0, y1)
+    return _Rows(Xs, ys), _Rows(Xd, yd)
 
-    Row r of the ``(k, n)`` count matrix ``C`` is one resample: unit i
-    enters it ``C[r, i]`` times.  ``bins``, if given, is a ``(k, n)`` array
-    of bin labels in ``0 .. n_bins - 1``; resample r then appends to both
+
+def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
+    """Fixed effects of :func:`fit_lmm` on a batch of fits.
+
+    ``rows`` is the :func:`_rotated_rows` pair of the design, shared by the
+    batch or one per replicate.  Row r of the ``(k, n)`` count matrix ``C``
+    weights the n units of fit r: unit i enters it ``C[r, i]`` times (all
+    ones for a design per replicate).  ``bins``, if given, is a ``(k, n)``
+    array of bin labels in ``0 .. n_bins - 1``; fit r then appends to both
     period blocks the indicators of bins 1 to ``n_bins - 1`` under its own
     labels (the DRGLMM bin dummies).  Such unit-constant columns vanish
     from the difference rows and enter the sum rows times sqrt(2); their
@@ -475,47 +512,45 @@ def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
     replicate axis: Gram blocks and cross products weighted by the counts,
     one batched eigendecomposition, the 25-point grid for all replicates in
     one evaluation, and a bisection on the score in place of
-    :func:`_illinois` (both stop within ``_XATOL``).
-
-    The bisection runs a chunk's replicates in lockstep, one vectorized
-    score evaluation per step.  Measured on a 2-vCPU host, :func:`_illinois`
-    per replicate cost the README DRGLMM bootstrap about 9 % of its speed,
-    and a vectorized Illinois shared with :func:`fit_lmm` added about 155 us
-    to the root search of one HET n = 250 fit (219 to 374 us), so the
-    simulation study ran about 30 % slower.
+    :func:`_illinois` (both stop within ``_XATOL``).  The bisection runs
+    the batch in lockstep, one vectorized score evaluation per step;
+    :func:`_illinois` per replicate cost the README DRGLMM bootstrap about
+    9 % of its speed on a 2-vCPU host.
 
     Returns
     -------
     beta : ndarray, shape (k, p + n_bins - 1)
         NaN in rows that are not ``ok``.
     ok : ndarray of bool, shape (k,)
-        False for a resample the batch does not vouch for, which the caller
+        False for a fit the batch does not vouch for, which the caller
         must refit on its own: rank or conditioning (``_BATCH_COND``) not
         certified, a non-finite point on the likelihood grid, a grid
         optimum inside the grid without a bracketing sign change of the
         score, a near-tie between the boundary and the interior optimum,
         or a degenerate residual variance at the optimum.
     """
+    s, d = rows
     k = C.shape[0]
     units = C.sum(axis=1)
-    p = rot.Xs.shape[1]
+    p = s.X.shape[-1]
     q = 0 if bins is None else n_bins - 1
     m = p + q
 
     def bin_sums(v):
         """Row by row, the sums of ``v`` over the units of bins 1 .. q."""
-        rows = v.shape[0]
-        labels = bins + n_bins * np.arange(rows)[:, None]
-        sums = np.bincount(labels.ravel(), weights=v.ravel(), minlength=rows * n_bins)
-        return sums.reshape(rows, n_bins)[:, 1:]
+        r = v.shape[0]
+        labels = bins + n_bins * np.arange(r)[:, None]
+        sums = np.bincount(labels.ravel(), weights=v.ravel(), minlength=r * n_bins)
+        return sums.reshape(r, n_bins)[:, 1:]
 
     beta = np.full((k, m), np.nan)
     Gd = np.zeros((k, m, m))
     Gs = np.zeros((k, m, m))
-    Gd[:, :p, :p] = (C @ rot.Od).reshape(k, p, p)
-    Gs[:, :p, :p] = (C @ rot.Os).reshape(k, p, p)
+    Gd[:, :p, :p] = d.gram(C)
+    Gs[:, :p, :p] = s.gram(C)
     if q:
-        cross = _RT2 * np.stack([bin_sums(C * x) for x in rot.Xs.T], axis=2)
+        cross = _RT2 * np.stack([bin_sums(C * x) for x in np.moveaxis(s.X, -1, 0)],
+                                axis=2)
         Gs[:, p:, :p] = cross
         Gs[:, :p, p:] = np.swapaxes(cross, 1, 2)
         Gs[:, np.arange(p, m), np.arange(p, m)] = 2.0 * bin_sums(C)
@@ -525,12 +560,13 @@ def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
     if sel.size == 0:
         return beta, ok
     C, Gd, Gs, G, units = C[sel], Gd[sel], Gs[sel], G[sel], units[sel]
+    s, d = s.take(sel), d.take(sel)
     if q:
         bins = bins[sel]
 
     def fitted(b):
-        fd = b[:, :p] @ rot.Xd.T
-        fs = b[:, :p] @ rot.Xs.T
+        fd = d.fitted(b[:, :p])
+        fs = s.fitted(b[:, :p])
         if q:
             per_bin = np.concatenate([np.zeros((len(sel), 1)), b[:, p:]], axis=1)
             fs = fs + _RT2 * np.take_along_axis(per_bin, bins, axis=1)
@@ -539,13 +575,13 @@ def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
     def crossprod(vd, vs):
         gd = np.zeros((len(sel), m))
         gs = np.empty((len(sel), m))
-        gd[:, :p] = (C * vd) @ rot.Xd
-        gs[:, :p] = (C * vs) @ rot.Xs
+        gd[:, :p] = d.cross(C * vd)
+        gs[:, :p] = s.cross(C * vs)
         if q:
             gs[:, p:] = _RT2 * bin_sums(C * vs)
         return gd, gs
 
-    gd, gs = crossprod(rot.yd, rot.ys)
+    gd, gs = crossprod(d.y, s.y)
     if not random_intercept:
         beta[sel] = _solve_each(G, gd + gs)
         return beta, ok
@@ -554,7 +590,7 @@ def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
     Vt = np.swapaxes(V, 1, 2)
     beta0 = (V @ (Vt @ (gd + gs)[:, :, None]))[:, :, 0]
     fd, fs = fitted(beta0)
-    rd, rs = rot.yd - fd, rot.ys - fs
+    rd, rs = d.y - fd, s.y - fs
     gd, gs = crossprod(rd, rs)
     stats = (
         np.sum(C * rd * rd, axis=1)[:, None],
@@ -600,20 +636,20 @@ def _fit_lmm_batch(rot, C, bins=None, n_bins=0, random_intercept=True):
     return beta, ok
 
 
-def _fit_or_batch(X, O, y, C):
-    """Fixed effects of :func:`fit_or` on many resamples of one design.
+def _fit_or_batch(rows, C):
+    """Fixed effects of :func:`fit_or` on a batch of fits.
 
-    ``O`` is ``_row_outer(X)``; row r of the ``(k, n)`` count matrix ``C``
-    is one resample.  Returns ``(beta, ok)``: beta ``(k, p)``, NaN where
-    ``ok`` is False because the rank or the conditioning is not certified.
+    ``rows`` is the :class:`_Rows` of the design and response, shared by
+    the batch or one per replicate, and row r of the ``(k, n)`` count
+    matrix ``C`` weights the units of fit r.  Returns ``(beta, ok)``: beta
+    ``(k, p)``, NaN where ``ok`` is False because the rank or the
+    conditioning is not certified.
     """
-    k = C.shape[0]
-    p = X.shape[1]
-    G = (C @ O).reshape(k, p, p)
+    G = rows.gram(C)
     ok = _rank_certified(G, C.sum(axis=1), _BATCH_COND)
-    beta = np.full((k, p), np.nan)
+    beta = np.full((C.shape[0], G.shape[-1]), np.nan)
     sel = np.flatnonzero(ok)
     if sel.size:
-        b = (C[sel] * y) @ X
-        beta[sel] = _solve_each(G[sel], b)
+        rows = rows.take(sel)
+        beta[sel] = _solve_each(G[sel], rows.cross(C[sel] * rows.y))
     return beta, ok

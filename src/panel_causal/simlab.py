@@ -23,9 +23,13 @@ RANDCOEF_TI  the same, with the x2 term post-period only
 A study draws R independent datasets, runs a suite of estimator and model
 combinations on each, and reports bias (x100), variance and MSE per cell
 against the scenario's true effects.  Replicate r draws from the stream
-keyed by (seed, r), so studies reproduce bit for bit; replicates run in
-order on the calling thread.  A study silences the weighting estimators'
-extreme-weight warnings and reports failures per cell instead.
+keyed by (seed, r), so studies reproduce bit for bit.  Replicates are drawn
+and fitted a chunk at a time on the calling thread, through the batch
+kernels of the cluster bootstrap with a design per replicate; a replicate
+the kernels do not vouch for is evaluated on its own, so values, failures
+and warnings are those of replicates evaluated one at a time, the values
+to rounding.  A study silences the weighting estimators' extreme-weight
+warnings and reports failures per cell instead.
 """
 
 import warnings
@@ -41,6 +45,7 @@ from .errors import (
 )
 from .estimators import ESTIMANDS, estimate_effects, method_info
 from .glm_fit import _check_k_bins, expit, fit_propensity
+from .inference import _Batch, _chunk_size
 from .panel_data import ModelSpec, PanelDataset
 from .rng import substream
 
@@ -130,24 +135,13 @@ class Scenario:
         object.__setattr__(self, "dgp_params", params)
 
 
-def generate_scenario(scenario, seed, replicate=0):
-    """Draw one deterministic dataset for ``(scenario, seed, replicate)``.
+_COVARIATES = ("x1", "x2", "v")
+_TIME_INVARIANT = ("x2", "v")
 
-    Parameters
-    ----------
-    scenario : Scenario
-    seed : int
-        Stream family.
-    replicate : int
-        Index within the family; replicate r of a study uses ``(seed, r)``.
 
-    Returns
-    -------
-    PanelDataset
-        Covariates ``("x1", "x2", "v")``; x1 is time-varying.
-    """
-    if not isinstance(scenario, Scenario):
-        raise InvalidArgumentError("scenario must be a Scenario instance")
+def _draw(scenario, seed, replicate):
+    """The random draws of one dataset as arrays ``(x1, x2, v, d, y0, y1)``,
+    where x1 is ``(n, 2)`` with a column per period."""
     p = scenario.dgp_params
     n = scenario.n
     rng = substream(seed, replicate)
@@ -182,15 +176,46 @@ def generate_scenario(scenario, seed, replicate=0):
         lx2 = p["log_x2"] * np.log(x2)
         y0 = y0 + lx2
         y1 = y1 + lx2
+    return x1, x2, v, d, y0, y1
+
+
+def _unit_ids(n):
+    return np.array([f"u{i:07d}" for i in range(n)], dtype=object)
+
+
+def _dataset(draw, unit_ids):
+    """The PanelDataset of a :func:`_draw`."""
+    x1, x2, v, d, y0, y1 = draw
     return PanelDataset(
-        covariate_names=("x1", "x2", "v"),
-        unit_ids=[f"u{i:07d}" for i in range(n)],
+        covariate_names=_COVARIATES,
+        unit_ids=unit_ids,
         y0=y0,
         y1=y1,
         d1=d,
-        x0=np.column_stack([x10, x2, v]),
-        x1=np.column_stack([x11, x2, v]),
+        x0=np.column_stack([x1[:, 0], x2, v]),
+        x1=np.column_stack([x1[:, 1], x2, v]),
     )
+
+
+def generate_scenario(scenario, seed, replicate=0):
+    """Draw one deterministic dataset for ``(scenario, seed, replicate)``.
+
+    Parameters
+    ----------
+    scenario : Scenario
+    seed : int
+        Stream family.
+    replicate : int
+        Index within the family; replicate r of a study uses ``(seed, r)``.
+
+    Returns
+    -------
+    PanelDataset
+        Covariates ``("x1", "x2", "v")``; x1 is time-varying.
+    """
+    if not isinstance(scenario, Scenario):
+        raise InvalidArgumentError("scenario must be a Scenario instance")
+    return _dataset(_draw(scenario, seed, replicate), _unit_ids(scenario.n))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +247,8 @@ def _treated_x1_mean():
     its Monte Carlo standard error.
     """
     if "x1_treated" not in _ORACLE_CACHE:
-        data = generate_scenario(Scenario("HET", ORACLE_UNITS), ORACLE_SEED)
-        x11 = data.x1[data.d1 == 1, 0]
+        x1, _, _, d, _, _ = _draw(Scenario("HET", ORACLE_UNITS), ORACLE_SEED, 0)
+        x11 = x1[d == 1, 1]
         _ORACLE_CACHE["x1_treated"] = (
             float(x11.mean()),
             float(x11.std(ddof=1) / np.sqrt(x11.size)),
@@ -455,13 +480,67 @@ def _suite_values(data, suite, specs, k_bins):
     return vals
 
 
+def _chunk_values(datasets, suite, specs, k_bins):
+    """:func:`_suite_values` of each dataset of a chunk, ``(k, entries, 2)``.
+
+    The k datasets are stacked into one, on which each model of ``specs``
+    gets its design built once, split into a design per dataset; every
+    entry is then fitted on all k datasets at once by the batch kernels of
+    the cluster bootstrap (:class:`~panel_causal.inference._Batch`, with
+    all-ones counts), each treatment model once for the entries that share
+    it.  An entry a kernel does not vouch for on a dataset is evaluated by
+    :func:`_suite_values` on that dataset alone, which fails, warns and
+    returns NaN as a replicate evaluated on its own does.
+    """
+    k, n = len(datasets), datasets[0].n
+    stacked = PanelDataset(
+        covariate_names=_COVARIATES,
+        **{f: np.concatenate([getattr(d, f) for d in datasets])
+           for f in ("unit_ids", "y0", "y1", "d1", "x0", "x1")},
+    )
+    batch = _Batch(stacked, k_bins, reps=k)
+    C = np.ones((k, n))
+    scores = {}
+    vals = np.full((k, len(suite), 2), np.nan)
+    ok = np.empty((k, len(suite)), dtype=bool)
+    with np.errstate(all="ignore"):
+        for i, e in enumerate(suite):
+            info = method_info(e.method)
+            spec = specs[f"{info.outcome}_{e.outcome_model}"] if info.outcome else None
+            propensity = None
+            if info.uses_ps:
+                if e.ps_model not in scores:
+                    scores[e.ps_model] = batch.propensity(specs["ps_" + e.ps_model], C)
+                propensity = scores[e.ps_model]
+            estimates, ok[:, i] = batch.effects(info, spec, C, propensity)
+            for j, estimand in enumerate(ESTIMANDS):
+                if estimand in estimates:
+                    vals[:, i, j] = estimates[estimand]
+    for r in np.flatnonzero(~ok.all(axis=1)):
+        redo = np.flatnonzero(~ok[r])
+        vals[r, redo] = _suite_values(datasets[r], [suite[i] for i in redo], specs, k_bins)
+    return vals
+
+
+def _unit_constant_columns(spec):
+    """Columns of the two-period outcome design of ``spec`` that take the
+    same value in both rows of a unit: the intercept, and the main effects
+    and logs of the covariates that do not vary over time (x2 and v)."""
+    return sum(t.kind == "intercept"
+               or (t.kind in ("covariate", "log") and t.name in _TIME_INVARIANT)
+               for t in spec.outcome_terms)
+
+
 def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
               k_bins=5):
     """Monte Carlo performance study of an estimator suite on one scenario.
 
     Draws R datasets (replicate r from stream ``(seed, r)``), evaluates the
     suite on each, and aggregates bias x100, variance (population formula)
-    and MSE per (entry, estimand) against :func:`true_effects`.
+    and MSE per (entry, estimand) against :func:`true_effects`.  The
+    replicates are drawn and fitted a chunk at a time (as many as the
+    cluster bootstrap fits together), which gives the values of replicates
+    evaluated one at a time to rounding.
 
     Parameters
     ----------
@@ -472,7 +551,10 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     seed : int
     k_bins : int
         Propensity bins of the doubly robust estimator, from 2 to the
-        scenario's unit count.
+        scenario's unit count.  The doubly robust outcome design takes
+        ``k_bins - 1`` bin dummies on top of its unit-constant terms, and
+        their total may not exceed the unit count either: past it, every
+        fit would be rank deficient.
 
     Returns
     -------
@@ -489,24 +571,41 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     if R < 2:
         raise InvalidArgumentError(f"R must be at least 2, got {R}")
     suite = tuple(suite)
-    binned = any(method_info(e.method).bins_ps for e in suite)
-    _check_k_bins(k_bins, scenario.n if binned else None)
+    binned = [e for e in suite if method_info(e.method).bins_ps]
+    k_bins = _check_k_bins(k_bins, scenario.n if binned else None)
     labels = [e.label for e in suite]
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError("suite labels must be unique")
     specs = scenario_specs(scenario.id)
+    for e in binned:
+        spec = specs[f"{method_info(e.method).outcome}_{e.outcome_model}"]
+        width = _unit_constant_columns(spec) + k_bins - 1
+        if width > scenario.n:
+            raise InvalidArgumentError(
+                f"k_bins = {k_bins} gives the {e.label} outcome model {width} "
+                f"unit-constant columns, more than the {scenario.n} units"
+            )
     truths = true_effects(scenario)
 
+    unit_ids = _unit_ids(scenario.n)
+    chunk = _chunk_size(scenario.n)
     # Extreme-weight warnings are silenced for the replicates: across
     # thousands of draws they would only drown the study-level failure
     # accounting below.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtremeWeightsWarning)
-        stack = np.stack([
-            _suite_values(generate_scenario(scenario, seed, replicate=r),
+        stack = np.concatenate([
+            _chunk_values([_dataset(_draw(scenario, seed, r), unit_ids)
+                           for r in range(start, min(start + chunk, R))],
                           suite, specs, k_bins)
-            for r in range(R)
+            for start in range(0, R, chunk)
         ])
+    return _summarize(scenario, suite, seed, truths, stack)
+
+
+def _summarize(scenario, suite, seed, truths, stack):
+    """The StudyResult of the ``(R, entries, 2)`` replicate values."""
+    R = stack.shape[0]
     truth_by_estimand = {"ATE": truths.ate, "ATT": truths.att}
     cells = []
     flaky = []
@@ -548,7 +647,7 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
         warnings.warn(
             "estimator failure rate above 1%: " + ", ".join(flaky),
             ReplicateFailureWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return StudyResult(
         scenario_id=scenario.id,

@@ -12,8 +12,10 @@ from panel_causal import (
     BootstrapFailureWarning,
     BootstrapResult,
     ColumnMapping,
+    DEFAULT_SUITE,
     DegenerateVarianceWarning,
     DRTestResult,
+    ExtremeWeightsWarning,
     PanelCausalError,
     PanelDataset,
     RankDeficientDesignError,
@@ -22,8 +24,12 @@ from panel_causal import (
     estimate_ipwdid,
     evaluate_estimator,
     fit_propensity,
+    generate_scenario,
+    scenario_specs,
     substream,
+    true_effects,
 )
+from panel_causal import simlab
 
 # Fixed seed used by the desk-scale study tests.  Chosen once; every
 # expected band below was verified against this seed before being frozen.
@@ -309,6 +315,24 @@ def dr_specification_test_reference(data, spec, B, seed, k_bins=5):
     z_or = guarded_z(point_dr - point_glmm, sigma_or)
     return DRTestResult(z_ps, z_or, bool(z_ps > 1.96), bool(z_or > 1.96),
                         sigma_ps, sigma_or, B, int(B - ok.shape[0]))
+
+
+def run_study_reference(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *, k_bins=5):
+    """Reference for ``run_study``: each replicate drawn by
+    ``generate_scenario`` and every entry evaluated on it alone by
+    ``simlab._suite_values``, in replicate order, summarized by the
+    library's summary.  Takes valid arguments only."""
+    suite = tuple(suite)
+    specs = scenario_specs(scenario.id)
+    truths = true_effects(scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtremeWeightsWarning)
+        stack = np.stack([
+            simlab._suite_values(generate_scenario(scenario, seed, replicate=r),
+                                 suite, specs, k_bins)
+            for r in range(R)
+        ])
+    return simlab._summarize(scenario, suite, seed, truths, stack)
 
 
 def rank_probe_designs(*blocks):

@@ -4,6 +4,7 @@ import argparse
 import ast
 import inspect
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -399,6 +400,23 @@ class TestBinsAgainstUnits:
         assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
 
 
+class TestKBinsFlag:
+    @pytest.mark.parametrize("k_bins", ["1", "121"])
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--method", "drglmm"],
+        ["bootstrap", "--method", "drglmm", "--B", "4"],
+        ["diagnose", "--check", "dr-test"],
+        ["study", "--scenario", "HOM", "--n", "120", "--reps", "2"],
+    ])
+    def test_bound_errors_name_the_flag(self, argv, k_bins, tmp_path, capsys):
+        if argv[0] != "study":
+            argv = argv + ["--input", str(_simulate(tmp_path, n=120)),
+                           "--covariates", "x1,x2", "--ps-covariates", "x1,x2,v"]
+        rc = run(argv + ["--k-bins", k_bins])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:--k-bins ")
+
+
 class TestRelativeBeforeFit:
     @pytest.mark.parametrize("argv", [
         ["estimate", "--method", "drglmm"],
@@ -476,11 +494,20 @@ class TestStudy:
         assert isinstance(payload["cells"], list)
 
 
+def _source_env():
+    """The environment with the package's source directory first on
+    ``PYTHONPATH``, so that a subprocess imports the package under test
+    whether or not it is installed."""
+    src = str(Path(panel_causal.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 class TestEntryPoint:
     def test_installed_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "panel_causal.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_source_env(),
         )
         assert proc.returncode == 0
         assert "panel-causal" in proc.stdout
@@ -491,7 +518,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, panel_causal.cli; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_source_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -503,7 +530,7 @@ class TestEntryPoint:
             [sys.executable, "-c",
              "import sys, panel_causal, panel_causal.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_source_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

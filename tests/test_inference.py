@@ -38,7 +38,7 @@ from panel_causal import (
     term_label,
 )
 
-from panel_causal.inference import _Resamples
+from panel_causal.inference import _Batch
 
 from helpers import (
     cluster_bootstrap_reference,
@@ -305,13 +305,14 @@ class TestBatchedReplicates:
     def test_value_does_not_depend_on_position_in_chunk(self, method):
         data = _hom(530, n=200)
         config = _config(method, "ATT", scenario_specs("HOM"))
-        resamples = _Resamples(data, config.spec, config.k_bins)
+        resamples = _Batch(data, config.k_bins)
         C = np.array([np.bincount(substream(4, r).integers(0, data.n, size=data.n),
                                   minlength=data.n) for r in range(25)], dtype=float)
         info = METHOD_TABLE[method]
-        forward, ok = resamples.effects(info, C)
-        backward, ok_back = resamples.effects(info, C[::-1])
-        alone = [resamples.effects(info, C[r:r + 1])[0]["ATT"][0] for r in (0, 11, 24)]
+        forward, ok = resamples.effects(info, config.spec, C)
+        backward, ok_back = resamples.effects(info, config.spec, C[::-1])
+        alone = [resamples.effects(info, config.spec, C[r:r + 1])[0]["ATT"][0]
+                 for r in (0, 11, 24)]
         assert ok.all() and ok_back.all()
         np.testing.assert_allclose(forward["ATT"], backward["ATT"][::-1], rtol=1e-12)
         np.testing.assert_allclose(forward["ATT"][[0, 11, 24]], alone, rtol=1e-12)
@@ -334,8 +335,8 @@ class TestOneArithmetic:
         # same floats on both paths.
         propensity = None if ps_fit is None else (ps_fit.fitted_ps[None, :],
                                                   np.ones(1, dtype=bool))
-        values, ok = _Resamples(data, spec, 5).effects(
-            info, np.ones((1, data.n)), propensity)
+        values, ok = _Batch(data, 5).effects(
+            info, spec, np.ones((1, data.n)), propensity)
         assert ok.all()
         assert set(values) == set(point) == set(info.estimands)
         for estimand, estimate in point.items():

@@ -10,6 +10,7 @@ from panel_causal import (
     DEFAULT_SUITE,
     ExtremeWeightsWarning,
     InvalidArgumentError,
+    NoOverlapError,
     ReplicateFailureWarning,
     SCENARIO_IDS,
     Scenario,
@@ -23,6 +24,8 @@ from panel_causal import (
     term_label,
     true_effects,
 )
+
+from helpers import run_study_reference
 
 
 class TestScenario:
@@ -57,7 +60,7 @@ class TestTrueEffects:
     def test_heterogeneous_truths(self):
         te = true_effects("HET")
         assert te.ate == 35.0
-        assert te.att == pytest.approx(35.3905358503353, abs=1e-9)
+        assert te.att == 35.3905358503353
         assert 0.0 < te.att_mc_se < 0.01
         for sid in ("HET_TI", "RANDCOEF", "RANDCOEF_TI"):
             other = true_effects(sid)
@@ -156,15 +159,34 @@ class TestRunStudy:
         with pytest.raises(InvalidArgumentError):
             run_study(Scenario("HOM", 50), suite, R=3, seed=0)
 
-    def test_more_bins_than_units_rejected_before_any_draw(self, monkeypatch):
-        # With 25 bins every doubly robust fit of a 20-unit draw would fail.
+    @staticmethod
+    def _no_draw(monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(simlab, "generate_scenario", no_draw)
+        monkeypatch.setattr(simlab, "_draw", no_draw)
+
+    def test_more_bins_than_units_rejected_before_any_draw(self, monkeypatch):
+        # With 25 bins every doubly robust fit of a 20-unit draw would fail.
+        self._no_draw(monkeypatch)
         suite = (SuiteEntry("DRGLMM", outcome_model="full", ps_model="full"),)
         with pytest.raises(InvalidArgumentError, match="k_bins"):
             run_study(Scenario("HOM", 20), suite, R=3, seed=0, k_bins=25)
+
+    def test_more_unit_constant_columns_than_units_rejected_before_any_draw(
+            self, monkeypatch):
+        # At 20 bins the full HOM outcome model has 3 + 19 = 22 columns that
+        # are constant within a unit, which 20 units cannot identify.
+        self._no_draw(monkeypatch)
+        with pytest.raises(InvalidArgumentError, match="dr-full-full"):
+            run_study(Scenario("HOM", 20), R=3, seed=0, k_bins=20)
+
+    def test_unit_constant_columns_up_to_the_unit_count_fit(self):
+        # At 18 bins the full models have 3 + 17 = 20 unit-constant columns.
+        res = run_study(Scenario("HOM", 20), R=3, seed=0, k_bins=18)
+        dr = [c for c in res.cells if c.method == "DRGLMM"]
+        assert len(dr) == 8
+        assert all(c.r_used == 3 for c in dr)
 
     def test_bins_bound_only_a_suite_with_the_doubly_robust_method(self):
         res = run_study(Scenario("HOM", 20), self.DID_SUITE, R=3, seed=0, k_bins=25)
@@ -252,6 +274,62 @@ class TestRunStudy:
         cell = res.cell("ipw-full", "ATE")
         assert cell.r_used == 49
         assert np.isfinite(cell.bias100)
+
+
+def _run_recorded(study, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = study(*args, **kwargs)
+    return res, [(w.category, str(w.message)) for w in caught]
+
+
+class TestBatchedStudy:
+    """run_study fits a chunk of replicates at once; the reference
+    evaluates every replicate on its own."""
+
+    @pytest.mark.parametrize("sid,n,R,seed,k_bins", [
+        ("HOM", 250, 30, 1, 5),
+        ("HET", 250, 30, 2, 5),
+        ("RANDCOEF", 250, 30, 3, 5),
+        ("HOM", 20, 30, 0, 18),
+        # n = 15 loses replicates in eight entries, with a failure warning.
+        ("HOM", 15, 40, 1, 5),
+    ])
+    def test_matches_one_replicate_at_a_time(self, sid, n, R, seed, k_bins):
+        sc = Scenario(sid, n)
+        got, got_warnings = _run_recorded(run_study, sc, R=R, seed=seed, k_bins=k_bins)
+        want, want_warnings = _run_recorded(run_study_reference, sc, R=R, seed=seed,
+                                            k_bins=k_bins)
+        assert got_warnings == want_warnings
+        assert (got.true_ate, got.true_att) == (want.true_ate, want.true_att)
+        assert len(got.cells) == len(want.cells)
+        for a, b in zip(got.cells, want.cells):
+            assert (a.label, a.estimand, a.r_used) == (b.label, b.estimand, b.r_used)
+            for field in ("bias100", "var", "mse", "mc_se_bias100"):
+                np.testing.assert_allclose(getattr(a, field), getattr(b, field),
+                                           rtol=1e-12, err_msg=f"{a.label} {field}")
+
+    def test_value_does_not_depend_on_chunk_or_position(self):
+        sc = Scenario("HET", 250)
+        specs = scenario_specs("HET")
+        datasets = [generate_scenario(sc, 4, replicate=r) for r in range(25)]
+        forward = simlab._chunk_values(datasets, DEFAULT_SUITE, specs, 5)
+        backward = simlab._chunk_values(datasets[::-1], DEFAULT_SUITE, specs, 5)
+        alone = [simlab._chunk_values([datasets[r]], DEFAULT_SUITE, specs, 5)[0]
+                 for r in (0, 11, 24)]
+        assert np.isfinite(forward).sum() == 25 * 12 * 2
+        np.testing.assert_allclose(forward, backward[::-1], rtol=1e-12)
+        np.testing.assert_allclose(forward[[0, 11, 24]], alone, rtol=1e-12)
+
+    def test_draw_without_overlap_raises_as_before(self):
+        # Replicate 8 of this 4-unit scenario treats every unit.
+        sc = Scenario("HOM", 4)
+        suite = (SuiteEntry("DID"),)
+        with pytest.raises(NoOverlapError) as want:
+            run_study_reference(sc, suite, R=10, seed=0)
+        with pytest.raises(NoOverlapError) as got:
+            run_study(sc, suite, R=10, seed=0)
+        assert str(got.value) == str(want.value)
 
 
 class TestTables:
