@@ -22,7 +22,8 @@ group mean and contrast average is a sum over units with unit i counted
 (:mod:`inference`) fits its resamples in batches and passes each batch's
 ``(k, n)`` count matrix to the same functions, and a simulation study
 passes a chunk of draws, each response a ``(k, n)`` array, with all-ones
-counts.
+counts.  The fits behind a point estimate and behind a batch are the same
+model kernels: the public fits this module calls run them on one fit.
 """
 
 import warnings
@@ -136,7 +137,8 @@ def _fitted_scores(data, ps_fit):
         raise InvalidArgumentError(
             f"ps_fit has {ps.shape[0]} fitted scores for {data.n} units"
         )
-    if np.any((ps <= 0.0) | (ps >= 1.0)):
+    # Written so that a NaN score fails it too.
+    if not np.all((ps > 0.0) & (ps < 1.0)):
         raise InvalidArgumentError("fitted propensity scores must lie strictly in (0, 1)")
     return ps
 

@@ -8,12 +8,14 @@ for doubly robust augmentation.  The fit only reports its scores: the
 estimators that form inverse weights from them warn when a score comes
 close to 0 or 1.
 
-For the cluster bootstrap and the simulation study, two private kernels
-handle a batch of fits at once, each fit weighting its units by a vector
-of counts (the resamples of one dataset share its design; a study's draws
-each have their own): :func:`_fit_logistic_batch` runs the same IRLS with
-a masked Newton step per fit, and :func:`_quantile_bins_batch` is the
-count-weighted form of the binning rule.
+Each of the two models has one kernel, which handles a batch of fits at
+once, each fit weighting its units by a vector of counts (the resamples of
+one dataset share its design; a study's draws each have their own):
+:func:`_fit_logistic_batch` runs the IRLS with a masked Newton step per
+fit, and :func:`_quantile_bins_batch` is the count-weighted binning rule.
+:func:`fit_logistic` and :func:`ps_quantile_dummies` are those kernels on
+one fit that counts every unit once: they check their input and turn the
+kernel's per-fit status into the typed error, warning or result.
 """
 
 import warnings
@@ -29,7 +31,7 @@ from .errors import (
     RankDeficientDesignError,
     SeparationError,
 )
-from .lmm_fit import _BATCH_COND, _dot, _rank_certified, _solve_each
+from .lmm_fit import _OK, _certify, _dot, _each, _Fits, _full_rank, _Rows, _solve
 from .panel_data import ps_design
 
 __all__ = [
@@ -49,6 +51,24 @@ _PROB_EDGE = 1e-10
 _SEPARATED_DEVIANCE = 1.0
 _MAX_ITER = 100
 _TOL = 1e-10
+
+# Kernel statuses of a fit beyond ``lmm_fit._OK``: the logistic fit has a
+# single outcome class or fails in one of the ways ``_SEPARATION`` names,
+# and the quantile bins collapse.
+_ONE_CLASS, _SINGULAR, _UNBOUNDED, _SEPARATED, _STALLED, _COLLAPSED = range(1, 7)
+_SEPARATION = {
+    # A full-rank design with a singular information matrix means the IRLS
+    # weights collapsed, which only happens on the way to a boundary solution.
+    _SINGULAR: "information matrix became singular; data are separated",
+    _UNBOUNDED: (f"coefficient magnitude exceeded {_COEF_BOUND:g}; data are "
+                 "(quasi-)separated and the MLE does not exist"),
+    # Newton can plateau (tiny deviance changes) while walking out to
+    # infinity on separated data, declaring convergence before the
+    # coefficient bound trips; a collapsed deviance is unambiguous.
+    _SEPARATED: ("deviance collapsed to zero; the classes are strictly separated "
+                 "and the MLE does not exist"),
+    _STALLED: "fit stalled with fitted probabilities at the boundary; data are separated",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,66 +138,29 @@ def fit_logistic(design, outcome):
         raise InvalidArgumentError("design and outcome must be finite")
     if np.any((y != 0.0) & (y != 1.0)):
         raise NonBinaryTreatmentError("outcome must be coded 0/1")
-    if y.min() == y.max():
+    rows = _Rows(X[None], y[None])
+    with np.errstate(all="ignore"):
+        fits = _fit_logistic_batch(rows, np.ones((1, X.shape[0])))
+    status = fits.status[0]
+    if status == _ONE_CLASS:
         raise NoVariationInOutcomeError("outcome has a single class; cannot fit")
-    n, p = X.shape
-    if n < p or not (_rank_certified(X.T @ X, n) or np.linalg.matrix_rank(X) == p):
+    if not _full_rank(fits.certified[0], X):
         raise RankDeficientDesignError(
-            f"design has rank below its {p} columns; drop redundant terms"
+            f"design has rank below its {X.shape[1]} columns; drop redundant terms"
         )
-
-    alpha = np.zeros(p)
-    prob, dev = _logistic_terms(np.zeros(n), y, 1.0)
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, _MAX_ITER + 1):
-        w = prob * (1.0 - prob)
-        H = (X.T * w) @ X
-        g = X.T @ (y - prob)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            # Full-rank design with a singular information matrix means the
-            # IRLS weights collapsed, which only happens on the way to a
-            # boundary solution.
-            raise SeparationError(
-                "information matrix became singular; data are separated"
-            ) from None
-        alpha = alpha + step
-        if np.max(np.abs(alpha)) > _COEF_BOUND:
-            raise SeparationError(
-                f"coefficient magnitude exceeded {_COEF_BOUND:g}; data are "
-                "(quasi-)separated and the MLE does not exist"
-            )
-        dev_old = dev
-        prob, dev = _logistic_terms(X @ alpha, y, 1.0)
-        if abs(dev - dev_old) < _TOL:
-            converged = True
-            break
-    if dev < _SEPARATED_DEVIANCE:
-        # Newton can plateau (tiny deviance changes) while walking out to
-        # infinity on separated data, declaring convergence before the
-        # coefficient bound trips; a collapsed deviance is unambiguous.
-        raise SeparationError(
-            "deviance collapsed to zero; the classes are strictly separated "
-            "and the MLE does not exist"
-        )
-    if not converged and np.any((prob < _PROB_EDGE) | (prob > 1.0 - _PROB_EDGE)):
-        raise SeparationError(
-            "fit stalled with fitted probabilities at the boundary; data are separated"
-        )
-    w = prob * (1.0 - prob)
-    H = (X.T * w) @ X
+    if status != _OK:
+        raise SeparationError(_SEPARATION[status])
+    prob = fits.prob[0]
     try:
-        cov = np.linalg.inv(H)
+        cov = np.linalg.inv(rows.gram(prob[None] * (1.0 - prob))[0])
     except np.linalg.LinAlgError:
         cov = None
     return PSFit(
-        alpha_hat=alpha,
+        alpha_hat=fits.alpha[0],
         fitted_ps=prob,
-        n_iter=n_iter,
-        converged=converged,
-        deviance=float(dev),
+        n_iter=int(fits.n_iter[0]),
+        converged=bool(fits.converged[0]),
+        deviance=float(fits.deviance[0]),
         cov_alpha=cov,
     )
 
@@ -244,14 +227,14 @@ def ps_quantile_dummies(ps, K=5):
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 1:
         raise InvalidArgumentError("ps must be one-dimensional")
+    if not np.all(np.isfinite(ps)):
+        raise InvalidArgumentError("ps must be finite")
     K = _check_k_bins(K, ps.shape[0], name="K")
-    edges = np.quantile(ps, np.arange(1, K) / K)
-    uniq = np.unique(edges)
-    bins = np.searchsorted(uniq, ps, side="left")
-    occupied = np.unique(bins)
-    cols = [(bins == b).astype(float) for b in occupied[1:]]
+    fits = _quantile_bins_batch(ps[None], np.ones((1, ps.shape[0])), K)
+    bins = fits.bins[0]
+    cols = [(bins == b).astype(float) for b in np.flatnonzero(fits.occupied[0])[1:]]
     dummies = np.column_stack(cols) if cols else np.zeros((ps.shape[0], 0))
-    collapsed = dummies.shape[1] < K - 1
+    collapsed = bool(fits.status[0] == _COLLAPSED)
     if collapsed:
         warnings.warn(
             f"propensity quantile bins collapsed: {dummies.shape[1]} dummy "
@@ -260,7 +243,7 @@ def ps_quantile_dummies(ps, K=5):
             stacklevel=2,
         )
     return PSDummies(
-        bin_edges=uniq,
+        bin_edges=fits.edges[0][fits.distinct[0]],
         dummies=dummies,
         K=K,
         bins=bins,
@@ -290,59 +273,66 @@ def _logistic_terms(eta, y, C):
 
 
 def _fit_logistic_batch(rows, C):
-    """:func:`fit_logistic`'s fitted probabilities on a batch of fits.
+    """:func:`fit_logistic` on a batch of fits.
 
     ``rows`` is the ``lmm_fit._Rows`` of the design and the 0/1 outcome,
     shared by the batch (the resamples of one dataset) or one per replicate
     (the draws of a study).  Row r of the ``(k, n)`` count matrix ``C``
     weights the units of fit r: unit i enters it ``C[r, i]`` times.  Every
-    fit runs the IRLS of :func:`fit_logistic` from zero and stops on its
-    own deviance test; a step solves all active fits together, their
-    information matrices being the Gram matrices of the counts times the
-    IRLS weights.
+    fit runs the IRLS from zero and stops on its own deviance test, or when
+    it fails; a step solves all active fits together, their information
+    matrices being the Gram matrices of the counts times the IRLS weights.
+    Convergence is declared when the deviance changes by less than 1e-10
+    between iterations; the loop is capped at 100 iterations.
 
     Returns
     -------
-    prob : ndarray, shape (k, n)
-        Fitted probability of each unit in each fit.
-    ok : ndarray of bool, shape (k,)
-        False for a fit the batch does not vouch for, which the caller
-        must refit on its own: a single outcome class, rank or conditioning
-        not certified (``lmm_fit._BATCH_COND``), a singular information
-        matrix, a coefficient past the bound, no convergence within the
-        iteration cap, or a collapsed deviance.
+    _Fits
+        Per fit: fitted probabilities ``prob`` ``(k, n)``, coefficients
+        ``alpha``, ``n_iter``, ``converged``, ``deviance``, the Gram
+        certificate ``certified`` of ``lmm_fit._certify`` and ``status``:
+        ``_ONE_CLASS`` (nothing fitted), or one of the failures in
+        ``_SEPARATION``.  ``fragile`` adds to ``_certify``'s verdict a fit
+        that did not converge, whose last iterate rounding can move.
     """
     k, n = C.shape
     y = rows.y
     units = C.sum(axis=1)
     treated = _dot(C, y)
-    ok = ((treated > 0.0) & (treated < units)
-          & _rank_certified(rows.gram(C), units, _BATCH_COND))
+    certified, fragile = _certify(rows.gram(C), units)
+    status = np.where((treated > 0.0) & (treated < units), _OK, _ONE_CLASS)
     alpha = np.zeros((k, rows.X.shape[-1]))
     prob, dev = _logistic_terms(np.zeros((k, n)), y, C)
-    active = ok.copy()
+    n_iter = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
-    for _ in range(_MAX_ITER):
+    active = status == _OK
+    for it in range(1, _MAX_ITER + 1):
         a = np.flatnonzero(active)
         if a.size == 0:
             break
         ra, Ca, pa = rows.take(a), C[a], prob[a]
-        H = ra.gram(Ca * (pa * (1.0 - pa)))
-        alpha[a] += _solve_each(H, ra.cross(Ca * (ra.y - pa)))
-        bad = ~np.all(np.abs(alpha[a]) <= _COEF_BOUND, axis=1)
+        step = _each(_solve, ra.gram(Ca * (pa * (1.0 - pa))), ra.cross(Ca * (ra.y - pa)))
+        alpha[a] += step
         prob[a], dev_a = _logistic_terms(ra.fitted(alpha[a]), ra.y, Ca)
+        singular = np.any(np.isnan(step), axis=1)
+        unbounded = ~np.all(np.abs(alpha[a]) <= _COEF_BOUND, axis=1)
         done = np.abs(dev_a - dev[a]) < _TOL
         dev[a] = dev_a
-        ok[a[bad]] = False
-        converged[a[done & ~bad]] = True
-        active[a[done | bad]] = False
-    ok &= converged & (dev >= _SEPARATED_DEVIANCE)
-    return prob, ok
+        n_iter[a] = it
+        status[a] = np.select([singular, unbounded], [_SINGULAR, _UNBOUNDED], _OK)
+        converged[a] = done & (status[a] == _OK)
+        active[a] = ~done & (status[a] == _OK)
+    status[(status == _OK) & (dev < _SEPARATED_DEVIANCE)] = _SEPARATED
+    edge = np.any((C > 0.0) & ((prob < _PROB_EDGE) | (prob > 1.0 - _PROB_EDGE)), axis=1)
+    status[(status == _OK) & ~converged & edge] = _STALLED
+    return _Fits(prob=prob, alpha=alpha, n_iter=n_iter, converged=converged,
+                 deviance=dev, certified=certified, status=status,
+                 fragile=fragile | ~converged)
 
 
 # A cut point that falls in a gap narrower than this between two different
-# scores leaves the binning at the mercy of rounding: the batched and the
-# one-at-a-time fits agree on the scores only to about 1e-12.  Equal scores
+# scores leaves the binning at the mercy of rounding: scores fitted in a
+# batch and on their own agree only to about 1e-12.  Equal scores
 # are no such risk, since equal design rows give bit-equal scores either way.
 _BIN_GAP = 1e-9
 
@@ -360,13 +350,14 @@ def _quantile_bins_batch(ps, C, K):
 
     Returns
     -------
-    bins : ndarray of int, shape (k, n)
-        The bin of each unit, numbered as :func:`ps_quantile_dummies`
-        numbers them (0 is the reference bin).
-    ok : ndarray of bool, shape (k,)
-        False where the bins collapse (fewer than K bins hold a counted
-        unit), or where a cut point falls between two different scores
-        less than ``_BIN_GAP`` apart.
+    _Fits
+        Per fit: ``bins`` ``(k, n)``, the bin of each unit, numbered as
+        :func:`ps_quantile_dummies` numbers them (0 is the reference bin);
+        the cut points ``edges`` ``(k, K - 1)`` and the mask ``distinct``
+        of those above the cut before; the mask ``occupied`` ``(k, K)`` of
+        bins that hold a counted unit, and ``status`` ``_COLLAPSED`` where
+        one does not.  ``fragile`` marks a cut point that falls between
+        two different scores less than ``_BIN_GAP`` apart.
     """
     k, n = ps.shape
     # The order among equal scores does not matter: the expanded sample's
@@ -389,5 +380,6 @@ def _quantile_bins_batch(ps, C, K):
     for j in range(K - 1):
         bins += distinct[:, j, None] & (edges[:, j, None] < ps)
     occupied = np.stack([(C * (bins == j)).sum(axis=1) > 0 for j in range(K)], axis=1)
-    ok = np.all(occupied, axis=1) & ~np.any((diff > 0.0) & (diff <= _BIN_GAP), axis=1)
-    return bins, ok
+    return _Fits(bins=bins, edges=edges, distinct=distinct, occupied=occupied,
+                 status=np.where(np.all(occupied, axis=1), _OK, _COLLAPSED),
+                 fragile=np.any((diff > 0.0) & (diff <= _BIN_GAP), axis=1))

@@ -10,18 +10,20 @@ Every design column is a function of one unit's own data, so a resample
 is the full-sample design with unit i counted ``c_i`` times, where ``c``
 is the bincount of the drawn indices.  The designs are therefore built once
 per call, and replicates are fitted a chunk (up to 25) at a time as stacked
-count vectors by the private batch kernels of :mod:`glm_fit` and
-:mod:`lmm_fit`.  Only the fits are batched here: the estimates of a chunk
-come from the estimand functions of :mod:`estimators` that the point
-estimates use, given the chunk's count matrix.  A replicate the batch does
-not vouch for (no overlap, a rank or conditioning it cannot certify,
-separation, collapsed or fragile propensity bins, boundary or extreme
-scores, a degenerate likelihood, an unbracketed likelihood root) is
-refitted on ``data.take(indices)`` by the public estimator, which raises,
-warns or returns NaN exactly as a replicate fitted on its own would.
-Batched values agree with one-at-a-time fits to rounding (about 1e-12
-relative).  Everything runs on the calling thread, so neither function
-takes a thread count.
+count vectors by the kernels of :mod:`glm_fit` and :mod:`lmm_fit`, the
+same kernels every single fit runs on a batch of one.  Only the fits are
+batched here: the estimates of a chunk come from the estimand functions of
+:mod:`estimators` that the point estimates use, given the chunk's count
+matrix.  A replicate with no overlap or with extreme scores, or one a
+kernel reports as failed (separation, collapsed propensity bins, a
+degenerate likelihood) or as fragile (a rank or conditioning it cannot
+certify, a cut point or a variance-ratio optimum that rests on the last
+digits, an unbracketed or unconverged search), is refitted on
+``data.take(indices)`` by the public estimator, which raises, warns or
+returns NaN exactly as a replicate fitted on its own would.  Batched values
+agree with one-at-a-time fits to rounding (about 1e-12 relative).
+Everything runs on the calling thread, so neither function takes a thread
+count.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -238,7 +240,8 @@ class _Batch:
     def propensity(self, spec, C):
         """Fitted scores ``(k, n)`` and the ok flags of the treatment model
         of ``spec``."""
-        return _fit_logistic_batch(self._design("ps", spec), C)
+        fits = _fit_logistic_batch(self._design("ps", spec), C)
+        return fits.prob, fits.ok
 
     def effects(self, info, spec, C, propensity=None):
         """Estimates of the method ``info`` with the models of ``spec`` on
@@ -265,21 +268,22 @@ class _Batch:
         else:
             bins = None
             if info.bins_ps:
-                bins, ok_bins = _quantile_bins_batch(ps, C, self.k_bins)
-                ok &= ok_bins
+                cut = _quantile_bins_batch(ps, C, self.k_bins)
+                bins = cut.bins
+                ok &= cut.ok
             sel = np.flatnonzero(ok)
             design, rows = self._design(info.outcome, spec)
             if info.outcome == "post":
-                beta, ok_fit = _fit_or_batch(rows.take(sel), C[sel])
+                fits = _fit_or_batch(rows.take(sel), C[sel])
             else:
-                beta, ok_fit = _fit_lmm_batch(
+                fits = _fit_lmm_batch(
                     tuple(r.take(sel) for r in rows), C[sel],
                     None if bins is None else bins[sel], self.k_bins,
                     random_intercept=spec.random_effect == "unit_intercept",
                 )
-            ok[sel] = ok_fit
-            coef = np.zeros((C.shape[0], beta.shape[1]))
-            coef[sel] = beta
+            ok[sel] = fits.ok
+            coef = np.zeros((C.shape[0], fits.beta.shape[1]))
+            coef[sel] = fits.beta
             values = _contrast_values(self.responses, design, coef, C)
         return {e: v for e, (v, _) in values.items()}, ok
 

@@ -153,6 +153,16 @@ def anova_oracle(y0, y1):
     return mu, su2, se2, float(ll)
 
 
+def quantile_bins_reference(ps, K):
+    """Reference for the equal-frequency binning rule on one sample: cut
+    points at ``np.quantile``'s 1/K, ..., (K-1)/K quantiles, merged by
+    ``np.unique``, and each score in the bin ``np.searchsorted`` finds on
+    its left side, so a score equal to a cut goes to the lower bin.
+    Returns ``(bins, edges)``."""
+    edges = np.unique(np.quantile(ps, np.arange(1, K) / K))
+    return np.searchsorted(edges, ps, side="left"), edges
+
+
 def dense_lmm_oracle(X, y, cluster_ids, lo=-12.0, hi=12.0):
     """Brute-force ML fit of the two-row random-intercept model.
 

@@ -63,10 +63,11 @@ def _load_workloads():
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
-    return module.WORKLOADS
+    return module
 
 
-_WORKLOADS = _load_workloads()
+_BENCH = _load_workloads()
+_WORKLOADS = _BENCH.WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(_WORKLOADS))
@@ -89,3 +90,17 @@ def test_bootstrap_workload_output_holds_its_invariants(tmp_path):
     assert run(workload.argv(0, str(tmp_path), str(out))) == 0
     numbers, counts = workload.parse(out.read_text(encoding="utf-8"))
     assert workload.invariants(numbers, counts, 0) == []
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(_WORKLOADS))
+def test_workload_output_matches_the_reference(name, seed, tmp_path):
+    # The benchmark's correctness check: counts exactly, and every number
+    # within the tolerances recorded with the reference outputs.
+    workload = _WORKLOADS[name]
+    workload.prepare(seed, str(tmp_path))
+    out = tmp_path / "out"
+    assert run(workload.argv(seed, str(tmp_path), str(out))) == 0
+    problems, _ = _BENCH.check_output(workload, out.read_bytes(), seed,
+                                      _BENCH.load_reference())
+    assert problems == []

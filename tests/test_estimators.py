@@ -41,6 +41,14 @@ def _const_ps(data, p):
     )
 
 
+def _nan_ps(data):
+    """The fitted treatment model of ``data`` with one score set to NaN."""
+    fit = fit_propensity(data, ModelSpec(ps_terms=("1", "x1", "x2", "v")))
+    ps = fit.fitted_ps.copy()
+    ps[7] = np.nan
+    return PSFit(fit.alpha_hat, ps, fit.n_iter, fit.converged, fit.deviance)
+
+
 def _hom(seed, n=300):
     return generate_scenario(Scenario("HOM", n), seed)
 
@@ -196,6 +204,11 @@ class TestEstimateIpw:
         with pytest.raises(InvalidArgumentError):
             estimate_ipw(data, pinned)
 
+    def test_nan_score_rejected(self):
+        data = _hom(443, n=200)
+        with pytest.raises(InvalidArgumentError):
+            estimate_ipw(data, _nan_ps(data))
+
 
 class TestEstimateDid:
     def test_toy_hand_value(self):
@@ -275,6 +288,14 @@ class TestEstimateDrglmm:
         assert dr["ATT"].value == plain["ATT"].value
         assert dr["ATE"].components["n_dummy_columns"] == 0
         assert dr["ATE"].components["bins_collapsed"] is True
+
+    def test_nan_score_rejected(self):
+        # A NaN score must not fall into a bin and leave a plain GLMM fit
+        # labelled DRGLMM.
+        data = _hom(443, n=200)
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x2"))
+        with pytest.raises(InvalidArgumentError):
+            estimate_drglmm(data, spec, _nan_ps(data))
 
     def test_components_record_augmentation(self):
         data = _hom(441, n=400)

@@ -29,6 +29,7 @@ from helpers import (
     check_rank_verdict,
     extreme_ps_dataset,
     make_dataset,
+    quantile_bins_reference,
     rank_probe_designs,
 )
 
@@ -242,10 +243,39 @@ class TestPsQuantileDummies:
         with pytest.raises(InvalidArgumentError):
             ps_quantile_dummies(np.full((4, 2), 0.5), K=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        ps = np.linspace(0.1, 0.9, 10)
+        ps[3] = bad
+        with pytest.raises(InvalidArgumentError):
+            ps_quantile_dummies(ps, K=2)
+
+    @pytest.mark.parametrize("ps", [np.arange(1, 11) / 10.0,
+                                    np.array([0.1, 0.2, 0.2, 0.3, 0.5, 0.5, 0.5, 0.9]),
+                                    np.repeat([0.3, 0.6], 5)])
+    def test_matches_the_reference_rule(self, ps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateBinsWarning)
+            out = ps_quantile_dummies(ps, K=4)
+        bins, edges = quantile_bins_reference(ps, 4)
+        np.testing.assert_array_equal(out.bins, bins)
+        np.testing.assert_array_equal(out.bin_edges, edges)
+        assert out.dummies.shape[1] == len(np.unique(bins)) - 1
+
 
 class TestCountWeightedBins:
-    """The bootstrap bins a resample from its unit counts; the result must
-    be the bins of the expanded sample, bin for bin."""
+    """The bins of a resample from its unit counts must be the bins numpy's
+    quantile rule gives the expanded sample, bin for bin and cut for cut."""
+
+    @staticmethod
+    def _assert_expanded(ps, C, K):
+        fits = _quantile_bins_batch(np.tile(ps, (C.shape[0], 1)), C, K)
+        for r in range(C.shape[0]):
+            c = C[r].astype(int)
+            bins, edges = quantile_bins_reference(np.repeat(ps, c), K)
+            np.testing.assert_array_equal(np.repeat(fits.bins[r], c), bins)
+            np.testing.assert_array_equal(fits.edges[r][fits.distinct[r]], edges)
+            assert fits.ok[r] == (len(np.unique(bins)) == K and not fits.fragile[r])
 
     @given(
         base=st.lists(st.sampled_from([0.1, 0.25, 0.25, 0.4, 0.6, 0.9]) | st.floats(0.01, 0.99),
@@ -258,26 +288,11 @@ class TestCountWeightedBins:
         ps = np.array(base)
         C = np.array(counts, dtype=float)[:, :ps.size]
         C[:, 0] += K  # every resample has at least K units
-        bins, ok = _quantile_bins_batch(np.tile(ps, (C.shape[0], 1)), C, K)
-        for r in range(C.shape[0]):
-            c = C[r].astype(int)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateBinsWarning)
-                want = ps_quantile_dummies(np.repeat(ps, c), K=K)
-            np.testing.assert_array_equal(np.repeat(bins[r], c), want.bins)
-            if want.collapsed:
-                assert not ok[r]
+        self._assert_expanded(ps, C, K)
 
     def test_ties_and_zero_counts(self):
         ps = np.array([0.1, 0.2, 0.2, 0.3, 0.5, 0.5, 0.7, 0.9])
         C = np.array([[1, 2, 0, 1, 1, 0, 2, 1],
                       [0, 1, 1, 1, 0, 3, 1, 1],
                       [1, 1, 1, 1, 1, 1, 1, 1]], dtype=float)
-        bins, ok = _quantile_bins_batch(np.tile(ps, (3, 1)), C, 4)
-        for r in range(3):
-            c = C[r].astype(int)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateBinsWarning)
-                want = ps_quantile_dummies(np.repeat(ps, c), K=4)
-            np.testing.assert_array_equal(np.repeat(bins[r], c), want.bins)
-            assert ok[r] == (not want.collapsed)
+        self._assert_expanded(ps, C, 4)

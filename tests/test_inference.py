@@ -318,6 +318,33 @@ class TestBatchedReplicates:
         np.testing.assert_allclose(forward["ATT"][[0, 11, 24]], alone, rtol=1e-12)
 
 
+class TestDuplicatedUnit:
+    """A unit counted twice is two copies of that unit: a batched fit that
+    counts it 2 times must give what the public estimator gives on the data
+    with its rows repeated."""
+
+    @pytest.mark.parametrize("method", list(METHOD_TABLE))
+    @settings(max_examples=3)
+    @given(scenario=st.sampled_from(["HOM", "HET", "RANDCOEF"]),
+           data_seed=st.integers(0, 10_000), unit=st.integers(0, 199))
+    def test_count_of_two_is_a_repeated_unit(self, method, scenario, data_seed, unit):
+        data = generate_scenario(Scenario(scenario, 200), data_seed)
+        info = METHOD_TABLE[method]
+        spec = _config(method, info.estimands[0], scenario_specs(scenario)).spec
+        C = np.ones((1, data.n))
+        C[0, unit] = 2.0
+        values, ok = _Batch(data, 5).effects(info, spec, C)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtremeWeightsWarning)
+            want = estimate_effects(method, data.take(np.append(np.arange(data.n), unit)),
+                                    spec)
+        assert ok[0]
+        assert set(values) == set(want) == set(info.estimands)
+        for estimand, estimate in want.items():
+            np.testing.assert_allclose(values[estimand][0], estimate.value, rtol=1e-12,
+                                       err_msg=estimand)
+
+
 class TestOneArithmetic:
     """A replicate that counts every unit once is the data as given: its
     batched estimate goes through the point estimate's arithmetic."""

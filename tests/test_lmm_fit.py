@@ -29,8 +29,8 @@ from panel_causal.lmm_fit import (
     _LOG_LAMBDA_LO,
     _ROOT_STEPS,
     _XATOL,
-    _Profile,
-    _illinois,
+    _find_roots,
+    _fit_blocks,
     _loglik,
     _score,
 )
@@ -324,6 +324,19 @@ class TestDenseOracle:
         self._assert_matches(fit, X, y, oracle)
 
 
+def _search(f, a, b, fa, fb):
+    """:func:`_find_roots` on a batch of one member, the scalar function
+    ``f``; returns ``(x, converged, the points f was evaluated at)``."""
+    calls = []
+
+    def batch(x, i):
+        calls.extend(x.tolist())
+        return np.array([f(v) for v in x])
+
+    x, converged = _find_roots(batch, [a], [b], [fa], [fb])
+    return float(x[0]), bool(converged[0]), calls
+
+
 class TestRootFinder:
     """The score's root search: against scipy's brentq on fit_lmm's own
     bracket, and on functions built to hit each way the search can end."""
@@ -333,53 +346,60 @@ class TestRootFinder:
     def test_matches_brentq_on_the_grid_bracket(self, scenario, seed, offset):
         X0, X1, y0, y1 = _dr_design(scenario, seed)
         y0, y1 = y0 + offset, y1 + offset
-        stats = _Profile(X0, X1, y0, y1).stats
+        stats = _fit_blocks(X0, X1, y0, y1).stats
         grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
-        j = int(np.argmax(_loglik(grid, stats)))
-        score = _score(grid, stats)
+        j = int(np.argmax(_loglik(grid, stats)[0]))
+        score = _score(grid, stats)[0]
         assert 0 < j < _GRID_POINTS - 1 and score[j - 1] > 0.0 > score[j + 1]
-        root = brentq(_score, grid[j - 1], grid[j + 1], args=(stats,), xtol=_XATOL)
+        root = brentq(lambda x: _score(np.full((1, 1), x), stats)[0, 0],
+                      grid[j - 1], grid[j + 1], xtol=_XATOL)
         fit = fit_lmm(X0, X1, y0, y1)
         assert fit.converged
         assert abs(fit.log_lambda - root) <= 1e-12
 
+    @staticmethod
+    def _flat_zero(x):
+        return 1.0 if x < 0.2 else (-1.0 if x > 0.8 else 0.0)
+
+    @staticmethod
+    def _lopsided(x):
+        return 1e300 if x < 0.5 else -1.0
+
     def test_exact_zero_is_the_root(self):
         # The first secant step lands on a flat zero, far wider than _XATOL.
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return 1.0 if x < 0.2 else (-1.0 if x > 0.8 else 0.0)
-
-        assert _illinois(f, 0.0, 1.0, 1.0, -1.0) == (0.5, True)
-        assert calls == [0.5]
+        assert _search(self._flat_zero, 0.0, 1.0, 1.0, -1.0) == (0.5, True, [0.5])
 
     def test_bracket_not_closed_within_the_cap_is_unconverged(self):
         # The far end's value dwarfs the near one's, so every secant step
         # lands on the near end, and halving the far value at each step does
         # not bring it level within the step cap.
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return 1e300 if x < 0.5 else -1.0
-
-        x, converged = _illinois(f, 0.0, 1.0, 1e300, -1.0)
+        x, converged, calls = _search(self._lopsided, 0.0, 1.0, 1e300, -1.0)
         assert not converged
         assert len(calls) == _ROOT_STEPS
         assert 0.0 <= x <= 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_stops_the_search(self, bad):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return bad
-
-        x, converged = _illinois(f, 0.0, 1.0, 1.0, -1.0)
+        x, converged, calls = _search(lambda v: bad, 0.0, 1.0, 1.0, -1.0)
         assert not converged
         assert calls == [x]
+
+    def test_members_of_a_batch_end_as_they_would_alone(self):
+        # Each member stops on its own; the others go on with their steps.
+        fs = [self._flat_zero, self._lopsided, lambda v: np.nan, lambda v: 0.3 - v]
+        ends = [(0.0, 1.0, 1.0, -1.0), (0.0, 1.0, 1e300, -1.0),
+                (0.0, 1.0, 1.0, -1.0), (0.0, 1.0, 0.3, -0.7)]
+        seen = [[] for _ in fs]
+
+        def f(x, i):
+            for v, r in zip(x, i):
+                seen[r].append(float(v))
+            return np.array([fs[r](v) for v, r in zip(x, i)])
+
+        x, converged = _find_roots(f, *np.array(ends).T)
+        for r, (g, end) in enumerate(zip(fs, ends)):
+            assert (float(x[r]), bool(converged[r]), seen[r]) == _search(g, *end)
+        assert converged.tolist() == [True, False, False, True]
 
 
 class TestFitOr:
