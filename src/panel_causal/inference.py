@@ -6,24 +6,23 @@ replacement, each carrying both of its rows, and the whole pipeline
 draws its n unit indices from the random stream keyed by ``(seed, r)``, so
 results are bit-identical for a fixed seed.
 
-Every design column is a function of one unit's own data, so a resample
-is the full-sample design with unit i counted ``c_i`` times, where ``c``
-is the bincount of the drawn indices.  The designs are therefore built once
-per call, and replicates are fitted a chunk (up to 25) at a time as stacked
-count vectors by the kernels of :mod:`glm_fit` and :mod:`lmm_fit`, the
-same kernels every single fit runs on a batch of one.  Only the fits are
-batched here: the estimates of a chunk come from the estimand functions of
-:mod:`estimators` that the point estimates use, given the chunk's count
-matrix.  A replicate with no overlap or with extreme scores, or one a
-kernel reports as failed (separation, collapsed propensity bins, a
-degenerate likelihood) or as fragile (a rank or conditioning it cannot
-certify, a cut point or a variance-ratio optimum that rests on the last
-digits, an unbracketed or unconverged search), is refitted on
-``data.take(indices)`` by the public estimator, which raises, warns or
-returns NaN exactly as a replicate fitted on its own would.  Batched values
-agree with one-at-a-time fits to rounding (about 1e-12 relative).
-Everything runs on the calling thread, so neither function takes a thread
-count.
+One engine, :func:`_replicate_values`, runs a suite of ``(method, spec)``
+entries over replicates a chunk (up to 25) at a time: the bootstrap runs a
+suite of one over resamples, the DR test a suite of three over shared
+resamples, and a simulation study (:mod:`simlab`) its suite over fresh
+draws.  A chunk is a :class:`_Batch` and a ``(k, n)`` count matrix: every
+design column is a function of one unit's own data, so a resample is the
+full-sample design with unit i counted as often as it was drawn, and a
+chunk of draws is their designs stacked, each unit counted once.  Every
+entry is fitted on the whole chunk by the kernels of :mod:`glm_fit` and
+:mod:`lmm_fit`, which every single fit runs on a batch of one, and
+estimated by the estimand functions of :mod:`estimators` given the counts.
+A (replicate, entry) pair the batch cannot vouch for (no overlap, extreme
+scores, a fit a kernel reports as failed or as fragile) is recomputed on
+the replicate's own dataset by the public estimators, which raise, warn or
+return NaN as on a replicate evaluated alone; the other entries of that
+replicate keep their batched values, which agree with one-at-a-time fits
+to rounding (about 1e-12 relative).  Everything runs on the calling thread.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -175,6 +174,10 @@ def _chunk_size(n):
     return max(1, min(_CHUNK, _CHUNK_CELLS // n))
 
 
+# A replicate whose fit raises one of these gets NaN.
+_FIT_ERRORS = (PanelCausalError, np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True, eq=False)
 class _Responses:
     """The columns the estimand functions read, with a leading replicate axis."""
@@ -287,32 +290,93 @@ class _Batch:
             values = _contrast_values(self.responses, design, coef, C)
         return {e: v for e, (v, _) in values.items()}, ok
 
+    def values(self, suite, C):
+        """Estimates of each ``(method, spec)`` entry of ``suite`` on each
+        fit of ``C``: ``(k, entries, len(ESTIMANDS))`` values, NaN where
+        the method lacks the estimand, and ``(k, entries)`` ok flags.
+        Entries with the same treatment terms share one treatment-model fit."""
+        vals = np.full((C.shape[0], len(suite), len(ESTIMANDS)), np.nan)
+        ok = np.empty((C.shape[0], len(suite)), dtype=bool)
+        scores = {}
+        with np.errstate(all="ignore"):
+            for i, (method, spec) in enumerate(suite):
+                info = METHOD_TABLE[method]
+                if info.uses_ps and spec.ps_terms not in scores:
+                    scores[spec.ps_terms] = self.propensity(spec, C)
+                propensity = scores[spec.ps_terms] if info.uses_ps else None
+                estimates, ok[:, i] = self.effects(info, spec, C, propensity)
+                for j, estimand in enumerate(ESTIMANDS):
+                    if estimand in estimates:
+                        vals[:, i, j] = estimates[estimand]
+        return vals, ok
 
-def _resampled_values(data, B, seed, values, fallback, width):
-    """Values of B cluster-bootstrap replicates, fitted a chunk at a time.
 
-    Replicate r draws its n unit indices from the ``(seed, r)`` stream, and
-    their bincount is its row of the chunk's count matrix.  ``values(C)``
-    returns ``((k, width) values, ok)`` for a chunk; each replicate that is
-    not ok is recomputed as ``fallback(data.take(indices))``, with a fit
-    failure recorded as NaN.
+def _suite_values(data, suite, k_bins):
+    """Each ``(method, spec)`` entry of ``suite`` evaluated on ``data`` alone
+    by the public estimators: ``(entries, len(ESTIMANDS))`` values, NaN
+    where a fit fails or the method lacks the estimand.  Entries with the
+    same treatment terms share one treatment-model fit."""
+    vals = np.full((len(suite), len(ESTIMANDS)), np.nan)
+    scores = {}
+    for i, (method, spec) in enumerate(suite):
+        ps_fit = None
+        if METHOD_TABLE[method].uses_ps:
+            if spec.ps_terms not in scores:
+                try:
+                    scores[spec.ps_terms] = fit_propensity(data, spec)
+                except _FIT_ERRORS:
+                    scores[spec.ps_terms] = None
+            ps_fit = scores[spec.ps_terms]
+            if ps_fit is None:
+                continue
+        try:
+            out = estimate_effects(method, data, spec, ps_fit, k_bins=k_bins)
+        except _FIT_ERRORS:
+            continue
+        vals[i] = [out[e].value if e in out else np.nan for e in ESTIMANDS]
+    return vals
+
+
+def _replicate_values(suite, chunks):
+    """Values of each ``(method, spec)`` entry of ``suite`` on every
+    replicate, ``(R, entries, len(ESTIMANDS))``: the one replicate engine
+    of the bootstrap, the DR test and the simulation study.
+
+    ``chunks`` yields ``(batch, C, dataset)`` per chunk of k replicates: a
+    :class:`_Batch`, its ``(k, n)`` count matrix, and ``dataset(j)``, which
+    builds replicate j's own dataset.  :meth:`_Batch.values` fits every
+    entry on the whole chunk; each (replicate, entry) pair it does not vouch
+    for is recomputed by :func:`_suite_values` on the replicate's own
+    dataset, so that pair's value, failure (NaN) and warnings are those of
+    the replicate evaluated alone.
     """
+    out = []
+    for batch, C, dataset in chunks:
+        vals, ok = batch.values(suite, C)
+        for j in np.flatnonzero(~ok.all(axis=1)):
+            redo = np.flatnonzero(~ok[j])
+            try:
+                vals[j, redo] = _suite_values(dataset(j), [suite[i] for i in redo],
+                                              batch.k_bins)
+            except _FIT_ERRORS:
+                vals[j, redo] = np.nan
+        out.append(vals)
+    return np.concatenate(out)
+
+
+def _resamples(data, k_bins, B, seed):
+    """The B cluster-bootstrap resamples of ``data`` as chunks of
+    :func:`_replicate_values`.  Replicate r draws its n unit indices from the
+    ``(seed, r)`` stream: their bincount is its row of the count matrix, and
+    ``data.take`` of them its own dataset."""
     n = data.n
+    batch = _Batch(data, k_bins)
     chunk = _chunk_size(n)
-    out = np.empty((B, width))
     for start in range(0, B, chunk):
         idx = [substream(seed, r).integers(0, n, size=n)
                for r in range(start, min(start + chunk, B))]
         C = np.array([np.bincount(i, minlength=n) for i in idx], dtype=float)
-        with np.errstate(all="ignore"):
-            vals, ok = values(C)
-        for j in np.flatnonzero(~ok):
-            try:
-                vals[j] = fallback(data.take(idx[j]))
-            except (PanelCausalError, np.linalg.LinAlgError):
-                vals[j] = np.nan
-        out[start:start + len(idx)] = vals
-    return out
+        yield batch, C, lambda j, idx=idx: data.take(idx[j])
 
 
 @dataclass(frozen=True)
@@ -337,10 +401,10 @@ def cluster_bootstrap(data, config, B, seed):
     """Nonparametric cluster bootstrap of one estimator.
 
     Replicate r resamples n units with replacement from the ``(seed, r)``
-    stream and refits the whole estimator, in count-vector chunks as the
-    module docstring describes.  A replicate the batch does not vouch for
-    is refitted on its own by :func:`evaluate_estimator`, so failures and
-    warnings are those of the one-at-a-time bootstrap.
+    stream and refits the whole estimator: the estimator is a suite of one
+    for the replicate engine (module docstring), so a replicate the batch
+    cannot vouch for is refitted on its own, with the failures and warnings
+    of the one-at-a-time bootstrap.
 
     Parameters
     ----------
@@ -357,15 +421,9 @@ def cluster_bootstrap(data, config, B, seed):
     """
     B = _check_B(B)
     point = evaluate_estimator(config, data)
-    info = method_info(config.method)
-    resamples = _Batch(data, config.k_bins)
-
-    def values(C):
-        estimates, ok = resamples.effects(info, config.spec, C)
-        return estimates[config.estimand][:, None], ok
-
-    vals = _resampled_values(data, B, seed, values,
-                             lambda d: evaluate_estimator(config, d), 1)[:, 0]
+    vals = _replicate_values([(config.method, config.spec)],
+                             _resamples(data, config.k_bins, B, seed))
+    vals = vals[:, 0, ESTIMANDS.index(config.estimand)]
     ok = vals[np.isfinite(vals)]
     n_failed = int(B - ok.size)
     if n_failed >= 0.05 * B:
@@ -409,8 +467,16 @@ class DRTestResult:
     n_failed: int
 
 
-def _guarded_z(num, sigma):
-    if sigma == 0.0 or not np.isfinite(sigma):
+# A replicate's batched value agrees with its value refitted on its own to
+# about 1e-12 relative, so two estimates that coincide by construction (the
+# doubly robust and mixed-model ones under a constant treatment model) still
+# differ by rounding when only one of them is refitted: a spread below
+# _ROUNDING times the size of the estimates is no bootstrap variance.
+_ROUNDING = 1e-9
+
+
+def _guarded_z(num, sigma, scale):
+    if not np.isfinite(sigma) or sigma <= _ROUNDING * scale:
         warnings.warn(
             "difference statistic has degenerate bootstrap variance; z set to 0",
             DegenerateVarianceWarning,
@@ -428,10 +494,12 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     bootstrap standard deviations of the pairwise differences scale the
     observed point differences into z statistics.
 
-    Resamples are drawn and fitted as in :func:`cluster_bootstrap`; each
-    chunk gets one treatment-model fit whose scores serve both the doubly
-    robust and the weighted-DID estimate.  A replicate any of the three
-    estimates cannot vouch for is refitted on its own, all three together.
+    The three estimators are one suite of the replicate engine (module
+    docstring) on the resamples of :func:`cluster_bootstrap`: one
+    treatment-model fit per chunk serves the doubly robust and the
+    weighted-DID estimate, and a (replicate, estimator) pair the batch
+    cannot vouch for is refitted on its own.  A replicate in which any of
+    the three fails is left out of the statistics.
 
     Parameters
     ----------
@@ -439,27 +507,18 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     spec : ModelSpec
         Outcome and propensity terms.
     """
-    if not spec.ps_terms:
-        raise InvalidArgumentError("dr_specification_test needs propensity terms")
+    missing = METHOD_TABLE["DRGLMM"].missing_model(spec)
+    if missing:
+        raise InvalidArgumentError(f"dr_specification_test needs its {missing}, which spec lacks")
     B = _check_B(B)
     _check_k_bins(k_bins, data.n)
-    methods = ("DRGLMM", "IPWDID", "GLMM")
-
-    def triple(d):
-        ps = fit_propensity(d, spec)
-        return tuple(estimate_effects(m, d, spec, ps, k_bins=k_bins)["ATE"].value
-                     for m in methods)
-
-    point_dr, point_ipwdid, point_glmm = triple(data)
-    resamples = _Batch(data, k_bins)
-
-    def values(C):
-        propensity = resamples.propensity(spec, C)
-        runs = [resamples.effects(METHOD_TABLE[m], spec, C, propensity) for m in methods]
-        return (np.column_stack([estimates["ATE"] for estimates, _ in runs]),
-                np.logical_and.reduce([ok for _, ok in runs]))
-
-    vals = _resampled_values(data, B, seed, values, triple, 3)
+    suite = [(method, spec) for method in ("DRGLMM", "IPWDID", "GLMM")]
+    ps_fit = fit_propensity(data, spec)
+    point_dr, point_ipwdid, point_glmm = (
+        estimate_effects(method, data, spec, ps_fit, k_bins=k_bins)["ATE"].value
+        for method, _ in suite)
+    vals = _replicate_values(suite, _resamples(data, k_bins, B, seed))
+    vals = vals[..., ESTIMANDS.index("ATE")]
     ok = vals[np.all(np.isfinite(vals), axis=1)]
     n_failed = int(B - ok.shape[0])
     if ok.shape[0] < 2:
@@ -468,8 +527,9 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
         )
     sigma_ps = float(np.std(ok[:, 0] - ok[:, 1], ddof=1))
     sigma_or = float(np.std(ok[:, 0] - ok[:, 2], ddof=1))
-    z_ps = _guarded_z(point_dr - point_ipwdid, sigma_ps)
-    z_or = _guarded_z(point_dr - point_glmm, sigma_or)
+    scale = float(np.max(np.abs(ok)))
+    z_ps = _guarded_z(point_dr - point_ipwdid, sigma_ps, scale)
+    z_or = _guarded_z(point_dr - point_glmm, sigma_or, scale)
     return DRTestResult(
         z_ps=z_ps,
         z_or=z_or,

@@ -23,13 +23,15 @@ RANDCOEF_TI  the same, with the x2 term post-period only
 A study draws R independent datasets, runs a suite of estimator and model
 combinations on each, and reports bias (x100), variance and MSE per cell
 against the scenario's true effects.  Replicate r draws from the stream
-keyed by (seed, r), so studies reproduce bit for bit.  Replicates are drawn
-and fitted a chunk at a time on the calling thread, through the batch
-kernels of the cluster bootstrap with a design per replicate; a replicate
-the kernels do not vouch for is evaluated on its own, so values, failures
-and warnings are those of replicates evaluated one at a time, the values
-to rounding.  A study silences the weighting estimators' extreme-weight
-warnings and reports failures per cell instead.
+keyed by (seed, r), so studies reproduce bit for bit.  The suite runs on
+the replicate engine of the cluster bootstrap
+(:func:`~panel_causal.inference._replicate_values`), a chunk of draws at a
+time: the draws are stacked into one dataset and every entry is fitted on
+all of them at once; an entry the kernels cannot vouch for on a draw is
+recomputed on that draw's own dataset, so values, failures and warnings are
+those of replicates evaluated one at a time, the values to rounding.  A
+study silences the weighting estimators' extreme-weight warnings and
+reports failures per cell instead.
 """
 
 import warnings
@@ -40,12 +42,11 @@ import numpy as np
 from .errors import (
     ExtremeWeightsWarning,
     InvalidArgumentError,
-    PanelCausalError,
     ReplicateFailureWarning,
 )
-from .estimators import ESTIMANDS, estimate_effects, method_info
-from .glm_fit import _check_k_bins, expit, fit_propensity
-from .inference import _Batch, _chunk_size
+from .estimators import ESTIMANDS, method_info
+from .glm_fit import _check_k_bins, expit
+from .inference import _Batch, _chunk_size, _replicate_values
 from .panel_data import ModelSpec, PanelDataset
 from .rng import substream
 
@@ -445,81 +446,35 @@ class StudyResult:
         raise KeyError(f"no cell ({label!r}, {estimand!r})")
 
 
-def _suite_values(data, suite, specs, k_bins):
-    """Evaluate every suite entry once; (ate, att) rows, NaN on failure.
-
-    The two treatment models are fitted at most once each and shared by
-    the weighting and doubly robust entries.
-    """
-    vals = np.full((len(suite), 2), np.nan)
-    ps_cache = {}
-
-    def shared_ps(which):
-        if which not in ps_cache:
-            try:
-                ps_cache[which] = fit_propensity(data, specs["ps_" + which])
-            except (PanelCausalError, np.linalg.LinAlgError):
-                ps_cache[which] = None
-        return ps_cache[which]
-
-    for i, e in enumerate(suite):
-        info = method_info(e.method)
-        spec = specs[f"{info.outcome}_{e.outcome_model}"] if info.outcome else None
-        ps_fit = None
-        if info.uses_ps:
-            ps_fit = shared_ps(e.ps_model)
-            if ps_fit is None:
-                continue
-        try:
-            out = estimate_effects(e.method, data, spec, ps_fit, k_bins=k_bins)
-        except (PanelCausalError, np.linalg.LinAlgError):
-            continue
-        for j, estimand in enumerate(ESTIMANDS):
-            if estimand in out:
-                vals[i, j] = out[estimand].value
-    return vals
-
-
-def _chunk_values(datasets, suite, specs, k_bins):
-    """:func:`_suite_values` of each dataset of a chunk, ``(k, entries, 2)``.
-
-    The k datasets are stacked into one, on which each model of ``specs``
-    gets its design built once, split into a design per dataset; every
-    entry is then fitted on all k datasets at once by the batch kernels of
-    the cluster bootstrap (:class:`~panel_causal.inference._Batch`, with
-    all-ones counts), each treatment model once for the entries that share
-    it.  An entry a kernel does not vouch for on a dataset is evaluated by
-    :func:`_suite_values` on that dataset alone, which fails, warns and
-    returns NaN as a replicate evaluated on its own does.
-    """
-    k, n = len(datasets), datasets[0].n
-    stacked = PanelDataset(
-        covariate_names=_COVARIATES,
-        **{f: np.concatenate([getattr(d, f) for d in datasets])
-           for f in ("unit_ids", "y0", "y1", "d1", "x0", "x1")},
+def _entry_spec(entry, specs):
+    """The one ModelSpec of a suite entry: the outcome terms of its outcome
+    model plus the terms of its treatment model, from ``specs``
+    (:func:`scenario_specs`)."""
+    outcome = method_info(entry.method).outcome
+    return ModelSpec(
+        outcome_terms=specs[f"{outcome}_{entry.outcome_model}"].outcome_terms if outcome else (),
+        ps_terms=specs[f"ps_{entry.ps_model}"].ps_terms if entry.ps_model else (),
     )
-    batch = _Batch(stacked, k_bins, reps=k)
-    C = np.ones((k, n))
-    scores = {}
-    vals = np.full((k, len(suite), 2), np.nan)
-    ok = np.empty((k, len(suite)), dtype=bool)
-    with np.errstate(all="ignore"):
-        for i, e in enumerate(suite):
-            info = method_info(e.method)
-            spec = specs[f"{info.outcome}_{e.outcome_model}"] if info.outcome else None
-            propensity = None
-            if info.uses_ps:
-                if e.ps_model not in scores:
-                    scores[e.ps_model] = batch.propensity(specs["ps_" + e.ps_model], C)
-                propensity = scores[e.ps_model]
-            estimates, ok[:, i] = batch.effects(info, spec, C, propensity)
-            for j, estimand in enumerate(ESTIMANDS):
-                if estimand in estimates:
-                    vals[:, i, j] = estimates[estimand]
-    for r in np.flatnonzero(~ok.all(axis=1)):
-        redo = np.flatnonzero(~ok[r])
-        vals[r, redo] = _suite_values(datasets[r], [suite[i] for i in redo], specs, k_bins)
-    return vals
+
+
+def _draw_chunks(scenario, seed, replicates, k_bins):
+    """The draws ``replicates`` as chunks of the replicate engine: each
+    chunk's draw arrays stacked into one dataset, fitted with all-ones
+    counts.  A draw gets a dataset of its own only when the engine
+    recomputes one of its entries, or when it has no overlap."""
+    n = scenario.n
+    unit_ids = _unit_ids(n)
+    size = _chunk_size(n)
+    for start in range(0, len(replicates), size):
+        draws = [_draw(scenario, seed, r) for r in replicates[start:start + size]]
+        for draw in draws:
+            # Its own dataset raises the NoOverlapError of a draw without overlap.
+            if draw[3].sum() in (0, n):
+                _dataset(draw, unit_ids)
+        stacked = _dataset([np.concatenate(a) for a in zip(*draws)],
+                           np.tile(unit_ids, len(draws)))
+        yield (_Batch(stacked, k_bins, reps=len(draws)), np.ones((len(draws), n)),
+               lambda j, draws=draws: _dataset(draws[j], unit_ids))
 
 
 def _unit_constant_columns(spec):
@@ -537,10 +492,11 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
 
     Draws R datasets (replicate r from stream ``(seed, r)``), evaluates the
     suite on each, and aggregates bias x100, variance (population formula)
-    and MSE per (entry, estimand) against :func:`true_effects`.  The
-    replicates are drawn and fitted a chunk at a time (as many as the
-    cluster bootstrap fits together), which gives the values of replicates
-    evaluated one at a time to rounding.
+    and MSE per (entry, estimand) against :func:`true_effects`.  Each entry
+    resolves to one model spec; the suite runs on the bootstrap's replicate
+    engine over chunks of draws (module docstring), which gives the values
+    of replicates evaluated one at a time to rounding.  A draw without
+    overlap raises :class:`~panel_causal.errors.NoOverlapError`.
 
     Parameters
     ----------
@@ -571,14 +527,15 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     if R < 2:
         raise InvalidArgumentError(f"R must be at least 2, got {R}")
     suite = tuple(suite)
-    binned = [e for e in suite if method_info(e.method).bins_ps]
+    specs = scenario_specs(scenario.id)
+    entries = [(e.method, _entry_spec(e, specs)) for e in suite]
+    binned = [(e, spec) for e, (method, spec) in zip(suite, entries)
+              if method_info(method).bins_ps]
     k_bins = _check_k_bins(k_bins, scenario.n if binned else None)
     labels = [e.label for e in suite]
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError("suite labels must be unique")
-    specs = scenario_specs(scenario.id)
-    for e in binned:
-        spec = specs[f"{method_info(e.method).outcome}_{e.outcome_model}"]
+    for e, spec in binned:
         width = _unit_constant_columns(spec) + k_bins - 1
         if width > scenario.n:
             raise InvalidArgumentError(
@@ -587,19 +544,12 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
             )
     truths = true_effects(scenario)
 
-    unit_ids = _unit_ids(scenario.n)
-    chunk = _chunk_size(scenario.n)
     # Extreme-weight warnings are silenced for the replicates: across
     # thousands of draws they would only drown the study-level failure
     # accounting below.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtremeWeightsWarning)
-        stack = np.concatenate([
-            _chunk_values([_dataset(_draw(scenario, seed, r), unit_ids)
-                           for r in range(start, min(start + chunk, R))],
-                          suite, specs, k_bins)
-            for start in range(0, R, chunk)
-        ])
+        stack = _replicate_values(entries, _draw_chunks(scenario, seed, range(R), k_bins))
     return _summarize(scenario, suite, seed, truths, stack)
 
 
@@ -619,30 +569,15 @@ def _summarize(scenario, suite, seed, truths, stack):
             v = stack[:, i, j]
             ok = v[np.isfinite(v)]
             truth = truth_by_estimand[estimand]
-            if ok.size == 0:
-                cells.append(StudyCell(e.label, e.method, e.outcome_model,
-                                       e.ps_model, estimand, np.nan, np.nan,
-                                       np.nan, 0, np.nan))
-                continue
-            bias = float(ok.mean() - truth)
-            var = float(ok.var())
-            mse = float(np.mean((ok - truth) ** 2))
-            mc_se = (
-                float(100.0 * ok.std(ddof=1) / np.sqrt(ok.size))
-                if ok.size > 1 else np.nan
-            )
-            cells.append(StudyCell(
-                label=e.label,
-                method=e.method,
-                outcome_model=e.outcome_model,
-                ps_model=e.ps_model,
-                estimand=estimand,
-                bias100=100.0 * bias,
-                var=var,
-                mse=mse,
-                r_used=int(ok.size),
-                mc_se_bias100=mc_se,
-            ))
+            bias100 = var = mse = mc_se = np.nan
+            if ok.size:
+                bias100 = 100.0 * float(ok.mean() - truth)
+                var = float(ok.var())
+                mse = float(np.mean((ok - truth) ** 2))
+            if ok.size > 1:
+                mc_se = float(100.0 * ok.std(ddof=1) / np.sqrt(ok.size))
+            cells.append(StudyCell(e.label, e.method, e.outcome_model, e.ps_model,
+                                   estimand, bias100, var, mse, int(ok.size), mc_se))
     if flaky:
         warnings.warn(
             "estimator failure rate above 1%: " + ", ".join(flaky),

@@ -16,10 +16,12 @@ from panel_causal import (
     DegenerateVarianceWarning,
     DRTestResult,
     ExtremeWeightsWarning,
+    METHOD_TABLE,
     PanelCausalError,
     PanelDataset,
     RankDeficientDesignError,
     estimate_drglmm,
+    estimate_effects,
     estimate_glmm,
     estimate_ipwdid,
     evaluate_estimator,
@@ -329,19 +331,43 @@ def dr_specification_test_reference(data, spec, B, seed, k_bins=5):
 
 def run_study_reference(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *, k_bins=5):
     """Reference for ``run_study``: each replicate drawn by
-    ``generate_scenario`` and every entry evaluated on it alone by
-    ``simlab._suite_values``, in replicate order, summarized by the
+    ``generate_scenario`` and every entry evaluated on it alone by the
+    public estimators, in replicate order, each treatment model fitted once
+    per replicate and shared, a failed fit as NaN; summarized by the
     library's summary.  Takes valid arguments only."""
     suite = tuple(suite)
     specs = scenario_specs(scenario.id)
     truths = true_effects(scenario)
+
+    def one(data):
+        vals = np.full((len(suite), 2), np.nan)
+        ps_fits = {}
+        for i, e in enumerate(suite):
+            info = METHOD_TABLE[e.method]
+            spec = specs[f"{info.outcome}_{e.outcome_model}"] if info.outcome else None
+            ps_fit = None
+            if info.uses_ps:
+                if e.ps_model not in ps_fits:
+                    try:
+                        ps_fits[e.ps_model] = fit_propensity(data, specs["ps_" + e.ps_model])
+                    except (PanelCausalError, np.linalg.LinAlgError):
+                        ps_fits[e.ps_model] = None
+                ps_fit = ps_fits[e.ps_model]
+                if ps_fit is None:
+                    continue
+            try:
+                out = estimate_effects(e.method, data, spec, ps_fit, k_bins=k_bins)
+            except (PanelCausalError, np.linalg.LinAlgError):
+                continue
+            for j, estimand in enumerate(("ATE", "ATT")):
+                if estimand in out:
+                    vals[i, j] = out[estimand].value
+        return vals
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtremeWeightsWarning)
-        stack = np.stack([
-            simlab._suite_values(generate_scenario(scenario, seed, replicate=r),
-                                 suite, specs, k_bins)
-            for r in range(R)
-        ])
+        stack = np.stack([one(generate_scenario(scenario, seed, replicate=r))
+                          for r in range(R)])
     return simlab._summarize(scenario, suite, seed, truths, stack)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from panel_causal import (
     BootstrapFailureError,
     BootstrapFailureWarning,
+    DegenerateVarianceWarning,
     EmptyModelWarning,
     EstimatorConfig,
     ExtremeWeightsWarning,
@@ -38,7 +39,7 @@ from panel_causal import (
     term_label,
 )
 
-from panel_causal.inference import _Batch
+from panel_causal.inference import _Batch, _replicate_values, _resamples
 
 from helpers import (
     cluster_bootstrap_reference,
@@ -318,6 +319,41 @@ class TestBatchedReplicates:
         np.testing.assert_allclose(forward["ATT"][[0, 11, 24]], alone, rtol=1e-12)
 
 
+class TestReplicateEngine:
+    """One chunk loop runs a suite of estimators over the resamples for the
+    bootstrap and the DR test; a pair the batch does not vouch for is
+    recomputed on its own."""
+
+    @pytest.mark.parametrize("kind", ["hom150", "tiny6", "tiny12", "separable"])
+    def test_entry_does_not_depend_on_the_rest_of_its_suite(self, kind):
+        if kind == "hom150":
+            data = generate_scenario(Scenario("HOM", 150), 8)
+            specs = scenario_specs("HOM")
+            spec = ModelSpec(outcome_terms=specs["mixed_full"].outcome_terms,
+                             ps_terms=specs["ps_full"].ps_terms)
+            k_bins = 5
+        else:
+            data, ps_terms = TestBatchedReplicates._fallback_panel(kind)
+            spec = ModelSpec(outcome_terms=("1", "time", "treat"), ps_terms=ps_terms)
+            k_bins = 2
+        suite = [(method, spec) for method in ("DRGLMM", "IPWDID", "GLMM")]
+
+        def values(entries):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return _replicate_values(entries, _resamples(data, k_bins, 40, 3))
+
+        together = values(suite)
+        assert together.shape == (40, 3, 2)
+        for i, entry in enumerate(suite):
+            np.testing.assert_array_equal(values([entry])[:, 0], together[:, i],
+                                          err_msg=entry[0])
+        if kind == "separable":
+            # Separated resamples lose their weighting entries only.
+            ate = np.isfinite(together[:, :, 0])
+            assert np.any(ate[:, 2] & ~ate[:, 0])
+
+
 class TestDuplicatedUnit:
     """A unit counted twice is two copies of that unit: a batched fit that
     counts it 2 times must give what the public estimator gives on the data
@@ -446,16 +482,44 @@ class TestDrSpecificationTest:
         assert res.z_or > 2.5
         assert res.reject_ps is False
 
-    @pytest.mark.parametrize("k_bins", [1, 0, -3])
-    def test_too_few_bins_rejected_before_any_fit(self, k_bins, monkeypatch):
+    @staticmethod
+    def _no_fit(monkeypatch):
         def no_fit(*args, **kwargs):
             raise AssertionError("a propensity model was fitted before validation")
 
         monkeypatch.setattr("panel_causal.inference.fit_propensity", no_fit)
+
+    @pytest.mark.parametrize("k_bins", [1, 0, -3])
+    def test_too_few_bins_rejected_before_any_fit(self, k_bins, monkeypatch):
+        self._no_fit(monkeypatch)
         data = _hom(523, n=60)
         spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1"), ps_terms=("1", "x1"))
         with pytest.raises(InvalidArgumentError, match="k_bins"):
             dr_specification_test(data, spec, B=4, seed=0, k_bins=k_bins)
+
+    @pytest.mark.parametrize("spec,missing", [
+        (None, "outcome model"),
+        (ModelSpec(ps_terms=("1", "x1")), "outcome model"),
+        (ModelSpec(outcome_terms=("1", "time", "treat", "x1")), "treatment model"),
+    ])
+    def test_missing_model_rejected_before_any_fit(self, spec, missing, monkeypatch):
+        self._no_fit(monkeypatch)
+        with pytest.raises(InvalidArgumentError, match=missing):
+            dr_specification_test(_hom(523, n=60), spec, B=4, seed=0)
+
+    def test_constant_treatment_model_has_no_outcome_model_variance(self):
+        # Under a constant treatment model every propensity bin collapses,
+        # so the doubly robust estimate is the mixed-model estimate on each
+        # resample: the difference has no spread beyond rounding.
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1"), ps_terms=("1",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            warnings.simplefilter("always", DegenerateVarianceWarning)
+            with pytest.warns(DegenerateVarianceWarning):
+                res = dr_specification_test(_hom(524, n=60), spec, B=10, seed=0)
+        assert res.z_or == 0.0 and res.reject_or is False
+        assert res.sigma_or < 1e-12
+        assert res.sigma_ps > 0.01
 
     def test_too_few_successes_is_an_error(self):
         data = tiny_panel(6)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from panel_causal import simlab
+from panel_causal import inference, simlab
 from panel_causal import (
     DEFAULT_SUITE,
     ExtremeWeightsWarning,
@@ -312,14 +312,44 @@ class TestBatchedStudy:
     def test_value_does_not_depend_on_chunk_or_position(self):
         sc = Scenario("HET", 250)
         specs = scenario_specs("HET")
-        datasets = [generate_scenario(sc, 4, replicate=r) for r in range(25)]
-        forward = simlab._chunk_values(datasets, DEFAULT_SUITE, specs, 5)
-        backward = simlab._chunk_values(datasets[::-1], DEFAULT_SUITE, specs, 5)
-        alone = [simlab._chunk_values([datasets[r]], DEFAULT_SUITE, specs, 5)[0]
-                 for r in (0, 11, 24)]
+        suite = [(e.method, simlab._entry_spec(e, specs)) for e in DEFAULT_SUITE]
+
+        def values(replicates):
+            return inference._replicate_values(
+                suite, simlab._draw_chunks(sc, 4, replicates, 5))
+
+        forward = values(range(25))
+        backward = values(range(24, -1, -1))
+        alone = [values([r])[0] for r in (0, 11, 24)]
         assert np.isfinite(forward).sum() == 25 * 12 * 2
         np.testing.assert_allclose(forward, backward[::-1], rtol=1e-12)
         np.testing.assert_allclose(forward[[0, 11, 24]], alone, rtol=1e-12)
+
+    def test_draws_are_validated_once(self, monkeypatch):
+        # A chunk's draws are checked as one stacked dataset; a draw gets a
+        # dataset of its own only when one of its entries is recomputed.
+        counts = {"datasets": 0, "recomputed": 0}
+        post_init = simlab.PanelDataset.__post_init__
+        suite_values = inference._suite_values
+
+        def counted_post_init(self):
+            counts["datasets"] += 1
+            post_init(self)
+
+        def counted_suite_values(*args, **kwargs):
+            counts["recomputed"] += 1
+            return suite_values(*args, **kwargs)
+
+        monkeypatch.setattr(simlab.PanelDataset, "__post_init__", counted_post_init)
+        monkeypatch.setattr(inference, "_suite_values", counted_suite_values)
+        # 40 draws are 2 chunks; n = 15 recomputes pairs of several replicates.
+        for n in (250, 15):
+            counts.update(datasets=0, recomputed=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                run_study(Scenario("HOM", n), R=40, seed=1)
+            assert counts["datasets"] == 2 + counts["recomputed"]
+        assert counts["recomputed"] > 0
 
     def test_draw_without_overlap_raises_as_before(self):
         # Replicate 8 of this 4-unit scenario treats every unit.
