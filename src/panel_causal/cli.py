@@ -126,7 +126,7 @@ def build_parser():
     p = add("simulate", "Draw a synthetic scenario dataset and write it as CSV.", _cmd_simulate)
     add_scenario(p, "number of units")
     p.add_argument("--replicate", type=int, default=0,
-                   help="replicate index within the seed's stream family")
+                   help="replicate index within the seed's stream family, 0 to 2**64-1")
     add_seed(p)
     p.add_argument("--output", metavar="FILE", required=True,
                    help="destination CSV path")

@@ -8,6 +8,8 @@ ran before it, so each replicate's result depends only on ``(seed, r)``.
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 __all__ = ["substream"]
 
 _MASK64 = (1 << 64) - 1
@@ -19,15 +21,21 @@ def substream(seed, index):
     Parameters
     ----------
     seed : int
-        User-facing seed identifying the family of streams.
+        User-facing seed identifying the family of streams; it is taken
+        modulo 2**64, so ``-1`` and ``2**64 - 1`` name the same family.
     index : int
-        Stream number within the family (replicate index, dataset index).
-        Distinct indices give statistically independent streams.
+        Stream number within the family (replicate index, dataset index),
+        from 0 to ``2**64 - 1``.  Distinct indices give statistically
+        independent streams.
 
     Returns
     -------
     numpy.random.Generator
         Generator whose output depends only on ``(seed, index)``.
     """
-    key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+    index = int(index)
+    if not 0 <= index <= _MASK64:
+        raise InvalidArgumentError(
+            f"stream index must be in 0..2**64-1, got {index}")
+    key = np.array([int(seed) & _MASK64, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

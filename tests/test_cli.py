@@ -103,6 +103,20 @@ class TestSimulate:
         assert a != c
         assert a != d
 
+    @pytest.mark.parametrize("replicate", ["-1", str(2**64)])
+    def test_replicate_outside_the_stream_range_is_a_validation_problem(
+            self, tmp_path, capsys, replicate):
+        out = tmp_path / "x.csv"
+        rc = run(["simulate", "--scenario", "HOM", "--n", "50",
+                  "--replicate", replicate, "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+        assert not out.exists()
+
+    def test_largest_replicate_index_is_drawn(self, tmp_path):
+        path = _simulate(tmp_path, n=50, replicate=2**64 - 1)
+        assert load_csv(str(path)).n == 50
+
 
 class TestEstimate:
     def test_did_text_output(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Scenario DGPs, ground truths, the study harness, and table formatting."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,14 @@ class TestScenario:
         with pytest.raises(InvalidArgumentError):
             Scenario("HOM", 1)
 
+    def test_unit_count_must_be_integral(self):
+        for n in (250, 250.0, np.int64(250), np.float64(250.0)):
+            sc = Scenario("HOM", n)
+            assert sc.n == 250 and type(sc.n) is int
+        for n in (2.7, 250.5, np.float64(99.9), float("nan"), float("inf"), None, "250"):
+            with pytest.raises(InvalidArgumentError, match="integer"):
+                Scenario("HOM", n)
+
     def test_param_overrides_merge_over_defaults(self):
         sc = Scenario("HOM", 50, dgp_params={"treat": 20.0})
         assert sc.dgp_params["treat"] == 20.0
@@ -66,6 +75,29 @@ class TestTrueEffects:
             other = true_effects(sid)
             assert other.ate == te.ate
             assert other.att == te.att
+
+    @pytest.mark.parametrize("block", [1, 1000, 4096, 10_007, 10_008])
+    def test_oracle_repeats_the_draw_bit_for_bit(self, block, monkeypatch):
+        # 10 007 units: blocks that leave a remainder, that divide the
+        # count (1 and the count itself), and one larger than the count.
+        monkeypatch.setattr(simlab, "_ORACLE_CACHE", {})
+        n = 10_007
+        x1, _, _, d, _, _ = simlab._draw(Scenario("HET", n), simlab.ORACLE_SEED, 0)
+        kept = x1[d == 1, 1]
+        want = (float(kept.mean()), float(kept.std(ddof=1) / np.sqrt(kept.size)))
+        assert simlab._treated_x1_mean(n, block) == want
+
+    def test_oracle_memory_is_bounded(self, monkeypatch):
+        # The whole 1 000 000-unit draw peaks at about 120 MB; the blocked
+        # oracle keeps three arrays of the units, about 20 MB.
+        monkeypatch.setattr(simlab, "_ORACLE_CACHE", {})
+        tracemalloc.start()
+        try:
+            simlab._treated_x1_mean()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_modified_params_have_no_registered_truth(self):
         with pytest.raises(InvalidArgumentError):
@@ -127,6 +159,17 @@ class TestGenerateScenario:
         d = generate_scenario(sc, seed=6)
         assert not np.array_equal(a.y1, c.y1)
         assert not np.array_equal(a.y1, d.y1)
+
+    def test_replicate_outside_the_stream_range_rejected(self):
+        sc = Scenario("HOM", 50)
+        last = generate_scenario(sc, seed=5, replicate=2**64 - 1)
+        for r in (-1, 2**64):
+            with pytest.raises(InvalidArgumentError, match="stream index"):
+                generate_scenario(sc, seed=5, replicate=r)
+        # Seeds are taken modulo 2**64.
+        assert np.array_equal(generate_scenario(sc, seed=-1).y1,
+                              generate_scenario(sc, seed=2**64 - 1).y1)
+        assert not np.array_equal(last.y1, generate_scenario(sc, seed=5).y1)
 
     def test_time_invariant_variant_moves_x2_to_post(self):
         a = generate_scenario(Scenario("HOM", 400), 12)
