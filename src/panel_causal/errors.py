@@ -7,6 +7,8 @@ before any model is touched, exit with status 2; failures that occur during
 a computation exit with status 1.
 """
 
+import numbers
+
 
 class PanelCausalError(Exception):
     """Base class for all structured errors raised by this package."""
@@ -83,6 +85,14 @@ class InvalidArgumentError(ValidationError):
     """A function or CLI argument is out of range or inconsistent."""
 
     kind = "InvalidArgument"
+
+
+def _as_int(value, name):
+    """``value`` as an int if it is integral (2.0 is, 2.7 and "2" are not)."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ group mean and contrast average is a sum over units with unit i counted
 ``(k, n)`` count matrix to the same functions, and a simulation study
 passes a chunk of draws, each response a ``(k, n)`` array, with all-ones
 counts.  The fits behind a point estimate and behind a batch are the same
-model kernels: the public fits this module calls run them on one fit.
+model kernels, called with the same arguments on a batch of one fit.
 """
 
 import warnings
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ExtremeWeightsWarning, InvalidArgumentError
 from .glm_fit import fit_propensity, ps_quantile_dummies
-from .lmm_fit import fit_lmm, fit_or
+from .lmm_fit import _fit_one, fit_or
 from .panel_data import ModelSpec, build_design
 
 __all__ = [
@@ -101,6 +101,13 @@ def method_info(method):
     if info is None:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
     return info
+
+
+def _check_estimand(estimand):
+    """``estimand`` upper-cased, once checked to be one of :data:`ESTIMANDS`."""
+    if str(estimand).upper() not in ESTIMANDS:
+        raise InvalidArgumentError(f"estimand must be one of {ESTIMANDS}, got {estimand!r}")
+    return str(estimand).upper()
 
 
 @dataclass(frozen=True)
@@ -249,24 +256,22 @@ def estimate_or(data, spec):
     return _estimates("OR", _contrast_values(data, design, fit.fixed_effects))
 
 
-def _glmm_fit(data, spec, extra_unit_cols=None):
-    """Fit the two-period outcome model, optionally with per-unit extra columns.
-
-    The model sees the t=0 and t=1 designs as two aligned n-row blocks.
-    Extra columns (the propensity dummies) are constant within unit, so the
-    same columns are appended to both period blocks.  Without a random
-    effect, OLS fits the two blocks stacked.  Returns (fit, design).
-    """
+def _glmm_fit(data, spec, dummies=None):
+    """Fit the two-period outcome model by a replicate's kernel call, on the
+    t=0 and t=1 designs as two aligned n-row blocks.  The bins of
+    ``dummies`` (a :class:`~panel_causal.glm_fit.PSDummies`) go in as labels
+    of the occupied bins, so the lowest stays the reference.  Without a
+    random effect the variance ratio is 0: least squares on the blocks
+    stacked.  Returns (fit, design)."""
     if not isinstance(spec, ModelSpec):
         spec = ModelSpec(outcome_terms=tuple(spec))
     design = build_design(data, spec, pre_period=True)
-    X0, X1 = design.X0, design.X
-    if extra_unit_cols is not None and extra_unit_cols.shape[1] > 0:
-        X0, X1 = np.hstack([X0, extra_unit_cols]), np.hstack([X1, extra_unit_cols])
-    if spec.random_effect == "unit_intercept":
-        fit = fit_lmm(X0, X1, data.y0, data.y1)
-    else:
-        fit = fit_or(np.vstack([X0, X1]), np.concatenate([data.y0, data.y1]))
+    bins, n_bins = None, 0
+    if dummies is not None:
+        occupied, bins = np.unique(dummies.bins, return_inverse=True)
+        n_bins = len(occupied)
+    fit = _fit_one(design.X0, design.X, data.y0, data.y1, bins, n_bins,
+                   random_intercept=spec.random_effect == "unit_intercept")
     return fit, design
 
 
@@ -277,8 +282,7 @@ def _mixed_estimates(method, data, spec, dummies=None):
     With the identity link, averaging the contrast over the random intercept
     leaves ``eta1 - eta0`` exactly, so no quadrature is needed.
     """
-    extra = None if dummies is None else dummies.dummies
-    fit, design = _glmm_fit(data, spec, extra_unit_cols=extra)
+    fit, design = _glmm_fit(data, spec, dummies)
     comps = {"sigma_u2": fit.sigma_u2, "sigma_e2": fit.sigma_e2}
     if dummies is not None:
         comps["n_dummy_columns"] = dummies.dummies.shape[1]
@@ -338,8 +342,9 @@ def estimate_drglmm(data, spec, ps_fit, k_bins=5):
     bins; the bin dummies enter both period designs (constant within unit)
     and both counterfactual designs, so with the identity link their
     coefficients cancel from every contrast and act purely as a bias
-    correction on the refitted treatment terms.  A constant propensity
-    collapses all bins and reproduces :func:`estimate_glmm` exactly.
+    correction on the refitted treatment terms.  The fit takes the bins as
+    labels, like its replicates.  A constant propensity collapses all bins
+    and reproduces :func:`estimate_glmm` exactly.
     """
     ps = _fitted_scores(data, ps_fit)
     dummies = ps_quantile_dummies(ps, K=k_bins)

@@ -30,6 +30,7 @@ from .errors import (
     NonBinaryTreatmentError,
     RankDeficientDesignError,
     SeparationError,
+    _as_int,
 )
 from .lmm_fit import _OK, _certify, _dot, _each, _Fits, _full_rank, _Rows, _solve
 from .panel_data import ps_design
@@ -196,7 +197,7 @@ class PSDummies:
 
 def _check_k_bins(k_bins, units=None, name="k_bins"):
     """``k_bins`` as an int, once checked: 2 <= k_bins <= units (if given)."""
-    k = int(k_bins)
+    k = _as_int(k_bins, name)
     if k < 2:
         raise InvalidArgumentError(f"{name} must be at least 2, got {k_bins}")
     if units is not None and k > units:

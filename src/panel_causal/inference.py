@@ -15,14 +15,14 @@ design column is a function of one unit's own data, so a resample is the
 full-sample design with unit i counted as often as it was drawn, and a
 chunk of draws is their designs stacked, each unit counted once.  Every
 entry is fitted on the whole chunk by the kernels of :mod:`glm_fit` and
-:mod:`lmm_fit`, which every single fit runs on a batch of one, and
-estimated by the estimand functions of :mod:`estimators` given the counts.
-A (replicate, entry) pair the batch cannot vouch for (no overlap, extreme
-scores, a fit a kernel reports as failed or as fragile) is recomputed on
-the replicate's own dataset by the public estimators, which raise, warn or
-return NaN as on a replicate evaluated alone; the other entries of that
-replicate keep their batched values, which agree with one-at-a-time fits
-to rounding (about 1e-12 relative).  Everything runs on the calling thread.
+:mod:`lmm_fit` (a point estimate's calls, on a batch of one) and estimated
+by the estimand functions of :mod:`estimators` given the counts.  A
+(replicate, entry) pair the batch cannot vouch for (no overlap, extreme
+scores, a fit a kernel reports as failed or as fragile) is recomputed by
+``estimate_effects`` on the replicate's own dataset, with the errors (as
+NaN) and warnings of the replicate evaluated alone.  The other pairs keep
+their batched values: a draw's are its own estimates bit for bit, a
+resample's agree to about 1e-12 relative.  All runs on the calling thread.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -46,11 +46,13 @@ from .errors import (
     InvalidArgumentError,
     PanelCausalError,
     SeparationError,
+    _as_int,
 )
 from .estimators import (
     _WEIGHTING_VALUES,
     ESTIMANDS,
     METHOD_TABLE,
+    _check_estimand,
     _contrast_values,
     _counted,
     _glmm_fit,
@@ -99,13 +101,9 @@ class EstimatorConfig:
 
     def __post_init__(self):
         info = method_info(self.method)
-        estimand = str(self.estimand).upper()
+        estimand = _check_estimand(self.estimand)
         object.__setattr__(self, "method", info.name)
         object.__setattr__(self, "estimand", estimand)
-        if estimand not in ESTIMANDS:
-            raise InvalidArgumentError(
-                f"estimand must be one of {ESTIMANDS}, got {self.estimand!r}"
-            )
         if estimand not in info.estimands:
             raise InvalidArgumentError(
                 f"{info.name} estimates the {'/'.join(info.estimands)} only"
@@ -113,7 +111,7 @@ class EstimatorConfig:
         missing = info.missing_model(self.spec)
         if missing:
             raise InvalidArgumentError(f"{info.name} needs its {missing}, which spec lacks")
-        _check_k_bins(self.k_bins)
+        object.__setattr__(self, "k_bins", _check_k_bins(self.k_bins))
 
 
 def evaluate_estimator(config, data, ps_fit=None):
@@ -146,7 +144,7 @@ def relative_effect(value, data):
 
 def _check_B(B, name="B"):
     """``B`` as an int, once checked: at least 2 bootstrap replicates."""
-    B = int(B)
+    B = _as_int(B, name)
     if B < 2:
         raise InvalidArgumentError(f"{name} must be at least 2, got {B}")
     return B
@@ -207,7 +205,7 @@ class _Batch:
 
     def __init__(self, data, k_bins, reps=None):
         self.data = data
-        self.k_bins = int(k_bins)
+        self.k_bins = k_bins
         self.reps = reps
         self.responses = data if reps is None else _Responses(
             self._split(data.d1), self._split(data.y0), self._split(data.y1))
@@ -311,32 +309,6 @@ class _Batch:
         return vals, ok
 
 
-def _suite_values(data, suite, k_bins):
-    """Each ``(method, spec)`` entry of ``suite`` evaluated on ``data`` alone
-    by the public estimators: ``(entries, len(ESTIMANDS))`` values, NaN
-    where a fit fails or the method lacks the estimand.  Entries with the
-    same treatment terms share one treatment-model fit."""
-    vals = np.full((len(suite), len(ESTIMANDS)), np.nan)
-    scores = {}
-    for i, (method, spec) in enumerate(suite):
-        ps_fit = None
-        if METHOD_TABLE[method].uses_ps:
-            if spec.ps_terms not in scores:
-                try:
-                    scores[spec.ps_terms] = fit_propensity(data, spec)
-                except _FIT_ERRORS:
-                    scores[spec.ps_terms] = None
-            ps_fit = scores[spec.ps_terms]
-            if ps_fit is None:
-                continue
-        try:
-            out = estimate_effects(method, data, spec, ps_fit, k_bins=k_bins)
-        except _FIT_ERRORS:
-            continue
-        vals[i] = [out[e].value if e in out else np.nan for e in ESTIMANDS]
-    return vals
-
-
 def _replicate_values(suite, chunks):
     """Values of each ``(method, spec)`` entry of ``suite`` on every
     replicate, ``(R, entries, len(ESTIMANDS))``: the one replicate engine
@@ -345,21 +317,26 @@ def _replicate_values(suite, chunks):
     ``chunks`` yields ``(batch, C, dataset)`` per chunk of k replicates: a
     :class:`_Batch`, its ``(k, n)`` count matrix, and ``dataset(j)``, which
     builds replicate j's own dataset.  :meth:`_Batch.values` fits every
-    entry on the whole chunk; each (replicate, entry) pair it does not vouch
-    for is recomputed by :func:`_suite_values` on the replicate's own
-    dataset, so that pair's value, failure (NaN) and warnings are those of
-    the replicate evaluated alone.
+    entry on the whole chunk; a pair it does not vouch for is recomputed by
+    ``estimate_effects`` on the replicate's dataset, built once, so its
+    value, failure (NaN) and warnings are those of the replicate alone.
     """
     out = []
     for batch, C, dataset in chunks:
         vals, ok = batch.values(suite, C)
+        vals[~ok] = np.nan
         for j in np.flatnonzero(~ok.all(axis=1)):
-            redo = np.flatnonzero(~ok[j])
             try:
-                vals[j, redo] = _suite_values(dataset(j), [suite[i] for i in redo],
-                                              batch.k_bins)
+                data = dataset(j)
             except _FIT_ERRORS:
-                vals[j, redo] = np.nan
+                continue
+            for i in np.flatnonzero(~ok[j]):
+                method, spec = suite[i]
+                try:
+                    est = estimate_effects(method, data, spec, k_bins=batch.k_bins)
+                except _FIT_ERRORS:
+                    continue
+                vals[j, i] = [est[e].value if e in est else np.nan for e in ESTIMANDS]
         out.append(vals)
     return np.concatenate(out)
 
@@ -511,7 +488,7 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     if missing:
         raise InvalidArgumentError(f"dr_specification_test needs its {missing}, which spec lacks")
     B = _check_B(B)
-    _check_k_bins(k_bins, data.n)
+    k_bins = _check_k_bins(k_bins, data.n)
     suite = [(method, spec) for method in ("DRGLMM", "IPWDID", "GLMM")]
     ps_fit = fit_propensity(data, spec)
     point_dr, point_ipwdid, point_glmm = (

@@ -32,9 +32,10 @@ random effect).
 The public fits are those kernels on a batch of one fit that counts every
 unit once: :func:`fit_lmm`, :func:`profile_loglik` and :func:`fit_or`
 check their input, call the kernel and turn its per-fit status into the
-typed error or the result.  A batch caller uses the same status, and
-refits on its own each fit the kernel marks ``fragile``: one whose value
-could differ from the single fit's beyond rounding.
+typed error or the result, as does :func:`_fit_one` for a mixed-model point
+estimate, with its replicates' bin labels.  A batch caller uses the same
+status, and refits on its own each fit the kernel marks ``fragile``: one
+whose value could differ from the single fit's beyond rounding.
 """
 
 from dataclasses import dataclass
@@ -503,9 +504,9 @@ def _fit_or_batch(rows, C):
                  status=np.full(len(G), _OK), certified=certified, fragile=fragile)
 
 
-def _fit_blocks(X0, X1, y0, y1):
-    """The kernel fit of two period blocks as one fit, with the checks
-    :func:`fit_lmm` and :func:`profile_loglik` share: shapes, finiteness,
+def _fit_blocks(X0, X1, y0, y1, bins=None, n_bins=0, random_intercept=True):
+    """:func:`_fit_lmm_batch` on a batch of one fit (``bins`` holds the n
+    units' labels), with the checks of every single fit: shapes, finiteness,
     rank, and a Gram matrix with a Cholesky factor."""
     X0, X1, y0, y1 = (np.asarray(a, dtype=float) for a in (X0, X1, y0, y1))
     if not (X0.ndim == 2 and X1.shape == X0.shape
@@ -517,7 +518,12 @@ def _fit_blocks(X0, X1, y0, y1):
         raise NonFiniteLikelihoodError("design or response contains non-finite values")
     with np.errstate(all="ignore"):
         fits = _fit_lmm_batch(_rotated_rows(X0[None], X1[None], y0[None], y1[None]),
-                              np.ones((1, X0.shape[0])))
+                              np.ones((1, X0.shape[0])),
+                              None if bins is None else bins[None], n_bins,
+                              random_intercept)
+    if bins is not None and not fits.certified[0]:
+        # matrix_rank's verdict needs the bin dummies as dense columns.
+        X0, X1 = (np.hstack([X, np.eye(n_bins)[bins, 1:]]) for X in (X0, X1))
     if not _full_rank(fits.certified[0], X0, X1):
         raise RankDeficientDesignError(
             f"the two design blocks stacked have rank below their {X0.shape[1]} columns"
@@ -582,7 +588,12 @@ def fit_lmm(X0, X1, y0, y1):
     -12 is at least as good as that optimum, the variance ratio is
     taken to be exactly 0 and the fit collapses to ordinary least squares.
     """
-    fits = _fit_blocks(X0, X1, y0, y1)
+    return _fit_one(X0, X1, y0, y1)
+
+
+def _fit_one(X0, X1, y0, y1, bins=None, n_bins=0, random_intercept=True):
+    """:func:`fit_lmm` with :func:`_fit_lmm_batch`'s bins and intercept switch."""
+    fits = _fit_blocks(X0, X1, y0, y1, bins, n_bins, random_intercept)
     status = fits.status[0]
     if status != _OK:
         raise NonFiniteLikelihoodError(_LMM_FAILURES[status])

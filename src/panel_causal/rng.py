@@ -8,7 +8,7 @@ ran before it, so each replicate's result depends only on ``(seed, r)``.
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _as_int
 
 __all__ = ["substream"]
 
@@ -21,8 +21,8 @@ def substream(seed, index):
     Parameters
     ----------
     seed : int
-        User-facing seed identifying the family of streams; it is taken
-        modulo 2**64, so ``-1`` and ``2**64 - 1`` name the same family.
+        Family of streams (an integral float counts; a fraction raises),
+        taken modulo 2**64: ``-1`` and ``2**64 - 1`` name the same family.
     index : int
         Stream number within the family (replicate index, dataset index),
         from 0 to ``2**64 - 1``.  Distinct indices give statistically
@@ -33,9 +33,9 @@ def substream(seed, index):
     numpy.random.Generator
         Generator whose output depends only on ``(seed, index)``.
     """
-    index = int(index)
+    index = _as_int(index, "stream index")
     if not 0 <= index <= _MASK64:
         raise InvalidArgumentError(
             f"stream index must be in 0..2**64-1, got {index}")
-    key = np.array([int(seed) & _MASK64, index], dtype=np.uint64)
+    key = np.array([_as_int(seed, "seed") & _MASK64, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

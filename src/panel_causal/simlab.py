@@ -29,12 +29,10 @@ the replicate engine of the cluster bootstrap
 time: the draws are stacked into one dataset and every entry is fitted on
 all of them at once; an entry the kernels cannot vouch for on a draw is
 recomputed on that draw's own dataset, so values, failures and warnings are
-those of replicates evaluated one at a time, the values to rounding.  A
-study silences the weighting estimators' extreme-weight warnings and
-reports failures per cell instead.
+those of replicates evaluated one at a time.  A study silences extreme-weight
+warnings and reports failures per cell instead.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,10 +42,11 @@ from .errors import (
     ExtremeWeightsWarning,
     InvalidArgumentError,
     ReplicateFailureWarning,
+    _as_int,
 )
-from .estimators import ESTIMANDS, method_info
+from .estimators import ESTIMANDS, _check_estimand, method_info
 from .glm_fit import _check_k_bins, expit
-from .inference import _Batch, _chunk_size, _replicate_values
+from .inference import _Batch, _check_B, _chunk_size, _replicate_values
 from .panel_data import ModelSpec, PanelDataset
 from .rng import substream
 
@@ -125,9 +124,7 @@ class Scenario:
     def __post_init__(self):
         sid = str(self.id).upper()
         object.__setattr__(self, "id", sid)
-        if not (isinstance(self.n, numbers.Real) and float(self.n).is_integer()):
-            raise InvalidArgumentError(f"scenario n must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _as_int(self.n, "scenario n"))
         if self.n < 2:
             raise InvalidArgumentError(f"scenario needs n >= 2, got {self.n}")
         params = default_params(sid)
@@ -534,8 +531,8 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     and MSE per (entry, estimand) against :func:`true_effects`.  Each entry
     resolves to one model spec; the suite runs on the bootstrap's replicate
     engine over chunks of draws (module docstring), which gives the values
-    of replicates evaluated one at a time to rounding.  A draw without
-    overlap raises :class:`~panel_causal.errors.NoOverlapError`.
+    of replicates evaluated one at a time.  A draw without overlap raises
+    :class:`~panel_causal.errors.NoOverlapError`.
 
     Parameters
     ----------
@@ -562,9 +559,8 @@ def run_study(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *,
     """
     if not isinstance(scenario, Scenario):
         raise InvalidArgumentError("scenario must be a Scenario instance")
-    R = int(R)
-    if R < 2:
-        raise InvalidArgumentError(f"R must be at least 2, got {R}")
+    R = _check_B(R, name="R")
+    seed = _as_int(seed, "seed")
     suite = tuple(suite)
     specs = scenario_specs(scenario.id)
     entries = [(e.method, _entry_spec(e, specs)) for e in suite]
@@ -627,7 +623,7 @@ def _summarize(scenario, suite, seed, truths, stack):
         scenario_id=scenario.id,
         n=scenario.n,
         R=R,
-        seed=int(seed),
+        seed=seed,
         true_ate=truths.ate,
         true_att=truths.att,
         cells=tuple(cells),
@@ -648,9 +644,9 @@ _CSV_COLUMNS = (
 def render_table(results, estimand="ATE", fmt="text"):
     """Format study results as an aligned text table or CSV.
 
-    Text shows one estimand with the bias x100 / Var / MSE triple of each
-    result side by side (results must share a suite); CSV emits every cell
-    of every result with full-precision floats, so
+    Text shows one estimand of ``ESTIMANDS`` (any case) with the bias x100
+    / Var / MSE triple of each result side by side (results must share a
+    suite); CSV emits every cell of every result with full-precision floats, so
     ``parse_table(render_table(r, fmt="csv"))`` reproduces ``r`` exactly.
     """
     if isinstance(results, StudyResult):
@@ -658,7 +654,7 @@ def render_table(results, estimand="ATE", fmt="text"):
     results = list(results)
     if not results:
         raise InvalidArgumentError("no results to render")
-    estimand = str(estimand).upper()
+    estimand = _check_estimand(estimand)
     if fmt == "csv":
         return _render_csv(results)
     if fmt != "text":
@@ -709,15 +705,14 @@ def _render_text(results, estimand):
         sub += f" | {'bias x100':>10} {'':>8} {'':>8}"
     lines.append(header)
     lines.append(sub)
-    if rows_of[0]:
-        for i in range(len(rows_of[0])):
-            c0 = rows_of[0][i]
-            line = (f"{c0.label:<{spec_w}} {c0.outcome_model or '-':<8} "
-                    f"{c0.ps_model or '-':<8}")
-            for rows in rows_of:
-                c = rows[i]
-                line += f" | {c.bias100:>10.3f} {c.var:>8.3f} {c.mse:>8.3f}"
-            lines.append(line)
+    for i in range(len(rows_of[0])):
+        c0 = rows_of[0][i]
+        line = (f"{c0.label:<{spec_w}} {c0.outcome_model or '-':<8} "
+                f"{c0.ps_model or '-':<8}")
+        for rows in rows_of:
+            c = rows[i]
+            line += f" | {c.bias100:>10.3f} {c.var:>8.3f} {c.mse:>8.3f}"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

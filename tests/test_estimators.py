@@ -1,5 +1,7 @@
 """Estimator algebra: hand-computable values, exact identities, components."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from panel_causal import (
     estimate_ipwdid,
     estimate_or,
     fit_lmm,
+    fit_or,
     fit_propensity,
     generate_scenario,
     ps_quantile_dummies,
@@ -159,6 +162,25 @@ class TestEstimateGlmm:
         out = estimate_glmm(data, spec)
         assert out["ATE"].components["sigma_u2"] == 0.0
         assert abs(out["ATE"].value - 15.0) < 3.0
+
+    def test_exact_fit_without_random_effect(self):
+        # A noise-free response: least squares on the two blocks stacked
+        # recovers the effect exactly, and the residual variance is only
+        # round-off (the random-intercept kernel's verdict, not a floor).
+        rng = substream(414, 0)
+        n = 120
+        x = rng.normal(2.0, 1.0, n)
+        d = (rng.random(n) < 0.5).astype(np.int64)
+        d[0], d[1] = 1, 0
+        y0 = 4.0 + 1.5 * x
+        y1 = y0 + 3.0 + 15.0 * d
+        data = make_dataset(y0, y1, d, covariates=[x], names=("x1",))
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1"), random_effect="none")
+        out = estimate_glmm(data, spec)
+        assert abs(out["ATE"].value - 15.0) < 1e-10
+        assert abs(out["ATT"].value - 15.0) < 1e-10
+        assert out["ATE"].components["sigma_u2"] == 0.0
+        assert 0.0 <= out["ATE"].components["sigma_e2"] < 1e-20
 
     def test_recovers_heterogeneous_effects(self):
         # HET makes the effect 15 + x1(post), so ATE and ATT truths differ.
@@ -321,6 +343,43 @@ class TestEstimateDrglmm:
         b = estimate_drglmm(shifted, spec, fit_propensity(shifted, ps_spec))
         assert abs(a["ATE"].value - b["ATE"].value) < 1e-9
         assert abs(a["ATT"].value - b["ATT"].value) < 1e-9
+
+    @pytest.mark.parametrize("random_effect", ["unit_intercept", "none"])
+    @pytest.mark.parametrize("collapsed", [False, True])
+    def test_matches_the_dense_dummy_fit(self, random_effect, collapsed):
+        # The fit takes the bins as labels; the dense dummies appended to
+        # both period blocks (fit_lmm, or fit_or on the blocks stacked) are
+        # the oracle.  Two score levels, 200 units each, fill bins 0 and 2
+        # of 4 only: the labels must skip the empty bin.
+        data = _hom(445, n=400)
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x2", "x1:treat"),
+                         random_effect=random_effect)
+        ps = fit_propensity(data, ModelSpec(ps_terms=("1", "x1", "x2", "v")))
+        if collapsed:
+            high = np.argsort(np.argsort(ps.fitted_ps)) >= 200
+            ps = PSFit(ps.alpha_hat, np.where(high, 0.6, 0.3), ps.n_iter, ps.converged,
+                       ps.deviance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateBinsWarning)
+            out = estimate_drglmm(data, spec, ps, k_bins=4)
+            dummies = ps_quantile_dummies(ps.fitted_ps, K=4)
+        assert dummies.collapsed == collapsed
+        if collapsed:
+            assert set(dummies.bins) == {0, 2}
+        assert 0 < dummies.dummies.shape[1] == out["ATE"].components["n_dummy_columns"]
+        des = build_design(data, spec, pre_period=True)
+        X0, X1 = np.hstack([des.X0, dummies.dummies]), np.hstack([des.X, dummies.dummies])
+        if random_effect == "none":
+            fit = fit_or(np.vstack([X0, X1]), np.concatenate([data.y0, data.y1]))
+        else:
+            fit = fit_lmm(X0, X1, data.y0, data.y1)
+        contrasts = (des.cf_treated - des.cf_control) @ fit.fixed_effects[:des.X.shape[1]]
+        want = {"ATE": contrasts.mean(), "ATT": contrasts[data.d1 == 1].mean()}
+        for estimand, value in want.items():
+            assert abs(out[estimand].value - value) <= 1e-10 * abs(value), estimand
+        comps = out["ATE"].components
+        assert abs(comps["sigma_e2"] - fit.sigma_e2) <= 1e-10 * fit.sigma_e2
+        assert abs(comps["sigma_u2"] - fit.sigma_u2) <= 1e-8 * fit.sigma_e2
 
     def test_dummy_coefficients_insignificant_under_correct_model(self):
         # When the outcome model already holds, the quantile-dummy block

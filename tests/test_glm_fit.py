@@ -23,7 +23,7 @@ from panel_causal import (
     ps_quantile_dummies,
     substream,
 )
-from panel_causal.glm_fit import _quantile_bins_batch
+from panel_causal.glm_fit import _check_k_bins, _quantile_bins_batch
 
 from helpers import (
     check_rank_verdict,
@@ -242,6 +242,17 @@ class TestPsQuantileDummies:
             ps_quantile_dummies(np.array([0.2, 0.4]), K=5)
         with pytest.raises(InvalidArgumentError):
             ps_quantile_dummies(np.full((4, 2), 0.5), K=2)
+
+    def test_non_integral_bin_count_rejected(self):
+        ps = np.linspace(0.1, 0.9, 10)
+        for K in (2.5, np.float64(4.2), "3"):
+            with pytest.raises(InvalidArgumentError, match="integer"):
+                ps_quantile_dummies(ps, K=K)
+            with pytest.raises(InvalidArgumentError, match="integer"):
+                _check_k_bins(K)
+        assert _check_k_bins(3.0) == _check_k_bins(np.int32(3)) == 3
+        np.testing.assert_array_equal(ps_quantile_dummies(ps, K=2.0).bins,
+                                      ps_quantile_dummies(ps, K=2).bins)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_score_rejected(self, bad):

@@ -85,6 +85,14 @@ class TestEstimatorConfig:
         with pytest.raises(InvalidArgumentError):
             EstimatorConfig(method="DRGLMM", estimand="ATE", spec=spec, k_bins=1)
 
+    def test_k_bins_is_kept_as_checked(self):
+        spec = ModelSpec(outcome_terms=("1", "time", "treat"), ps_terms=("1", "x1"))
+        for k_bins in (5.0, np.int64(5)):
+            cfg = EstimatorConfig(method="DRGLMM", estimand="ATE", spec=spec, k_bins=k_bins)
+            assert type(cfg.k_bins) is int and cfg.k_bins == 5
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            EstimatorConfig(method="DRGLMM", estimand="ATE", spec=spec, k_bins=2.5)
+
     def test_ps_model_required_where_used(self):
         with pytest.raises(InvalidArgumentError):
             EstimatorConfig(method="IPW", estimand="ATE")
@@ -167,6 +175,17 @@ class TestClusterBootstrap:
         cfg = EstimatorConfig(method="DID", estimand="ATT")
         with pytest.raises(InvalidArgumentError):
             cluster_bootstrap(data, cfg, B=1, seed=0)
+
+    def test_non_integral_replicate_count_rejected(self):
+        data = _hom(510, n=60)
+        cfg = EstimatorConfig(method="DID", estimand="ATT")
+        for B in (2.9, "3", float("inf")):
+            with pytest.raises(InvalidArgumentError, match="integer"):
+                cluster_bootstrap(data, cfg, B=B, seed=0)
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            cluster_bootstrap(data, cfg, B=3, seed=0.5)
+        assert cluster_bootstrap(data, cfg, B=3.0, seed=0) == cluster_bootstrap(
+            data, cfg, B=3, seed=0)
 
     def test_point_is_full_sample_estimate(self):
         data = _hom(511, n=80)

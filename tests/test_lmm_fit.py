@@ -31,6 +31,7 @@ from panel_causal.lmm_fit import (
     _XATOL,
     _find_roots,
     _fit_blocks,
+    _fit_one,
     _loglik,
     _score,
 )
@@ -174,6 +175,23 @@ class TestFitLmm:
         # Around matrix_rank's threshold the verdict is matrix_rank's.
         for blocks in rank_probe_designs(X0, X1):
             check_rank_verdict(lambda A0, A1: fit_lmm(A0, A1, y0, y1), *blocks)
+
+    def test_rank_verdict_with_bin_labels(self):
+        # The bins enter the fit as labels.  Where the Gram certificate
+        # fails, the verdict is matrix_rank's on the blocks with the dense
+        # dummies: an extra column equal to bin 1's indicator, nearly equal,
+        # or independent but 1e6 times larger.
+        X0, X1, y0, y1 = _clustered(72)
+        bins = np.arange(len(y0)) % 3
+        dummies = np.eye(3)[bins, 1:]
+        wiggle = np.cos(np.arange(len(y0)))
+        verdicts = []
+        for probe in (dummies[:, 0], dummies[:, 0] + 1e-9 * wiggle, 1e6 * wiggle):
+            blocks = [np.column_stack([X, probe, dummies]) for X in (X0, X1)]
+            check_rank_verdict(
+                lambda B0, B1: _fit_one(B0[:, :-2], B1[:, :-2], y0, y1, bins, 3), *blocks)
+            verdicts.append(np.linalg.matrix_rank(np.vstack(blocks)) < blocks[0].shape[1])
+        assert verdicts[0] and not verdicts[-1]
 
     def test_nonfinite_inputs(self):
         X0, X1, y0, y1 = _clustered(71)

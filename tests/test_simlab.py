@@ -9,6 +9,7 @@ import pytest
 from panel_causal import inference, simlab
 from panel_causal import (
     DEFAULT_SUITE,
+    ESTIMANDS,
     ExtremeWeightsWarning,
     InvalidArgumentError,
     NoOverlapError,
@@ -17,6 +18,7 @@ from panel_causal import (
     Scenario,
     SuiteEntry,
     estimate_did,
+    estimate_effects,
     generate_scenario,
     parse_table,
     render_table,
@@ -171,6 +173,19 @@ class TestGenerateScenario:
                               generate_scenario(sc, seed=2**64 - 1).y1)
         assert not np.array_equal(last.y1, generate_scenario(sc, seed=5).y1)
 
+    def test_non_integral_seed_or_replicate_rejected(self):
+        sc = Scenario("HOM", 50)
+        for kwargs in ({"seed": 2.7}, {"seed": 5, "replicate": 1.9},
+                       {"seed": "5"}, {"seed": float("nan")}):
+            with pytest.raises(InvalidArgumentError, match="integer"):
+                generate_scenario(sc, **kwargs)
+        # Integral floats and numpy integers name the int's stream; ints of
+        # any size are taken modulo 2**64.
+        want = generate_scenario(sc, seed=2, replicate=1).y1
+        for seed, replicate in ((2.0, 1.0), (np.int64(2), np.uint64(1)),
+                                (2 + 5 * 2**64, 1)):
+            assert np.array_equal(generate_scenario(sc, seed, replicate).y1, want)
+
     def test_time_invariant_variant_moves_x2_to_post(self):
         a = generate_scenario(Scenario("HOM", 400), 12)
         b = generate_scenario(Scenario("HOM_TI", 400), 12)
@@ -196,6 +211,16 @@ class TestRunStudy:
     def test_replicate_count_validated(self):
         with pytest.raises(InvalidArgumentError):
             run_study(Scenario("HOM", 50), self.DID_SUITE, R=1, seed=0)
+
+    def test_non_integral_R_or_seed_rejected(self):
+        sc = Scenario("HOM", 50)
+        for kwargs in ({"R": 3.9, "seed": 0}, {"R": 3, "seed": 2.7}):
+            with pytest.raises(InvalidArgumentError, match="integer"):
+                run_study(sc, self.DID_SUITE, **kwargs)
+        res = run_study(sc, self.DID_SUITE, R=3.0, seed=np.int64(2))
+        assert (res.R, res.seed) == (3, 2)
+        assert type(res.R) is int and type(res.seed) is int
+        assert res == run_study(sc, self.DID_SUITE, R=3, seed=2)
 
     def test_duplicate_labels_rejected(self):
         suite = (SuiteEntry("DID", label="x"), SuiteEntry("IPW", ps_model="full", label="x"))
@@ -368,23 +393,32 @@ class TestBatchedStudy:
         np.testing.assert_allclose(forward, backward[::-1], rtol=1e-12)
         np.testing.assert_allclose(forward[[0, 11, 24]], alone, rtol=1e-12)
 
+    @staticmethod
+    def _count_unvouched(monkeypatch, counts):
+        """Count, in ``counts``, the replicates and the (replicate, entry)
+        pairs that :meth:`_Batch.values` does not vouch for."""
+        values = inference._Batch.values
+
+        def counted_values(self, suite, C):
+            vals, ok = values(self, suite, C)
+            counts["recomputed"] += int(np.sum(~ok.all(axis=1)))
+            counts["pairs"] += int(np.sum(~ok))
+            return vals, ok
+
+        monkeypatch.setattr(inference._Batch, "values", counted_values)
+
     def test_draws_are_validated_once(self, monkeypatch):
         # A chunk's draws are checked as one stacked dataset; a draw gets a
         # dataset of its own only when one of its entries is recomputed.
-        counts = {"datasets": 0, "recomputed": 0}
+        counts = {"datasets": 0, "recomputed": 0, "pairs": 0}
         post_init = simlab.PanelDataset.__post_init__
-        suite_values = inference._suite_values
 
         def counted_post_init(self):
             counts["datasets"] += 1
             post_init(self)
 
-        def counted_suite_values(*args, **kwargs):
-            counts["recomputed"] += 1
-            return suite_values(*args, **kwargs)
-
         monkeypatch.setattr(simlab.PanelDataset, "__post_init__", counted_post_init)
-        monkeypatch.setattr(inference, "_suite_values", counted_suite_values)
+        self._count_unvouched(monkeypatch, counts)
         # 40 draws are 2 chunks; n = 15 recomputes pairs of several replicates.
         for n in (250, 15):
             counts.update(datasets=0, recomputed=0)
@@ -393,6 +427,46 @@ class TestBatchedStudy:
                 run_study(Scenario("HOM", n), R=40, seed=1)
             assert counts["datasets"] == 2 + counts["recomputed"]
         assert counts["recomputed"] > 0
+
+    def test_fallback_estimates_each_unvouched_pair_once(self, monkeypatch):
+        counts = {"recomputed": 0, "pairs": 0, "estimates": 0}
+        estimate_effects = inference.estimate_effects
+
+        def counted_estimate_effects(*args, **kwargs):
+            counts["estimates"] += 1
+            return estimate_effects(*args, **kwargs)
+
+        self._count_unvouched(monkeypatch, counts)
+        monkeypatch.setattr(inference, "estimate_effects", counted_estimate_effects)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_study(Scenario("HOM", 15), R=40, seed=1)
+        # More pairs than replicates: some replicates recompute several.
+        assert counts["pairs"] > counts["recomputed"] > 0
+        assert counts["estimates"] == counts["pairs"]
+
+    @pytest.mark.parametrize("sid", ["HET", "HOM", "RANDCOEF_TI"])
+    def test_vouched_pairs_are_the_single_estimates_bit_for_bit(self, sid):
+        # A point estimate makes its replicate's kernel call, on a batch of
+        # one: every pair the batch vouches for, DRGLMM's included, is the
+        # draw's own estimate to the last bit.
+        specs = scenario_specs(sid)
+        suite = [(e.method, simlab._entry_spec(e, specs)) for e in DEFAULT_SUITE]
+        (batch, C, dataset), = simlab._draw_chunks(Scenario(sid, 250), 3, range(25), 5)
+        vals, ok = batch.values(suite, C)
+        dr = [i for i, (method, _) in enumerate(suite) if method == "DRGLMM"]
+        assert ok[:, dr].sum() >= 25 * len(dr) // 2
+        got, want = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for j in range(25):
+                data = dataset(j)
+                for i in np.flatnonzero(ok[j]):
+                    method, spec = suite[i]
+                    out = estimate_effects(method, data, spec, k_bins=5)
+                    got.append(vals[j, i])
+                    want.append([out[e].value if e in out else np.nan for e in ESTIMANDS])
+        np.testing.assert_array_equal(got, want)
 
     def test_draw_without_overlap_raises_as_before(self):
         # Replicate 8 of this 4-unit scenario treats every unit.
@@ -444,6 +518,13 @@ class TestTables:
             render_table([])
         with pytest.raises(InvalidArgumentError):
             render_table(self._small_result(), fmt="json")
+
+    def test_unknown_estimand_rejected(self):
+        res = self._small_result()
+        for fmt in ("text", "csv"):
+            with pytest.raises(InvalidArgumentError, match="estimand"):
+                render_table(res, estimand="xyz", fmt=fmt)
+        assert render_table(res, estimand="att") == render_table(res, estimand="ATT")
 
     def test_parse_rejects_foreign_text(self):
         with pytest.raises(InvalidArgumentError):
