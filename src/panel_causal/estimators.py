@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtremeWeightsWarning, InvalidArgumentError
-from .glm_fit import fit_propensity, ps_quantile_dummies
+from .errors import DegenerateBinsWarning, ExtremeWeightsWarning, InvalidArgumentError
+from .glm_fit import _collapsed_message, _ps_dummies, fit_propensity
 from .lmm_fit import _fit_one, fit_or
 from .panel_data import ModelSpec, build_design
 
@@ -133,11 +133,6 @@ class EffectEstimate:
 _EXTREME_EPS = 0.01
 
 
-def _outside_band(ps):
-    """Over the last axis: does any score give an extreme inverse weight?"""
-    return np.any((ps < _EXTREME_EPS) | (ps > 1.0 - _EXTREME_EPS), axis=-1)
-
-
 def _fitted_scores(data, ps_fit):
     ps = np.asarray(ps_fit.fitted_ps, dtype=float)
     if ps.shape != (data.n,):
@@ -150,17 +145,29 @@ def _fitted_scores(data, ps_fit):
     return ps
 
 
-def _check_ps(data, ps_fit):
+def _ps_warnings(info, ps, occupied, k_bins):
+    """The warning that each fit of the method ``info`` raises for its
+    treatment model, as ``(message, category)`` or None: DRGLMM's when its
+    scores fill only ``occupied`` (one count per fit) of ``k_bins`` bins,
+    IPW's and IPWDID's when a score of the fit (a row of ``ps``) gives an
+    extreme inverse weight.  The one rule of the point estimates and of the
+    replicate engine."""
+    if info.bins_ps:
+        return [(_collapsed_message(m - 1, k_bins), DegenerateBinsWarning) if m < k_bins
+                else None for m in occupied]
+    message = (f"propensity scores outside [{_EXTREME_EPS:g}, {1 - _EXTREME_EPS:g}]; "
+               "inverse weights may be unstable")
+    extreme = np.any((ps < _EXTREME_EPS) | (ps > 1.0 - _EXTREME_EPS), axis=1)
+    return [(message, ExtremeWeightsWarning) if e else None for e in extreme]
+
+
+def _check_ps(method, data, ps_fit):
     """The fitted scores, for the estimators that invert them: warns once
     per estimate when any score would give an extreme inverse weight."""
     ps = _fitted_scores(data, ps_fit)
-    if _outside_band(ps):
-        warnings.warn(
-            f"propensity scores outside [{_EXTREME_EPS:g}, {1 - _EXTREME_EPS:g}]; "
-            "inverse weights may be unstable",
-            ExtremeWeightsWarning,
-            stacklevel=3,
-        )
+    note, = _ps_warnings(METHOD_TABLE[method], ps[None], None, None)
+    if note:
+        warnings.warn(*note, stacklevel=3)
     return ps
 
 
@@ -310,7 +317,7 @@ def estimate_ipw(data, ps_fit):
     controls by the odds ``ps / (1 - ps)`` and normalizes by the treated
     count.  Scores near 0 or 1 raise an :class:`ExtremeWeightsWarning`.
     """
-    return _estimates("IPW", _ipw_values(data, _check_ps(data, ps_fit)))
+    return _estimates("IPW", _ipw_values(data, _check_ps("IPW", data, ps_fit)))
 
 
 def estimate_did(data):
@@ -332,7 +339,7 @@ def estimate_ipwdid(data, ps_fit):
     change ``y1 - y0``.  Scores near 0 or 1 raise an
     :class:`ExtremeWeightsWarning`.
     """
-    return _estimates("IPWDID", _ipwdid_values(data, _check_ps(data, ps_fit)))
+    return _estimates("IPWDID", _ipwdid_values(data, _check_ps("IPWDID", data, ps_fit)))
 
 
 def estimate_drglmm(data, spec, ps_fit, k_bins=5):
@@ -346,8 +353,11 @@ def estimate_drglmm(data, spec, ps_fit, k_bins=5):
     labels, like its replicates.  A constant propensity collapses all bins
     and reproduces :func:`estimate_glmm` exactly.
     """
-    ps = _fitted_scores(data, ps_fit)
-    dummies = ps_quantile_dummies(ps, K=k_bins)
+    dummies = _ps_dummies(_fitted_scores(data, ps_fit), k_bins)
+    note, = _ps_warnings(METHOD_TABLE["DRGLMM"], None, [dummies.dummies.shape[1] + 1],
+                         dummies.K)
+    if note:
+        warnings.warn(*note, stacklevel=2)
     return _mixed_estimates("DRGLMM", data, spec, dummies)
 
 

@@ -140,12 +140,13 @@ def fit_logistic(design, outcome):
     if np.any((y != 0.0) & (y != 1.0)):
         raise NonBinaryTreatmentError("outcome must be coded 0/1")
     rows = _Rows(X[None], y[None])
+    C = np.ones((1, X.shape[0]))
     with np.errstate(all="ignore"):
-        fits = _fit_logistic_batch(rows, np.ones((1, X.shape[0])))
+        fits = _fit_logistic_batch(rows, C)
     status = fits.status[0]
     if status == _ONE_CLASS:
         raise NoVariationInOutcomeError("outcome has a single class; cannot fit")
-    if not _full_rank(fits.certified[0], X):
+    if not _full_rank(fits.certified, C, [X])[0]:
         raise RankDeficientDesignError(
             f"design has rank below its {X.shape[1]} columns; drop redundant terms"
         )
@@ -225,6 +226,15 @@ def ps_quantile_dummies(ps, K=5):
     -------
     PSDummies
     """
+    dummies = _ps_dummies(ps, K)
+    if dummies.collapsed:
+        warnings.warn(_collapsed_message(dummies.dummies.shape[1], dummies.K),
+                      DegenerateBinsWarning, stacklevel=2)
+    return dummies
+
+
+def _ps_dummies(ps, K):
+    """:func:`ps_quantile_dummies` without its warning."""
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 1:
         raise InvalidArgumentError("ps must be one-dimensional")
@@ -235,21 +245,19 @@ def ps_quantile_dummies(ps, K=5):
     bins = fits.bins[0]
     cols = [(bins == b).astype(float) for b in np.flatnonzero(fits.occupied[0])[1:]]
     dummies = np.column_stack(cols) if cols else np.zeros((ps.shape[0], 0))
-    collapsed = bool(fits.status[0] == _COLLAPSED)
-    if collapsed:
-        warnings.warn(
-            f"propensity quantile bins collapsed: {dummies.shape[1]} dummy "
-            f"columns instead of {K - 1}",
-            DegenerateBinsWarning,
-            stacklevel=2,
-        )
     return PSDummies(
         bin_edges=fits.edges[0][fits.distinct[0]],
         dummies=dummies,
         K=K,
         bins=bins,
-        collapsed=collapsed,
+        collapsed=bool(fits.status[0] == _COLLAPSED),
     )
+
+
+def _collapsed_message(columns, K):
+    """The :class:`DegenerateBinsWarning` of binning into K bins that left
+    ``columns`` dummy columns."""
+    return f"propensity quantile bins collapsed: {columns} dummy columns instead of {K - 1}"
 
 
 def _logistic_terms(eta, y, C):
@@ -293,14 +301,13 @@ def _fit_logistic_batch(rows, C):
         ``alpha``, ``n_iter``, ``converged``, ``deviance``, the Gram
         certificate ``certified`` of ``lmm_fit._certify`` and ``status``:
         ``_ONE_CLASS`` (nothing fitted), or one of the failures in
-        ``_SEPARATION``.  ``fragile`` adds to ``_certify``'s verdict a fit
-        that did not converge, whose last iterate rounding can move.
+        ``_SEPARATION``.
     """
     k, n = C.shape
     y = rows.y
     units = C.sum(axis=1)
     treated = _dot(C, y)
-    certified, fragile = _certify(rows.gram(C), units)
+    certified = _certify(rows.gram(C), units)
     status = np.where((treated > 0.0) & (treated < units), _OK, _ONE_CLASS)
     alpha = np.zeros((k, rows.X.shape[-1]))
     prob, dev = _logistic_terms(np.zeros((k, n)), y, C)
@@ -327,15 +334,7 @@ def _fit_logistic_batch(rows, C):
     edge = np.any((C > 0.0) & ((prob < _PROB_EDGE) | (prob > 1.0 - _PROB_EDGE)), axis=1)
     status[(status == _OK) & ~converged & edge] = _STALLED
     return _Fits(prob=prob, alpha=alpha, n_iter=n_iter, converged=converged,
-                 deviance=dev, certified=certified, status=status,
-                 fragile=fragile | ~converged)
-
-
-# A cut point that falls in a gap narrower than this between two different
-# scores leaves the binning at the mercy of rounding: scores fitted in a
-# batch and on their own agree only to about 1e-12.  Equal scores
-# are no such risk, since equal design rows give bit-equal scores either way.
-_BIN_GAP = 1e-9
+                 deviance=dev, certified=certified, status=status)
 
 
 def _quantile_bins_batch(ps, C, K):
@@ -357,8 +356,7 @@ def _quantile_bins_batch(ps, C, K):
         the cut points ``edges`` ``(k, K - 1)`` and the mask ``distinct``
         of those above the cut before; the mask ``occupied`` ``(k, K)`` of
         bins that hold a counted unit, and ``status`` ``_COLLAPSED`` where
-        one does not.  ``fragile`` marks a cut point that falls between
-        two different scores less than ``_BIN_GAP`` apart.
+        one does not.
     """
     k, n = ps.shape
     # The order among equal scores does not matter: the expanded sample's
@@ -382,5 +380,4 @@ def _quantile_bins_batch(ps, C, K):
         bins += distinct[:, j, None] & (edges[:, j, None] < ps)
     occupied = np.stack([(C * (bins == j)).sum(axis=1) > 0 for j in range(K)], axis=1)
     return _Fits(bins=bins, edges=edges, distinct=distinct, occupied=occupied,
-                 status=np.where(np.all(occupied, axis=1), _OK, _COLLAPSED),
-                 fragile=np.any((diff > 0.0) & (diff <= _BIN_GAP), axis=1))
+                 status=np.where(np.all(occupied, axis=1), _OK, _COLLAPSED))

@@ -2,7 +2,7 @@
 
 Uncertainty comes from the cluster bootstrap: units are resampled with
 replacement, each carrying both of its rows, and the whole pipeline
-(propensity fit, outcome fit, estimate) reruns per replicate.  Replicate r
+(propensity fit, outcome fit, estimate) is repeated per replicate.  Replicate r
 draws its n unit indices from the random stream keyed by ``(seed, r)``, so
 results are bit-identical for a fixed seed.
 
@@ -12,17 +12,17 @@ suite of one over resamples, the DR test a suite of three over shared
 resamples, and a simulation study (:mod:`simlab`) its suite over fresh
 draws.  A chunk is a :class:`_Batch` and a ``(k, n)`` count matrix: every
 design column is a function of one unit's own data, so a resample is the
-full-sample design with unit i counted as often as it was drawn, and a
-chunk of draws is their designs stacked, each unit counted once.  Every
-entry is fitted on the whole chunk by the kernels of :mod:`glm_fit` and
-:mod:`lmm_fit` (a point estimate's calls, on a batch of one) and estimated
-by the estimand functions of :mod:`estimators` given the counts.  A
-(replicate, entry) pair the batch cannot vouch for (no overlap, extreme
-scores, a fit a kernel reports as failed or as fragile) is recomputed by
-``estimate_effects`` on the replicate's own dataset, with the errors (as
-NaN) and warnings of the replicate evaluated alone.  The other pairs keep
-their batched values: a draw's are its own estimates bit for bit, a
-resample's agree to about 1e-12 relative.  All runs on the calling thread.
+full-sample design with unit i counted as often as it was drawn (its
+resampling vector), and a chunk of draws is their designs stacked, each
+unit counted once.  Every entry is fitted on the whole chunk by the kernels
+of :mod:`glm_fit` and :mod:`lmm_fit` (a point estimate's calls, on a batch
+of one) and estimated by the estimand functions of :mod:`estimators` given
+the counts.  The batch decides what the replicate evaluated alone would:
+no overlap, a kernel's failure status and a rank-deficient design make a
+(replicate, entry) pair NaN, and the pair raises the extreme-weight or
+collapsed-bin warning of the public estimator.  A draw's values are its own
+estimates bit for bit; a resample's agree with the estimates on its
+``take()`` copy to about 1e-12 relative.  All runs on the calling thread.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -44,7 +44,6 @@ from .errors import (
     DegenerateVarianceWarning,
     EmptyModelWarning,
     InvalidArgumentError,
-    PanelCausalError,
     SeparationError,
     _as_int,
 )
@@ -56,7 +55,7 @@ from .estimators import (
     _contrast_values,
     _counted,
     _glmm_fit,
-    _outside_band,
+    _ps_warnings,
     estimate_effects,
     method_info,
 )
@@ -67,7 +66,7 @@ from .glm_fit import (
     fit_logistic,
     fit_propensity,
 )
-from .lmm_fit import _fit_lmm_batch, _fit_or_batch, _rotated_rows, _Rows
+from .lmm_fit import _fit_lmm_batch, _fit_or_batch, _full_rank, _rotated_rows, _Rows
 from .panel_data import ModelSpec, build_design, ps_design
 from .rng import substream
 
@@ -117,8 +116,8 @@ class EstimatorConfig:
 def evaluate_estimator(config, data, ps_fit=None):
     """Run the configured estimator on ``data`` and return its point value.
 
-    ``ps_fit`` can inject an already-fitted propensity model (the bootstrap
-    never does this: each replicate refits everything).
+    ``ps_fit`` can inject an already-fitted propensity model; without it
+    the method fits its own.
     """
     out = estimate_effects(config.method, data, config.spec, ps_fit,
                            k_bins=config.k_bins)
@@ -170,10 +169,6 @@ _CHUNK_CELLS = 25_000
 def _chunk_size(n):
     """Replicates of n units each that are fitted as one batch."""
     return max(1, min(_CHUNK, _CHUNK_CELLS // n))
-
-
-# A replicate whose fit raises one of these gets NaN.
-_FIT_ERRORS = (PanelCausalError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,74 +234,105 @@ class _Batch:
         return self._designs[key]
 
     def propensity(self, spec, C):
-        """Fitted scores ``(k, n)`` and the ok flags of the treatment model
-        of ``spec``."""
-        fits = _fit_logistic_batch(self._design("ps", spec), C)
-        return fits.prob, fits.ok
+        """Fitted scores ``(k, n)`` of the treatment model of ``spec``, 0.5
+        for the units a fit does not count, and the flags of the fits an
+        estimator can use: the kernel succeeded, the design has full rank
+        on the fit's own rows, and every counted score lies strictly inside
+        (0, 1)."""
+        rows = self._design("ps", spec)
+        fits = _fit_logistic_batch(rows, C)
+        ps = np.where(C > 0.0, fits.prob, 0.5)
+        usable = fits.ok & np.all((ps > 0.0) & (ps < 1.0), axis=1)
+        usable &= _full_rank(fits.certified | ~usable, C, [rows.X])
+        return ps, usable
 
-    def effects(self, info, spec, C, propensity=None):
+    def bins(self, ps, C):
+        """The propensity bins of each fit: every unit's bin renumbered
+        among the fit's occupied bins, the lowest (always occupied) staying
+        the reference as in a point estimate, and the count of occupied
+        bins per fit."""
+        cut = _quantile_bins_batch(ps, C, self.k_bins)
+        labels = np.take_along_axis(np.cumsum(cut.occupied, axis=1) - 1, cut.bins, axis=1)
+        return labels, cut.occupied.sum(axis=1)
+
+    def effects(self, info, spec, C, propensity=None, binned=None):
         """Estimates of the method ``info`` with the models of ``spec`` on
-        each fit of ``C``.
-
-        ``propensity`` can pass in the result of :meth:`propensity` on the
-        same counts.  Returns ``({estimand: (k,) values}, ok)``; values
-        are meaningless where ``ok`` is False.
+        each fit of ``C``, given if need be the :meth:`propensity` and
+        :meth:`bins` of the same counts.  The outcome fits are grouped by
+        their count of occupied bins, one kernel call a group, each taking
+        the dummies of its own occupied bins.  Returns ``({estimand: (k,)
+        values}, ok)``; values are meaningless where ``ok`` is False: no
+        overlap, a treatment model the estimator cannot use, or an outcome
+        fit that failed or whose design is rank deficient.
         """
+        k = C.shape[0]
         _, units, treated = _counted(self.responses, C)
         ok = (treated > 0.0) & (treated < units)
         ps = None
         if info.uses_ps:
-            ps, ok_ps = propensity or self.propensity(spec, C)
-            # Scores of units outside the resample play no part.
-            ps = np.where(C > 0.0, ps, 0.5)
-            ok &= ok_ps & np.all((ps > 0.0) & (ps < 1.0), axis=1)
+            ps, usable = propensity or self.propensity(spec, C)
+            ok &= usable
         if info.outcome is None:
-            if ps is not None:
-                # Each estimate warns of extreme inverse weights; leave those
-                # replicates to the estimator, so that the warning is raised.
-                ok &= ~_outside_band(ps)
             values = _WEIGHTING_VALUES[info.name](self.responses, ps, C)
         else:
-            bins = None
-            if info.bins_ps:
-                cut = _quantile_bins_batch(ps, C, self.k_bins)
-                bins = cut.bins
-                ok &= cut.ok
-            sel = np.flatnonzero(ok)
             design, rows = self._design(info.outcome, spec)
-            if info.outcome == "post":
-                fits = _fit_or_batch(rows.take(sel), C[sel])
-            else:
-                fits = _fit_lmm_batch(
-                    tuple(r.take(sel) for r in rows), C[sel],
-                    None if bins is None else bins[sel], self.k_bins,
-                    random_intercept=spec.random_effect == "unit_intercept",
-                )
-            ok[sel] = fits.ok
-            coef = np.zeros((C.shape[0], fits.beta.shape[1]))
-            coef[sel] = fits.beta
+            bins, n_bins = None, np.zeros(k, dtype=int)
+            if info.bins_ps:
+                bins, n_bins = binned or self.bins(ps, C)
+            sel = np.flatnonzero(ok)
+            certified = np.ones(k, dtype=bool)
+            coef = np.zeros((k, design.X.shape[-1]))
+            for m in np.unique(n_bins[sel]):
+                group = sel[n_bins[sel] == m]
+                if info.outcome == "post":
+                    fits = _fit_or_batch(rows.take(group), C[group])
+                else:
+                    fits = _fit_lmm_batch(
+                        tuple(r.take(group) for r in rows), C[group],
+                        None if bins is None else bins[group], m,
+                        random_intercept=spec.random_effect == "unit_intercept",
+                    )
+                ok[group] = fits.ok
+                certified[group] = fits.certified
+                coef[group] = fits.beta[:, :coef.shape[1]]
+            blocks = [design.X] if info.outcome == "post" else [design.X0, design.X]
+            ok &= _full_rank(certified | ~ok, C, blocks, bins)
             values = _contrast_values(self.responses, design, coef, C)
         return {e: v for e, (v, _) in values.items()}, ok
 
     def values(self, suite, C):
         """Estimates of each ``(method, spec)`` entry of ``suite`` on each
         fit of ``C``: ``(k, entries, len(ESTIMANDS))`` values, NaN where
-        the method lacks the estimand, and ``(k, entries)`` ok flags.
-        Entries with the same treatment terms share one treatment-model fit."""
+        the method lacks the estimand, ``(k, entries)`` ok flags, and the
+        warnings of the pairs as ``(message, category)`` in fit-then-entry
+        order.  A pair warns as its public estimator would on the fit's own
+        dataset: once a usable treatment model gives IPW or IPWDID an
+        extreme score, or leaves DRGLMM with collapsed bins.  Entries with
+        the same treatment terms share one treatment-model fit and its bins."""
         vals = np.full((C.shape[0], len(suite), len(ESTIMANDS)), np.nan)
         ok = np.empty((C.shape[0], len(suite)), dtype=bool)
-        scores = {}
+        notes, scores, cuts = {}, {}, {}
         with np.errstate(all="ignore"):
             for i, (method, spec) in enumerate(suite):
                 info = METHOD_TABLE[method]
-                if info.uses_ps and spec.ps_terms not in scores:
-                    scores[spec.ps_terms] = self.propensity(spec, C)
-                propensity = scores[spec.ps_terms] if info.uses_ps else None
-                estimates, ok[:, i] = self.effects(info, spec, C, propensity)
+                propensity = binned = occupied = None
+                if info.uses_ps:
+                    key = spec.ps_terms
+                    if key not in scores:
+                        scores[key] = self.propensity(spec, C)
+                    propensity = ps, usable = scores[key]
+                    if info.bins_ps:
+                        if key not in cuts:
+                            cuts[key] = self.bins(ps, C)
+                        binned = _, occupied = cuts[key]
+                    for r, note in enumerate(_ps_warnings(info, ps, occupied, self.k_bins)):
+                        if note and usable[r]:
+                            notes[r, i] = note
+                estimates, ok[:, i] = self.effects(info, spec, C, propensity, binned)
                 for j, estimand in enumerate(ESTIMANDS):
                     if estimand in estimates:
                         vals[:, i, j] = estimates[estimand]
-        return vals, ok
+        return vals, ok, [notes[pair] for pair in sorted(notes)]
 
 
 def _replicate_values(suite, chunks):
@@ -314,29 +340,18 @@ def _replicate_values(suite, chunks):
     replicate, ``(R, entries, len(ESTIMANDS))``: the one replicate engine
     of the bootstrap, the DR test and the simulation study.
 
-    ``chunks`` yields ``(batch, C, dataset)`` per chunk of k replicates: a
-    :class:`_Batch`, its ``(k, n)`` count matrix, and ``dataset(j)``, which
-    builds replicate j's own dataset.  :meth:`_Batch.values` fits every
-    entry on the whole chunk; a pair it does not vouch for is recomputed by
-    ``estimate_effects`` on the replicate's dataset, built once, so its
-    value, failure (NaN) and warnings are those of the replicate alone.
+    ``chunks`` yields ``(batch, C)`` per chunk of k replicates: a
+    :class:`_Batch` and its ``(k, n)`` count matrix.  :meth:`_Batch.values`
+    fits every entry on the whole chunk; a pair it finds not ok is NaN.  The
+    pairs' warnings are raised chunk by chunk, each pointing at the line
+    that called the bootstrap, the DR test or the study.
     """
     out = []
-    for batch, C, dataset in chunks:
-        vals, ok = batch.values(suite, C)
+    for batch, C in chunks:
+        vals, ok, notes = batch.values(suite, C)
         vals[~ok] = np.nan
-        for j in np.flatnonzero(~ok.all(axis=1)):
-            try:
-                data = dataset(j)
-            except _FIT_ERRORS:
-                continue
-            for i in np.flatnonzero(~ok[j]):
-                method, spec = suite[i]
-                try:
-                    est = estimate_effects(method, data, spec, k_bins=batch.k_bins)
-                except _FIT_ERRORS:
-                    continue
-                vals[j, i] = [est[e].value if e in est else np.nan for e in ESTIMANDS]
+        for note in notes:
+            warnings.warn(*note, stacklevel=3)
         out.append(vals)
     return np.concatenate(out)
 
@@ -344,25 +359,23 @@ def _replicate_values(suite, chunks):
 def _resamples(data, k_bins, B, seed):
     """The B cluster-bootstrap resamples of ``data`` as chunks of
     :func:`_replicate_values`.  Replicate r draws its n unit indices from the
-    ``(seed, r)`` stream: their bincount is its row of the count matrix, and
-    ``data.take`` of them its own dataset."""
+    ``(seed, r)`` stream, and their bincount is its row of the count matrix."""
     n = data.n
     batch = _Batch(data, k_bins)
     chunk = _chunk_size(n)
     for start in range(0, B, chunk):
-        idx = [substream(seed, r).integers(0, n, size=n)
-               for r in range(start, min(start + chunk, B))]
-        C = np.array([np.bincount(i, minlength=n) for i in idx], dtype=float)
-        yield batch, C, lambda j, idx=idx: data.take(idx[j])
+        C = np.array([np.bincount(substream(seed, r).integers(0, n, size=n), minlength=n)
+                      for r in range(start, min(start + chunk, B))], dtype=float)
+        yield batch, C
 
 
 @dataclass(frozen=True)
 class BootstrapResult:
     """Point estimate plus percentile bootstrap summaries.
 
-    ``n_failed`` counts replicates whose refit failed (NoOverlap after
-    resampling, separation, rank problems); they are excluded from the
-    summaries and a warning fires if they reach 5 percent of B.
+    ``n_failed`` counts replicates on which the estimator failed (no
+    overlap after resampling, separation, rank problems); they are excluded
+    from the summaries and a warning fires if they reach 5 percent of B.
     """
 
     point: float
@@ -378,10 +391,10 @@ def cluster_bootstrap(data, config, B, seed):
     """Nonparametric cluster bootstrap of one estimator.
 
     Replicate r resamples n units with replacement from the ``(seed, r)``
-    stream and refits the whole estimator: the estimator is a suite of one
-    for the replicate engine (module docstring), so a replicate the batch
-    cannot vouch for is refitted on its own, with the failures and warnings
-    of the one-at-a-time bootstrap.
+    stream and fits the whole estimator again: the estimator is a suite of
+    one for the replicate engine (module docstring), which gives each
+    replicate the value, failure and warnings of its resample evaluated
+    alone.
 
     Parameters
     ----------
@@ -444,11 +457,10 @@ class DRTestResult:
     n_failed: int
 
 
-# A replicate's batched value agrees with its value refitted on its own to
-# about 1e-12 relative, so two estimates that coincide by construction (the
-# doubly robust and mixed-model ones under a constant treatment model) still
-# differ by rounding when only one of them is refitted: a spread below
-# _ROUNDING times the size of the estimates is no bootstrap variance.
+# Two estimates that coincide by construction (the doubly robust and
+# mixed-model ones under a constant treatment model) are equal only up to
+# rounding in general: a spread below _ROUNDING times the size of the
+# estimates is no bootstrap variance.
 _ROUNDING = 1e-9
 
 
@@ -474,9 +486,8 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     The three estimators are one suite of the replicate engine (module
     docstring) on the resamples of :func:`cluster_bootstrap`: one
     treatment-model fit per chunk serves the doubly robust and the
-    weighted-DID estimate, and a (replicate, estimator) pair the batch
-    cannot vouch for is refitted on its own.  A replicate in which any of
-    the three fails is left out of the statistics.
+    weighted-DID estimate.  A replicate in which any of the three fails is
+    left out of the statistics.
 
     Parameters
     ----------

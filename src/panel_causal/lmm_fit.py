@@ -33,9 +33,8 @@ The public fits are those kernels on a batch of one fit that counts every
 unit once: :func:`fit_lmm`, :func:`profile_loglik` and :func:`fit_or`
 check their input, call the kernel and turn its per-fit status into the
 typed error or the result, as does :func:`_fit_one` for a mixed-model point
-estimate, with its replicates' bin labels.  A batch caller uses the same
-status, and refits on its own each fit the kernel marks ``fragile``: one
-whose value could differ from the single fit's beyond rounding.
+estimate, with its replicates' bin labels.  A batch caller reads the same
+status, and :func:`_full_rank` gives it the rank verdict of each fit.
 """
 
 from dataclasses import dataclass
@@ -88,18 +87,6 @@ _ROOT_STEPS = 100
 # is always matrix_rank's.
 _RANK_MARGIN = 10.0
 
-# Two equally valid solves of one Gram system, with their sums taken in
-# different orders, agree only to about cond(G) * eps.  A fit whose Gram's
-# condition number passes this (it does only when a few distinct units
-# carry many columns) is therefore fragile: a batch refits it on its own.
-_BATCH_COND = 1e8
-
-# A fit whose interior optimum beats the boundary value at log lambda = -12
-# by less than this fraction of |loglik| is fragile: there the choice
-# between sigma_u^2 = 0 and a small positive ratio rests on the last digits
-# of the likelihood.
-_TIE_RTOL = 1e-11
-
 # Kernel statuses of a fit: 0 is success, anything else names the failure
 # the public wrapper raises.  The Gram matrix of the fit is not positive
 # definite in floating point, the profiled likelihood is degenerate at every
@@ -131,15 +118,15 @@ class LMMFit:
 class _Fits(SimpleNamespace):
     """A kernel's outputs, each an array with one entry per fit of the batch.
 
-    Every kernel sets ``status`` (0 for success, else the failure its public
-    wrapper raises) and ``fragile``: the fit may differ from the same fit
-    computed on its own by more than rounding, so a batch must not use it.
+    Every kernel sets ``status``: 0 for success, else the failure its public
+    wrapper raises.  A model fit also sets the Gram certificate
+    ``certified``, which :func:`_full_rank` completes to a rank verdict.
     """
 
     @property
     def ok(self):
-        """The fits a batch can use as they are."""
-        return (self.status == _OK) & ~self.fragile
+        """The fits whose kernel reports success."""
+        return self.status == _OK
 
 
 def _profile_terms(log_lambda, stats):
@@ -223,26 +210,34 @@ def _loglik(log_lambda, stats):
 
 
 def _certify(G, m):
-    """``(certified, fragile)`` for the Gram matrices ``G = X'X`` of
-    ``(m, p)`` designs, with a leading fit axis.
-
-    ``certified`` proves ``np.linalg.matrix_rank(X) == p`` (see
-    ``_RANK_MARGIN``); False only means the eigenvalues cannot vouch for
-    full rank, and a single fit then asks ``matrix_rank``.  ``fragile``
-    marks a Gram that is not certified or is conditioned worse than
-    ``_BATCH_COND``.
-    """
+    """Proof that ``np.linalg.matrix_rank(X) == p`` for the Gram matrices
+    ``G = X'X`` of ``(m, p)`` designs, with a leading fit axis (see
+    ``_RANK_MARGIN``).  False only means the eigenvalues cannot prove full
+    rank: :func:`_full_rank` then asks ``matrix_rank``."""
     lam = np.linalg.eigvalsh(G)
-    lo, hi = lam[..., 0], lam[..., -1]
-    certified = lo > _RANK_MARGIN * m * G.shape[-1] * _EPS * hi
-    return certified, ~certified | (lo * _BATCH_COND <= hi)
+    return lam[..., 0] > _RANK_MARGIN * m * G.shape[-1] * _EPS * lam[..., -1]
 
 
-def _full_rank(certified, *blocks):
-    """The rank verdict on the blocks stacked: the kernel's certificate, or
-    else ``np.linalg.matrix_rank``."""
-    return bool(certified) or (
-        np.linalg.matrix_rank(np.vstack(blocks)) == blocks[0].shape[1])
+def _full_rank(certified, C, blocks, bins=None):
+    """The rank verdict of each fit of a batch: its certificate, or else
+    ``np.linalg.matrix_rank`` on the fit's own rows.
+
+    Those are the rows of the ``blocks`` (each ``(n, p)``, or ``(k, n, p)``
+    with a block per fit) stacked, unit i repeated ``C[r, i]`` times as in
+    the fit's own dataset.  ``bins`` ``(k, n)``, if given, labels each unit
+    with one of the fit's occupied bins ``0 .. m - 1``; the dense dummies
+    of bins 1 to ``m - 1`` are then appended to every block.
+    """
+    full = np.array(certified, dtype=bool)
+    for r in np.flatnonzero(~full):
+        units = np.repeat(np.arange(C.shape[1]), C[r].astype(int))
+        X = [(b if b.ndim == 2 else b[r])[units] for b in blocks]
+        if bins is not None:
+            labels = bins[r, units]
+            X = [np.hstack([x, np.eye(labels.max() + 1)[labels, 1:]]) for x in X]
+        X = np.vstack(X)
+        full[r] = np.linalg.matrix_rank(X) == X.shape[1]
+    return full
 
 
 def _simultaneous_basis(L, Gs):
@@ -363,10 +358,6 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
         and ``status``: ``_NOT_PD`` (no Cholesky factor; the other outputs
         mean nothing), ``_FLAT`` (no finite point on the likelihood grid) or
         ``_DEGENERATE`` (no positive finite ``rss`` at the optimum).
-        ``fragile`` adds to :func:`_certify`'s verdict a non-finite point
-        on the grid, a grid optimum inside the grid without a bracketing
-        sign change of the score, a root search that did not converge, and
-        a near-tie between the boundary and the interior optimum.
         ``stats`` holds the profile statistics of :func:`_profile_terms`.
     """
     s, d = rows
@@ -397,7 +388,7 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     # it is not a rank test (with exactly duplicated columns rounding can
     # leave a tiny positive pivot); the eigenvalue certificate is.
     G = Gd + Gs
-    certified, fragile = _certify(G, 2 * units)
+    certified = _certify(G, 2 * units)
     L = _each(np.linalg.cholesky, G)
     status = np.where(np.all(np.isfinite(L), axis=(1, 2)), _OK, _NOT_PD)
     # A fit without a factor is carried along on an identity one.
@@ -463,12 +454,7 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
                 lambda x, t: _score(x[:, None], tuple(v[t] for v in sub))[:, 0],
                 grid[a[i]], grid[b[i]], score[i, a[i]], score[i, b[i]])
             best[i] = _loglik(log_lambda[i, None], sub)[:, 0]
-        finite = np.isfinite(ll)
-        status[(status == _OK) & ~finite.any(axis=1)] = _FLAT
-        fragile |= (~finite.all(axis=1)
-                    | ~(bracket | (j == 0) | (j == _GRID_POINTS - 1))
-                    | (bracket & ~converged)
-                    | (bracket & (np.abs(best - ll[:, 0]) <= _TIE_RTOL * np.abs(ll[:, 0]))))
+        status[(status == _OK) & ~np.isfinite(ll).any(axis=1)] = _FLAT
         # A boundary value at least as good as the optimum puts the variance
         # ratio at exactly 0: the fit collapses to least squares.
         boundary = ll[:, 0] >= best
@@ -484,8 +470,7 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     rss = np.sum(C * rd * rd, axis=1) + w * np.sum(C * rs * rs, axis=1)
     status[(status == _OK) & ~(np.isfinite(rss) & (rss > 0.0))] = _DEGENERATE
     return _Fits(beta=beta0 + delta, log_lambda=log_lambda, lam=lam, converged=converged,
-                 rss=rss, A=A, status=status, certified=certified, fragile=fragile,
-                 stats=stats)
+                 rss=rss, A=A, status=status, certified=certified, stats=stats)
 
 
 def _fit_or_batch(rows, C):
@@ -495,13 +480,12 @@ def _fit_or_batch(rows, C):
     the batch or one per replicate, and row r of the ``(k, n)`` count
     matrix ``C`` weights the units of fit r.  Returns :class:`_Fits` with
     ``beta`` ``(k, p)`` (NaN where the Gram matrix is singular), the Gram
-    matrices ``G``, and :func:`_certify`'s ``certified`` and ``fragile``;
-    every status is success.
+    matrices ``G``, and :func:`_certify`'s ``certified``; every status is
+    success.
     """
     G = rows.gram(C)
-    certified, fragile = _certify(G, C.sum(axis=1))
     return _Fits(beta=_each(_solve, G, rows.cross(C * rows.y)), G=G,
-                 status=np.full(len(G), _OK), certified=certified, fragile=fragile)
+                 status=np.full(len(G), _OK), certified=_certify(G, C.sum(axis=1)))
 
 
 def _fit_blocks(X0, X1, y0, y1, bins=None, n_bins=0, random_intercept=True):
@@ -516,21 +500,18 @@ def _fit_blocks(X0, X1, y0, y1, bins=None, n_bins=0, random_intercept=True):
         )
     if not all(np.all(np.isfinite(a)) for a in (X0, X1, y0, y1)):
         raise NonFiniteLikelihoodError("design or response contains non-finite values")
+    C = np.ones((1, X0.shape[0]))
+    bins = None if bins is None else bins[None]
     with np.errstate(all="ignore"):
         fits = _fit_lmm_batch(_rotated_rows(X0[None], X1[None], y0[None], y1[None]),
-                              np.ones((1, X0.shape[0])),
-                              None if bins is None else bins[None], n_bins,
-                              random_intercept)
-    if bins is not None and not fits.certified[0]:
-        # matrix_rank's verdict needs the bin dummies as dense columns.
-        X0, X1 = (np.hstack([X, np.eye(n_bins)[bins, 1:]]) for X in (X0, X1))
-    if not _full_rank(fits.certified[0], X0, X1):
+                              C, bins, n_bins, random_intercept)
+    if not _full_rank(fits.certified, C, [X0, X1], bins)[0]:
         raise RankDeficientDesignError(
             f"the two design blocks stacked have rank below their {X0.shape[1]} columns"
         )
     if fits.status[0] == _NOT_PD:
         # Full rank by matrix_rank, singular in floating point: numpy's own
-        # Cholesky error, which the callers that refit replicates catch.
+        # Cholesky error.
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     return fits
 
@@ -628,9 +609,10 @@ def fit_or(post_design, response):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NonFiniteLikelihoodError("design or response contains non-finite values")
     n, p = X.shape
+    C = np.ones((1, n))
     with np.errstate(all="ignore"):
-        fits = _fit_or_batch(_Rows(X[None], y[None]), np.ones((1, n)))
-    if not _full_rank(fits.certified[0], X):
+        fits = _fit_or_batch(_Rows(X[None], y[None]), C)
+    if not _full_rank(fits.certified, C, [X])[0]:
         raise RankDeficientDesignError(f"design has rank below its {p} columns")
     beta = fits.beta[0]
     # From the residual vector: y'y - beta'X'y cancels catastrophically when

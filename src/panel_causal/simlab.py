@@ -27,9 +27,8 @@ keyed by (seed, r), so studies reproduce bit for bit.  The suite runs on
 the replicate engine of the cluster bootstrap
 (:func:`~panel_causal.inference._replicate_values`), a chunk of draws at a
 time: the draws are stacked into one dataset and every entry is fitted on
-all of them at once; an entry the kernels cannot vouch for on a draw is
-recomputed on that draw's own dataset, so values, failures and warnings are
-those of replicates evaluated one at a time.  A study silences extreme-weight
+all of them at once, with the values (bit for bit), failures and warnings
+of replicates evaluated one at a time.  A study silences extreme-weight
 warnings and reports failures per cell instead.
 """
 
@@ -496,21 +495,19 @@ def _entry_spec(entry, specs):
 def _draw_chunks(scenario, seed, replicates, k_bins):
     """The draws ``replicates`` as chunks of the replicate engine: each
     chunk's draw arrays stacked into one dataset, fitted with all-ones
-    counts.  A draw gets a dataset of its own only when the engine
-    recomputes one of its entries, or when it has no overlap."""
+    counts.  A draw gets a dataset of its own only when it has no overlap,
+    to raise the error its own dataset raises."""
     n = scenario.n
     unit_ids = _unit_ids(n)
     size = _chunk_size(n)
     for start in range(0, len(replicates), size):
         draws = [_draw(scenario, seed, r) for r in replicates[start:start + size]]
         for draw in draws:
-            # Its own dataset raises the NoOverlapError of a draw without overlap.
             if draw[3].sum() in (0, n):
                 _dataset(draw, unit_ids)
         stacked = _dataset([np.concatenate(a) for a in zip(*draws)],
                            np.tile(unit_ids, len(draws)))
-        yield (_Batch(stacked, k_bins, reps=len(draws)), np.ones((len(draws), n)),
-               lambda j, draws=draws: _dataset(draws[j], unit_ids))
+        yield _Batch(stacked, k_bins, reps=len(draws)), np.ones((len(draws), n))
 
 
 def _unit_constant_columns(spec):

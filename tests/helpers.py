@@ -329,15 +329,14 @@ def dr_specification_test_reference(data, spec, B, seed, k_bins=5):
                         sigma_ps, sigma_or, B, int(B - ok.shape[0]))
 
 
-def run_study_reference(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *, k_bins=5):
-    """Reference for ``run_study``: each replicate drawn by
-    ``generate_scenario`` and every entry evaluated on it alone by the
-    public estimators, in replicate order, each treatment model fitted once
-    per replicate and shared, a failed fit as NaN; summarized by the
-    library's summary.  Takes valid arguments only."""
+def study_values_reference(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, k_bins=5):
+    """The ``(R, entries, 2)`` replicate values behind
+    ``run_study_reference``: each replicate drawn by ``generate_scenario``
+    and every entry evaluated on it alone by the public estimators, in
+    replicate order, each treatment model fitted once per replicate and
+    shared, a failed fit as NaN.  Raises the estimators' warnings."""
     suite = tuple(suite)
     specs = scenario_specs(scenario.id)
-    truths = true_effects(scenario)
 
     def one(data):
         vals = np.full((len(suite), 2), np.nan)
@@ -364,11 +363,18 @@ def run_study_reference(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *, k_bins
                     vals[i, j] = out[estimand].value
         return vals
 
+    return np.stack([one(generate_scenario(scenario, seed, replicate=r)) for r in range(R)])
+
+
+def run_study_reference(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *, k_bins=5):
+    """Reference for ``run_study``: :func:`study_values_reference` without
+    its extreme-weight warnings, summarized by the library's summary.
+    Takes valid arguments only."""
+    truths = true_effects(scenario)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtremeWeightsWarning)
-        stack = np.stack([one(generate_scenario(scenario, seed, replicate=r))
-                          for r in range(R)])
-    return simlab._summarize(scenario, suite, seed, truths, stack)
+        stack = study_values_reference(scenario, suite, R, seed, k_bins)
+    return simlab._summarize(scenario, tuple(suite), seed, truths, stack)
 
 
 def rank_probe_designs(*blocks):

@@ -263,6 +263,23 @@ def _assert_same_bootstrap(data, config, B, seed):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9, err_msg=f.name)
 
 
+def _assert_same_dr_test(data, spec, B, seed, k_bins):
+    """The batched DR test against the one-replicate-at-a-time reference:
+    every float within 1e-9 relative, the other fields equal, and the same
+    warnings."""
+    got, got_warnings = _recording_warnings(
+        dr_specification_test, data, spec, B, seed, k_bins)
+    want, want_warnings = _recording_warnings(
+        dr_specification_test_reference, data, spec, B, seed, k_bins)
+    assert got_warnings == want_warnings
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, float):
+            np.testing.assert_allclose(a, b, rtol=1e-9, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
 class TestBatchedReplicates:
     """cluster_bootstrap fits chunks of count-weighted resamples; each must
     give what a take() resample refitted on its own gives."""
@@ -278,7 +295,7 @@ class TestBatchedReplicates:
         _assert_same_bootstrap(data, config, B, seed)
 
     @staticmethod
-    def _fallback_panel(kind):
+    def _boundary_panel(kind):
         if kind == "separable":
             # Treated exactly when x1 > 0, but for one unit: every resample
             # that misses it is separated.
@@ -295,13 +312,43 @@ class TestBatchedReplicates:
     @pytest.mark.parametrize("kind", ["tiny6", "tiny12", "separable"])
     def test_fallback_replicates_match_take_loop(self, method, estimand, kind):
         # Resamples without treated units, separated treatment models and
-        # collapsed bins all leave the batch and are refitted on their own.
-        data, ps_terms = self._fallback_panel(kind)
+        # collapsed bins stay in the batch, which must fail and warn as
+        # their take() copies do.
+        data, ps_terms = self._boundary_panel(kind)
         post = METHOD_TABLE[method].outcome == "post"
         spec = ModelSpec(outcome_terms=("1", "treat") if post else ("1", "time", "treat"),
                          ps_terms=ps_terms)
         config = EstimatorConfig(method, estimand, spec=spec, k_bins=2)
         _assert_same_bootstrap(data, config, 40, 3)
+
+    @staticmethod
+    def _rank_guard_panel():
+        """HOM, n = 40, with a covariate z equal to x1 on every unit but
+        unit 0, where it is x1 + 1: in a resample without unit 0, z and x1
+        are one column twice."""
+        data = generate_scenario(Scenario("HOM", 40), 3)
+        shift = (np.arange(data.n) == 0).astype(float)
+        return PanelDataset(
+            covariate_names=data.covariate_names + ("z",), unit_ids=data.unit_ids,
+            y0=data.y0, y1=data.y1, d1=data.d1,
+            x0=np.column_stack([data.x0, data.x0[:, 0] + shift]),
+            x1=np.column_stack([data.x1, data.x1[:, 0] + shift]))
+
+    @pytest.mark.parametrize("method,estimand", _METHOD_ESTIMANDS)
+    def test_rank_deficient_resamples_fail_as_alone(self, method, estimand):
+        # The treatment model and both outcome models lose rank on about a
+        # third of the resamples; each must fail as its take() copy does.
+        post = METHOD_TABLE[method].outcome == "post"
+        spec = ModelSpec(outcome_terms=("1", "treat", "x1", "z") if post
+                         else ("1", "time", "treat", "x1", "z"),
+                         ps_terms=("1", "x1", "z"))
+        _assert_same_bootstrap(self._rank_guard_panel(),
+                               EstimatorConfig(method, estimand, spec=spec), 60, 0)
+
+    def test_rank_deficient_resamples_fail_in_the_dr_test(self):
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "z"),
+                         ps_terms=("1", "x1", "z"))
+        _assert_same_dr_test(self._rank_guard_panel(), spec, 60, 0, 5)
 
     def test_extreme_scores_go_to_the_estimator(self):
         data = extreme_ps_dataset()
@@ -340,8 +387,8 @@ class TestBatchedReplicates:
 
 class TestReplicateEngine:
     """One chunk loop runs a suite of estimators over the resamples for the
-    bootstrap and the DR test; a pair the batch does not vouch for is
-    recomputed on its own."""
+    bootstrap and the DR test; an entry's values must not depend on the
+    other entries it shares the treatment model with."""
 
     @pytest.mark.parametrize("kind", ["hom150", "tiny6", "tiny12", "separable"])
     def test_entry_does_not_depend_on_the_rest_of_its_suite(self, kind):
@@ -352,7 +399,7 @@ class TestReplicateEngine:
                              ps_terms=specs["ps_full"].ps_terms)
             k_bins = 5
         else:
-            data, ps_terms = TestBatchedReplicates._fallback_panel(kind)
+            data, ps_terms = TestBatchedReplicates._boundary_panel(kind)
             spec = ModelSpec(outcome_terms=("1", "time", "treat"), ps_terms=ps_terms)
             k_bins = 2
         suite = [(method, spec) for method in ("DRGLMM", "IPWDID", "GLMM")]
@@ -461,17 +508,7 @@ class TestDrSpecificationTest:
         specs = scenario_specs("HOM")
         spec = ModelSpec(outcome_terms=specs["mixed_full"].outcome_terms,
                          ps_terms=specs["ps_full"].ps_terms)
-        got, got_warnings = _recording_warnings(
-            dr_specification_test, data, spec, 40, 9, k_bins)
-        want, want_warnings = _recording_warnings(
-            dr_specification_test_reference, data, spec, 40, 9, k_bins)
-        assert got_warnings == want_warnings
-        for f in fields(want):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(b, float):
-                np.testing.assert_allclose(a, b, rtol=1e-9, err_msg=f.name)
-            else:
-                assert a == b, f.name
+        _assert_same_dr_test(data, spec, 40, 9, k_bins)
 
     def test_correct_models_are_not_rejected(self):
         data = generate_scenario(Scenario("HOM", 500), seed=100, replicate=0)

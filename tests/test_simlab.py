@@ -2,23 +2,29 @@
 
 import tracemalloc
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from panel_causal import inference, simlab
+from panel_causal import estimators, inference, simlab
 from panel_causal import (
     DEFAULT_SUITE,
-    ESTIMANDS,
+    EstimatorConfig,
     ExtremeWeightsWarning,
     InvalidArgumentError,
+    ModelSpec,
     NoOverlapError,
     ReplicateFailureWarning,
     SCENARIO_IDS,
     Scenario,
     SuiteEntry,
+    cluster_bootstrap,
+    dr_specification_test,
     estimate_did,
-    estimate_effects,
     generate_scenario,
     parse_table,
     render_table,
@@ -28,7 +34,7 @@ from panel_causal import (
     true_effects,
 )
 
-from helpers import run_study_reference
+from helpers import run_study_reference, study_values_reference
 
 
 class TestScenario:
@@ -393,24 +399,10 @@ class TestBatchedStudy:
         np.testing.assert_allclose(forward, backward[::-1], rtol=1e-12)
         np.testing.assert_allclose(forward[[0, 11, 24]], alone, rtol=1e-12)
 
-    @staticmethod
-    def _count_unvouched(monkeypatch, counts):
-        """Count, in ``counts``, the replicates and the (replicate, entry)
-        pairs that :meth:`_Batch.values` does not vouch for."""
-        values = inference._Batch.values
-
-        def counted_values(self, suite, C):
-            vals, ok = values(self, suite, C)
-            counts["recomputed"] += int(np.sum(~ok.all(axis=1)))
-            counts["pairs"] += int(np.sum(~ok))
-            return vals, ok
-
-        monkeypatch.setattr(inference._Batch, "values", counted_values)
-
     def test_draws_are_validated_once(self, monkeypatch):
-        # A chunk's draws are checked as one stacked dataset; a draw gets a
-        # dataset of its own only when one of its entries is recomputed.
-        counts = {"datasets": 0, "recomputed": 0, "pairs": 0}
+        # A chunk's draws are checked as one stacked dataset; no draw gets a
+        # dataset of its own.
+        counts = Counter()
         post_init = simlab.PanelDataset.__post_init__
 
         def counted_post_init(self):
@@ -418,55 +410,86 @@ class TestBatchedStudy:
             post_init(self)
 
         monkeypatch.setattr(simlab.PanelDataset, "__post_init__", counted_post_init)
-        self._count_unvouched(monkeypatch, counts)
-        # 40 draws are 2 chunks; n = 15 recomputes pairs of several replicates.
+        # 40 draws are 2 chunks, also where small draws lose pairs.
         for n in (250, 15):
-            counts.update(datasets=0, recomputed=0)
+            counts.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 run_study(Scenario("HOM", n), R=40, seed=1)
-            assert counts["datasets"] == 2 + counts["recomputed"]
-        assert counts["recomputed"] > 0
+            assert counts["datasets"] == 2
 
-    def test_fallback_estimates_each_unvouched_pair_once(self, monkeypatch):
-        counts = {"recomputed": 0, "pairs": 0, "estimates": 0}
-        estimate_effects = inference.estimate_effects
+    def test_replicates_make_no_single_estimates(self, monkeypatch):
+        # Beyond their point estimates, the bootstrap, the DR test (with a
+        # constant treatment model too) and the study take no resample and
+        # call no public estimator or treatment-model fit.
+        counts = Counter()
 
-        def counted_estimate_effects(*args, **kwargs):
-            counts["estimates"] += 1
-            return estimate_effects(*args, **kwargs)
+        def count(owner, name):
+            f = getattr(owner, name)
 
-        self._count_unvouched(monkeypatch, counts)
-        monkeypatch.setattr(inference, "estimate_effects", counted_estimate_effects)
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(simlab.PanelDataset, "take")
+        count(inference, "estimate_effects")
+        count(inference, "fit_propensity")
+        count(estimators, "fit_propensity")
+        data = generate_scenario(Scenario("HOM", 60), 1)
+        specs = scenario_specs("HOM")
+        spec = ModelSpec(outcome_terms=specs["mixed_full"].outcome_terms,
+                         ps_terms=specs["ps_full"].ps_terms)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            cluster_bootstrap(data, EstimatorConfig("DRGLMM", "ATT", spec=spec), B=30, seed=0)
+            assert counts == {"estimate_effects": 1, "fit_propensity": 1}
+            for ps_terms in (spec.ps_terms, ("1",)):
+                counts.clear()
+                dr_specification_test(data, replace(spec, ps_terms=ps_terms), B=30, seed=0)
+                assert counts == {"estimate_effects": 3, "fit_propensity": 1}
+            counts.clear()
             run_study(Scenario("HOM", 15), R=40, seed=1)
-        # More pairs than replicates: some replicates recompute several.
-        assert counts["pairs"] > counts["recomputed"] > 0
-        assert counts["estimates"] == counts["pairs"]
+            assert counts == {}
 
     @pytest.mark.parametrize("sid", ["HET", "HOM", "RANDCOEF_TI"])
     def test_vouched_pairs_are_the_single_estimates_bit_for_bit(self, sid):
-        # A point estimate makes its replicate's kernel call, on a batch of
-        # one: every pair the batch vouches for, DRGLMM's included, is the
-        # draw's own estimate to the last bit.
+        # A full chunk of draws: every pair the batch finds ok, DRGLMM's
+        # included and most of them, is the draw's own estimate to the last
+        # bit, every other pair NaN where the own estimate fails, with the
+        # same warnings in order.
+        sc = Scenario(sid, 250)
         specs = scenario_specs(sid)
         suite = [(e.method, simlab._entry_spec(e, specs)) for e in DEFAULT_SUITE]
-        (batch, C, dataset), = simlab._draw_chunks(Scenario(sid, 250), 3, range(25), 5)
-        vals, ok = batch.values(suite, C)
+        (batch, C), = simlab._draw_chunks(sc, 3, range(25), 5)
+        _, ok, _ = batch.values(suite, C)
         dr = [i for i, (method, _) in enumerate(suite) if method == "DRGLMM"]
         assert ok[:, dr].sum() >= 25 * len(dr) // 2
-        got, want = [], []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for j in range(25):
-                data = dataset(j)
-                for i in np.flatnonzero(ok[j]):
-                    method, spec = suite[i]
-                    out = estimate_effects(method, data, spec, k_bins=5)
-                    got.append(vals[j, i])
-                    want.append([out[e].value if e in out else np.nan for e in ESTIMANDS])
+        got, got_warnings = _run_recorded(inference._replicate_values, suite, [(batch, C)])
+        want, want_warnings = _run_recorded(study_values_reference, sc, DEFAULT_SUITE, 25, 3, 5)
         np.testing.assert_array_equal(got, want)
+        assert got_warnings == want_warnings
+
+    # Bins of one unit each leave DRGLMM more unit-constant columns than units.
+    @example(sid="HOM", n=15, R=2, seed=0, k_bins=15)
+    @given(sid=st.sampled_from(["HOM", "HET", "RANDCOEF"]), n=st.integers(15, 400),
+           R=st.integers(2, 8), seed=st.integers(0, 10_000), k_bins=st.integers(2, 20))
+    def test_batch_equals_single(self, sid, n, R, seed, k_bins):
+        # A point estimate makes its replicate's kernel calls, on a batch of
+        # one: every pair of a chunk of draws is the draw's own estimate to
+        # the last bit, NaN where that fails, with the same warnings in
+        # order.  Small n brings extreme weights, separation and rank loss.
+        sc = Scenario(sid, n)
+        k_bins = min(k_bins, n)
+        specs = scenario_specs(sid)
+        suite = [(e.method, simlab._entry_spec(e, specs)) for e in DEFAULT_SUITE]
+        got, got_warnings = _run_recorded(inference._replicate_values, suite,
+                                          simlab._draw_chunks(sc, seed, range(R), k_bins))
+        want, want_warnings = _run_recorded(study_values_reference, sc, DEFAULT_SUITE, R,
+                                            seed, k_bins)
+        np.testing.assert_array_equal(got, want)
+        assert got_warnings == want_warnings
 
     def test_draw_without_overlap_raises_as_before(self):
         # Replicate 8 of this 4-unit scenario treats every unit.
