@@ -8,6 +8,9 @@ a computation exit with status 1.
 """
 
 import numbers
+import os
+import sys
+import warnings
 
 
 class PanelCausalError(Exception):
@@ -165,3 +168,15 @@ class DegenerateVarianceWarning(PanelCausalWarning):
 
 class EmptyModelWarning(PanelCausalWarning):
     """Backward elimination removed every candidate term."""
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message, category):
+    """Issue a warning at the first frame outside this package: the line of
+    the caller that led to it, however deep in the package it arose."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

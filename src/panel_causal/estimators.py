@@ -26,12 +26,11 @@ counts.  The fits behind a point estimate and behind a batch are the same
 model kernels, called with the same arguments on a batch of one fit.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBinsWarning, ExtremeWeightsWarning, InvalidArgumentError
+from .errors import DegenerateBinsWarning, ExtremeWeightsWarning, InvalidArgumentError, _warn
 from .glm_fit import _collapsed_message, _ps_dummies, fit_propensity
 from .lmm_fit import _fit_one, fit_or
 from .panel_data import ModelSpec, build_design
@@ -167,7 +166,7 @@ def _check_ps(method, data, ps_fit):
     ps = _fitted_scores(data, ps_fit)
     note, = _ps_warnings(METHOD_TABLE[method], ps[None], None, None)
     if note:
-        warnings.warn(*note, stacklevel=3)
+        _warn(*note)
     return ps
 
 
@@ -357,7 +356,7 @@ def estimate_drglmm(data, spec, ps_fit, k_bins=5):
     note, = _ps_warnings(METHOD_TABLE["DRGLMM"], None, [dummies.dummies.shape[1] + 1],
                          dummies.K)
     if note:
-        warnings.warn(*note, stacklevel=2)
+        _warn(*note)
     return _mixed_estimates("DRGLMM", data, spec, dummies)
 
 

@@ -18,7 +18,6 @@ one fit that counts every unit once: they check their input and turn the
 kernel's per-fit status into the typed error, warning or result.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +30,7 @@ from .errors import (
     RankDeficientDesignError,
     SeparationError,
     _as_int,
+    _warn,
 )
 from .lmm_fit import _OK, _certify, _dot, _each, _Fits, _full_rank, _Rows, _solve
 from .panel_data import ps_design
@@ -228,8 +228,7 @@ def ps_quantile_dummies(ps, K=5):
     """
     dummies = _ps_dummies(ps, K)
     if dummies.collapsed:
-        warnings.warn(_collapsed_message(dummies.dummies.shape[1], dummies.K),
-                      DegenerateBinsWarning, stacklevel=2)
+        _warn(_collapsed_message(dummies.dummies.shape[1], dummies.K), DegenerateBinsWarning)
     return dummies
 
 

@@ -7,7 +7,7 @@ draws its n unit indices from the random stream keyed by ``(seed, r)``, so
 results are bit-identical for a fixed seed.
 
 One engine, :func:`_replicate_values`, runs a suite of ``(method, spec)``
-entries over replicates a chunk (up to 25) at a time: the bootstrap runs a
+entries over replicates a chunk at a time: the bootstrap runs a
 suite of one over resamples, the DR test a suite of three over shared
 resamples, and a simulation study (:mod:`simlab`) its suite over fresh
 draws.  A chunk is a :class:`_Batch` and a ``(k, n)`` count matrix: every
@@ -33,7 +33,6 @@ outcome and treatment models.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +45,7 @@ from .errors import (
     InvalidArgumentError,
     SeparationError,
     _as_int,
+    _warn,
 )
 from .estimators import (
     _WEIGHTING_VALUES,
@@ -157,18 +157,17 @@ def _check_alpha(alpha, name="alpha"):
     return alpha
 
 
-# Replicates fitted together as one batch: up to 25, which spreads the
-# per-call numpy overhead, and fewer when n is large, so that one
-# (replicates, n) array stays within _CHUNK_CELLS values (200 kB) and peak
-# memory does not grow with n.  Derived from n, not an option: a
-# replicate's value does not depend on the batch it is fitted in.
-_CHUNK = 25
+# Replicates fitted as one batch: as many as keep a (replicates, n) array
+# within _CHUNK_CELLS values (200 kB), which spreads a batch's fixed cost
+# and keeps peak memory flat in n.  A draw's values do not depend on its
+# batch, to the last bit; a resample's agree across batches to rounding
+# only, because GEMM picks its kernel by the row count.
 _CHUNK_CELLS = 25_000
 
 
 def _chunk_size(n):
     """Replicates of n units each that are fitted as one batch."""
-    return max(1, min(_CHUNK, _CHUNK_CELLS // n))
+    return max(1, _CHUNK_CELLS // n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +350,7 @@ def _replicate_values(suite, chunks):
         vals, ok, notes = batch.values(suite, C)
         vals[~ok] = np.nan
         for note in notes:
-            warnings.warn(*note, stacklevel=3)
+            _warn(*note)
         out.append(vals)
     return np.concatenate(out)
 
@@ -417,11 +416,8 @@ def cluster_bootstrap(data, config, B, seed):
     ok = vals[np.isfinite(vals)]
     n_failed = int(B - ok.size)
     if n_failed >= 0.05 * B:
-        warnings.warn(
-            f"{n_failed} of {B} bootstrap replicates failed to fit",
-            BootstrapFailureWarning,
-            stacklevel=2,
-        )
+        _warn(f"{n_failed} of {B} bootstrap replicates failed to fit",
+              BootstrapFailureWarning)
     if ok.size == 0:
         return BootstrapResult(point, np.nan, np.nan, np.nan, np.nan, B, n_failed)
     lo, hi = np.percentile(ok, [2.5, 97.5])
@@ -466,11 +462,8 @@ _ROUNDING = 1e-9
 
 def _guarded_z(num, sigma, scale):
     if not np.isfinite(sigma) or sigma <= _ROUNDING * scale:
-        warnings.warn(
-            "difference statistic has degenerate bootstrap variance; z set to 0",
-            DegenerateVarianceWarning,
-            stacklevel=3,
-        )
+        _warn("difference statistic has degenerate bootstrap variance; z set to 0",
+              DegenerateVarianceWarning)
         return 0.0
     return float(abs(num) / sigma)
 
@@ -668,11 +661,7 @@ def backward_eliminate(data, full_spec, alpha=0.10):
             else:
                 break
         if had_candidates and not any(t.kind not in forced_kinds for t in terms):
-            warnings.warn(
-                "backward elimination removed every candidate term",
-                EmptyModelWarning,
-                stacklevel=3,
-            )
+            _warn("backward elimination removed every candidate term", EmptyModelWarning)
         return tuple(terms)
 
     def outcome_pvalues(terms):

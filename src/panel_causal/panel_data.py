@@ -34,6 +34,7 @@ from .errors import (
     TimeVaryingDowngradeWarning,
     TreatedAtBaselineError,
     UnknownCovariateError,
+    _warn,
 )
 
 __all__ = [
@@ -533,11 +534,10 @@ def load_csv(path, schema=None):
         if name not in cov_names:
             raise MissingValueError(f"declared time-invariant column '{name}' not found")
         if data.time_varying_flags[cov_names.index(name)]:
-            warnings.warn(
+            _warn(
                 f"covariate '{name}' was declared time-invariant but differs across "
                 "periods for some unit; treating it as time-varying",
                 TimeVaryingDowngradeWarning,
-                stacklevel=2,
             )
     return data
 

@@ -42,6 +42,7 @@ from .errors import (
     InvalidArgumentError,
     ReplicateFailureWarning,
     _as_int,
+    _warn,
 )
 from .estimators import ESTIMANDS, _check_estimand, method_info
 from .glm_fit import _check_k_bins, expit
@@ -611,11 +612,8 @@ def _summarize(scenario, suite, seed, truths, stack):
             cells.append(StudyCell(e.label, e.method, e.outcome_model, e.ps_model,
                                    estimand, bias100, var, mse, int(ok.size), mc_se))
     if flaky:
-        warnings.warn(
-            "estimator failure rate above 1%: " + ", ".join(flaky),
-            ReplicateFailureWarning,
-            stacklevel=3,
-        )
+        _warn("estimator failure rate above 1%: " + ", ".join(flaky),
+              ReplicateFailureWarning)
     return StudyResult(
         scenario_id=scenario.id,
         n=scenario.n,

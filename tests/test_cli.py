@@ -564,3 +564,36 @@ class TestEntryPoint:
                 found += [f"{path.name}:{node.lineno}" for name in names
                           if name.split(".")[0] == "scipy"]
         assert found == []
+
+
+class TestThreadCount:
+    """Outputs are bit-identical for a fixed seed at any BLAS thread count."""
+
+    @staticmethod
+    def _outputs(tmp_path, threads):
+        env = {**_source_env(), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        panel = str(tmp_path / "panel.csv")
+        model = ["--method", "drglmm", "--estimand", "att",
+                 "--covariates", "x1,x2", "--ps-covariates", "x1,x2,v", "--format", "json"]
+        commands = {
+            "study": ["study", "--scenario", "HET", "--n", "200", "--reps", "30",
+                      "--seed", "3", "--format", "csv"],
+            "bootstrap": ["bootstrap", "--input", panel, *model, "--B", "30", "--seed", "4"],
+            "estimate": ["estimate", "--input", panel, *model],
+        }
+        outs = {}
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-{threads}.out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "panel_causal.cli", *argv, "--output", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs[name] = out.read_bytes()
+        return outs
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        _simulate(tmp_path, n=600, seed=5)
+        one = self._outputs(tmp_path, "1")
+        assert one == self._outputs(tmp_path, "4")

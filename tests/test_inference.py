@@ -39,6 +39,7 @@ from panel_causal import (
     term_label,
 )
 
+from panel_causal import inference
 from panel_causal.inference import _Batch, _replicate_values, _resamples
 
 from helpers import (
@@ -308,17 +309,35 @@ class TestBatchedReplicates:
         n, treated = {"tiny6": (6, (0,)), "tiny12": (12, (0, 1, 2))}[kind]
         return tiny_panel(n, treated), ("1",)
 
+    @classmethod
+    def _boundary_config(cls, kind, method, estimand):
+        """A boundary panel and the smallest models of the method on it."""
+        data, ps_terms = cls._boundary_panel(kind)
+        post = METHOD_TABLE[method].outcome == "post"
+        spec = ModelSpec(outcome_terms=("1", "treat") if post else ("1", "time", "treat"),
+                         ps_terms=ps_terms)
+        return data, EstimatorConfig(method, estimand, spec=spec, k_bins=2)
+
     @pytest.mark.parametrize("method,estimand", _METHOD_ESTIMANDS)
     @pytest.mark.parametrize("kind", ["tiny6", "tiny12", "separable"])
     def test_fallback_replicates_match_take_loop(self, method, estimand, kind):
         # Resamples without treated units, separated treatment models and
         # collapsed bins stay in the batch, which must fail and warn as
         # their take() copies do.
-        data, ps_terms = self._boundary_panel(kind)
-        post = METHOD_TABLE[method].outcome == "post"
-        spec = ModelSpec(outcome_terms=("1", "treat") if post else ("1", "time", "treat"),
-                         ps_terms=ps_terms)
-        config = EstimatorConfig(method, estimand, spec=spec, k_bins=2)
+        _assert_same_bootstrap(*self._boundary_config(kind, method, estimand), 40, 3)
+
+    @pytest.mark.parametrize("method,estimand", _METHOD_ESTIMANDS)
+    @pytest.mark.parametrize("kind", ["hom40", "tiny12"])
+    def test_matches_take_loop_across_chunks(self, method, estimand, kind, monkeypatch):
+        # Small panels fit every resample in one chunk by default; chunks of
+        # 7 split B = 40 into six, and on the 12-unit panel resamples fail
+        # in several of them.
+        if kind == "hom40":
+            data, config = _hom(533, n=40), _config(method, estimand, scenario_specs("HOM"))
+        else:
+            data, config = self._boundary_config(kind, method, estimand)
+        monkeypatch.setattr(inference, "_CHUNK_CELLS", 7 * data.n)
+        assert len(list(_resamples(data, config.k_bins, 40, 3))) == 6
         _assert_same_bootstrap(data, config, 40, 3)
 
     @staticmethod

@@ -1,9 +1,10 @@
 """Scenario DGPs, ground truths, the study harness, and table formatting."""
 
+import math
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -396,10 +397,28 @@ class TestBatchedStudy:
         backward = values(range(24, -1, -1))
         alone = [values([r])[0] for r in (0, 11, 24)]
         assert np.isfinite(forward).sum() == 25 * 12 * 2
-        np.testing.assert_allclose(forward, backward[::-1], rtol=1e-12)
-        np.testing.assert_allclose(forward[[0, 11, 24]], alone, rtol=1e-12)
+        np.testing.assert_array_equal(forward, backward[::-1])
+        np.testing.assert_array_equal(forward[[0, 11, 24]], alone)
 
-    def test_draws_are_validated_once(self, monkeypatch):
+    @pytest.mark.parametrize("sid,n", [("HET", 250), ("HOM", 15)])
+    def test_study_does_not_depend_on_its_chunks(self, sid, n, monkeypatch):
+        # One draw a chunk, seven, and the default (every draw in one
+        # chunk): the same result to the last bit and the same warnings in
+        # order.  At n = 15 pairs fail and the study warns.
+        runs, default = [], inference._CHUNK_CELLS
+        for cells in (n, 7 * n, default):
+            monkeypatch.setattr(inference, "_CHUNK_CELLS", cells)
+            res, caught = _run_recorded(run_study, Scenario(sid, n), R=40, seed=5)
+            runs.append((astuple(res), caught))
+        assert inference._chunk_size(n) >= 40
+        for res, caught in runs[1:]:
+            np.testing.assert_equal(res, runs[0][0])
+            assert caught == runs[0][1]
+        if n == 15:
+            assert any(category is ReplicateFailureWarning for category, _ in runs[0][1])
+
+    @pytest.mark.parametrize("per_chunk", [None, 7])
+    def test_draws_are_validated_once(self, per_chunk, monkeypatch):
         # A chunk's draws are checked as one stacked dataset; no draw gets a
         # dataset of its own.
         counts = Counter()
@@ -410,13 +429,16 @@ class TestBatchedStudy:
             post_init(self)
 
         monkeypatch.setattr(simlab.PanelDataset, "__post_init__", counted_post_init)
-        # 40 draws are 2 chunks, also where small draws lose pairs.
+        # One chunk by default, six of at most 7 draws, also where small
+        # draws lose pairs.
         for n in (250, 15):
+            if per_chunk:
+                monkeypatch.setattr(inference, "_CHUNK_CELLS", per_chunk * n)
             counts.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 run_study(Scenario("HOM", n), R=40, seed=1)
-            assert counts["datasets"] == 2
+            assert counts["datasets"] == math.ceil(40 / inference._chunk_size(n))
 
     def test_replicates_make_no_single_estimates(self, monkeypatch):
         # Beyond their point estimates, the bootstrap, the DR test (with a
@@ -455,7 +477,7 @@ class TestBatchedStudy:
 
     @pytest.mark.parametrize("sid", ["HET", "HOM", "RANDCOEF_TI"])
     def test_vouched_pairs_are_the_single_estimates_bit_for_bit(self, sid):
-        # A full chunk of draws: every pair the batch finds ok, DRGLMM's
+        # One chunk of 25 draws: every pair the batch finds ok, DRGLMM's
         # included and most of them, is the draw's own estimate to the last
         # bit, every other pair NaN where the own estimate fails, with the
         # same warnings in order.
