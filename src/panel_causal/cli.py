@@ -9,7 +9,9 @@ pre-period mean) right after it is loaded, before any fit.
 
 A command writes its primary output to stdout (or ``--output``), and exits
 0 on success, 2 on a validation problem, 1 on a computation failure.
-Failures print a single ``ERROR:<kind>:<message>`` line to stderr.  Outputs
+Failures print a single ``ERROR:<kind>:<message>`` line to stderr, and
+:func:`main` prints each warning shown as one ``WARNING:<kind>:<message>``
+line there (:func:`run` leaves warnings to the caller).  Outputs
 are byte-identical for identical arguments and seed.  ``bootstrap`` exits 1
 when no replicate fits.  ``--threads`` is accepted and ignored, so that
 scripts passing it keep working: replicates run in order on one thread, and
@@ -20,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -438,8 +441,17 @@ def run(argv=None):
         return 1
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as one ``WARNING:<kind>:<message>`` line, the kind
+    being the class name without ``Warning``, as error kinds drop ``Error``."""
+    print(f"WARNING:{category.__name__.removesuffix('Warning')}:{message}", file=sys.stderr)
+
+
 def main():
-    sys.exit(run())
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        code = run()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

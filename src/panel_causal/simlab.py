@@ -143,8 +143,9 @@ _TIME_INVARIANT = ("x2", "v")
 def _draw(scenario, seed, replicate):
     """The random draws of one dataset as arrays ``(x1, x2, v, d, y0, y1)``,
     where x1 is ``(n, 2)`` with a column per period."""
-    # _treated_x1_mean repeats this draw order up to the uniforms of
-    # assignment, a block of units at a time; keep the two in step.
+    # The tests' HET truth oracle (tests/helpers.py: treated_x1_mean)
+    # repeats this draw order up to the uniforms of assignment, a block of
+    # units at a time; keep the two in step.
     p = scenario.dgp_params
     n = scenario.n
     rng = substream(seed, replicate)
@@ -227,68 +228,25 @@ def generate_scenario(scenario, seed, replicate=0):
 
 ORACLE_SEED = 987654321
 ORACLE_UNITS = 1_000_000
-_ORACLE_BLOCK = 65_536
+
+# The mean of x1 at t=1 over the treated units of
+# _draw(Scenario("HET", ORACLE_UNITS), ORACLE_SEED, 0), and its Monte Carlo
+# standard error.  The named scenarios share their covariate and treatment
+# models, so these serve every heterogeneous-effect scenario.  The tests
+# re-draw the units and check both floats bit for bit
+# (tests/helpers.py: treated_x1_mean).
+_TREATED_X1_MEAN = 20.390535850335294
+_TREATED_X1_MEAN_SE = 0.003073705617306642
 
 
 @dataclass(frozen=True)
 class TrueEffects:
-    """Scenario ground truth.  ``att_mc_se`` is 0 for analytic values."""
+    """Scenario ground truth.  ``att_mc_se`` is the Monte Carlo standard
+    error of a simulated ATT, and 0 for analytic values."""
 
     ate: float
     att: float
     att_mc_se: float = 0.0
-
-
-_ORACLE_CACHE = {}
-
-
-def _treated_x1_mean(units=ORACLE_UNITS, block=_ORACLE_BLOCK):
-    """Simulated E[x1 at t=1 | treated] under the shared assignment design.
-
-    Estimated once per process from the units of
-    ``_draw(Scenario("HET", units), ORACLE_SEED, 0)`` (the named scenarios
-    share their covariate and treatment models, so one constant serves
-    every heterogeneous-effect scenario) and cached together with its Monte
-    Carlo standard error.  The stream is pulled in :func:`_draw`'s order,
-    ``block`` units at a time, and only what assignment needs is kept: x1
-    at t=1, the linear predictor and the treated mask, 17 bytes a unit.
-    For the 1 000 000 units tracemalloc sees a peak of about 20 MB, against
-    120 MB for the whole draw.  The result is the whole draw's, bit for bit.
-    Cached per ``(units, block)``.
-    """
-    key = (units, block)
-    if key not in _ORACLE_CACHE:
-        p = default_params("HET")
-        rng = substream(ORACLE_SEED, 0)
-        mean = np.asarray(p["x1_mean"], dtype=float)
-        chol = np.linalg.cholesky(np.asarray(p["x1_cov"], dtype=float))
-        a0, a1, a2, a3 = p["ps_coef"]
-        blocks = [(slice(i, i + block), min(block, units - i))
-                  for i in range(0, units, block)]
-        x11 = np.empty(units)
-        lin = np.empty(units)
-        for b, m in blocks:
-            x1 = mean + rng.standard_normal((m, 2)) @ chol.T
-            x11[b] = x1[:, 1]
-            lin[b] = a0 + a1 * x1[:, 0]
-        for b, m in blocks:
-            lin[b] += a2 * rng.exponential(p["x2_mean"], m)
-        for b, m in blocks:
-            lin[b] += a3 * rng.normal(p["v_mean"], p["v_sd"], m)
-        # u, then eps with a column per period: three normals a unit that
-        # only move the stream on to the uniforms of assignment.
-        for _, m in blocks:
-            rng.standard_normal(3 * m)
-        treated = np.empty(units, dtype=bool)
-        for b, m in blocks:
-            treated[b] = rng.random(m) < expit(lin[b])
-        del lin
-        x11 = x11[treated]
-        _ORACLE_CACHE[key] = (
-            float(x11.mean()),
-            float(x11.std(ddof=1) / np.sqrt(x11.size)),
-        )
-    return _ORACLE_CACHE[key]
 
 
 def true_effects(scenario):
@@ -297,10 +255,10 @@ def true_effects(scenario):
     The ATE is analytic: the treatment coefficient, plus any treatment
     interaction coefficient times the population mean of its covariate.
     With an x1 interaction the ATT also involves the covariate distribution
-    among the treated, which has no closed form here; it is computed by a
-    large-sample oracle (:func:`_treated_x1_mean`: 1 000 000 units drawn a
-    block at a time, about 0.3 s and 20 MB once per process) and reported
-    with its Monte Carlo standard error.
+    among the treated, which has no closed form here.  Its value is the
+    stored mean over the treated of 1 000 000 units drawn once from a fixed
+    stream, reported with its Monte Carlo standard error; scoring a study
+    draws nothing.
     Unit-level coefficient draws are independent of assignment and of the
     covariates, so only their means enter either effect.
 
@@ -321,11 +279,10 @@ def true_effects(scenario):
     if p["x1_treat"] == 0.0:
         return TrueEffects(ate=p["treat"], att=p["treat"])
     ate = p["treat"] + p["x1_treat"] * p["x1_mean"][1]
-    m, se = _treated_x1_mean()
     return TrueEffects(
         ate=float(ate),
-        att=float(p["treat"] + p["x1_treat"] * m),
-        att_mc_se=float(abs(p["x1_treat"]) * se),
+        att=float(p["treat"] + p["x1_treat"] * _TREATED_X1_MEAN),
+        att_mc_se=float(abs(p["x1_treat"]) * _TREATED_X1_MEAN_SE),
     )
 
 

@@ -1,7 +1,9 @@
 """Shared builders and oracles for the test suite."""
 
 import csv
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,11 +33,20 @@ from panel_causal import (
     substream,
     true_effects,
 )
-from panel_causal import simlab
+from panel_causal import glm_fit, simlab
 
 # Fixed seed used by the desk-scale study tests.  Chosen once; every
 # expected band below was verified against this seed before being frozen.
 ACCEPT_SEED = 3
+
+
+def source_env():
+    """The environment with the package's source directory first on
+    ``PYTHONPATH``, so that a subprocess imports the package under test
+    whether or not it is installed."""
+    src = str(Path(simlab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def make_dataset(y0, y1, d1, covariates=None, covariates_post=None, names=None,
@@ -375,6 +386,50 @@ def run_study_reference(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *, k_bins
         warnings.simplefilter("ignore", ExtremeWeightsWarning)
         stack = study_values_reference(scenario, suite, R, seed, k_bins)
     return simlab._summarize(scenario, tuple(suite), seed, truths, stack)
+
+
+ORACLE_BLOCK = 65_536
+
+
+def treated_x1_mean(units=simlab.ORACLE_UNITS, block=ORACLE_BLOCK):
+    """The HET truth oracle: E[x1 at t=1 | treated] under the shared
+    assignment design, with its Monte Carlo standard error, from the units
+    of ``simlab._draw(Scenario("HET", units), simlab.ORACLE_SEED, 0)``.
+
+    The stream is pulled in ``_draw``'s order, ``block`` units at a time,
+    and only what assignment needs is kept: x1 at t=1, the linear predictor
+    and the treated mask, 17 bytes a unit.  For the 1 000 000 units
+    tracemalloc sees a peak of about 20 MB, against 120 MB for the whole
+    draw.  The result is the whole draw's, bit for bit; at the defaults it
+    is the pair ``simlab.true_effects`` stores.
+    """
+    p = simlab.default_params("HET")
+    rng = substream(simlab.ORACLE_SEED, 0)
+    mean = np.asarray(p["x1_mean"], dtype=float)
+    chol = np.linalg.cholesky(np.asarray(p["x1_cov"], dtype=float))
+    a0, a1, a2, a3 = p["ps_coef"]
+    blocks = [(slice(i, i + block), min(block, units - i))
+              for i in range(0, units, block)]
+    x11 = np.empty(units)
+    lin = np.empty(units)
+    for b, m in blocks:
+        x1 = mean + rng.standard_normal((m, 2)) @ chol.T
+        x11[b] = x1[:, 1]
+        lin[b] = a0 + a1 * x1[:, 0]
+    for b, m in blocks:
+        lin[b] += a2 * rng.exponential(p["x2_mean"], m)
+    for b, m in blocks:
+        lin[b] += a3 * rng.normal(p["v_mean"], p["v_sd"], m)
+    # u, then eps with a column per period: three normals a unit that
+    # only move the stream on to the uniforms of assignment.
+    for _, m in blocks:
+        rng.standard_normal(3 * m)
+    treated = np.empty(units, dtype=bool)
+    for b, m in blocks:
+        treated[b] = rng.random(m) < glm_fit.expit(lin[b])
+    del lin
+    x11 = x11[treated]
+    return float(x11.mean()), float(x11.std(ddof=1) / np.sqrt(x11.size))
 
 
 def rank_probe_designs(*blocks):

@@ -4,7 +4,6 @@ import argparse
 import ast
 import inspect
 import json
-import os
 import subprocess
 import sys
 import warnings
@@ -16,6 +15,7 @@ import pytest
 import panel_causal
 from panel_causal import (
     EstimatorConfig,
+    ExtremeWeightsWarning,
     ModelSpec,
     backward_eliminate,
     cluster_bootstrap,
@@ -29,7 +29,7 @@ from panel_causal import (
 )
 from panel_causal.cli import build_parser, run
 
-from helpers import make_dataset, tiny_panel
+from helpers import extreme_ps_dataset, make_dataset, source_env, tiny_panel
 
 
 def _simulate(tmp_path, name="panel.csv", scenario="HOM", n=120, seed=0, replicate=0):
@@ -508,23 +508,39 @@ class TestStudy:
         assert isinstance(payload["cells"], list)
 
 
-def _source_env():
-    """The environment with the package's source directory first on
-    ``PYTHONPATH``, so that a subprocess imports the package under test
-    whether or not it is installed."""
-    src = str(Path(panel_causal.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-
-
 class TestEntryPoint:
     def test_installed_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "panel_causal.cli", "--version"],
-            capture_output=True, text=True, env=_source_env(),
+            capture_output=True, text=True, env=source_env(),
         )
         assert proc.returncode == 0
         assert "panel-causal" in proc.stdout
+
+    def test_warnings_print_as_one_tagged_line(self, tmp_path):
+        # Like an error's ERROR:<kind>:<message>, with no file location or
+        # source line, which mean nothing to a CLI user.
+        panel = tmp_path / "panel.csv"
+        write_csv(extreme_ps_dataset(), str(panel))
+        proc = subprocess.run(
+            [sys.executable, "-m", "panel_causal.cli", "bootstrap", "--input", str(panel),
+             "--method", "ipw", "--ps-covariates", "x1", "--B", "5", "--seed", "0"],
+            capture_output=True, text=True, env=source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "WARNING:ExtremeWeights:propensity scores outside [0.01, 0.99]; "
+            "inverse weights may be unstable"
+        ]
+
+    def test_run_leaves_warnings_to_the_caller(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        write_csv(extreme_ps_dataset(), str(panel))
+        with pytest.warns(ExtremeWeightsWarning):
+            rc = run(["bootstrap", "--input", str(panel), "--method", "ipw",
+                      "--ps-covariates", "x1", "--B", "5", "--seed", "0"])
+        assert rc == 0
+        assert "WARNING:" not in capsys.readouterr().err
 
     def test_import_leaves_scipy_stats_out(self):
         # scipy.stats costs about half a second of every CLI start, and
@@ -532,7 +548,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, panel_causal.cli; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, env=_source_env(),
+            capture_output=True, text=True, env=source_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -544,7 +560,7 @@ class TestEntryPoint:
             [sys.executable, "-c",
              "import sys, panel_causal, panel_causal.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, env=_source_env(),
+            capture_output=True, text=True, env=source_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -571,7 +587,7 @@ class TestThreadCount:
 
     @staticmethod
     def _outputs(tmp_path, threads):
-        env = {**_source_env(), "OPENBLAS_NUM_THREADS": threads,
+        env = {**source_env(), "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         panel = str(tmp_path / "panel.csv")
         model = ["--method", "drglmm", "--estimand", "att",

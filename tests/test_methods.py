@@ -17,9 +17,11 @@ from panel_causal import (
     EstimatorConfig,
     InvalidArgumentError,
     ModelSpec,
+    PanelCausalError,
     PanelCausalWarning,
     Scenario,
     SuiteEntry,
+    build_design,
     estimate_did,
     estimate_drglmm,
     estimate_effects,
@@ -28,6 +30,7 @@ from panel_causal import (
     estimate_ipwdid,
     estimate_or,
     evaluate_estimator,
+    fit_lmm,
     fit_propensity,
     generate_scenario,
     scenario_specs,
@@ -191,3 +194,43 @@ def test_unit_order_changes_no_effect(method, data, perm_seed):
     permuted = _effects(method, data.take(order))
     for estimand, value in base.items():
         assert abs(permuted[estimand] - value) <= 1e-9 * (abs(value) + 1.0)
+
+
+# Panels without a unit effect (sigma_u² = 0), with the term sets of their
+# own scenario: the mixed models' variance estimate lies on or near its
+# boundary.
+_no_unit_effect_panels = st.builds(
+    lambda scenario, n, seed: (
+        scenario, generate_scenario(Scenario(scenario, n, dgp_params={"u_var": 0.0}), seed)),
+    st.sampled_from(["HOM", "HET"]),
+    st.integers(40, 300),
+    st.integers(0, 2**31 - 1),
+)
+
+
+def test_no_unit_effect_panels_reach_the_boundary():
+    # Six of these ten panels put the mixed-model fit at sigma_u² = 0
+    # exactly, so the property below exercises the boundary.
+    at_boundary = 0
+    for scenario in ("HOM", "HET"):
+        for seed in range(5):
+            data = generate_scenario(Scenario(scenario, 100, dgp_params={"u_var": 0.0}), seed)
+            design = build_design(data, scenario_specs(scenario)["mixed_full"], pre_period=True)
+            at_boundary += fit_lmm(design.X0, design.X, data.y0, data.y1).sigma_u2 == 0.0
+    assert at_boundary >= 3
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(panel=_no_unit_effect_panels)
+def test_no_unit_effect_gives_finite_estimates_or_a_typed_error(method, panel):
+    scenario, data = panel
+    kind = METHOD_TABLE[method].outcome or "mixed"
+    spec = scenario_specs(scenario)[f"{kind}_full"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelCausalWarning)
+        try:
+            effects = estimate_effects(method, data, spec)
+        except PanelCausalError:
+            return
+    assert set(effects) == set(EXPECTED[method][2])
+    assert all(np.isfinite(e.value) for e in effects.values())

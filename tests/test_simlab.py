@@ -1,6 +1,10 @@
 """Scenario DGPs, ground truths, the study harness, and table formatting."""
 
+import json
 import math
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from collections import Counter
@@ -35,7 +39,7 @@ from panel_causal import (
     true_effects,
 )
 
-from helpers import run_study_reference, study_values_reference
+from helpers import run_study_reference, source_env, study_values_reference, treated_x1_mean
 
 
 class TestScenario:
@@ -85,24 +89,56 @@ class TestTrueEffects:
             assert other.ate == te.ate
             assert other.att == te.att
 
+    def test_stored_truth_is_the_oracle_bit_for_bit(self):
+        # The stored pair is re-derived from the scenario's parameters and
+        # stream on every run, not copied by hand.
+        assert treated_x1_mean() == (simlab._TREATED_X1_MEAN, simlab._TREATED_X1_MEAN_SE)
+
+    def test_scoring_draws_nothing(self):
+        # A fresh process: the first call of true_effects is what a study
+        # pays at start-up, with nothing cached by earlier calls.
+        script = textwrap.dedent("""
+            import json, tracemalloc
+            from panel_causal import simlab
+
+            def drawn(*args, **kwargs):
+                raise AssertionError("true_effects drew from a stream")
+
+            simlab.substream = simlab._draw = drawn
+            out = {}
+            for sid in ("HET", "HET_TI", "RANDCOEF", "RANDCOEF_TI"):
+                tracemalloc.start()
+                te = simlab.true_effects(sid)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                out[sid] = [te.ate, te.att, te.att_mc_se, peak]
+            print(json.dumps(out))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert sorted(out) == ["HET", "HET_TI", "RANDCOEF", "RANDCOEF_TI"]
+        for sid, (ate, att, att_mc_se, peak) in out.items():
+            assert (ate, att, att_mc_se) == (35.0, 35.3905358503353, 0.003073705617306642), sid
+            assert peak < 1e6, sid
+
     @pytest.mark.parametrize("block", [1, 1000, 4096, 10_007, 10_008])
-    def test_oracle_repeats_the_draw_bit_for_bit(self, block, monkeypatch):
+    def test_oracle_repeats_the_draw_bit_for_bit(self, block):
         # 10 007 units: blocks that leave a remainder, that divide the
         # count (1 and the count itself), and one larger than the count.
-        monkeypatch.setattr(simlab, "_ORACLE_CACHE", {})
         n = 10_007
         x1, _, _, d, _, _ = simlab._draw(Scenario("HET", n), simlab.ORACLE_SEED, 0)
         kept = x1[d == 1, 1]
         want = (float(kept.mean()), float(kept.std(ddof=1) / np.sqrt(kept.size)))
-        assert simlab._treated_x1_mean(n, block) == want
+        assert treated_x1_mean(n, block) == want
 
-    def test_oracle_memory_is_bounded(self, monkeypatch):
+    def test_oracle_memory_is_bounded(self):
         # The whole 1 000 000-unit draw peaks at about 120 MB; the blocked
         # oracle keeps three arrays of the units, about 20 MB.
-        monkeypatch.setattr(simlab, "_ORACLE_CACHE", {})
         tracemalloc.start()
         try:
-            simlab._treated_x1_mean()
+            treated_x1_mean()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
