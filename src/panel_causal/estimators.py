@@ -16,14 +16,17 @@ ATE averages each estimator's unit-level contrast over everyone; ATT over
 treated units only (with the matching treated-normalized weights for the
 inverse-probability methods).
 
-The estimand arithmetic lives here and only here: every weighted mean,
-group mean and contrast average is a sum over units with unit i counted
-``C[i]`` times.  A point estimate uses ``C = 1.0``; the cluster bootstrap
-(:mod:`inference`) fits its resamples in batches and passes each batch's
-``(k, n)`` count matrix to the same functions, and a simulation study
-passes a chunk of draws, each response a ``(k, n)`` array, with all-ones
-counts.  The fits behind a point estimate and behind a batch are the same
-model kernels, called with the same arguments on a batch of one fit.
+One route, :class:`_Batch`, leads from a method, its models and a ``(k, n)``
+count matrix C to values: fit r counts unit i ``C[r, i]`` times.  The
+cluster bootstrap (:mod:`inference`) passes its resamples' count vectors, a
+simulation study (:mod:`simlab`) a chunk of draws stacked with all-ones
+counts, and a point estimate (:func:`estimate_effects`) is the batch of one
+draw.  The batch follows the method's :data:`METHOD_TABLE` row to the
+kernels of :mod:`glm_fit` and :mod:`lmm_fit`, reads each fit's status, and
+hands the fits to the estimand arithmetic, where every mean is a sum over
+units with unit i counted ``C[r, i]`` times.  A failed fit raises its
+status's error (``lmm_fit._FAILURES``) in a point estimate, and is NaN in a
+replicate.
 """
 
 from dataclasses import dataclass, field
@@ -31,9 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBinsWarning, ExtremeWeightsWarning, InvalidArgumentError, _warn
-from .glm_fit import _collapsed_message, _ps_dummies, fit_propensity
-from .lmm_fit import _fit_one, fit_or
-from .panel_data import ModelSpec, build_design
+from .glm_fit import (_check_k_bins, _collapsed_message, _fit_logistic_batch,
+                      _quantile_bins_batch, fit_propensity)
+from .lmm_fit import (_NO_OVERLAP, _OK, _PS_UNUSABLE, _RANK_DEFICIENT, _fit_lmm_batch,
+                      _fit_or_batch, _full_rank, _raise_failure, _rotated_rows, _Rows)
+from .panel_data import ModelSpec, build_design, ps_design
 
 __all__ = [
     "MethodInfo",
@@ -160,23 +165,13 @@ def _ps_warnings(info, ps, occupied, k_bins):
     return [(message, ExtremeWeightsWarning) if e else None for e in extreme]
 
 
-def _check_ps(method, data, ps_fit):
-    """The fitted scores, for the estimators that invert them: warns once
-    per estimate when any score would give an extreme inverse weight."""
-    ps = _fitted_scores(data, ps_fit)
-    note, = _ps_warnings(METHOD_TABLE[method], ps[None], None, None)
-    if note:
-        _warn(*note)
-    return ps
-
-
 # The estimand arithmetic (see the module docstring): sums over the last axis
 # of unit terms times the counts C.  Each returns {estimand: (value, components)}.
 
 def _counted(data, C):
     """The 0/1 treatment as floats, and the counted units and treated units."""
     d = data.d1.astype(float)
-    return d, np.sum(C * np.ones_like(d), axis=-1), np.sum(C * d, axis=-1)
+    return d, C.sum(axis=-1), np.sum(C * d, axis=-1)
 
 
 def _ht_terms(data, y, ps, C):
@@ -189,14 +184,14 @@ def _ht_terms(data, y, ps, C):
     return ht_treated, ht_control, np.sum(w * y, axis=-1) / treated
 
 
-def _ipw_values(data, ps, C=1.0):
+def _ipw_values(data, ps, C):
     ht_treated, ht_control, att = _ht_terms(data, data.y1, ps, C)
     return {"ATE": (ht_treated - ht_control,
                     {"ht_treated": ht_treated, "ht_control": ht_control}),
             "ATT": (att, {})}
 
 
-def _ipwdid_values(data, ps, C=1.0):
+def _ipwdid_values(data, ps, C):
     delta1_treated, delta1_control, post = _ht_terms(data, data.y1, ps, C)
     delta0_treated, delta0_control, pre = _ht_terms(data, data.y0, ps, C)
     return {"ATE": ((delta1_treated - delta1_control) - (delta0_treated - delta0_control),
@@ -205,7 +200,7 @@ def _ipwdid_values(data, ps, C=1.0):
             "ATT": (post - pre, {"post": post, "pre": pre})}
 
 
-def _did_values(data, ps=None, C=1.0):
+def _did_values(data, ps, C):
     """The difference of group mean differences; ``ps`` is not used."""
     d, units, treated = _counted(data, C)
     post, pre = (np.sum(C * d * y, axis=-1) / treated
@@ -217,16 +212,15 @@ def _did_values(data, ps=None, C=1.0):
 _WEIGHTING_VALUES = {"IPW": _ipw_values, "IPWDID": _ipwdid_values, "DID": _did_values}
 
 
-def _contrast_values(data, design, beta, C=1.0):
+def _contrast_values(data, diff, beta, C):
     """ATE and ATT averages of the unit contrasts of the counterfactual
-    predictions.  ``beta`` (one fit, or a row per fit of a batch) may carry
-    the coefficients of unit-constant columns after the design's p; they
-    cancel.  The design is one ``(n, p)`` block, or ``(k, n, p)`` with a
-    block per fit."""
-    diff = design.cf_treated - design.cf_control
+    predictions, ``diff`` being the treated minus the control design: one
+    ``(n, p)`` block, or ``(k, n, p)`` with a block per fit.  ``beta`` (a
+    row per fit) may carry the coefficients of unit-constant columns after
+    the p; they cancel."""
     p = diff.shape[-1]
     if diff.ndim == 2:
-        contrasts = (diff @ beta[..., :p].T).T
+        contrasts = (diff @ beta[:, :p].T).T
     else:
         contrasts = (diff @ beta[:, :p, None])[..., 0]
     d, units, treated = _counted(data, C)
@@ -234,13 +228,228 @@ def _contrast_values(data, design, beta, C=1.0):
             "ATT": (np.sum(C * d * contrasts, axis=-1) / treated, {})}
 
 
-def _estimates(method, values, extra=None):
-    """The point estimates of ``values`` computed with C = 1.0."""
-    return {
-        e: EffectEstimate(method, e, float(v),
-                          {**{k: float(c) for k, c in comps.items()}, **(extra or {})})
-        for e, (v, comps) in values.items()
-    }
+def _bins(ps, C, k_bins):
+    """The propensity bins of each fit of a batch: every unit's bin
+    renumbered among the fit's occupied bins, the lowest (always occupied)
+    staying the reference, and the count of occupied bins per fit."""
+    cut = _quantile_bins_batch(ps, C, k_bins)
+    labels = np.take_along_axis(np.cumsum(cut.occupied, axis=1) - 1, cut.bins, axis=1)
+    return labels, cut.occupied.sum(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Responses:
+    """The columns the estimand functions read, with a leading replicate axis."""
+
+    d1: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
+
+
+class _Batch:
+    """Estimates of every method on a batch of fits: the resamples of one
+    dataset, a chunk of draws, or the one fit of a point estimate.
+
+    A batch of k fits is given as a ``(k, n)`` count matrix ``C``: fit r
+    counts unit i ``C[r, i]`` times.  With ``reps`` None every fit is a
+    resample of the dataset ``data`` and shares its designs.  With ``reps``
+    equal to k, ``data`` stacks k datasets of n units (dataset r in rows
+    ``r n`` to ``r n + n - 1``) and fit r is dataset r, counted with ones;
+    every design column is a function of one unit's own data, so each design
+    is built once on the stacked rows and split into one per dataset.  A
+    point estimate is ``reps`` 1.
+
+    The designs of a spec are built on first use.  Which kernels run follows
+    the method's :data:`METHOD_TABLE` row: the logistic fit and its scores
+    when it uses the propensity score, the count-weighted bins when it also
+    has an outcome model (DRGLMM), and OLS on the post period or the
+    two-period mixed model for its outcome kind.
+    """
+
+    def __init__(self, data, k_bins, reps=None):
+        self.data = data
+        self.k_bins = k_bins
+        self.reps = reps
+        self.responses = data if reps is None else _Responses(
+            self._split(data.d1), self._split(data.y0), self._split(data.y1))
+        self._designs = {}
+
+    def _split(self, a):
+        """A row-wise array of ``data`` with a leading replicate axis, if
+        ``data`` stacks datasets."""
+        if self.reps is None:
+            return a
+        return a.reshape(self.reps, -1, *a.shape[1:])
+
+    def _design(self, kind, spec):
+        """The kernel input of one model of ``spec``: for ``"ps"`` the
+        :class:`~panel_causal.lmm_fit._Rows` of the treatment model; for
+        ``"post"`` and ``"mixed"`` the outcome design's blocks (t=1, or
+        t=0 and t=1), the difference of its counterfactual t=1 blocks, and
+        its rows."""
+        key = (kind, spec.ps_terms if kind == "ps" else spec.outcome_terms)
+        if key not in self._designs:
+            if kind == "ps":
+                X, _ = ps_design(self.data, spec)
+                self._designs[key] = _Rows(self._split(X), self.responses.d1.astype(float))
+            else:
+                design = build_design(self.data, spec, pre_period=kind == "mixed")
+                blocks = [self._split(b) for b in (design.X0, design.X) if b is not None]
+                diff = self._split(design.cf_treated - design.cf_control)
+                # Only their difference is used: dropping the counterfactual
+                # blocks first lowers the peak memory of a large estimate.
+                del design
+                y0, y1 = self.responses.y0, self.responses.y1
+                rows = (_Rows(blocks[0], y1) if kind == "post"
+                        else _rotated_rows(*blocks, y0, y1))
+                self._designs[key] = blocks, diff, rows
+        return self._designs[key]
+
+    def propensity(self, spec, C):
+        """Fitted scores ``(k, n)`` of the treatment model of ``spec``, 0.5
+        for the units a fit does not count, and the flags of the fits an
+        estimator can use: the kernel succeeded, the design has full rank
+        on the fit's own rows, and every counted score lies strictly inside
+        (0, 1)."""
+        rows = self._design("ps", spec)
+        fits = _fit_logistic_batch(rows, C)
+        ps = np.where(C > 0.0, fits.prob, 0.5)
+        usable = fits.ok & np.all((ps > 0.0) & (ps < 1.0), axis=1)
+        usable &= _full_rank(fits.certified | ~usable, C, [rows.X])
+        return ps, usable
+
+    @np.errstate(all="ignore")
+    def effects(self, info, spec, C, propensity=None, binned=None):
+        """Estimates of the method ``info`` with the models of ``spec`` on
+        each fit of ``C``, given if need be the :meth:`propensity` and
+        :func:`_bins` of the same counts.  The outcome fits are grouped by
+        their count of occupied bins, one kernel call a group, each taking
+        the dummies of its own occupied bins.  A failed fit computes
+        meaningless floats silently; its status speaks for it.
+
+        Returns ``({estimand: (values, components)}, status)``: ``(k,)``
+        values, the :class:`EffectEstimate` components as ``(k,)`` arrays,
+        and each fit's ``lmm_fit`` status.  Values mean nothing where the
+        status is not ``_OK``: ``_NO_OVERLAP``, ``_PS_UNUSABLE`` (a
+        treatment model the estimator cannot use), or the outcome fit's
+        failure, ``_RANK_DEFICIENT`` outranking the kernel's own.
+        """
+        k = C.shape[0]
+        _, units, treated = _counted(self.responses, C)
+        status = np.where((treated > 0.0) & (treated < units), _OK, _NO_OVERLAP)
+        ps = None
+        if info.uses_ps:
+            ps, usable = propensity or self.propensity(spec, C)
+            status[(status == _OK) & ~usable] = _PS_UNUSABLE
+        if info.outcome is None:
+            return _WEIGHTING_VALUES[info.name](self.responses, ps, C), status
+        blocks, diff, rows = self._design(info.outcome, spec)
+        bins, n_bins = None, np.zeros(k, dtype=int)
+        if info.bins_ps:
+            bins, n_bins = binned or _bins(ps, C, self.k_bins)
+        sel = np.flatnonzero(status == _OK)
+        # A fit that was not made keeps its status: it counts as certified.
+        certified = np.ones(k, dtype=bool)
+        coef = np.zeros((k, diff.shape[-1]))
+        lam, sigma_e2 = np.zeros(k), np.zeros(k)
+        for m in np.unique(n_bins[sel]):
+            group = sel[n_bins[sel] == m]
+            if info.outcome == "post":
+                fits = _fit_or_batch(rows.take(group), C[group])
+            else:
+                fits = _fit_lmm_batch(
+                    tuple(r.take(group) for r in rows), C[group],
+                    None if bins is None else bins[group], m,
+                    random_intercept=spec.random_effect == "unit_intercept",
+                )
+                lam[group] = fits.lam
+                sigma_e2[group] = fits.rss / (2 * units[group])
+            status[group] = fits.status
+            certified[group] = fits.certified
+            coef[group] = fits.beta[:, :coef.shape[1]]
+        status = np.where(_full_rank(certified, C, blocks, bins), status, _RANK_DEFICIENT)
+        comps = {}
+        if info.outcome == "mixed":
+            comps = {"sigma_u2": lam * sigma_e2, "sigma_e2": sigma_e2}
+        if info.bins_ps:
+            comps.update(n_dummy_columns=n_bins - 1, bins_collapsed=n_bins < self.k_bins)
+        values = _contrast_values(self.responses, diff, coef, C)
+        return {e: (v, comps) for e, (v, _) in values.items()}, status
+
+    def values(self, suite, C):
+        """Estimates of each ``(method, spec)`` entry of ``suite`` on each
+        fit of ``C``: ``(k, entries, len(ESTIMANDS))`` values, NaN where
+        the method lacks the estimand, ``(k, entries)`` ok flags, and the
+        warnings of the pairs as ``(message, category)`` in fit-then-entry
+        order.  A pair warns as its point estimate would on the fit's own
+        dataset: once a usable treatment model gives IPW or IPWDID an
+        extreme score, or leaves DRGLMM with collapsed bins.  Entries with
+        the same treatment terms share one treatment-model fit and its bins."""
+        vals = np.full((C.shape[0], len(suite), len(ESTIMANDS)), np.nan)
+        ok = np.empty((C.shape[0], len(suite)), dtype=bool)
+        notes, scores, cuts = {}, {}, {}
+        with np.errstate(all="ignore"):
+            for i, (method, spec) in enumerate(suite):
+                info = METHOD_TABLE[method]
+                propensity = binned = occupied = None
+                if info.uses_ps:
+                    key = spec.ps_terms
+                    if key not in scores:
+                        scores[key] = self.propensity(spec, C)
+                    propensity = ps, usable = scores[key]
+                    if info.bins_ps:
+                        if key not in cuts:
+                            cuts[key] = _bins(ps, C, self.k_bins)
+                        binned = _, occupied = cuts[key]
+                    for r, note in enumerate(_ps_warnings(info, ps, occupied, self.k_bins)):
+                        if note and usable[r]:
+                            notes[r, i] = note
+                estimates, status = self.effects(info, spec, C, propensity, binned)
+                ok[:, i] = status == _OK
+                for j, estimand in enumerate(ESTIMANDS):
+                    if estimand in estimates:
+                        vals[:, i, j] = estimates[estimand][0]
+        return vals, ok, [notes[pair] for pair in sorted(notes)]
+
+
+def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
+    """Run any method of :data:`METHOD_TABLE` on ``data``.
+
+    ``spec`` supplies the outcome terms of methods with an outcome model (a
+    :class:`ModelSpec`, or the terms alone).  Methods that use the
+    propensity score take ``ps_fit`` if given, else fit ``spec.ps_terms``
+    here; scores near 0 or 1 raise an :class:`ExtremeWeightsWarning` where
+    the method inverts them, collapsed bins a :class:`DegenerateBinsWarning`
+    where it bins them.  ``k_bins`` goes to DRGLMM.
+
+    The estimate is the batch of one draw (module docstring), whose failed
+    fit raises the error of its status.
+
+    Returns
+    -------
+    dict
+        ``{estimand: EffectEstimate}`` for each estimand of the method.
+    """
+    info = method_info(method)
+    C = np.ones((1, data.n))
+    propensity = binned = occupied = None
+    if info.uses_ps:
+        ps = _fitted_scores(data, fit_propensity(data, spec) if ps_fit is None else ps_fit)[None]
+        propensity = ps, np.ones(1, dtype=bool)
+        if info.bins_ps:
+            k_bins = _check_k_bins(k_bins, data.n, name="K")
+            binned = _, occupied = _bins(ps, C, k_bins)
+        note, = _ps_warnings(info, ps, occupied, k_bins)
+        if note:
+            _warn(*note)
+    if info.outcome and not isinstance(spec, ModelSpec):
+        spec = ModelSpec(outcome_terms=tuple(spec))
+    values, status = _Batch(data, k_bins, reps=1).effects(info, spec, C, propensity, binned)
+    if info.outcome:
+        _raise_failure(status[0], info.outcome, len(spec.outcome_terms))
+    return {e: EffectEstimate(info.name, e, float(v[0]),
+                              {c: x[0].item() for c, x in comps.items()})
+            for e, (v, comps) in values.items()}
 
 
 def estimate_or(data, spec):
@@ -257,43 +466,7 @@ def estimate_or(data, spec):
     dict
         ``{"ATE": EffectEstimate, "ATT": EffectEstimate}``.
     """
-    design = build_design(data, spec, pre_period=False)
-    fit = fit_or(design.X, data.y1)
-    return _estimates("OR", _contrast_values(data, design, fit.fixed_effects))
-
-
-def _glmm_fit(data, spec, dummies=None):
-    """Fit the two-period outcome model by a replicate's kernel call, on the
-    t=0 and t=1 designs as two aligned n-row blocks.  The bins of
-    ``dummies`` (a :class:`~panel_causal.glm_fit.PSDummies`) go in as labels
-    of the occupied bins, so the lowest stays the reference.  Without a
-    random effect the variance ratio is 0: least squares on the blocks
-    stacked.  Returns (fit, design)."""
-    if not isinstance(spec, ModelSpec):
-        spec = ModelSpec(outcome_terms=tuple(spec))
-    design = build_design(data, spec, pre_period=True)
-    bins, n_bins = None, 0
-    if dummies is not None:
-        occupied, bins = np.unique(dummies.bins, return_inverse=True)
-        n_bins = len(occupied)
-    fit = _fit_one(design.X0, design.X, data.y0, data.y1, bins, n_bins,
-                   random_intercept=spec.random_effect == "unit_intercept")
-    return fit, design
-
-
-def _mixed_estimates(method, data, spec, dummies=None):
-    """GLMM and DRGLMM estimates: fit the mixed model, contrast its
-    counterfactual post-period predictions.
-
-    With the identity link, averaging the contrast over the random intercept
-    leaves ``eta1 - eta0`` exactly, so no quadrature is needed.
-    """
-    fit, design = _glmm_fit(data, spec, dummies)
-    comps = {"sigma_u2": fit.sigma_u2, "sigma_e2": fit.sigma_e2}
-    if dummies is not None:
-        comps["n_dummy_columns"] = dummies.dummies.shape[1]
-        comps["bins_collapsed"] = dummies.collapsed
-    return _estimates(method, _contrast_values(data, design, fit.fixed_effects), comps)
+    return estimate_effects("OR", data, spec)
 
 
 def estimate_glmm(data, spec):
@@ -304,9 +477,10 @@ def estimate_glmm(data, spec):
     counterfactual post-period linear predictors, and averages the
     population-level contrast over units.  The outcome family is Gaussian
     with identity link, so marginalizing over the random intercept leaves
-    the difference of the linear predictors exactly.
+    the difference of the linear predictors exactly: no quadrature is
+    needed.
     """
-    return _mixed_estimates("GLMM", data, spec)
+    return estimate_effects("GLMM", data, spec)
 
 
 def estimate_ipw(data, ps_fit):
@@ -316,7 +490,7 @@ def estimate_ipw(data, ps_fit):
     controls by the odds ``ps / (1 - ps)`` and normalizes by the treated
     count.  Scores near 0 or 1 raise an :class:`ExtremeWeightsWarning`.
     """
-    return _estimates("IPW", _ipw_values(data, _check_ps("IPW", data, ps_fit)))
+    return estimate_effects("IPW", data, ps_fit=ps_fit)
 
 
 def estimate_did(data):
@@ -325,7 +499,7 @@ def estimate_did(data):
     (treated post mean - control post mean) minus the same difference in
     the pre period.  Returns a single :class:`EffectEstimate`.
     """
-    return _estimates("DID", _did_values(data))["ATT"]
+    return estimate_effects("DID", data)["ATT"]
 
 
 def estimate_ipwdid(data, ps_fit):
@@ -338,7 +512,7 @@ def estimate_ipwdid(data, ps_fit):
     change ``y1 - y0``.  Scores near 0 or 1 raise an
     :class:`ExtremeWeightsWarning`.
     """
-    return _estimates("IPWDID", _ipwdid_values(data, _check_ps("IPWDID", data, ps_fit)))
+    return estimate_effects("IPWDID", data, ps_fit=ps_fit)
 
 
 def estimate_drglmm(data, spec, ps_fit, k_bins=5):
@@ -349,40 +523,8 @@ def estimate_drglmm(data, spec, ps_fit, k_bins=5):
     and both counterfactual designs, so with the identity link their
     coefficients cancel from every contrast and act purely as a bias
     correction on the refitted treatment terms.  The fit takes the bins as
-    labels, like its replicates.  A constant propensity collapses all bins
-    and reproduces :func:`estimate_glmm` exactly.
+    labels of the occupied bins, the lowest staying the reference.  A
+    constant propensity collapses all bins and reproduces
+    :func:`estimate_glmm` exactly.
     """
-    dummies = _ps_dummies(_fitted_scores(data, ps_fit), k_bins)
-    note, = _ps_warnings(METHOD_TABLE["DRGLMM"], None, [dummies.dummies.shape[1] + 1],
-                         dummies.K)
-    if note:
-        _warn(*note)
-    return _mixed_estimates("DRGLMM", data, spec, dummies)
-
-
-def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
-    """Run any method of :data:`METHOD_TABLE` on ``data``.
-
-    ``spec`` supplies the outcome terms of methods with an outcome model.
-    Methods that use the propensity score take ``ps_fit`` if given, else fit
-    ``spec.ps_terms`` here.  ``k_bins`` goes to DRGLMM.
-
-    Returns
-    -------
-    dict
-        ``{estimand: EffectEstimate}`` for each estimand of the method.
-    """
-    info = method_info(method)
-    if info.uses_ps and ps_fit is None:
-        ps_fit = fit_propensity(data, spec)
-    if info.name == "OR":
-        return estimate_or(data, spec)
-    if info.name == "GLMM":
-        return estimate_glmm(data, spec)
-    if info.name == "IPW":
-        return estimate_ipw(data, ps_fit)
-    if info.name == "DID":
-        return {"ATT": estimate_did(data)}
-    if info.name == "IPWDID":
-        return estimate_ipwdid(data, ps_fit)
-    return estimate_drglmm(data, spec, ps_fit, k_bins=k_bins)
+    return estimate_effects("DRGLMM", data, spec, ps_fit, k_bins=k_bins)

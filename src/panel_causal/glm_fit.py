@@ -15,7 +15,8 @@ one dataset share its design; a study's draws each have their own):
 fit, and :func:`_quantile_bins_batch` is the count-weighted binning rule.
 :func:`fit_logistic` and :func:`ps_quantile_dummies` are those kernels on
 one fit that counts every unit once: they check their input and turn the
-kernel's per-fit status into the typed error, warning or result.
+kernel's per-fit status into the result, the warning, or the typed error
+of ``lmm_fit._FAILURES``, where every kernel's statuses are numbered.
 """
 
 from dataclasses import dataclass, replace
@@ -25,14 +26,13 @@ import numpy as np
 from .errors import (
     DegenerateBinsWarning,
     InvalidArgumentError,
-    NoVariationInOutcomeError,
     NonBinaryTreatmentError,
-    RankDeficientDesignError,
-    SeparationError,
     _as_int,
     _warn,
 )
-from .lmm_fit import _OK, _certify, _dot, _each, _Fits, _full_rank, _Rows, _solve
+from .lmm_fit import (_COEF_BOUND, _COLLAPSED, _OK, _ONE_CLASS, _RANK_DEFICIENT, _SEPARATED,
+                      _SINGULAR, _STALLED, _UNBOUNDED, _certify, _dot, _each, _Fits,
+                      _full_rank, _raise_failure, _Rows, _solve)
 from .panel_data import ps_design
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "ps_quantile_dummies",
 ]
 
-_COEF_BOUND = 30.0
 _PROB_EDGE = 1e-10
 # Any unit the fitted predictor misclassifies (or leaves on the boundary)
 # contributes at least 2*log(2) ~ 1.386 to the deviance, so a deviance below
@@ -52,24 +51,6 @@ _PROB_EDGE = 1e-10
 _SEPARATED_DEVIANCE = 1.0
 _MAX_ITER = 100
 _TOL = 1e-10
-
-# Kernel statuses of a fit beyond ``lmm_fit._OK``: the logistic fit has a
-# single outcome class or fails in one of the ways ``_SEPARATION`` names,
-# and the quantile bins collapse.
-_ONE_CLASS, _SINGULAR, _UNBOUNDED, _SEPARATED, _STALLED, _COLLAPSED = range(1, 7)
-_SEPARATION = {
-    # A full-rank design with a singular information matrix means the IRLS
-    # weights collapsed, which only happens on the way to a boundary solution.
-    _SINGULAR: "information matrix became singular; data are separated",
-    _UNBOUNDED: (f"coefficient magnitude exceeded {_COEF_BOUND:g}; data are "
-                 "(quasi-)separated and the MLE does not exist"),
-    # Newton can plateau (tiny deviance changes) while walking out to
-    # infinity on separated data, declaring convergence before the
-    # coefficient bound trips; a collapsed deviance is unambiguous.
-    _SEPARATED: ("deviance collapsed to zero; the classes are strictly separated "
-                 "and the MLE does not exist"),
-    _STALLED: "fit stalled with fitted probabilities at the boundary; data are separated",
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,15 +124,11 @@ def fit_logistic(design, outcome):
     C = np.ones((1, X.shape[0]))
     with np.errstate(all="ignore"):
         fits = _fit_logistic_batch(rows, C)
-    status = fits.status[0]
-    if status == _ONE_CLASS:
-        raise NoVariationInOutcomeError("outcome has a single class; cannot fit")
-    if not _full_rank(fits.certified, C, [X])[0]:
-        raise RankDeficientDesignError(
-            f"design has rank below its {X.shape[1]} columns; drop redundant terms"
-        )
-    if status != _OK:
-        raise SeparationError(_SEPARATION[status])
+    # A single class leaves nothing fitted, so it outranks the rank verdict.
+    one_class = fits.status == _ONE_CLASS
+    status = np.where(_full_rank(fits.certified | one_class, C, [X]), fits.status,
+                      _RANK_DEFICIENT)
+    _raise_failure(status[0], "ps", X.shape[1])
     prob = fits.prob[0]
     try:
         cov = np.linalg.inv(rows.gram(prob[None] * (1.0 - prob))[0])
@@ -226,14 +203,6 @@ def ps_quantile_dummies(ps, K=5):
     -------
     PSDummies
     """
-    dummies = _ps_dummies(ps, K)
-    if dummies.collapsed:
-        _warn(_collapsed_message(dummies.dummies.shape[1], dummies.K), DegenerateBinsWarning)
-    return dummies
-
-
-def _ps_dummies(ps, K):
-    """:func:`ps_quantile_dummies` without its warning."""
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 1:
         raise InvalidArgumentError("ps must be one-dimensional")
@@ -244,12 +213,15 @@ def _ps_dummies(ps, K):
     bins = fits.bins[0]
     cols = [(bins == b).astype(float) for b in np.flatnonzero(fits.occupied[0])[1:]]
     dummies = np.column_stack(cols) if cols else np.zeros((ps.shape[0], 0))
+    collapsed = bool(fits.status[0] == _COLLAPSED)
+    if collapsed:
+        _warn(_collapsed_message(dummies.shape[1], K), DegenerateBinsWarning)
     return PSDummies(
         bin_edges=fits.edges[0][fits.distinct[0]],
         dummies=dummies,
         K=K,
         bins=bins,
-        collapsed=bool(fits.status[0] == _COLLAPSED),
+        collapsed=collapsed,
     )
 
 
@@ -299,8 +271,9 @@ def _fit_logistic_batch(rows, C):
         Per fit: fitted probabilities ``prob`` ``(k, n)``, coefficients
         ``alpha``, ``n_iter``, ``converged``, ``deviance``, the Gram
         certificate ``certified`` of ``lmm_fit._certify`` and ``status``:
-        ``_ONE_CLASS`` (nothing fitted), or one of the failures in
-        ``_SEPARATION``.
+        ``_ONE_CLASS`` (nothing fitted), or one of the four ways
+        separation shows (``_SINGULAR``, ``_UNBOUNDED``, ``_SEPARATED``,
+        ``_STALLED``; see ``lmm_fit._FAILURES``).
     """
     k, n = C.shape
     y = rows.y

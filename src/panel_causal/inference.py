@@ -10,19 +10,19 @@ One engine, :func:`_replicate_values`, runs a suite of ``(method, spec)``
 entries over replicates a chunk at a time: the bootstrap runs a
 suite of one over resamples, the DR test a suite of three over shared
 resamples, and a simulation study (:mod:`simlab`) its suite over fresh
-draws.  A chunk is a :class:`_Batch` and a ``(k, n)`` count matrix: every
-design column is a function of one unit's own data, so a resample is the
-full-sample design with unit i counted as often as it was drawn (its
-resampling vector), and a chunk of draws is their designs stacked, each
-unit counted once.  Every entry is fitted on the whole chunk by the kernels
-of :mod:`glm_fit` and :mod:`lmm_fit` (a point estimate's calls, on a batch
-of one) and estimated by the estimand functions of :mod:`estimators` given
-the counts.  The batch decides what the replicate evaluated alone would:
-no overlap, a kernel's failure status and a rank-deficient design make a
-(replicate, entry) pair NaN, and the pair raises the extreme-weight or
-collapsed-bin warning of the public estimator.  A draw's values are its own
-estimates bit for bit; a resample's agree with the estimates on its
-``take()`` copy to about 1e-12 relative.  All runs on the calling thread.
+draws.  A chunk is a :class:`~panel_causal.estimators._Batch` and a
+``(k, n)`` count matrix: every design column is a function of one unit's
+own data, so a resample is the full-sample design with unit i counted as
+often as it was drawn (its resampling vector), and a chunk of draws is
+their designs stacked, each unit counted once.  The batch is the route of
+every estimate, a point estimate being its batch of one draw (see
+:mod:`estimators`): it fits every entry on the whole chunk and reads each
+fit's failure status, so no overlap, a kernel's failure or a rank-deficient
+design makes a (replicate, entry) pair NaN, and the pair raises the
+extreme-weight or collapsed-bin warning of its point estimate.  A draw's
+values are its own estimates bit for bit; a resample's agree with the
+estimates on its ``take()`` copy to about 1e-12 relative.  All runs on the
+calling thread.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -33,7 +33,7 @@ outcome and treatment models.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,25 +48,16 @@ from .errors import (
     _warn,
 )
 from .estimators import (
-    _WEIGHTING_VALUES,
     ESTIMANDS,
     METHOD_TABLE,
+    _Batch,
     _check_estimand,
-    _contrast_values,
-    _counted,
-    _glmm_fit,
-    _ps_warnings,
+    _fitted_scores,
     estimate_effects,
     method_info,
 )
-from .glm_fit import (
-    _check_k_bins,
-    _fit_logistic_batch,
-    _quantile_bins_batch,
-    fit_logistic,
-    fit_propensity,
-)
-from .lmm_fit import _fit_lmm_batch, _fit_or_batch, _full_rank, _rotated_rows, _Rows
+from .glm_fit import _check_k_bins, fit_logistic, fit_propensity
+from .lmm_fit import _fit_one
 from .panel_data import ModelSpec, build_design, ps_design
 from .rng import substream
 
@@ -168,170 +159,6 @@ _CHUNK_CELLS = 25_000
 def _chunk_size(n):
     """Replicates of n units each that are fitted as one batch."""
     return max(1, _CHUNK_CELLS // n)
-
-
-@dataclass(frozen=True, eq=False)
-class _Responses:
-    """The columns the estimand functions read, with a leading replicate axis."""
-
-    d1: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
-
-
-class _Batch:
-    """Batched estimates on the resamples of one dataset or on a chunk of draws.
-
-    A batch of k fits is given as a ``(k, n)`` count matrix ``C``: fit r
-    counts unit i ``C[r, i]`` times.  With ``reps`` None every fit is a
-    resample of the dataset ``data`` and shares its designs.  With ``reps``
-    equal to k, ``data`` stacks k datasets of n units (dataset r in rows
-    ``r n`` to ``r n + n - 1``) and fit r is dataset r, counted with ones;
-    every design column is a function of one unit's own data, so each design
-    is built once on the stacked rows and split into one per dataset.
-
-    The designs of a spec are built on first use.  Which kernels run follows
-    the method's :data:`~panel_causal.estimators.METHOD_TABLE` row: the
-    logistic fit and its scores when it uses the propensity score, the
-    count-weighted bins when it also has an outcome model (DRGLMM), and OLS
-    on the post period or the two-period mixed model for its outcome kind.
-    """
-
-    def __init__(self, data, k_bins, reps=None):
-        self.data = data
-        self.k_bins = k_bins
-        self.reps = reps
-        self.responses = data if reps is None else _Responses(
-            self._split(data.d1), self._split(data.y0), self._split(data.y1))
-        self.d = self.responses.d1.astype(float)
-        self._designs = {}
-
-    def _split(self, a):
-        """A row-wise array of ``data`` with a leading replicate axis, if
-        ``data`` stacks datasets."""
-        if self.reps is None or a is None:
-            return a
-        return a.reshape(self.reps, -1, *a.shape[1:])
-
-    def _design(self, kind, spec):
-        """The kernel input of one model of ``spec``: for ``"ps"`` the
-        :class:`~panel_causal.lmm_fit._Rows` of the treatment model, for
-        ``"post"`` and ``"mixed"`` the outcome design and its rows."""
-        key = (kind, spec.ps_terms if kind == "ps" else spec.outcome_terms)
-        if key not in self._designs:
-            if kind == "ps":
-                X, _ = ps_design(self.data, spec)
-                self._designs[key] = _Rows(self._split(X), self.d)
-            else:
-                design = build_design(self.data, spec, pre_period=kind == "mixed")
-                design = replace(design, **{f: self._split(getattr(design, f))
-                                            for f in ("X", "cf_treated", "cf_control", "X0")})
-                y0, y1 = self.responses.y0, self.responses.y1
-                rows = (_Rows(design.X, y1) if kind == "post"
-                        else _rotated_rows(design.X0, design.X, y0, y1))
-                self._designs[key] = design, rows
-        return self._designs[key]
-
-    def propensity(self, spec, C):
-        """Fitted scores ``(k, n)`` of the treatment model of ``spec``, 0.5
-        for the units a fit does not count, and the flags of the fits an
-        estimator can use: the kernel succeeded, the design has full rank
-        on the fit's own rows, and every counted score lies strictly inside
-        (0, 1)."""
-        rows = self._design("ps", spec)
-        fits = _fit_logistic_batch(rows, C)
-        ps = np.where(C > 0.0, fits.prob, 0.5)
-        usable = fits.ok & np.all((ps > 0.0) & (ps < 1.0), axis=1)
-        usable &= _full_rank(fits.certified | ~usable, C, [rows.X])
-        return ps, usable
-
-    def bins(self, ps, C):
-        """The propensity bins of each fit: every unit's bin renumbered
-        among the fit's occupied bins, the lowest (always occupied) staying
-        the reference as in a point estimate, and the count of occupied
-        bins per fit."""
-        cut = _quantile_bins_batch(ps, C, self.k_bins)
-        labels = np.take_along_axis(np.cumsum(cut.occupied, axis=1) - 1, cut.bins, axis=1)
-        return labels, cut.occupied.sum(axis=1)
-
-    def effects(self, info, spec, C, propensity=None, binned=None):
-        """Estimates of the method ``info`` with the models of ``spec`` on
-        each fit of ``C``, given if need be the :meth:`propensity` and
-        :meth:`bins` of the same counts.  The outcome fits are grouped by
-        their count of occupied bins, one kernel call a group, each taking
-        the dummies of its own occupied bins.  Returns ``({estimand: (k,)
-        values}, ok)``; values are meaningless where ``ok`` is False: no
-        overlap, a treatment model the estimator cannot use, or an outcome
-        fit that failed or whose design is rank deficient.
-        """
-        k = C.shape[0]
-        _, units, treated = _counted(self.responses, C)
-        ok = (treated > 0.0) & (treated < units)
-        ps = None
-        if info.uses_ps:
-            ps, usable = propensity or self.propensity(spec, C)
-            ok &= usable
-        if info.outcome is None:
-            values = _WEIGHTING_VALUES[info.name](self.responses, ps, C)
-        else:
-            design, rows = self._design(info.outcome, spec)
-            bins, n_bins = None, np.zeros(k, dtype=int)
-            if info.bins_ps:
-                bins, n_bins = binned or self.bins(ps, C)
-            sel = np.flatnonzero(ok)
-            certified = np.ones(k, dtype=bool)
-            coef = np.zeros((k, design.X.shape[-1]))
-            for m in np.unique(n_bins[sel]):
-                group = sel[n_bins[sel] == m]
-                if info.outcome == "post":
-                    fits = _fit_or_batch(rows.take(group), C[group])
-                else:
-                    fits = _fit_lmm_batch(
-                        tuple(r.take(group) for r in rows), C[group],
-                        None if bins is None else bins[group], m,
-                        random_intercept=spec.random_effect == "unit_intercept",
-                    )
-                ok[group] = fits.ok
-                certified[group] = fits.certified
-                coef[group] = fits.beta[:, :coef.shape[1]]
-            blocks = [design.X] if info.outcome == "post" else [design.X0, design.X]
-            ok &= _full_rank(certified | ~ok, C, blocks, bins)
-            values = _contrast_values(self.responses, design, coef, C)
-        return {e: v for e, (v, _) in values.items()}, ok
-
-    def values(self, suite, C):
-        """Estimates of each ``(method, spec)`` entry of ``suite`` on each
-        fit of ``C``: ``(k, entries, len(ESTIMANDS))`` values, NaN where
-        the method lacks the estimand, ``(k, entries)`` ok flags, and the
-        warnings of the pairs as ``(message, category)`` in fit-then-entry
-        order.  A pair warns as its public estimator would on the fit's own
-        dataset: once a usable treatment model gives IPW or IPWDID an
-        extreme score, or leaves DRGLMM with collapsed bins.  Entries with
-        the same treatment terms share one treatment-model fit and its bins."""
-        vals = np.full((C.shape[0], len(suite), len(ESTIMANDS)), np.nan)
-        ok = np.empty((C.shape[0], len(suite)), dtype=bool)
-        notes, scores, cuts = {}, {}, {}
-        with np.errstate(all="ignore"):
-            for i, (method, spec) in enumerate(suite):
-                info = METHOD_TABLE[method]
-                propensity = binned = occupied = None
-                if info.uses_ps:
-                    key = spec.ps_terms
-                    if key not in scores:
-                        scores[key] = self.propensity(spec, C)
-                    propensity = ps, usable = scores[key]
-                    if info.bins_ps:
-                        if key not in cuts:
-                            cuts[key] = self.bins(ps, C)
-                        binned = _, occupied = cuts[key]
-                    for r, note in enumerate(_ps_warnings(info, ps, occupied, self.k_bins)):
-                        if note and usable[r]:
-                            notes[r, i] = note
-                estimates, ok[:, i] = self.effects(info, spec, C, propensity, binned)
-                for j, estimand in enumerate(ESTIMANDS):
-                    if estimand in estimates:
-                        vals[:, i, j] = estimates[estimand]
-        return vals, ok, [notes[pair] for pair in sorted(notes)]
 
 
 def _replicate_values(suite, chunks):
@@ -591,9 +418,15 @@ def balance_check(data, ps_fit):
     Returns
     -------
     BalanceReport
+
+    Raises
+    ------
+    InvalidArgumentError
+        ``ps_fit`` does not hold one score strictly inside (0, 1) per unit
+        of ``data``, as the estimators require of it too.
     """
     d = data.d1.astype(float)
-    ps = np.asarray(ps_fit.fitted_ps, dtype=float)
+    ps = _fitted_scores(data, ps_fit)
     n = data.n
     base_cols = [np.ones(n), ps, ps**2, ps**3]
     # Regression (b) adds every dataset covariate at t=0, not just the ones
@@ -665,9 +498,9 @@ def backward_eliminate(data, full_spec, alpha=0.10):
         return tuple(terms)
 
     def outcome_pvalues(terms):
-        spec = ModelSpec(outcome_terms=tuple(terms),
-                         random_effect=full_spec.random_effect)
-        fit, _ = _glmm_fit(data, spec)
+        design = build_design(data, terms, pre_period=True)
+        fit = _fit_one(design.X0, design.X, data.y0, data.y1,
+                       full_spec.random_effect == "unit_intercept")
         return _wald_pvalues(fit.fixed_effects, fit.se_fixed)
 
     def ps_pvalues(terms):

@@ -32,9 +32,11 @@ random effect).
 The public fits are those kernels on a batch of one fit that counts every
 unit once: :func:`fit_lmm`, :func:`profile_loglik` and :func:`fit_or`
 check their input, call the kernel and turn its per-fit status into the
-typed error or the result, as does :func:`_fit_one` for a mixed-model point
-estimate, with its replicates' bin labels.  A batch caller reads the same
-status, and :func:`_full_rank` gives it the rank verdict of each fit.
+typed error or the result.  Every kernel's statuses, glm_fit's too, are
+numbered here, and :data:`_FAILURES` is the one table of the error each
+raises in a single fit.  A batch caller (the estimators' ``_Batch``, also
+behind every point estimate) reads the same statuses, and
+:func:`_full_rank` gives it the rank verdict of each fit.
 """
 
 from dataclasses import dataclass
@@ -44,8 +46,10 @@ import numpy as np
 
 from .errors import (
     InvalidArgumentError,
+    NoVariationInOutcomeError,
     NonFiniteLikelihoodError,
     RankDeficientDesignError,
+    SeparationError,
 )
 
 __all__ = ["LMMFit", "fit_lmm", "fit_or", "profile_loglik"]
@@ -87,11 +91,58 @@ _ROOT_STEPS = 100
 # is always matrix_rank's.
 _RANK_MARGIN = 10.0
 
-# Kernel statuses of a fit: 0 is success, anything else names the failure
-# the public wrapper raises.  The Gram matrix of the fit is not positive
-# definite in floating point, the profiled likelihood is degenerate at every
-# grid point, or the residual variance is degenerate at the optimum.
-_OK, _NOT_PD, _FLAT, _DEGENERATE = range(4)
+# Statuses of a fit, numbered once for every kernel (glm_fit's too) so that
+# a status array names its cause: success; the mixed model's Gram matrix
+# not positive definite in floating point, its profiled likelihood
+# degenerate at every grid point, or its residual variance degenerate at the
+# optimum; the logistic model's single outcome class, or separation in one
+# of four ways; an empty quantile bin; a design rank deficient on the fit's
+# own rows; and, for a fit of the estimators' batch, no treated or no
+# control unit counted, or a treatment model the estimator cannot use.
+(_OK, _NOT_PD, _FLAT, _DEGENERATE, _ONE_CLASS, _SINGULAR, _UNBOUNDED, _SEPARATED,
+ _STALLED, _COLLAPSED, _RANK_DEFICIENT, _NO_OVERLAP, _PS_UNUSABLE) = range(13)
+
+# The logistic IRLS gives up on a fit with a coefficient beyond this bound.
+_COEF_BOUND = 30.0
+
+# The error a single fit (a public fit or a point estimate) raises for each
+# failure.  An empty bin is a warning, and no single fit reaches the batch's
+# last two statuses: a dataset has both groups, and a point estimate's
+# treatment model raises its own error when it is fitted.
+_FAILURES = {
+    # Full rank by matrix_rank, singular in floating point: numpy's own
+    # Cholesky error.
+    _NOT_PD: (np.linalg.LinAlgError, "Matrix is not positive definite"),
+    _FLAT: (NonFiniteLikelihoodError,
+            "profiled likelihood is degenerate everywhere (zero residual variance?)"),
+    _DEGENERATE: (NonFiniteLikelihoodError, "degenerate residual variance at the optimum"),
+    _ONE_CLASS: (NoVariationInOutcomeError, "outcome has a single class; cannot fit"),
+    # A full-rank design with a singular information matrix means the IRLS
+    # weights collapsed, which only happens on the way to a boundary solution.
+    _SINGULAR: (SeparationError, "information matrix became singular; data are separated"),
+    _UNBOUNDED: (SeparationError, f"coefficient magnitude exceeded {_COEF_BOUND:g}; data are "
+                 "(quasi-)separated and the MLE does not exist"),
+    # Newton can plateau (tiny deviance changes) while walking out to
+    # infinity on separated data, declaring convergence before the
+    # coefficient bound trips; a collapsed deviance is unambiguous.
+    _SEPARATED: (SeparationError, "deviance collapsed to zero; the classes are strictly "
+                 "separated and the MLE does not exist"),
+    _STALLED: (SeparationError,
+               "fit stalled with fitted probabilities at the boundary; data are separated"),
+    _RANK_DEFICIENT: (RankDeficientDesignError, {
+        "ps": "design has rank below its {} columns; drop redundant terms",
+        "post": "design has rank below its {} columns",
+        "mixed": "the two design blocks stacked have rank below their {} columns",
+    }),
+}
+
+
+def _raise_failure(status, model, p):
+    """Raise the :data:`_FAILURES` error of a failed ``status``, for a fit of
+    ``model`` (``"ps"``, ``"post"`` or ``"mixed"``) on ``p`` columns."""
+    if status != _OK:
+        error, message = _FAILURES[status]
+        raise error(message[model].format(p) if status == _RANK_DEFICIENT else message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,10 +539,11 @@ def _fit_or_batch(rows, C):
                  status=np.full(len(G), _OK), certified=_certify(G, C.sum(axis=1)))
 
 
-def _fit_blocks(X0, X1, y0, y1, bins=None, n_bins=0, random_intercept=True):
-    """:func:`_fit_lmm_batch` on a batch of one fit (``bins`` holds the n
-    units' labels), with the checks of every single fit: shapes, finiteness,
-    rank, and a Gram matrix with a Cholesky factor."""
+def _fit_blocks(X0, X1, y0, y1, random_intercept=True):
+    """:func:`_fit_lmm_batch` on a batch of one fit, with the checks of
+    every single fit: shapes and finiteness raise, and the fit's status
+    is :data:`_RANK_DEFICIENT` where the design is rank deficient, which
+    outranks the kernel's own failure."""
     X0, X1, y0, y1 = (np.asarray(a, dtype=float) for a in (X0, X1, y0, y1))
     if not (X0.ndim == 2 and X1.shape == X0.shape
             and y0.shape == y1.shape == (X0.shape[0],)):
@@ -501,18 +553,11 @@ def _fit_blocks(X0, X1, y0, y1, bins=None, n_bins=0, random_intercept=True):
     if not all(np.all(np.isfinite(a)) for a in (X0, X1, y0, y1)):
         raise NonFiniteLikelihoodError("design or response contains non-finite values")
     C = np.ones((1, X0.shape[0]))
-    bins = None if bins is None else bins[None]
     with np.errstate(all="ignore"):
         fits = _fit_lmm_batch(_rotated_rows(X0[None], X1[None], y0[None], y1[None]),
-                              C, bins, n_bins, random_intercept)
-    if not _full_rank(fits.certified, C, [X0, X1], bins)[0]:
-        raise RankDeficientDesignError(
-            f"the two design blocks stacked have rank below their {X0.shape[1]} columns"
-        )
-    if fits.status[0] == _NOT_PD:
-        # Full rank by matrix_rank, singular in floating point: numpy's own
-        # Cholesky error.
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+                              C, random_intercept=random_intercept)
+    fits.status = np.where(_full_rank(fits.certified, C, [X0, X1]), fits.status,
+                           _RANK_DEFICIENT)
     return fits
 
 
@@ -520,16 +565,13 @@ def profile_loglik(X0, X1, y0, y1, log_lambda):
     """Profiled log-likelihood at a given ``log lambda`` (for diagnostics).
 
     Fixed effects and the residual variance are concentrated out, so this is
-    the exact curve :func:`fit_lmm` maximizes on the same blocks.
+    the exact curve :func:`fit_lmm` maximizes on the same blocks.  Where the
+    residual variance is degenerate the curve is ``-inf``, not an error.
     """
-    stats = _fit_blocks(X0, X1, y0, y1).stats
-    return float(_loglik(np.full((1, 1), float(log_lambda)), stats)[0, 0])
-
-
-_LMM_FAILURES = {
-    _FLAT: "profiled likelihood is degenerate everywhere (zero residual variance?)",
-    _DEGENERATE: "degenerate residual variance at the optimum",
-}
+    fits = _fit_blocks(X0, X1, y0, y1)
+    if fits.status[0] not in (_FLAT, _DEGENERATE):
+        _raise_failure(fits.status[0], "mixed", fits.beta.shape[1])
+    return float(_loglik(np.full((1, 1), float(log_lambda)), fits.stats)[0, 0])
 
 
 def fit_lmm(X0, X1, y0, y1):
@@ -572,12 +614,11 @@ def fit_lmm(X0, X1, y0, y1):
     return _fit_one(X0, X1, y0, y1)
 
 
-def _fit_one(X0, X1, y0, y1, bins=None, n_bins=0, random_intercept=True):
-    """:func:`fit_lmm` with :func:`_fit_lmm_batch`'s bins and intercept switch."""
-    fits = _fit_blocks(X0, X1, y0, y1, bins, n_bins, random_intercept)
-    status = fits.status[0]
-    if status != _OK:
-        raise NonFiniteLikelihoodError(_LMM_FAILURES[status])
+def _fit_one(X0, X1, y0, y1, random_intercept=True):
+    """:func:`fit_lmm`, or without the random intercept the least squares
+    fit of the two blocks stacked (the variance ratio held at 0)."""
+    fits = _fit_blocks(X0, X1, y0, y1, random_intercept)
+    _raise_failure(fits.status[0], "mixed", fits.beta.shape[1])
     n = len(y0)
     lam = float(fits.lam[0])
     s2e = float(fits.rss[0]) / (2 * n)
@@ -612,8 +653,8 @@ def fit_or(post_design, response):
     C = np.ones((1, n))
     with np.errstate(all="ignore"):
         fits = _fit_or_batch(_Rows(X[None], y[None]), C)
-    if not _full_rank(fits.certified, C, [X])[0]:
-        raise RankDeficientDesignError(f"design has rank below its {p} columns")
+    status = np.where(_full_rank(fits.certified, C, [X]), fits.status, _RANK_DEFICIENT)
+    _raise_failure(status[0], "post", p)
     beta = fits.beta[0]
     # From the residual vector: y'y - beta'X'y cancels catastrophically when
     # the response carries a large offset.  An exact fit still leaves

@@ -80,8 +80,8 @@ class PanelDataset:
     -----
     ``time_varying_flags`` is derived, not declared: covariate j is flagged
     time-varying exactly when some unit has ``x0[i, j] != x1[i, j]``.
-    All arrays are marked read-only after construction, so a dataset can be
-    shared freely across bootstrap workers.
+    All arrays are marked read-only after construction, so a dataset and
+    the designs built from it can be shared without copies.
     """
 
     covariate_names: tuple
@@ -157,9 +157,11 @@ class PanelDataset:
     def take(self, indices):
         """Return a new dataset holding units ``indices``, repeats allowed.
 
-        This is the bootstrap resampling primitive: each drawn unit carries
-        both of its rows.  Unit ids are copied as-is, so a resample can
-        contain duplicates.
+        Each drawn unit carries both of its rows, and unit ids are copied
+        as-is, so the result can contain duplicates.  The cluster bootstrap
+        does not build its resamples this way: it counts each unit as often
+        as it was drawn.  A resample built here is the dataset that count
+        vector stands for.
         """
         idx = np.asarray(indices, dtype=np.intp)
         return PanelDataset(

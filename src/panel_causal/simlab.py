@@ -44,9 +44,9 @@ from .errors import (
     _as_int,
     _warn,
 )
-from .estimators import ESTIMANDS, _check_estimand, method_info
+from .estimators import ESTIMANDS, _Batch, _check_estimand, method_info
 from .glm_fit import _check_k_bins, expit
-from .inference import _Batch, _check_B, _chunk_size, _replicate_values
+from .inference import _check_B, _chunk_size, _replicate_values
 from .panel_data import ModelSpec, PanelDataset
 from .rng import substream
 

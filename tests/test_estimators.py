@@ -1,6 +1,7 @@
 """Estimator algebra: hand-computable values, exact identities, components."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from panel_causal import (
     ExtremeWeightsWarning,
     InvalidArgumentError,
     ModelSpec,
+    NonFiniteLikelihoodError,
     NonPositiveLogError,
     PSFit,
     RankDeficientDesignError,
@@ -17,6 +19,7 @@ from panel_causal import (
     build_design,
     estimate_did,
     estimate_drglmm,
+    estimate_effects,
     estimate_glmm,
     estimate_ipw,
     estimate_ipwdid,
@@ -100,10 +103,14 @@ class TestEstimateOr:
         with pytest.raises(NonPositiveLogError):
             estimate_glmm(data, ModelSpec(outcome_terms=("1", "time", "treat", "log(x1)")))
 
-    def test_time_terms_are_collinear_post_period(self):
+    @pytest.mark.parametrize("terms", [("1", "time", "treat", "x1"),
+                                       ("1", "treat", "x1", "x1")], ids=["time", "duplicate"])
+    def test_collinear_terms_are_rank_deficient(self, terms):
+        # A time term is collinear with the intercept in the post period.
         data = _hom(402)
-        with pytest.raises(RankDeficientDesignError):
-            estimate_or(data, ModelSpec(outcome_terms=("1", "time", "treat", "x1")))
+        with pytest.raises(RankDeficientDesignError,
+                           match="^design has rank below its 4 columns$"):
+            estimate_or(data, ModelSpec(outcome_terms=terms))
 
     def test_full_model_recovers_effect(self):
         # Band is 3 Monte Carlo SDs (0.634, measured once over 400
@@ -191,6 +198,38 @@ class TestEstimateGlmm:
         out = estimate_glmm(data, scenario_specs("HET")["mixed_full"])
         assert abs(out["ATE"].value - truth.ate) < 1.61
         assert abs(out["ATT"].value - truth.att) < 1.61
+
+
+class TestMixedModelFailures:
+    """The errors of the mixed-model point estimates, with their messages."""
+
+    @pytest.mark.parametrize("random_effect", ["unit_intercept", "none"])
+    @pytest.mark.parametrize("method", ["GLMM", "DRGLMM"])
+    def test_duplicated_term_is_rank_deficient(self, method, random_effect):
+        data = _hom(404, n=200)
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x1"),
+                         random_effect=random_effect, ps_terms=("1", "x1", "x2", "v"))
+        with pytest.raises(RankDeficientDesignError,
+                           match="^the two design blocks stacked have rank below their 5 "
+                                 "columns$"):
+            estimate_effects(method, data, spec)
+
+    @pytest.mark.parametrize("random_effect,message", [
+        ("unit_intercept",
+         r"^profiled likelihood is degenerate everywhere \(zero residual variance\?\)$"),
+        ("none", "^degenerate residual variance at the optimum$"),
+    ], ids=["unit_intercept", "none"])
+    @pytest.mark.parametrize("method", ["GLMM", "DRGLMM"])
+    def test_zero_response_has_no_residual_variance(self, method, random_effect, message):
+        data = _hom(405, n=200)
+        zero = make_dataset(np.zeros(data.n), np.zeros(data.n), data.d1,
+                            covariates=list(data.x0.T), names=data.covariate_names)
+        spec = replace(scenario_specs("HOM")["mixed_full"], random_effect=random_effect)
+        with pytest.raises(NonFiniteLikelihoodError, match=message):
+            estimate_effects(method, zero, spec)
+        # Outcome regression fits the zero response exactly.
+        out = estimate_effects("OR", zero, scenario_specs("HOM")["post_full"])
+        assert out["ATE"].value == out["ATT"].value == 0.0
 
 
 class TestEstimateIpw:

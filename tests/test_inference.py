@@ -40,7 +40,9 @@ from panel_causal import (
 )
 
 from panel_causal import inference
-from panel_causal.inference import _Batch, _replicate_values, _resamples
+from panel_causal.estimators import _Batch
+from panel_causal.inference import _replicate_values, _resamples
+from panel_causal.lmm_fit import _OK
 
 from helpers import (
     cluster_bootstrap_reference,
@@ -395,13 +397,13 @@ class TestBatchedReplicates:
         C = np.array([np.bincount(substream(4, r).integers(0, data.n, size=data.n),
                                   minlength=data.n) for r in range(25)], dtype=float)
         info = METHOD_TABLE[method]
-        forward, ok = resamples.effects(info, config.spec, C)
-        backward, ok_back = resamples.effects(info, config.spec, C[::-1])
-        alone = [resamples.effects(info, config.spec, C[r:r + 1])[0]["ATT"][0]
+        forward, status = resamples.effects(info, config.spec, C)
+        backward, status_back = resamples.effects(info, config.spec, C[::-1])
+        alone = [resamples.effects(info, config.spec, C[r:r + 1])[0]["ATT"][0][0]
                  for r in (0, 11, 24)]
-        assert ok.all() and ok_back.all()
-        np.testing.assert_allclose(forward["ATT"], backward["ATT"][::-1], rtol=1e-12)
-        np.testing.assert_allclose(forward["ATT"][[0, 11, 24]], alone, rtol=1e-12)
+        assert np.all(status == _OK) and np.all(status_back == _OK)
+        np.testing.assert_allclose(forward["ATT"][0], backward["ATT"][0][::-1], rtol=1e-12)
+        np.testing.assert_allclose(forward["ATT"][0][[0, 11, 24]], alone, rtol=1e-12)
 
 
 class TestReplicateEngine:
@@ -454,15 +456,15 @@ class TestDuplicatedUnit:
         spec = _config(method, info.estimands[0], scenario_specs(scenario)).spec
         C = np.ones((1, data.n))
         C[0, unit] = 2.0
-        values, ok = _Batch(data, 5).effects(info, spec, C)
+        values, status = _Batch(data, 5).effects(info, spec, C)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtremeWeightsWarning)
             want = estimate_effects(method, data.take(np.append(np.arange(data.n), unit)),
                                     spec)
-        assert ok[0]
+        assert status[0] == _OK
         assert set(values) == set(want) == set(info.estimands)
         for estimand, estimate in want.items():
-            np.testing.assert_allclose(values[estimand][0], estimate.value, rtol=1e-12,
+            np.testing.assert_allclose(values[estimand][0][0], estimate.value, rtol=1e-12,
                                        err_msg=estimand)
 
 
@@ -483,12 +485,12 @@ class TestOneArithmetic:
         # same floats on both paths.
         propensity = None if ps_fit is None else (ps_fit.fitted_ps[None, :],
                                                   np.ones(1, dtype=bool))
-        values, ok = _Batch(data, 5).effects(
+        values, status = _Batch(data, 5).effects(
             info, spec, np.ones((1, data.n)), propensity)
-        assert ok.all()
+        assert np.all(status == _OK)
         assert set(values) == set(point) == set(info.estimands)
         for estimand, estimate in point.items():
-            got, want = float(values[estimand][0]), estimate.value
+            got, want = float(values[estimand][0][0]), estimate.value
             if info.outcome is None:
                 assert got == want, (estimand, got, want)
             else:
@@ -664,6 +666,18 @@ class TestBalanceCheck:
         assert rep.balanced is None
         assert "inconclusive" in rep.note
         assert np.isnan(rep.r2_ps_only) and np.isnan(rep.r2_with_covariates)
+
+    @pytest.mark.parametrize("scores", ["other_panel", "nan"])
+    def test_scores_must_belong_to_the_panel(self, scores):
+        # Scores fitted on another panel, or no scores at all, are rejected
+        # like the estimators reject them, not reported on.
+        data = _hom(602, n=200)
+        if scores == "other_panel":
+            ps = fit_propensity(_hom(603, n=150), ModelSpec(ps_terms=("1", "x1", "x2", "v")))
+        else:
+            ps = PSFit(np.zeros(1), np.full(data.n, np.nan), 1, True, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            balance_check(data, ps)
 
     def test_affine_covariate_maps_leave_verdict_alone(self):
         # Rescaling and shifting covariate columns changes the logistic

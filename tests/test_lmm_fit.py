@@ -9,11 +9,14 @@ from scipy.optimize import brentq
 
 from panel_causal import (
     InvalidArgumentError,
+    ModelSpec,
     NonFiniteLikelihoodError,
     PanelCausalWarning,
+    PSFit,
     RankDeficientDesignError,
     Scenario,
     build_design,
+    estimate_drglmm,
     fit_lmm,
     fit_or,
     fit_propensity,
@@ -31,7 +34,6 @@ from panel_causal.lmm_fit import (
     _XATOL,
     _find_roots,
     _fit_blocks,
-    _fit_one,
     _loglik,
     _score,
 )
@@ -40,6 +42,7 @@ from helpers import (
     anova_oracle,
     check_rank_verdict,
     dense_lmm_oracle,
+    make_dataset,
     rank_probe_designs,
 )
 
@@ -180,16 +183,28 @@ class TestFitLmm:
         # The bins enter the fit as labels.  Where the Gram certificate
         # fails, the verdict is matrix_rank's on the blocks with the dense
         # dummies: an extra column equal to bin 1's indicator, nearly equal,
-        # or independent but 1e6 times larger.
+        # or independent but 1e6 times larger.  The fit is a DRGLMM point
+        # estimate whose scores fill three bins of equal size.
         X0, X1, y0, y1 = _clustered(72)
         bins = np.arange(len(y0)) % 3
         dummies = np.eye(3)[bins, 1:]
         wiggle = np.cos(np.arange(len(y0)))
+        ps = PSFit(np.zeros(1), 0.2 + 0.2 * bins, 1, True, 0.0)
+        assert np.array_equal(ps_quantile_dummies(ps.fitted_ps, K=3).bins, bins)
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x2"))
+
+        def fit(B0, B1):
+            # The panel whose design is the blocks without their dummies.
+            data = make_dataset(y0, y1, B1[:, 2], covariates=[B0[:, 3], B0[:, 4]])
+            design = build_design(data, spec, pre_period=True)
+            assert np.array_equal(design.X0, B0[:, :-2])
+            assert np.array_equal(design.X, B1[:, :-2])
+            return estimate_drglmm(data, spec, ps, k_bins=3)
+
         verdicts = []
         for probe in (dummies[:, 0], dummies[:, 0] + 1e-9 * wiggle, 1e6 * wiggle):
             blocks = [np.column_stack([X, probe, dummies]) for X in (X0, X1)]
-            check_rank_verdict(
-                lambda B0, B1: _fit_one(B0[:, :-2], B1[:, :-2], y0, y1, bins, 3), *blocks)
+            check_rank_verdict(fit, *blocks)
             verdicts.append(np.linalg.matrix_rank(np.vstack(blocks)) < blocks[0].shape[1])
         assert verdicts[0] and not verdicts[-1]
 

@@ -19,7 +19,9 @@ from panel_causal import (
     ModelSpec,
     PanelCausalError,
     PanelCausalWarning,
+    RankDeficientDesignError,
     Scenario,
+    SeparationError,
     SuiteEntry,
     build_design,
     estimate_did,
@@ -36,6 +38,7 @@ from panel_causal import (
     scenario_specs,
 )
 from panel_causal.cli import build_parser, run
+from panel_causal.inference import _replicate_values, _resamples
 
 from helpers import make_dataset, shift_responses
 
@@ -234,3 +237,58 @@ def test_no_unit_effect_gives_finite_estimates_or_a_typed_error(method, panel):
             return
     assert set(effects) == set(EXPECTED[method][2])
     assert all(np.isfinite(e.value) for e in effects.values())
+
+
+# Panels at a boundary of some model: tied scores that collapse DRGLMM's
+# propensity bins into one, an outcome model with a duplicated term, or a
+# treatment that a threshold on x1 separates.
+_boundary_panels = st.builds(
+    lambda scenario, n, seed, boundary: (scenario, boundary,
+                                         generate_scenario(Scenario(scenario, n), seed)),
+    st.sampled_from(["HOM", "HET"]),
+    st.integers(30, 300),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["tied", "duplicate", "separated"]),
+)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(panel=_boundary_panels)
+def test_boundaries_give_finite_values_or_a_typed_error(method, panel):
+    scenario, boundary, data = panel
+    info = METHOD_TABLE[method]
+    spec = scenario_specs(scenario)[f"{info.outcome or 'mixed'}_full"]
+    if boundary == "tied":
+        spec = replace(spec, ps_terms=("1",))
+    elif boundary == "duplicate":
+        spec = replace(spec, outcome_terms=spec.outcome_terms + ("x1",))
+    else:
+        x1 = data.x0[:, data.covariate_names.index("x1")]
+        data = replace(data, d1=(x1 > np.median(x1)).astype(np.int64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelCausalWarning)
+        try:
+            effects = estimate_effects(method, data, spec)
+        except PanelCausalError as exc:
+            error = exc
+        else:
+            error = None
+            assert set(effects) == set(EXPECTED[method][2])
+            assert all(np.isfinite(e.value) for e in effects.values())
+        # Each replicate is finite, or NaN where its fit reports a failure.
+        suite = [(method, spec)]
+        columns = [ESTIMANDS.index(e) for e in info.estimands]
+        (batch, C), = _resamples(data, 5, 20, 0)
+        values, ok, _ = batch.values(suite, C)
+        replicates = _replicate_values(suite, _resamples(data, 5, 20, 0))
+    assert np.all(np.isfinite(values[..., columns]) | ~ok[..., None])
+    np.testing.assert_array_equal(np.isnan(replicates[..., columns]),
+                                  np.broadcast_to(~ok[..., None], (20, 1, len(columns))))
+    # Each boundary is reached: the duplicated term and the separation fail
+    # every estimate that fits the model they break.
+    if boundary == "duplicate" and info.outcome:
+        assert isinstance(error, RankDeficientDesignError)
+    elif boundary == "separated" and info.uses_ps:
+        assert isinstance(error, SeparationError)
+    else:
+        assert error is None
