@@ -1,10 +1,11 @@
 """Structured errors and warnings shared across the package.
 
-Every error carries a stable ``kind`` tag so callers (and the CLI, which
-prints failures as ``ERROR:<kind>:<message>``) can react without parsing
-prose.  Validation problems, things wrong with input data or configuration
-before any model is touched, exit with status 2; failures that occur during
-a computation exit with status 1.
+Every error carries a stable ``kind`` tag, its class name without
+``Error``, so callers (and the CLI, which prints failures as
+``ERROR:<kind>:<message>``) can react without parsing prose.  Validation
+problems, things wrong with input data or configuration before any model
+is touched, exit with status 2; failures that occur during a computation
+exit with status 1.
 """
 
 import numbers
@@ -18,6 +19,10 @@ class PanelCausalError(Exception):
 
     kind = "Error"
     exit_code = 1
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__.removesuffix("Error")
 
 
 class ValidationError(PanelCausalError):
@@ -33,61 +38,41 @@ class ValidationError(PanelCausalError):
 class MissingRowError(ValidationError):
     """A unit does not have both a t=0 and a t=1 row."""
 
-    kind = "MissingRow"
-
 
 class NonBinaryTreatmentError(ValidationError):
     """Treatment (or a binary outcome) takes a value outside {0, 1}."""
-
-    kind = "NonBinaryTreatment"
 
 
 class TreatedAtBaselineError(ValidationError):
     """A unit is marked treated in the pre-intervention period."""
 
-    kind = "TreatedAtBaseline"
-
 
 class MissingValueError(ValidationError):
     """A response or covariate value is absent or not finite."""
-
-    kind = "MissingValue"
 
 
 class MalformedValueError(ValidationError):
     """A cell cannot be parsed, or the file structure is inconsistent."""
 
-    kind = "MalformedValue"
-
 
 class NoOverlapError(ValidationError):
     """All units are treated, or all are control."""
-
-    kind = "NoOverlap"
 
 
 class UnknownCovariateError(ValidationError):
     """A model term references a covariate the dataset does not have."""
 
-    kind = "UnknownCovariate"
-
 
 class NonPositiveLogError(ValidationError):
     """A log transform was requested for a non-positive covariate value."""
-
-    kind = "NonPositiveLog"
 
 
 class InvalidTermError(ValidationError):
     """A model term string cannot be parsed or is not allowed there."""
 
-    kind = "InvalidTerm"
-
 
 class InvalidArgumentError(ValidationError):
     """A function or CLI argument is out of range or inconsistent."""
-
-    kind = "InvalidArgument"
 
 
 def _as_int(value, name):
@@ -103,35 +88,32 @@ def _as_int(value, name):
 # ---------------------------------------------------------------------------
 
 class RankDeficientDesignError(PanelCausalError):
-    kind = "RankDeficientDesign"
+    """The design has linearly dependent columns on the rows it is fitted to."""
 
 
 class SeparationError(PanelCausalError):
     """The logistic likelihood has no finite maximizer."""
 
-    kind = "Separation"
-
 
 class NoVariationInOutcomeError(PanelCausalError):
-    kind = "NoVariationInOutcome"
+    """A binary outcome has a single class, so its model cannot be fitted."""
 
 
 class NonFiniteLikelihoodError(PanelCausalError):
-    kind = "NonFiniteLikelihood"
+    """The likelihood cannot be evaluated: non-finite input, zero residual
+    variance, or a matrix singular in floating point."""
 
 
 class InvalidVarianceError(PanelCausalError):
-    kind = "InvalidVariance"
+    """A variance component is negative or NaN."""
 
 
 class NonFiniteLinearPredictorError(PanelCausalError):
-    kind = "NonFiniteLinearPredictor"
+    """A linear predictor is not finite."""
 
 
 class BootstrapFailureError(PanelCausalError):
     """Too few bootstrap replicates fitted to summarize them."""
-
-    kind = "BootstrapFailure"
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ import numpy as np
 from .errors import DegenerateBinsWarning, ExtremeWeightsWarning, InvalidArgumentError, _warn
 from .glm_fit import (_check_k_bins, _collapsed_message, _fit_logistic_batch,
                       _quantile_bins_batch, fit_propensity)
-from .lmm_fit import (_NO_OVERLAP, _OK, _PS_UNUSABLE, _RANK_DEFICIENT, _fit_lmm_batch,
-                      _fit_or_batch, _full_rank, _raise_failure, _rotated_rows, _Rows)
+from .lmm_fit import (_NO_OVERLAP, _OK, _PS_UNUSABLE, _fit_lmm_batch, _fit_or_batch,
+                      _raise_failure, _rotated_rows, _Rows)
 from .panel_data import ModelSpec, build_design, ps_design
 
 __all__ = [
@@ -284,9 +284,9 @@ class _Batch:
     def _design(self, kind, spec):
         """The kernel input of one model of ``spec``: for ``"ps"`` the
         :class:`~panel_causal.lmm_fit._Rows` of the treatment model; for
-        ``"post"`` and ``"mixed"`` the outcome design's blocks (t=1, or
-        t=0 and t=1), the difference of its counterfactual t=1 blocks, and
-        its rows."""
+        ``"post"`` and ``"mixed"`` the difference of the outcome design's
+        counterfactual t=1 blocks, and the rows its kernel fits: the t=1
+        block, or the sum and difference rows of the t=0 and t=1 blocks."""
         key = (kind, spec.ps_terms if kind == "ps" else spec.outcome_terms)
         if key not in self._designs:
             if kind == "ps":
@@ -302,20 +302,18 @@ class _Batch:
                 y0, y1 = self.responses.y0, self.responses.y1
                 rows = (_Rows(blocks[0], y1) if kind == "post"
                         else _rotated_rows(*blocks, y0, y1))
-                self._designs[key] = blocks, diff, rows
+                self._designs[key] = diff, rows
         return self._designs[key]
 
     def propensity(self, spec, C):
         """Fitted scores ``(k, n)`` of the treatment model of ``spec``, 0.5
         for the units a fit does not count, and the flags of the fits an
-        estimator can use: the kernel succeeded, the design has full rank
-        on the fit's own rows, and every counted score lies strictly inside
-        (0, 1)."""
-        rows = self._design("ps", spec)
-        fits = _fit_logistic_batch(rows, C)
+        estimator can use: the kernel succeeded (its status includes the
+        rank verdict on the fit's own rows), and every counted score lies
+        strictly inside (0, 1)."""
+        fits = _fit_logistic_batch(self._design("ps", spec), C)
         ps = np.where(C > 0.0, fits.prob, 0.5)
-        usable = fits.ok & np.all((ps > 0.0) & (ps < 1.0), axis=1)
-        usable &= _full_rank(fits.certified | ~usable, C, [rows.X])
+        usable = (fits.status == _OK) & np.all((ps > 0.0) & (ps < 1.0), axis=1)
         return ps, usable
 
     @np.errstate(all="ignore")
@@ -331,8 +329,8 @@ class _Batch:
         values, the :class:`EffectEstimate` components as ``(k,)`` arrays,
         and each fit's ``lmm_fit`` status.  Values mean nothing where the
         status is not ``_OK``: ``_NO_OVERLAP``, ``_PS_UNUSABLE`` (a
-        treatment model the estimator cannot use), or the outcome fit's
-        failure, ``_RANK_DEFICIENT`` outranking the kernel's own.
+        treatment model the estimator cannot use), or the outcome kernel's
+        status, which includes its rank verdict.
         """
         k = C.shape[0]
         _, units, treated = _counted(self.responses, C)
@@ -343,13 +341,11 @@ class _Batch:
             status[(status == _OK) & ~usable] = _PS_UNUSABLE
         if info.outcome is None:
             return _WEIGHTING_VALUES[info.name](self.responses, ps, C), status
-        blocks, diff, rows = self._design(info.outcome, spec)
+        diff, rows = self._design(info.outcome, spec)
         bins, n_bins = None, np.zeros(k, dtype=int)
         if info.bins_ps:
             bins, n_bins = binned or _bins(ps, C, self.k_bins)
         sel = np.flatnonzero(status == _OK)
-        # A fit that was not made keeps its status: it counts as certified.
-        certified = np.ones(k, dtype=bool)
         coef = np.zeros((k, diff.shape[-1]))
         lam, sigma_e2 = np.zeros(k), np.zeros(k)
         for m in np.unique(n_bins[sel]):
@@ -365,9 +361,7 @@ class _Batch:
                 lam[group] = fits.lam
                 sigma_e2[group] = fits.rss / (2 * units[group])
             status[group] = fits.status
-            certified[group] = fits.certified
             coef[group] = fits.beta[:, :coef.shape[1]]
-        status = np.where(_full_rank(certified, C, blocks, bins), status, _RANK_DEFICIENT)
         comps = {}
         if info.outcome == "mixed":
             comps = {"sigma_u2": lam * sigma_e2, "sigma_e2": sigma_e2}
@@ -418,9 +412,12 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
     ``spec`` supplies the outcome terms of methods with an outcome model (a
     :class:`ModelSpec`, or the terms alone).  Methods that use the
     propensity score take ``ps_fit`` if given, else fit ``spec.ps_terms``
-    here; scores near 0 or 1 raise an :class:`ExtremeWeightsWarning` where
-    the method inverts them, collapsed bins a :class:`DegenerateBinsWarning`
-    where it bins them.  ``k_bins`` goes to DRGLMM.
+    (or the terms alone) here; scores near 0 or 1 raise an
+    :class:`ExtremeWeightsWarning` where the method inverts them, collapsed
+    bins a :class:`DegenerateBinsWarning` where it bins them.  ``k_bins``
+    goes to DRGLMM.  A method without the terms of a model it fits (by
+    :meth:`MethodInfo.missing_model`, ``ps_fit`` counting as the treatment
+    model) raises :class:`InvalidArgumentError`.
 
     The estimate is the batch of one draw (module docstring), whose failed
     fit raises the error of its status.
@@ -431,6 +428,17 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
         ``{estimand: EffectEstimate}`` for each estimand of the method.
     """
     info = method_info(method)
+    bare = spec is not None and not isinstance(spec, ModelSpec)
+    if bare and (info.outcome or info.uses_ps):
+        spec = tuple(spec)
+    # The terms alone are the terms of every model fitted here, and a given
+    # ps_fit is the treatment model.
+    missing = None if bare and spec else info.missing_model(None if bare else spec)
+    if missing == "treatment model" and ps_fit is not None:
+        missing = None
+    if missing:
+        ps_note = " and no ps_fit gives" if missing == "treatment model" else ""
+        raise InvalidArgumentError(f"{info.name} needs its {missing}, which spec lacks{ps_note}")
     C = np.ones((1, data.n))
     propensity = binned = occupied = None
     if info.uses_ps:
@@ -442,8 +450,8 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
         note, = _ps_warnings(info, ps, occupied, k_bins)
         if note:
             _warn(*note)
-    if info.outcome and not isinstance(spec, ModelSpec):
-        spec = ModelSpec(outcome_terms=tuple(spec))
+    if info.outcome and bare:
+        spec = ModelSpec(outcome_terms=spec)
     values, status = _Batch(data, k_bins, reps=1).effects(info, spec, C, propensity, binned)
     if info.outcome:
         _raise_failure(status[0], info.outcome, len(spec.outcome_terms))

@@ -15,8 +15,9 @@ one dataset share its design; a study's draws each have their own):
 fit, and :func:`_quantile_bins_batch` is the count-weighted binning rule.
 :func:`fit_logistic` and :func:`ps_quantile_dummies` are those kernels on
 one fit that counts every unit once: they check their input and turn the
-kernel's per-fit status into the result, the warning, or the typed error
-of ``lmm_fit._FAILURES``, where every kernel's statuses are numbered.
+logistic fit's status into the result or the typed error of
+``lmm_fit._FAILURES``, where every kernel's statuses are numbered, and the
+bins into the dummies and the warning.
 """
 
 from dataclasses import dataclass, replace
@@ -30,9 +31,9 @@ from .errors import (
     _as_int,
     _warn,
 )
-from .lmm_fit import (_COEF_BOUND, _COLLAPSED, _OK, _ONE_CLASS, _RANK_DEFICIENT, _SEPARATED,
-                      _SINGULAR, _STALLED, _UNBOUNDED, _certify, _dot, _each, _Fits,
-                      _full_rank, _raise_failure, _Rows, _solve)
+from .lmm_fit import (_COEF_BOUND, _OK, _ONE_CLASS, _RANK_DEFICIENT, _SEPARATED, _SINGULAR,
+                      _STALLED, _UNBOUNDED, _dot, _each, _Fits, _full_rank, _raise_failure,
+                      _Rows, _solve)
 from .panel_data import ps_design
 
 __all__ = [
@@ -121,14 +122,9 @@ def fit_logistic(design, outcome):
     if np.any((y != 0.0) & (y != 1.0)):
         raise NonBinaryTreatmentError("outcome must be coded 0/1")
     rows = _Rows(X[None], y[None])
-    C = np.ones((1, X.shape[0]))
     with np.errstate(all="ignore"):
-        fits = _fit_logistic_batch(rows, C)
-    # A single class leaves nothing fitted, so it outranks the rank verdict.
-    one_class = fits.status == _ONE_CLASS
-    status = np.where(_full_rank(fits.certified | one_class, C, [X]), fits.status,
-                      _RANK_DEFICIENT)
-    _raise_failure(status[0], "ps", X.shape[1])
+        fits = _fit_logistic_batch(rows, np.ones((1, X.shape[0])))
+    _raise_failure(fits.status[0], "ps", X.shape[1])
     prob = fits.prob[0]
     try:
         cov = np.linalg.inv(rows.gram(prob[None] * (1.0 - prob))[0])
@@ -213,7 +209,7 @@ def ps_quantile_dummies(ps, K=5):
     bins = fits.bins[0]
     cols = [(bins == b).astype(float) for b in np.flatnonzero(fits.occupied[0])[1:]]
     dummies = np.column_stack(cols) if cols else np.zeros((ps.shape[0], 0))
-    collapsed = bool(fits.status[0] == _COLLAPSED)
+    collapsed = not fits.occupied[0].all()
     if collapsed:
         _warn(_collapsed_message(dummies.shape[1], K), DegenerateBinsWarning)
     return PSDummies(
@@ -269,17 +265,18 @@ def _fit_logistic_batch(rows, C):
     -------
     _Fits
         Per fit: fitted probabilities ``prob`` ``(k, n)``, coefficients
-        ``alpha``, ``n_iter``, ``converged``, ``deviance``, the Gram
-        certificate ``certified`` of ``lmm_fit._certify`` and ``status``:
-        ``_ONE_CLASS`` (nothing fitted), or one of the four ways
-        separation shows (``_SINGULAR``, ``_UNBOUNDED``, ``_SEPARATED``,
-        ``_STALLED``; see ``lmm_fit._FAILURES``).
+        ``alpha``, ``n_iter``, ``converged``, ``deviance`` and ``status``:
+        ``_ONE_CLASS`` (nothing fitted), else ``_RANK_DEFICIENT`` where
+        ``lmm_fit._full_rank`` finds the design rank deficient on the fit's
+        rows, else one of the four ways separation shows (``_SINGULAR``,
+        ``_UNBOUNDED``, ``_SEPARATED``, ``_STALLED``; see
+        ``lmm_fit._FAILURES``).
     """
     k, n = C.shape
     y = rows.y
     units = C.sum(axis=1)
     treated = _dot(C, y)
-    certified = _certify(rows.gram(C), units)
+    full = _full_rank(rows.gram(C), C, (rows.X,))
     status = np.where((treated > 0.0) & (treated < units), _OK, _ONE_CLASS)
     alpha = np.zeros((k, rows.X.shape[-1]))
     prob, dev = _logistic_terms(np.zeros((k, n)), y, C)
@@ -305,8 +302,10 @@ def _fit_logistic_batch(rows, C):
     status[(status == _OK) & (dev < _SEPARATED_DEVIANCE)] = _SEPARATED
     edge = np.any((C > 0.0) & ((prob < _PROB_EDGE) | (prob > 1.0 - _PROB_EDGE)), axis=1)
     status[(status == _OK) & ~converged & edge] = _STALLED
+    # A single class leaves nothing fitted, so it outranks the rank verdict.
+    status[(status != _ONE_CLASS) & ~full] = _RANK_DEFICIENT
     return _Fits(prob=prob, alpha=alpha, n_iter=n_iter, converged=converged,
-                 deviance=dev, certified=certified, status=status)
+                 deviance=dev, status=status)
 
 
 def _quantile_bins_batch(ps, C, K):
@@ -326,9 +325,9 @@ def _quantile_bins_batch(ps, C, K):
         Per fit: ``bins`` ``(k, n)``, the bin of each unit, numbered as
         :func:`ps_quantile_dummies` numbers them (0 is the reference bin);
         the cut points ``edges`` ``(k, K - 1)`` and the mask ``distinct``
-        of those above the cut before; the mask ``occupied`` ``(k, K)`` of
-        bins that hold a counted unit, and ``status`` ``_COLLAPSED`` where
-        one does not.
+        of those above the cut before; and the mask ``occupied`` ``(k, K)``
+        of bins that hold a counted unit.  Binning is not a fit: there is
+        no status, and a bin that holds no unit shows in ``occupied``.
     """
     k, n = ps.shape
     # The order among equal scores does not matter: the expanded sample's
@@ -351,5 +350,4 @@ def _quantile_bins_batch(ps, C, K):
     for j in range(K - 1):
         bins += distinct[:, j, None] & (edges[:, j, None] < ps)
     occupied = np.stack([(C * (bins == j)).sum(axis=1) > 0 for j in range(K)], axis=1)
-    return _Fits(bins=bins, edges=edges, distinct=distinct, occupied=occupied,
-                 status=np.where(np.all(occupied, axis=1), _OK, _COLLAPSED))
+    return _Fits(bins=bins, edges=edges, distinct=distinct, occupied=occupied)

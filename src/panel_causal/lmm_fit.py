@@ -34,9 +34,10 @@ unit once: :func:`fit_lmm`, :func:`profile_loglik` and :func:`fit_or`
 check their input, call the kernel and turn its per-fit status into the
 typed error or the result.  Every kernel's statuses, glm_fit's too, are
 numbered here, and :data:`_FAILURES` is the one table of the error each
-raises in a single fit.  A batch caller (the estimators' ``_Batch``, also
-behind every point estimate) reads the same statuses, and
-:func:`_full_rank` gives it the rank verdict of each fit.
+raises in a single fit.  A status is final when its kernel returns it:
+each model kernel asks :func:`_full_rank` whether the design is full rank
+on the rows of each fit, so a batch caller (the estimators' ``_Batch``,
+also behind every point estimate) only reads the statuses.
 """
 
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ _GRID_POINTS = 25
 _XATOL = 1e-13
 _ROOT_STEPS = 100
 
-# Full-rank certificate from the Gram matrix each fit forms anyway.  Let X
+# Full-rank proof from the Gram matrix each fit forms anyway.  Let X
 # be m x p with singular values s_1 >= ... >= s_p.  np.linalg.matrix_rank
 # reports rank p unless its SVD puts s_p at or below m * eps * s_1 (m >= p).
 # Forming G = X'X in floating point errs by at most about m * eps * |X|'|X|,
@@ -85,34 +86,35 @@ _ROOT_STEPS = 100
 # two, sqrt(8 p / (m eps)), stays above 1000 for any m below 1e10 rows, far
 # beyond the SVD's own rounding.  A design with exactly duplicated columns
 # has s_p = 0, so its computed lam_min is at most d, below the threshold:
-# it is never certified, even when rounding leaves G a tiny positive
-# Cholesky pivot.  A design that is not certified (duplicated, nearly
+# it is never proved full rank, even when rounding leaves G a tiny positive
+# Cholesky pivot.  A design without the proof (duplicated, nearly
 # collinear, or badly scaled columns) goes to matrix_rank, so the verdict
 # is always matrix_rank's.
 _RANK_MARGIN = 10.0
 
 # Statuses of a fit, numbered once for every kernel (glm_fit's too) so that
-# a status array names its cause: success; the mixed model's Gram matrix
-# not positive definite in floating point, its profiled likelihood
-# degenerate at every grid point, or its residual variance degenerate at the
-# optimum; the logistic model's single outcome class, or separation in one
-# of four ways; an empty quantile bin; a design rank deficient on the fit's
-# own rows; and, for a fit of the estimators' batch, no treated or no
-# control unit counted, or a treatment model the estimator cannot use.
+# a status array names its cause: success; a least squares Gram matrix not
+# positive definite in floating point; the mixed model's profiled
+# likelihood degenerate at every grid point, or its residual variance
+# degenerate at the optimum; the logistic model's single outcome class, or
+# separation in one of four ways; a design rank deficient on the fit's own
+# rows; and, for a fit of the estimators' batch, no treated or no control
+# unit counted, or a treatment model the estimator cannot use.
 (_OK, _NOT_PD, _FLAT, _DEGENERATE, _ONE_CLASS, _SINGULAR, _UNBOUNDED, _SEPARATED,
- _STALLED, _COLLAPSED, _RANK_DEFICIENT, _NO_OVERLAP, _PS_UNUSABLE) = range(13)
+ _STALLED, _RANK_DEFICIENT, _NO_OVERLAP, _PS_UNUSABLE) = range(12)
 
 # The logistic IRLS gives up on a fit with a coefficient beyond this bound.
 _COEF_BOUND = 30.0
 
 # The error a single fit (a public fit or a point estimate) raises for each
-# failure.  An empty bin is a warning, and no single fit reaches the batch's
-# last two statuses: a dataset has both groups, and a point estimate's
-# treatment model raises its own error when it is fitted.
+# failure.  No single fit reaches the batch's last two statuses: a dataset
+# has both groups, and a point estimate's treatment model raises its own
+# error when it is fitted.
 _FAILURES = {
-    # Full rank by matrix_rank, singular in floating point: numpy's own
-    # Cholesky error.
-    _NOT_PD: (np.linalg.LinAlgError, "Matrix is not positive definite"),
+    # Full rank by matrix_rank, so not a rank deficiency, but singular in
+    # floating point.
+    _NOT_PD: (NonFiniteLikelihoodError, "the design's Gram matrix is not positive definite "
+              "in floating point; its columns are nearly collinear"),
     _FLAT: (NonFiniteLikelihoodError,
             "profiled likelihood is degenerate everywhere (zero residual variance?)"),
     _DEGENERATE: (NonFiniteLikelihoodError, "degenerate residual variance at the optimum"),
@@ -169,15 +171,10 @@ class LMMFit:
 class _Fits(SimpleNamespace):
     """A kernel's outputs, each an array with one entry per fit of the batch.
 
-    Every kernel sets ``status``: 0 for success, else the failure its public
-    wrapper raises.  A model fit also sets the Gram certificate
-    ``certified``, which :func:`_full_rank` completes to a rank verdict.
+    A model kernel sets ``status``: 0 for success, else the failure its
+    public wrapper raises.  The status is final: it includes the verdict of
+    :func:`_full_rank` on the fit's own rows.
     """
-
-    @property
-    def ok(self):
-        """The fits whose kernel reports success."""
-        return self.status == _OK
 
 
 def _profile_terms(log_lambda, stats):
@@ -260,32 +257,28 @@ def _loglik(log_lambda, stats):
     return np.where(np.isfinite(rss) & (rss > 0.0), ll, -np.inf)
 
 
-def _certify(G, m):
-    """Proof that ``np.linalg.matrix_rank(X) == p`` for the Gram matrices
-    ``G = X'X`` of ``(m, p)`` designs, with a leading fit axis (see
-    ``_RANK_MARGIN``).  False only means the eigenvalues cannot prove full
-    rank: :func:`_full_rank` then asks ``matrix_rank``."""
-    lam = np.linalg.eigvalsh(G)
-    return lam[..., 0] > _RANK_MARGIN * m * G.shape[-1] * _EPS * lam[..., -1]
-
-
-def _full_rank(certified, C, blocks, bins=None):
-    """The rank verdict of each fit of a batch: its certificate, or else
+def _full_rank(G, C, blocks, bins=None):
+    """The rank verdict of each fit of a batch, given the Gram matrices
+    ``G`` ``(k, p + q, p + q)`` of its rows: a proof of full rank from
+    their eigenvalues (see ``_RANK_MARGIN``), or else
     ``np.linalg.matrix_rank`` on the fit's own rows.
 
     Those are the rows of the ``blocks`` (each ``(n, p)``, or ``(k, n, p)``
     with a block per fit) stacked, unit i repeated ``C[r, i]`` times as in
     the fit's own dataset.  ``bins`` ``(k, n)``, if given, labels each unit
-    with one of the fit's occupied bins ``0 .. m - 1``; the dense dummies
-    of bins 1 to ``m - 1`` are then appended to every block.
+    with one of the fit's bins ``0 .. q``; the dense dummies of bins 1 to q
+    then enter the first block times sqrt(2) and the second as zeros, as a
+    unit-constant column enters the mixed model's sum and difference rows.
     """
-    full = np.array(certified, dtype=bool)
+    m = len(blocks) * C.sum(axis=1)
+    lam = np.linalg.eigvalsh(G)
+    full = lam[:, 0] > _RANK_MARGIN * m * G.shape[-1] * _EPS * lam[:, -1]
     for r in np.flatnonzero(~full):
         units = np.repeat(np.arange(C.shape[1]), C[r].astype(int))
         X = [(b if b.ndim == 2 else b[r])[units] for b in blocks]
         if bins is not None:
-            labels = bins[r, units]
-            X = [np.hstack([x, np.eye(labels.max() + 1)[labels, 1:]]) for x in X]
+            dummies = np.eye(G.shape[-1] - X[0].shape[1] + 1)[bins[r, units], 1:]
+            X = [np.hstack([X[0], _RT2 * dummies]), np.hstack([X[1], 0.0 * dummies])]
         X = np.vstack(X)
         full[r] = np.linalg.matrix_rank(X) == X.shape[1]
     return full
@@ -405,9 +398,10 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
         Per fit: ``beta`` ``(k, p + n_bins - 1)``, ``log_lambda`` and the
         variance ratio ``lam`` it stands for, ``converged``, the weighted
         residual sum of squares ``rss`` and the GLS matrix ``A`` at the
-        optimum, the Gram certificate ``certified`` (see :func:`_certify`)
-        and ``status``: ``_NOT_PD`` (no Cholesky factor; the other outputs
-        mean nothing), ``_FLAT`` (no finite point on the likelihood grid) or
+        optimum, and ``status``: ``_RANK_DEFICIENT`` (:func:`_full_rank` on
+        the sum and difference rows, which outranks every other failure),
+        ``_NOT_PD`` (no Cholesky factor; the other outputs mean nothing),
+        ``_FLAT`` (no finite point on the likelihood grid) or
         ``_DEGENERATE`` (no positive finite ``rss`` at the optimum).
         ``stats`` holds the profile statistics of :func:`_profile_terms`.
     """
@@ -437,9 +431,11 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
         Gs[:, np.arange(p, m), np.arange(p, m)] = 2.0 * bin_sums(C)
     # Gd + Gs is the Gram of the two blocks stacked.  A Cholesky factor of
     # it is not a rank test (with exactly duplicated columns rounding can
-    # leave a tiny positive pivot); the eigenvalue certificate is.
+    # leave a tiny positive pivot); _full_rank is.  The rotation is
+    # orthogonal, so the sum and difference rows have the singular values
+    # of the period blocks.
     G = Gd + Gs
-    certified = _certify(G, 2 * units)
+    full = _full_rank(G, C, (s.X, d.X), bins)
     L = _each(np.linalg.cholesky, G)
     status = np.where(np.all(np.isfinite(L), axis=(1, 2)), _OK, _NOT_PD)
     # A fit without a factor is carried along on an identity one.
@@ -520,8 +516,9 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     rd, rs = residuals(rd, rs, delta)
     rss = np.sum(C * rd * rd, axis=1) + w * np.sum(C * rs * rs, axis=1)
     status[(status == _OK) & ~(np.isfinite(rss) & (rss > 0.0))] = _DEGENERATE
+    status[~full] = _RANK_DEFICIENT
     return _Fits(beta=beta0 + delta, log_lambda=log_lambda, lam=lam, converged=converged,
-                 rss=rss, A=A, status=status, certified=certified, stats=stats)
+                 rss=rss, A=A, status=status, stats=stats)
 
 
 def _fit_or_batch(rows, C):
@@ -530,20 +527,21 @@ def _fit_or_batch(rows, C):
     ``rows`` is the :class:`_Rows` of the design and response, shared by
     the batch or one per replicate, and row r of the ``(k, n)`` count
     matrix ``C`` weights the units of fit r.  Returns :class:`_Fits` with
-    ``beta`` ``(k, p)`` (NaN where the Gram matrix is singular), the Gram
-    matrices ``G``, and :func:`_certify`'s ``certified``; every status is
-    success.
+    ``beta`` ``(k, p)``, the Gram matrices ``G``, and ``status``:
+    ``_RANK_DEFICIENT`` where :func:`_full_rank` finds the design rank
+    deficient on the fit's rows, else ``_NOT_PD`` where the Gram matrix is
+    singular in floating point (``beta`` is not finite).
     """
     G = rows.gram(C)
-    return _Fits(beta=_each(_solve, G, rows.cross(C * rows.y)), G=G,
-                 status=np.full(len(G), _OK), certified=_certify(G, C.sum(axis=1)))
+    beta = _each(_solve, G, rows.cross(C * rows.y))
+    status = np.where(np.all(np.isfinite(beta), axis=1), _OK, _NOT_PD)
+    status[~_full_rank(G, C, (rows.X,))] = _RANK_DEFICIENT
+    return _Fits(beta=beta, G=G, status=status)
 
 
 def _fit_blocks(X0, X1, y0, y1, random_intercept=True):
     """:func:`_fit_lmm_batch` on a batch of one fit, with the checks of
-    every single fit: shapes and finiteness raise, and the fit's status
-    is :data:`_RANK_DEFICIENT` where the design is rank deficient, which
-    outranks the kernel's own failure."""
+    every single fit: shapes and finiteness raise."""
     X0, X1, y0, y1 = (np.asarray(a, dtype=float) for a in (X0, X1, y0, y1))
     if not (X0.ndim == 2 and X1.shape == X0.shape
             and y0.shape == y1.shape == (X0.shape[0],)):
@@ -552,13 +550,9 @@ def _fit_blocks(X0, X1, y0, y1, random_intercept=True):
         )
     if not all(np.all(np.isfinite(a)) for a in (X0, X1, y0, y1)):
         raise NonFiniteLikelihoodError("design or response contains non-finite values")
-    C = np.ones((1, X0.shape[0]))
     with np.errstate(all="ignore"):
-        fits = _fit_lmm_batch(_rotated_rows(X0[None], X1[None], y0[None], y1[None]),
-                              C, random_intercept=random_intercept)
-    fits.status = np.where(_full_rank(fits.certified, C, [X0, X1]), fits.status,
-                           _RANK_DEFICIENT)
-    return fits
+        return _fit_lmm_batch(_rotated_rows(X0[None], X1[None], y0[None], y1[None]),
+                              np.ones((1, X0.shape[0])), random_intercept=random_intercept)
 
 
 def profile_loglik(X0, X1, y0, y1, log_lambda):
@@ -596,7 +590,8 @@ def fit_lmm(X0, X1, y0, y1):
     RankDeficientDesignError
         The two blocks stacked have rank below p.
     NonFiniteLikelihoodError
-        A non-finite input, or zero residual variance.
+        A non-finite input, zero residual variance, or nearly collinear
+        columns (a Gram or GLS matrix singular in floating point).
 
     Notes
     -----
@@ -616,20 +611,26 @@ def fit_lmm(X0, X1, y0, y1):
 
 def _fit_one(X0, X1, y0, y1, random_intercept=True):
     """:func:`fit_lmm`, or without the random intercept the least squares
-    fit of the two blocks stacked (the variance ratio held at 0)."""
+    fit of the two blocks stacked (the variance ratio held at 0).  A GLS
+    covariance with a variance that is not positive fails as ``_NOT_PD``:
+    the GLS matrix is singular in floating point."""
     fits = _fit_blocks(X0, X1, y0, y1, random_intercept)
-    _raise_failure(fits.status[0], "mixed", fits.beta.shape[1])
+    p = fits.beta.shape[1]
+    _raise_failure(fits.status[0], "mixed", p)
     n = len(y0)
     lam = float(fits.lam[0])
     s2e = float(fits.rss[0]) / (2 * n)
     loglik = -n * (_LOG2PI + 1.0 + np.log(s2e)) - 0.5 * n * np.log(1.0 + 2.0 * lam)
     cov = s2e * np.linalg.inv(fits.A[0])
+    variances = np.diag(cov)
+    if not np.all(variances > 0.0):
+        _raise_failure(_NOT_PD, "mixed", p)
     return LMMFit(
         fixed_effects=fits.beta[0],
         sigma_u2=lam * s2e,
         sigma_e2=s2e,
         loglik=float(loglik),
-        se_fixed=np.sqrt(np.diag(cov)),
+        se_fixed=np.sqrt(variances),
         converged=bool(fits.converged[0]),
         cov_fixed=cov,
         log_lambda=float(fits.log_lambda[0]),
@@ -650,11 +651,9 @@ def fit_or(post_design, response):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NonFiniteLikelihoodError("design or response contains non-finite values")
     n, p = X.shape
-    C = np.ones((1, n))
     with np.errstate(all="ignore"):
-        fits = _fit_or_batch(_Rows(X[None], y[None]), C)
-    status = np.where(_full_rank(fits.certified, C, [X]), fits.status, _RANK_DEFICIENT)
-    _raise_failure(status[0], "post", p)
+        fits = _fit_or_batch(_Rows(X[None], y[None]), np.ones((1, n)))
+    _raise_failure(fits.status[0], "post", p)
     beta = fits.beta[0]
     # From the residual vector: y'y - beta'X'y cancels catastrophically when
     # the response carries a large offset.  An exact fit still leaves

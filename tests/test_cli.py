@@ -517,6 +517,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "panel-causal" in proc.stdout
 
+    def test_error_kind_is_the_class_name_without_error(self):
+        # The <kind> of ERROR:<kind>:<message>, for every exported error
+        # and for a subclass defined elsewhere; the base class says "Error".
+        class ExampleError(panel_causal.InvalidArgumentError):
+            pass
+
+        base = panel_causal.PanelCausalError
+        errors = [getattr(panel_causal, name) for name in panel_causal.__all__]
+        errors = [e for e in errors if isinstance(e, type) and issubclass(e, base)]
+        assert len(errors) == 19 and base.kind == "Error"
+        for error in [e for e in errors if e is not base] + [ExampleError]:
+            assert error.kind == error.__name__.removesuffix("Error")
+        assert (panel_causal.ValidationError.kind, ExampleError.kind) == ("Validation", "Example")
+
     def test_warnings_print_as_one_tagged_line(self, tmp_path):
         # Like an error's ERROR:<kind>:<message>, with no file location or
         # source line, which mean nothing to a CLI user.

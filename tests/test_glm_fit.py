@@ -286,7 +286,7 @@ class TestCountWeightedBins:
             bins, edges = quantile_bins_reference(np.repeat(ps, c), K)
             np.testing.assert_array_equal(np.repeat(fits.bins[r], c), bins)
             np.testing.assert_array_equal(fits.edges[r][fits.distinct[r]], edges)
-            assert fits.ok[r] == (len(np.unique(bins)) == K)
+            assert fits.occupied.all(axis=1)[r] == (len(np.unique(bins)) == K)
 
     @given(
         base=st.lists(st.sampled_from([0.1, 0.25, 0.25, 0.4, 0.6, 0.9]) | st.floats(0.01, 0.99),

@@ -26,15 +26,22 @@ from panel_causal import (
     scenario_specs,
     substream,
 )
+from panel_causal.glm_fit import _fit_logistic_batch
 from panel_causal.lmm_fit import (
     _GRID_POINTS,
     _LOG_LAMBDA_HI,
     _LOG_LAMBDA_LO,
+    _ONE_CLASS,
+    _RANK_DEFICIENT,
     _ROOT_STEPS,
     _XATOL,
     _find_roots,
     _fit_blocks,
+    _fit_lmm_batch,
+    _fit_or_batch,
     _loglik,
+    _rotated_rows,
+    _Rows,
     _score,
 )
 
@@ -178,6 +185,37 @@ class TestFitLmm:
         # Around matrix_rank's threshold the verdict is matrix_rank's.
         for blocks in rank_probe_designs(X0, X1):
             check_rank_verdict(lambda A0, A1: fit_lmm(A0, A1, y0, y1), *blocks)
+
+    def test_nearly_collinear_columns_fail_typed(self):
+        # matrix_rank calls the probe's 1e-9-perturbed duplicate full rank,
+        # but on about half of these seeds its Gram matrix has no Cholesky
+        # factor.  The fit raises NonFiniteLikelihoodError then, and
+        # otherwise returns positive standard errors, without a warning.
+        failed = 0
+        for seed in range(60, 120):
+            X0, X1, y0, y1 = _clustered(seed)
+            _, (A0, A1), _ = rank_probe_designs(X0, X1)
+            assert np.linalg.matrix_rank(np.vstack([A0, A1])) == A0.shape[1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    fit = fit_lmm(A0, A1, y0, y1)
+                except NonFiniteLikelihoodError:
+                    failed += 1
+                    continue
+            assert np.all(fit.se_fixed > 0.0) and np.all(np.isfinite(fit.se_fixed))
+        assert 20 <= failed <= 40
+
+    def test_non_positive_variance_fails_typed(self):
+        # Seed 79's fit succeeds, but its GLS covariance has variances that
+        # are not positive: a standard error would be NaN, and a NaN
+        # standard error gives backward elimination a p-value of 0.
+        X0, X1, y0, y1 = _clustered(79)
+        _, (A0, A1), _ = rank_probe_designs(X0, X1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLikelihoodError, match="nearly collinear"):
+                fit_lmm(A0, A1, y0, y1)
 
     def test_rank_verdict_with_bin_labels(self):
         # The bins enter the fit as labels.  Where the Gram certificate
@@ -488,3 +526,121 @@ class TestFitOr:
             fit_or(np.ones(5), np.zeros(5))
         with pytest.raises(InvalidArgumentError):
             fit_or(np.ones((5, 1)), np.zeros(6))
+
+
+def _deficient(C, blocks, bins=None, n_bins=0):
+    """matrix_rank's verdict on each fit of a batch: the blocks stacked in
+    the period basis, unit i repeated ``C[r, i]`` times, with the dense
+    dummies of bins 1 to ``n_bins - 1`` appended to every block, have rank
+    below their column count."""
+    out = []
+    for r in range(C.shape[0]):
+        units = np.repeat(np.arange(C.shape[1]), C[r].astype(int))
+        X = [(b if b.ndim == 2 else b[r])[units] for b in blocks]
+        if bins is not None:
+            X = [np.hstack([x, np.eye(n_bins)[bins[r, units], 1:]]) for x in X]
+        X = np.vstack(X)
+        out.append(np.linalg.matrix_rank(X) < X.shape[1])
+    return np.array(out)
+
+
+def _shared_batch():
+    """One design shared by six resamples with counts.  Column z is nonzero
+    on units 0 to 2 only, so a resample without them is rank deficient;
+    fits 4 and 5 count only treated units (one outcome class)."""
+    n = 40
+    rng = substream(90, 0)
+    i = np.arange(n)
+    d = (i % 2).astype(float)
+    x = rng.standard_normal(n)
+    z = np.where(i < 3, 1.0 + rng.random(n), 0.0)
+    C = np.ones((6, n))
+    C[1, :3] = 0.0
+    C[2] = rng.multinomial(n, np.full(n, 1.0 / n))
+    C[2, :3] = 0.0
+    C[3] = rng.multinomial(n, np.full(n, 1.0 / n))
+    C[3, 1] += 1.0
+    C[4] = d
+    C[5] = d
+    C[5, 1] = 0.0
+    zero, one = np.zeros(n), np.ones(n)
+    X0 = np.column_stack([one, zero, zero, x, z])
+    X1 = np.column_stack([one, one, d, x, z])
+    y0, y1 = rng.standard_normal(n), rng.standard_normal(n) + d
+    return C, np.column_stack([one, x, z]), d, X0, X1, y0, y1
+
+
+def _stacked_batch():
+    """Four draws, each with a design of its own: an extra column that is
+    independent, an exact duplicate of x, x perturbed by 1e-9 (full rank
+    by matrix_rank, but not provably so from the Gram matrix), and an
+    independent column scaled by 1e6."""
+    ps, X0s, X1s, y0s, y1s, ds = [], [], [], [], [], []
+    for r in range(4):
+        X0, X1, y0, y1 = _clustered(91 + r)
+        n = len(y0)
+        x = X0[:, 3]
+        extra = [substream(95, r).standard_normal(n), x,
+                 x + 1e-9 * np.cos(np.arange(n)), 1e6 * np.cos(np.arange(n))][r]
+        ps.append(np.column_stack([X0[:, 0], x, extra]))
+        X0s.append(np.column_stack([X0, extra]))
+        X1s.append(np.column_stack([X1, extra]))
+        y0s.append(y0)
+        y1s.append(y1)
+        ds.append(X1[:, 2])
+    stack = [np.stack(a) for a in (ps, ds, X0s, X1s, y0s, y1s)]
+    return (np.ones((4, stack[0].shape[1])), *stack)
+
+
+class TestKernelStatusesAreFinal:
+    """Each kernel gives the rank verdict of its fits: _RANK_DEFICIENT
+    exactly where matrix_rank on the fit's own rows in the period basis
+    finds the rank below the column count.  A single outcome class
+    outranks the verdict in the logistic kernel."""
+
+    @pytest.mark.parametrize("batch", [_shared_batch, _stacked_batch])
+    def test_treatment_and_outcome_kernels(self, batch):
+        C, X, d, X0, X1, y0, y1 = batch()
+        post = X1[..., [0, 2, 3, 4]]  # no time column in the post period
+        with np.errstate(all="ignore"):
+            logistic = _fit_logistic_batch(_Rows(X, d), C).status
+            ols = _fit_or_batch(_Rows(post, y1), C).status
+            mixed = _fit_lmm_batch(_rotated_rows(X0, X1, y0, y1), C).status
+        one_class = logistic == _ONE_CLASS
+        for status, blocks in ((logistic, (X,)), (ols, (post,)), (mixed, (X0, X1))):
+            expected = _deficient(C, blocks)
+            assert expected.any() and not expected.all()
+            skip = one_class if status is logistic else np.zeros_like(one_class)
+            np.testing.assert_array_equal(status[~skip] == _RANK_DEFICIENT, expected[~skip])
+        if batch is _shared_batch:
+            # Fit 5 has one class and no z: the class outranks the verdict.
+            assert one_class.tolist() == [False] * 4 + [True] * 2
+            assert _deficient(C, (X,))[5]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_mixed_kernel_with_bin_labels(self, shared):
+        # A column z equal to one bin's indicator, in fits whose bins make
+        # it so and in fits whose bins do not; unshared, z is also nearly
+        # equal to the indicator, or independent and 1e6 times larger.
+        X0, X1, y0, y1 = _clustered(92)
+        n = len(y0)
+        i = np.arange(n)
+        wiggle = np.cos(i)
+        thirds, cyclic = (3 * i) // n, i % 3
+        z = (cyclic == 1).astype(float)
+        C = np.ones((4, n))
+        if shared:
+            C[2:] = substream(96, 0).multinomial(n, np.full(n, 1.0 / n), size=2)
+            bins = np.stack([cyclic, thirds, cyclic, (cyclic + 1) % 3])
+            X0, X1 = (np.column_stack([X, z]) for X in (X0, X1))
+        else:
+            bins = np.stack([cyclic, cyclic, thirds, cyclic])
+            Z = np.stack([z, z + 1e-9 * wiggle, z, 1e6 * wiggle])
+            X0, X1 = (np.concatenate([np.broadcast_to(X, (4, n, 4)), Z[:, :, None]], axis=2)
+                      for X in (X0, X1))
+            y0, y1 = np.tile(y0, (4, 1)), np.tile(y1, (4, 1))
+        with np.errstate(all="ignore"):
+            status = _fit_lmm_batch(_rotated_rows(X0, X1, y0, y1), C, bins, 3).status
+        expected = _deficient(C, (X0, X1), bins, 3)
+        assert expected.any() and not expected.all()
+        np.testing.assert_array_equal(status == _RANK_DEFICIENT, expected)

@@ -17,6 +17,7 @@ from panel_causal import (
     EstimatorConfig,
     InvalidArgumentError,
     ModelSpec,
+    NonFiniteLikelihoodError,
     PanelCausalError,
     PanelCausalWarning,
     RankDeficientDesignError,
@@ -101,7 +102,7 @@ def test_cli_method_choices_are_the_table(command):
 
 
 @pytest.mark.parametrize("method,missing", MISSING)
-def test_missing_model_rejected_everywhere(method, missing, tmp_path, capsys):
+def test_missing_model_rejected_everywhere(method, missing, hom, tmp_path, capsys):
     full = _spec(method)
     if missing == "outcome model":
         spec = ModelSpec(ps_terms=full.ps_terms)
@@ -115,6 +116,8 @@ def test_missing_model_rejected_everywhere(method, missing, tmp_path, capsys):
         EstimatorConfig(method=method, estimand="ATT", spec=spec)
     with pytest.raises(InvalidArgumentError):
         SuiteEntry(method, **suite_models)
+    with pytest.raises(InvalidArgumentError, match=missing):
+        estimate_effects(method, hom, spec)
 
     path = tmp_path / "panel.csv"
     assert run(["simulate", "--scenario", "HOM", "--n", "40", "--output", str(path)]) == 0
@@ -124,6 +127,32 @@ def test_missing_model_rejected_everywhere(method, missing, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("ERROR:InvalidArgument:")
     assert missing in err
+
+
+def test_point_estimate_names_the_model_it_lacks(hom):
+    # No spec, or a spec without the terms of a model the method fits,
+    # fails by the rule of EstimatorConfig; a given ps_fit is the
+    # treatment model, and terms alone serve every model.
+    spec = _spec("DRGLMM")
+    outcome_only = ModelSpec(outcome_terms=spec.outcome_terms)
+    for call, missing in [
+        (lambda: estimate_ipw(hom, None), "treatment model"),
+        (lambda: estimate_ipwdid(hom, None), "treatment model"),
+        (lambda: estimate_effects("IPW", hom), "treatment model"),
+        (lambda: estimate_effects("GLMM", hom), "outcome model"),
+        (lambda: estimate_effects("OR", hom, None), "outcome model"),
+        (lambda: estimate_effects("OR", hom, ()), "outcome model"),
+        (lambda: estimate_drglmm(hom, outcome_only, None), "treatment model"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=missing):
+            call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelCausalWarning)
+        ps = fit_propensity(hom, spec)
+        assert estimate_drglmm(hom, outcome_only, ps) == estimate_drglmm(hom, spec, ps)
+        terms = ("1", "x1", "x2")
+        assert (estimate_effects("IPW", hom, terms)
+                == estimate_effects("IPW", hom, ModelSpec(ps_terms=terms)))
 
 
 @pytest.mark.parametrize("method,estimand", [
@@ -240,15 +269,17 @@ def test_no_unit_effect_gives_finite_estimates_or_a_typed_error(method, panel):
 
 
 # Panels at a boundary of some model: tied scores that collapse DRGLMM's
-# propensity bins into one, an outcome model with a duplicated term, or a
-# treatment that a threshold on x1 separates.
+# propensity bins into one, an outcome model with a duplicated term or with
+# a term that x1 perturbed by 1e-9 nearly duplicates (full rank by
+# matrix_rank, often singular in floating point), or a treatment that a
+# threshold on x1 separates.
 _boundary_panels = st.builds(
     lambda scenario, n, seed, boundary: (scenario, boundary,
                                          generate_scenario(Scenario(scenario, n), seed)),
     st.sampled_from(["HOM", "HET"]),
     st.integers(30, 300),
     st.integers(0, 2**31 - 1),
-    st.sampled_from(["tied", "duplicate", "separated"]),
+    st.sampled_from(["tied", "duplicate", "near_duplicate", "separated"]),
 )
 
 
@@ -262,6 +293,13 @@ def test_boundaries_give_finite_values_or_a_typed_error(method, panel):
         spec = replace(spec, ps_terms=("1",))
     elif boundary == "duplicate":
         spec = replace(spec, outcome_terms=spec.outcome_terms + ("x1",))
+    elif boundary == "near_duplicate":
+        i = data.covariate_names.index("x1")
+        wiggle = 1e-9 * np.cos(np.arange(data.n))
+        data = replace(data, covariate_names=data.covariate_names + ("x1_near",),
+                       x0=np.column_stack([data.x0, data.x0[:, i] + wiggle]),
+                       x1=np.column_stack([data.x1, data.x1[:, i] + wiggle]))
+        spec = replace(spec, outcome_terms=spec.outcome_terms + ("x1_near",))
     else:
         x1 = data.x0[:, data.covariate_names.index("x1")]
         data = replace(data, d1=(x1 > np.median(x1)).astype(np.int64))
@@ -285,10 +323,13 @@ def test_boundaries_give_finite_values_or_a_typed_error(method, panel):
     np.testing.assert_array_equal(np.isnan(replicates[..., columns]),
                                   np.broadcast_to(~ok[..., None], (20, 1, len(columns))))
     # Each boundary is reached: the duplicated term and the separation fail
-    # every estimate that fits the model they break.
+    # every estimate that fits the model they break.  The nearly duplicated
+    # term is no rank deficiency, but it may leave no Gram factor.
     if boundary == "duplicate" and info.outcome:
         assert isinstance(error, RankDeficientDesignError)
     elif boundary == "separated" and info.uses_ps:
         assert isinstance(error, SeparationError)
+    elif boundary == "near_duplicate" and info.outcome:
+        assert error is None or isinstance(error, NonFiniteLikelihoodError)
     else:
         assert error is None
