@@ -15,9 +15,10 @@ one dataset share its design; a study's draws each have their own):
 fit, and :func:`_quantile_bins_batch` is the count-weighted binning rule.
 :func:`fit_logistic` and :func:`ps_quantile_dummies` are those kernels on
 one fit that counts every unit once: they check their input and turn the
-logistic fit's status into the result or the typed error of
-``lmm_fit._FAILURES``, where every kernel's statuses are numbered, and the
-bins into the dummies and the warning.
+logistic fit's status into the result, its covariance by
+``lmm_fit._covariance``, or the typed error of ``lmm_fit._FAILURES``, where
+every kernel's statuses are numbered, and the bins into the dummies and the
+warning.
 """
 
 from dataclasses import dataclass, replace
@@ -31,9 +32,9 @@ from .errors import (
     _as_int,
     _warn,
 )
-from .lmm_fit import (_COEF_BOUND, _OK, _ONE_CLASS, _RANK_DEFICIENT, _SEPARATED, _SINGULAR,
-                      _STALLED, _UNBOUNDED, _dot, _each, _Fits, _full_rank, _raise_failure,
-                      _Rows, _solve)
+from .lmm_fit import (_COEF_BOUND, _NOT_PD, _OK, _ONE_CLASS, _RANK_DEFICIENT, _SEPARATED,
+                      _SINGULAR, _STALLED, _UNBOUNDED, _covariance, _dot, _each, _Fits,
+                      _full_rank, _raise_failure, _Rows, _solve)
 from .panel_data import ps_design
 
 __all__ = [
@@ -62,7 +63,8 @@ class PSFit:
     labels when fitted through :func:`fit_propensity`); ``fitted_ps`` holds
     one probability per unit, strictly inside (0, 1).  ``cov_alpha`` is the
     inverse observed information at the optimum, used for Wald p-values in
-    backward elimination.
+    backward elimination; None where the information matrix is singular in
+    floating point.
     """
 
     alpha_hat: np.ndarray
@@ -96,8 +98,17 @@ def fit_logistic(design, outcome):
 
     Raises
     ------
+    InvalidArgumentError
+        ``design`` is not (n, p), ``outcome`` is not of length n, or either
+        holds a non-finite value.
+    NonBinaryTreatmentError
+        ``outcome`` is not coded 0/1.
     RankDeficientDesignError
         ``design`` has linearly dependent columns.
+    NonFiniteLikelihoodError
+        The columns are nearly collinear: full rank, but the first Newton
+        step, at equal weights, finds the design's Gram matrix singular in
+        floating point.
     NoVariationInOutcomeError
         Only one outcome class present.
     SeparationError
@@ -111,7 +122,9 @@ def fit_logistic(design, outcome):
     Convergence is declared when the deviance changes by less than 1e-10
     between iterations; the loop is capped at 100 iterations.  At
     convergence the score equations ``design.T @ (outcome - fitted_ps) = 0``
-    hold to high accuracy.
+    hold to high accuracy.  The scores are the result: a fit whose
+    information matrix is singular in floating point returns, with
+    ``cov_alpha`` None.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(outcome, dtype=float)
@@ -126,17 +139,13 @@ def fit_logistic(design, outcome):
         fits = _fit_logistic_batch(rows, np.ones((1, X.shape[0])))
     _raise_failure(fits.status[0], "ps", X.shape[1])
     prob = fits.prob[0]
-    try:
-        cov = np.linalg.inv(rows.gram(prob[None] * (1.0 - prob))[0])
-    except np.linalg.LinAlgError:
-        cov = None
     return PSFit(
         alpha_hat=fits.alpha[0],
         fitted_ps=prob,
         n_iter=int(fits.n_iter[0]),
         converged=bool(fits.converged[0]),
         deviance=float(fits.deviance[0]),
-        cov_alpha=cov,
+        cov_alpha=_covariance(rows.gram(prob[None] * (1.0 - prob))[0]),
     )
 
 
@@ -268,9 +277,10 @@ def _fit_logistic_batch(rows, C):
         ``alpha``, ``n_iter``, ``converged``, ``deviance`` and ``status``:
         ``_ONE_CLASS`` (nothing fitted), else ``_RANK_DEFICIENT`` where
         ``lmm_fit._full_rank`` finds the design rank deficient on the fit's
-        rows, else one of the four ways separation shows (``_SINGULAR``,
-        ``_UNBOUNDED``, ``_SEPARATED``, ``_STALLED``; see
-        ``lmm_fit._FAILURES``).
+        rows, else ``_NOT_PD`` where the first Newton step cannot be solved
+        (nearly collinear columns), else one of the four ways separation
+        shows (``_SINGULAR``, ``_UNBOUNDED``, ``_SEPARATED``, ``_STALLED``;
+        see ``lmm_fit._FAILURES``).
     """
     k, n = C.shape
     y = rows.y
@@ -296,7 +306,10 @@ def _fit_logistic_batch(rows, C):
         done = np.abs(dev_a - dev[a]) < _TOL
         dev[a] = dev_a
         n_iter[a] = it
-        status[a] = np.select([singular, unbounded], [_SINGULAR, _UNBOUNDED], _OK)
+        # At step 1 every weight is 1/4: an unsolvable step there means the
+        # design's own Gram matrix is singular in floating point.
+        status[a] = np.select([singular, unbounded],
+                              [_NOT_PD if it == 1 else _SINGULAR, _UNBOUNDED], _OK)
         converged[a] = done & (status[a] == _OK)
         active[a] = ~done & (status[a] == _OK)
     status[(status == _OK) & (dev < _SEPARATED_DEVIANCE)] = _SEPARATED

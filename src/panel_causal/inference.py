@@ -57,7 +57,7 @@ from .estimators import (
     method_info,
 )
 from .glm_fit import _check_k_bins, fit_logistic, fit_propensity
-from .lmm_fit import _fit_one
+from .lmm_fit import _NOT_PD, _fit_one, _raise_failure
 from .panel_data import ModelSpec, build_design, ps_design
 from .rng import substream
 
@@ -477,6 +477,18 @@ def backward_eliminate(data, full_spec, alpha=0.10):
     Returns
     -------
     ModelSpec
+
+    Raises
+    ------
+    InvalidArgumentError
+        ``alpha`` is not in (0, 1].
+    NonFiniteLikelihoodError
+        A fit has no covariance to test with: an outcome model with nearly
+        collinear columns, or a treatment model whose information matrix
+        is singular in floating point.
+    PanelCausalError
+        Any other typed error of an outcome or treatment fit, such as
+        :class:`RankDeficientDesignError` or :class:`SeparationError`.
     """
     alpha = _check_alpha(alpha)
 
@@ -506,8 +518,9 @@ def backward_eliminate(data, full_spec, alpha=0.10):
     def ps_pvalues(terms):
         X, _ = ps_design(data, tuple(terms))
         fit = fit_logistic(X, data.d1.astype(float))
-        se = np.sqrt(np.diag(fit.cov_alpha))
-        return _wald_pvalues(fit.alpha_hat, se)
+        if fit.cov_alpha is None:
+            _raise_failure(_NOT_PD, "ps", X.shape[1])
+        return _wald_pvalues(fit.alpha_hat, np.sqrt(np.diag(fit.cov_alpha)))
 
     outcome_terms = prune(full_spec.outcome_terms, _FORCED_OUTCOME, outcome_pvalues)
     if full_spec.ps_terms:

@@ -31,8 +31,10 @@ random effect).
 
 The public fits are those kernels on a batch of one fit that counts every
 unit once: :func:`fit_lmm`, :func:`profile_loglik` and :func:`fit_or`
-check their input, call the kernel and turn its per-fit status into the
-typed error or the result.  Every kernel's statuses, glm_fit's too, are
+check their input, call the kernel, pass its per-fit status to
+:func:`_raise_failure` and build the result in one step, :func:`_lmm_result`,
+under the one covariance rule of every single fit, glm_fit's too:
+:func:`_covariance`.  Every kernel's statuses, glm_fit's too, are
 numbered here, and :data:`_FAILURES` is the one table of the error each
 raises in a single fit.  A status is final when its kernel returns it:
 each model kernel asks :func:`_full_rank` whether the design is full rank
@@ -93,7 +95,7 @@ _ROOT_STEPS = 100
 _RANK_MARGIN = 10.0
 
 # Statuses of a fit, numbered once for every kernel (glm_fit's too) so that
-# a status array names its cause: success; a least squares Gram matrix not
+# a status array names its cause: success; a Gram matrix of the design not
 # positive definite in floating point; the mixed model's profiled
 # likelihood degenerate at every grid point, or its residual variance
 # degenerate at the optimum; the logistic model's single outcome class, or
@@ -112,15 +114,17 @@ _COEF_BOUND = 30.0
 # error when it is fitted.
 _FAILURES = {
     # Full rank by matrix_rank, so not a rank deficiency, but singular in
-    # floating point.
+    # floating point (for the logistic model: at IRLS step 1, or where a
+    # caller needs its covariance).
     _NOT_PD: (NonFiniteLikelihoodError, "the design's Gram matrix is not positive definite "
               "in floating point; its columns are nearly collinear"),
     _FLAT: (NonFiniteLikelihoodError,
             "profiled likelihood is degenerate everywhere (zero residual variance?)"),
     _DEGENERATE: (NonFiniteLikelihoodError, "degenerate residual variance at the optimum"),
     _ONE_CLASS: (NoVariationInOutcomeError, "outcome has a single class; cannot fit"),
-    # A full-rank design with a singular information matrix means the IRLS
-    # weights collapsed, which only happens on the way to a boundary solution.
+    # After step 1, a full-rank design with a singular information matrix
+    # means the IRLS weights collapsed, which only happens on the way to a
+    # boundary solution.
     _SINGULAR: (SeparationError, "information matrix became singular; data are separated"),
     _UNBOUNDED: (SeparationError, f"coefficient magnitude exceeded {_COEF_BOUND:g}; data are "
                  "(quasi-)separated and the MLE does not exist"),
@@ -527,16 +531,16 @@ def _fit_or_batch(rows, C):
     ``rows`` is the :class:`_Rows` of the design and response, shared by
     the batch or one per replicate, and row r of the ``(k, n)`` count
     matrix ``C`` weights the units of fit r.  Returns :class:`_Fits` with
-    ``beta`` ``(k, p)``, the Gram matrices ``G``, and ``status``:
+    ``beta`` ``(k, p)``, the Gram matrices ``A``, and ``status``:
     ``_RANK_DEFICIENT`` where :func:`_full_rank` finds the design rank
     deficient on the fit's rows, else ``_NOT_PD`` where the Gram matrix is
     singular in floating point (``beta`` is not finite).
     """
-    G = rows.gram(C)
-    beta = _each(_solve, G, rows.cross(C * rows.y))
+    A = rows.gram(C)
+    beta = _each(_solve, A, rows.cross(C * rows.y))
     status = np.where(np.all(np.isfinite(beta), axis=1), _OK, _NOT_PD)
-    status[~_full_rank(G, C, (rows.X,))] = _RANK_DEFICIENT
-    return _Fits(beta=beta, G=G, status=status)
+    status[~_full_rank(A, C, (rows.X,))] = _RANK_DEFICIENT
+    return _Fits(beta=beta, A=A, status=status)
 
 
 def _fit_blocks(X0, X1, y0, y1, random_intercept=True):
@@ -553,6 +557,34 @@ def _fit_blocks(X0, X1, y0, y1, random_intercept=True):
     with np.errstate(all="ignore"):
         return _fit_lmm_batch(_rotated_rows(X0[None], X1[None], y0[None], y1[None]),
                               np.ones((1, X0.shape[0])), random_intercept=random_intercept)
+
+
+def _covariance(A, scale=1.0):
+    """``scale * inv(A)``, or None where ``A`` is singular in floating
+    point: no inverse, or a diagonal entry of ``inv(A)`` that is not
+    positive (checked before scaling, so an exact fit's zero ``scale``
+    gives zeros)."""
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return None
+    return scale * inv if np.all(np.diag(inv) > 0.0) else None
+
+
+def _lmm_result(model, beta, A, rss, N, n, lam=0.0, **rest):
+    """The :class:`LMMFit` of a fit of ``model`` on ``n`` units and ``N``
+    rows at variance ratio ``lam``, whose GLS matrix ``A`` (the Gram matrix
+    at ``lam`` 0) gives the :func:`_covariance`, else ``_NOT_PD``'s error;
+    ``rest`` holds its other fields.  The log-likelihood is +inf at ``rss``
+    0."""
+    s2 = rss / N
+    cov = _covariance(A, s2)
+    if cov is None:
+        _raise_failure(_NOT_PD, model, len(beta))
+    with np.errstate(divide="ignore"):
+        loglik = -0.5 * N * (_LOG2PI + 1.0 + np.log(s2)) - 0.5 * n * np.log(1.0 + 2.0 * lam)
+    return LMMFit(fixed_effects=beta, sigma_u2=lam * s2, sigma_e2=s2, loglik=float(loglik),
+                  se_fixed=np.sqrt(np.diag(cov)), cov_fixed=cov, **rest)
 
 
 def profile_loglik(X0, X1, y0, y1, log_lambda):
@@ -611,30 +643,13 @@ def fit_lmm(X0, X1, y0, y1):
 
 def _fit_one(X0, X1, y0, y1, random_intercept=True):
     """:func:`fit_lmm`, or without the random intercept the least squares
-    fit of the two blocks stacked (the variance ratio held at 0).  A GLS
-    covariance with a variance that is not positive fails as ``_NOT_PD``:
-    the GLS matrix is singular in floating point."""
+    fit of the two blocks stacked (the variance ratio held at 0)."""
     fits = _fit_blocks(X0, X1, y0, y1, random_intercept)
-    p = fits.beta.shape[1]
-    _raise_failure(fits.status[0], "mixed", p)
+    _raise_failure(fits.status[0], "mixed", fits.beta.shape[1])
     n = len(y0)
-    lam = float(fits.lam[0])
-    s2e = float(fits.rss[0]) / (2 * n)
-    loglik = -n * (_LOG2PI + 1.0 + np.log(s2e)) - 0.5 * n * np.log(1.0 + 2.0 * lam)
-    cov = s2e * np.linalg.inv(fits.A[0])
-    variances = np.diag(cov)
-    if not np.all(variances > 0.0):
-        _raise_failure(_NOT_PD, "mixed", p)
-    return LMMFit(
-        fixed_effects=fits.beta[0],
-        sigma_u2=lam * s2e,
-        sigma_e2=s2e,
-        loglik=float(loglik),
-        se_fixed=np.sqrt(variances),
-        converged=bool(fits.converged[0]),
-        cov_fixed=cov,
-        log_lambda=float(fits.log_lambda[0]),
-    )
+    return _lmm_result("mixed", fits.beta[0], fits.A[0], float(fits.rss[0]), 2 * n, n,
+                       float(fits.lam[0]), converged=bool(fits.converged[0]),
+                       log_lambda=float(fits.log_lambda[0]))
 
 
 def fit_or(post_design, response):
@@ -643,6 +658,17 @@ def fit_or(post_design, response):
     Used for the post-period outcome regression.  An exact fit (zero
     residual sum of squares) reports ``sigma_e2 = 0`` and infinite
     log-likelihood rather than failing.
+
+    Raises
+    ------
+    InvalidArgumentError
+        ``post_design`` is not (n, p), or ``response`` is not of length n.
+    RankDeficientDesignError
+        The design has rank below p.
+    NonFiniteLikelihoodError
+        A non-finite input, or nearly collinear columns: a Gram matrix
+        singular in floating point, which leaves no solution or no
+        covariance.
     """
     X = np.asarray(post_design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -662,18 +688,4 @@ def fit_or(post_design, response):
     rss = float(resid @ resid)
     if rss <= n * _EPS2 * float(y @ y):
         rss = 0.0
-    s2 = rss / n
-    if rss > 0.0:
-        loglik = -0.5 * n * (_LOG2PI + 1.0 + np.log(s2))
-    else:
-        loglik = float("inf")
-    cov = s2 * np.linalg.inv(fits.G[0])
-    return LMMFit(
-        fixed_effects=beta,
-        sigma_u2=0.0,
-        sigma_e2=s2,
-        loglik=loglik,
-        se_fixed=np.sqrt(np.diag(cov)),
-        converged=True,
-        cov_fixed=cov,
-    )
+    return _lmm_result("post", beta, fits.A[0], rss, n, n, converged=True)

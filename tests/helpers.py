@@ -18,9 +18,11 @@ from panel_causal import (
     DegenerateVarianceWarning,
     DRTestResult,
     ExtremeWeightsWarning,
+    LMMFit,
     METHOD_TABLE,
     PanelCausalError,
     PanelDataset,
+    PSFit,
     RankDeficientDesignError,
     estimate_drglmm,
     estimate_effects,
@@ -446,14 +448,35 @@ def rank_probe_designs(*blocks):
 def check_rank_verdict(fit, *blocks):
     """Fit ``blocks`` and check the rank verdict against ``matrix_rank`` on
     the blocks stacked: RankDeficientDesignError exactly when it finds the
-    rank below the column count (any other outcome means full rank)."""
+    rank below the column count (any other outcome means full rank).  A
+    model fit that returns reports only finite, positive variances: its
+    ``se_fixed``, or the diagonal of its ``cov_alpha`` if it has one."""
     X = np.vstack(blocks)
     deficient = np.linalg.matrix_rank(X) < X.shape[1]
     try:
-        fit(*blocks)
+        result = fit(*blocks)
     except RankDeficientDesignError:
         assert deficient
     except PanelCausalError:
         assert not deficient
     else:
         assert not deficient
+        if isinstance(result, LMMFit):
+            variances = result.se_fixed
+        elif isinstance(result, PSFit) and result.cov_alpha is not None:
+            variances = np.diag(result.cov_alpha)
+        else:
+            return
+        assert np.all(np.isfinite(variances) & (variances > 0.0))
+
+
+def near_collinear_treatment(seed, n=40):
+    """Covariates ``x`` and ``w = 1.4 x + 1e-10 z`` and a fair-coin
+    treatment ``d`` of n units: the treatment design ``(1, x, w)`` is full
+    rank by ``matrix_rank``, but on some seeds its information matrix at the
+    logistic optimum is singular in floating point."""
+    rng = substream(seed, 0)
+    x = 30.0 * rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    d = (rng.random(n) < 0.5).astype(float)
+    return x, 1.4 * x + 1e-10 * z, d

@@ -15,6 +15,7 @@ from panel_causal import (
     InvalidArgumentError,
     ModelSpec,
     NonBinaryTreatmentError,
+    NonFiniteLikelihoodError,
     NoVariationInOutcomeError,
     RankDeficientDesignError,
     SeparationError,
@@ -23,12 +24,14 @@ from panel_causal import (
     ps_quantile_dummies,
     substream,
 )
-from panel_causal.glm_fit import _check_k_bins, _quantile_bins_batch
+from panel_causal.glm_fit import _check_k_bins, _fit_logistic_batch, _quantile_bins_batch
+from panel_causal.lmm_fit import _NOT_PD, _SINGULAR, _Rows
 
 from helpers import (
     check_rank_verdict,
     extreme_ps_dataset,
     make_dataset,
+    near_collinear_treatment,
     quantile_bins_reference,
     rank_probe_designs,
 )
@@ -128,6 +131,41 @@ class TestFitLogistic:
         # Around matrix_rank's threshold the verdict is matrix_rank's.
         for (X3,) in rank_probe_designs(X):
             check_rank_verdict(lambda A: fit_logistic(A, y), X3)
+
+    def test_collinear_columns_at_the_first_step_fail_typed(self):
+        # (1, x, x + 1e-9 cos i) is full rank by matrix_rank, and no
+        # predictor separates the classes.  At the first Newton step every
+        # weight is 1/4, so a step that cannot be solved there means the
+        # design's own Gram matrix is singular in floating point: nearly
+        # collinear columns, not separation.  (Most of these fits trip the
+        # coefficient bound instead, which still reports separation.)
+        collinear = 0
+        for seed in range(60, 120):
+            rng = substream(seed, 0)
+            d = (rng.random(150) < 0.4).astype(float)
+            x = rng.standard_normal(150)
+            _, (X,), _ = rank_probe_designs(np.column_stack([np.ones(150), x]))
+            with np.errstate(all="ignore"):
+                fits = _fit_logistic_batch(_Rows(X[None], d[None]), np.ones((1, 150)))
+            status, steps = fits.status[0], fits.n_iter[0]
+            assert status != _SINGULAR or steps > 1
+            if status == _NOT_PD:
+                assert steps == 1
+                collinear += 1
+                with pytest.raises(NonFiniteLikelihoodError, match="nearly collinear"):
+                    fit_logistic(X, d)
+        assert collinear > 0
+
+    @pytest.mark.parametrize("seed", [33, 98, 131, 140])
+    def test_singular_information_leaves_no_covariance(self, seed):
+        # The fit converges, but its information matrix is singular in
+        # floating point: its inverse has a negative variance (seeds 33
+        # and 98) or does not exist (131 and 140).  The scores are the
+        # result; there is no covariance.
+        x, w, d = near_collinear_treatment(seed)
+        fit = fit_logistic(np.column_stack([np.ones(40), x, w]), d)
+        assert fit.converged and np.all((fit.fitted_ps > 0.0) & (fit.fitted_ps < 1.0))
+        assert fit.cov_alpha is None
 
     def test_shape_validation(self):
         with pytest.raises(InvalidArgumentError):

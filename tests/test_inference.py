@@ -19,6 +19,7 @@ from panel_causal import (
     InvalidArgumentError,
     METHOD_TABLE,
     ModelSpec,
+    NonFiniteLikelihoodError,
     PanelDataset,
     PSFit,
     Scenario,
@@ -49,6 +50,7 @@ from helpers import (
     dr_specification_test_reference,
     extreme_ps_dataset,
     make_dataset,
+    near_collinear_treatment,
     tiny_panel,
 )
 
@@ -769,6 +771,16 @@ class TestBackwardEliminate:
             out = backward_eliminate(data, full, alpha=0.10)
         assert [term_label(t) for t in out.outcome_terms] == ["1", "time", "treat"]
         assert [term_label(t) for t in out.ps_terms] == ["1"]
+
+    @pytest.mark.parametrize("seed", [33, 98, 131, 140])
+    def test_treatment_model_without_covariance_fails_typed(self, seed):
+        # The treatment model (1, x, w) leaves no covariance to test x and w
+        # with: a NaN standard error would read as p = 0 and keep both.
+        x, w, d = near_collinear_treatment(seed)
+        data = make_dataset(np.zeros(40), d, d, covariates=[x, w], names=("x", "w"))
+        spec = ModelSpec(outcome_terms=("1", "time", "treat"), ps_terms=("1", "x", "w"))
+        with pytest.raises(NonFiniteLikelihoodError, match="nearly collinear"):
+            backward_eliminate(data, spec)
 
     def test_random_effect_choice_is_kept(self):
         data = _hom(533, n=300)

@@ -514,6 +514,32 @@ class TestFitOr:
         X0, X1, y0, y1 = _clustered(82)
         for (X,) in rank_probe_designs(X1):
             check_rank_verdict(lambda A: fit_or(A, y1), X)
+        # X1's first two columns are both ones, so those probes are all rank
+        # deficient; a post design (no time column) is full rank.
+        X0, X1, y0, y1 = _clustered(60)
+        for (X,) in rank_probe_designs(X1[:, [0, 2, 3]]):
+            check_rank_verdict(lambda A: fit_or(A, y1), X)
+
+    def test_nearly_collinear_columns_fail_typed(self):
+        # As for fit_lmm: on the probe's 1e-9-perturbed duplicate about
+        # half of these Gram matrices leave no solution or no covariance
+        # (a variance that is not positive).  The fit raises
+        # NonFiniteLikelihoodError then, and otherwise returns positive
+        # standard errors, without a warning.
+        failed = 0
+        for seed in range(60, 120):
+            X0, X1, y0, y1 = _clustered(seed)
+            _, (A1,), _ = rank_probe_designs(X1[:, [0, 2, 3]])
+            assert np.linalg.matrix_rank(A1) == A1.shape[1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    fit = fit_or(A1, y1)
+                except NonFiniteLikelihoodError:
+                    failed += 1
+                    continue
+            assert np.all(fit.se_fixed > 0.0) and np.all(np.isfinite(fit.se_fixed))
+        assert 20 <= failed <= 45
 
     def test_nonfinite(self):
         X = np.ones((5, 1))

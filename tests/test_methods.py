@@ -39,6 +39,7 @@ from panel_causal import (
     scenario_specs,
 )
 from panel_causal.cli import build_parser, run
+from panel_causal.estimators import _Batch
 from panel_causal.inference import _replicate_values, _resamples
 
 from helpers import make_dataset, shift_responses
@@ -226,6 +227,38 @@ def test_unit_order_changes_no_effect(method, data, perm_seed):
     permuted = _effects(method, data.take(order))
     for estimand, value in base.items():
         assert abs(permuted[estimand] - value) <= 1e-9 * (abs(value) + 1.0)
+
+
+# Resamples of a panel, as kinds of rows of a count matrix: at least one
+# resample of every unit, and at least one that counts only treated or only
+# control units.
+_resample_kinds = st.builds(
+    lambda both, one_class: ["both"] * both + one_class,
+    st.integers(1, 3),
+    st.lists(st.sampled_from(["treated", "control"]), min_size=1, max_size=3),
+)
+
+
+@given(data=_panels, kinds=_resample_kinds, tied=st.booleans(),
+       seed=st.integers(0, 2**31 - 1))
+def test_one_class_resamples_fail_alone(data, kinds, tied, seed):
+    # A resample with one treatment class has nothing to contrast: every
+    # method marks it not ok, and it adds no warning to its batch.  A
+    # constant treatment model (tied) makes DRGLMM warn on the others.
+    rng = np.random.default_rng(seed)
+    kinds = rng.permutation(kinds)
+    units = {"both": np.arange(data.n), "treated": np.flatnonzero(data.d1 == 1),
+             "control": np.flatnonzero(data.d1 == 0)}
+    C = np.stack([np.bincount(rng.choice(units[k], data.n), minlength=data.n)
+                  for k in kinds]).astype(float)
+    one_class = kinds != "both"
+    suite = [(method, replace(_spec(method), ps_terms=("1",)) if tied else _spec(method))
+             for method in METHODS]
+    _, ok, notes = _Batch(data, 5).values(suite, C)
+    _, _, notes_without = _Batch(data, 5).values(suite, C[~one_class])
+    np.testing.assert_array_equal(ok, np.broadcast_to(~one_class[:, None], ok.shape))
+    assert notes == notes_without
+    assert len(notes) >= tied * np.sum(~one_class)
 
 
 # Panels without a unit effect (sigma_u² = 0), with the term sets of their
