@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateBinsWarning, ExtremeWeightsWarning, InvalidArgumentError, _warn
 from .glm_fit import (_check_k_bins, _collapsed_message, _fit_logistic_batch,
-                      _quantile_bins_batch, fit_propensity)
+                      _quantile_bins_batch)
 from .lmm_fit import (_NO_OVERLAP, _OK, _PS_UNUSABLE, _fit_lmm_batch, _fit_or_batch,
                       _raise_failure, _rotated_rows, _Rows)
 from .panel_data import ModelSpec, build_design, ps_design
@@ -145,7 +145,7 @@ def _fitted_scores(data, ps_fit):
         )
     # Written so that a NaN score fails it too.
     if not np.all((ps > 0.0) & (ps < 1.0)):
-        raise InvalidArgumentError("fitted propensity scores must lie strictly in (0, 1)")
+        _raise_failure(_PS_UNUSABLE, "ps", ps.size)
     return ps
 
 
@@ -231,10 +231,18 @@ def _contrast_values(data, diff, beta, C):
 def _bins(ps, C, k_bins):
     """The propensity bins of each fit of a batch: every unit's bin
     renumbered among the fit's occupied bins, the lowest (always occupied)
-    staying the reference, and the count of occupied bins per fit."""
+    staying the reference, and the count of occupied bins per fit.  The new
+    numbers are read by one flat gather from the rows of renumbered bins."""
     cut = _quantile_bins_batch(ps, C, k_bins)
-    labels = np.take_along_axis(np.cumsum(cut.occupied, axis=1) - 1, cut.bins, axis=1)
+    renumbered = np.cumsum(cut.occupied, axis=1) - 1
+    labels = renumbered.ravel()[cut.bins + k_bins * np.arange(ps.shape[0])[:, None]]
     return labels, cut.occupied.sum(axis=1)
+
+
+def _ps_terms(spec):
+    """The treatment terms of ``spec``: a :class:`ModelSpec`, or the terms
+    alone (a point estimate's bare spec, whose terms serve every model)."""
+    return spec.ps_terms if isinstance(spec, ModelSpec) else tuple(spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +295,7 @@ class _Batch:
         ``"post"`` and ``"mixed"`` the difference of the outcome design's
         counterfactual t=1 blocks, and the rows its kernel fits: the t=1
         block, or the sum and difference rows of the t=0 and t=1 blocks."""
-        key = (kind, spec.ps_terms if kind == "ps" else spec.outcome_terms)
+        key = (kind, _ps_terms(spec) if kind == "ps" else spec.outcome_terms)
         if key not in self._designs:
             if kind == "ps":
                 X, _ = ps_design(self.data, spec)
@@ -305,16 +313,19 @@ class _Batch:
                 self._designs[key] = diff, rows
         return self._designs[key]
 
+    @np.errstate(all="ignore")
     def propensity(self, spec, C):
         """Fitted scores ``(k, n)`` of the treatment model of ``spec``, 0.5
-        for the units a fit does not count, and the flags of the fits an
-        estimator can use: the kernel succeeded (its status includes the
-        rank verdict on the fit's own rows), and every counted score lies
-        strictly inside (0, 1)."""
+        for the units a fit does not count, and the status of each fit: the
+        logistic kernel's (which includes the rank verdict on the fit's own
+        rows), else ``_PS_UNUSABLE`` where a counted score is not strictly
+        inside (0, 1).  An estimator can use the fits whose status is
+        ``_OK``."""
         fits = _fit_logistic_batch(self._design("ps", spec), C)
         ps = np.where(C > 0.0, fits.prob, 0.5)
-        usable = (fits.status == _OK) & np.all((ps > 0.0) & (ps < 1.0), axis=1)
-        return ps, usable
+        status = fits.status
+        status[(status == _OK) & ~np.all((ps > 0.0) & (ps < 1.0), axis=1)] = _PS_UNUSABLE
+        return ps, status
 
     @np.errstate(all="ignore")
     def effects(self, info, spec, C, propensity=None, binned=None):
@@ -337,8 +348,8 @@ class _Batch:
         status = np.where((treated > 0.0) & (treated < units), _OK, _NO_OVERLAP)
         ps = None
         if info.uses_ps:
-            ps, usable = propensity or self.propensity(spec, C)
-            status[(status == _OK) & ~usable] = _PS_UNUSABLE
+            ps, ps_status = propensity or self.propensity(spec, C)
+            status[(status == _OK) & (ps_status != _OK)] = _PS_UNUSABLE
         if info.outcome is None:
             return _WEIGHTING_VALUES[info.name](self.responses, ps, C), status
         diff, rows = self._design(info.outcome, spec)
@@ -390,13 +401,13 @@ class _Batch:
                     key = spec.ps_terms
                     if key not in scores:
                         scores[key] = self.propensity(spec, C)
-                    propensity = ps, usable = scores[key]
+                    propensity = ps, ps_status = scores[key]
                     if info.bins_ps:
                         if key not in cuts:
                             cuts[key] = _bins(ps, C, self.k_bins)
                         binned = _, occupied = cuts[key]
                     for r, note in enumerate(_ps_warnings(info, ps, occupied, self.k_bins)):
-                        if note and usable[r]:
+                        if note and ps_status[r] == _OK:
                             notes[r, i] = note
                 estimates, status = self.effects(info, spec, C, propensity, binned)
                 ok[:, i] = status == _OK
@@ -412,7 +423,10 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
     ``spec`` supplies the outcome terms of methods with an outcome model (a
     :class:`ModelSpec`, or the terms alone).  Methods that use the
     propensity score take ``ps_fit`` if given, else fit ``spec.ps_terms``
-    (or the terms alone) here; scores near 0 or 1 raise an
+    (or the terms alone) here, by :meth:`_Batch.propensity` as every
+    replicate does; a failed fit raises the error of its status, as
+    :func:`~panel_causal.glm_fit.fit_propensity` would.  Scores near 0 or 1
+    raise an
     :class:`ExtremeWeightsWarning` where the method inverts them, collapsed
     bins a :class:`DegenerateBinsWarning` where it bins them.  ``k_bins``
     goes to DRGLMM.  A method without the terms of a model it fits (by
@@ -442,8 +456,14 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
     C = np.ones((1, data.n))
     propensity = binned = occupied = None
     if info.uses_ps:
-        ps = _fitted_scores(data, fit_propensity(data, spec) if ps_fit is None else ps_fit)[None]
-        propensity = ps, np.ones(1, dtype=bool)
+        if ps_fit is None:
+            # A batch of its own, so that the treatment design is freed
+            # before the outcome design is built.
+            propensity = ps, ps_status = _Batch(data, k_bins, reps=1).propensity(spec, C)
+            _raise_failure(ps_status[0], "ps", len(_ps_terms(spec)))
+        else:
+            ps = _fitted_scores(data, ps_fit)[None]
+            propensity = ps, np.full(1, _OK)
         if info.bins_ps:
             k_bins = _check_k_bins(k_bins, data.n, name="K")
             binned = _, occupied = _bins(ps, C, k_bins)

@@ -109,9 +109,7 @@ _RANK_MARGIN = 10.0
 _COEF_BOUND = 30.0
 
 # The error a single fit (a public fit or a point estimate) raises for each
-# failure.  No single fit reaches the batch's last two statuses: a dataset
-# has both groups, and a point estimate's treatment model raises its own
-# error when it is fitted.
+# failure.  No single fit reaches _NO_OVERLAP: a dataset has both groups.
 _FAILURES = {
     # Full rank by matrix_rank, so not a rank deficiency, but singular in
     # floating point (for the logistic model: at IRLS step 1, or where a
@@ -140,6 +138,9 @@ _FAILURES = {
         "post": "design has rank below its {} columns",
         "mixed": "the two design blocks stacked have rank below their {} columns",
     }),
+    # A treatment model fitted, or given, with a score of exactly 0 or 1
+    # (or NaN) on a counted unit: its inverse weights are not finite.
+    _PS_UNUSABLE: (InvalidArgumentError, "fitted propensity scores must lie strictly in (0, 1)"),
 }
 
 
@@ -213,39 +214,57 @@ def _score(log_lambda, stats):
     """Profiled score in ``log lambda``, up to a positive factor: with R the
     weighted RSS and S the sum-row RSS, dL/dlambda = w (N w S / R - n), so
     the bracketed factor carries the sign and the root."""
-    w, rss, ss = _profile_terms(log_lambda, stats)
-    n = stats[-1]
+    return _score_of(_profile_terms(log_lambda, stats), stats[-1])
+
+
+def _score_of(terms, n):
+    """:func:`_score` from the :func:`_profile_terms` ``terms`` of ``n``
+    units."""
+    w, rss, ss = terms
     return 2 * n * w * ss / rss - n
 
 
-def _find_roots(f, a, b, fa, fb):
+def _find_roots(f, a, b, fa, fb, args=None):
     """Roots of a batch of functions by regula falsi with the Illinois
     modification, every member in lockstep.
 
     ``a``, ``b``, ``fa`` and ``fb`` are arrays over the batch: brackets and
-    their end values, of opposite sign.  ``f(x, i)`` evaluates members ``i``
-    (sorted indices) at ``x``.  At each step an end kept twice in a row has
-    its value halved.  Returns ``(x, converged)``: a member converges at a
-    bracket no wider than ``_XATOL`` or an exact zero, and stops unconverged
-    at a non-finite value or after ``_ROOT_STEPS`` evaluations.
+    their end values, of opposite sign.  ``args`` is a tuple of arrays with
+    a leading member axis, by default the members' indices.  ``f(x, *live)``
+    evaluates the live members at ``x``, ``live`` being ``args`` for those
+    members.  At each step an end kept twice in a row has its value halved.
+    Returns ``(x, converged)``: a member converges at a bracket no wider
+    than ``_XATOL`` or an exact zero, and stops unconverged at a non-finite
+    value or after ``_ROOT_STEPS`` evaluations; ``x`` is the point it was
+    last evaluated at.
+
+    The steps work on the live members only, in compacted arrays: ``args``
+    and the brackets are gathered again only when a member stops.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     x = np.full(a.shape, np.nan)
     converged = np.zeros(a.shape, dtype=bool)
-    active = np.ones(a.shape, dtype=bool)
+    idx = np.arange(a.size)
+    live = (idx,) if args is None else tuple(args)
     for _ in range(_ROOT_STEPS):
-        i = np.flatnonzero(active)
-        if i.size == 0:
+        if idx.size == 0:
             break
-        x[i] = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
-        fx = f(x[i], i)
-        kept = (fx > 0.0) == (fb[i] > 0.0)
-        fa[i] = np.where(kept, 0.5 * fa[i], fb[i])
-        a[i] = np.where(kept, a[i], b[i])
-        b[i], fb[i] = x[i], fx
+        xi = b - fb * (b - a) / (fb - fa)
+        fx = f(xi, *live)
+        kept = (fx > 0.0) == (fb > 0.0)
+        fa = np.where(kept, 0.5 * fa, fb)
+        a = np.where(kept, a, b)
+        b, fb = xi, fx
         finite = np.isfinite(fx)
-        converged[i] = finite & ((fx == 0.0) | (np.abs(b[i] - a[i]) <= _XATOL))
-        active[i] = finite & ~converged[i]
+        done = finite & ((fx == 0.0) | (np.abs(b - a) <= _XATOL))
+        stop = done | ~finite
+        if stop.any():
+            x[idx[stop]] = b[stop]
+            converged[idx[done]] = True
+            go = ~stop
+            idx, a, b, fa, fb = idx[go], a[go], b[go], fa[go], fb[go]
+            live = tuple(v[go] for v in live)
+    x[idx] = b
     return x, converged
 
 
@@ -253,8 +272,13 @@ def _loglik(log_lambda, stats):
     """Profiled log-likelihood at ``log_lambda`` (broadcast as in
     :func:`_profile_terms`).  Degenerate residual variance (non-finite or
     non-positive RSS) maps to ``-inf``."""
-    w, rss, _ = _profile_terms(log_lambda, stats)
-    n = stats[-1]
+    return _loglik_of(_profile_terms(log_lambda, stats), stats[-1])
+
+
+def _loglik_of(terms, n):
+    """:func:`_loglik` from the :func:`_profile_terms` ``terms`` of ``n``
+    units."""
+    w, rss, _ = terms
     N = 2 * n
     with np.errstate(divide="ignore", invalid="ignore"):
         ll = -0.5 * N * (_LOG2PI + 1.0 + np.log(rss / N)) + 0.5 * n * np.log(w)
@@ -393,8 +417,11 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
 
     Gram blocks and cross products are weighted by the counts, one batched
     eigendecomposition serves every fit, the 25-point grid is evaluated for
-    all fits at once, and :func:`_find_roots` finds every bracketed root in
-    lockstep.
+    all fits at once (one :func:`_profile_terms` call gives both the
+    likelihood and the score), and :func:`_find_roots` finds every bracketed
+    root in lockstep.  The flat bin labels are built once per call: every
+    sum over bins is one ``bincount`` through them, and the residuals read
+    each unit's bin coefficient through them.
 
     Returns
     -------
@@ -416,12 +443,14 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     q = 0 if bins is None else n_bins - 1
     m = p + q
 
+    if q:
+        # Unit i of fit r in bin j has the flat label r * n_bins + j.
+        labels = (bins + n_bins * np.arange(k)[:, None]).ravel()
+
     def bin_sums(v):
         """Row by row, the sums of ``v`` over the units of bins 1 .. q."""
-        r = v.shape[0]
-        labels = bins + n_bins * np.arange(r)[:, None]
-        sums = np.bincount(labels.ravel(), weights=v.ravel(), minlength=r * n_bins)
-        return sums.reshape(r, n_bins)[:, 1:]
+        sums = np.bincount(labels, weights=v.ravel(), minlength=k * n_bins)
+        return sums.reshape(k, n_bins)[:, 1:]
 
     Gd = np.zeros((k, m, m))
     Gs = np.zeros((k, m, m))
@@ -451,7 +480,7 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
         fs = s.fitted(b[:, :p])
         if q:
             per_bin = np.concatenate([np.zeros((k, 1)), b[:, p:]], axis=1)
-            fs += _RT2 * np.take_along_axis(per_bin, bins, axis=1)
+            fs += _RT2 * per_bin.ravel()[labels].reshape(k, -1)
         return np.subtract(ed, fd, out=fd), np.subtract(es, fs, out=fs)
 
     def crossprod(vd, vs):
@@ -486,8 +515,8 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     if random_intercept:
         at = np.arange(k)
         grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
-        ll = _loglik(grid, stats)
-        score = _score(grid, stats)
+        terms = _profile_terms(grid, stats)
+        ll, score = _loglik_of(terms, stats[-1]), _score_of(terms, stats[-1])
         j = np.argmax(ll, axis=1)
         a = np.maximum(j - 1, 0)
         b = np.minimum(j + 1, _GRID_POINTS - 1)
@@ -502,8 +531,8 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
         if i.size:
             sub = tuple(v[i] for v in stats)
             log_lambda[i], converged[i] = _find_roots(
-                lambda x, t: _score(x[:, None], tuple(v[t] for v in sub))[:, 0],
-                grid[a[i]], grid[b[i]], score[i, a[i]], score[i, b[i]])
+                lambda x, *live: _score(x[:, None], live)[:, 0],
+                grid[a[i]], grid[b[i]], score[i, a[i]], score[i, b[i]], sub)
             best[i] = _loglik(log_lambda[i, None], sub)[:, 0]
         status[(status == _OK) & ~np.isfinite(ll).any(axis=1)] = _FLAT
         # A boundary value at least as good as the optimum puts the variance

@@ -6,6 +6,8 @@ Stream ``r`` therefore produces the same values no matter which replicates
 ran before it, so each replicate's result depends only on ``(seed, r)``.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .errors import InvalidArgumentError, _as_int
@@ -13,6 +15,33 @@ from .errors import InvalidArgumentError, _as_int
 __all__ = ["substream"]
 
 _MASK64 = (1 << 64) - 1
+
+
+class _Key:
+    """The seed sequence of a keyed Philox: the ``(seed, index)`` key words.
+
+    Philox draws its key from its seed sequence when given no ``key=``.
+    Given ``key=`` instead, numpy still builds a ``SeedSequence()`` from OS
+    entropy before discarding it, which costs more than the rest of the
+    generator.  This sequence hands Philox the key it would have set, so the
+    stream and its state are the same.  It is numpy's ``ISeedSequence`` by
+    registration (:func:`_registered`).
+    """
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+@cache
+def _registered():
+    """Register :class:`_Key` as an ``ISeedSequence``, once.  Done on the
+    first stream rather than on import: ``numpy.random`` (about 5 MB
+    resident) then loads only in a process that draws."""
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_Key)
 
 
 def substream(seed, index):
@@ -31,11 +60,14 @@ def substream(seed, index):
     Returns
     -------
     numpy.random.Generator
-        Generator whose output depends only on ``(seed, index)``.
+        Generator whose output depends only on ``(seed, index)``: a Philox
+        keyed by the two 64-bit words ``(seed mod 2**64, index)``, with its
+        counter at 0.  No OS entropy is read (see :class:`_Key`).
     """
     index = _as_int(index, "stream index")
     if not 0 <= index <= _MASK64:
         raise InvalidArgumentError(
             f"stream index must be in 0..2**64-1, got {index}")
     key = np.array([_as_int(seed, "seed") & _MASK64, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    _registered()
+    return np.random.Generator(np.random.Philox(_Key(key)))

@@ -35,7 +35,7 @@ from panel_causal import (
     substream,
     true_effects,
 )
-from panel_causal import glm_fit, simlab
+from panel_causal import glm_fit, lmm_fit, simlab
 
 # Fixed seed used by the desk-scale study tests.  Chosen once; every
 # expected band below was verified against this seed before being frozen.
@@ -480,3 +480,127 @@ def near_collinear_treatment(seed, n=40):
     z = rng.standard_normal(n)
     d = (rng.random(n) < 0.5).astype(float)
     return x, 1.4 * x + 1e-10 * z, d
+
+
+# The replicate kernels as they were first written, kept as references for
+# the rewritten kernels, which must return the same arrays bit for bit.
+# Each reads the kernel module's constants when it is called.
+
+def assert_same_bits(got, want):
+    """The arrays hold the same bytes: the same dtype and shape, and every
+    float the same, NaN and the sign of zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, (got, want)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), (
+        got, want)
+
+
+def _logistic_terms_reference(eta, y, C):
+    e = np.abs(eta)
+    np.exp(np.negative(e, out=e), out=e)
+    buf = 1.0 + e
+    prob = np.where(eta >= 0.0, 1.0, e)
+    prob /= buf
+    terms = np.log1p(e, out=e)
+    terms += np.maximum(eta, 0.0, out=buf)
+    terms -= np.multiply(y, eta, out=buf)
+    terms *= C
+    return prob, 2.0 * terms.sum(axis=-1)
+
+
+def fit_logistic_batch_reference(rows, C):
+    """``glm_fit._fit_logistic_batch``: the IRLS from ``_logistic_terms`` at
+    zero, every active fit gathered at every step, and every fit tested for
+    probabilities at the edge."""
+    g, L = glm_fit, lmm_fit
+    k, n = C.shape
+    y = rows.y
+    units = C.sum(axis=1)
+    treated = L._dot(C, y)
+    full = L._full_rank(rows.gram(C), C, (rows.X,))
+    status = np.where((treated > 0.0) & (treated < units), L._OK, L._ONE_CLASS)
+    alpha = np.zeros((k, rows.X.shape[-1]))
+    prob, dev = _logistic_terms_reference(np.zeros((k, n)), y, C)
+    n_iter = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    active = status == L._OK
+    for it in range(1, g._MAX_ITER + 1):
+        a = np.flatnonzero(active)
+        if a.size == 0:
+            break
+        ra, Ca, pa = rows.take(a), C[a], prob[a]
+        step = L._each(L._solve, ra.gram(Ca * (pa * (1.0 - pa))), ra.cross(Ca * (ra.y - pa)))
+        alpha[a] += step
+        prob[a], dev_a = _logistic_terms_reference(ra.fitted(alpha[a]), ra.y, Ca)
+        singular = np.any(np.isnan(step), axis=1)
+        unbounded = ~np.all(np.abs(alpha[a]) <= L._COEF_BOUND, axis=1)
+        done = np.abs(dev_a - dev[a]) < g._TOL
+        dev[a] = dev_a
+        n_iter[a] = it
+        status[a] = np.select([singular, unbounded],
+                              [L._NOT_PD if it == 1 else L._SINGULAR, L._UNBOUNDED], L._OK)
+        converged[a] = done & (status[a] == L._OK)
+        active[a] = ~done & (status[a] == L._OK)
+    status[(status == L._OK) & (dev < g._SEPARATED_DEVIANCE)] = L._SEPARATED
+    edge = np.any((C > 0.0) & ((prob < g._PROB_EDGE) | (prob > 1.0 - g._PROB_EDGE)), axis=1)
+    status[(status == L._OK) & ~converged & edge] = L._STALLED
+    status[(status != L._ONE_CLASS) & ~full] = L._RANK_DEFICIENT
+    return dict(prob=prob, alpha=alpha, n_iter=n_iter, converged=converged, deviance=dev,
+                status=status)
+
+
+def quantile_bins_batch_reference(ps, C, K):
+    """``glm_fit._quantile_bins_batch``: the order statistics found by a
+    ``(k, 2 (K - 1), n)`` comparison with the cumulative counts, and the
+    occupied bins by one pass per bin."""
+    k, n = ps.shape
+    order = np.argsort(ps, axis=1)
+    s = np.take_along_axis(ps, order, axis=1)
+    cum = np.cumsum(np.take_along_axis(C, order, axis=1), axis=1)
+    N = cum[:, -1:]
+    virtual = (N - 1) * (np.arange(1, K) / K)
+    prev = np.floor(virtual)
+    gamma = virtual - prev
+    pos = np.minimum(np.concatenate([prev, prev + 1], axis=1), N - 1)
+    at = np.sum(cum[:, None, :] <= pos[:, :, None], axis=2)
+    a, b = np.split(np.take_along_axis(s, at, axis=1), 2, axis=1)
+    diff = b - a
+    edges = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    distinct = np.concatenate(
+        [np.ones((k, 1), dtype=bool), edges[:, 1:] > edges[:, :-1]], axis=1)
+    bins = np.zeros((k, n), dtype=np.intp)
+    for j in range(K - 1):
+        bins += distinct[:, j, None] & (edges[:, j, None] < ps)
+    occupied = np.stack([(C * (bins == j)).sum(axis=1) > 0 for j in range(K)], axis=1)
+    return dict(bins=bins, edges=edges, distinct=distinct, occupied=occupied)
+
+
+def bins_reference(ps, C, k_bins):
+    """``estimators._bins`` on :func:`quantile_bins_batch_reference`."""
+    cut = quantile_bins_batch_reference(ps, C, k_bins)
+    labels = np.take_along_axis(np.cumsum(cut["occupied"], axis=1) - 1, cut["bins"], axis=1)
+    return labels, cut["occupied"].sum(axis=1)
+
+
+def find_roots_reference(f, a, b, fa, fb):
+    """``lmm_fit._find_roots``: ``f(x, i)`` evaluates the active members
+    ``i`` (sorted indices), every bracket array indexed by them at every
+    step."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    x = np.full(a.shape, np.nan)
+    converged = np.zeros(a.shape, dtype=bool)
+    active = np.ones(a.shape, dtype=bool)
+    for _ in range(lmm_fit._ROOT_STEPS):
+        i = np.flatnonzero(active)
+        if i.size == 0:
+            break
+        x[i] = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+        fx = f(x[i], i)
+        kept = (fx > 0.0) == (fb[i] > 0.0)
+        fa[i] = np.where(kept, 0.5 * fa[i], fb[i])
+        a[i] = np.where(kept, a[i], b[i])
+        b[i], fb[i] = x[i], fx
+        finite = np.isfinite(fx)
+        converged[i] = finite & ((fx == 0.0) | (np.abs(b[i] - a[i]) <= lmm_fit._XATOL))
+        active[i] = finite & ~converged[i]
+    return x, converged

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, determinism."""
 
 import argparse
+import functools
 import ast
 import inspect
 import json
@@ -400,12 +401,16 @@ class TestBinsAgainstUnits:
                                                        capsys, monkeypatch):
         calls = []
 
-        def spy(*args, **kwargs):
+        def spy(fit, *args, **kwargs):
             calls.append(args)
-            return panel_causal.glm_fit.fit_propensity(*args, **kwargs)
+            return fit(*args, **kwargs)
 
-        for module in ("cli", "estimators", "inference"):
-            monkeypatch.setattr(f"panel_causal.{module}.fit_propensity", spy)
+        # Every treatment-model fit of these commands goes through one of
+        # these: the estimators fit theirs by the batch kernel.
+        for module, name in (("cli", "fit_propensity"), ("inference", "fit_propensity"),
+                             ("estimators", "_fit_logistic_batch")):
+            fit = getattr(getattr(panel_causal, module), name)
+            monkeypatch.setattr(f"panel_causal.{module}.{name}", functools.partial(spy, fit))
         path = _simulate(tmp_path, n=120)
         rc = run(argv + ["--input", str(path), "--covariates", "x1,x2",
                          "--ps-covariates", "x1,x2,v", "--k-bins", "121"])

@@ -16,6 +16,7 @@ from panel_causal import (
     PSFit,
     RankDeficientDesignError,
     Scenario,
+    SeparationError,
     build_design,
     estimate_did,
     estimate_drglmm,
@@ -34,7 +35,9 @@ from panel_causal import (
     true_effects,
 )
 
-from helpers import did_toy, ipw_toy, make_dataset, shift_responses
+from panel_causal import glm_fit
+
+from helpers import did_toy, extreme_ps_dataset, ipw_toy, make_dataset, shift_responses
 
 
 def _const_ps(data, p):
@@ -269,6 +272,88 @@ class TestEstimateIpw:
         data = _hom(443, n=200)
         with pytest.raises(InvalidArgumentError):
             estimate_ipw(data, _nan_ps(data))
+
+
+class TestOwnTreatmentModel:
+    """A method that fits its own treatment model fits it by the batch
+    kernel, as a replicate does, with the scores, errors and warnings of
+    fitting it by fit_propensity first."""
+
+    SPEC = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x2"),
+                     ps_terms=("1", "x1", "x2", "v"))
+
+    @staticmethod
+    def _outcome(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = call()
+            except Exception as exc:
+                out = (type(exc), str(exc))
+            else:
+                out = {e: (v.value, v.components) for e, v in out.items()}
+        return out, [(w.category, str(w.message)) for w in caught]
+
+    def _assert_as_if_fitted_first(self, data, spec, methods=("IPW", "IPWDID", "DRGLMM")):
+        for method in methods:
+            own = self._outcome(lambda: estimate_effects(method, data, spec))
+            first = self._outcome(
+                lambda: estimate_effects(method, data, spec, fit_propensity(data, spec)))
+            assert own == first, method
+        return own
+
+    def test_scores_are_the_public_fit(self):
+        data = _hom(451)
+        self._assert_as_if_fitted_first(data, self.SPEC)
+        # Bare terms serve both models of DRGLMM.
+        self._assert_as_if_fitted_first(data, ("1", "x1", "x2"))
+
+    def test_failures_are_the_public_fit(self):
+        rng = substream(452, 0)
+        n = 200
+        x = rng.standard_normal(n)
+        y0 = rng.standard_normal(n)
+        d = (x > 0.0).astype(int)
+        separated = make_dataset(y0, y0 + d, d, covariates=[x], names=("x1",))
+        out, _ = self._assert_as_if_fitted_first(separated, ("1", "x1"))
+        assert out[0] is SeparationError
+        d = (rng.random(n) < 0.5).astype(int)
+        duplicated = make_dataset(y0, y0 + d, d, covariates=[x, x], names=("x1", "x2"))
+        out, _ = self._assert_as_if_fitted_first(duplicated, ("1", "x1", "x2"))
+        assert out[0] is RankDeficientDesignError
+        # A bare treatment term is not a propensity term.
+        out, _ = self._assert_as_if_fitted_first(duplicated, ("1", "treat", "x1"))
+        assert "not allowed in a propensity model" in out[1]
+
+    def test_score_of_exactly_one_is_rejected(self):
+        # One treated unit far out on x1 gets a score of exactly 1.0 from a
+        # fit that converged: no inverse weight exists for it.
+        rng = substream(453, 0)
+        n = 200
+        x = rng.standard_normal(n)
+        x[0] = 100.0
+        d = (rng.random(n) < 1.0 / (1.0 + np.exp(-x))).astype(int)
+        d[0] = 1
+        y0 = rng.standard_normal(n)
+        data = make_dataset(y0, y0 + d, d, covariates=[x], names=("x1",))
+        assert fit_propensity(data, ("1", "x1")).fitted_ps[0] == 1.0
+        out, _ = self._assert_as_if_fitted_first(data, ("1", "x1"))
+        assert out == (InvalidArgumentError,
+                       "fitted propensity scores must lie strictly in (0, 1)")
+
+    def test_extreme_scores_warn_as_before(self):
+        data, spec = extreme_ps_dataset(), ("1", "x1")
+        _, caught = self._assert_as_if_fitted_first(data, spec, methods=("IPW", "IPWDID"))
+        assert [c for c, _ in caught] == [ExtremeWeightsWarning]
+
+    def test_no_covariance_is_computed(self, monkeypatch):
+        # Only backward elimination reads the public fit's covariance.
+        def covariance(*args):
+            raise AssertionError("covariance computed")
+
+        monkeypatch.setattr(glm_fit, "_covariance", covariance)
+        for method in ("IPW", "IPWDID", "DRGLMM"):
+            estimate_effects(method, _hom(454), self.SPEC)
 
 
 class TestEstimateDid:

@@ -1,10 +1,11 @@
 """Treatment-model fitting by IRLS and the propensity features built on it."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -24,14 +25,20 @@ from panel_causal import (
     ps_quantile_dummies,
     substream,
 )
+from panel_causal import glm_fit
+from panel_causal.estimators import _bins
 from panel_causal.glm_fit import _check_k_bins, _fit_logistic_batch, _quantile_bins_batch
-from panel_causal.lmm_fit import _NOT_PD, _SINGULAR, _Rows
+from panel_causal.lmm_fit import _NOT_PD, _OK, _ONE_CLASS, _SINGULAR, _STALLED, _Rows
 
 from helpers import (
+    assert_same_bits,
+    bins_reference,
     check_rank_verdict,
     extreme_ps_dataset,
+    fit_logistic_batch_reference,
     make_dataset,
     near_collinear_treatment,
+    quantile_bins_batch_reference,
     quantile_bins_reference,
     rank_probe_designs,
 )
@@ -345,3 +352,95 @@ class TestCountWeightedBins:
                       [0, 1, 1, 1, 0, 3, 1, 1],
                       [1, 1, 1, 1, 1, 1, 1, 1]], dtype=float)
         self._assert_expanded(ps, C, 4)
+
+
+class TestKernelsAreTheirFirstFormulation:
+    """The logistic and binning kernels return the arrays of their first
+    formulations (``tests/helpers.py``) bit for bit: a rewrite for speed
+    must not move an output byte."""
+
+    @given(
+        pool=st.lists(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.9]) | st.floats(0.01, 0.99),
+                      min_size=1, max_size=25),
+        counts=st.lists(st.lists(st.integers(0, 4), min_size=25, max_size=25),
+                        min_size=1, max_size=5),
+        zero=st.lists(st.booleans(), min_size=5, max_size=5),
+        failed=st.lists(st.booleans(), min_size=5, max_size=5),
+        K=st.integers(2, 6),
+    )
+    # Counts that sum far above n (a row laid at n + 1 past the one
+    # before would overlap it), an all-zero row, and a failed fit's NaN
+    # scores between them.
+    @example(pool=[0.1, 0.2, 0.3], counts=[[9, 9, 9], [0, 0, 0], [1, 4, 1], [2, 2, 2]],
+             zero=[False] * 5, failed=[False, False, True, False, False], K=4)
+    def test_bins(self, pool, counts, zero, failed, K):
+        n = len(pool)
+        C = np.array(counts, dtype=float)[:, :n]
+        k = C.shape[0]
+        C[np.array(zero[:k])] = 0.0
+        # Each fit ranks the units its own way, ties included.
+        ps = np.array([np.roll(pool, r) for r in range(k)])
+        ps[np.array(failed[:k])] = np.nan
+        with np.errstate(all="ignore"):
+            got = _quantile_bins_batch(ps, C, K)
+            want = quantile_bins_batch_reference(ps, C, K)
+            for name, value in want.items():
+                assert_same_bits(getattr(got, name), value)
+            for g, w in zip(_bins(ps, C, K), bins_reference(ps, C, K)):
+                assert_same_bits(g, w)
+
+    @staticmethod
+    def _batch(seed, k, n, shared, strength, one_class, outlier):
+        """Treatment fits on a design shared by k count rows, or one design
+        per fit; a row of ``one_class`` 0 or 1 counts only that class, and
+        ``outlier`` puts one treated unit far out on x."""
+        rng = substream(seed, 0)
+        x = rng.standard_normal((1 if shared else k, n))
+        d = (rng.random(x.shape) < expit(strength * x)).astype(float)
+        X = np.stack([np.ones_like(x), x], axis=-1)
+        C = rng.integers(0, 3, (k, n)).astype(float)
+        if outlier:
+            X[:, 0, 1], d[:, 0], C[:, 0] = 400.0, 1.0, C[:, 0] + 1.0
+        for r, cls in enumerate(one_class[:k]):
+            if cls is not None:
+                C[r, d[0 if shared else r] != cls] = 0.0
+        rows = _Rows(X[0], d[0]) if shared else _Rows(X, d)
+        return rows, C
+
+    _ENDINGS = dict(seed=1, k=6, n=30, shared=True, strength=2.0,
+                    one_class=[None, 1, None, 0, None, None], outlier=True)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 6),
+        n=st.integers(8, 40),
+        shared=st.booleans(),
+        strength=st.floats(0.0, 4.0),
+        one_class=st.lists(st.sampled_from([None, None, None, 0, 1]), min_size=6, max_size=6),
+        outlier=st.booleans(),
+        max_iter=st.sampled_from([100, 100, 5]),
+    )
+    @example(max_iter=5, **_ENDINGS)
+    @example(max_iter=100, **_ENDINGS)
+    def test_logistic(self, seed, k, n, shared, strength, one_class, outlier, max_iter):
+        rows, C = self._batch(seed, k, n, shared, strength, one_class, outlier)
+        # A cap of 5 steps stops some fits unconverged, and the outlier's
+        # probability at the edge then marks them stalled.
+        with mock.patch.object(glm_fit, "_MAX_ITER", max_iter), np.errstate(all="ignore"):
+            got = _fit_logistic_batch(rows, C)
+            want = fit_logistic_batch_reference(rows, C)
+        for name, value in want.items():
+            assert_same_bits(getattr(got, name), value)
+
+    def test_logistic_examples_reach_every_ending(self):
+        # The explicit examples of test_logistic: one-class rows, fits that
+        # converge at different steps, and, under the 5-step cap, fits
+        # stalled at the edge next to fits that still count as running.
+        rows, C = self._batch(**self._ENDINGS)
+        with np.errstate(all="ignore"):
+            fits = _fit_logistic_batch(rows, C)
+            with mock.patch.object(glm_fit, "_MAX_ITER", 5):
+                capped = _fit_logistic_batch(rows, C)
+        assert {1, 3} <= set(np.flatnonzero(fits.status == _ONE_CLASS))
+        assert len(set(fits.n_iter[fits.converged])) > 1
+        assert _STALLED in capped.status and _OK in capped.status[fits.status == _OK]

@@ -485,8 +485,7 @@ class TestOneArithmetic:
         point = estimate_effects(method, data, spec, ps_fit)
         # The point fit's scores, so that the weighting methods see the
         # same floats on both paths.
-        propensity = None if ps_fit is None else (ps_fit.fitted_ps[None, :],
-                                                  np.ones(1, dtype=bool))
+        propensity = None if ps_fit is None else (ps_fit.fitted_ps[None, :], np.full(1, _OK))
         values, status = _Batch(data, 5).effects(
             info, spec, np.ones((1, data.n)), propensity)
         assert np.all(status == _OK)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from panel_causal import (
@@ -47,8 +49,10 @@ from panel_causal.lmm_fit import (
 
 from helpers import (
     anova_oracle,
+    assert_same_bits,
     check_rank_verdict,
     dense_lmm_oracle,
+    find_roots_reference,
     make_dataset,
     rank_probe_designs,
 )
@@ -471,6 +475,43 @@ class TestRootFinder:
         for r, (g, end) in enumerate(zip(fs, ends)):
             assert (float(x[r]), bool(converged[r]), seen[r]) == _search(g, *end)
         assert converged.tolist() == [True, False, False, True]
+
+    # Members of the property: how each one's function ends its search.
+    _ENDINGS = {
+        "linear": lambda r: (lambda v: r - v),
+        "cubic": lambda r: (lambda v: (r - v) ** 3),
+        "tanh": lambda r: (lambda v: np.tanh(5.0 * (r - v))),
+        "flat zero": lambda r: (lambda v: 1.0 if v < r - 0.01 else (-1.0 if v > r + 0.01 else 0.0)),
+        "nan inside": lambda r: (lambda v: 1.0 if v <= r else (-1.0 if v == 1.0 else np.nan)),
+        "inf inside": lambda r: (lambda v: 1.0 if v <= r else (-1.0 if v == 1.0 else -np.inf)),
+        "step cap": lambda r: (lambda v: 1e300 if v < r else -1.0),
+    }
+
+    @given(members=st.lists(st.tuples(st.sampled_from(sorted(_ENDINGS)), st.floats(0.05, 0.95)),
+                            min_size=1, max_size=8))
+    @example(members=[(name, 0.4) for name in sorted(_ENDINGS)])
+    def test_batch_is_the_first_formulation(self, members):
+        # Members that stop at different steps, on an exact zero, on a
+        # non-finite value or at the step cap: the compacted search gives
+        # every member the points and the verdict of the search that
+        # indexes every bracket array at every step, bit for bit.
+        fs = [self._ENDINGS[name](r) for name, r in members]
+        ends = np.array([(0.0, 1.0, f(0.0), f(1.0)) for f in fs]).T
+
+        def recorded(seen):
+            def f(x, i):
+                for v, r in zip(x, i):
+                    seen[r].append(float(v).hex())
+                return np.array([fs[r](v) for v, r in zip(x, i)])
+            return f
+
+        got_seen, want_seen = [[] for _ in fs], [[] for _ in fs]
+        with np.errstate(all="ignore"):
+            got = _find_roots(recorded(got_seen), *ends)
+            want = find_roots_reference(recorded(want_seen), *ends)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        assert got_seen == want_seen
 
 
 class TestFitOr:
