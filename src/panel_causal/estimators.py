@@ -212,18 +212,18 @@ def _did_values(data, ps, C):
 _WEIGHTING_VALUES = {"IPW": _ipw_values, "IPWDID": _ipwdid_values, "DID": _did_values}
 
 
-def _contrast_values(data, diff, beta, C):
+def _contrast_values(diff, beta, C, counted):
     """ATE and ATT averages of the unit contrasts of the counterfactual
     predictions, ``diff`` being the treated minus the control design: one
     ``(n, p)`` block, or ``(k, n, p)`` with a block per fit.  ``beta`` (a
     row per fit) may carry the coefficients of unit-constant columns after
-    the p; they cancel."""
+    the p; they cancel.  ``counted`` is :func:`_counted` of the counts C."""
     p = diff.shape[-1]
     if diff.ndim == 2:
         contrasts = (diff @ beta[:, :p].T).T
     else:
         contrasts = (diff @ beta[:, :p, None])[..., 0]
-    d, units, treated = _counted(data, C)
+    d, units, treated = counted
     return {"ATE": (np.sum(C * contrasts, axis=-1) / units, {}),
             "ATT": (np.sum(C * d * contrasts, axis=-1) / treated, {})}
 
@@ -231,12 +231,17 @@ def _contrast_values(data, diff, beta, C):
 def _bins(ps, C, k_bins):
     """The propensity bins of each fit of a batch: every unit's bin
     renumbered among the fit's occupied bins, the lowest (always occupied)
-    staying the reference, and the count of occupied bins per fit.  The new
-    numbers are read by one flat gather from the rows of renumbered bins."""
+    staying the reference, and the count of occupied bins per fit.  When
+    every fit fills every bin, as it usually does, the numbers stay as they
+    are; else they are read by one flat gather from the rows of renumbered
+    bins."""
     cut = _quantile_bins_batch(ps, C, k_bins)
+    n_bins = cut.occupied.sum(axis=1)
+    if cut.occupied.all():
+        return cut.bins, n_bins
     renumbered = np.cumsum(cut.occupied, axis=1) - 1
     labels = renumbered.ravel()[cut.bins + k_bins * np.arange(ps.shape[0])[:, None]]
-    return labels, cut.occupied.sum(axis=1)
+    return labels, n_bins
 
 
 def _ps_terms(spec):
@@ -333,8 +338,11 @@ class _Batch:
         each fit of ``C``, given if need be the :meth:`propensity` and
         :func:`_bins` of the same counts.  The outcome fits are grouped by
         their count of occupied bins, one kernel call a group, each taking
-        the dummies of its own occupied bins.  A failed fit computes
-        meaningless floats silently; its status speaks for it.
+        the dummies of its own occupied bins; a group that is the whole
+        batch (every fit usable, with the same count) takes ``C`` and the
+        bins as they are.  The counted units and treated units are summed
+        once, for the overlap check and the contrasts.  A failed fit
+        computes meaningless floats silently; its status speaks for it.
 
         Returns ``({estimand: (values, components)}, status)``: ``(k,)``
         values, the :class:`EffectEstimate` components as ``(k,)`` arrays,
@@ -344,7 +352,7 @@ class _Batch:
         status, which includes its rank verdict.
         """
         k = C.shape[0]
-        _, units, treated = _counted(self.responses, C)
+        counted = _, units, treated = _counted(self.responses, C)
         status = np.where((treated > 0.0) & (treated < units), _OK, _NO_OVERLAP)
         ps = None
         if info.uses_ps:
@@ -361,12 +369,13 @@ class _Batch:
         lam, sigma_e2 = np.zeros(k), np.zeros(k)
         for m in np.unique(n_bins[sel]):
             group = sel[n_bins[sel] == m]
+            Cg, bins_g = ((C, bins) if group.size == k
+                          else (C[group], None if bins is None else bins[group]))
             if info.outcome == "post":
-                fits = _fit_or_batch(rows.take(group), C[group])
+                fits = _fit_or_batch(rows.take(group), Cg)
             else:
                 fits = _fit_lmm_batch(
-                    tuple(r.take(group) for r in rows), C[group],
-                    None if bins is None else bins[group], m,
+                    tuple(r.take(group) for r in rows), Cg, bins_g, m,
                     random_intercept=spec.random_effect == "unit_intercept",
                 )
                 lam[group] = fits.lam
@@ -378,7 +387,7 @@ class _Batch:
             comps = {"sigma_u2": lam * sigma_e2, "sigma_e2": sigma_e2}
         if info.bins_ps:
             comps.update(n_dummy_columns=n_bins - 1, bins_collapsed=n_bins < self.k_bins)
-        values = _contrast_values(self.responses, diff, coef, C)
+        values = _contrast_values(diff, coef, C, counted)
         return {e: (v, comps) for e, (v, _) in values.items()}, status
 
     def values(self, suite, C):
@@ -474,7 +483,10 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
         spec = ModelSpec(outcome_terms=spec)
     values, status = _Batch(data, k_bins, reps=1).effects(info, spec, C, propensity, binned)
     if info.outcome:
-        _raise_failure(status[0], info.outcome, len(spec.outcome_terms))
+        # The mixed kernel judges the rank of the terms and of DRGLMM's
+        # dummies, one for each occupied bin but the reference.
+        dummies = occupied[0] - 1 if info.bins_ps else 0
+        _raise_failure(status[0], info.outcome, len(spec.outcome_terms) + dummies)
     return {e: EffectEstimate(info.name, e, float(v[0]),
                               {c: x[0].item() for c, x in comps.items()})
             for e, (v, comps) in values.items()}

@@ -209,13 +209,26 @@ class TestMixedModelFailures:
     @pytest.mark.parametrize("random_effect", ["unit_intercept", "none"])
     @pytest.mark.parametrize("method", ["GLMM", "DRGLMM"])
     def test_duplicated_term_is_rank_deficient(self, method, random_effect):
+        # DRGLMM's count adds the dummies of its 4 bins above the reference.
+        columns = {"GLMM": 5, "DRGLMM": 9}[method]
         data = _hom(404, n=200)
         spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x1"),
                          random_effect=random_effect, ps_terms=("1", "x1", "x2", "v"))
         with pytest.raises(RankDeficientDesignError,
-                           match="^the two design blocks stacked have rank below their 5 "
-                                 "columns$"):
+                           match="^the two design blocks stacked have rank below their "
+                                 f"{columns} columns$"):
             estimate_effects(method, data, spec)
+
+    def test_one_bin_per_unit_is_rank_deficient(self):
+        # Full-rank terms, but K = n gives n - 1 dummies, constant within a
+        # unit as the intercept and x2 are: n + 1 such columns for n units.
+        data = _hom(406, n=200)
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x2"),
+                         ps_terms=("1", "x1", "x2", "v"))
+        with pytest.raises(RankDeficientDesignError,
+                           match="^the two design blocks stacked have rank below their 203 "
+                                 "columns$"):
+            estimate_effects("DRGLMM", data, spec, k_bins=data.n)
 
     @pytest.mark.parametrize("random_effect,message", [
         ("unit_intercept",

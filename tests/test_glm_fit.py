@@ -373,6 +373,18 @@ class TestKernelsAreTheirFirstFormulation:
     # scores between them.
     @example(pool=[0.1, 0.2, 0.3], counts=[[9, 9, 9], [0, 0, 0], [1, 4, 1], [2, 2, 2]],
              zero=[False] * 5, failed=[False, False, True, False, False], K=4)
+    # Every row summing to n, as in a chunk of resamples: one sort.
+    @example(pool=[0.4, 0.1, 0.25, 0.9, 0.25, 0.6],
+             counts=[[1, 1, 1, 1, 1, 1], [2, 0, 1, 0, 3, 0], [0, 0, 6, 0, 0, 0],
+                     [1, 2, 0, 1, 1, 1]],
+             zero=[False] * 5, failed=[False] * 5, K=3)
+    # One row of ones, as in a point estimate.
+    @example(pool=[0.3, 0.1, 0.9, 0.5, 0.7], counts=[[1, 1, 1, 1, 1]],
+             zero=[False] * 5, failed=[False] * 5, K=5)
+    # Two totals and an all-zero row in one batch.
+    @example(pool=[0.2, 0.6, 0.4, 0.8], counts=[[1, 1, 1, 1], [0, 0, 0, 0], [3, 0, 2, 1],
+                                                [1, 1, 1, 1]],
+             zero=[False] * 5, failed=[False] * 5, K=2)
     def test_bins(self, pool, counts, zero, failed, K):
         n = len(pool)
         C = np.array(counts, dtype=float)[:, :n]
@@ -388,6 +400,19 @@ class TestKernelsAreTheirFirstFormulation:
                 assert_same_bits(getattr(got, name), value)
             for g, w in zip(_bins(ps, C, K), bins_reference(ps, C, K)):
                 assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("collapsed", [False, True])
+    def test_bins_kept_or_renumbered(self, collapsed):
+        # A batch in which every fit fills every bin keeps the bins as cut;
+        # one fit with tied scores collapses a bin, and the batch's bins
+        # are renumbered.
+        ps = np.array([[0.1, 0.5, 0.2, 0.4, 0.3, 0.6],
+                       [0.1, 0.1, 0.1, 0.1, 0.5, 0.6] if collapsed
+                       else [0.6, 0.5, 0.4, 0.3, 0.2, 0.1]])
+        C = np.array([[1, 1, 1, 1, 1, 1], [2, 0, 1, 1, 1, 1]], dtype=float)
+        assert _quantile_bins_batch(ps, C, 3).occupied.all() != collapsed
+        for g, w in zip(_bins(ps, C, 3), bins_reference(ps, C, 3)):
+            assert_same_bits(g, w)
 
     @staticmethod
     def _batch(seed, k, n, shared, strength, one_class, outlier):

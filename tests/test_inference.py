@@ -41,7 +41,7 @@ from panel_causal import (
 )
 
 from panel_causal import inference
-from panel_causal.estimators import _Batch
+from panel_causal.estimators import _Batch, _bins
 from panel_causal.inference import _replicate_values, _resamples
 from panel_causal.lmm_fit import _OK
 
@@ -446,28 +446,39 @@ class TestReplicateEngine:
 class TestDuplicatedUnit:
     """A unit counted twice is two copies of that unit: a batched fit that
     counts it 2 times must give what the public estimator gives on the data
-    with its rows repeated."""
+    with its rows repeated, and DRGLMM's bins must be the bins of the
+    repeated scores."""
 
     @pytest.mark.parametrize("method", list(METHOD_TABLE))
-    @settings(max_examples=3)
-    @given(scenario=st.sampled_from(["HOM", "HET", "RANDCOEF"]),
-           data_seed=st.integers(0, 10_000), unit=st.integers(0, 199))
-    def test_count_of_two_is_a_repeated_unit(self, method, scenario, data_seed, unit):
-        data = generate_scenario(Scenario(scenario, 200), data_seed)
+    @given(scenario=st.sampled_from(["HOM", "HET", "RANDCOEF"]), n=st.integers(60, 200),
+           data_seed=st.integers(0, 10_000), draw=st.data())
+    def test_count_of_two_is_a_repeated_unit(self, method, scenario, n, data_seed, draw):
+        data = generate_scenario(Scenario(scenario, n), data_seed)
+        unit = draw.draw(st.integers(0, n - 1), label="unit")
         info = METHOD_TABLE[method]
         spec = _config(method, info.estimands[0], scenario_specs(scenario)).spec
-        C = np.ones((1, data.n))
+        C = np.ones((1, n))
         C[0, unit] = 2.0
-        values, status = _Batch(data, 5).effects(info, spec, C)
+        repeated = data.take(np.append(np.arange(n), unit))
+        batch = _Batch(data, 5)
+        propensity = batch.propensity(spec, C) if info.uses_ps else None
+        binned = _bins(propensity[0], C, 5) if info.bins_ps else None
+        values, status = batch.effects(info, spec, C, propensity, binned)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtremeWeightsWarning)
-            want = estimate_effects(method, data.take(np.append(np.arange(data.n), unit)),
-                                    spec)
+            want = estimate_effects(method, repeated, spec)
         assert status[0] == _OK
         assert set(values) == set(want) == set(info.estimands)
         for estimand, estimate in want.items():
             np.testing.assert_allclose(values[estimand][0][0], estimate.value, rtol=1e-12,
                                        err_msg=estimand)
+        if info.bins_ps:
+            ones = np.ones((1, n + 1))
+            copy_ps, _ = _Batch(repeated, 5, reps=1).propensity(spec, ones)
+            bins, n_bins = binned
+            copy_bins, copy_n_bins = _bins(copy_ps, ones, 5)
+            np.testing.assert_array_equal(np.append(bins[0], bins[0, unit]), copy_bins[0])
+            assert n_bins[0] == copy_n_bins[0]
 
 
 class TestOneArithmetic:
