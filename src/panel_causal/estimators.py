@@ -21,12 +21,13 @@ count matrix C to values: fit r counts unit i ``C[r, i]`` times.  The
 cluster bootstrap (:mod:`inference`) passes its resamples' count vectors, a
 simulation study (:mod:`simlab`) a chunk of draws stacked with all-ones
 counts, and a point estimate (:func:`estimate_effects`) is the batch of one
-draw.  The batch follows the method's :data:`METHOD_TABLE` row to the
-kernels of :mod:`glm_fit` and :mod:`lmm_fit`, reads each fit's status, and
-hands the fits to the estimand arithmetic, where every mean is a sum over
-units with unit i counted ``C[r, i]`` times.  A failed fit raises its
-status's error (``lmm_fit._FAILURES``) in a point estimate, and is NaN in a
-replicate.
+draw, whose front door turns bare terms into the ``ModelSpec`` of its
+models.  The batch follows the method's :data:`METHOD_TABLE` row: the
+treatment model's scores, the treatment step (DRGLMM's bins and each fit's
+warning), then the kernels of :mod:`glm_fit` and :mod:`lmm_fit` and the
+estimand arithmetic, where every mean is a sum over units with unit i
+counted ``C[r, i]`` times.  A failed fit raises its status's error
+(``lmm_fit._FAILURES``) in a point estimate, and is NaN in a replicate.
 """
 
 from dataclasses import dataclass, field
@@ -141,7 +142,8 @@ def _fitted_scores(data, ps_fit):
     ps = np.asarray(ps_fit.fitted_ps, dtype=float)
     if ps.shape != (data.n,):
         raise InvalidArgumentError(
-            f"ps_fit has {ps.shape[0]} fitted scores for {data.n} units"
+            f"ps_fit has fitted scores of shape {ps.shape}; the {data.n} units "
+            f"need shape ({data.n},)"
         )
     # Written so that a NaN score fails it too.
     if not np.all((ps > 0.0) & (ps < 1.0)):
@@ -244,12 +246,6 @@ def _bins(ps, C, k_bins):
     return labels, n_bins
 
 
-def _ps_terms(spec):
-    """The treatment terms of ``spec``: a :class:`ModelSpec`, or the terms
-    alone (a point estimate's bare spec, whose terms serve every model)."""
-    return spec.ps_terms if isinstance(spec, ModelSpec) else tuple(spec)
-
-
 @dataclass(frozen=True, eq=False)
 class _Responses:
     """The columns the estimand functions read, with a leading replicate axis."""
@@ -272,11 +268,12 @@ class _Batch:
     is built once on the stacked rows and split into one per dataset.  A
     point estimate is ``reps`` 1.
 
-    The designs of a spec are built on first use.  Which kernels run follows
-    the method's :data:`METHOD_TABLE` row: the logistic fit and its scores
-    when it uses the propensity score, the count-weighted bins when it also
-    has an outcome model (DRGLMM), and OLS on the post period or the
-    two-period mixed model for its outcome kind.
+    The designs of a :class:`ModelSpec` are built on first use.  A method
+    that uses the propensity score takes its :meth:`propensity` and then
+    its :meth:`treatment` step (the count-weighted bins of DRGLMM); then
+    :meth:`effects` runs OLS on the post period or the two-period mixed
+    model for its outcome kind.  :meth:`values` takes these steps for each
+    entry of a suite, a point estimate takes them one by one.
     """
 
     def __init__(self, data, k_bins, reps=None):
@@ -300,7 +297,7 @@ class _Batch:
         ``"post"`` and ``"mixed"`` the difference of the outcome design's
         counterfactual t=1 blocks, and the rows its kernel fits: the t=1
         block, or the sum and difference rows of the t=0 and t=1 blocks."""
-        key = (kind, _ps_terms(spec) if kind == "ps" else spec.outcome_terms)
+        key = (kind, spec.ps_terms if kind == "ps" else spec.outcome_terms)
         if key not in self._designs:
             if kind == "ps":
                 X, _ = ps_design(self.data, spec)
@@ -336,7 +333,7 @@ class _Batch:
     def effects(self, info, spec, C, propensity=None, binned=None):
         """Estimates of the method ``info`` with the models of ``spec`` on
         each fit of ``C``, given if need be the :meth:`propensity` and
-        :func:`_bins` of the same counts.  The outcome fits are grouped by
+        :meth:`treatment` bins of the same counts.  The outcome fits are grouped by
         their count of occupied bins, one kernel call a group, each taking
         the dummies of its own occupied bins; a group that is the whole
         batch (every fit usable, with the same count) takes ``C`` and the
@@ -390,34 +387,40 @@ class _Batch:
         values = _contrast_values(diff, coef, C, counted)
         return {e: (v, comps) for e, (v, _) in values.items()}, status
 
+    def treatment(self, info, C, propensity, binned=None):
+        """The treatment step of the method ``info`` on each fit of ``C``,
+        given the :meth:`propensity` ``(ps, status)``: the method's bins
+        (DRGLMM's :func:`_bins` unless ``binned`` gives them, else None) and
+        each fit's :func:`_ps_warnings` note, None where its model failed."""
+        ps, status = propensity
+        if not info.bins_ps:
+            binned = None
+        elif binned is None:
+            binned = _bins(ps, C, self.k_bins)
+        notes = _ps_warnings(info, ps, None if binned is None else binned[1], self.k_bins)
+        return binned, [note if s == _OK else None for note, s in zip(notes, status)]
+
     def values(self, suite, C):
         """Estimates of each ``(method, spec)`` entry of ``suite`` on each
         fit of ``C``: ``(k, entries, len(ESTIMANDS))`` values, NaN where
         the method lacks the estimand, ``(k, entries)`` ok flags, and the
         warnings of the pairs as ``(message, category)`` in fit-then-entry
         order.  A pair warns as its point estimate would on the fit's own
-        dataset: once a usable treatment model gives IPW or IPWDID an
-        extreme score, or leaves DRGLMM with collapsed bins.  Entries with
-        the same treatment terms share one treatment-model fit and its bins."""
+        dataset (:meth:`treatment`).  Entries with the same treatment terms
+        share one treatment-model fit and its bins."""
         vals = np.full((C.shape[0], len(suite), len(ESTIMANDS)), np.nan)
         ok = np.empty((C.shape[0], len(suite)), dtype=bool)
-        notes, scores, cuts = {}, {}, {}
+        notes, shared = {}, {}
         with np.errstate(all="ignore"):
             for i, (method, spec) in enumerate(suite):
                 info = METHOD_TABLE[method]
-                propensity = binned = occupied = None
+                propensity = binned = None
                 if info.uses_ps:
-                    key = spec.ps_terms
-                    if key not in scores:
-                        scores[key] = self.propensity(spec, C)
-                    propensity = ps, ps_status = scores[key]
-                    if info.bins_ps:
-                        if key not in cuts:
-                            cuts[key] = _bins(ps, C, self.k_bins)
-                        binned = _, occupied = cuts[key]
-                    for r, note in enumerate(_ps_warnings(info, ps, occupied, self.k_bins)):
-                        if note and ps_status[r] == _OK:
-                            notes[r, i] = note
+                    propensity, cut = (shared.get(spec.ps_terms)
+                                       or (self.propensity(spec, C), None))
+                    binned, fit_notes = self.treatment(info, C, propensity, cut)
+                    shared[spec.ps_terms] = propensity, binned or cut
+                    notes.update(((r, i), note) for r, note in enumerate(fit_notes) if note)
                 estimates, status = self.effects(info, spec, C, propensity, binned)
                 ok[:, i] = status == _OK
                 for j, estimand in enumerate(ESTIMANDS):
@@ -429,18 +432,19 @@ class _Batch:
 def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
     """Run any method of :data:`METHOD_TABLE` on ``data``.
 
-    ``spec`` supplies the outcome terms of methods with an outcome model (a
-    :class:`ModelSpec`, or the terms alone).  Methods that use the
-    propensity score take ``ps_fit`` if given, else fit ``spec.ps_terms``
-    (or the terms alone) here, by :meth:`_Batch.propensity` as every
+    ``spec`` is a :class:`ModelSpec`, or terms alone that stand for every
+    model fitted here (the treatment model only if no ``ps_fit`` is given).
+    Methods that use the propensity score take ``ps_fit`` if given, else
+    fit ``spec.ps_terms`` here, by :meth:`_Batch.propensity` as every
     replicate does; a failed fit raises the error of its status, as
-    :func:`~panel_causal.glm_fit.fit_propensity` would.  Scores near 0 or 1
-    raise an
-    :class:`ExtremeWeightsWarning` where the method inverts them, collapsed
-    bins a :class:`DegenerateBinsWarning` where it bins them.  ``k_bins``
-    goes to DRGLMM.  A method without the terms of a model it fits (by
-    :meth:`MethodInfo.missing_model`, ``ps_fit`` counting as the treatment
-    model) raises :class:`InvalidArgumentError`.
+    :func:`~panel_causal.glm_fit.fit_propensity` would.  The treatment step
+    then warns, before the outcome design is built: scores near 0 or 1 with
+    an :class:`ExtremeWeightsWarning` where the method inverts them,
+    collapsed bins a :class:`DegenerateBinsWarning` where it bins them.
+    ``k_bins`` goes to DRGLMM.  A method without the
+    terms of a model it fits (by :meth:`MethodInfo.missing_model`,
+    ``ps_fit`` counting as the treatment model) raises
+    :class:`InvalidArgumentError`.
 
     The estimate is the batch of one draw (module docstring), whose failed
     fit raises the error of its status.
@@ -451,41 +455,37 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
         ``{estimand: EffectEstimate}`` for each estimand of the method.
     """
     info = method_info(method)
-    bare = spec is not None and not isinstance(spec, ModelSpec)
-    if bare and (info.outcome or info.uses_ps):
-        spec = tuple(spec)
-    # The terms alone are the terms of every model fitted here, and a given
-    # ps_fit is the treatment model.
-    missing = None if bare and spec else info.missing_model(None if bare else spec)
+    if spec is not None and not isinstance(spec, ModelSpec):
+        # The terms alone are the terms of every model fitted here; a given
+        # ps_fit is the treatment model.
+        terms = tuple(spec)
+        spec = ModelSpec(outcome_terms=terms if info.outcome else (),
+                         ps_terms=terms if info.uses_ps and ps_fit is None else ())
+    missing = info.missing_model(spec)
     if missing == "treatment model" and ps_fit is not None:
         missing = None
     if missing:
         ps_note = " and no ps_fit gives" if missing == "treatment model" else ""
         raise InvalidArgumentError(f"{info.name} needs its {missing}, which spec lacks{ps_note}")
     C = np.ones((1, data.n))
-    propensity = binned = occupied = None
+    propensity = binned = None
+    if info.uses_ps and ps_fit is None:
+        # A batch of its own, so that the treatment design is freed before
+        # the outcome design is built.
+        propensity = _Batch(data, k_bins, reps=1).propensity(spec, C)
+        _raise_failure(propensity[1][0], "ps", len(spec.ps_terms))
+    elif info.uses_ps:
+        propensity = _fitted_scores(data, ps_fit)[None], np.full(1, _OK)
+    batch = _Batch(data, _check_k_bins(k_bins, data.n) if info.bins_ps else k_bins, reps=1)
     if info.uses_ps:
-        if ps_fit is None:
-            # A batch of its own, so that the treatment design is freed
-            # before the outcome design is built.
-            propensity = ps, ps_status = _Batch(data, k_bins, reps=1).propensity(spec, C)
-            _raise_failure(ps_status[0], "ps", len(_ps_terms(spec)))
-        else:
-            ps = _fitted_scores(data, ps_fit)[None]
-            propensity = ps, np.full(1, _OK)
-        if info.bins_ps:
-            k_bins = _check_k_bins(k_bins, data.n, name="K")
-            binned = _, occupied = _bins(ps, C, k_bins)
-        note, = _ps_warnings(info, ps, occupied, k_bins)
+        binned, (note,) = batch.treatment(info, C, propensity)
         if note:
             _warn(*note)
-    if info.outcome and bare:
-        spec = ModelSpec(outcome_terms=spec)
-    values, status = _Batch(data, k_bins, reps=1).effects(info, spec, C, propensity, binned)
+    values, status = batch.effects(info, spec, C, propensity, binned)
     if info.outcome:
         # The mixed kernel judges the rank of the terms and of DRGLMM's
         # dummies, one for each occupied bin but the reference.
-        dummies = occupied[0] - 1 if info.bins_ps else 0
+        dummies = binned[1][0] - 1 if info.bins_ps else 0
         _raise_failure(status[0], info.outcome, len(spec.outcome_terms) + dummies)
     return {e: EffectEstimate(info.name, e, float(v[0]),
                               {c: x[0].item() for c, x in comps.items()})

@@ -280,6 +280,17 @@ def _coerce_terms(terms):
 _PS_ALLOWED = {"intercept", "covariate", "log"}
 
 
+def _check_ps_terms(terms):
+    """Reject a treatment-model term that is not a function of
+    pre-intervention covariates: a time or treatment term."""
+    for t in terms:
+        if t.kind not in _PS_ALLOWED:
+            raise InvalidTermError(
+                f"'{term_label(t)}' is not allowed in a propensity model: the "
+                "treatment model is a function of pre-intervention covariates only"
+            )
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative model: outcome terms, random effect, propensity terms.
@@ -300,12 +311,7 @@ class ModelSpec:
             raise InvalidArgumentError(
                 f"random_effect must be 'none' or 'unit_intercept', got {self.random_effect!r}"
             )
-        for t in self.ps_terms:
-            if t.kind not in _PS_ALLOWED:
-                raise InvalidTermError(
-                    f"ps_terms may not contain '{term_label(t)}': the treatment model "
-                    "is a function of pre-intervention covariates only"
-                )
+        _check_ps_terms(self.ps_terms)
 
     def to_dict(self):
         return {
@@ -436,13 +442,8 @@ def ps_design(data, spec):
     terms = spec.ps_terms if isinstance(spec, ModelSpec) else _coerce_terms(spec)
     if not terms:
         raise InvalidTermError("propensity term list is empty")
-    cols = []
-    for tm in terms:
-        if tm.kind not in _PS_ALLOWED:
-            raise InvalidTermError(
-                f"'{term_label(tm)}' is not allowed in a propensity model"
-            )
-        cols.append(_term_column(tm, data, 0, None))
+    _check_ps_terms(terms)
+    cols = [_term_column(tm, data, 0, None) for tm in terms]
     return np.column_stack(cols), tuple(term_label(t) for t in terms)
 
 

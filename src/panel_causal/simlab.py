@@ -80,23 +80,19 @@ _COMMON_PARAMS = dict(
 )
 
 # Response-surface coefficients.  x2_post_only moves the linear x2 term out
-# of the pre period (a confounder acting through the time trend); coef_cv>0
-# replaces every surface coefficient with a unit-level Gaussian draw whose
-# sd is coef_cv times the mean.
+# of the pre period (a confounder acting through the time trend): each _TI
+# scenario is its base with it set.  coef_cv>0 replaces every surface
+# coefficient with a unit-level Gaussian draw whose sd is coef_cv times the
+# mean: RANDCOEF is HET with it set.
 _RESPONSE_PARAMS = {
     "HOM": dict(intercept=10.0, trend=3.0, treat=15.0, x1=1.0, x2=2.0,
                 log_x2=1.0, x1_treat=0.0, x2_post_only=False, coef_cv=0.0),
-    "HOM_TI": dict(intercept=10.0, trend=3.0, treat=15.0, x1=1.0, x2=2.0,
-                   log_x2=1.0, x1_treat=0.0, x2_post_only=True, coef_cv=0.0),
     "HET": dict(intercept=10.0, trend=2.0, treat=15.0, x1=1.0, x2=3.0,
                 log_x2=0.0, x1_treat=1.0, x2_post_only=False, coef_cv=0.0),
-    "HET_TI": dict(intercept=10.0, trend=2.0, treat=15.0, x1=1.0, x2=3.0,
-                   log_x2=0.0, x1_treat=1.0, x2_post_only=True, coef_cv=0.0),
-    "RANDCOEF": dict(intercept=10.0, trend=2.0, treat=15.0, x1=1.0, x2=3.0,
-                     log_x2=0.0, x1_treat=1.0, x2_post_only=False, coef_cv=0.1),
-    "RANDCOEF_TI": dict(intercept=10.0, trend=2.0, treat=15.0, x1=1.0, x2=3.0,
-                        log_x2=0.0, x1_treat=1.0, x2_post_only=True, coef_cv=0.1),
 }
+_RESPONSE_PARAMS["RANDCOEF"] = {**_RESPONSE_PARAMS["HET"], "coef_cv": 0.1}
+_RESPONSE_PARAMS.update({f"{sid}_TI": {**params, "x2_post_only": True}
+                         for sid, params in _RESPONSE_PARAMS.items()})
 
 
 def default_params(scenario_id):
@@ -290,9 +286,9 @@ def true_effects(scenario):
 # model specs per scenario
 # ---------------------------------------------------------------------------
 
-# Two-period ("mixed") and post-period-only term sets, full and reduced.
-# The reduced sets drop every term derived from x2, the time-invariant
-# confounder; that is the canonical misspecification the studies probe.
+# Two-period ("mixed") term sets, full and reduced.  The reduced sets drop
+# every term derived from x2, the time-invariant confounder; that is the
+# canonical misspecification the studies probe.
 _MIXED_TERMS = {
     "HOM": (("1", "time", "treat", "x1", "x2", "log(x2)"),
             ("1", "time", "treat", "x1")),
@@ -303,18 +299,15 @@ _MIXED_TERMS = {
     "HET_TI": (("1", "time", "treat", "x1", "x2:time", "x1:treat"),
                ("1", "time", "treat", "x1", "x1:treat")),
 }
-_POST_TERMS = {
-    "HOM": (("1", "treat", "x1", "x2", "log(x2)"), ("1", "treat", "x1")),
-    "HOM_TI": (("1", "treat", "x1", "x2", "log(x2)"), ("1", "treat", "x1")),
-    "HET": (("1", "treat", "x1", "x2", "x1:treat"),
-            ("1", "treat", "x1", "x1:treat")),
-    "HET_TI": (("1", "treat", "x1", "x2", "x1:treat"),
-               ("1", "treat", "x1", "x1:treat")),
-}
 _MIXED_TERMS["RANDCOEF"] = _MIXED_TERMS["HET"]
 _MIXED_TERMS["RANDCOEF_TI"] = _MIXED_TERMS["HET_TI"]
-_POST_TERMS["RANDCOEF"] = _POST_TERMS["HET"]
-_POST_TERMS["RANDCOEF_TI"] = _POST_TERMS["HET_TI"]
+
+
+def _post_terms(terms):
+    """A two-period term set at t = 1, the post-period outcome model's:
+    ``time`` is constant there and goes, and ``x:time`` is ``x``."""
+    return tuple(t.removesuffix(":time") for t in terms if t != "time")
+
 
 _PS_TERMS = {
     "full": ("1", "x1", "x2", "v"),
@@ -337,7 +330,7 @@ def scenario_specs(scenario_id):
             f"unknown scenario {scenario_id!r}; choose from {SCENARIO_IDS}"
         )
     mixed_full, mixed_red = _MIXED_TERMS[sid]
-    post_full, post_red = _POST_TERMS[sid]
+    post_full, post_red = map(_post_terms, _MIXED_TERMS[sid])
     return {
         "mixed_full": ModelSpec(outcome_terms=mixed_full, ps_terms=_PS_TERMS["full"]),
         "mixed_reduced": ModelSpec(outcome_terms=mixed_red, ps_terms=_PS_TERMS["reduced"]),

@@ -1,5 +1,6 @@
 """Estimator algebra: hand-computable values, exact identities, components."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from panel_causal import (
     RankDeficientDesignError,
     Scenario,
     SeparationError,
+    balance_check,
     build_design,
     estimate_did,
     estimate_drglmm,
@@ -286,6 +288,17 @@ class TestEstimateIpw:
         with pytest.raises(InvalidArgumentError):
             estimate_ipw(data, _nan_ps(data))
 
+    @pytest.mark.parametrize("shape", [(), (50, 1), (1, 50), (49,)])
+    def test_misshapen_scores_fail_typed(self, shape):
+        # Scores that are not one per unit name their shape and the unit
+        # count, in the estimators and in the balance check alike.
+        data = _hom(444, n=50)
+        ps = replace(fit_propensity(data, ("1", "x1")), fitted_ps=np.full(shape, 0.5))
+        for call in (estimate_ipw, balance_check):
+            with pytest.raises(InvalidArgumentError,
+                               match=re.escape(f"shape {shape}; the 50 units")):
+                call(data, ps)
+
 
 class TestOwnTreatmentModel:
     """A method that fits its own treatment model fits it by the batch
@@ -455,6 +468,16 @@ class TestEstimateDrglmm:
         spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1", "x2"))
         with pytest.raises(InvalidArgumentError):
             estimate_drglmm(data, spec, _nan_ps(data))
+
+    @pytest.mark.parametrize("k_bins,rule", [(1, "be at least 2"),
+                                              (61, "not exceed the 60 units")])
+    def test_k_bins_is_named_as_passed(self, k_bins, rule):
+        data = _hom(446, n=60)
+        spec = ModelSpec(outcome_terms=("1", "time", "treat", "x1"), ps_terms=("1", "x1"))
+        for call in (lambda: estimate_drglmm(data, spec, fit_propensity(data, spec), k_bins),
+                     lambda: estimate_effects("DRGLMM", data, spec, k_bins=k_bins)):
+            with pytest.raises(InvalidArgumentError, match=f"^k_bins must {rule}, got {k_bins}$"):
+                call()
 
     def test_components_record_augmentation(self):
         data = _hom(441, n=400)

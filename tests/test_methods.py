@@ -16,6 +16,7 @@ from panel_causal import (
     METHODS,
     EstimatorConfig,
     InvalidArgumentError,
+    InvalidTermError,
     ModelSpec,
     NonFiniteLikelihoodError,
     PanelCausalError,
@@ -227,6 +228,44 @@ def test_unit_order_changes_no_effect(method, data, perm_seed):
     permuted = _effects(method, data.take(order))
     for estimand, value in base.items():
         assert abs(permuted[estimand] - value) <= 1e-9 * (abs(value) + 1.0)
+
+
+# Term lists for the front door: the intercept and a few terms the scenarios
+# use.  The time and treatment terms are ones a treatment model rejects.
+_REJECTED_BY_PS = {"time", "treat", "x1:treat", "x2:time"}
+_term_lists = st.lists(
+    st.sampled_from(["x1", "x2", "v", "log(x2)", *sorted(_REJECTED_BY_PS)]),
+    max_size=4, unique=True,
+).map(lambda terms: ("1", *terms))
+
+
+def _outcome(call):
+    """The values and components a point estimate gives, as their repr (so
+    that equal means bit-identical), or its typed error; and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr({e: (v.value, v.components) for e, v in call().items()})
+        except PanelCausalError as exc:
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(data=_panels, terms=_term_lists)
+def test_terms_alone_are_the_spec_they_stand_for(method, data, terms):
+    # Terms alone stand for every model the method fits, and fail or warn
+    # as that ModelSpec does; a term the treatment model rejects fails as
+    # in fit_propensity.
+    info = METHOD_TABLE[method]
+    bare = _outcome(lambda: estimate_effects(method, data, terms))
+    spec = _outcome(lambda: estimate_effects(method, data, ModelSpec(
+        outcome_terms=terms if info.outcome else (), ps_terms=terms if info.uses_ps else ())))
+    assert bare == spec
+    if info.uses_ps and _REJECTED_BY_PS & set(terms):
+        with pytest.raises(InvalidTermError) as public:
+            fit_propensity(data, terms)
+        assert bare == ((InvalidTermError, str(public.value)), [])
 
 
 # Resamples of a panel, as kinds of rows of a count matrix: at least one
