@@ -26,8 +26,11 @@ models.  The batch follows the method's :data:`METHOD_TABLE` row: the
 treatment model's scores, the treatment step (DRGLMM's bins and each fit's
 warning), then the kernels of :mod:`glm_fit` and :mod:`lmm_fit` and the
 estimand arithmetic, where every mean is a sum over units with unit i
-counted ``C[r, i]`` times.  A failed fit raises its status's error
-(``lmm_fit._FAILURES``) in a point estimate, and is NaN in a replicate.
+counted ``C[r, i]`` times, over the counted units or treated units, which
+are summed once per method.  DRGLMM's bins are numbered once, by
+``glm_fit._quantile_bins_batch``, whose ``labels`` and ``n_bins`` each step
+reads.  A failed fit raises its status's error (``lmm_fit._FAILURES``) in a
+point estimate, and is NaN in a replicate.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +42,7 @@ from .glm_fit import (_check_k_bins, _collapsed_message, _fit_logistic_batch,
                       _quantile_bins_batch)
 from .lmm_fit import (_NO_OVERLAP, _OK, _PS_UNUSABLE, _fit_lmm_batch, _fit_or_batch,
                       _raise_failure, _rotated_rows, _Rows)
-from .panel_data import ModelSpec, build_design, ps_design
+from .panel_data import ModelSpec, _coerce_terms, build_design, ps_design
 
 __all__ = [
     "MethodInfo",
@@ -151,16 +154,16 @@ def _fitted_scores(data, ps_fit):
     return ps
 
 
-def _ps_warnings(info, ps, occupied, k_bins):
+def _ps_warnings(info, ps, binned, k_bins):
     """The warning that each fit of the method ``info`` raises for its
     treatment model, as ``(message, category)`` or None: DRGLMM's when its
-    scores fill only ``occupied`` (one count per fit) of ``k_bins`` bins,
-    IPW's and IPWDID's when a score of the fit (a row of ``ps``) gives an
-    extreme inverse weight.  The one rule of the point estimates and of the
-    replicate engine."""
+    bins ``binned`` (of :func:`_quantile_bins_batch`) fill only ``n_bins``
+    of ``k_bins``, IPW's and IPWDID's when a score of the fit (a row of
+    ``ps``) gives an extreme inverse weight.  The one rule of the point
+    estimates and of the replicate engine."""
     if info.bins_ps:
         return [(_collapsed_message(m - 1, k_bins), DegenerateBinsWarning) if m < k_bins
-                else None for m in occupied]
+                else None for m in binned.n_bins]
     message = (f"propensity scores outside [{_EXTREME_EPS:g}, {1 - _EXTREME_EPS:g}]; "
                "inverse weights may be unstable")
     extreme = np.any((ps < _EXTREME_EPS) | (ps > 1.0 - _EXTREME_EPS), axis=1)
@@ -168,46 +171,47 @@ def _ps_warnings(info, ps, occupied, k_bins):
 
 
 # The estimand arithmetic (see the module docstring): sums over the last axis
-# of unit terms times the counts C.  Each returns {estimand: (value, components)}.
+# of unit terms times the counts C and their _counted sums.  Each returns
+# {estimand: (value, components)}.
 
-def _counted(data, C):
-    """The 0/1 treatment as floats, and the counted units and treated units."""
-    d = data.d1.astype(float)
+def _counted(d1, C):
+    """The 0/1 treatment ``d1`` as floats, and the counted units and treated units."""
+    d = d1.astype(float)
     return d, C.sum(axis=-1), np.sum(C * d, axis=-1)
 
 
-def _ht_terms(data, y, ps, C):
+def _ht_terms(y, ps, C, counted):
     """Horvitz-Thompson means of treated and control responses, and the
     ATT contrast: weight 1 for treated units, the odds ``ps / (1 - ps)`` for controls."""
-    d, units, treated = _counted(data, C)
+    d, units, treated = counted
     ht_treated = np.sum(C * d * y / ps, axis=-1) / units
     ht_control = np.sum(C * (1.0 - d) * y / (1.0 - ps), axis=-1) / units
     w = C * (d - (1.0 - d) * ps / (1.0 - ps))
     return ht_treated, ht_control, np.sum(w * y, axis=-1) / treated
 
 
-def _ipw_values(data, ps, C):
-    ht_treated, ht_control, att = _ht_terms(data, data.y1, ps, C)
+def _ipw_values(y0, y1, ps, C, counted):
+    ht_treated, ht_control, att = _ht_terms(y1, ps, C, counted)
     return {"ATE": (ht_treated - ht_control,
                     {"ht_treated": ht_treated, "ht_control": ht_control}),
             "ATT": (att, {})}
 
 
-def _ipwdid_values(data, ps, C):
-    delta1_treated, delta1_control, post = _ht_terms(data, data.y1, ps, C)
-    delta0_treated, delta0_control, pre = _ht_terms(data, data.y0, ps, C)
+def _ipwdid_values(y0, y1, ps, C, counted):
+    delta1_treated, delta1_control, post = _ht_terms(y1, ps, C, counted)
+    delta0_treated, delta0_control, pre = _ht_terms(y0, ps, C, counted)
     return {"ATE": ((delta1_treated - delta1_control) - (delta0_treated - delta0_control),
                     {"delta1_treated": delta1_treated, "delta1_control": delta1_control,
                      "delta0_treated": delta0_treated, "delta0_control": delta0_control}),
             "ATT": (post - pre, {"post": post, "pre": pre})}
 
 
-def _did_values(data, ps, C):
+def _did_values(y0, y1, ps, C, counted):
     """The difference of group mean differences; ``ps`` is not used."""
-    d, units, treated = _counted(data, C)
+    d, units, treated = counted
     post, pre = (np.sum(C * d * y, axis=-1) / treated
                  - np.sum(C * (1.0 - d) * y, axis=-1) / (units - treated)
-                 for y in (data.y1, data.y0))
+                 for y in (y1, y0))
     return {"ATT": (post - pre, {"post_diff": post, "pre_diff": pre})}
 
 
@@ -230,31 +234,6 @@ def _contrast_values(diff, beta, C, counted):
             "ATT": (np.sum(C * d * contrasts, axis=-1) / treated, {})}
 
 
-def _bins(ps, C, k_bins):
-    """The propensity bins of each fit of a batch: every unit's bin
-    renumbered among the fit's occupied bins, the lowest (always occupied)
-    staying the reference, and the count of occupied bins per fit.  When
-    every fit fills every bin, as it usually does, the numbers stay as they
-    are; else they are read by one flat gather from the rows of renumbered
-    bins."""
-    cut = _quantile_bins_batch(ps, C, k_bins)
-    n_bins = cut.occupied.sum(axis=1)
-    if cut.occupied.all():
-        return cut.bins, n_bins
-    renumbered = np.cumsum(cut.occupied, axis=1) - 1
-    labels = renumbered.ravel()[cut.bins + k_bins * np.arange(ps.shape[0])[:, None]]
-    return labels, n_bins
-
-
-@dataclass(frozen=True, eq=False)
-class _Responses:
-    """The columns the estimand functions read, with a leading replicate axis."""
-
-    d1: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
-
-
 class _Batch:
     """Estimates of every method on a batch of fits: the resamples of one
     dataset, a chunk of draws, or the one fit of a point estimate.
@@ -266,11 +245,13 @@ class _Batch:
     ``r n`` to ``r n + n - 1``) and fit r is dataset r, counted with ones;
     every design column is a function of one unit's own data, so each design
     is built once on the stacked rows and split into one per dataset.  A
-    point estimate is ``reps`` 1.
+    point estimate is ``reps`` 1.  The treatment and the responses are
+    split onto the batch once.
 
     The designs of a :class:`ModelSpec` are built on first use.  A method
     that uses the propensity score takes its :meth:`propensity` and then
-    its :meth:`treatment` step (the count-weighted bins of DRGLMM); then
+    its :meth:`treatment` step (DRGLMM's count-weighted bins, with each
+    unit's ``labels`` and each fit's ``n_bins``); then
     :meth:`effects` runs OLS on the post period or the two-period mixed
     model for its outcome kind.  :meth:`values` takes these steps for each
     entry of a suite, a point estimate takes them one by one.
@@ -280,8 +261,7 @@ class _Batch:
         self.data = data
         self.k_bins = k_bins
         self.reps = reps
-        self.responses = data if reps is None else _Responses(
-            self._split(data.d1), self._split(data.y0), self._split(data.y1))
+        self.d1, self.y0, self.y1 = (self._split(a) for a in (data.d1, data.y0, data.y1))
         self._designs = {}
 
     def _split(self, a):
@@ -301,7 +281,7 @@ class _Batch:
         if key not in self._designs:
             if kind == "ps":
                 X, _ = ps_design(self.data, spec)
-                self._designs[key] = _Rows(self._split(X), self.responses.d1.astype(float))
+                self._designs[key] = _Rows(self._split(X), self.d1.astype(float))
             else:
                 design = build_design(self.data, spec, pre_period=kind == "mixed")
                 blocks = [self._split(b) for b in (design.X0, design.X) if b is not None]
@@ -309,9 +289,8 @@ class _Batch:
                 # Only their difference is used: dropping the counterfactual
                 # blocks first lowers the peak memory of a large estimate.
                 del design
-                y0, y1 = self.responses.y0, self.responses.y1
-                rows = (_Rows(blocks[0], y1) if kind == "post"
-                        else _rotated_rows(*blocks, y0, y1))
+                rows = (_Rows(blocks[0], self.y1) if kind == "post"
+                        else _rotated_rows(*blocks, self.y0, self.y1))
                 self._designs[key] = diff, rows
         return self._designs[key]
 
@@ -332,13 +311,13 @@ class _Batch:
     @np.errstate(all="ignore")
     def effects(self, info, spec, C, propensity=None, binned=None):
         """Estimates of the method ``info`` with the models of ``spec`` on
-        each fit of ``C``, given if need be the :meth:`propensity` and
-        :meth:`treatment` bins of the same counts.  The outcome fits are grouped by
-        their count of occupied bins, one kernel call a group, each taking
-        the dummies of its own occupied bins; a group that is the whole
-        batch (every fit usable, with the same count) takes ``C`` and the
-        bins as they are.  The counted units and treated units are summed
-        once, for the overlap check and the contrasts.  A failed fit
+        each fit of ``C``, given the :meth:`propensity` and :meth:`treatment`
+        bins of the same counts that the method uses.  The counted units
+        and treated units are summed once, for the overlap check and every
+        estimand.  The outcome fits are grouped by their ``n_bins``, one
+        kernel call a group, each taking the ``labels`` of its own occupied
+        bins; a group that is the whole batch (every fit usable, with the
+        same count) takes ``C`` and the labels as they are.  A failed fit
         computes meaningless floats silently; its status speaks for it.
 
         Returns ``({estimand: (values, components)}, status)``: ``(k,)``
@@ -349,30 +328,29 @@ class _Batch:
         status, which includes its rank verdict.
         """
         k = C.shape[0]
-        counted = _, units, treated = _counted(self.responses, C)
+        counted = _, units, treated = _counted(self.d1, C)
         status = np.where((treated > 0.0) & (treated < units), _OK, _NO_OVERLAP)
         ps = None
         if info.uses_ps:
-            ps, ps_status = propensity or self.propensity(spec, C)
+            ps, ps_status = propensity
             status[(status == _OK) & (ps_status != _OK)] = _PS_UNUSABLE
         if info.outcome is None:
-            return _WEIGHTING_VALUES[info.name](self.responses, ps, C), status
+            return _WEIGHTING_VALUES[info.name](self.y0, self.y1, ps, C, counted), status
         diff, rows = self._design(info.outcome, spec)
-        bins, n_bins = None, np.zeros(k, dtype=int)
-        if info.bins_ps:
-            bins, n_bins = binned or _bins(ps, C, self.k_bins)
+        labels, n_bins = ((binned.labels, binned.n_bins) if info.bins_ps
+                          else (None, np.zeros(k, dtype=int)))
         sel = np.flatnonzero(status == _OK)
         coef = np.zeros((k, diff.shape[-1]))
         lam, sigma_e2 = np.zeros(k), np.zeros(k)
         for m in np.unique(n_bins[sel]):
             group = sel[n_bins[sel] == m]
-            Cg, bins_g = ((C, bins) if group.size == k
-                          else (C[group], None if bins is None else bins[group]))
+            Cg, labels_g = ((C, labels) if group.size == k
+                            else (C[group], None if labels is None else labels[group]))
             if info.outcome == "post":
                 fits = _fit_or_batch(rows.take(group), Cg)
             else:
                 fits = _fit_lmm_batch(
-                    tuple(r.take(group) for r in rows), Cg, bins_g, m,
+                    tuple(r.take(group) for r in rows), Cg, labels_g, m,
                     random_intercept=spec.random_effect == "unit_intercept",
                 )
                 lam[group] = fits.lam
@@ -389,15 +367,14 @@ class _Batch:
 
     def treatment(self, info, C, propensity, binned=None):
         """The treatment step of the method ``info`` on each fit of ``C``,
-        given the :meth:`propensity` ``(ps, status)``: the method's bins
-        (DRGLMM's :func:`_bins` unless ``binned`` gives them, else None) and
-        each fit's :func:`_ps_warnings` note, None where its model failed."""
+        given the :meth:`propensity` ``(ps, status)`` and, if already cut,
+        their bins ``binned``: the bins (DRGLMM cuts them by
+        :func:`_quantile_bins_batch` if need be) and each fit's
+        :func:`_ps_warnings` note, None where its model failed."""
         ps, status = propensity
-        if not info.bins_ps:
-            binned = None
-        elif binned is None:
-            binned = _bins(ps, C, self.k_bins)
-        notes = _ps_warnings(info, ps, None if binned is None else binned[1], self.k_bins)
+        if info.bins_ps and binned is None:
+            binned = _quantile_bins_batch(ps, C, self.k_bins)
+        notes = _ps_warnings(info, ps, binned, self.k_bins)
         return binned, [note if s == _OK else None for note, s in zip(notes, status)]
 
     def values(self, suite, C):
@@ -416,10 +393,10 @@ class _Batch:
                 info = METHOD_TABLE[method]
                 propensity = binned = None
                 if info.uses_ps:
-                    propensity, cut = (shared.get(spec.ps_terms)
-                                       or (self.propensity(spec, C), None))
-                    binned, fit_notes = self.treatment(info, C, propensity, cut)
-                    shared[spec.ps_terms] = propensity, binned or cut
+                    propensity, binned = (shared.get(spec.ps_terms)
+                                          or (self.propensity(spec, C), None))
+                    binned, fit_notes = self.treatment(info, C, propensity, binned)
+                    shared[spec.ps_terms] = propensity, binned
                     notes.update(((r, i), note) for r, note in enumerate(fit_notes) if note)
                 estimates, status = self.effects(info, spec, C, propensity, binned)
                 ok[:, i] = status == _OK
@@ -458,7 +435,7 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
     if spec is not None and not isinstance(spec, ModelSpec):
         # The terms alone are the terms of every model fitted here; a given
         # ps_fit is the treatment model.
-        terms = tuple(spec)
+        terms = _coerce_terms(spec)
         spec = ModelSpec(outcome_terms=terms if info.outcome else (),
                          ps_terms=terms if info.uses_ps and ps_fit is None else ())
     missing = info.missing_model(spec)
@@ -485,7 +462,7 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
     if info.outcome:
         # The mixed kernel judges the rank of the terms and of DRGLMM's
         # dummies, one for each occupied bin but the reference.
-        dummies = binned[1][0] - 1 if info.bins_ps else 0
+        dummies = binned.n_bins[0] - 1 if info.bins_ps else 0
         _raise_failure(status[0], info.outcome, len(spec.outcome_terms) + dummies)
     return {e: EffectEstimate(info.name, e, float(v[0]),
                               {c: x[0].item() for c, x in comps.items()})

@@ -12,13 +12,14 @@ Each of the two models has one kernel, which handles a batch of fits at
 once, each fit weighting its units by a vector of counts (the resamples of
 one dataset share its design; a study's draws each have their own):
 :func:`_fit_logistic_batch` runs the IRLS with a masked Newton step per
-fit, and :func:`_quantile_bins_batch` is the count-weighted binning rule.
+fit, and :func:`_quantile_bins_batch` is the count-weighted binning rule,
+the one place that numbers each unit's bin among its fit's occupied bins.
 :func:`fit_logistic` and :func:`ps_quantile_dummies` are those kernels on
 one fit that counts every unit once: they check their input and turn the
 logistic fit's status into the result, its covariance by
 ``lmm_fit._covariance``, or the typed error of ``lmm_fit._FAILURES``, where
-every kernel's statuses are numbered, and the bins into the dummies and the
-warning.
+every kernel's statuses are numbered, and the bins' labels into the
+dummies and the warning.
 """
 
 from dataclasses import dataclass, replace
@@ -215,17 +216,15 @@ def ps_quantile_dummies(ps, K=5):
         raise InvalidArgumentError("ps must be finite")
     K = _check_k_bins(K, ps.shape[0], name="K")
     fits = _quantile_bins_batch(ps[None], np.ones((1, ps.shape[0])), K)
-    bins = fits.bins[0]
-    cols = [(bins == b).astype(float) for b in np.flatnonzero(fits.occupied[0])[1:]]
-    dummies = np.column_stack(cols) if cols else np.zeros((ps.shape[0], 0))
-    collapsed = not fits.occupied[0].all()
+    dummies = (fits.labels[0][:, None] == np.arange(1, fits.n_bins[0])).astype(float)
+    collapsed = bool(fits.n_bins[0] < K)
     if collapsed:
         _warn(_collapsed_message(dummies.shape[1], K), DegenerateBinsWarning)
     return PSDummies(
         bin_edges=fits.edges[0][fits.distinct[0]],
         dummies=dummies,
         K=K,
-        bins=bins,
+        bins=fits.bins[0],
         collapsed=collapsed,
     )
 
@@ -386,12 +385,14 @@ def _quantile_bins_batch(ps, C, K):
     Returns
     -------
     _Fits
-        Per fit: ``bins`` ``(k, n)``, the bin of each unit, numbered as
-        :func:`ps_quantile_dummies` numbers them (0 is the reference bin);
-        the cut points ``edges`` ``(k, K - 1)`` and the mask ``distinct``
-        of those above the cut before; and the mask ``occupied`` ``(k, K)``
-        of bins that hold a counted unit.  Binning is not a fit: there is
-        no status, and a bin that holds no unit shows in ``occupied``.
+        Per fit: ``bins`` ``(k, n)``, the bin of each unit; the cut points
+        ``edges`` ``(k, K - 1)`` and the mask ``distinct`` of those above
+        the cut before; the mask ``occupied`` ``(k, K)`` of bins that hold
+        a counted unit and their count ``n_bins``; and ``labels``, each
+        unit's bin renumbered among its fit's occupied bins, the lowest
+        staying the reference 0: ``bins`` itself when every fit fills
+        every bin, as it usually does, else one flat gather.  Binning is
+        not a fit: there is no status.
     """
     k, n = ps.shape
     N = C.sum(axis=1, keepdims=True)
@@ -418,7 +419,9 @@ def _quantile_bins_batch(ps, C, K):
     bins = np.zeros((k, n), dtype=np.intp)
     for j in range(K - 1):
         bins += distinct[:, j, None] & (edges[:, j, None] < ps)
-    counted = np.bincount((bins + K * np.arange(k)[:, None]).ravel(), weights=C.ravel(),
-                          minlength=k * K)
-    return _Fits(bins=bins, edges=edges, distinct=distinct,
-                 occupied=counted.reshape(k, K) > 0.0)
+    flat = bins + K * np.arange(k)[:, None]
+    counted = np.bincount(flat.ravel(), weights=C.ravel(), minlength=k * K)
+    occupied = counted.reshape(k, K) > 0.0
+    labels = bins if occupied.all() else (np.cumsum(occupied, axis=1) - 1).ravel()[flat]
+    return _Fits(bins=bins, edges=edges, distinct=distinct, occupied=occupied,
+                 labels=labels, n_bins=occupied.sum(axis=1))

@@ -18,6 +18,7 @@ plus, for the mixed model, the aligned pre-period (t=0) design.
 
 import csv
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,10 +272,11 @@ def term_label(term):
 
 
 def _coerce_terms(terms):
-    out = []
-    for t in terms:
-        out.append(t if isinstance(t, Term) else parse_term(t))
-    return tuple(out)
+    """A term list, of :class:`Term` objects or term strings, as a tuple of
+    :class:`Term`; a bare string or a non-iterable is not a term list."""
+    if isinstance(terms, (str, bytes)) or not isinstance(terms, Iterable):
+        raise InvalidTermError(f"a term list must be a sequence of terms, got {terms!r}")
+    return tuple(t if isinstance(t, Term) else parse_term(t) for t in terms)
 
 
 _PS_ALLOWED = {"intercept", "covariate", "log"}
@@ -326,9 +328,9 @@ class ModelSpec:
         if extra:
             raise InvalidArgumentError(f"unknown model spec fields: {sorted(extra)}")
         return cls(
-            outcome_terms=tuple(d.get("outcome_terms", ())),
+            outcome_terms=d.get("outcome_terms", ()),
             random_effect=d.get("random_effect", "unit_intercept"),
-            ps_terms=tuple(d.get("ps_terms", ())),
+            ps_terms=d.get("ps_terms", ()),
         )
 
 

@@ -576,7 +576,9 @@ def quantile_bins_batch_reference(ps, C, K):
 
 
 def bins_reference(ps, C, k_bins):
-    """``estimators._bins`` on :func:`quantile_bins_batch_reference`."""
+    """The ``labels`` and ``n_bins`` of ``glm_fit._quantile_bins_batch``:
+    each unit's bin renumbered among its fit's occupied bins of
+    :func:`quantile_bins_batch_reference`, and their count."""
     cut = quantile_bins_batch_reference(ps, C, k_bins)
     labels = np.take_along_axis(np.cumsum(cut["occupied"], axis=1) - 1, cut["bins"], axis=1)
     return labels, cut["occupied"].sum(axis=1)

@@ -196,6 +196,19 @@ class TestEstimate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
 
+    @pytest.mark.parametrize("terms", ['"1"', "5", "null"])
+    def test_spec_file_term_list_is_a_list(self, tmp_path, capsys, terms):
+        path = _simulate(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"outcome_terms": %s}' % terms)
+        rc = run(["estimate", "--input", str(path), "--method", "glmm",
+                  "--spec", str(spec)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR:InvalidTerm:")
+        assert captured.err.count("\n") == 1
+
     def test_missing_outcome_model(self, tmp_path, capsys):
         path = _simulate(tmp_path)
         rc = run(["estimate", "--input", str(path), "--method", "glmm"])

@@ -26,7 +26,6 @@ from panel_causal import (
     substream,
 )
 from panel_causal import glm_fit
-from panel_causal.estimators import _bins
 from panel_causal.glm_fit import _check_k_bins, _fit_logistic_batch, _quantile_bins_batch
 from panel_causal.lmm_fit import _NOT_PD, _OK, _ONE_CLASS, _SINGULAR, _STALLED, _Rows
 
@@ -299,6 +298,21 @@ class TestPsQuantileDummies:
         np.testing.assert_array_equal(ps_quantile_dummies(ps, K=2.0).bins,
                                       ps_quantile_dummies(ps, K=2).bins)
 
+    @pytest.mark.parametrize("ps", [substream(46, 0).uniform(0.1, 0.9, 30),
+                                    np.array([0.1, 0.1, 0.1, 0.1, 0.4, 0.4, 0.7, 0.9])])
+    def test_dummies_are_the_kernels_labels(self, ps):
+        # The dummies and the batch fits read one bin numbering: column j
+        # is the indicator of label j + 1.  The tied scores fill bins 0, 1
+        # and 3 of 5, so their labels renumber bin 3 as 2.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateBinsWarning)
+            out = ps_quantile_dummies(ps, K=5)
+        cut = _quantile_bins_batch(ps[None], np.ones((1, ps.size)), 5)
+        labels, n_bins = cut.labels[0], cut.n_bins[0]
+        assert out.collapsed == (n_bins < 5) == (not np.array_equal(labels, cut.bins[0]))
+        assert_same_bits(out.dummies,
+                         np.stack([labels == j for j in range(1, n_bins)], axis=1).astype(float))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_score_rejected(self, bad):
         ps = np.linspace(0.1, 0.9, 10)
@@ -398,8 +412,9 @@ class TestKernelsAreTheirFirstFormulation:
             want = quantile_bins_batch_reference(ps, C, K)
             for name, value in want.items():
                 assert_same_bits(getattr(got, name), value)
-            for g, w in zip(_bins(ps, C, K), bins_reference(ps, C, K)):
-                assert_same_bits(g, w)
+            labels, n_bins = bins_reference(ps, C, K)
+            assert_same_bits(got.labels, labels)
+            assert_same_bits(got.n_bins, n_bins)
 
     @pytest.mark.parametrize("collapsed", [False, True])
     def test_bins_kept_or_renumbered(self, collapsed):
@@ -410,9 +425,11 @@ class TestKernelsAreTheirFirstFormulation:
                        [0.1, 0.1, 0.1, 0.1, 0.5, 0.6] if collapsed
                        else [0.6, 0.5, 0.4, 0.3, 0.2, 0.1]])
         C = np.array([[1, 1, 1, 1, 1, 1], [2, 0, 1, 1, 1, 1]], dtype=float)
-        assert _quantile_bins_batch(ps, C, 3).occupied.all() != collapsed
-        for g, w in zip(_bins(ps, C, 3), bins_reference(ps, C, 3)):
-            assert_same_bits(g, w)
+        got = _quantile_bins_batch(ps, C, 3)
+        assert got.occupied.all() != collapsed
+        labels, n_bins = bins_reference(ps, C, 3)
+        assert_same_bits(got.labels, labels)
+        assert_same_bits(got.n_bins, n_bins)
 
     @staticmethod
     def _batch(seed, k, n, shared, strength, one_class, outlier):

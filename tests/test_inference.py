@@ -41,7 +41,8 @@ from panel_causal import (
 )
 
 from panel_causal import inference
-from panel_causal.estimators import _Batch, _bins
+from panel_causal.estimators import _Batch
+from panel_causal.glm_fit import _quantile_bins_batch
 from panel_causal.inference import _replicate_values, _resamples
 from panel_causal.lmm_fit import _OK
 
@@ -56,6 +57,17 @@ from helpers import (
 
 def _hom(seed, n=300):
     return generate_scenario(Scenario("HOM", n), seed)
+
+
+def _batch_effects(batch, info, spec, C, propensity=None):
+    """``batch.effects`` after the steps the method takes first: its
+    treatment model's scores (``propensity``, if given) and its treatment
+    step."""
+    binned = None
+    if info.uses_ps:
+        propensity = propensity or batch.propensity(spec, C)
+        binned, _ = batch.treatment(info, C, propensity)
+    return batch.effects(info, spec, C, propensity, binned)
 
 
 class TestEstimatorConfig:
@@ -399,9 +411,9 @@ class TestBatchedReplicates:
         C = np.array([np.bincount(substream(4, r).integers(0, data.n, size=data.n),
                                   minlength=data.n) for r in range(25)], dtype=float)
         info = METHOD_TABLE[method]
-        forward, status = resamples.effects(info, config.spec, C)
-        backward, status_back = resamples.effects(info, config.spec, C[::-1])
-        alone = [resamples.effects(info, config.spec, C[r:r + 1])[0]["ATT"][0][0]
+        forward, status = _batch_effects(resamples, info, config.spec, C)
+        backward, status_back = _batch_effects(resamples, info, config.spec, C[::-1])
+        alone = [_batch_effects(resamples, info, config.spec, C[r:r + 1])[0]["ATT"][0][0]
                  for r in (0, 11, 24)]
         assert np.all(status == _OK) and np.all(status_back == _OK)
         np.testing.assert_allclose(forward["ATT"][0], backward["ATT"][0][::-1], rtol=1e-12)
@@ -462,7 +474,7 @@ class TestDuplicatedUnit:
         repeated = data.take(np.append(np.arange(n), unit))
         batch = _Batch(data, 5)
         propensity = batch.propensity(spec, C) if info.uses_ps else None
-        binned = _bins(propensity[0], C, 5) if info.bins_ps else None
+        binned = batch.treatment(info, C, propensity)[0] if info.uses_ps else None
         values, status = batch.effects(info, spec, C, propensity, binned)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtremeWeightsWarning)
@@ -475,10 +487,10 @@ class TestDuplicatedUnit:
         if info.bins_ps:
             ones = np.ones((1, n + 1))
             copy_ps, _ = _Batch(repeated, 5, reps=1).propensity(spec, ones)
-            bins, n_bins = binned
-            copy_bins, copy_n_bins = _bins(copy_ps, ones, 5)
-            np.testing.assert_array_equal(np.append(bins[0], bins[0, unit]), copy_bins[0])
-            assert n_bins[0] == copy_n_bins[0]
+            copy = _quantile_bins_batch(copy_ps, ones, 5)
+            labels = binned.labels[0]
+            np.testing.assert_array_equal(np.append(labels, labels[unit]), copy.labels[0])
+            assert binned.n_bins[0] == copy.n_bins[0]
 
 
 class TestOneArithmetic:
@@ -497,8 +509,8 @@ class TestOneArithmetic:
         # The point fit's scores, so that the weighting methods see the
         # same floats on both paths.
         propensity = None if ps_fit is None else (ps_fit.fitted_ps[None, :], np.full(1, _OK))
-        values, status = _Batch(data, 5).effects(
-            info, spec, np.ones((1, data.n)), propensity)
+        values, status = _batch_effects(_Batch(data, 5), info, spec, np.ones((1, data.n)),
+                                        propensity)
         assert np.all(status == _OK)
         assert set(values) == set(point) == set(info.estimands)
         for estimand, estimate in point.items():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from panel_causal import (
@@ -43,7 +43,7 @@ from panel_causal.cli import build_parser, run
 from panel_causal.estimators import _Batch
 from panel_causal.inference import _replicate_values, _resamples
 
-from helpers import make_dataset, shift_responses
+from helpers import shift_responses
 
 # The models each method fits and the effects it estimates, as the
 # estimator docstrings define them; the table must say the same.
@@ -171,29 +171,6 @@ def test_evaluate_estimator_equals_direct_call(method, estimand, hom):
         assert evaluate_estimator(config, hom, ps_fit=ps) == direct
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_response_shift_moves_effects_only_by_weight_imbalance(method, hom):
-    # Every method but IPW differences the shift away (an intercept, the
-    # pre period, or both).  IPW is linear in the response with weights
-    # fixed by the covariates, so it moves by c times its estimate on a
-    # unit response: the Horvitz-Thompson weights need not balance.
-    c = 1000.0
-    spec = _spec(method)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PanelCausalWarning)
-        a = estimate_effects(method, hom, spec)
-        b = estimate_effects(method, shift_responses(hom, c), spec)
-        drift = dict.fromkeys(a, 0.0)
-        if method == "IPW":
-            ones = make_dataset([1.0] * hom.n, [1.0] * hom.n, hom.d1,
-                                covariates=list(hom.x0.T), names=hom.covariate_names)
-            unit = estimate_effects(method, ones, spec)
-            drift = {k: c * v.value for k, v in unit.items()}
-    assert set(a) == set(EXPECTED[method][2])
-    for estimand in a:
-        assert abs(b[estimand].value - a[estimand].value - drift[estimand]) < 1e-8
-
-
 # Datasets for the property tests: a scenario draw of moderate size, so that
 # every method's models are identified on every example.
 _panels = st.builds(
@@ -228,6 +205,31 @@ def test_unit_order_changes_no_effect(method, data, perm_seed):
     permuted = _effects(method, data.take(order))
     for estimand, value in base.items():
         assert abs(permuted[estimand] - value) <= 1e-9 * (abs(value) + 1.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(data=_panels, c=st.floats(-1e8, 1e8))
+@example(data=generate_scenario(Scenario("HOM", 300), 21), c=1000.0)
+def test_response_shift_moves_effects_only_by_weight_imbalance(method, data, c):
+    # Every method but IPW differences the shift away (an intercept, the
+    # pre period, or both).  IPW is linear in the response with weights
+    # fixed by the covariates, so it moves by c times its estimate on a
+    # unit response: the Horvitz-Thompson weights need not balance.
+    # Each estimate composes at most four count-weighted means of n terms
+    # of size at most max|y| + |c|, and summing n terms rounds by at most
+    # n eps times the sum of their sizes; so every estimate moves from its
+    # exact shift by at most 4 n eps (max|y| + |c|).
+    base = _effects(method, data)
+    shifted = _effects(method, shift_responses(data, c))
+    drift = dict.fromkeys(base, 0.0)
+    if method == "IPW":
+        ones = np.ones(data.n)
+        drift = {k: c * v for k, v in _effects(method, replace(data, y0=ones, y1=ones)).items()}
+    bound = 4 * data.n * np.finfo(float).eps * (
+        max(np.abs(data.y0).max(), np.abs(data.y1).max()) + abs(c))
+    assert set(base) == set(EXPECTED[method][2])
+    for estimand, value in base.items():
+        assert abs(shifted[estimand] - value - drift[estimand]) <= bound, estimand
 
 
 # Term lists for the front door: the intercept and a few terms the scenarios
@@ -266,6 +268,17 @@ def test_terms_alone_are_the_spec_they_stand_for(method, data, terms):
         with pytest.raises(InvalidTermError) as public:
             fit_propensity(data, terms)
         assert bare == ((InvalidTermError, str(public.value)), [])
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", ["1", "x1", 5])
+def test_terms_alone_are_a_sequence(method, bad, hom):
+    # A bare string is not the terms of its characters: the front door
+    # rejects it, as ModelSpec and the public treatment fit do.
+    with pytest.raises(InvalidTermError, match=f"got {bad!r}"):
+        estimate_effects(method, hom, bad)
+    with pytest.raises(InvalidTermError, match=f"got {bad!r}"):
+        fit_propensity(hom, bad)
 
 
 # Resamples of a panel, as kinds of rows of a count matrix: at least one

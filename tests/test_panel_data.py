@@ -575,6 +575,22 @@ class TestTerms:
         with pytest.raises(InvalidArgumentError):
             ModelSpec.from_dict({"outcome_terms": ["1"], "link": "logit"})
 
+    @pytest.mark.parametrize("bad", ["1", "x1", 5, None])
+    def test_term_list_is_a_sequence_of_terms(self, bad):
+        # A bare string is not the list of its characters, and a value that
+        # is not iterable is no list: every reader of a term list says so,
+        # naming the value.
+        data = make_dataset(y0=[1.0, 2.0], y1=[3.0, 4.0], d1=[0, 1],
+                            covariates=[[10.0, 20.0]], names=("x",))
+        for read in (lambda: ModelSpec(outcome_terms=bad),
+                     lambda: ModelSpec(ps_terms=bad),
+                     lambda: ModelSpec.from_dict({"outcome_terms": bad}),
+                     lambda: ModelSpec.from_dict({"ps_terms": bad}),
+                     lambda: build_design(data, bad, pre_period=False),
+                     lambda: ps_design(data, bad)):
+            with pytest.raises(InvalidTermError, match=re.escape(f"got {bad!r}")):
+                read()
+
 
 @pytest.fixture
 def two_units():
