@@ -17,8 +17,9 @@ plus, for the mixed model, the aligned pre-period (t=0) design.
 """
 
 import csv
+import os
+import stat
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,10 +273,14 @@ def term_label(term):
 
 
 def _coerce_terms(terms):
-    """A term list, of :class:`Term` objects or term strings, as a tuple of
-    :class:`Term`; a bare string or a non-iterable is not a term list."""
-    if isinstance(terms, (str, bytes)) or not isinstance(terms, Iterable):
-        raise InvalidTermError(f"a term list must be a sequence of terms, got {terms!r}")
+    """A term list, a list or tuple of :class:`Term` objects and term
+    strings, as a tuple of :class:`Term`.  Nothing else is one: not a bare
+    string, a mapping or other iterable, nor an entry such as 1 or None."""
+    if not isinstance(terms, (list, tuple)):
+        raise InvalidTermError(f"a term list must be a list or tuple of terms, got {terms!r}")
+    for t in terms:
+        if not isinstance(t, (Term, str)):
+            raise InvalidTermError(f"a term must be a Term or a term string, got {t!r}")
     return tuple(t if isinstance(t, Term) else parse_term(t) for t in terms)
 
 
@@ -398,7 +403,7 @@ def build_design(data, spec, pre_period):
     Parameters
     ----------
     data : PanelDataset
-    spec : ModelSpec or sequence of terms
+    spec : ModelSpec, or a list or tuple of terms
         Only the outcome terms are used here; see :func:`ps_design` for the
         treatment model.
     pre_period : bool
@@ -500,7 +505,7 @@ def _parse_float(raw, column, unit):
 
 
 def load_csv(path, schema=None):
-    """Load and validate a long-format two-period panel CSV.
+    r"""Load and validate a long-format two-period panel CSV.
 
     The file must have a header row with the ``unit_id``, ``time``,
     ``treat`` and ``y`` columns (names configurable through ``schema``);
@@ -509,11 +514,18 @@ def load_csv(path, schema=None):
     character, not a comment.  Units come out in Python string order of
     their ids, each with its t=0 and t=1 values, whatever the row order.
 
-    The data rows are parsed column-wise by numpy's C reader and checked in
-    vectorized form.  A file that fails any of those checks is parsed again
-    one row at a time, which raises the typed error naming the first bad
-    row, or returns the same dataset for cells only Python's ``float``
-    reads (such as ``1_000``).
+    The data rows are parsed column-wise by numpy's C reader and checked
+    in vectorized form.  numpy is given the file's name, so that it reads
+    the file in chunks rather than line by line; a pipe, which can be read
+    only once, and a name ending in a suffix by which numpy would
+    decompress the file (such as ``.gz``) are read from the open file
+    instead.  Rows already in unit-then-time order, as :func:`write_csv`
+    writes them, are paired without a sort; any other order costs one
+    sort by id.  A file that fails any of those checks is parsed again one
+    row at a time, which raises the typed error naming the first bad row,
+    or returns the same dataset for cells only Python's ``float`` reads
+    (such as ``1_000``) and for ids with a quoted line break inside, which
+    numpy, opening the file itself, would read as ``\n``.
 
     Parameters
     ----------
@@ -531,8 +543,10 @@ def load_csv(path, schema=None):
     """
     schema = schema or ColumnMapping()
     with open(path, newline="", encoding="utf-8") as fh:
-        header, cov_names = _read_header(fh, path, schema)
-        data = _load_columns(fh, header, cov_names, schema)
+        reader = csv.reader(fh)
+        header, cov_names = _check_header(next(reader, None), path, schema)
+        source = _chunked_name(fh, path) or fh
+        data = _load_columns(source, reader.line_num, header, cov_names, schema)
     if data is None:
         data = _load_rows(path, schema)
     for name in schema.time_invariant:
@@ -549,7 +563,12 @@ def load_csv(path, schema=None):
 
 def _read_header(fh, path, schema):
     """Read and check the header row: returns ``(header, covariate names)``."""
-    header = next(csv.reader(fh), None)
+    return _check_header(next(csv.reader(fh), None), path, schema)
+
+
+def _check_header(header, path, schema):
+    """Check the header row (None for an empty file): returns ``(header,
+    covariate names)``."""
     if header is None:
         raise MalformedValueError(f"{path}: empty file, header row required")
     # Cells are looked up by these names, so strip them:
@@ -569,14 +588,50 @@ def _read_header(fh, path, schema):
     return header, cov_names
 
 
-def _load_columns(fh, header, cov_names, schema):
-    """Parse the data rows after the header in one ``np.loadtxt`` call.
+# Suffixes by which np.loadtxt, given a file name, picks a decompressor.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_strip = np.frompyfunc(str.strip, 1, 1)
+
+
+def _chunked_name(fh, path):
+    """The name under which ``np.loadtxt`` may open ``fh``'s file again.
+
+    numpy reads a file in chunks only when it opens the file itself, from
+    a name; an open handle it reads line by line.  None for a pipe or
+    other file that can be read only once, through ``fh``, and for a name
+    with a suffix by which numpy would decompress a file.
+    """
+    if not (isinstance(path, (str, bytes, os.PathLike))
+            and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
+        return None
+    name = os.fsdecode(path)
+    if os.path.splitext(name)[1] in _COMPRESSED:
+        return None
+    # A full path: numpy's opener would take a relative "a://b" for a URL.
+    return os.path.join(os.getcwd(), name)
+
+
+def _load_columns(source, header_lines, header, cov_names, schema):
+    r"""Parse the data rows after the header in one ``np.loadtxt`` call.
+
+    ``source`` is the file's name (see :func:`_chunked_name`), of which
+    numpy skips the ``header_lines`` physical lines the header took, or
+    else the open file, read on from the end of the header.  Opened by
+    name, the file is read with universal newlines, which turn a quoted
+    ``\r`` or ``\r\n`` into ``\n``, so a stripped id that holds a ``\n``
+    is left to :func:`_load_rows`, which reads it as written.
+
+    Rows whose ids already run in order, each unit's t=0 row then its t=1
+    row, are paired as the even and odd rows, without a sort: the order
+    :func:`write_csv` writes.  Any other order is sorted by id once, and
+    each pair put in time order.
 
     Returns the dataset, or None when the file needs :func:`_load_rows`:
-    a cell numpy cannot parse, a short row, an empty id, a non-finite
-    value, a time or treat not 0 or 1, treatment at t=0, or a unit without
-    exactly one row per period.
+    besides the ids above, a cell numpy cannot parse, a short row, an
+    empty id, a non-finite value, a time or treat not 0 or 1, treatment at
+    t=0, or a unit without exactly one row per period.
     """
+    by_name = isinstance(source, str)
     # A repeated header name means its last column, as in csv.DictReader.
     col = {name: i for i, name in enumerate(header)}
     names = (schema.unit_id, schema.time, schema.treat, schema.y) + cov_names
@@ -588,31 +643,29 @@ def _load_columns(fh, header, cov_names, schema):
             # e.g. "input contained no data": leave such files to the row loop.
             warnings.simplefilter("error")
             rec = np.loadtxt(
-                fh, dtype=dtype, usecols=usecols, delimiter=",", quotechar='"',
+                source, dtype=dtype, usecols=usecols, delimiter=",", quotechar='"',
                 comments=None, encoding="utf-8", ndmin=1,
+                skiprows=header_lines if by_name else 0,
             )
     except (ValueError, Warning):
         return None
-    ids = [s.strip() for s in rec[fields[0]]]
+    ids = _strip(rec[fields[0]])
     t, d, y = rec[fields[1]], rec[fields[2]], rec[fields[3]]
     x = np.empty((len(rec), len(cov_names)))
     for j, f in enumerate(fields[4:]):
         x[:, j] = rec[f]
-    if not (all(ids) and np.isin(d, (0.0, 1.0)).all()
-            and np.isfinite(y).all() and np.isfinite(x).all()):
+    if (len(rec) % 2 or not ((d == 0.0) | (d == 1.0)).all()
+            or not np.isfinite(y).all() or not np.isfinite(x).all()):
         return None
-    ids = np.array(ids, dtype=object)
-    # Rows in (unit, time) order: a stable sort by id after one by time.
-    # Each unit's rows are then contiguous with its times ascending, so
-    # "every pair of rows is one unit at t=0 then t=1" holds exactly when
-    # every unit has one row per period and every time is 0 or 1.
-    order = np.argsort(t, kind="stable")
-    order = order[np.argsort(ids[order], kind="stable")]
-    pre, post = order[0::2], order[1::2]
-    if (len(order) % 2
-            or np.any(t[pre] != 0.0) or np.any(t[post] != 1.0)
-            or np.any(ids[pre] != ids[post])
-            or np.any(d[pre] != 0.0)):
+    pre, post = slice(0, None, 2), slice(1, None, 2)
+    if not _paired(ids, t, d, pre, post):
+        order = np.argsort(ids, kind="stable")
+        pre, post = order[0::2], order[1::2]
+        swap = t[pre] > t[post]
+        pre, post = np.where(swap, post, pre), np.where(swap, pre, post)
+        if not _paired(ids, t, d, pre, post):
+            return None
+    if by_name and "\n" in "".join(ids[pre]):
         return None
     return PanelDataset(
         covariate_names=cov_names,
@@ -623,6 +676,18 @@ def _load_columns(fh, header, cov_names, schema):
         x0=x[pre],
         x1=x[post],
     )
+
+
+def _paired(ids, t, d, pre, post):
+    """Whether rows ``pre[k]`` and ``post[k]`` are the t=0 and t=1 rows of
+    unit k, for units in strictly increasing id order: then every row is
+    in one pair, and every unit has one row per period.  The smallest id
+    comes first, so it alone can be the empty id."""
+    first = ids[pre]
+    return bool(first[0] != "" and (first[1:] > first[:-1]).all()
+                and (first == ids[post]).all()
+                and (t[pre] == 0.0).all() and (t[post] == 1.0).all()
+                and (d[pre] == 0.0).all())
 
 
 def _load_rows(path, schema):

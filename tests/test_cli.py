@@ -196,7 +196,8 @@ class TestEstimate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
 
-    @pytest.mark.parametrize("terms", ['"1"', "5", "null"])
+    @pytest.mark.parametrize("terms", ['"1"', "5", "null", '{"1": 0, "time": 0, "treat": 0}',
+                                       '[1, "time", "treat"]', '["1", null, "time", "treat"]'])
     def test_spec_file_term_list_is_a_list(self, tmp_path, capsys, terms):
         path = _simulate(tmp_path)
         spec = tmp_path / "spec.json"

@@ -2,6 +2,7 @@ import itertools
 import os
 import re
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -228,7 +229,9 @@ LONG_ID = "a" * 40
 NON_ASCII_ID = "\u00fc-\u6771\u4eac-\U0001d11e"  # sorts after "c", like "d"
 
 # Files numpy's reader misreads under its defaults (comments="#", no
-# quoting, fixed-width strings), each with the unit ids it must yield.
+# quoting, fixed-width strings, a header of one physical line), and rows
+# in unit order but with each unit's t=1 row first, each with the unit
+# ids it must yield.
 C_READER_TRAPS = {
     "hash_in_id": (WELL_FORMED.replace("\na,", "\na#1,"), ["a#1", "b", "c", "d"]),
     "quoted_comma_in_id": (WELL_FORMED.replace("\nb,", '\n"b,2",'),
@@ -240,6 +243,15 @@ C_READER_TRAPS = {
     "crlf": (WELL_FORMED.replace("\n", "\r\n"), ["a", "b", "c", "d"]),
     "blank_lines_between_units": (
         WELL_FORMED.replace("\nb,0", "\n\nb,0").replace("\nd,0", "\n\n\nd,0"),
+        ["a", "b", "c", "d"],
+    ),
+    "line_break_in_header_cell": (WELL_FORMED.replace(",x2\n", ',"x2\r\n"\n'),
+                                  ["a", "b", "c", "d"]),
+    "t1_row_first": (
+        "\n".join([WELL_FORMED.splitlines()[0]] + [
+            line for pair in zip(WELL_FORMED.splitlines()[2::2],
+                                 WELL_FORMED.splitlines()[1::2]) for line in pair
+        ]) + "\n",
         ["a", "b", "c", "d"],
     ),
 }
@@ -295,19 +307,23 @@ class TestColumnarParse:
 
 
 # Ways to spell every unit id of a file: quoted, with "#" (not a comment),
-# quoted with a comma, and long and non-ASCII (no fixed-width truncation).
+# quoted with a comma, long and non-ASCII (no fixed-width truncation), and
+# quoted with a line break inside (read as written, not as "\n").
 _ID_FORMS = {
     "plain": lambda u: u,
     "quoted": lambda u: f'"{u}"',
     "hash": lambda u: f"{u}#1",
     "comma": lambda u: f'"{u},1"',
     "long": lambda u: "\u00fc\u6771" * 20 + u,
+    "lf": lambda u: f'"{u}\n1"',
+    "crlf": lambda u: f'"{u}\r\n1"',
+    "cr": lambda u: f'"{u}\r1"',
 }
 # Defects in single rows: (kind, row, column, choice, float); row and
 # column are taken modulo the current sizes.
 _DEFECTS = ("awkward", "missing", "blank_id", "rename", "nonbinary_time",
-            "nonbinary_treat", "short", "long", "blank", "duplicate", "drop",
-            "truncate", "treated_at_baseline", "quote")
+            "nonbinary_treat", "short", "long", "blank", "duplicate", "duplicate_unit",
+            "drop", "truncate", "treated_at_baseline", "quote")
 _AWKWARD = ("1e-300", "1e400", "-0.0", "1_000", "1e-320")
 
 
@@ -352,6 +368,10 @@ def _damage(lines, defect, t0, t1):
         lines.insert(i, " " * (k % 3))
     elif kind == "duplicate":
         lines.insert(k % len(lines), list(row))
+    elif kind == "duplicate_unit":
+        # Both rows again: the row count stays even.
+        unit = [list(r) for r in lines if isinstance(r, list) and r[0] == row[0]]
+        lines[k % len(lines):k % len(lines)] = unit
     elif kind == "drop":
         del lines[i]
     elif kind == "truncate":
@@ -372,7 +392,8 @@ def _write_panel_file(path, covariate_names, lines, pad="", newline="\n"):
 
 @st.composite
 def _mutated_panels(draw):
-    """A random HOM/HET panel, rows shuffled, restyled and damaged."""
+    """A random HOM/HET panel, rows in write_csv's order, with each unit's
+    t=1 row first, or shuffled; restyled and damaged."""
     scenario = draw(st.sampled_from(["HOM", "HET"]))
     n = draw(st.integers(4, 10))
     seed = draw(st.integers(0, 2**31 - 1))
@@ -382,7 +403,13 @@ def _mutated_panels(draw):
         assume(False)
     id_form = _ID_FORMS[draw(st.sampled_from(sorted(_ID_FORMS)))]
     t0, t1 = draw(st.sampled_from([("0", "1"), ("0.0", "1.0")]))
-    lines = [list(r) for r in draw(st.permutations(_panel_lines(data, id_form, t0, t1)))]
+    lines = _panel_lines(data, id_form, t0, t1)
+    order = draw(st.sampled_from(["written", "t1_first", "shuffled"]))
+    if order == "t1_first":
+        lines[0::2], lines[1::2] = lines[1::2], lines[0::2]
+    elif order == "shuffled":
+        lines = draw(st.permutations(lines))
+    lines = [list(r) for r in lines]
     defects = draw(st.lists(st.tuples(st.sampled_from(_DEFECTS), st.integers(0, 999),
                                       st.integers(0, 999), st.integers(0, 999),
                                       st.floats()),
@@ -404,15 +431,97 @@ def test_columnar_parse_matches_the_row_loop(panel):
 
 
 def test_each_defect_alone_matches_the_row_loop(tmp_path):
+    # Rows in unit order, each unit's t=0 row first or its t=1 row first,
+    # in a file named .csv or .csv.gz (plain text all the same).
     data = generate_scenario(Scenario("HOM", 6), 0)
-    path = tmp_path / "panel.csv"
     floats = (0.1, float("nan"), float("inf"), 5e-324, -1.5)
-    for kind in _DEFECTS:
-        for i, j, k in itertools.product((0, 7), (0, 1, 2, 3, 5), range(5)):
-            lines = _panel_lines(data, str, "0", "1")
-            _damage(lines, (kind, i, j, k, floats[k]), "0", "1")
-            _write_panel_file(path, data.covariate_names, lines)
-            _assert_loads_like_the_row_loop(path)
+    for name, t1_first in itertools.product(("panel.csv", "panel.csv.gz"), (False, True)):
+        path = tmp_path / name
+        for kind in _DEFECTS:
+            for i, j, k in itertools.product((0, 7), (0, 1, 2, 3, 5), range(5)):
+                lines = _panel_lines(data, str, "0", "1")
+                if t1_first:
+                    lines[0::2], lines[1::2] = lines[1::2], lines[0::2]
+                _damage(lines, (kind, i, j, k, floats[k]), "0", "1")
+                _write_panel_file(path, data.covariate_names, lines)
+                _assert_loads_like_the_row_loop(path)
+
+
+def _spy_on_loadtxt(monkeypatch):
+    """The first arguments of numpy.loadtxt as panel_data calls it; the
+    row loop is forbidden."""
+    seen = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        seen.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(panel_data.np, "loadtxt", spy)
+    monkeypatch.setattr(panel_data, "_load_rows", _row_loop_forbidden)
+    return seen
+
+
+def test_a_clean_file_reaches_numpy_as_a_path(tmp_path, monkeypatch):
+    # numpy reads a file in chunks only when given its name; an open file
+    # it reads line by line.
+    seen = _spy_on_loadtxt(monkeypatch)
+    path = write_file(tmp_path, WELL_FORMED)
+    for name in (path, str(path), os.fsencode(path)):
+        assert load_csv(name).value_equal(_well_formed_with_ids(["a", "b", "c", "d"]))
+    assert [type(f) for f in seen] == [str] * 3
+    assert all(os.path.samefile(f, path) for f in seen)
+
+
+@pytest.mark.parametrize("source", ["compressed_suffix", "descriptor"])
+def test_a_file_numpy_cannot_open_by_name_is_read_from_the_open_file(tmp_path, monkeypatch,
+                                                                      source):
+    # Given the name, numpy would gunzip this plain-text file; a file
+    # descriptor has no name.
+    seen = _spy_on_loadtxt(monkeypatch)
+    if source == "compressed_suffix":
+        source = write_file(tmp_path, WELL_FORMED, name="data.csv.gz")
+    else:
+        source = os.open(write_file(tmp_path, WELL_FORMED), os.O_RDONLY)  # load_csv closes it
+    assert load_csv(source).value_equal(_well_formed_with_ids(["a", "b", "c", "d"]))
+    assert len(seen) == 1 and not isinstance(seen[0], (str, bytes, os.PathLike))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_is_read_once_from_the_open_file(tmp_path, monkeypatch):
+    # Opened again by name, a pipe would go on after the bytes the header
+    # read took from it.  The panel is many times a read buffer.
+    data = generate_scenario(Scenario("HOM", 2000), 0)
+    path = tmp_path / "panel.csv"
+    write_csv(data, path)
+    text = path.read_bytes()
+    seen = _spy_on_loadtxt(monkeypatch)
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        got = load_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)  # a writer still blocked then fails, and ends
+        writer.join()
+    assert got.value_equal(load_csv(path))
+    assert not isinstance(seen[0], (str, bytes, os.PathLike))
+
+
+def test_a_relative_name_that_parses_as_a_url_is_read_from_disk(tmp_path, monkeypatch):
+    # numpy's opener takes "x://host/..." for a URL; "x:" is a directory
+    # here, and "x" a scheme that no URL opener knows.
+    (tmp_path / "x:" / "host").mkdir(parents=True)
+    write_file(tmp_path / "x:" / "host", WELL_FORMED)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(panel_data, "_load_rows", _row_loop_forbidden)
+    data = load_csv("x://host/data.csv")
+    assert data.value_equal(_well_formed_with_ids(["a", "b", "c", "d"]))
 
 
 _AWKWARD_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072e-308, 1e16, -1e16,
@@ -575,11 +684,13 @@ class TestTerms:
         with pytest.raises(InvalidArgumentError):
             ModelSpec.from_dict({"outcome_terms": ["1"], "link": "logit"})
 
-    @pytest.mark.parametrize("bad", ["1", "x1", 5, None])
+    @pytest.mark.parametrize("bad", ["1", "x1", 5, None,
+                                     pytest.param({"1": 0, "x": 0}, id="mapping"),
+                                     pytest.param((t for t in ("1", "x")), id="generator")])
     def test_term_list_is_a_sequence_of_terms(self, bad):
-        # A bare string is not the list of its characters, and a value that
-        # is not iterable is no list: every reader of a term list says so,
-        # naming the value.
+        # A bare string is not the list of its characters, a value that is
+        # not iterable is no list, and neither is a mapping (its keys) or a
+        # generator: every reader of a term list says so, naming the value.
         data = make_dataset(y0=[1.0, 2.0], y1=[3.0, 4.0], d1=[0, 1],
                             covariates=[[10.0, 20.0]], names=("x",))
         for read in (lambda: ModelSpec(outcome_terms=bad),
@@ -589,6 +700,26 @@ class TestTerms:
                      lambda: build_design(data, bad, pre_period=False),
                      lambda: ps_design(data, bad)):
             with pytest.raises(InvalidTermError, match=re.escape(f"got {bad!r}")):
+                read()
+
+    @pytest.mark.parametrize("bad, entry", [
+        (["1", 1, "time"], 1),
+        (["1", None, "time"], None),
+        (("1", b"x"), b"x"),
+    ], ids=["number_entry", "null_entry", "bytes_entry"])
+    def test_term_list_entry_is_a_term_or_a_string(self, bad, entry):
+        # The number 1 would read as the intercept, and None as a covariate
+        # named "None": every reader of a term list names the entry.
+        data = make_dataset(y0=[1.0, 2.0], y1=[3.0, 4.0], d1=[0, 1],
+                            covariates=[[10.0, 20.0]], names=("x",))
+        message = f"a term must be a Term or a term string, got {entry!r}"
+        for read in (lambda: ModelSpec(outcome_terms=bad),
+                     lambda: ModelSpec(ps_terms=bad),
+                     lambda: ModelSpec.from_dict({"outcome_terms": bad}),
+                     lambda: ModelSpec.from_dict({"ps_terms": bad}),
+                     lambda: build_design(data, bad, pre_period=False),
+                     lambda: ps_design(data, bad)):
+            with pytest.raises(InvalidTermError, match=re.escape(message)):
                 read()
 
 

@@ -8,15 +8,20 @@ Run from the root of a checkout, or name the checkout with ``--root``:
 For every workload that ``perfbench/workloads.py`` defines and every seed,
 it makes the workload's inputs in a temporary directory, runs the
 workload's CLI call once in this process, and prints one line
-``<workload> <seed> <sha256>``.  The package and the workload definitions
-both come from the checkout at ``--root``; the workload file is imported,
-never written.  Two checkouts that print the same lines write the same
-output bytes on those seeds.
+``<workload> <seed> <sha256>``.  A workload that reads a CSV (``--input``)
+runs once more on a copy of its input with the data rows in a fixed
+shuffled order, units interleaved and some with their t=1 row first, and
+prints ``<workload>/shuffled <seed> <sha256>``: the loader sorts such a
+file, while the file as written is already in order.  The package and the
+workload definitions both come from the checkout at ``--root``; the
+workload file is imported, never written.  Two checkouts that print the
+same lines write the same output bytes on those seeds.
 """
 
 import argparse
 import hashlib
 import os
+import random
 import sys
 import tempfile
 
@@ -52,13 +57,33 @@ def main(argv=None):
             with tempfile.TemporaryDirectory() as workdir:
                 workload.prepare(seed, workdir)
                 out = os.path.join(workdir, "out")
-                code = cli.run(workload.argv(seed, workdir, out))
-                if code != 0:
-                    raise SystemExit(f"{name} seed {seed}: exit {code}")
-                with open(out, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-            print(name, seed, digest, flush=True)
+                argv = workload.argv(seed, workdir, out)
+                print(name, seed, _digest(cli.run, argv, out, f"{name} seed {seed}"), flush=True)
+                if "--input" in argv:
+                    _shuffle_rows(argv[argv.index("--input") + 1])
+                    label = f"{name}/shuffled"
+                    print(label, seed, _digest(cli.run, argv, out, f"{label} seed {seed}"),
+                          flush=True)
     return 0
+
+
+def _digest(run, argv, out, what):
+    """Run the CLI call and return the SHA-256 of the file it wrote."""
+    code = run(argv)
+    if code != 0:
+        raise SystemExit(f"{what}: exit {code}")
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _shuffle_rows(path):
+    """Rewrite the CSV at ``path`` with its data rows in one fixed shuffled
+    order (one line per row, as the workloads write their inputs)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = fh.readlines()
+    random.Random(0).shuffle(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines([header, *rows])
 
 
 if __name__ == "__main__":
