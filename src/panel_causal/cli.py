@@ -189,6 +189,8 @@ def _load_spec_file(path):
         raise InvalidArgumentError(f"--spec: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"--spec: {path} is not valid JSON: {exc}") from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise InvalidArgumentError(f"--spec: {path} is not readable JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise InvalidArgumentError(f"--spec: {path} must hold a JSON object")
     return ModelSpec.from_dict(payload)

@@ -210,16 +210,11 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _score(log_lambda, stats):
-    """Profiled score in ``log lambda``, up to a positive factor: with R the
-    weighted RSS and S the sum-row RSS, dL/dlambda = w (N w S / R - n), so
-    the bracketed factor carries the sign and the root."""
-    return _score_of(_profile_terms(log_lambda, stats), stats[-1])
-
-
 def _score_of(terms, n):
-    """:func:`_score` from the :func:`_profile_terms` ``terms`` of ``n``
-    units."""
+    """Profiled score in ``log lambda``, up to a positive factor, from the
+    :func:`_profile_terms` ``terms`` of ``n`` units: with R the weighted
+    RSS and S the sum-row RSS, dL/dlambda = w (N w S / R - n), so the
+    bracketed factor carries the sign and the root."""
     w, rss, ss = terms
     return 2 * n * w * ss / rss - n
 
@@ -268,16 +263,10 @@ def _find_roots(f, a, b, fa, fb, args=None):
     return x, converged
 
 
-def _loglik(log_lambda, stats):
-    """Profiled log-likelihood at ``log_lambda`` (broadcast as in
-    :func:`_profile_terms`).  Degenerate residual variance (non-finite or
-    non-positive RSS) maps to ``-inf``."""
-    return _loglik_of(_profile_terms(log_lambda, stats), stats[-1])
-
-
 def _loglik_of(terms, n):
-    """:func:`_loglik` from the :func:`_profile_terms` ``terms`` of ``n``
-    units."""
+    """Profiled log-likelihood from the :func:`_profile_terms` ``terms`` of
+    ``n`` units.  Degenerate residual variance (non-finite or non-positive
+    RSS) maps to ``-inf``."""
     w, rss, _ = terms
     N = 2 * n
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -531,9 +520,9 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
         if i.size:
             sub = tuple(v[i] for v in stats)
             log_lambda[i], converged[i] = _find_roots(
-                lambda x, *live: _score(x[:, None], live)[:, 0],
+                lambda x, *live: _score_of(_profile_terms(x[:, None], live), live[-1])[:, 0],
                 grid[a[i]], grid[b[i]], score[i, a[i]], score[i, b[i]], sub)
-            best[i] = _loglik(log_lambda[i, None], sub)[:, 0]
+            best[i] = _loglik_of(_profile_terms(log_lambda[i, None], sub), sub[-1])[:, 0]
         status[(status == _OK) & ~np.isfinite(ll).any(axis=1)] = _FLAT
         # A boundary value at least as good as the optimum puts the variance
         # ratio at exactly 0: the fit collapses to least squares.
@@ -626,7 +615,8 @@ def profile_loglik(X0, X1, y0, y1, log_lambda):
     fits = _fit_blocks(X0, X1, y0, y1)
     if fits.status[0] not in (_FLAT, _DEGENERATE):
         _raise_failure(fits.status[0], "mixed", fits.beta.shape[1])
-    return float(_loglik(np.full((1, 1), float(log_lambda)), fits.stats)[0, 0])
+    terms = _profile_terms(np.full((1, 1), float(log_lambda)), fits.stats)
+    return float(_loglik_of(terms, fits.stats[-1])[0, 0])
 
 
 def fit_lmm(X0, X1, y0, y1):

@@ -17,6 +17,7 @@ plus, for the mixed model, the aligned pre-period (t=0) design.
 """
 
 import csv
+import io
 import os
 import stat
 import warnings
@@ -514,22 +515,28 @@ def load_csv(path, schema=None):
     character, not a comment.  Units come out in Python string order of
     their ids, each with its t=0 and t=1 values, whatever the row order.
 
+    The file must be UTF-8 text: a compressed file must be decompressed
+    first.  ``path`` is opened once.  An input that can be read only once,
+    such as a pipe or ``/dev/stdin``, is read into memory once.
+
     The data rows are parsed column-wise by numpy's C reader and checked
     in vectorized form.  numpy is given the file's name, so that it reads
-    the file in chunks rather than line by line; a pipe, which can be read
-    only once, and a name ending in a suffix by which numpy would
-    decompress the file (such as ``.gz``) are read from the open file
+    the file in chunks rather than line by line; a pipe, a descriptor and
+    a name ending in a suffix by which numpy would decompress the file
+    (such as ``.gz``) are read from the open file or its text in memory
     instead.  Rows already in unit-then-time order, as :func:`write_csv`
-    writes them, are paired without a sort; any other order costs one
-    sort by id.  A file that fails any of those checks is parsed again one
-    row at a time, which raises the typed error naming the first bad row,
-    or returns the same dataset for cells only Python's ``float`` reads
-    (such as ``1_000``) and for ids with a quoted line break inside, which
-    numpy, opening the file itself, would read as ``\n``.
+    writes them, are paired without a sort; any other order costs one sort
+    by id.  A file that fails any of those checks is parsed again one row
+    at a time, from the same open file, which raises the typed error
+    naming the first bad row, or returns the same dataset for cells only
+    Python's ``float`` reads (such as ``1_000``) and for ids with a quoted
+    line break inside, which numpy, opening the file itself, would read as
+    ``\n``.
 
     Parameters
     ----------
-    path : str or path-like
+    path : str, path-like or int
+        A file name, or an open file descriptor, which is closed on return.
     schema : ColumnMapping, optional
 
     Returns
@@ -539,16 +546,26 @@ def load_csv(path, schema=None):
     Raises
     ------
     MissingRowError, NonBinaryTreatmentError, TreatedAtBaselineError,
-    MissingValueError, MalformedValueError, NoOverlapError
+    MissingValueError, MalformedValueError (also for a file that is not
+    UTF-8), NoOverlapError
     """
     schema = schema or ColumnMapping()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header, cov_names = _check_header(next(reader, None), path, schema)
-        source = _chunked_name(fh, path) or fh
-        data = _load_columns(source, reader.line_num, header, cov_names, schema)
-    if data is None:
-        data = _load_rows(path, schema)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            source = _chunked_name(fh, path)
+            if not fh.seekable():
+                fh = io.StringIO(fh.read(), newline="")
+            start = fh.tell()
+            reader = csv.reader(fh)
+            header, cov_names = _check_header(next(reader, None), path, schema)
+            data = _load_columns(source or fh, reader.line_num, header, cov_names, schema)
+            if data is None:
+                fh.seek(start)
+                data = _load_rows(fh, path, schema)
+    except UnicodeDecodeError:
+        raise MalformedValueError(
+            f"{path}: not UTF-8 text (a compressed file must be decompressed first)"
+        ) from None
     for name in schema.time_invariant:
         if name not in cov_names:
             raise MissingValueError(f"declared time-invariant column '{name}' not found")
@@ -559,11 +576,6 @@ def load_csv(path, schema=None):
                 TimeVaryingDowngradeWarning,
             )
     return data
-
-
-def _read_header(fh, path, schema):
-    """Read and check the header row: returns ``(header, covariate names)``."""
-    return _check_header(next(csv.reader(fh), None), path, schema)
 
 
 def _check_header(header, path, schema):
@@ -690,30 +702,29 @@ def _paired(ids, t, d, pre, post):
                 and (d[pre] == 0.0).all())
 
 
-def _load_rows(path, schema):
-    """Reference parser: one row at a time, in file order.
+def _load_rows(fh, path, schema):
+    """Reference parser: one row at a time, in file order, from the open
+    file ``fh`` placed at the start of the header row.
 
     It raises the typed error for the first row that breaks the layout;
     :func:`load_csv` calls it for every file the columnar parse refuses.
+    ``path`` names the file in messages only.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, cov_names = _read_header(fh, path, schema)
-        rows = {}
-        reader = csv.DictReader(fh, fieldnames=header)
-        for lineno, raw in enumerate(reader, start=2):
-            unit = str(raw.get(schema.unit_id, "") or "").strip()
-            if not unit:
-                raise MissingValueError(f"{path}:{lineno}: missing unit_id")
-            t = _parse_01(raw.get(schema.time), "time", unit, MalformedValueError)
-            d = _parse_01(raw.get(schema.treat), "treat", unit, NonBinaryTreatmentError)
-            y = _parse_float(raw.get(schema.y), schema.y, unit)
-            x = [_parse_float(raw.get(c), c, unit) for c in cov_names]
-            key = (unit, t)
-            if key in rows:
-                raise MalformedValueError(
-                    f"{path}: duplicate row for unit '{unit}' at time {t}"
-                )
-            rows[key] = (d, y, x)
+    header, cov_names = _check_header(next(csv.reader(fh), None), path, schema)
+    rows = {}
+    reader = csv.DictReader(fh, fieldnames=header)
+    for lineno, raw in enumerate(reader, start=2):
+        unit = str(raw.get(schema.unit_id, "") or "").strip()
+        if not unit:
+            raise MissingValueError(f"{path}:{lineno}: missing unit_id")
+        t = _parse_01(raw.get(schema.time), "time", unit, MalformedValueError)
+        d = _parse_01(raw.get(schema.treat), "treat", unit, NonBinaryTreatmentError)
+        y = _parse_float(raw.get(schema.y), schema.y, unit)
+        x = [_parse_float(raw.get(c), c, unit) for c in cov_names]
+        key = (unit, t)
+        if key in rows:
+            raise MalformedValueError(f"{path}: duplicate row for unit '{unit}' at time {t}")
+        rows[key] = (d, y, x)
     units = sorted({u for (u, _) in rows})
     if not units:
         raise MalformedValueError(f"{path}: no data rows")

@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import gzip
 import ast
 import inspect
 import json
@@ -196,6 +197,22 @@ class TestEstimate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
 
+    @pytest.mark.parametrize("content", [
+        pytest.param('{"outcome_terms": ["1", "treat", "\u00e9"]}'.encode("latin-1"),
+                     id="latin1"),
+        pytest.param(b"[" * 100_000, id="deeply_nested"),
+    ])
+    def test_unreadable_spec_file(self, tmp_path, capsys, content):
+        path = _simulate(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(content)
+        rc = run(["estimate", "--input", str(path), "--method", "or",
+                  "--spec", str(spec)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("ERROR:InvalidArgument:")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("terms", ['"1"', "5", "null", '{"1": 0, "time": 0, "treat": 0}',
                                        '[1, "time", "treat"]', '["1", null, "time", "treat"]'])
     def test_spec_file_term_list_is_a_list(self, tmp_path, capsys, terms):
@@ -221,6 +238,22 @@ class TestEstimate:
                   "--method", "did", "--estimand", "att"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR:IO:")
+
+    @pytest.mark.parametrize("name,encode", [
+        ("panel.csv.gz", gzip.compress),
+        ("latin1.csv", lambda text: text.replace(b'"a"', b'"caf\xe9"')),
+    ], ids=["gzip", "latin1_id"])
+    def test_input_that_is_not_utf8_is_a_malformed_value(self, tmp_path, capsys,
+                                                          name, encode):
+        path = tmp_path / name
+        path.write_bytes(encode(b'unit_id,time,treat,y\r\n"a",0,0,1.0\r\n"a",1,1,2.0\r\n'
+                                b'b,0,0,1.5\r\nb,1,0,1.0\r\n'))
+        rc = run(["estimate", "--input", str(path), "--method", "did",
+                  "--estimand", "att"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("ERROR:MalformedValue:")
+        assert captured.err.count("\n") == 1
 
     def test_empty_covariate_list_is_a_validation_problem(self, tmp_path, capsys):
         path = _simulate(tmp_path)

@@ -41,10 +41,11 @@ from panel_causal.lmm_fit import (
     _fit_blocks,
     _fit_lmm_batch,
     _fit_or_batch,
-    _loglik,
+    _loglik_of,
+    _profile_terms,
     _rotated_rows,
     _Rows,
-    _score,
+    _score_of,
 )
 
 from helpers import (
@@ -423,10 +424,12 @@ class TestRootFinder:
         y0, y1 = y0 + offset, y1 + offset
         stats = _fit_blocks(X0, X1, y0, y1).stats
         grid = np.linspace(_LOG_LAMBDA_LO, _LOG_LAMBDA_HI, _GRID_POINTS)
-        j = int(np.argmax(_loglik(grid, stats)[0]))
-        score = _score(grid, stats)[0]
+        terms = _profile_terms(grid, stats)
+        j = int(np.argmax(_loglik_of(terms, stats[-1])[0]))
+        score = _score_of(terms, stats[-1])[0]
         assert 0 < j < _GRID_POINTS - 1 and score[j - 1] > 0.0 > score[j + 1]
-        root = brentq(lambda x: _score(np.full((1, 1), x), stats)[0, 0],
+        root = brentq(lambda x: _score_of(_profile_terms(np.full((1, 1), x), stats),
+                                          stats[-1])[0, 0],
                       grid[j - 1], grid[j + 1], xtol=_XATOL)
         fit = fit_lmm(X0, X1, y0, y1)
         assert fit.converged

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import os
 import re
@@ -196,8 +197,14 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.x0, data.x0)
 
 
-def _row_loop_forbidden(path, schema):
+def _row_loop_forbidden(fh, path, schema):
     raise AssertionError(f"{path} was handed to the row loop")
+
+
+def _row_loop(path, schema=ColumnMapping()):
+    """The reference parser's reading of the file at ``path``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return panel_data._load_rows(fh, path, schema)
 
 
 def _well_formed_with_ids(ids):
@@ -213,7 +220,7 @@ def _well_formed_with_ids(ids):
 def _assert_loads_like_the_row_loop(path, schema=ColumnMapping()):
     """load_csv returns the row loop's dataset, or raises its error."""
     try:
-        expected = panel_data._load_rows(path, schema)
+        expected = _row_loop(path, schema)
     except Exception as exc:  # the error is the result under comparison
         with pytest.raises(type(exc)) as got:
             load_csv(path, schema)
@@ -264,7 +271,7 @@ class TestColumnarParse:
         text, ids = C_READER_TRAPS[name]
         path = write_file(tmp_path, text)
         expected = _well_formed_with_ids(ids)
-        assert panel_data._load_rows(path, ColumnMapping()).value_equal(expected)
+        assert _row_loop(path).value_equal(expected)
         # Clean files never need the row loop.
         monkeypatch.setattr(panel_data, "_load_rows", _row_loop_forbidden)
         data = load_csv(path)
@@ -430,21 +437,91 @@ def test_columnar_parse_matches_the_row_loop(panel):
         _assert_loads_like_the_row_loop(path)
 
 
-def test_each_defect_alone_matches_the_row_loop(tmp_path):
-    # Rows in unit order, each unit's t=0 row first or its t=1 row first,
-    # in a file named .csv or .csv.gz (plain text all the same).
+def _each_defect_alone(path):
+    """Write each single defect in turn to ``path``, with the rows in unit
+    order, each unit's t=0 row first or its t=1 row first; yields after
+    each write."""
     data = generate_scenario(Scenario("HOM", 6), 0)
     floats = (0.1, float("nan"), float("inf"), 5e-324, -1.5)
-    for name, t1_first in itertools.product(("panel.csv", "panel.csv.gz"), (False, True)):
-        path = tmp_path / name
-        for kind in _DEFECTS:
-            for i, j, k in itertools.product((0, 7), (0, 1, 2, 3, 5), range(5)):
-                lines = _panel_lines(data, str, "0", "1")
-                if t1_first:
-                    lines[0::2], lines[1::2] = lines[1::2], lines[0::2]
-                _damage(lines, (kind, i, j, k, floats[k]), "0", "1")
-                _write_panel_file(path, data.covariate_names, lines)
-                _assert_loads_like_the_row_loop(path)
+    for t1_first, kind in itertools.product((False, True), _DEFECTS):
+        for i, j, k in itertools.product((0, 7), (0, 1, 2, 3, 5), range(5)):
+            lines = _panel_lines(data, str, "0", "1")
+            if t1_first:
+                lines[0::2], lines[1::2] = lines[1::2], lines[0::2]
+            _damage(lines, (kind, i, j, k, floats[k]), "0", "1")
+            _write_panel_file(path, data.covariate_names, lines)
+            yield
+
+
+def test_each_defect_alone_matches_the_row_loop(tmp_path):
+    # In a file named .csv or .csv.gz (plain text all the same).
+    for name in ("panel.csv", "panel.csv.gz"):
+        for _ in _each_defect_alone(tmp_path / name):
+            _assert_loads_like_the_row_loop(tmp_path / name)
+
+
+@contextlib.contextmanager
+def _pipe_of(path):
+    """The ``/dev/fd`` name of a pipe that a writer thread fills with the
+    bytes of the file at ``path``."""
+    data = Path(path).read_bytes()
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)  # a writer still blocked then fails, and ends
+        writer.join()
+
+
+def _assert_loads_like_the_file(source, path):
+    """load_csv reads ``source``, which holds the bytes of the file at
+    ``path``, as it reads ``path``: the same dataset, or the same error
+    under the other name."""
+    try:
+        expected = load_csv(path)
+    except Exception as exc:  # the error is the result under comparison
+        with pytest.raises(type(exc)) as got:
+            load_csv(source)
+        assert type(got.value) is type(exc)
+        assert (str(got.value).removeprefix(f"{source}:")
+                == str(exc).removeprefix(f"{path}:"))
+        return
+    assert load_csv(source).value_equal(expected)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_each_defect_alone_loads_alike_from_a_pipe_and_a_descriptor(tmp_path):
+    # Neither can be opened again by name: the row loop must read on from
+    # the one open file.
+    path = tmp_path / "panel.csv"
+    for _ in _each_defect_alone(path):
+        with _pipe_of(path) as pipe:
+            _assert_loads_like_the_file(pipe, path)
+        _assert_loads_like_the_file(os.open(path, os.O_RDONLY), path)  # load_csv closes it
+
+
+@pytest.mark.parametrize("text", [
+    WELL_FORMED.replace("a,0,0,1.5,10.0", "a,0,0,1.5,1_0.0"),
+    WELL_FORMED.replace("a,0,0,1.5,10.0,2.0\n", ""),
+], ids=["underscore_digits", "missing_row"])
+def test_a_file_the_columnar_parse_refuses_is_opened_once(tmp_path, monkeypatch, text):
+    path = write_file(tmp_path, text)
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(panel_data, "open", spy, raising=False)
+    _assert_loads_like_the_row_loop(path)
+    assert opened == [path]
 
 
 def _spy_on_loadtxt(monkeypatch):
@@ -494,21 +571,9 @@ def test_a_pipe_is_read_once_from_the_open_file(tmp_path, monkeypatch):
     data = generate_scenario(Scenario("HOM", 2000), 0)
     path = tmp_path / "panel.csv"
     write_csv(data, path)
-    text = path.read_bytes()
     seen = _spy_on_loadtxt(monkeypatch)
-    r, w = os.pipe()
-
-    def write():
-        with open(w, "wb") as fh:
-            fh.write(text)
-
-    writer = threading.Thread(target=write)
-    writer.start()
-    try:
-        got = load_csv(f"/dev/fd/{r}")
-    finally:
-        os.close(r)  # a writer still blocked then fails, and ends
-        writer.join()
+    with _pipe_of(path) as pipe:
+        got = load_csv(pipe)
     assert got.value_equal(load_csv(path))
     assert not isinstance(seen[0], (str, bytes, os.PathLike))
 

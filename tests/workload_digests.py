@@ -9,21 +9,26 @@ For every workload that ``perfbench/workloads.py`` defines and every seed,
 it makes the workload's inputs in a temporary directory, runs the
 workload's CLI call once in this process, and prints one line
 ``<workload> <seed> <sha256>``.  A workload that reads a CSV (``--input``)
-runs once more on a copy of its input with the data rows in a fixed
-shuffled order, units interleaved and some with their t=1 row first, and
-prints ``<workload>/shuffled <seed> <sha256>``: the loader sorts such a
-file, while the file as written is already in order.  The package and the
+runs twice more.  Once it reads its input through a pipe, which a writer
+thread fills, and prints ``<workload>/piped <seed> <sha256>``: the loader
+holds a pipe's text in memory, while it reads a file on disk by name.
+Once it reads a copy of its input with the data rows in a fixed shuffled
+order, units interleaved and some with their t=1 row first, and prints
+``<workload>/shuffled <seed> <sha256>``: the loader sorts such a file,
+while the file as written is already in order.  The package and the
 workload definitions both come from the checkout at ``--root``; the
 workload file is imported, never written.  Two checkouts that print the
 same lines write the same output bytes on those seeds.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import random
 import sys
 import tempfile
+import threading
 
 # One BLAS thread, as in the benchmark's workers, set before numpy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -60,7 +65,12 @@ def main(argv=None):
                 argv = workload.argv(seed, workdir, out)
                 print(name, seed, _digest(cli.run, argv, out, f"{name} seed {seed}"), flush=True)
                 if "--input" in argv:
-                    _shuffle_rows(argv[argv.index("--input") + 1])
+                    at = argv.index("--input") + 1
+                    with _pipe_of(argv[at]) as pipe:
+                        label = f"{name}/piped"
+                        print(label, seed, _digest(cli.run, [*argv[:at], pipe, *argv[at + 1:]],
+                                                   out, f"{label} seed {seed}"), flush=True)
+                    _shuffle_rows(argv[at])
                     label = f"{name}/shuffled"
                     print(label, seed, _digest(cli.run, argv, out, f"{label} seed {seed}"),
                           flush=True)
@@ -74,6 +84,31 @@ def _digest(run, argv, out, what):
         raise SystemExit(f"{what}: exit {code}")
     with open(out, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+@contextlib.contextmanager
+def _pipe_of(path):
+    """The ``/dev/fd`` name of a pipe that a writer thread fills with the
+    bytes of the file at ``path``.  The read end is closed on exit, so a
+    writer left blocked by a call that never read ends with a broken pipe."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    r, w = os.pipe()
+
+    def write():
+        try:
+            with open(w, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join()
 
 
 def _shuffle_rows(path):
