@@ -29,8 +29,14 @@ estimand arithmetic, where every mean is a sum over units with unit i
 counted ``C[r, i]`` times, over the counted units or treated units, which
 are summed once per method.  DRGLMM's bins are numbered once, by
 ``glm_fit._quantile_bins_batch``, whose ``labels`` and ``n_bins`` each step
-reads.  A failed fit raises its status's error (``lmm_fit._FAILURES``) in a
-point estimate, and is NaN in a replicate.
+reads.  A suite takes every entry's treatment step first, then fits its
+outcome models: the entries with one outcome model (kind, outcome terms
+and random effect) fit together, one kernel call per bin count, so the
+DRGLMM entries of a suite that share an outcome design and a bin count
+make one mixed-model call.  A fit on a design of its own does not depend
+on its batch, to the last bit, so each entry's values are those it gets
+alone.  A failed fit raises its status's error (``lmm_fit._FAILURES``) in
+a point estimate, and is NaN in a replicate.
 """
 
 from dataclasses import dataclass, field
@@ -234,6 +240,42 @@ def _contrast_values(diff, beta, C, counted):
             "ATT": (np.sum(C * d * contrasts, axis=-1) / treated, {})}
 
 
+def _of_fits(a, fits):
+    """The rows ``fits`` (sorted indices) of a per-fit array, or the array
+    itself when they are all of its rows."""
+    return a if len(fits) == len(a) else a[fits]
+
+
+def _stack(arrays):
+    """The arrays concatenated, or the one array itself."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class _OutcomeStep:
+    """One outcome-model entry of :meth:`_Batch.suite_effects`: the method
+    ``info`` with the models of ``spec``, each fit's status, the labels and
+    ``n_bins`` of its bins (DRGLMM's; no bins count 0), and, once fitted,
+    the coefficients and variance components of each fit."""
+
+    def __init__(self, info, spec, status, binned):
+        k = len(status)
+        self.info, self.spec, self.status = info, spec, status
+        self.labels, self.n_bins = ((binned.labels, binned.n_bins) if info.bins_ps
+                                    else (None, np.zeros(k, dtype=int)))
+        self.coef, self.lam, self.sigma_e2 = None, np.zeros(k), np.zeros(k)
+
+    def estimates(self, diff, C, counted, k_bins):
+        """``({estimand: (values, components)}, status)`` of the fitted
+        entry, ``diff`` being its model's counterfactual design difference."""
+        comps = {}
+        if self.info.outcome == "mixed":
+            comps = {"sigma_u2": self.lam * self.sigma_e2, "sigma_e2": self.sigma_e2}
+        if self.info.bins_ps:
+            comps.update(n_dummy_columns=self.n_bins - 1, bins_collapsed=self.n_bins < k_bins)
+        values = _contrast_values(diff, self.coef, C, counted)
+        return {e: (v, comps) for e, (v, _) in values.items()}, self.status
+
+
 class _Batch:
     """Estimates of every method on a batch of fits: the resamples of one
     dataset, a chunk of draws, or the one fit of a point estimate.
@@ -248,13 +290,15 @@ class _Batch:
     point estimate is ``reps`` 1.  The treatment and the responses are
     split onto the batch once.
 
-    The designs of a :class:`ModelSpec` are built on first use.  A method
-    that uses the propensity score takes its :meth:`propensity` and then
-    its :meth:`treatment` step (DRGLMM's count-weighted bins, with each
-    unit's ``labels`` and each fit's ``n_bins``); then
+    The designs of a :class:`ModelSpec` are built on use, and kept only
+    for a batch of resamples, whose later chunks of counts reuse them.  A
+    method that uses the propensity score takes its :meth:`propensity` and
+    then its :meth:`treatment` step (DRGLMM's count-weighted bins, with
+    each unit's ``labels`` and each fit's ``n_bins``); then
     :meth:`effects` runs OLS on the post period or the two-period mixed
-    model for its outcome kind.  :meth:`values` takes these steps for each
-    entry of a suite, a point estimate takes them one by one.
+    model for its outcome kind.  :meth:`values` takes these steps for every
+    entry of a suite, fitting the outcome models of all entries together
+    (:meth:`suite_effects`); a point estimate takes them one by one.
     """
 
     def __init__(self, data, k_bins, reps=None):
@@ -276,23 +320,29 @@ class _Batch:
         :class:`~panel_causal.lmm_fit._Rows` of the treatment model; for
         ``"post"`` and ``"mixed"`` the difference of the outcome design's
         counterfactual t=1 blocks, and the rows its kernel fits: the t=1
-        block, or the sum and difference rows of the t=0 and t=1 blocks."""
+        block, or the sum and difference rows of the t=0 and t=1 blocks.
+
+        A shared design is kept for the batch's later chunks of counts.  A
+        batch of draws is fitted once and asks for each model's design once
+        (:meth:`values`), so it keeps none: each is freed after its use."""
         key = (kind, spec.ps_terms if kind == "ps" else spec.outcome_terms)
-        if key not in self._designs:
-            if kind == "ps":
-                X, _ = ps_design(self.data, spec)
-                self._designs[key] = _Rows(self._split(X), self.d1.astype(float))
-            else:
-                design = build_design(self.data, spec, pre_period=kind == "mixed")
-                blocks = [self._split(b) for b in (design.X0, design.X) if b is not None]
-                diff = self._split(design.cf_treated - design.cf_control)
-                # Only their difference is used: dropping the counterfactual
-                # blocks first lowers the peak memory of a large estimate.
-                del design
-                rows = (_Rows(blocks[0], self.y1) if kind == "post"
-                        else _rotated_rows(*blocks, self.y0, self.y1))
-                self._designs[key] = diff, rows
-        return self._designs[key]
+        if key in self._designs:
+            return self._designs[key]
+        if kind == "ps":
+            X, _ = ps_design(self.data, spec)
+            made = _Rows(self._split(X), self.d1.astype(float))
+        else:
+            design = build_design(self.data, spec, pre_period=kind == "mixed")
+            blocks = [self._split(b) for b in (design.X0, design.X) if b is not None]
+            diff = self._split(design.cf_treated - design.cf_control)
+            # Only their difference is used: dropping the counterfactual
+            # blocks first lowers the peak memory of a large estimate.
+            del design
+            made = diff, (_Rows(blocks[0], self.y1) if kind == "post"
+                          else _rotated_rows(*blocks, self.y0, self.y1))
+        if self.reps is None:
+            self._designs[key] = made
+        return made
 
     @np.errstate(all="ignore")
     def propensity(self, spec, C):
@@ -308,17 +358,11 @@ class _Batch:
         status[(status == _OK) & ~np.all((ps > 0.0) & (ps < 1.0), axis=1)] = _PS_UNUSABLE
         return ps, status
 
-    @np.errstate(all="ignore")
     def effects(self, info, spec, C, propensity=None, binned=None):
         """Estimates of the method ``info`` with the models of ``spec`` on
         each fit of ``C``, given the :meth:`propensity` and :meth:`treatment`
-        bins of the same counts that the method uses.  The counted units
-        and treated units are summed once, for the overlap check and every
-        estimand.  The outcome fits are grouped by their ``n_bins``, one
-        kernel call a group, each taking the ``labels`` of its own occupied
-        bins; a group that is the whole batch (every fit usable, with the
-        same count) takes ``C`` and the labels as they are.  A failed fit
-        computes meaningless floats silently; its status speaks for it.
+        bins of the same counts that the method uses: the one entry of
+        :meth:`suite_effects`.
 
         Returns ``({estimand: (values, components)}, status)``: ``(k,)``
         values, the :class:`EffectEstimate` components as ``(k,)`` arrays,
@@ -327,43 +371,83 @@ class _Batch:
         treatment model the estimator cannot use), or the outcome kernel's
         status, which includes its rank verdict.
         """
-        k = C.shape[0]
+        return self.suite_effects([(info, spec, propensity, binned)], C)[0]
+
+    @np.errstate(all="ignore")
+    def suite_effects(self, steps, C):
+        """:meth:`effects` of each step ``(info, spec, propensity, binned)``
+        on each fit of ``C``, as a list.  The counted units and treated units
+        are summed once, for the overlap check and every estimand.
+
+        The outcome fits are grouped by outcome model (kind, outcome terms
+        and random effect) and, within one, by their ``n_bins``: one kernel
+        call a group, over the usable fits of every step of the model with
+        that bin count, each taking the ``labels`` of its own step's
+        occupied bins.  So the DRGLMM entries of a suite that share an
+        outcome design fit together, while a GLMM (no bins) or an entry of
+        another design fits alone.  Every fit is batch-independent on a
+        design per draw, so a step's values are its own call's to the last
+        bit; on a shared design they agree to rounding.  A group that is one
+        step's whole batch (every fit usable, with the same count) takes
+        ``C`` and the labels as they are.  A failed fit computes meaningless
+        floats silently; its status speaks for it.
+        """
         counted = _, units, treated = _counted(self.d1, C)
-        status = np.where((treated > 0.0) & (treated < units), _OK, _NO_OVERLAP)
-        ps = None
-        if info.uses_ps:
-            ps, ps_status = propensity
-            status[(status == _OK) & (ps_status != _OK)] = _PS_UNUSABLE
-        if info.outcome is None:
-            return _WEIGHTING_VALUES[info.name](self.y0, self.y1, ps, C, counted), status
-        diff, rows = self._design(info.outcome, spec)
-        labels, n_bins = ((binned.labels, binned.n_bins) if info.bins_ps
-                          else (None, np.zeros(k, dtype=int)))
-        sel = np.flatnonzero(status == _OK)
-        coef = np.zeros((k, diff.shape[-1]))
-        lam, sigma_e2 = np.zeros(k), np.zeros(k)
-        for m in np.unique(n_bins[sel]):
-            group = sel[n_bins[sel] == m]
-            Cg, labels_g = ((C, labels) if group.size == k
-                            else (C[group], None if labels is None else labels[group]))
-            if info.outcome == "post":
-                fits = _fit_or_batch(rows.take(group), Cg)
+        overlap = np.where((treated > 0.0) & (treated < units), _OK, _NO_OVERLAP)
+        out, models = [None] * len(steps), {}
+        for j, (info, spec, propensity, binned) in enumerate(steps):
+            status = overlap.copy()
+            ps = None
+            if info.uses_ps:
+                ps, ps_status = propensity
+                status[(status == _OK) & (ps_status != _OK)] = _PS_UNUSABLE
+            if info.outcome is None:
+                out[j] = _WEIGHTING_VALUES[info.name](self.y0, self.y1, ps, C, counted), status
             else:
-                fits = _fit_lmm_batch(
-                    tuple(r.take(group) for r in rows), Cg, labels_g, m,
+                key = info.outcome, spec.outcome_terms, spec.random_effect
+                models.setdefault(key, []).append((j, _OutcomeStep(info, spec, status, binned)))
+        for model in models.values():
+            entries = [entry for _, entry in model]
+            diff = self._fit_outcomes(entries, C, units)
+            for j, entry in model:
+                out[j] = entry.estimates(diff, C, counted, self.k_bins)
+        return out
+
+    def _fit_outcomes(self, entries, C, units):
+        """Fit the :class:`_OutcomeStep` entries of one outcome model, one
+        kernel call per bin count (:meth:`suite_effects`), and return the
+        model's counterfactual design difference."""
+        kind, spec = entries[0].info.outcome, entries[0].spec
+        diff, rows = self._design(kind, spec)
+        p = diff.shape[-1]
+        usable = [np.flatnonzero(entry.status == _OK) for entry in entries]
+        for entry in entries:
+            entry.coef = np.zeros((C.shape[0], p))
+        for m in np.unique(_stack([e.n_bins[sel] for e, sel in zip(entries, usable)])):
+            # Each entry's usable fits with m bins, in entry order.
+            groups = [(e, sel[e.n_bins[sel] == m]) for e, sel in zip(entries, usable)]
+            groups = [(e, g) for e, g in groups if g.size]
+            draws = _stack([g for _, g in groups])
+            Cg = _stack([_of_fits(C, g) for _, g in groups])
+            if kind == "post":
+                result = _fit_or_batch(rows.take(draws), Cg)
+            else:
+                labels = (None if groups[0][0].labels is None
+                          else _stack([_of_fits(e.labels, g) for e, g in groups]))
+                result = _fit_lmm_batch(
+                    tuple(r.take(draws) for r in rows), Cg, labels, m,
                     random_intercept=spec.random_effect == "unit_intercept",
                 )
-                lam[group] = fits.lam
-                sigma_e2[group] = fits.rss / (2 * units[group])
-            status[group] = fits.status
-            coef[group] = fits.beta[:, :coef.shape[1]]
-        comps = {}
-        if info.outcome == "mixed":
-            comps = {"sigma_u2": lam * sigma_e2, "sigma_e2": sigma_e2}
-        if info.bins_ps:
-            comps.update(n_dummy_columns=n_bins - 1, bins_collapsed=n_bins < self.k_bins)
-        values = _contrast_values(diff, coef, C, counted)
-        return {e: (v, comps) for e, (v, _) in values.items()}, status
+            at = 0
+            for entry, g in groups:
+                mine = slice(at, at + g.size)
+                at += g.size
+                entry.status[g] = result.status[mine]
+                entry.coef[g] = result.beta[mine, :p]
+                if kind == "mixed":
+                    entry.lam[g] = result.lam[mine]
+                    entry.sigma_e2[g] = result.rss[mine] / (2 * units[g])
+        return diff
 
     def treatment(self, info, C, propensity, binned=None):
         """The treatment step of the method ``info`` on each fit of ``C``,
@@ -384,10 +468,17 @@ class _Batch:
         warnings of the pairs as ``(message, category)`` in fit-then-entry
         order.  A pair warns as its point estimate would on the fit's own
         dataset (:meth:`treatment`).  Entries with the same treatment terms
-        share one treatment-model fit and its bins."""
+        share one treatment-model fit and its bins.  Once every entry has
+        taken its treatment step, :meth:`suite_effects` fits the outcome
+        models: the DRGLMM entries that share an outcome design, a random
+        effect and a bin count make one mixed-model call, GLMM and OR one
+        call per model.  On a chunk of draws each entry's values, ok flags
+        and warnings are bit for bit those of the entry as a suite of one.
+        The bootstrap's and the DR test's suites hold one DRGLMM entry, so
+        on a batch of resamples nothing fuses."""
         vals = np.full((C.shape[0], len(suite), len(ESTIMANDS)), np.nan)
         ok = np.empty((C.shape[0], len(suite)), dtype=bool)
-        notes, shared = {}, {}
+        notes, shared, steps = {}, {}, []
         with np.errstate(all="ignore"):
             for i, (method, spec) in enumerate(suite):
                 info = METHOD_TABLE[method]
@@ -398,7 +489,8 @@ class _Batch:
                     binned, fit_notes = self.treatment(info, C, propensity, binned)
                     shared[spec.ps_terms] = propensity, binned
                     notes.update(((r, i), note) for r, note in enumerate(fit_notes) if note)
-                estimates, status = self.effects(info, spec, C, propensity, binned)
+                steps.append((info, spec, propensity, binned))
+            for i, (estimates, status) in enumerate(self.suite_effects(steps, C)):
                 ok[:, i] = status == _OK
                 for j, estimand in enumerate(ESTIMANDS):
                     if estimand in estimates:

@@ -150,9 +150,13 @@ def _check_alpha(alpha, name="alpha"):
 
 # Replicates fitted as one batch: as many as keep a (replicates, n) array
 # within _CHUNK_CELLS values (200 kB), which spreads a batch's fixed cost
-# and keeps peak memory flat in n.  A draw's values do not depend on its
-# batch, to the last bit; a resample's agree across batches to rounding
-# only, because GEMM picks its kernel by the row count.
+# and keeps peak memory flat in n.  A study's DRGLMM entries that share an
+# outcome design fit in one call (estimators._Batch.values), whose arrays
+# hold a row per entry and replicate: two such (replicates, n) blocks for
+# DEFAULT_SUITE, on one copy of the chunk's designs.  A draw's values do
+# not depend on its batch or on the entries fitted with it, to the last
+# bit; a resample's agree across batches to rounding only, because GEMM
+# picks its kernel by the row count.
 _CHUNK_CELLS = 25_000
 
 

@@ -14,7 +14,8 @@ reduces to weighted least squares with weight 1 on difference rows and
 Each model has one kernel, which fits a batch of k fits at once: the
 resamples of one dataset, which share its design and count unit i of fit r
 ``C[r, i]`` times (the cluster bootstrap), or the draws of a simulation
-study, each with a design of its own (:class:`_Rows` holds either).
+study, each with a design of its own, which the fits of several suite
+entries on the same draws share (:class:`_Rows` holds either).
 :func:`_fit_lmm_batch` does each fit's O(n p) work once: the stacked OLS
 fit moves the response to its residual scale, and one generalized
 eigendecomposition diagonalizes the sum-row and difference-row Gram blocks
@@ -280,9 +281,10 @@ def _full_rank(G, C, blocks, bins=None):
     their eigenvalues (see ``_RANK_MARGIN``), or else
     ``np.linalg.matrix_rank`` on the fit's own rows.
 
-    Those are the rows of the ``blocks`` (each ``(n, p)``, or ``(k, n, p)``
-    with a block per fit) stacked, unit i repeated ``C[r, i]`` times as in
-    the fit's own dataset.  ``bins`` ``(k, n)``, if given, labels each unit
+    Those are the rows of the ``blocks`` stacked, unit i repeated
+    ``C[r, i]`` times as in the fit's own dataset.  A block is ``(n, p)``,
+    or a stack of designs, fit r taking its design r modulo their number
+    (as :class:`_Rows` does).  ``bins`` ``(k, n)``, if given, labels each unit
     with one of the fit's bins ``0 .. q``; the dense dummies of bins 1 to q
     then enter the first block times sqrt(2) and the second as zeros, as a
     unit-constant column enters the mixed model's sum and difference rows.
@@ -292,7 +294,7 @@ def _full_rank(G, C, blocks, bins=None):
     full = lam[:, 0] > _RANK_MARGIN * m * G.shape[-1] * _EPS * lam[:, -1]
     for r in np.flatnonzero(~full):
         units = np.repeat(np.arange(C.shape[1]), C[r].astype(int))
-        X = [(b if b.ndim == 2 else b[r])[units] for b in blocks]
+        X = [(b if b.ndim == 2 else b[r % len(b)])[units] for b in blocks]
         if bins is not None:
             dummies = np.eye(G.shape[-1] - X[0].shape[1] + 1)[bins[r, units], 1:]
             X = [np.hstack([X[0], _RT2 * dummies]), np.hstack([X[1], 0.0 * dummies])]
@@ -333,15 +335,20 @@ def _each(f, *args):
 
 
 class _Rows:
-    """The rows and response of a batch of fits, one fit per replicate.
+    """The rows and response of a batch of fits.
 
-    ``X`` is either one ``(n, p)`` design that every replicate shares,
-    weighting its rows by its own counts (the resamples of the cluster
-    bootstrap), or a ``(k, n, p)`` stack with a design per replicate (the
-    draws of a simulation study, or the one fit of a public wrapper); ``y``
-    is ``(n,)`` or ``(k, n)`` to match.  A shared design keeps its row outer
-    products ``O`` as an ``(n, p*p)`` matrix, so that the Gram matrices of k
-    count vectors are the one product ``C @ O``.
+    ``X`` is either one ``(n, p)`` design that every fit shares, weighting
+    its rows by its own counts (the resamples of the cluster bootstrap), or
+    a ``(k, n, p)`` stack with a design per draw (the draws of a simulation
+    study, or the one fit of a public wrapper); ``y`` is ``(n,)``, or a
+    ``(K, n)`` response per fit, K a multiple of k, fit r taking design
+    ``r % k``.  Fits of the same draws (the doubly robust entries of a suite
+    that share an outcome design) thus share one copy of the designs: each
+    draw's Gram matrix is formed once, and cross products and fitted values
+    broadcast the designs against the fits' operands, to the same bits as
+    one design per fit.  A shared design keeps its row outer products ``O``
+    as an ``(n, p*p)`` matrix, so that the Gram matrices of k count vectors
+    are the one product ``C @ O``.
     """
 
     def __init__(self, X, y):
@@ -351,34 +358,53 @@ class _Rows:
             n, p = X.shape
             self.O = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
 
-    def take(self, rows):
-        """The fits ``rows`` (sorted indices) of a batch."""
-        if self.shared or len(rows) == self.X.shape[0]:
+    def take(self, fits):
+        """The fits ``fits`` (indices, which may repeat) of a batch.  Fits
+        that repeat the whole stack of draws in order keep the designs; any
+        other subset gathers its own."""
+        if self.shared or np.array_equal(fits, np.arange(len(self.y))):
             return self
-        return _Rows(self.X[rows], self.y[rows])
+        k = len(self.X)
+        draws = fits % k
+        if len(fits) % k == 0 and np.array_equal(draws, np.tile(np.arange(k), len(fits) // k)):
+            return _Rows(self.X, self.y[fits])
+        return _Rows(self.X[draws], self.y[fits])
 
     def gram(self, W):
-        """The ``(k, p, p)`` Gram matrices ``X' diag(w) X`` of the rows of ``W``."""
+        """The ``(K, p, p)`` Gram matrices ``X' diag(w) X`` of the rows of ``W``."""
+        p = self.X.shape[-1]
         if self.shared:
-            p = self.X.shape[1]
             return (W @ self.O).reshape(-1, p, p)
         # Unit weights (the counts of a study's draws or of a single fit)
         # need no weighted copy of the design, which at n = 100 000 would
         # set the peak memory and much of the time of a single fit.
-        XW = self.X if np.all(W == 1.0) else self.X * W[:, :, None]
-        return np.swapaxes(self.X, 1, 2) @ XW
+        Xt = np.swapaxes(self.X, 1, 2)
+        if np.all(W == 1.0):
+            G = Xt @ self.X
+            return G if len(W) == len(G) else np.tile(G, (len(W) // len(G), 1, 1))
+        return (Xt @ (self.X * self._per_draw(W)[..., None])).reshape(-1, p, p)
 
     def cross(self, W):
-        """The ``(k, p)`` cross products ``X' w`` of the rows of ``W``."""
+        """The ``(K, p)`` cross products ``X' w`` of the rows of ``W``."""
         if self.shared:
             return W @ self.X
-        return (W[:, None, :] @ self.X)[:, 0]
+        return (self._per_draw(W)[..., None, :] @ self.X)[..., 0, :].reshape(len(W), -1)
 
     def fitted(self, B):
-        """The ``(k, n)`` fitted values ``X b`` of the rows of ``B``."""
+        """The ``(K, n)`` fitted values ``X b`` of the rows of ``B``."""
         if self.shared:
             return B @ self.X.T
-        return (self.X @ B[:, :, None])[:, :, 0]
+        return (self.X @ self._per_draw(B)[..., None])[..., 0].reshape(len(B), -1)
+
+    def columns(self, W):
+        """``W`` times each column of each fit's design, ``(K, n)`` arrays."""
+        for x in np.moveaxis(self.X, -1, 0):
+            yield (W.reshape(-1, *x.shape) * x).reshape(W.shape)
+
+    def _per_draw(self, A):
+        """A ``(K, ...)`` array of the fits as ``(K // k, k, ...)``: the
+        fits of each design on its own axis."""
+        return A.reshape(-1, len(self.X), *A.shape[1:])
 
 
 def _rotated_rows(X0, X1, y0, y1):
@@ -393,9 +419,10 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     """:func:`fit_lmm` on a batch of fits.
 
     ``rows`` is the :func:`_rotated_rows` pair of the design, shared by the
-    batch or one per replicate.  Row r of the ``(k, n)`` count matrix ``C``
-    weights the n units of fit r: unit i enters it ``C[r, i]`` times (all
-    ones for a design per replicate).  ``bins``, if given, is a ``(k, n)``
+    batch or one per draw (:class:`_Rows`; several fits may share a draw's
+    design).  Row r of the ``(k, n)`` count matrix ``C`` weights the n units
+    of fit r: unit i enters it ``C[r, i]`` times (all ones for the fits of
+    draws).  ``bins``, if given, is a ``(k, n)``
     array of bin labels in ``0 .. n_bins - 1``; fit r then appends to both
     period blocks the indicators of bins 1 to ``n_bins - 1`` under its own
     labels (the DRGLMM bin dummies).  Such unit-constant columns vanish
@@ -446,8 +473,7 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     Gd[:, :p, :p] = d.gram(C)
     Gs[:, :p, :p] = s.gram(C)
     if q:
-        cross = _RT2 * np.stack([bin_sums(C * x) for x in np.moveaxis(s.X, -1, 0)],
-                                axis=2)
+        cross = _RT2 * np.stack([bin_sums(v) for v in s.columns(C)], axis=2)
         Gs[:, p:, :p] = cross
         Gs[:, :p, p:] = np.swapaxes(cross, 1, 2)
         Gs[:, np.arange(p, m), np.arange(p, m)] = 2.0 * bin_sums(C)
@@ -547,7 +573,7 @@ def _fit_or_batch(rows, C):
     """:func:`fit_or`'s least squares on a batch of fits.
 
     ``rows`` is the :class:`_Rows` of the design and response, shared by
-    the batch or one per replicate, and row r of the ``(k, n)`` count
+    the batch or one per draw, and row r of the ``(k, n)`` count
     matrix ``C`` weights the units of fit r.  Returns :class:`_Fits` with
     ``beta`` ``(k, p)``, the Gram matrices ``A``, and ``status``:
     ``_RANK_DEFICIENT`` where :func:`_full_rank` finds the design rank

@@ -26,10 +26,11 @@ against the scenario's true effects.  Replicate r draws from the stream
 keyed by (seed, r), so studies reproduce bit for bit.  The suite runs on
 the replicate engine of the cluster bootstrap
 (:func:`~panel_causal.inference._replicate_values`), a chunk of draws at a
-time: the draws are stacked into one dataset and every entry is fitted on
-all of them at once, with the values (bit for bit), failures and warnings
-of replicates evaluated one at a time.  A study silences extreme-weight
-warnings and reports failures per cell instead.
+time: a chunk is drawn in one pass into one stacked dataset, and every
+entry is fitted on all of its draws at once, with the values (bit for
+bit), failures and warnings of replicates evaluated one at a time.  A
+study silences extreme-weight warnings and reports failures per cell
+instead.
 """
 
 import warnings
@@ -136,40 +137,54 @@ _COVARIATES = ("x1", "x2", "v")
 _TIME_INVARIANT = ("x2", "v")
 
 
-def _draw(scenario, seed, replicate):
-    """The random draws of one dataset as arrays ``(x1, x2, v, d, y0, y1)``,
-    where x1 is ``(n, 2)`` with a column per period."""
+# The unit-level surface coefficients of a scenario with coef_cv > 0, in the
+# order their draws follow assignment in each replicate's stream.
+_UNIT_COEFS = ("intercept", "x1", "x2", "x1_treat", "trend", "treat")
+
+
+def _draw(scenario, seed, replicates):
+    """The random draws of the datasets ``replicates`` as arrays ``(x1, x2,
+    v, d, y0, y1)`` with a leading replicate axis; x1 is ``(k, n, 2)``, with
+    a column per period.
+
+    Each replicate's stream is pulled, in one fixed order, into the stacked
+    arrays; the arithmetic then runs once on the stack, elementwise (and
+    the covariance factor's product design by design), so a replicate's
+    arrays do not depend on the others drawn with it, to the last bit.
+    """
     # The tests' HET truth oracle (tests/helpers.py: treated_x1_mean)
     # repeats this draw order up to the uniforms of assignment, a block of
     # units at a time; keep the two in step.
     p = scenario.dgp_params
-    n = scenario.n
-    rng = substream(seed, replicate)
+    n, k = scenario.n, len(replicates)
+    cv = p["coef_cv"]
+    z, eps = np.empty((k, n, 2)), np.empty((k, n, 2))
+    x2, v, u, uniform = (np.empty((k, n)) for _ in range(4))
+    coefs = np.empty((len(_UNIT_COEFS), k, n)) if cv > 0.0 else None
+    for i, r in enumerate(replicates):
+        rng = substream(seed, r)
+        z[i] = rng.standard_normal((n, 2))
+        x2[i] = rng.exponential(p["x2_mean"], n)
+        v[i] = rng.normal(p["v_mean"], p["v_sd"], n)
+        u[i] = rng.normal(0.0, np.sqrt(p["u_var"]), n)
+        eps[i] = rng.normal(0.0, np.sqrt(p["eps_var"]), (n, 2))
+        uniform[i] = rng.random(n)
+        if cv > 0.0:
+            for j, name in enumerate(_UNIT_COEFS):
+                coefs[j, i] = rng.normal(p[name], cv * abs(p[name]), n)
     chol = np.linalg.cholesky(np.asarray(p["x1_cov"], dtype=float))
-    z = rng.standard_normal((n, 2))
     x1 = np.asarray(p["x1_mean"], dtype=float) + z @ chol.T
-    x10, x11 = x1[:, 0], x1[:, 1]
-    x2 = rng.exponential(p["x2_mean"], n)
-    v = rng.normal(p["v_mean"], p["v_sd"], n)
-    u = rng.normal(0.0, np.sqrt(p["u_var"]), n)
-    eps = rng.normal(0.0, np.sqrt(p["eps_var"]), (n, 2))
+    x10, x11 = x1[..., 0], x1[..., 1]
     a0, a1, a2, a3 = p["ps_coef"]
     lin = a0 + a1 * x10 + a2 * x2 + a3 * v
-    d = (rng.random(n) < expit(lin)).astype(np.int64)
-    cv = p["coef_cv"]
+    d = (uniform < expit(lin)).astype(np.int64)
     if cv > 0.0:
-        th0 = rng.normal(p["intercept"], cv * abs(p["intercept"]), n)
-        th1 = rng.normal(p["x1"], cv * abs(p["x1"]), n)
-        th2 = rng.normal(p["x2"], cv * abs(p["x2"]), n)
-        th3 = rng.normal(p["x1_treat"], cv * abs(p["x1_treat"]), n)
-        gam = rng.normal(p["trend"], cv * abs(p["trend"]), n)
-        bet = rng.normal(p["treat"], cv * abs(p["treat"]), n)
+        th0, th1, th2, th3, gam, bet = coefs
     else:
-        th0, th1, th2, th3 = p["intercept"], p["x1"], p["x2"], p["x1_treat"]
-        gam, bet = p["trend"], p["treat"]
+        th0, th1, th2, th3, gam, bet = (p[name] for name in _UNIT_COEFS)
     df = d.astype(float)
-    y0 = th0 + th1 * x10 + u + eps[:, 0]
-    y1 = th0 + gam + bet * df + th1 * x11 + th2 * x2 + th3 * df * x11 + u + eps[:, 1]
+    y0 = th0 + th1 * x10 + u + eps[..., 0]
+    y1 = th0 + gam + bet * df + th1 * x11 + th2 * x2 + th3 * df * x11 + u + eps[..., 1]
     if not p["x2_post_only"]:
         y0 = y0 + th2 * x2
     if p["log_x2"]:
@@ -184,8 +199,9 @@ def _unit_ids(n):
 
 
 def _dataset(draw, unit_ids):
-    """The PanelDataset of a :func:`_draw`."""
-    x1, x2, v, d, y0, y1 = draw
+    """The PanelDataset of :func:`_draw` arrays, their replicates stacked:
+    replicate r in rows ``r n`` to ``r n + n - 1``."""
+    x1, x2, v, d, y0, y1 = (a.reshape(-1, *a.shape[2:]) for a in draw)
     return PanelDataset(
         covariate_names=_COVARIATES,
         unit_ids=unit_ids,
@@ -215,7 +231,7 @@ def generate_scenario(scenario, seed, replicate=0):
     """
     if not isinstance(scenario, Scenario):
         raise InvalidArgumentError("scenario must be a Scenario instance")
-    return _dataset(_draw(scenario, seed, replicate), _unit_ids(scenario.n))
+    return _dataset(_draw(scenario, seed, [replicate]), _unit_ids(scenario.n))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +242,7 @@ ORACLE_SEED = 987654321
 ORACLE_UNITS = 1_000_000
 
 # The mean of x1 at t=1 over the treated units of
-# _draw(Scenario("HET", ORACLE_UNITS), ORACLE_SEED, 0), and its Monte Carlo
+# _draw(Scenario("HET", ORACLE_UNITS), ORACLE_SEED, [0]), and its Monte Carlo
 # standard error.  The named scenarios share their covariate and treatment
 # models, so these serve every heterogeneous-effect scenario.  The tests
 # re-draw the units and check both floats bit for bit
@@ -445,20 +461,20 @@ def _entry_spec(entry, specs):
 
 def _draw_chunks(scenario, seed, replicates, k_bins):
     """The draws ``replicates`` as chunks of the replicate engine: each
-    chunk's draw arrays stacked into one dataset, fitted with all-ones
-    counts.  A draw gets a dataset of its own only when it has no overlap,
-    to raise the error its own dataset raises."""
+    chunk drawn in one pass of :func:`_draw` and built into one dataset of
+    its stacked replicates, fitted with all-ones counts.  A draw gets a
+    dataset of its own only when it has no overlap, to raise the error its
+    own dataset raises."""
     n = scenario.n
     unit_ids = _unit_ids(n)
     size = _chunk_size(n)
     for start in range(0, len(replicates), size):
-        draws = [_draw(scenario, seed, r) for r in replicates[start:start + size]]
-        for draw in draws:
-            if draw[3].sum() in (0, n):
-                _dataset(draw, unit_ids)
-        stacked = _dataset([np.concatenate(a) for a in zip(*draws)],
-                           np.tile(unit_ids, len(draws)))
-        yield _Batch(stacked, k_bins, reps=len(draws)), np.ones((len(draws), n))
+        draw = _draw(scenario, seed, replicates[start:start + size])
+        treated = draw[3].sum(axis=1)
+        for r in np.flatnonzero((treated == 0) | (treated == n)):
+            _dataset([a[r:r + 1] for a in draw], unit_ids)
+        k = len(treated)
+        yield _Batch(_dataset(draw, np.tile(unit_ids, k)), k_bins, reps=k), np.ones((k, n))
 
 
 def _unit_constant_columns(spec):

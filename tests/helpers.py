@@ -390,13 +390,54 @@ def run_study_reference(scenario, suite=DEFAULT_SUITE, R=1000, seed=0, *, k_bins
     return simlab._summarize(scenario, tuple(suite), seed, truths, stack)
 
 
+def draw_reference(scenario, seed, replicate):
+    """``simlab._draw`` of the one replicate, as first formulated: its
+    stream pulled and its arithmetic done on its own ``(n,)`` arrays, x1
+    ``(n, 2)``."""
+    p = scenario.dgp_params
+    n = scenario.n
+    rng = substream(seed, replicate)
+    chol = np.linalg.cholesky(np.asarray(p["x1_cov"], dtype=float))
+    z = rng.standard_normal((n, 2))
+    x1 = np.asarray(p["x1_mean"], dtype=float) + z @ chol.T
+    x10, x11 = x1[:, 0], x1[:, 1]
+    x2 = rng.exponential(p["x2_mean"], n)
+    v = rng.normal(p["v_mean"], p["v_sd"], n)
+    u = rng.normal(0.0, np.sqrt(p["u_var"]), n)
+    eps = rng.normal(0.0, np.sqrt(p["eps_var"]), (n, 2))
+    a0, a1, a2, a3 = p["ps_coef"]
+    lin = a0 + a1 * x10 + a2 * x2 + a3 * v
+    d = (rng.random(n) < glm_fit.expit(lin)).astype(np.int64)
+    cv = p["coef_cv"]
+    if cv > 0.0:
+        th0 = rng.normal(p["intercept"], cv * abs(p["intercept"]), n)
+        th1 = rng.normal(p["x1"], cv * abs(p["x1"]), n)
+        th2 = rng.normal(p["x2"], cv * abs(p["x2"]), n)
+        th3 = rng.normal(p["x1_treat"], cv * abs(p["x1_treat"]), n)
+        gam = rng.normal(p["trend"], cv * abs(p["trend"]), n)
+        bet = rng.normal(p["treat"], cv * abs(p["treat"]), n)
+    else:
+        th0, th1, th2, th3 = p["intercept"], p["x1"], p["x2"], p["x1_treat"]
+        gam, bet = p["trend"], p["treat"]
+    df = d.astype(float)
+    y0 = th0 + th1 * x10 + u + eps[:, 0]
+    y1 = th0 + gam + bet * df + th1 * x11 + th2 * x2 + th3 * df * x11 + u + eps[:, 1]
+    if not p["x2_post_only"]:
+        y0 = y0 + th2 * x2
+    if p["log_x2"]:
+        lx2 = p["log_x2"] * np.log(x2)
+        y0 = y0 + lx2
+        y1 = y1 + lx2
+    return x1, x2, v, d, y0, y1
+
+
 ORACLE_BLOCK = 65_536
 
 
 def treated_x1_mean(units=simlab.ORACLE_UNITS, block=ORACLE_BLOCK):
     """The HET truth oracle: E[x1 at t=1 | treated] under the shared
     assignment design, with its Monte Carlo standard error, from the units
-    of ``simlab._draw(Scenario("HET", units), simlab.ORACLE_SEED, 0)``.
+    of ``simlab._draw(Scenario("HET", units), simlab.ORACLE_SEED, [0])``.
 
     The stream is pulled in ``_draw``'s order, ``block`` units at a time,
     and only what assignment needs is kept: x1 at t=1, the linear predictor

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from panel_causal import inference, simlab
+from panel_causal import estimators, inference, simlab
 from panel_causal import (
     DEFAULT_SUITE,
+    DegenerateBinsWarning,
     EstimatorConfig,
     ExtremeWeightsWarning,
     InvalidArgumentError,
@@ -39,7 +40,8 @@ from panel_causal import (
     true_effects,
 )
 
-from helpers import run_study_reference, source_env, study_values_reference, treated_x1_mean
+from helpers import (draw_reference, run_study_reference, source_env, study_values_reference,
+                     treated_x1_mean)
 
 
 class TestScenario:
@@ -128,8 +130,8 @@ class TestTrueEffects:
         # 10 007 units: blocks that leave a remainder, that divide the
         # count (1 and the count itself), and one larger than the count.
         n = 10_007
-        x1, _, _, d, _, _ = simlab._draw(Scenario("HET", n), simlab.ORACLE_SEED, 0)
-        kept = x1[d == 1, 1]
+        x1, _, _, d, _, _ = simlab._draw(Scenario("HET", n), simlab.ORACLE_SEED, [0])
+        kept = x1[0, d[0] == 1, 1]
         want = (float(kept.mean()), float(kept.std(ddof=1) / np.sqrt(kept.size)))
         assert treated_x1_mean(n, block) == want
 
@@ -205,6 +207,21 @@ class TestGenerateScenario:
         assert not np.array_equal(a.y1, c.y1)
         assert not np.array_equal(a.y1, d.y1)
 
+    @pytest.mark.parametrize("sid", SCENARIO_IDS)
+    def test_chunk_draw_is_each_replicate_drawn_alone(self, sid):
+        # One pass over a chunk's streams gives each replicate, in any
+        # order and repeated, the arrays of its own one-replicate draw and
+        # of the per-replicate first formulation, to the last bit.
+        sc = Scenario(sid, 37)
+        replicates = [5, 0, 12, 3, 3, 2**64 - 1]
+        chunk = simlab._draw(sc, 7, replicates)
+        for i, r in enumerate(replicates):
+            alone = simlab._draw(sc, 7, [r])
+            for got, one, want in zip(chunk, alone, draw_reference(sc, 7, r)):
+                assert got.dtype == one.dtype == want.dtype
+                np.testing.assert_array_equal(got[i], one[0])
+                np.testing.assert_array_equal(got[i], want)
+
     def test_replicate_outside_the_stream_range_rejected(self):
         sc = Scenario("HOM", 50)
         last = generate_scenario(sc, seed=5, replicate=2**64 - 1)
@@ -272,10 +289,12 @@ class TestRunStudy:
 
     @staticmethod
     def _no_draw(monkeypatch):
+        # Every draw, a chunk's or a single dataset's, pulls each of its
+        # replicates' streams through simlab's substream.
         def no_draw(*args, **kwargs):
             raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(simlab, "_draw", no_draw)
+        monkeypatch.setattr(simlab, "substream", no_draw)
 
     def test_more_bins_than_units_rejected_before_any_draw(self, monkeypatch):
         # With 25 bins every doubly robust fit of a 20-unit draw would fail.
@@ -532,7 +551,7 @@ class TestBatchedStudy:
 
     # Bins of one unit each leave DRGLMM more unit-constant columns than units.
     @example(sid="HOM", n=15, R=2, seed=0, k_bins=15)
-    @given(sid=st.sampled_from(["HOM", "HET", "RANDCOEF"]), n=st.integers(15, 400),
+    @given(sid=st.sampled_from(SCENARIO_IDS), n=st.integers(15, 400),
            R=st.integers(2, 8), seed=st.integers(0, 10_000), k_bins=st.integers(2, 20))
     def test_batch_equals_single(self, sid, n, R, seed, k_bins):
         # A point estimate makes its replicate's kernel calls, on a batch of
@@ -549,6 +568,69 @@ class TestBatchedStudy:
                                             seed, k_bins)
         np.testing.assert_array_equal(got, want)
         assert got_warnings == want_warnings
+
+    @pytest.mark.parametrize("sid,n,k_bins", [("HET", 250, 5), ("HOM", 15, 15), ("HOM", 15, 12)])
+    def test_fused_entries_are_each_entry_alone(self, sid, n, k_bins, monkeypatch):
+        # The entries of one outcome design fit in one kernel call per bin
+        # count.  Each pair is still its entry's own, evaluated as a suite
+        # of one, to the last bit, and the warnings are each entry's own,
+        # fit by fit.  At n = 15 fits fail, so entries fit on subsets of the
+        # chunk, and a constant treatment model's entries (added there)
+        # collapse every bin into one, a bin count of their own.
+        calls = Counter()
+        kernel = estimators._fit_lmm_batch
+
+        def counted(rows, C, *args, **kwargs):
+            calls[C.shape[0]] += 1
+            return kernel(rows, C, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_fit_lmm_batch", counted)
+        specs = scenario_specs(sid)
+        suite = [(e.method, simlab._entry_spec(e, specs)) for e in DEFAULT_SUITE]
+        if n == 15:
+            suite += [(method, replace(spec, ps_terms=("1",)))
+                      for method, spec in suite if method == "DRGLMM"][::2]
+        sc, seed, R = Scenario(sid, n), 0, 20
+        (batch, C), = simlab._draw_chunks(sc, seed, range(R), k_bins)
+        vals, ok, notes = batch.values(suite, C)
+        fused = +calls
+        for i, entry in enumerate(suite):
+            (alone, C), = simlab._draw_chunks(sc, seed, range(R), k_bins)
+            want_vals, want_ok, _ = alone.values([entry], C)
+            np.testing.assert_array_equal(vals[:, i], want_vals[:, 0])
+            np.testing.assert_array_equal(ok[:, i], want_ok[:, 0])
+        want_notes = []
+        for r in range(R):
+            (one, C), = simlab._draw_chunks(sc, seed, [r], k_bins)
+            for entry in suite:
+                want_notes += one.values([entry], C)[2]
+        assert notes == want_notes
+        if n == 250:
+            assert ok.all()
+            assert fused == {R: 2, 2 * R: 2}
+        else:
+            dr = [i for i, (method, _) in enumerate(suite) if method == "DRGLMM"]
+            assert 0 < ok[:, dr].sum() < ok[:, dr].size
+            assert sum(fused.values()) == 6
+            assert any(category is DegenerateBinsWarning for _, category in notes)
+
+    def test_a_chunk_makes_one_mixed_call_per_outcome_design_and_bin_count(self, monkeypatch):
+        # DEFAULT_SUITE on a HET chunk: GLMM's two designs, then the four
+        # DRGLMM entries in one call per design.  The fused calls keep the
+        # chunk's one copy of each design.
+        calls = []
+        kernel = estimators._fit_lmm_batch
+
+        def spied(rows, C, *args, **kwargs):
+            calls.append((C.shape[0], [r.X.shape[0] for r in rows]))
+            return kernel(rows, C, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_fit_lmm_batch", spied)
+        specs = scenario_specs("HET")
+        suite = [(e.method, simlab._entry_spec(e, specs)) for e in DEFAULT_SUITE]
+        (batch, C), = simlab._draw_chunks(Scenario("HET", 250), 0, range(40), 5)
+        batch.values(suite, C)
+        assert calls == [(40, [40, 40]), (80, [40, 40]), (40, [40, 40]), (80, [40, 40])]
 
     def test_draw_without_overlap_raises_as_before(self):
         # Replicate 8 of this 4-unit scenario treats every unit.

@@ -15,10 +15,14 @@ holds a pipe's text in memory, while it reads a file on disk by name.
 Once it reads a copy of its input with the data rows in a fixed shuffled
 order, units interleaved and some with their t=1 row first, and prints
 ``<workload>/shuffled <seed> <sha256>``: the loader sorts such a file,
-while the file as written is already in order.  The package and the
-workload definitions both come from the checkout at ``--root``; the
-workload file is imported, never written.  Two checkouts that print the
-same lines write the same output bytes on those seeds.
+while the file as written is already in order.  Then, per seed, it runs a
+small study (``STUDY_N`` units, ``STUDY_REPS`` replicates) on each scenario
+but study-het's HET and prints ``study/<SCENARIO> <seed> <sha256>``: those
+draws take the branches (unit-level coefficients, the post-period-only x2
+term, the log x2 term) that the benchmark's study never runs.  The package
+and the workload definitions both come from the checkout at ``--root``;
+the workload file is imported, never written.  Two checkouts that print
+the same lines write the same output bytes on those seeds.
 """
 
 import argparse
@@ -29,6 +33,9 @@ import random
 import sys
 import tempfile
 import threading
+
+STUDY_N = 60
+STUDY_REPS = 12
 
 # One BLAS thread, as in the benchmark's workers, set before numpy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -53,7 +60,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    from panel_causal import cli
+    from panel_causal import SCENARIO_IDS, cli
     from workloads import WORKLOADS
 
     for name in sorted(WORKLOADS):
@@ -74,6 +81,18 @@ def main(argv=None):
                     label = f"{name}/shuffled"
                     print(label, seed, _digest(cli.run, argv, out, f"{label} seed {seed}"),
                           flush=True)
+    for scenario in SCENARIO_IDS:
+        if scenario == "HET":
+            continue
+        label = f"study/{scenario}"
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as workdir:
+                out = os.path.join(workdir, "out")
+                argv = ["study", "--scenario", scenario, "--n", str(STUDY_N),
+                        "--reps", str(STUDY_REPS), "--seed", str(seed), "--format", "csv",
+                        "--output", out]
+                print(label, seed, _digest(cli.run, argv, out, f"{label} seed {seed}"),
+                      flush=True)
     return 0
 
 
