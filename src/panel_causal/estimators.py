@@ -47,8 +47,8 @@ from .errors import DegenerateBinsWarning, ExtremeWeightsWarning, InvalidArgumen
 from .glm_fit import (_check_k_bins, _collapsed_message, _fit_logistic_batch,
                       _quantile_bins_batch)
 from .lmm_fit import (_NO_OVERLAP, _OK, _PS_UNUSABLE, _fit_lmm_batch, _fit_or_batch,
-                      _raise_failure, _rotated_rows, _Rows)
-from .panel_data import ModelSpec, _coerce_terms, build_design, ps_design
+                      _raise_failure, _rotate, _Rows)
+from .panel_data import ModelSpec, _coerce_terms, _contrast, _matrix, _term_column, ps_design
 
 __all__ = [
     "MethodInfo",
@@ -322,6 +322,15 @@ class _Batch:
         counterfactual t=1 blocks, and the rows its kernel fits: the t=1
         block, or the sum and difference rows of the t=0 and t=1 blocks.
 
+        Each block is written from the term columns (``panel_data``'s one
+        builder) and nothing else is held: the t=1 block at the observed
+        treatment, which raises for a term the data cannot give; the
+        contrast term by term (``panel_data._contrast``); and for the mixed
+        model the t=0 columns one at a time, each rotated with its t=1
+        column into the sum block and, in place, the difference block.  So
+        the counterfactual blocks and the two period blocks are never held
+        together, and the rows carry the bits of :func:`build_design`'s.
+
         A shared design is kept for the batch's later chunks of counts.  A
         batch of draws is fitted once and asks for each model's design once
         (:meth:`values`), so it keeps none: each is freed after its use."""
@@ -332,14 +341,19 @@ class _Batch:
             X, _ = ps_design(self.data, spec)
             made = _Rows(self._split(X), self.d1.astype(float))
         else:
-            design = build_design(self.data, spec, pre_period=kind == "mixed")
-            blocks = [self._split(b) for b in (design.X0, design.X) if b is not None]
-            diff = self._split(design.cf_treated - design.cf_control)
-            # Only their difference is used: dropping the counterfactual
-            # blocks first lowers the peak memory of a large estimate.
-            del design
-            made = diff, (_Rows(blocks[0], self.y1) if kind == "post"
-                          else _rotated_rows(*blocks, self.y0, self.y1))
+            terms, data = spec.outcome_terms, self.data
+            X1 = _matrix(terms, data, 1, data.d1)
+            diff = self._split(_contrast(terms, data))
+            if kind == "post":
+                rows = _Rows(self._split(X1), self.y1)
+            else:
+                Xs, zeros = np.empty_like(X1), np.zeros(data.n)
+                for j, term in enumerate(terms):
+                    # Column j of X1 becomes the difference rows' in place.
+                    _rotate(_term_column(term, data, 0, zeros), X1[:, j], Xs[:, j], X1[:, j])
+                ys, yd = _rotate(self.y0, self.y1)
+                rows = _Rows(self._split(Xs), ys), _Rows(self._split(X1), yd)
+            made = diff, rows
         if self.reps is None:
             self._designs[key] = made
         return made

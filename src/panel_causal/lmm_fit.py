@@ -407,12 +407,23 @@ class _Rows:
         return A.reshape(-1, len(self.X), *A.shape[1:])
 
 
+def _rotate(a0, a1, s=None, d=None):
+    """The sum and difference rows ``(a0 + a1) / sqrt 2`` and ``(a1 - a0) /
+    sqrt 2`` of two aligned period arrays, written into ``s`` and ``d`` if
+    given; ``d`` may be ``a1`` itself, which is read before it is written."""
+    s = np.add(a0, a1, out=s)
+    s /= _RT2
+    d = np.subtract(a1, a0, out=d)
+    d /= _RT2
+    return s, d
+
+
 def _rotated_rows(X0, X1, y0, y1):
     """The sum and difference rows of two aligned period blocks as the
     :class:`_Rows` pair ``(s, d)`` of a batch of fits; the blocks may carry
     a leading replicate axis."""
-    return (_Rows((X0 + X1) / _RT2, (y0 + y1) / _RT2),
-            _Rows((X1 - X0) / _RT2, (y1 - y0) / _RT2))
+    (Xs, Xd), (ys, yd) = _rotate(X0, X1), _rotate(y0, y1)
+    return _Rows(Xs, ys), _Rows(Xd, yd)
 
 
 def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
@@ -489,14 +500,28 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     # A fit without a factor is carried along on an identity one.
     L[status == _NOT_PD] = np.eye(m)
 
-    def residuals(ed, es, b):
-        """``ed - Xd b`` and ``es - Xs b``, the bin columns included."""
+    def residuals(ed, es, b, into=None):
+        """``ed - Xd b`` and ``es - Xs b``, the bin columns included, each
+        written over its fitted values, or into the pair ``into`` (which
+        may be ``ed, es``); the fitted values of one are freed before the
+        other's are formed."""
+        out = (None, None) if into is None else into
         fd = d.fitted(b[:, :p])
+        rd = np.subtract(ed, fd, out=fd if out[0] is None else out[0])
+        del fd
         fs = s.fitted(b[:, :p])
         if q:
             per_bin = np.concatenate([np.zeros((k, 1)), b[:, p:]], axis=1)
-            fs += _RT2 * per_bin.ravel()[labels].reshape(k, -1)
-        return np.subtract(ed, fd, out=fd), np.subtract(es, fs, out=fs)
+            in_bins = per_bin.ravel()[labels].reshape(k, -1)
+            in_bins *= _RT2
+            fs += in_bins
+        return rd, np.subtract(es, fs, out=fs if out[1] is None else out[1])
+
+    def counted_ss(r):
+        """``np.sum(C * r * r, axis=1)``, its products formed in one array."""
+        products = C * r
+        products *= r
+        return np.sum(products, axis=1)
 
     def crossprod(vd, vs):
         gd = np.zeros((k, m))
@@ -518,8 +543,8 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     rd, rs = residuals(d.y, s.y, beta0)
     gd, gs = crossprod(rd, rs)
     stats = (
-        np.sum(C * rd * rd, axis=1)[:, None],
-        np.sum(C * rs * rs, axis=1)[:, None],
+        counted_ss(rd)[:, None],
+        counted_ss(rs)[:, None],
         (Vt @ gd[:, :, None])[:, None, :, 0],
         (Vt @ gs[:, :, None])[:, None, :, 0],
         mu[:, None, :],
@@ -561,8 +586,9 @@ def _fit_lmm_batch(rows, C, bins=None, n_bins=0, random_intercept=True):
     # The GLS step from the stacked OLS fit, solved for on the residual
     # scale, and the residual sums of squares from explicit residuals.
     delta = _each(_solve, A, gd + w[:, None] * gs)
-    rd, rs = residuals(rd, rs, delta)
-    rss = np.sum(C * rd * rd, axis=1) + w * np.sum(C * rs * rs, axis=1)
+    # The residuals of the stacked OLS fit are dead once they are updated.
+    rd, rs = residuals(rd, rs, delta, into=(rd, rs))
+    rss = counted_ss(rd) + w * counted_ss(rs)
     status[(status == _OK) & ~(np.isfinite(rss) & (rss > 0.0))] = _DEGENERATE
     status[~full] = _RANK_DEFICIENT
     return _Fits(beta=beta0 + delta, log_lambda=log_lambda, lam=lam, converged=converged,

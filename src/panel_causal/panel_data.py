@@ -13,7 +13,9 @@ string forms ``"1"``, ``"time"``, ``"treat"``, ``"x1"``, ``"x1:time"``,
 ``"x1:treat"`` and ``"log(x2)"``.  ``build_design`` turns a term list into
 the post-period design (n rows, observed treatment) and the two
 counterfactual post-period designs with treatment forced to 1 and to 0,
-plus, for the mixed model, the aligned pre-period (t=0) design.
+plus, for the mixed model, the aligned pre-period (t=0) design.  Every
+design is written column by column from the terms, by one builder; the
+estimators build the blocks their kernels read from the same columns.
 """
 
 import csv
@@ -354,7 +356,12 @@ class DesignMatrices:
     column (and every treatment interaction) forced to 1 and to 0.  ``X0``
     is the pre-period (t=0) design when built with ``pre_period=True``,
     else None; row i of ``X0`` and row i of ``X`` are the two rows of
-    unit i.
+    unit i.  Each is built on its own from the term columns, so ``X`` is
+    the counterfactual row at each unit's own treatment, bit for bit.
+
+    The estimators do not build this bundle: they need only the contrast
+    ``cf_treated - cf_control`` (:func:`_contrast`) and the blocks their
+    kernels read, and build those from the same columns.
     """
 
     columns: tuple
@@ -395,11 +402,39 @@ def _term_column(term, data, t, d):
 
 
 def _matrix(terms, data, t, d):
-    return np.column_stack([_term_column(tm, data, t, d) for tm in terms])
+    """The ``(n, p)`` design of ``terms`` at period ``t`` and treatment
+    ``d`` (a 0/1 vector, or None where no term reads it), written a column
+    at a time, so that no more than one column is held besides it.  A term
+    the data cannot give raises as its column is reached, in term order."""
+    out = np.empty((data.n, len(terms)))
+    for j, term in enumerate(terms):
+        out[:, j] = _term_column(term, data, t, d)
+    return out
+
+
+def _contrast(terms, data):
+    """``cf_treated - cf_control`` of :func:`build_design`, term by term:
+    1.0 for the treatment, ``x*1 - x*0`` for a treatment interaction
+    (those bits, signed zeros included) and 0.0 for every other column,
+    which is the same at both treatments.  It evaluates only the
+    interactions' covariates: build a design of ``terms`` first, which
+    raises for a term the data cannot give."""
+    out = np.zeros((data.n, len(terms)))
+    for j, term in enumerate(terms):
+        if term.kind == "treatment":
+            out[:, j] = 1.0
+        elif term.kind == "cov_treat":
+            x = _covariate_at(data, term.name, 1)
+            np.subtract(x * 1.0, x * 0.0, out=out[:, j])
+    return out
 
 
 def build_design(data, spec, pre_period):
     """Materialize design matrices for ``spec.outcome_terms`` on ``data``.
+
+    Each matrix is written column by column from the terms (``X`` at the
+    observed treatment), so at most one column is held besides the
+    matrices returned.
 
     Parameters
     ----------
@@ -428,15 +463,13 @@ def build_design(data, spec, pre_period):
     n = data.n
     zeros = np.zeros(n)
     cf_treated = _matrix(terms, data, 1, np.ones(n))
-    cf_control = _matrix(terms, data, 1, zeros)
-    # Only treatment terms depend on d, as a factor d in {0, 1}, so a unit's
-    # observed row is its counterfactual row at its own treatment.
-    X = np.where((data.d1 == 1)[:, None], cf_treated, cf_control)
     return DesignMatrices(
         columns=tuple(term_label(t) for t in terms),
-        X=X,
+        # Only treatment terms depend on d, as a factor d in {0, 1}, so a
+        # unit's observed row is its counterfactual row at its own treatment.
+        X=_matrix(terms, data, 1, data.d1),
         cf_treated=cf_treated,
-        cf_control=cf_control,
+        cf_control=_matrix(terms, data, 1, zeros),
         X0=_matrix(terms, data, 0, zeros) if pre_period else None,
     )
 
@@ -451,8 +484,7 @@ def ps_design(data, spec):
     if not terms:
         raise InvalidTermError("propensity term list is empty")
     _check_ps_terms(terms)
-    cols = [_term_column(tm, data, 0, None) for tm in terms]
-    return np.column_stack(cols), tuple(term_label(t) for t in terms)
+    return _matrix(terms, data, 0, None), tuple(term_label(t) for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +551,23 @@ def load_csv(path, schema=None):
     first.  ``path`` is opened once.  An input that can be read only once,
     such as a pipe or ``/dev/stdin``, is read into memory once.
 
-    The data rows are parsed column-wise by numpy's C reader and checked
-    in vectorized form.  numpy is given the file's name, so that it reads
-    the file in chunks rather than line by line; a pipe, a descriptor and
-    a name ending in a suffix by which numpy would decompress the file
-    (such as ``.gz``) are read from the open file or its text in memory
-    instead.  Rows already in unit-then-time order, as :func:`write_csv`
-    writes them, are paired without a sort; any other order costs one sort
-    by id.  A file that fails any of those checks is parsed again one row
-    at a time, from the same open file, which raises the typed error
-    naming the first bad row, or returns the same dataset for cells only
-    Python's ``float`` reads (such as ``1_000``) and for ids with a quoted
-    line break inside, which numpy, opening the file itself, would read as
-    ``\n``.
+    The data rows are parsed column-wise by numpy's C reader into one
+    record array and checked in vectorized form.  Each column is copied
+    out of it once, the covariates straight into their t=0 and t=1 arrays,
+    and the record array is freed before the dataset makes its own copies:
+    at its peak the loader holds numpy's record array and id strings, the
+    stripped ids and the dataset's arrays once.  numpy is given the file's
+    name, so that it reads the file in chunks rather than line by line; a
+    pipe, a descriptor and a name ending in a suffix by which numpy would
+    decompress the file (such as ``.gz``) are read from the open file or
+    its text in memory instead.  Rows already in unit-then-time order, as
+    :func:`write_csv` writes them, are paired without a sort; any other
+    order costs one sort by id.  A file that fails any of those checks is
+    parsed again one row at a time, from the same open file, which raises
+    the typed error naming the first bad row, or returns the same dataset
+    for cells only Python's ``float`` reads (such as ``1_000``) and for
+    ids with a quoted line break inside, which numpy, opening the file
+    itself, would read as ``\n``.
 
     Parameters
     ----------
@@ -663,11 +699,8 @@ def _load_columns(source, header_lines, header, cov_names, schema):
         return None
     ids = _strip(rec[fields[0]])
     t, d, y = rec[fields[1]], rec[fields[2]], rec[fields[3]]
-    x = np.empty((len(rec), len(cov_names)))
-    for j, f in enumerate(fields[4:]):
-        x[:, j] = rec[f]
     if (len(rec) % 2 or not ((d == 0.0) | (d == 1.0)).all()
-            or not np.isfinite(y).all() or not np.isfinite(x).all()):
+            or not all(np.isfinite(rec[f]).all() for f in fields[3:])):
         return None
     pre, post = slice(0, None, 2), slice(1, None, 2)
     if not _paired(ids, t, d, pre, post):
@@ -679,15 +712,16 @@ def _load_columns(source, header_lines, header, cov_names, schema):
             return None
     if by_name and "\n" in "".join(ids[pre]):
         return None
-    return PanelDataset(
-        covariate_names=cov_names,
-        unit_ids=ids[pre],
-        y0=y[pre],
-        y1=y[post],
-        d1=d[post].astype(np.int64),
-        x0=x[pre],
-        x1=x[post],
-    )
+    # Each column is copied once out of the record array, the covariates
+    # straight into their period blocks, and the record array and the ids
+    # of the t=1 rows are freed before the dataset copies what is left.
+    x0, x1 = (np.empty((len(rec) // 2, len(cov_names))) for _ in range(2))
+    for j, f in enumerate(fields[4:]):
+        x0[:, j], x1[:, j] = rec[f][pre], rec[f][post]
+    columns = dict(unit_ids=np.ascontiguousarray(ids[pre]), y0=np.ascontiguousarray(y[pre]),
+                   y1=np.ascontiguousarray(y[post]), d1=d[post].astype(np.int64), x0=x0, x1=x1)
+    del rec, ids, t, d, y
+    return PanelDataset(covariate_names=cov_names, **columns)
 
 
 def _paired(ids, t, d, pre, post):

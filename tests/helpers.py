@@ -35,7 +35,7 @@ from panel_causal import (
     substream,
     true_effects,
 )
-from panel_causal import glm_fit, lmm_fit, simlab
+from panel_causal import glm_fit, lmm_fit, panel_data, simlab
 
 # Fixed seed used by the desk-scale study tests.  Chosen once; every
 # expected band below was verified against this seed before being frozen.
@@ -647,3 +647,127 @@ def find_roots_reference(f, a, b, fa, fb):
         converged[i] = finite & ((fx == 0.0) | (np.abs(b[i] - a[i]) <= lmm_fit._XATOL))
         active[i] = finite & ~converged[i]
     return x, converged
+
+
+def fit_lmm_batch_reference(rows, C, bins=None, n_bins=0, random_intercept=True):
+    """``lmm_fit._fit_lmm_batch``: fresh arrays for the fitted values and
+    residuals of both row blocks at once, and each ``np.sum(C * r * r)``
+    formed with its two products."""
+    L = lmm_fit
+    s, d = rows
+    k = C.shape[0]
+    units = C.sum(axis=1)
+    p = s.X.shape[-1]
+    q = 0 if bins is None else n_bins - 1
+    m = p + q
+    if q:
+        labels = (bins + n_bins * np.arange(k)[:, None]).ravel()
+
+    def bin_sums(v):
+        sums = np.bincount(labels, weights=v.ravel(), minlength=k * n_bins)
+        return sums.reshape(k, n_bins)[:, 1:]
+
+    Gd = np.zeros((k, m, m))
+    Gs = np.zeros((k, m, m))
+    Gd[:, :p, :p] = d.gram(C)
+    Gs[:, :p, :p] = s.gram(C)
+    if q:
+        cross = L._RT2 * np.stack([bin_sums(v) for v in s.columns(C)], axis=2)
+        Gs[:, p:, :p] = cross
+        Gs[:, :p, p:] = np.swapaxes(cross, 1, 2)
+        Gs[:, np.arange(p, m), np.arange(p, m)] = 2.0 * bin_sums(C)
+    G = Gd + Gs
+    full = L._full_rank(G, C, (s.X, d.X), bins)
+    chol = L._each(np.linalg.cholesky, G)
+    status = np.where(np.all(np.isfinite(chol), axis=(1, 2)), L._OK, L._NOT_PD)
+    chol[status == L._NOT_PD] = np.eye(m)
+
+    def residuals(ed, es, b):
+        fd = d.fitted(b[:, :p])
+        fs = s.fitted(b[:, :p])
+        if q:
+            per_bin = np.concatenate([np.zeros((k, 1)), b[:, p:]], axis=1)
+            fs += L._RT2 * per_bin.ravel()[labels].reshape(k, -1)
+        return np.subtract(ed, fd, out=fd), np.subtract(es, fs, out=fs)
+
+    def crossprod(vd, vs):
+        gd = np.zeros((k, m))
+        gs = np.empty((k, m))
+        gd[:, :p] = d.cross(C * vd)
+        gs[:, :p] = s.cross(C * vs)
+        if q:
+            gs[:, p:] = L._RT2 * bin_sums(C * vs)
+        return gd, gs
+
+    V, mu = L._simultaneous_basis(chol, Gs)
+    Vt = np.swapaxes(V, 1, 2)
+    gd, gs = crossprod(d.y, s.y)
+    beta0 = (V @ (Vt @ (gd + gs)[:, :, None]))[:, :, 0]
+    rd, rs = residuals(d.y, s.y, beta0)
+    gd, gs = crossprod(rd, rs)
+    stats = (
+        np.sum(C * rd * rd, axis=1)[:, None],
+        np.sum(C * rs * rs, axis=1)[:, None],
+        (Vt @ gd[:, :, None])[:, None, :, 0],
+        (Vt @ gs[:, :, None])[:, None, :, 0],
+        mu[:, None, :],
+        units[:, None],
+    )
+    log_lambda = np.full(k, L._LOG_LAMBDA_LO)
+    converged = np.ones(k, dtype=bool)
+    if random_intercept:
+        at = np.arange(k)
+        grid = np.linspace(L._LOG_LAMBDA_LO, L._LOG_LAMBDA_HI, L._GRID_POINTS)
+        terms = L._profile_terms(grid, stats)
+        ll, score = L._loglik_of(terms, stats[-1]), L._score_of(terms, stats[-1])
+        j = np.argmax(ll, axis=1)
+        a = np.maximum(j - 1, 0)
+        b = np.minimum(j + 1, L._GRID_POINTS - 1)
+        bracket = (score[at, a] > 0.0) & (score[at, b] < 0.0)
+        log_lambda = grid[j]
+        best = ll[at, j]
+        converged = (((j == 0) & (score[:, 0] <= 0.0))
+                     | ((j == L._GRID_POINTS - 1) & (score[:, -1] >= 0.0)))
+        i = np.flatnonzero(bracket)
+        if i.size:
+            sub = tuple(v[i] for v in stats)
+            log_lambda[i], converged[i] = L._find_roots(
+                lambda x, *live: L._score_of(L._profile_terms(x[:, None], live), live[-1])[:, 0],
+                grid[a[i]], grid[b[i]], score[i, a[i]], score[i, b[i]], sub)
+            best[i] = L._loglik_of(L._profile_terms(log_lambda[i, None], sub), sub[-1])[:, 0]
+        status[(status == L._OK) & ~np.isfinite(ll).any(axis=1)] = L._FLAT
+        boundary = ll[:, 0] >= best
+        log_lambda[boundary] = L._LOG_LAMBDA_LO
+        converged |= boundary
+    lam = np.where(log_lambda <= L._LOG_LAMBDA_LO + 1e-8, 0.0, np.exp(log_lambda))
+    w = 1.0 / (1.0 + 2.0 * lam)
+    A = Gd + w[:, None, None] * Gs
+    delta = L._each(L._solve, A, gd + w[:, None] * gs)
+    rd, rs = residuals(rd, rs, delta)
+    rss = np.sum(C * rd * rd, axis=1) + w * np.sum(C * rs * rs, axis=1)
+    status[(status == L._OK) & ~(np.isfinite(rss) & (rss > 0.0))] = L._DEGENERATE
+    status[~full] = L._RANK_DEFICIENT
+    return dict(beta=beta0 + delta, log_lambda=log_lambda, lam=lam, converged=converged,
+                rss=rss, A=A, status=status, stats=stats)
+
+
+def outcome_design_reference(batch, kind, spec):
+    """``estimators._Batch._design`` of an outcome model: the counterfactual
+    blocks built whole from the term columns, the observed t=1 block picked
+    from them by treatment, their difference, and for the mixed model the
+    t=0 block and the sum and difference rows of the two blocks."""
+    data, terms = batch.data, spec.outcome_terms
+    n = data.n
+
+    def block(t, d):
+        return np.column_stack([panel_data._term_column(term, data, t, d) for term in terms])
+
+    cf_treated, cf_control = block(1, np.ones(n)), block(1, np.zeros(n))
+    X1 = batch._split(np.where((data.d1 == 1)[:, None], cf_treated, cf_control))
+    diff = batch._split(cf_treated - cf_control)
+    if kind == "post":
+        return diff, lmm_fit._Rows(X1, batch.y1)
+    X0 = batch._split(block(0, np.zeros(n)))
+    rt2 = lmm_fit._RT2
+    return diff, (lmm_fit._Rows((X0 + X1) / rt2, (batch.y0 + batch.y1) / rt2),
+                  lmm_fit._Rows((X1 - X0) / rt2, (batch.y1 - batch.y0) / rt2))

@@ -1,11 +1,15 @@
 """Estimator algebra: hand-computable values, exact identities, components."""
 
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from panel_causal import (
     DegenerateBinsWarning,
@@ -14,6 +18,7 @@ from panel_causal import (
     ModelSpec,
     NonFiniteLikelihoodError,
     NonPositiveLogError,
+    PanelDataset,
     PSFit,
     RankDeficientDesignError,
     Scenario,
@@ -35,11 +40,14 @@ from panel_causal import (
     scenario_specs,
     substream,
     true_effects,
+    UnknownCovariateError,
 )
 
 from panel_causal import glm_fit
+from panel_causal.estimators import _Batch
 
-from helpers import did_toy, extreme_ps_dataset, ipw_toy, make_dataset, shift_responses
+from helpers import (assert_same_bits, did_toy, extreme_ps_dataset, ipw_toy, make_dataset,
+                     outcome_design_reference, shift_responses)
 
 
 def _const_ps(data, p):
@@ -586,3 +594,107 @@ class TestEstimateShapes:
         did = estimate_did(data)
         assert did.method == "DID"
         assert did.estimand == "ATT"
+
+
+_DESIGN_TERMS = ("1", "time", "treat", "x1", "x2", "v", "log(x2)", "x1:time", "v:time",
+                 "x1:treat", "v:treat", "x2:treat")
+
+
+def _stacked(datasets):
+    """The datasets' rows stacked into one dataset, as a chunk of draws."""
+    return PanelDataset(
+        covariate_names=datasets[0].covariate_names,
+        unit_ids=np.concatenate([d.unit_ids for d in datasets]),
+        **{a: np.concatenate([getattr(d, a) for d in datasets])
+           for a in ("y0", "y1", "d1", "x0", "x1")},
+    )
+
+
+def _signed_zeros(data):
+    """``data`` with v set to -0.0 for unit 0 and +0.0 for unit 1, in both
+    periods: the contrast of v:treat is +0.0 for both."""
+    x0, x1 = data.x0.copy(), data.x1.copy()
+    j = data.covariate_index("v")
+    x0[:2, j] = x1[:2, j] = (-0.0, 0.0)
+    return PanelDataset(data.covariate_names, data.unit_ids, data.y0, data.y1, data.d1, x0, x1)
+
+
+class TestOutcomeDesign:
+    """``_Batch._design`` builds an outcome model's kernel input from the
+    term columns, without the counterfactual blocks; it holds the bits of
+    the blocks built whole (``helpers.outcome_design_reference``)."""
+
+    @staticmethod
+    def _rows(made):
+        diff, rows = made
+        return [diff] + [a for r in (rows if isinstance(rows, tuple) else (rows,))
+                         for a in (r.X, r.y, getattr(r, "O", None)) if a is not None]
+
+    @given(
+        scenario=st.sampled_from(["HOM", "HET", "RANDCOEF", "HET_TI"]),
+        seed=st.integers(0, 10_000),
+        n=st.integers(4, 30),
+        terms=st.lists(st.sampled_from(_DESIGN_TERMS), min_size=1, max_size=8, unique=True),
+        kind=st.sampled_from(["post", "mixed"]),
+        reps=st.sampled_from([None, 1, 3]),
+        signed_zeros=st.booleans(),
+    )
+    @example(scenario="HET", seed=1, n=12, terms=list(_DESIGN_TERMS), kind="mixed", reps=3,
+             signed_zeros=True)
+    @example(scenario="HOM", seed=2, n=9, terms=list(_DESIGN_TERMS), kind="post", reps=None,
+             signed_zeros=True)
+    def test_design_is_the_first_formulation(self, scenario, seed, n, terms, kind, reps,
+                                             signed_zeros):
+        draws = [generate_scenario(Scenario(scenario, n), seed + r) for r in range(reps or 1)]
+        if signed_zeros:
+            draws = [_signed_zeros(d) for d in draws]
+        batch = _Batch(_stacked(draws), 5, reps=reps)
+        spec = ModelSpec(outcome_terms=terms)
+        got, want = batch._design(kind, spec), outcome_design_reference(batch, kind, spec)
+        for g, w in zip(self._rows(got), self._rows(want), strict=True):
+            assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("terms, error", [
+        (("1", "log(v)", "zzz:treat"), NonPositiveLogError),
+        (("1", "zzz:treat", "log(v)"), UnknownCovariateError),
+        # log(w) is defined at t=1 only: the t=1 columns are checked first.
+        (("1", "log(w)", "zzz"), UnknownCovariateError),
+        (("1", "log(w)"), NonPositiveLogError),
+    ])
+    @pytest.mark.parametrize("kind", ["post", "mixed"])
+    def test_a_bad_term_raises_as_the_blocks_built_whole(self, terms, error, kind):
+        data = _hom(401, n=20)
+        w0 = np.linspace(-1.0, 1.0, data.n)
+        data = PanelDataset(data.covariate_names + ("w",), data.unit_ids, data.y0, data.y1,
+                            data.d1, np.column_stack([data.x0, w0]),
+                            np.column_stack([data.x1, w0 + 2.0]))
+        spec = ModelSpec(outcome_terms=terms)
+        batch = _Batch(data, 5)
+        for design in (batch._design, partial(outcome_design_reference, batch)):
+            if kind == "post" and terms == ("1", "log(w)"):
+                design(kind, spec)  # w is positive at t=1
+                continue
+            with pytest.raises(error):
+                design(kind, spec)
+
+    @pytest.mark.parametrize("kind, blocks", [("post", 3), ("mixed", 4)])
+    def test_design_peak_memory_in_blocks(self, kind, blocks):
+        # The post model holds two (n, p) blocks (the contrast and the t=1
+        # block), the mixed model three (the contrast, the sum and the
+        # difference rows) and two responses; the builder adds one column
+        # at a time.  So each stays under one block more than it holds.
+        # Building the counterfactual blocks whole, and both period blocks
+        # before rotating them, holds two more.
+        data = generate_scenario(Scenario("HOM", 20_000), 7)
+        spec = scenario_specs("HOM")["mixed_full"]
+        block = data.n * len(spec.outcome_terms) * 8
+        batch = _Batch(data, 5, reps=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            made = batch._design(kind, spec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert made is not None
+        assert peak < blocks * block, peak / block

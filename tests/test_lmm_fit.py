@@ -54,6 +54,7 @@ from helpers import (
     check_rank_verdict,
     dense_lmm_oracle,
     find_roots_reference,
+    fit_lmm_batch_reference,
     make_dataset,
     rank_probe_designs,
 )
@@ -714,3 +715,55 @@ class TestKernelStatusesAreFinal:
         expected = _deficient(C, (X0, X1), bins, 3)
         assert expected.any() and not expected.all()
         np.testing.assert_array_equal(status == _RANK_DEFICIENT, expected)
+
+
+class TestMixedKernelIsTheFirstFormulation:
+    """``_fit_lmm_batch`` forms its residuals and sums of squares in fewer
+    arrays than it was first written with; every output keeps its bits."""
+
+    @staticmethod
+    def _batch(seed, k, n, shared, fits_per_draw, n_bins, su2):
+        """Mixed-model rows on a design shared by k count rows, or on k
+        designs of their own with ``fits_per_draw`` responses each, and
+        bin labels for every fit (None for ``n_bins`` 0)."""
+        rng = substream(seed, 1)
+        draws = 1 if shared else k
+        blocks = [_clustered(seed + r, n=n, su2=su2) for r in range(draws)]
+        X0, X1, y0, y1 = (np.stack(a) for a in zip(*blocks))
+        if shared:
+            rows = _rotated_rows(X0[0], X1[0], y0[0], y1[0])
+            C = rng.integers(0, 3, (k, n)).astype(float)
+        else:
+            fits = fits_per_draw * k
+            noise = [0.5 * rng.standard_normal((fits, n)) for _ in range(2)]
+            rows = _rotated_rows(X0, X1, np.tile(y0, (fits_per_draw, 1)) + noise[0],
+                                 np.tile(y1, (fits_per_draw, 1)) + noise[1])
+            C = np.ones((fits, n))
+        bins = rng.integers(0, n_bins, C.shape) if n_bins else None
+        return rows, C, bins
+
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 5),
+        n=st.integers(8, 40),
+        shared=st.booleans(),
+        fits_per_draw=st.integers(1, 2),
+        n_bins=st.sampled_from([0, 0, 2, 3]),
+        su2=st.sampled_from([0.0, 4.0]),
+        random_intercept=st.booleans(),
+    )
+    @example(seed=3, k=4, n=30, shared=False, fits_per_draw=2, n_bins=3, su2=4.0,
+             random_intercept=True)
+    @example(seed=5, k=3, n=12, shared=True, fits_per_draw=1, n_bins=2, su2=0.0,
+             random_intercept=True)
+    def test_mixed(self, seed, k, n, shared, fits_per_draw, n_bins, su2, random_intercept):
+        rows, C, bins = self._batch(seed, k, n, shared, fits_per_draw, n_bins, su2)
+        with np.errstate(all="ignore"):
+            got = _fit_lmm_batch(rows, C, bins, n_bins, random_intercept)
+            want = fit_lmm_batch_reference(rows, C, bins, n_bins, random_intercept)
+        for name, value in want.items():
+            if name == "stats":
+                for g, w in zip(got.stats, value, strict=True):
+                    assert_same_bits(g, w)
+            else:
+                assert_same_bits(getattr(got, name), value)

@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import itertools
 import os
 import re
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -590,6 +592,42 @@ def test_a_relative_name_that_parses_as_a_url_is_read_from_disk(tmp_path, monkey
     monkeypatch.setattr(panel_data, "_load_rows", _row_loop_forbidden)
     data = load_csv("x://host/data.csv")
     assert data.value_equal(_well_formed_with_ids(["a", "b", "c", "d"]))
+
+
+def _traced(f):
+    """``(result, peak, held)``: the bytes tracemalloc saw ``f()`` allocate
+    at its peak and still hold on return."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = f()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start, held - start
+
+
+def test_load_csv_peak_memory(tmp_path):
+    # numpy's reader returns a record array of the 2n rows and a string
+    # for each row's id (``held`` below).  Besides those, the loader holds
+    # the stripped id of each row (2n pointers) and what the dataset keeps:
+    # each column copied out once, freed as the dataset copies it.  Allow
+    # one more array of 2n 8-byte items.  The covariates' (2n, p) block, or
+    # the record array alive while the dataset copies its columns, exceeds
+    # that.
+    path = tmp_path / "panel.csv"
+    write_csv(generate_scenario(Scenario("HOM", 20_000), 3), path)
+    load_csv(path)  # one-time costs of a first call
+    with open(path, encoding="utf-8") as fh:
+        names = next(csv.reader(fh))
+    dtype = [(names[0], object)] + [(c, np.float64) for c in names[1:]]
+    _, numpy_peak, held = _traced(lambda: np.loadtxt(
+        path, dtype=dtype, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
+        ndmin=1, skiprows=1))
+    data, peak, _ = _traced(lambda: load_csv(path))
+    kept = sum(getattr(data, a).nbytes for a in ("unit_ids", "y0", "y1", "d1", "x0", "x1"))
+    rows = 2 * data.n
+    assert peak < max(numpy_peak, held + kept + 2 * rows * 8), (peak, held, kept)
 
 
 _AWKWARD_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072e-308, 1e16, -1e16,

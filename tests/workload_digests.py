@@ -19,7 +19,13 @@ while the file as written is already in order.  Then, per seed, it runs a
 small study (``STUDY_N`` units, ``STUDY_REPS`` replicates) on each scenario
 but study-het's HET and prints ``study/<SCENARIO> <seed> <sha256>``: those
 draws take the branches (unit-level coefficients, the post-period-only x2
-term, the log x2 term) that the benchmark's study never runs.  The package
+term, the log x2 term) that the benchmark's study never runs.  Last, per
+seed, it runs DRGLMM and OR (ATE and ATT each) on a HET panel of
+``INTERACTION_N`` units with the treatment interactions ``x1:treat`` and
+``v:treat`` and prints one digest of the four outputs' digests,
+``estimate/interactions <seed> <sha256>``: v takes negative values, whose
+control-design products are -0.0, and no workload fits a ``v:treat``
+column.  The package
 and the workload definitions both come from the checkout at ``--root``;
 the workload file is imported, never written.  Two checkouts that print
 the same lines write the same output bytes on those seeds.
@@ -28,6 +34,7 @@ the same lines write the same output bytes on those seeds.
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 import random
 import sys
@@ -36,6 +43,15 @@ import threading
 
 STUDY_N = 60
 STUDY_REPS = 12
+INTERACTION_N = 500
+# The models of the estimate/interactions lines: the two-period model of
+# DRGLMM and the post-period model of OR, each with two treatment
+# interactions.
+INTERACTION_SPECS = {
+    "drglmm": {"outcome_terms": ["1", "time", "treat", "x1", "x2", "x1:treat", "v:treat"],
+               "ps_terms": ["1", "x1", "x2", "v"]},
+    "or": {"outcome_terms": ["1", "treat", "x1", "x2", "x1:treat", "v:treat"]},
+}
 
 # One BLAS thread, as in the benchmark's workers, set before numpy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -93,7 +109,32 @@ def main(argv=None):
                         "--output", out]
                 print(label, seed, _digest(cli.run, argv, out, f"{label} seed {seed}"),
                       flush=True)
+    for seed in args.seeds:
+        print("estimate/interactions", seed, _interactions_digest(cli.run, seed), flush=True)
     return 0
+
+
+def _interactions_digest(run, seed):
+    """The SHA-256 of the digests of DRGLMM's and OR's outputs, each
+    estimand, on a HET panel drawn from ``seed``, with the models of
+    ``INTERACTION_SPECS``."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        panel, out = os.path.join(workdir, "panel.csv"), os.path.join(workdir, "out")
+        argv = ["simulate", "--scenario", "HET", "--n", str(INTERACTION_N), "--seed", str(seed),
+                "--output", panel]
+        if run(argv) != 0:
+            raise SystemExit(f"estimate/interactions seed {seed}: simulate failed")
+        for method, spec in INTERACTION_SPECS.items():
+            spec_path = os.path.join(workdir, f"{method}.json")
+            with open(spec_path, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            for estimand in ("ate", "att"):
+                argv = ["estimate", "--input", panel, "--method", method, "--estimand", estimand,
+                        "--spec", spec_path, "--format", "json", "--output", out]
+                what = f"estimate/interactions {method} {estimand} seed {seed}"
+                digest.update(_digest(run, argv, out, what).encode())
+    return digest.hexdigest()
 
 
 def _digest(run, argv, out, what):
