@@ -408,6 +408,7 @@ def _cmd_diagnose(args):
 def _cmd_study(args):
     scenario = Scenario(args.scenario, args.n)
     _check_k_bins(args.k_bins, scenario.n, name="--k-bins")
+    _check_B(args.R, name="--reps")
     result = run_study(scenario, DEFAULT_SUITE, R=args.R, seed=args.seed,
                        k_bins=args.k_bins)
     if args.fmt == "json":

@@ -16,27 +16,30 @@ ATE averages each estimator's unit-level contrast over everyone; ATT over
 treated units only (with the matching treated-normalized weights for the
 inverse-probability methods).
 
-One route, :class:`_Batch`, leads from a method, its models and a ``(k, n)``
-count matrix C to values: fit r counts unit i ``C[r, i]`` times.  The
-cluster bootstrap (:mod:`inference`) passes its resamples' count vectors, a
-simulation study (:mod:`simlab`) a chunk of draws stacked with all-ones
-counts, and a point estimate (:func:`estimate_effects`) is the batch of one
-draw, whose front door turns bare terms into the ``ModelSpec`` of its
-models.  The batch follows the method's :data:`METHOD_TABLE` row: the
-treatment model's scores, the treatment step (DRGLMM's bins and each fit's
-warning), then the kernels of :mod:`glm_fit` and :mod:`lmm_fit` and the
-estimand arithmetic, where every mean is a sum over units with unit i
-counted ``C[r, i]`` times, over the counted units or treated units, which
-are summed once per method.  DRGLMM's bins are numbered once, by
-``glm_fit._quantile_bins_batch``, whose ``labels`` and ``n_bins`` each step
-reads.  A suite takes every entry's treatment step first, then fits its
-outcome models: the entries with one outcome model (kind, outcome terms
-and random effect) fit together, one kernel call per bin count, so the
-DRGLMM entries of a suite that share an outcome design and a bin count
-make one mixed-model call.  A fit on a design of its own does not depend
-on its batch, to the last bit, so each entry's values are those it gets
-alone.  A failed fit raises its status's error (``lmm_fit._FAILURES``) in
-a point estimate, and is NaN in a replicate.
+One route, :meth:`_Batch.run`, leads from a suite of ``(method, spec)``
+entries and a ``(k, n)`` count matrix C to values: fit r counts unit i
+``C[r, i]`` times.  The cluster bootstrap (:mod:`inference`) passes its
+resamples' count vectors, a simulation study (:mod:`simlab`) a chunk of
+draws stacked with all-ones counts, and a point estimate is the batch of
+one draw (:func:`_point_estimates`): :func:`estimate_effects`, whose front
+door turns bare terms into the ``ModelSpec`` of its models, runs a suite of
+one, and the DR test (:func:`~panel_causal.inference.dr_specification_test`)
+its suite of three, which share one treatment fit.  The run follows each
+entry's :data:`METHOD_TABLE` row: the treatment model's scores, fitted once
+per set of treatment terms, and DRGLMM's bins; each pair's warning; then
+the kernels of :mod:`glm_fit` and :mod:`lmm_fit` and the estimand
+arithmetic, where every mean is a sum over units with unit i counted
+``C[r, i]`` times, over the counted units or treated units, which are
+summed once per run.  DRGLMM's bins are numbered once, by
+``glm_fit._quantile_bins_batch``, whose ``labels`` and ``n_bins`` each entry
+reads.  The entries with one outcome model (kind, outcome terms and random
+effect) fit together, one kernel call per bin count, so the DRGLMM entries
+of a suite that share an outcome design and a bin count make one
+mixed-model call.  A fit on a design of its own does not depend on its
+batch, to the last bit, so each entry's values are those it gets alone.
+The run has two readers: :meth:`_Batch.values`, where a failed fit is NaN
+in a replicate, and :func:`_point_estimates`, where it raises its status's
+error (``lmm_fit._FAILURES``).
 """
 
 from dataclasses import dataclass, field
@@ -251,11 +254,18 @@ def _stack(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-class _OutcomeStep:
-    """One outcome-model entry of :meth:`_Batch.suite_effects`: the method
-    ``info`` with the models of ``spec``, each fit's status, the labels and
-    ``n_bins`` of its bins (DRGLMM's; no bins count 0), and, once fitted,
-    the coefficients and variance components of each fit."""
+class _Entry:
+    """One ``(method, spec)`` entry of :meth:`_Batch.run` on a batch of k
+    fits: the method ``info`` with the models of ``spec``, each fit's
+    ``status``, the labels and ``n_bins`` of its bins (DRGLMM's; no bins
+    count 0), and its ``estimates``, ``{estimand: (values, components)}``
+    with ``(k,)`` values and the :class:`EffectEstimate` components as
+    ``(k,)`` arrays.  An outcome-model entry also holds, once fitted, the
+    coefficients and variance components of each fit.
+
+    Values mean nothing where the status is not ``_OK``: ``_NO_OVERLAP``,
+    ``_PS_UNUSABLE`` (a treatment model the estimator cannot use), or the
+    outcome kernel's status, which includes its rank verdict."""
 
     def __init__(self, info, spec, status, binned):
         k = len(status)
@@ -263,17 +273,18 @@ class _OutcomeStep:
         self.labels, self.n_bins = ((binned.labels, binned.n_bins) if info.bins_ps
                                     else (None, np.zeros(k, dtype=int)))
         self.coef, self.lam, self.sigma_e2 = None, np.zeros(k), np.zeros(k)
+        self.estimates = None
 
-    def estimates(self, diff, C, counted, k_bins):
-        """``({estimand: (values, components)}, status)`` of the fitted
-        entry, ``diff`` being its model's counterfactual design difference."""
+    def contrast(self, diff, C, counted, k_bins):
+        """The estimates of the fitted outcome entry, ``diff`` being its
+        model's counterfactual design difference."""
         comps = {}
         if self.info.outcome == "mixed":
             comps = {"sigma_u2": self.lam * self.sigma_e2, "sigma_e2": self.sigma_e2}
         if self.info.bins_ps:
             comps.update(n_dummy_columns=self.n_bins - 1, bins_collapsed=self.n_bins < k_bins)
         values = _contrast_values(diff, self.coef, C, counted)
-        return {e: (v, comps) for e, (v, _) in values.items()}, self.status
+        self.estimates = {e: (v, comps) for e, (v, _) in values.items()}
 
 
 class _Batch:
@@ -291,14 +302,12 @@ class _Batch:
     split onto the batch once.
 
     The designs of a :class:`ModelSpec` are built on use, and kept only
-    for a batch of resamples, whose later chunks of counts reuse them.  A
-    method that uses the propensity score takes its :meth:`propensity` and
-    then its :meth:`treatment` step (DRGLMM's count-weighted bins, with
-    each unit's ``labels`` and each fit's ``n_bins``); then
-    :meth:`effects` runs OLS on the post period or the two-period mixed
-    model for its outcome kind.  :meth:`values` takes these steps for every
-    entry of a suite, fitting the outcome models of all entries together
-    (:meth:`suite_effects`); a point estimate takes them one by one.
+    for a batch of resamples, whose later chunks of counts reuse them.
+    :meth:`run` takes every step of a suite of ``(method, spec)`` entries:
+    the treatment models' :meth:`propensity` scores, DRGLMM's bins and each
+    pair's warning, then OLS on the post period or the two-period mixed
+    model for each outcome kind.  Its two readers are :meth:`values`, the
+    replicates, and :func:`_point_estimates`.
     """
 
     def __init__(self, data, k_bins, reps=None):
@@ -333,7 +342,7 @@ class _Batch:
 
         A shared design is kept for the batch's later chunks of counts.  A
         batch of draws is fitted once and asks for each model's design once
-        (:meth:`values`), so it keeps none: each is freed after its use."""
+        (:meth:`run`), so it keeps none: each is freed after its use."""
         key = (kind, spec.ps_terms if kind == "ps" else spec.outcome_terms)
         if key in self._designs:
             return self._designs[key]
@@ -372,66 +381,75 @@ class _Batch:
         status[(status == _OK) & ~np.all((ps > 0.0) & (ps < 1.0), axis=1)] = _PS_UNUSABLE
         return ps, status
 
-    def effects(self, info, spec, C, propensity=None, binned=None):
-        """Estimates of the method ``info`` with the models of ``spec`` on
-        each fit of ``C``, given the :meth:`propensity` and :meth:`treatment`
-        bins of the same counts that the method uses: the one entry of
-        :meth:`suite_effects`.
+    def run(self, suite, C, given=None):
+        """Every step of each ``(method, spec)`` entry of ``suite`` on each
+        fit of ``C``, as a list of :class:`_Entry`: the one route of the
+        replicates (:meth:`values`) and of the point estimates
+        (:func:`_point_estimates`).
 
-        Returns ``({estimand: (values, components)}, status)``: ``(k,)``
-        values, the :class:`EffectEstimate` components as ``(k,)`` arrays,
-        and each fit's ``lmm_fit`` status.  Values mean nothing where the
-        status is not ``_OK``: ``_NO_OVERLAP``, ``_PS_UNUSABLE`` (a
-        treatment model the estimator cannot use), or the outcome kernel's
-        status, which includes its rank verdict.
-        """
-        return self.suite_effects([(info, spec, propensity, binned)], C)[0]
+        The steps follow each entry's :data:`METHOD_TABLE` row.  An entry
+        that uses the propensity score takes its treatment model's scores,
+        fitted by :meth:`propensity` once per set of treatment terms, or
+        ``given`` as ``(ps, status)``, which is how a ``ps_fit`` enters; a
+        DRGLMM entry takes their bins, cut once per set of treatment terms.
+        Each pair then warns as its point estimate would
+        (:func:`_ps_warnings`), unless its treatment model failed: in
+        fit-then-entry order, before any outcome design is built.  The
+        counted units and treated units are summed once, for the overlap
+        check and every estimand.
 
-    @np.errstate(all="ignore")
-    def suite_effects(self, steps, C):
-        """:meth:`effects` of each step ``(info, spec, propensity, binned)``
-        on each fit of ``C``, as a list.  The counted units and treated units
-        are summed once, for the overlap check and every estimand.
-
-        The outcome fits are grouped by outcome model (kind, outcome terms
-        and random effect) and, within one, by their ``n_bins``: one kernel
-        call a group, over the usable fits of every step of the model with
-        that bin count, each taking the ``labels`` of its own step's
+        Last come the outcome fits, grouped by outcome model (kind, outcome
+        terms and random effect) and, within one, by their ``n_bins``: one
+        kernel call a group, over the usable fits of every entry of the
+        model with that bin count, each taking the labels of its own entry's
         occupied bins.  So the DRGLMM entries of a suite that share an
         outcome design fit together, while a GLMM (no bins) or an entry of
         another design fits alone.  Every fit is batch-independent on a
-        design per draw, so a step's values are its own call's to the last
-        bit; on a shared design they agree to rounding.  A group that is one
-        step's whole batch (every fit usable, with the same count) takes
-        ``C`` and the labels as they are.  A failed fit computes meaningless
-        floats silently; its status speaks for it.
+        design per draw, so an entry's values are its own as a suite of
+        one, to the last bit; on a shared design they agree to rounding.  A
+        group that is one entry's whole batch (every fit usable, with the
+        same count) takes ``C`` and the labels as they are.  A failed fit
+        computes meaningless floats silently; its status speaks for it.
         """
         counted = _, units, treated = _counted(self.d1, C)
         overlap = np.where((treated > 0.0) & (treated < units), _OK, _NO_OVERLAP)
-        out, models = [None] * len(steps), {}
-        for j, (info, spec, propensity, binned) in enumerate(steps):
-            status = overlap.copy()
-            ps = None
-            if info.uses_ps:
-                ps, ps_status = propensity
-                status[(status == _OK) & (ps_status != _OK)] = _PS_UNUSABLE
-            if info.outcome is None:
-                out[j] = _WEIGHTING_VALUES[info.name](self.y0, self.y1, ps, C, counted), status
-            else:
-                key = info.outcome, spec.outcome_terms, spec.random_effect
-                models.setdefault(key, []).append((j, _OutcomeStep(info, spec, status, binned)))
-        for model in models.values():
-            entries = [entry for _, entry in model]
-            diff = self._fit_outcomes(entries, C, units)
-            for j, entry in model:
-                out[j] = entry.estimates(diff, C, counted, self.k_bins)
-        return out
+        entries, fitted, bins, notes, models = [], {}, {}, {}, {}
+        # A with block, not a decorator: a decorator's numpy frame would stop
+        # _warn short of the caller's line.
+        with np.errstate(all="ignore"):
+            for i, (method, spec) in enumerate(suite):
+                info, status = METHOD_TABLE[method], overlap.copy()
+                ps = binned = None
+                if info.uses_ps:
+                    key = None if spec is None else spec.ps_terms
+                    if key not in fitted:
+                        fitted[key] = self.propensity(spec, C) if given is None else given
+                    ps, ps_status = fitted[key]
+                    if info.bins_ps and key not in bins:
+                        bins[key] = _quantile_bins_batch(ps, C, self.k_bins)
+                    binned = bins.get(key)
+                    status[(status == _OK) & (ps_status != _OK)] = _PS_UNUSABLE
+                    notes.update(((r, i), note) for r, note
+                                 in enumerate(_ps_warnings(info, ps, binned, self.k_bins))
+                                 if note and ps_status[r] == _OK)
+                entry = _Entry(info, spec, status, binned)
+                entries.append(entry)
+                if info.outcome is None:
+                    entry.estimates = _WEIGHTING_VALUES[info.name](self.y0, self.y1, ps, C,
+                                                                   counted)
+                else:
+                    key = info.outcome, spec.outcome_terms, spec.random_effect
+                    models.setdefault(key, []).append(entry)
+            for pair in sorted(notes):
+                _warn(*notes[pair])
+            for model in models.values():
+                self._fit_outcomes(model, C, counted)
+        return entries
 
-    def _fit_outcomes(self, entries, C, units):
-        """Fit the :class:`_OutcomeStep` entries of one outcome model, one
-        kernel call per bin count (:meth:`suite_effects`), and return the
-        model's counterfactual design difference."""
-        kind, spec = entries[0].info.outcome, entries[0].spec
+    def _fit_outcomes(self, entries, C, counted):
+        """Fit the :class:`_Entry` entries of one outcome model, one kernel
+        call per bin count (:meth:`run`), and contrast their predictions."""
+        kind, spec, units = entries[0].info.outcome, entries[0].spec, counted[1]
         diff, rows = self._design(kind, spec)
         p = diff.shape[-1]
         usable = [np.flatnonzero(entry.status == _OK) for entry in entries]
@@ -461,55 +479,60 @@ class _Batch:
                 if kind == "mixed":
                     entry.lam[g] = result.lam[mine]
                     entry.sigma_e2[g] = result.rss[mine] / (2 * units[g])
-        return diff
-
-    def treatment(self, info, C, propensity, binned=None):
-        """The treatment step of the method ``info`` on each fit of ``C``,
-        given the :meth:`propensity` ``(ps, status)`` and, if already cut,
-        their bins ``binned``: the bins (DRGLMM cuts them by
-        :func:`_quantile_bins_batch` if need be) and each fit's
-        :func:`_ps_warnings` note, None where its model failed."""
-        ps, status = propensity
-        if info.bins_ps and binned is None:
-            binned = _quantile_bins_batch(ps, C, self.k_bins)
-        notes = _ps_warnings(info, ps, binned, self.k_bins)
-        return binned, [note if s == _OK else None for note, s in zip(notes, status)]
+        for entry in entries:
+            entry.contrast(diff, C, counted, self.k_bins)
 
     def values(self, suite, C):
-        """Estimates of each ``(method, spec)`` entry of ``suite`` on each
-        fit of ``C``: ``(k, entries, len(ESTIMANDS))`` values, NaN where
-        the method lacks the estimand, ``(k, entries)`` ok flags, and the
-        warnings of the pairs as ``(message, category)`` in fit-then-entry
-        order.  A pair warns as its point estimate would on the fit's own
-        dataset (:meth:`treatment`).  Entries with the same treatment terms
-        share one treatment-model fit and its bins.  Once every entry has
-        taken its treatment step, :meth:`suite_effects` fits the outcome
-        models: the DRGLMM entries that share an outcome design, a random
-        effect and a bin count make one mixed-model call, GLMM and OR one
-        call per model.  On a chunk of draws each entry's values, ok flags
-        and warnings are bit for bit those of the entry as a suite of one.
-        The bootstrap's and the DR test's suites hold one DRGLMM entry, so
-        on a batch of resamples nothing fuses."""
+        """The replicates of :meth:`run`: each entry's values on each fit of
+        ``C``, ``(k, entries, len(ESTIMANDS))``, NaN where the method lacks
+        the estimand or the pair is not ok, and the ``(k, entries)`` ok
+        flags.  On a chunk of draws each entry's values, ok flags and
+        warnings are bit for bit those of the entry as a suite of one.  The
+        bootstrap's and the DR test's suites hold one DRGLMM entry, so on a
+        batch of resamples nothing fuses."""
         vals = np.full((C.shape[0], len(suite), len(ESTIMANDS)), np.nan)
-        ok = np.empty((C.shape[0], len(suite)), dtype=bool)
-        notes, shared, steps = {}, {}, []
-        with np.errstate(all="ignore"):
-            for i, (method, spec) in enumerate(suite):
-                info = METHOD_TABLE[method]
-                propensity = binned = None
-                if info.uses_ps:
-                    propensity, binned = (shared.get(spec.ps_terms)
-                                          or (self.propensity(spec, C), None))
-                    binned, fit_notes = self.treatment(info, C, propensity, binned)
-                    shared[spec.ps_terms] = propensity, binned
-                    notes.update(((r, i), note) for r, note in enumerate(fit_notes) if note)
-                steps.append((info, spec, propensity, binned))
-            for i, (estimates, status) in enumerate(self.suite_effects(steps, C)):
-                ok[:, i] = status == _OK
-                for j, estimand in enumerate(ESTIMANDS):
-                    if estimand in estimates:
-                        vals[:, i, j] = estimates[estimand][0]
-        return vals, ok, [notes[pair] for pair in sorted(notes)]
+        entries = self.run(suite, C)
+        for i, entry in enumerate(entries):
+            for estimand, (v, _) in entry.estimates.items():
+                vals[:, i, ESTIMANDS.index(estimand)] = v
+        ok = np.stack([entry.status == _OK for entry in entries], axis=1)
+        vals[~ok] = np.nan
+        return vals, ok
+
+
+def _point_estimates(data, suite, k_bins, given=None):
+    """The estimates of each ``(method, spec)`` entry of ``suite`` on
+    ``data``, as ``{estimand: EffectEstimate}`` in entry order: the
+    :meth:`_Batch.run` of one draw, every unit counted once.
+
+    The entries that use the propensity score share one treatment model:
+    ``given`` as ``(ps, status)``, else the treatment terms of the first
+    such entry, fitted here by :meth:`_Batch.propensity` as every replicate
+    fits them.  A failed treatment model raises the error of its status
+    first, as :func:`~panel_causal.glm_fit.fit_propensity` would, before
+    ``k_bins`` is checked for DRGLMM and before any outcome design is
+    built.  Then the run warns, and a failed fit raises the error of its
+    status, entry by entry.
+    """
+    batch, C = _Batch(data, k_bins, reps=1), np.ones((1, data.n))
+    ps_spec = next((spec for method, spec in suite if METHOD_TABLE[method].uses_ps), None)
+    if given is None and ps_spec is not None:
+        given = batch.propensity(ps_spec, C)
+        _raise_failure(given[1][0], "ps", len(ps_spec.ps_terms))
+    if any(METHOD_TABLE[method].bins_ps for method, _ in suite):
+        batch.k_bins = _check_k_bins(k_bins, data.n)
+    out = []
+    for entry in batch.run(suite, C, given):
+        if entry.info.outcome:
+            # The mixed kernel judges the rank of the terms and of DRGLMM's
+            # dummies, one for each occupied bin but the reference.
+            dummies = entry.n_bins[0] - 1 if entry.info.bins_ps else 0
+            _raise_failure(entry.status[0], entry.info.outcome,
+                           len(entry.spec.outcome_terms) + dummies)
+        out.append({e: EffectEstimate(entry.info.name, e, float(v[0]),
+                                      {c: x[0].item() for c, x in comps.items()})
+                    for e, (v, comps) in entry.estimates.items()})
+    return out
 
 
 def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
@@ -517,20 +540,19 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
 
     ``spec`` is a :class:`ModelSpec`, or terms alone that stand for every
     model fitted here (the treatment model only if no ``ps_fit`` is given).
-    Methods that use the propensity score take ``ps_fit`` if given, else
-    fit ``spec.ps_terms`` here, by :meth:`_Batch.propensity` as every
+    A method without the terms of a model it fits (by
+    :meth:`MethodInfo.missing_model`, ``ps_fit`` counting as the treatment
+    model) raises :class:`InvalidArgumentError`.  ``k_bins`` goes to
+    DRGLMM.
+
+    The estimate is :func:`_point_estimates` of a suite of one, the batch
+    of one draw (module docstring).  A method that uses the propensity
+    score takes ``ps_fit`` if given, else fits ``spec.ps_terms`` as every
     replicate does; a failed fit raises the error of its status, as
     :func:`~panel_causal.glm_fit.fit_propensity` would.  The treatment step
     then warns, before the outcome design is built: scores near 0 or 1 with
     an :class:`ExtremeWeightsWarning` where the method inverts them,
     collapsed bins a :class:`DegenerateBinsWarning` where it bins them.
-    ``k_bins`` goes to DRGLMM.  A method without the
-    terms of a model it fits (by :meth:`MethodInfo.missing_model`,
-    ``ps_fit`` counting as the treatment model) raises
-    :class:`InvalidArgumentError`.
-
-    The estimate is the batch of one draw (module docstring), whose failed
-    fit raises the error of its status.
 
     Returns
     -------
@@ -550,29 +572,10 @@ def estimate_effects(method, data, spec=None, ps_fit=None, *, k_bins=5):
     if missing:
         ps_note = " and no ps_fit gives" if missing == "treatment model" else ""
         raise InvalidArgumentError(f"{info.name} needs its {missing}, which spec lacks{ps_note}")
-    C = np.ones((1, data.n))
-    propensity = binned = None
-    if info.uses_ps and ps_fit is None:
-        # A batch of its own, so that the treatment design is freed before
-        # the outcome design is built.
-        propensity = _Batch(data, k_bins, reps=1).propensity(spec, C)
-        _raise_failure(propensity[1][0], "ps", len(spec.ps_terms))
-    elif info.uses_ps:
-        propensity = _fitted_scores(data, ps_fit)[None], np.full(1, _OK)
-    batch = _Batch(data, _check_k_bins(k_bins, data.n) if info.bins_ps else k_bins, reps=1)
-    if info.uses_ps:
-        binned, (note,) = batch.treatment(info, C, propensity)
-        if note:
-            _warn(*note)
-    values, status = batch.effects(info, spec, C, propensity, binned)
-    if info.outcome:
-        # The mixed kernel judges the rank of the terms and of DRGLMM's
-        # dummies, one for each occupied bin but the reference.
-        dummies = binned.n_bins[0] - 1 if info.bins_ps else 0
-        _raise_failure(status[0], info.outcome, len(spec.outcome_terms) + dummies)
-    return {e: EffectEstimate(info.name, e, float(v[0]),
-                              {c: x[0].item() for c, x in comps.items()})
-            for e, (v, comps) in values.items()}
+    given = None
+    if info.uses_ps and ps_fit is not None:
+        given = _fitted_scores(data, ps_fit)[None], np.full(1, _OK)
+    return _point_estimates(data, [(info.name, spec)], k_bins, given)[0]
 
 
 def estimate_or(data, spec):

@@ -14,15 +14,17 @@ draws.  A chunk is a :class:`~panel_causal.estimators._Batch` and a
 ``(k, n)`` count matrix: every design column is a function of one unit's
 own data, so a resample is the full-sample design with unit i counted as
 often as it was drawn (its resampling vector), and a chunk of draws is
-their designs stacked, each unit counted once.  The batch is the route of
-every estimate, a point estimate being its batch of one draw (see
-:mod:`estimators`): it fits every entry on the whole chunk and reads each
-fit's failure status, so no overlap, a kernel's failure or a rank-deficient
-design makes a (replicate, entry) pair NaN, and the pair raises the
-extreme-weight or collapsed-bin warning of its point estimate.  A draw's
-values are its own estimates bit for bit; a resample's agree with the
-estimates on its ``take()`` copy to about 1e-12 relative.  All runs on the
-calling thread.
+their designs stacked, each unit counted once.  The batch's run is the
+route of every estimate (see :mod:`estimators`): it fits every entry on
+the whole chunk, raises each pair's extreme-weight or collapsed-bin
+warning as its point estimate would, and reads each fit's failure status,
+so no overlap, a kernel's failure or a rank-deficient design makes a
+(replicate, entry) pair NaN.  The point estimates are the same run on the
+batch of one draw: the bootstrap's is its suite of one, and the DR test's
+three are its suite of three, which share one treatment-model fit.  A
+draw's values are its own estimates bit for bit; a resample's agree with
+the estimates on its ``take()`` copy to about 1e-12 relative.  All runs on
+the calling thread.
 
 The diagnostics are a doubly-robust specification test (compare the DR
 estimate against the pure weighting and pure outcome-model estimates on
@@ -53,10 +55,11 @@ from .estimators import (
     _Batch,
     _check_estimand,
     _fitted_scores,
+    _point_estimates,
     estimate_effects,
     method_info,
 )
-from .glm_fit import _check_k_bins, fit_logistic, fit_propensity
+from .glm_fit import _check_k_bins, fit_logistic
 from .lmm_fit import _NOT_PD, _fit_one, _raise_failure
 from .panel_data import ModelSpec, build_design, ps_design
 from .rng import substream
@@ -172,18 +175,11 @@ def _replicate_values(suite, chunks):
 
     ``chunks`` yields ``(batch, C)`` per chunk of k replicates: a
     :class:`_Batch` and its ``(k, n)`` count matrix.  :meth:`_Batch.values`
-    fits every entry on the whole chunk; a pair it finds not ok is NaN.  The
-    pairs' warnings are raised chunk by chunk, each pointing at the line
+    fits every entry on the whole chunk; a pair it finds not ok is NaN.  Its
+    run raises the pairs' warnings chunk by chunk, each pointing at the line
     that called the bootstrap, the DR test or the study.
     """
-    out = []
-    for batch, C in chunks:
-        vals, ok, notes = batch.values(suite, C)
-        vals[~ok] = np.nan
-        for note in notes:
-            _warn(*note)
-        out.append(vals)
-    return np.concatenate(out)
+    return np.concatenate([batch.values(suite, C)[0] for batch, C in chunks])
 
 
 def _resamples(data, k_bins, B, seed):
@@ -307,11 +303,13 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     bootstrap standard deviations of the pairwise differences scale the
     observed point differences into z statistics.
 
-    The three estimators are one suite of the replicate engine (module
-    docstring) on the resamples of :func:`cluster_bootstrap`: one
-    treatment-model fit per chunk serves the doubly robust and the
-    weighted-DID estimate.  A replicate in which any of the three fails is
-    left out of the statistics.
+    The three estimators are one suite, whose point estimates are one run
+    of the batch of one draw and whose replicates are the replicate engine's
+    (module docstring) on the resamples of :func:`cluster_bootstrap`: one
+    treatment-model fit, on the data and per chunk, serves the doubly robust
+    and the weighted-DID estimate.  A failed point estimate raises the error
+    of its status, the treatment model's first.  A replicate in which any of
+    the three fails is left out of the statistics.
 
     Parameters
     ----------
@@ -325,10 +323,8 @@ def dr_specification_test(data, spec, B=500, seed=0, k_bins=5):
     B = _check_B(B)
     k_bins = _check_k_bins(k_bins, data.n)
     suite = [(method, spec) for method in ("DRGLMM", "IPWDID", "GLMM")]
-    ps_fit = fit_propensity(data, spec)
     point_dr, point_ipwdid, point_glmm = (
-        estimate_effects(method, data, spec, ps_fit, k_bins=k_bins)["ATE"].value
-        for method, _ in suite)
+        estimates["ATE"].value for estimates in _point_estimates(data, suite, k_bins))
     vals = _replicate_values(suite, _resamples(data, k_bins, B, seed))
     vals = vals[..., ESTIMANDS.index("ATE")]
     ok = vals[np.all(np.isfinite(vals), axis=1)]

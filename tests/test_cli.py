@@ -454,8 +454,7 @@ class TestBinsAgainstUnits:
 
         # Every treatment-model fit of these commands goes through one of
         # these: the estimators fit theirs by the batch kernel.
-        for module, name in (("cli", "fit_propensity"), ("inference", "fit_propensity"),
-                             ("estimators", "_fit_logistic_batch")):
+        for module, name in (("cli", "fit_propensity"), ("estimators", "_fit_logistic_batch")):
             fit = getattr(getattr(panel_causal, module), name)
             monkeypatch.setattr(f"panel_causal.{module}.{name}", functools.partial(spy, fit))
         path = _simulate(tmp_path, n=120)
@@ -539,6 +538,19 @@ class TestStudy:
                   "--k-bins", k_bins])
         assert rc == 2
         assert capsys.readouterr().err.startswith("ERROR:InvalidArgument:")
+
+    @pytest.mark.parametrize("reps", ["1", "0", "-3"])
+    def test_too_few_replicates_name_the_flag(self, reps, capsys, monkeypatch):
+        # As --B does for the bootstrap and the DR test, before anything is
+        # drawn.
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran before validation")
+
+        monkeypatch.setattr("panel_causal.cli.run_study", no_study)
+        rc = run(["study", "--scenario", "HOM", "--n", "80", "--reps", reps])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"ERROR:InvalidArgument:--reps must be at least 2, got {reps}\n")
 
     def test_more_bins_than_units_is_a_validation_problem(self, capsys):
         # Every doubly robust fit of a 20-unit draw would fail with 25 bins.

@@ -25,6 +25,7 @@ from panel_causal import (
     SeparationError,
     balance_check,
     build_design,
+    dr_specification_test,
     estimate_did,
     estimate_drglmm,
     estimate_effects,
@@ -43,7 +44,7 @@ from panel_causal import (
     UnknownCovariateError,
 )
 
-from panel_causal import glm_fit
+from panel_causal import estimators, glm_fit
 from panel_causal.estimators import _Batch
 
 from helpers import (assert_same_bits, did_toy, extreme_ps_dataset, ipw_toy, make_dataset,
@@ -388,6 +389,58 @@ class TestOwnTreatmentModel:
         monkeypatch.setattr(glm_fit, "_covariance", covariance)
         for method in ("IPW", "IPWDID", "DRGLMM"):
             estimate_effects(method, _hom(454), self.SPEC)
+
+
+# The point estimates of one method alone and of the DR test's three.
+_POINT_ROUTES = {
+    "estimate_effects": lambda data, spec: estimate_effects("DRGLMM", data, spec),
+    "dr_specification_test": lambda data, spec: dr_specification_test(data, spec, B=4),
+}
+
+
+@pytest.mark.parametrize("route", list(_POINT_ROUTES))
+class TestPointEstimateOrder:
+    """A point estimate takes its steps in the order of a replicate's: the
+    treatment model, then its warnings, then the outcome model, whose
+    design a failed treatment model never builds."""
+
+    OUTCOME = ("1", "time", "treat", "x1", "nowhere")
+
+    @staticmethod
+    def _designs_built(monkeypatch, caught):
+        """The warnings caught so far at each outcome design built."""
+        built, matrix = [], estimators._matrix
+
+        def spied(*args, **kwargs):
+            built.append(len(caught))
+            return matrix(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_matrix", spied)
+        return built
+
+    def test_failed_treatment_model_outranks_a_bad_outcome_term(self, route, monkeypatch):
+        # s = 2d - 1 separates the treatment, and the outcome model names a
+        # covariate the data lack.
+        data = _hom(3, n=200)
+        s = 2.0 * data.d1 - 1.0
+        data = replace(data, covariate_names=data.covariate_names + ("s",),
+                       x0=np.column_stack([data.x0, s]), x1=np.column_stack([data.x1, s]))
+        spec = ModelSpec(outcome_terms=self.OUTCOME, ps_terms=("1", "s"))
+        built = self._designs_built(monkeypatch, [])
+        with pytest.raises(SeparationError):
+            _POINT_ROUTES[route](data, spec)
+        assert built == []
+
+    def test_collapsed_bins_warn_before_a_bad_outcome_term_raises(self, route, monkeypatch):
+        # A constant treatment model collapses every bin.
+        spec = ModelSpec(outcome_terms=self.OUTCOME, ps_terms=("1",))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            built = self._designs_built(monkeypatch, caught)
+            with pytest.raises(UnknownCovariateError):
+                _POINT_ROUTES[route](_hom(3, n=200), spec)
+        assert [w.category for w in caught] == [DegenerateBinsWarning]
+        assert built == [1]
 
 
 class TestEstimateDid:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from panel_causal import (
     BootstrapFailureError,
     BootstrapFailureWarning,
+    DegenerateBinsWarning,
     DegenerateVarianceWarning,
     EmptyModelWarning,
     EstimatorConfig,
@@ -59,15 +60,15 @@ def _hom(seed, n=300):
     return generate_scenario(Scenario("HOM", n), seed)
 
 
-def _batch_effects(batch, info, spec, C, propensity=None):
-    """``batch.effects`` after the steps the method takes first: its
-    treatment model's scores (``propensity``, if given) and its treatment
-    step."""
-    binned = None
-    if info.uses_ps:
-        propensity = propensity or batch.propensity(spec, C)
-        binned, _ = batch.treatment(info, C, propensity)
-    return batch.effects(info, spec, C, propensity, binned)
+def _run_alone(batch, method, spec, C, given=None):
+    """The entry of ``method`` run as a suite of one on the fits of ``C``
+    (``batch.run``), with its treatment model's scores ``given`` or fitted
+    by the run.  The run's warnings are not what its callers check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtremeWeightsWarning)
+        warnings.simplefilter("ignore", DegenerateBinsWarning)
+        (entry,) = batch.run([(method, spec)], C, given)
+    return entry
 
 
 class TestEstimatorConfig:
@@ -410,14 +411,14 @@ class TestBatchedReplicates:
         resamples = _Batch(data, config.k_bins)
         C = np.array([np.bincount(substream(4, r).integers(0, data.n, size=data.n),
                                   minlength=data.n) for r in range(25)], dtype=float)
-        info = METHOD_TABLE[method]
-        forward, status = _batch_effects(resamples, info, config.spec, C)
-        backward, status_back = _batch_effects(resamples, info, config.spec, C[::-1])
-        alone = [_batch_effects(resamples, info, config.spec, C[r:r + 1])[0]["ATT"][0][0]
+        forward = _run_alone(resamples, method, config.spec, C)
+        backward = _run_alone(resamples, method, config.spec, C[::-1])
+        alone = [_run_alone(resamples, method, config.spec, C[r:r + 1]).estimates["ATT"][0][0]
                  for r in (0, 11, 24)]
-        assert np.all(status == _OK) and np.all(status_back == _OK)
-        np.testing.assert_allclose(forward["ATT"][0], backward["ATT"][0][::-1], rtol=1e-12)
-        np.testing.assert_allclose(forward["ATT"][0][[0, 11, 24]], alone, rtol=1e-12)
+        assert np.all(forward.status == _OK) and np.all(backward.status == _OK)
+        np.testing.assert_allclose(forward.estimates["ATT"][0],
+                                   backward.estimates["ATT"][0][::-1], rtol=1e-12)
+        np.testing.assert_allclose(forward.estimates["ATT"][0][[0, 11, 24]], alone, rtol=1e-12)
 
 
 class TestReplicateEngine:
@@ -472,10 +473,8 @@ class TestDuplicatedUnit:
         C = np.ones((1, n))
         C[0, unit] = 2.0
         repeated = data.take(np.append(np.arange(n), unit))
-        batch = _Batch(data, 5)
-        propensity = batch.propensity(spec, C) if info.uses_ps else None
-        binned = batch.treatment(info, C, propensity)[0] if info.uses_ps else None
-        values, status = batch.effects(info, spec, C, propensity, binned)
+        entry = _run_alone(_Batch(data, 5), method, spec, C)
+        values, status = entry.estimates, entry.status
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtremeWeightsWarning)
             want = estimate_effects(method, repeated, spec)
@@ -488,9 +487,9 @@ class TestDuplicatedUnit:
             ones = np.ones((1, n + 1))
             copy_ps, _ = _Batch(repeated, 5, reps=1).propensity(spec, ones)
             copy = _quantile_bins_batch(copy_ps, ones, 5)
-            labels = binned.labels[0]
+            labels = entry.labels[0]
             np.testing.assert_array_equal(np.append(labels, labels[unit]), copy.labels[0])
-            assert binned.n_bins[0] == copy.n_bins[0]
+            assert entry.n_bins[0] == copy.n_bins[0]
 
 
 class TestOneArithmetic:
@@ -508,9 +507,9 @@ class TestOneArithmetic:
         point = estimate_effects(method, data, spec, ps_fit)
         # The point fit's scores, so that the weighting methods see the
         # same floats on both paths.
-        propensity = None if ps_fit is None else (ps_fit.fitted_ps[None, :], np.full(1, _OK))
-        values, status = _batch_effects(_Batch(data, 5), info, spec, np.ones((1, data.n)),
-                                        propensity)
+        given = None if ps_fit is None else (ps_fit.fitted_ps[None, :], np.full(1, _OK))
+        entry = _run_alone(_Batch(data, 5), method, spec, np.ones((1, data.n)), given)
+        values, status = entry.estimates, entry.status
         assert np.all(status == _OK)
         assert set(values) == set(point) == set(info.estimands)
         for estimand, estimate in point.items():
@@ -588,7 +587,9 @@ class TestDrSpecificationTest:
         def no_fit(*args, **kwargs):
             raise AssertionError("a propensity model was fitted before validation")
 
-        monkeypatch.setattr("panel_causal.inference.fit_propensity", no_fit)
+        # Every treatment-model fit of the DR test, its point estimates' and
+        # its replicates', is a call of the batch kernel.
+        monkeypatch.setattr("panel_causal.estimators._fit_logistic_batch", no_fit)
 
     @pytest.mark.parametrize("k_bins", [1, 0, -3])
     def test_too_few_bins_rejected_before_any_fit(self, k_bins, monkeypatch):

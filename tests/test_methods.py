@@ -306,8 +306,16 @@ def test_one_class_resamples_fail_alone(data, kinds, tied, seed):
     one_class = kinds != "both"
     suite = [(method, replace(_spec(method), ps_terms=("1",)) if tied else _spec(method))
              for method in METHODS]
-    _, ok, notes = _Batch(data, 5).values(suite, C)
-    _, _, notes_without = _Batch(data, 5).values(suite, C[~one_class])
+
+    def run(C):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, ok = _Batch(data, 5).values(suite, C)
+        return ok, [(w.category, str(w.message)) for w in caught
+                    if issubclass(w.category, PanelCausalWarning)]
+
+    ok, notes = run(C)
+    _, notes_without = run(C[~one_class])
     np.testing.assert_array_equal(ok, np.broadcast_to(~one_class[:, None], ok.shape))
     assert notes == notes_without
     assert len(notes) >= tied * np.sum(~one_class)
@@ -402,7 +410,7 @@ def test_boundaries_give_finite_values_or_a_typed_error(method, panel):
         suite = [(method, spec)]
         columns = [ESTIMANDS.index(e) for e in info.estimands]
         (batch, C), = _resamples(data, 5, 20, 0)
-        values, ok, _ = batch.values(suite, C)
+        values, ok = batch.values(suite, C)
         replicates = _replicate_values(suite, _resamples(data, 5, 20, 0))
     assert np.all(np.isfinite(values[..., columns]) | ~ok[..., None])
     np.testing.assert_array_equal(np.isnan(replicates[..., columns]),

@@ -498,7 +498,8 @@ class TestBatchedStudy:
     def test_replicates_make_no_single_estimates(self, monkeypatch):
         # Beyond their point estimates, the bootstrap, the DR test (with a
         # constant treatment model too) and the study take no resample and
-        # call no public estimator or treatment-model fit.
+        # call no public estimator or treatment-model fit.  The DR test's
+        # three point estimates are one run of the batch of one draw.
         counts = Counter()
 
         def count(owner, name):
@@ -512,9 +513,7 @@ class TestBatchedStudy:
 
         count(simlab.PanelDataset, "take")
         count(inference, "estimate_effects")
-        # The point estimates fit their own treatment models by the batch
-        # kernel, as the replicates do; only the DR test fits one publicly.
-        count(inference, "fit_propensity")
+        count(inference, "_point_estimates")
         data = generate_scenario(Scenario("HOM", 60), 1)
         specs = scenario_specs("HOM")
         spec = ModelSpec(outcome_terms=specs["mixed_full"].outcome_terms,
@@ -526,7 +525,7 @@ class TestBatchedStudy:
             for ps_terms in (spec.ps_terms, ("1",)):
                 counts.clear()
                 dr_specification_test(data, replace(spec, ps_terms=ps_terms), B=30, seed=0)
-                assert counts == {"estimate_effects": 3, "fit_propensity": 1}
+                assert counts == {"_point_estimates": 1}
             counts.clear()
             run_study(Scenario("HOM", 15), R=40, seed=1)
             assert counts == {}
@@ -541,7 +540,7 @@ class TestBatchedStudy:
         specs = scenario_specs(sid)
         suite = [(e.method, simlab._entry_spec(e, specs)) for e in DEFAULT_SUITE]
         (batch, C), = simlab._draw_chunks(sc, 3, range(25), 5)
-        _, ok, _ = batch.values(suite, C)
+        (_, ok), _ = _run_recorded(batch.values, suite, C)
         dr = [i for i, (method, _) in enumerate(suite) if method == "DRGLMM"]
         assert ok[:, dr].sum() >= 25 * len(dr) // 2
         got, got_warnings = _run_recorded(inference._replicate_values, suite, [(batch, C)])
@@ -592,18 +591,18 @@ class TestBatchedStudy:
                       for method, spec in suite if method == "DRGLMM"][::2]
         sc, seed, R = Scenario(sid, n), 0, 20
         (batch, C), = simlab._draw_chunks(sc, seed, range(R), k_bins)
-        vals, ok, notes = batch.values(suite, C)
+        (vals, ok), notes = _run_recorded(batch.values, suite, C)
         fused = +calls
         for i, entry in enumerate(suite):
             (alone, C), = simlab._draw_chunks(sc, seed, range(R), k_bins)
-            want_vals, want_ok, _ = alone.values([entry], C)
+            (want_vals, want_ok), _ = _run_recorded(alone.values, [entry], C)
             np.testing.assert_array_equal(vals[:, i], want_vals[:, 0])
             np.testing.assert_array_equal(ok[:, i], want_ok[:, 0])
         want_notes = []
         for r in range(R):
             (one, C), = simlab._draw_chunks(sc, seed, [r], k_bins)
             for entry in suite:
-                want_notes += one.values([entry], C)[2]
+                want_notes += _run_recorded(one.values, [entry], C)[1]
         assert notes == want_notes
         if n == 250:
             assert ok.all()
@@ -612,7 +611,7 @@ class TestBatchedStudy:
             dr = [i for i, (method, _) in enumerate(suite) if method == "DRGLMM"]
             assert 0 < ok[:, dr].sum() < ok[:, dr].size
             assert sum(fused.values()) == 6
-            assert any(category is DegenerateBinsWarning for _, category in notes)
+            assert any(category is DegenerateBinsWarning for category, _ in notes)
 
     def test_a_chunk_makes_one_mixed_call_per_outcome_design_and_bin_count(self, monkeypatch):
         # DEFAULT_SUITE on a HET chunk: GLMM's two designs, then the four
@@ -629,7 +628,7 @@ class TestBatchedStudy:
         specs = scenario_specs("HET")
         suite = [(e.method, simlab._entry_spec(e, specs)) for e in DEFAULT_SUITE]
         (batch, C), = simlab._draw_chunks(Scenario("HET", 250), 0, range(40), 5)
-        batch.values(suite, C)
+        _run_recorded(batch.values, suite, C)
         assert calls == [(40, [40, 40]), (80, [40, 40]), (40, [40, 40]), (80, [40, 40])]
 
     def test_draw_without_overlap_raises_as_before(self):

@@ -25,7 +25,13 @@ seed, it runs DRGLMM and OR (ATE and ATT each) on a HET panel of
 ``v:treat`` and prints one digest of the four outputs' digests,
 ``estimate/interactions <seed> <sha256>``: v takes negative values, whose
 control-design products are -0.0, and no workload fits a ``v:treat``
-column.  The package
+column.  Then, per seed, it runs ``diagnose --check all`` twice on a HOM
+panel of ``DIAGNOSE_N`` units with ``DIAGNOSE_B`` replicates, with the
+models of ``DIAGNOSE_SPECS``: the README's, and the same outcome model with
+a constant treatment model, under which every propensity bin collapses and
+the DR test meets its degenerate variance.  It prints one digest of the
+two outputs' digests, ``diagnose/all <seed> <sha256>``: no workload runs
+the balance check, the DR test or backward elimination.  The package
 and the workload definitions both come from the checkout at ``--root``;
 the workload file is imported, never written.  Two checkouts that print
 the same lines write the same output bytes on those seeds.
@@ -51,6 +57,15 @@ INTERACTION_SPECS = {
     "drglmm": {"outcome_terms": ["1", "time", "treat", "x1", "x2", "x1:treat", "v:treat"],
                "ps_terms": ["1", "x1", "x2", "v"]},
     "or": {"outcome_terms": ["1", "treat", "x1", "x2", "x1:treat", "v:treat"]},
+}
+DIAGNOSE_N = 300
+DIAGNOSE_B = 60
+# The models of the diagnose/all lines: the README's spec, and its outcome
+# model with a constant treatment model.
+_README_OUTCOME = ["1", "time", "treat", "x1", "x2", "log(x2)"]
+DIAGNOSE_SPECS = {
+    "readme": {"outcome_terms": _README_OUTCOME, "ps_terms": ["1", "x1", "x2", "v"]},
+    "constant": {"outcome_terms": _README_OUTCOME, "ps_terms": ["1"]},
 }
 
 # One BLAS thread, as in the benchmark's workers, set before numpy loads.
@@ -111,6 +126,8 @@ def main(argv=None):
                       flush=True)
     for seed in args.seeds:
         print("estimate/interactions", seed, _interactions_digest(cli.run, seed), flush=True)
+    for seed in args.seeds:
+        print("diagnose/all", seed, _diagnose_digest(cli.run, seed), flush=True)
     return 0
 
 
@@ -134,6 +151,27 @@ def _interactions_digest(run, seed):
                         "--spec", spec_path, "--format", "json", "--output", out]
                 what = f"estimate/interactions {method} {estimand} seed {seed}"
                 digest.update(_digest(run, argv, out, what).encode())
+    return digest.hexdigest()
+
+
+def _diagnose_digest(run, seed):
+    """The SHA-256 of the digests of ``diagnose --check all`` with each
+    model of ``DIAGNOSE_SPECS``, on a HOM panel drawn from ``seed``."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        panel, out = os.path.join(workdir, "panel.csv"), os.path.join(workdir, "out")
+        argv = ["simulate", "--scenario", "HOM", "--n", str(DIAGNOSE_N), "--seed", str(seed),
+                "--output", panel]
+        if run(argv) != 0:
+            raise SystemExit(f"diagnose/all seed {seed}: simulate failed")
+        for name, spec in DIAGNOSE_SPECS.items():
+            spec_path = os.path.join(workdir, f"{name}.json")
+            with open(spec_path, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            argv = ["diagnose", "--input", panel, "--spec", spec_path, "--check", "all",
+                    "--B", str(DIAGNOSE_B), "--seed", str(seed), "--format", "json",
+                    "--output", out]
+            digest.update(_digest(run, argv, out, f"diagnose/all {name} seed {seed}").encode())
     return digest.hexdigest()
 
 
